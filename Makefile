@@ -47,13 +47,14 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Full vs incremental admission test on the 200-connection, 32-switch
-# tandem (docs/INCREMENTAL.md); the incremental path must be >=5x faster.
+# tandem (docs/INCREMENTAL.md): the wall-clock rows of the test path
+# (TestIncrementalWork gates the deterministic counters in tier-1).
 bench-admit:
 	$(GO) test -bench='BenchmarkFullTest|BenchmarkIncrementalTest' -benchmem -run '^$$' ./internal/admission
 
 # Incremental (baseline shrink) vs baseline-invalidating release on the
-# same fabric (docs/INCREMENTAL.md); the incremental path must be >=5x
-# faster (TestReleaseSpeedup enforces the gate in the regular test run).
+# same fabric (docs/INCREMENTAL.md): the wall-clock rows of the release
+# path (TestReleaseWork gates the deterministic counters in tier-1).
 bench-release:
 	$(GO) test -bench='BenchmarkRelease' -benchmem -run '^$$' ./internal/admission
 

@@ -74,7 +74,7 @@ func main() {
 			state.ForceFull()
 		}
 		ctx, cancel := fillContext(*timeout)
-		n, err := state.FillGreedyContext(ctx, template, *limit)
+		n, err := state.Engine().FillGreedy(ctx, template, *limit)
 		cancel()
 		if err != nil {
 			if admission.IsCanceled(err) {

@@ -18,8 +18,8 @@
 // subnetwork so disjoint workloads commit without contending.
 //
 // Endpoints are network-scoped under /v2 (see docs/SERVICE.md for the full
-// reference; every /v1 and unprefixed pre-versioning spelling still works
-// against the default network but answers with a Deprecation header):
+// reference; the /v1 and unprefixed pre-versioning spellings are retired
+// and answer 404):
 //
 //	POST   /v2/networks/{id}/connections        test-and-admit a connection (dry_run supported)
 //	POST   /v2/networks/{id}/batch              run an ordered mix of admit and release operations
@@ -68,6 +68,7 @@ import (
 	"syscall"
 	"time"
 
+	"delaycalc/internal/admission"
 	"delaycalc/internal/cliutil"
 	"delaycalc/internal/service"
 )
@@ -145,20 +146,30 @@ func buildState(logger *slog.Logger, id, specPath string, tandem int, load float
 	// fabric restarts with its admitted set; the tandem builder's
 	// best-effort connections (no deadline) are load templates, not
 	// admissions, and are skipped with a warning.
+	// The whole set goes in as ONE envelope: one snapshot commit instead of
+	// one (each copying the admitted set) per connection.
 	if specPath != "" {
+		var ops []admission.Op
 		for _, conn := range net.Connections {
 			if conn.Deadline <= 0 {
 				logger.Warn("skipping spec connection without deadline", "network", id, "connection", conn.Name)
 				continue
 			}
-			d, err := state.Admit(conn)
-			if err != nil {
-				return nil, 0, fmt.Errorf("network %q: pre-admitting %q: %w", id, conn.Name, err)
+			ops = append(ops, admission.Op{Kind: admission.OpAdmit, Candidate: conn})
+		}
+		br, err := state.ApplyBatch(context.Background(), ops)
+		if err != nil {
+			return nil, 0, fmt.Errorf("network %q: pre-admitting the spec's connections: %w", id, err)
+		}
+		for i, res := range br.Results {
+			name := ops[i].Candidate.Name
+			if res.Err != nil {
+				return nil, 0, fmt.Errorf("network %q: pre-admitting %q: %w", id, name, res.Err)
 			}
-			if !d.Admitted {
-				return nil, 0, fmt.Errorf("network %q: pre-admitting %q: rejected: %s", id, conn.Name, d.Reason)
+			if !res.Decision.Admitted {
+				return nil, 0, fmt.Errorf("network %q: pre-admitting %q: rejected: %s", id, name, res.Decision.Reason)
 			}
-			logger.Info("pre-admitted", "network", id, "connection", conn.Name)
+			logger.Info("pre-admitted", "network", id, "connection", name)
 		}
 	}
 	// Warm the analysis baseline before serving so the first admission test

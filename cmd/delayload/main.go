@@ -241,7 +241,9 @@ type recorder struct {
 	rejected int
 }
 
-func (r *recorder) observe(d time.Duration) { r.latMs = append(r.latMs, float64(d.Microseconds())/1000) }
+func (r *recorder) observe(d time.Duration) {
+	r.latMs = append(r.latMs, float64(d.Microseconds())/1000)
+}
 
 // percentile returns the q-quantile (0 < q <= 1) of sorted samples.
 func percentile(sorted []float64, q float64) float64 {
@@ -782,11 +784,14 @@ func run(cfg *config, out io.Writer) error {
 		}
 	}
 	if bb := rep.BatchBench; bb != nil {
-		// The single-commit invariant is not an opt-in gate: a batch
-		// envelope that committed more than one snapshot per shard means
-		// the pipelined path regressed to per-op commits.
-		if bb.CommitsPerEnvelope != 1 {
-			failures = append(failures, fmt.Errorf("batch envelopes averaged %.2f commits each (want exactly 1: %d commits / %d envelopes)",
+		// The single-commit invariant is not an opt-in gate: an envelope
+		// that committed more than one snapshot per shard means the write
+		// path regressed to per-op commits. Every write is an envelope (the
+		// sequential arm's singles are envelopes of one), and one that
+		// leaves the set untouched commits nothing, so the mean may sit
+		// below 1 but never above it.
+		if bb.CommitsPerEnvelope > 1 {
+			failures = append(failures, fmt.Errorf("envelopes averaged %.2f commits each (want at most 1: %d commits / %d envelopes)",
 				bb.CommitsPerEnvelope, bb.Commits, bb.Envelopes))
 		}
 		if cfg.gateBatch > 0 {

@@ -78,7 +78,7 @@ func TestRunInProcess(t *testing.T) {
 		t.Fatalf("admit errors: %+v", admit)
 	}
 	if len(rep.EngineStats) == 0 {
-		t.Fatal("report is missing the daemon's /v1/stats document")
+		t.Fatal("report is missing the daemon's stats document")
 	}
 	if !strings.Contains(buf.String(), "report written") {
 		t.Fatalf("missing summary output:\n%s", buf.String())

@@ -62,12 +62,12 @@ type openLoopReport struct {
 // one batch-of-N envelope versus N sequential admissions, plus the
 // engine-counter proof that envelopes commit once.
 type batchBenchReport struct {
-	BatchSize          int     `json:"batch_size"`
-	Trials             int     `json:"trials"`
-	SequentialP50Ms    float64 `json:"sequential_p50_ms"`
-	SequentialP99Ms    float64 `json:"sequential_p99_ms"`
-	BatchP50Ms         float64 `json:"batch_p50_ms"`
-	BatchP99Ms         float64 `json:"batch_p99_ms"`
+	BatchSize       int     `json:"batch_size"`
+	Trials          int     `json:"trials"`
+	SequentialP50Ms float64 `json:"sequential_p50_ms"`
+	SequentialP99Ms float64 `json:"sequential_p99_ms"`
+	BatchP50Ms      float64 `json:"batch_p50_ms"`
+	BatchP99Ms      float64 `json:"batch_p99_ms"`
 	// SpeedupP50 (sequential p50 / batch p50) is the gate statistic: the
 	// median of repeated trials is robust to scheduler and GC hiccups,
 	// which at the ~1 ms scale of a single batch envelope turn one unlucky

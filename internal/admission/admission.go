@@ -6,12 +6,23 @@
 // admitted connections at the same quality of service — the paper's
 // utilization argument.
 //
-// Controller is NOT goroutine-safe: Admit, Remove, and FillGreedy mutate
-// the admitted set, and Admitted, Count, Test, and Utilization read it,
-// all without synchronization. Concurrent callers must serialize access
-// themselves; the canonical way is service.State (internal/service),
-// which wraps a Controller behind a mutex and returns copies, and which
-// both the delayd daemon and the CLIs use.
+// The package has two engine types and one oracle:
+//
+//   - Engine is the goroutine-safe, incremental controller over versioned
+//     immutable snapshots. ApplyBatch (live) and TestBatch (dry run) are
+//     its only write and test entry points: a single admit, release or
+//     test is an envelope of one.
+//   - ShardedEngine partitions the fabric into independent components, one
+//     Engine per shard, behind the same two entry points (plus
+//     envelope-of-one conveniences); with one shard it is that Engine. It
+//     is what service.State, the delayd daemon and the CLIs run.
+//   - Controller is the deliberately naive reference: every test is a full
+//     re-analysis of the trial network. The differential tests pin both
+//     engines' decisions and bounds to it, and the public
+//     delaycalc.AdmissionController is an alias for it. It is NOT
+//     goroutine-safe: Admit, Remove, and FillGreedy mutate the admitted
+//     set, and Admitted, Count, Test, and Utilization read it, all without
+//     synchronization.
 package admission
 
 import (
@@ -110,8 +121,8 @@ type Decision struct {
 }
 
 // evaluate derives the Decision for an analyzed trial network. It is the
-// single decision rule shared by the full Controller path and the
-// incremental Engine path, so the two can never diverge.
+// single decision rule shared by the Controller oracle and the engines'
+// admission step, so the two can never diverge.
 func evaluate(trial *topo.Network, res *analysis.Result) Decision {
 	d := Decision{Bounds: res.Bounds}
 	for i, conn := range trial.Connections {

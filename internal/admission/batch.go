@@ -1,18 +1,17 @@
-// Batch pipelining: a whole mixed admit/release envelope evaluated against
-// one working baseline and committed as a single snapshot.
+// The write path: every admit, release and test is an envelope.
 //
-// ApplyBatch replays every operation of an envelope the way the sequential
-// per-op path would — the same prechecks, the same affected-set scoping,
-// the same unit-trace extensions and shrinks against the same analyzer —
-// but accumulates the mutations in a private working state and installs
-// them with ONE version-checked snapshot swap at the end. A 50-op batch
-// therefore pays one snapshot copy and one commit instead of 50, and
-// concurrent traffic can never observe (or interleave with) a half-applied
-// envelope: readers see the set either entirely before or entirely after
-// it. Decisions are bit-identical to issuing the operations one by one
-// against an otherwise idle engine; the differential tests in
-// batch_test.go pin that equivalence over random networks and the churn
-// corpus.
+// ApplyBatch evaluates a mixed admit/release envelope against a private
+// working state — precheck, affected-set scoping, unit-trace extension or
+// shrink, decision — and installs all its mutations with ONE
+// version-checked snapshot swap at the end; TestBatch runs the same
+// per-candidate step against a pinned snapshot and commits nothing. A
+// single admit, release or test is an envelope of one. A 50-op envelope
+// pays one commit instead of 50, and concurrent traffic can never observe
+// (or interleave with) a half-applied envelope: readers see the set either
+// entirely before or entirely after it. Decisions are bit-identical to
+// issuing the operations as N envelopes of one against an otherwise idle
+// engine, and to Controller's full re-analysis; the differential tests pin
+// both over random networks and the churn corpus.
 package admission
 
 import (
@@ -40,15 +39,14 @@ type Op struct {
 	Name      string          // OpRelease only
 }
 
-// OpResult is the per-operation outcome of ApplyBatch, mirroring what the
-// sequential path would have returned for the same operation: admit ops
-// carry the Decision (and Err for invalid candidates), release ops carry
-// Released plus the ReleaseInfo report.
+// OpResult is the per-operation outcome of an envelope: admit ops (and
+// dry-run candidates) carry the Decision (and Err for invalid candidates),
+// release ops carry Released plus the ReleaseInfo report.
 type OpResult struct {
 	// Decision is the admission decision (OpAdmit only).
 	Decision Decision
-	// Err is the per-operation error an invalid candidate would have
-	// produced sequentially; it never aborts the rest of the envelope.
+	// Err is the per-operation error of an invalid candidate; it never
+	// aborts the rest of the envelope.
 	Err error
 	// Released reports whether an OpRelease found (and removed) its name.
 	Released bool
@@ -56,38 +54,63 @@ type OpResult struct {
 	Release ReleaseInfo
 }
 
+// ReleaseInfo describes how a release was performed.
+type ReleaseInfo struct {
+	// Incremental is true when the baseline was shrunk in place (scoped
+	// unit-trace replay), false when the release compacted: the baseline
+	// was dropped and, with background promotion on, is being rebuilt off
+	// the request path.
+	Incremental bool
+	// Affected is the number of surviving connections inside the removed
+	// connection's interference closure (-1 when no baseline was available
+	// to scope against).
+	Affected int
+}
+
 // BatchResult is the outcome of one envelope.
 type BatchResult struct {
-	// Results holds one entry per operation, in request order.
+	// Results holds one entry per operation, in request order; nil when the
+	// envelope was cancelled.
 	Results []OpResult
 	// Commits is the number of snapshot commits the envelope performed:
 	// 0 when no operation mutated the set, otherwise exactly one per shard
-	// touched (1 for a plain Engine).
+	// touched (1 for a plain Engine). It is reported even when ApplyBatch
+	// returns a cancellation error: zero then means nothing was committed
+	// anywhere and the envelope may be re-run.
 	Commits int
-	// ShardsTouched is the number of engine shards that committed; always
-	// <= Commits-wise equal for shard-local envelopes (a plain Engine
-	// reports 1 when the envelope mutated, 0 otherwise).
+	// ShardsTouched is the number of engine shards that committed (a plain
+	// Engine reports 1 when the envelope mutated, 0 otherwise).
 	ShardsTouched int
 }
 
 // batchState is the working state one envelope evaluation accumulates: the
-// would-be admitted set and the baseline as the sequential path would have
-// left them after the operations applied so far.
+// would-be admitted set and the baseline as the operations applied so far
+// have left them. A dry run evaluates against the same state and never
+// advances it.
 type batchState struct {
+	// admitted starts as a capacity-clipped alias of the snapshot's set and
+	// is never written in place: an admit appends (reallocating off the
+	// snapshot's array the first time), a release installs a fresh slice.
 	admitted []topo.Connection
 	base     *analysis.Baseline
 	// mutated flips on the first successful admit or release; an envelope
 	// that never mutates commits nothing.
 	mutated bool
-	// buildFailed mirrors the sequential snapshot's sticky baseErr: once a
-	// lazy baseline build fails, later operations against the *same*
-	// would-be snapshot go straight to the full path. Any mutation starts a
-	// fresh would-be snapshot, so the flag resets.
+	// buildFailed mirrors the snapshot's sticky baseErr: once a lazy
+	// baseline build fails, later operations against the *same* would-be
+	// set go straight to the full path. Any mutation starts a fresh would-be
+	// set, so the flag resets.
 	buildFailed bool
 	// compacted records that some release dropped the baseline, so a warm
-	// rebuild should be scheduled after the commit (matching the sequential
-	// compaction path) unless a later operation promoted a fresh one.
+	// rebuild should be scheduled after the commit unless a later operation
+	// promoted a fresh one.
 	compacted bool
+}
+
+// workingState opens an envelope evaluation over the snapshot.
+func (s *Snapshot) workingState() *batchState {
+	n := len(s.admitted)
+	return &batchState{admitted: s.admitted[:n:n], base: s.cachedBaseline()}
 }
 
 // validateOps rejects malformed envelopes before anything is evaluated.
@@ -103,16 +126,24 @@ func validateOps(ops []Op) error {
 }
 
 // ApplyBatch evaluates a mixed admit/release envelope against the current
-// snapshot and commits all its mutations as one new snapshot version.
+// snapshot and commits all its mutations as one new snapshot version. It
+// is the engine's only write entry point.
 //
 // Every operation sees the set as left by its predecessors in the envelope
-// (greedy semantics, like the sequential path), decisions and release
-// reports are bit-identical to issuing the operations one by one, and the
-// engine's version advances by at most 1. A concurrent commit between the
-// snapshot read and the batch commit retries the whole envelope, exactly
-// like Admit's optimistic loop. A cancellation (check IsCanceled) aborts
-// the envelope with nothing committed.
-func (e *Engine) ApplyBatch(ctx context.Context, ops []Op) (*BatchResult, error) {
+// (greedy semantics), and the engine's version advances by at most 1. The
+// evaluation analyzes outside any lock; a concurrent commit between the
+// snapshot read and the batch commit retries the whole envelope. A
+// cancellation (check IsCanceled) aborts the envelope with nothing
+// committed.
+//
+// override nil runs the engine's analyzer on its incremental path. A
+// non-nil override is the degradation hook — the serving layer re-runs a
+// timed-out envelope with the always-valid decomposed analyzer: every admit
+// is a full analysis with it, and a positive decision commits without a
+// promoted baseline, so the next incremental test rebuilds one against the
+// primary analyzer. Sound whenever the override's bounds are valid upper
+// bounds.
+func (e *Engine) ApplyBatch(ctx context.Context, ops []Op, override analysis.Analyzer) (*BatchResult, error) {
 	if err := validateOps(ops); err != nil {
 		return nil, err
 	}
@@ -120,9 +151,9 @@ func (e *Engine) ApplyBatch(ctx context.Context, ops []Op) (*BatchResult, error)
 	e.batchOps.Add(uint64(len(ops)))
 	for {
 		snap := e.Snapshot()
-		br, st, err := e.evalBatch(ctx, snap, ops)
+		br, st, err := e.evalBatch(ctx, snap, ops, override)
 		if err != nil {
-			return nil, err
+			return &BatchResult{}, err
 		}
 		if !st.mutated {
 			return br, nil
@@ -139,27 +170,25 @@ func (e *Engine) ApplyBatch(ctx context.Context, ops []Op) (*BatchResult, error)
 	}
 }
 
-// evalBatch runs every operation against a private working copy of the
-// snapshot's state, never mutating the engine. The returned batchState is
-// what commitBatch installs.
-func (e *Engine) evalBatch(ctx context.Context, snap *Snapshot, ops []Op) (*BatchResult, *batchState, error) {
-	st := &batchState{
-		// One copy per envelope (not per op): appends and removals below
-		// must never write into the snapshot's backing array.
-		admitted: append([]topo.Connection(nil), snap.admitted...),
-		base:     snap.cachedBaseline(),
-	}
+// evalBatch runs every operation against a private working state, never
+// mutating the engine. The returned batchState is what commitBatch
+// installs.
+func (e *Engine) evalBatch(ctx context.Context, snap *Snapshot, ops []Op, override analysis.Analyzer) (*BatchResult, *batchState, error) {
+	st := snap.workingState()
 	br := &BatchResult{Results: make([]OpResult, len(ops))}
 	for i, op := range ops {
 		switch op.Kind {
 		case OpAdmit:
-			d, err := e.batchAdmit(ctx, snap, st, op.Candidate)
-			if err != nil && IsCanceled(err) {
+			d, ext, err := e.admitStep(ctx, snap, st, op.Candidate, override)
+			if IsCanceled(err) {
 				return nil, nil, err
+			}
+			if err == nil && d.Admitted {
+				st.admit(op.Candidate, ext)
 			}
 			br.Results[i] = OpResult{Decision: d, Err: err}
 		case OpRelease:
-			res, err := e.batchRelease(ctx, st, op.Name)
+			res, err := e.releaseStep(ctx, st, op.Name)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -170,10 +199,10 @@ func (e *Engine) evalBatch(ctx context.Context, snap *Snapshot, ops []Op) (*Batc
 }
 
 // ensureBaseline returns the working baseline for an incremental admit,
-// building one lazily the way the sequential path would: before the first
-// mutation it joins the snapshot's own lazy build (so the analysis is
-// shared with concurrent tests), after a mutation it builds privately over
-// the working set. Build failures stick until the next mutation.
+// building one lazily: before the first mutation it joins the snapshot's
+// own lazy build (so the analysis is shared with concurrent tests), after a
+// mutation it builds privately over the working set. Build failures stick
+// until the next mutation.
 func (st *batchState) ensureBaseline(e *Engine, snap *Snapshot) (*analysis.Baseline, error) {
 	if st.base != nil {
 		return st.base, nil
@@ -205,73 +234,94 @@ func (st *batchState) ensureBaseline(e *Engine, snap *Snapshot) (*analysis.Basel
 	return base, nil
 }
 
-// batchAdmit mirrors Snapshot.test plus the commit's working-state effects
-// against st instead of the engine.
-func (e *Engine) batchAdmit(ctx context.Context, snap *Snapshot, st *batchState, cand topo.Connection) (Decision, error) {
-	if cand.Deadline <= 0 {
-		return Decision{Code: CodeInvalidSpec, Reason: "candidate has no deadline"},
-			fmt.Errorf("admission: candidate %q has no deadline", cand.Name)
+// admit advances the working state past an accepted candidate. ext is the
+// incremental extension to promote; nil (a full-path or override admit)
+// leaves the would-be set without a baseline, and the next incremental
+// admit rebuilds one over it.
+func (st *batchState) admit(cand topo.Connection, ext *analysis.Extension) {
+	st.admitted = append(st.admitted, cand)
+	st.base = nil
+	if ext != nil {
+		st.base = ext.Promote()
 	}
-	trial := &topo.Network{Servers: e.servers}
-	trial.Connections = append(trial.Connections, st.admitted...)
-	trial.Connections = append(trial.Connections, cand)
-	// st.base, when present, is the baseline over exactly st.admitted, so
-	// its checker validates the candidate in O(candidate); a nil working
-	// baseline degrades to the identical full validation.
-	if err := st.base.ValidateExtend(trial); err != nil {
-		return Decision{Code: CodeInvalidSpec, Reason: err.Error()}, err
-	}
-	if !trial.Stable() {
-		return Decision{Code: CodeUnstable, Reason: "network would be unstable"}, nil
-	}
-	affected, _ := AffectedSet(len(e.servers), st.admitted, cand)
-	e.observeAffected(len(affected))
-	if e.inc != nil {
-		if base, err := st.ensureBaseline(e, snap); err == nil {
-			ext, err := base.ExtendContext(ctx, cand)
-			if err == nil {
-				e.incTests.Add(1)
-				d := evaluate(trial, ext.Result())
-				if d.Admitted {
-					st.admitted = append(st.admitted, cand)
-					st.base = ext.Promote()
-					st.mutated = true
-					st.buildFailed = false
-				}
-				return d, nil
-			}
-			if IsCanceled(err) {
-				return Decision{}, err
-			}
-		}
-		// Baseline or extension failure: fall through to the full path,
-		// which reproduces the sequential fallback exactly.
-	}
-	e.fullTests.Add(1)
-	res, err := analysis.AnalyzeWithContext(ctx, e.analyzer, trial)
-	if err != nil {
-		if IsCanceled(err) {
-			return Decision{}, err
-		}
-		return Decision{Code: CodeInvalidSpec, Reason: err.Error()}, err
-	}
-	d := evaluate(trial, res)
-	if d.Admitted {
-		// A full-path admit commits without a promoted baseline
-		// sequentially; the working state mirrors that (the next
-		// incremental admit rebuilds one over the new set).
-		st.admitted = append(st.admitted, cand)
-		st.base = nil
-		st.mutated = true
-		st.buildFailed = false
-	}
-	return d, nil
+	st.mutated = true
+	st.buildFailed = false
 }
 
-// batchRelease mirrors Engine.Release's shrink-or-compact choice against
-// the working state. The only returned error is a cancellation from the
-// scoped shrink replay.
-func (e *Engine) batchRelease(ctx context.Context, st *batchState, name string) (OpResult, error) {
+// admitStep is THE admission test — the one implementation of precheck ->
+// affected set -> extend -> evaluate, run by ApplyBatch against the
+// accumulating working state and by TestBatch against a pinned snapshot's.
+// It never advances st: the caller applies st.admit on an accepted live
+// candidate. It returns the decision plus, on the incremental path, the
+// extension to promote. A cancellation surfaces as a bare error (never as a
+// CodeInvalidSpec decision, and never by silently falling through to the
+// more expensive full path).
+//
+// A non-nil override forces one full analysis with that analyzer; snap is
+// only consulted on the incremental path, so override callers with no
+// snapshot (the cross-shard union test) pass nil.
+func (e *Engine) admitStep(ctx context.Context, snap *Snapshot, st *batchState, cand topo.Connection, override analysis.Analyzer) (Decision, *analysis.Extension, error) {
+	if cand.Deadline <= 0 {
+		return Decision{Code: CodeInvalidSpec, Reason: "candidate has no deadline"}, nil,
+			fmt.Errorf("admission: candidate %q has no deadline", cand.Name)
+	}
+	trial := &topo.Network{Servers: e.servers, Connections: make([]topo.Connection, 0, len(st.admitted)+1)}
+	trial.Connections = append(append(trial.Connections, st.admitted...), cand)
+	// st.base, when present, is the baseline over exactly st.admitted — that
+	// set was validated when it was committed, so its checker validates the
+	// candidate in O(candidate); a nil working baseline (cold start,
+	// post-compaction, ForceFull) degrades to the identical full validation.
+	if err := st.base.ValidateExtend(trial); err != nil {
+		return Decision{Code: CodeInvalidSpec, Reason: err.Error()}, nil, err
+	}
+	if !trial.Stable() {
+		return Decision{Code: CodeUnstable, Reason: "network would be unstable"}, nil, nil
+	}
+	analyzer := override
+	if override == nil {
+		affected, _ := AffectedSet(len(e.servers), st.admitted, cand)
+		e.observeAffected(len(affected))
+		if e.inc != nil {
+			if base, err := st.ensureBaseline(e, snap); err == nil {
+				ext, err := base.ExtendContext(ctx, cand)
+				if err == nil {
+					e.incTests.Add(1)
+					return evaluate(trial, ext.Result()), ext, nil
+				}
+				if IsCanceled(err) {
+					return Decision{}, nil, err
+				}
+			}
+			// Baseline or extension failure: fall through to the full path,
+			// which reproduces Controller.Test exactly (including its error).
+		}
+		analyzer = e.analyzer
+	}
+	e.fullTests.Add(1)
+	res, err := analysis.AnalyzeWithContext(ctx, analyzer, trial)
+	if err != nil {
+		if IsCanceled(err) {
+			return Decision{}, nil, err
+		}
+		return Decision{Code: CodeInvalidSpec, Reason: err.Error()}, nil, err
+	}
+	return evaluate(trial, res), nil, nil
+}
+
+// releaseStep removes the named connection from the working state — the
+// one implementation of release. The only returned error is a cancellation
+// from the scoped shrink replay.
+//
+// When the working state has a materialized baseline and the removed
+// connection's interference closure covers at most the compaction
+// threshold's fraction of the survivors, the baseline is shrunk in place —
+// the surviving unit traces outside the closure replay bit-identically, so
+// the next admission test extends a warm baseline exactly as if the
+// released connection had never been admitted. Otherwise the release
+// compacts: the working state continues with no baseline and, if the
+// envelope commits that way, a background build re-promotes one, so the
+// release itself never blocks on a rebuild.
+func (e *Engine) releaseStep(ctx context.Context, st *batchState, name string) (OpResult, error) {
 	idx := -1
 	for i, conn := range st.admitted {
 		if conn.Name == name {
@@ -282,16 +332,19 @@ func (e *Engine) batchRelease(ctx context.Context, st *batchState, name string) 
 	if idx < 0 {
 		return OpResult{}, nil
 	}
+	// Room for one append, so a release-then-admit envelope copies once.
+	survivors := make([]topo.Connection, 0, len(st.admitted))
+	survivors = append(append(survivors, st.admitted[:idx]...), st.admitted[idx+1:]...)
 	info := ReleaseInfo{Affected: -1}
+	var shrunk *analysis.Baseline
 	if e.inc != nil && st.base != nil {
-		survivors := append(append([]topo.Connection(nil), st.admitted[:idx]...), st.admitted[idx+1:]...)
 		affected, _ := AffectedSet(len(e.servers), survivors, st.admitted[idx])
 		info.Affected = len(affected)
 		e.observeAffected(len(affected))
 		if float64(len(affected)) <= e.compactionThreshold()*float64(len(survivors)) {
 			ext, err := st.base.ShrinkContext(ctx, idx)
 			if err == nil {
-				st.base = ext.Promote()
+				shrunk = ext.Promote()
 				info.Incremental = true
 			} else if IsCanceled(err) {
 				return OpResult{}, err
@@ -301,11 +354,11 @@ func (e *Engine) batchRelease(ctx context.Context, st *batchState, name string) 
 	if info.Incremental {
 		e.incRels.Add(1)
 	} else {
-		st.base = nil
 		st.compacted = true
 		e.compactRels.Add(1)
 	}
-	st.admitted = append(st.admitted[:idx], st.admitted[idx+1:]...)
+	st.admitted = survivors
+	st.base = shrunk
 	st.mutated = true
 	st.buildFailed = false
 	return OpResult{Released: true, Release: info}, nil
@@ -328,25 +381,19 @@ func (e *Engine) commitBatch(snap *Snapshot, st *batchState) bool {
 	return true
 }
 
-// TestBatch is the dry-run counterpart of ApplyBatch: it evaluates every
-// candidate against ONE pinned snapshot — never the moving live head — so
-// the report is internally consistent even while concurrent admissions
-// commit. Like the sequential dry-run semantics, candidates are judged
+// TestBatch is the dry-run counterpart of ApplyBatch and the engine's only
+// test entry point: it evaluates every candidate against ONE pinned
+// snapshot — never the moving live head — so the report is internally
+// consistent even while concurrent admissions commit. Candidates are judged
 // against the current admitted set alone (a dry-run envelope does not
 // accumulate its own hypothetical admissions). Nothing is ever committed.
-func (e *Engine) TestBatch(ctx context.Context, cands []topo.Connection) ([]OpResult, error) {
-	return e.Snapshot().testBatch(ctx, cands)
-}
-
-// TestBatchWith is TestBatch on the degraded path: every candidate is
-// evaluated with the explicit analyzer (full analysis, no incremental
-// state) against one pinned snapshot.
-func (e *Engine) TestBatchWith(ctx context.Context, analyzer analysis.Analyzer, cands []topo.Connection) ([]OpResult, error) {
+// override is as for ApplyBatch.
+func (e *Engine) TestBatch(ctx context.Context, cands []topo.Connection, override analysis.Analyzer) ([]OpResult, error) {
 	snap := e.Snapshot()
 	out := make([]OpResult, len(cands))
 	for i, cand := range cands {
-		d, err := snap.testWith(ctx, analyzer, cand)
-		if err != nil && IsCanceled(err) {
+		d, err := snap.test(ctx, cand, override)
+		if IsCanceled(err) {
 			return nil, err
 		}
 		out[i] = OpResult{Decision: d, Err: err}
@@ -354,15 +401,8 @@ func (e *Engine) TestBatchWith(ctx context.Context, analyzer analysis.Analyzer, 
 	return out, nil
 }
 
-// testBatch runs the pinned-snapshot dry evaluation.
-func (s *Snapshot) testBatch(ctx context.Context, cands []topo.Connection) ([]OpResult, error) {
-	out := make([]OpResult, len(cands))
-	for i, cand := range cands {
-		d, _, err := s.test(ctx, cand)
-		if err != nil && IsCanceled(err) {
-			return nil, err
-		}
-		out[i] = OpResult{Decision: d, Err: err}
-	}
-	return out, nil
+// test dry-runs one candidate against this pinned snapshot.
+func (s *Snapshot) test(ctx context.Context, cand topo.Connection, override analysis.Analyzer) (Decision, error) {
+	d, _, err := s.eng.admitStep(ctx, s, s.workingState(), cand, override)
+	return d, err
 }

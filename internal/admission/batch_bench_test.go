@@ -36,7 +36,7 @@ func BenchmarkSequentialAdmits32(b *testing.B) {
 		}
 		b.StartTimer()
 		for _, op := range ops {
-			if _, err := eng.Admit(op.Candidate); err != nil {
+			if _, err := eng.Admit(bg, op.Candidate); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -58,7 +58,7 @@ func BenchmarkApplyBatch32(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := eng.ApplyBatch(context.Background(), ops); err != nil {
+		if _, err := eng.ApplyBatch(context.Background(), ops, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -39,9 +39,10 @@ func randomOps(net *topo.Network, seed int64, n int) []Op {
 }
 
 // driveBatchDifferential replays one op schedule through a sequential
-// engine (per-op Admit/Release) and a batch engine (random-size ApplyBatch
-// envelopes) and asserts per-op bit-identical decisions, identical final
-// state, and the single-commit-per-envelope invariant.
+// engine (N envelopes of one — itself pinned to the Controller oracle by
+// the Engine-vs-Controller corpus) and a batch engine (random-size
+// ApplyBatch envelopes) and asserts per-op bit-identical decisions,
+// identical final state, and the single-commit-per-envelope invariant.
 func driveBatchDifferential(t *testing.T, label string, analyzer analysis.Analyzer, net *topo.Network, seed int64) {
 	t.Helper()
 	seqEng, err := NewEngine(net.Servers, analyzer)
@@ -70,7 +71,7 @@ func driveBatchDifferential(t *testing.T, label string, analyzer analysis.Analyz
 		}
 		env := ops[start:end]
 		vBefore := batchEng.Snapshot().Version()
-		br, err := batchEng.ApplyBatch(ctx, env)
+		br, err := batchEng.ApplyBatch(ctx, env, nil)
 		if err != nil {
 			t.Fatalf("%s: ApplyBatch: %v", label, err)
 		}
@@ -78,14 +79,14 @@ func driveBatchDifferential(t *testing.T, label string, analyzer analysis.Analyz
 			step := fmt.Sprintf("%s/op%d", label, start+k)
 			switch op.Kind {
 			case OpAdmit:
-				wantD, wantErr := seqEng.Admit(op.Candidate)
+				wantD, wantErr := seqEng.Admit(bg, op.Candidate)
 				gotR := br.Results[k]
 				if (wantErr == nil) != (gotR.Err == nil) {
 					t.Fatalf("%s: admit error diverged: sequential %v, batch %v", step, wantErr, gotR.Err)
 				}
 				requireSameDecision(t, step, wantD, gotR.Decision)
 			case OpRelease:
-				wantInfo, wantOK := seqEng.Release(op.Name)
+				wantInfo, wantOK, _ := seqEng.Release(bg, op.Name)
 				gotR := br.Results[k]
 				if wantOK != gotR.Released {
 					t.Fatalf("%s: release found diverged: sequential %v, batch %v", step, wantOK, gotR.Released)
@@ -122,8 +123,8 @@ func driveBatchDifferential(t *testing.T, label string, analyzer analysis.Analyz
 	probe := net.Connections[0]
 	probe.Name = "probe"
 	probe.Deadline = 100
-	wantD, _ := seqEng.Test(probe)
-	gotD, _ := batchEng.Test(probe)
+	wantD, _ := seqEng.Test(bg, probe)
+	gotD, _ := batchEng.Test(bg, probe)
 	requireSameDecision(t, label+"/probe", wantD, gotD)
 }
 
@@ -177,7 +178,7 @@ func TestApplyBatchSingleCommit(t *testing.T) {
 		ops = append(ops, Op{Kind: OpAdmit, Candidate: c})
 	}
 	ops = append(ops, Op{Kind: OpRelease, Name: net.Connections[0].Name})
-	br, err := eng.ApplyBatch(context.Background(), ops)
+	br, err := eng.ApplyBatch(context.Background(), ops, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestApplyBatchSingleCommit(t *testing.T) {
 	}
 
 	// A read-only envelope (release of nothing) must not commit at all.
-	br, err = eng.ApplyBatch(context.Background(), []Op{{Kind: OpRelease, Name: "ghost"}})
+	br, err = eng.ApplyBatch(context.Background(), []Op{{Kind: OpRelease, Name: "ghost"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestTestBatchPinnedSnapshot(t *testing.T) {
 		c.Deadline = 100
 		return c
 	}
-	res, err := eng.TestBatch(context.Background(), []topo.Connection{mk("x"), mk("y")})
+	res, err := eng.TestBatch(context.Background(), []topo.Connection{mk("x"), mk("y")}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,14 +250,14 @@ func TestTestBatchPinnedSnapshot(t *testing.T) {
 				return
 			default:
 			}
-			if d, err := eng.Admit(blocker); err != nil || !d.Admitted {
+			if d, err := eng.Admit(bg, blocker); err != nil || !d.Admitted {
 				return
 			}
-			eng.Release("blocker")
+			eng.Release(bg, "blocker")
 		}
 	}()
 	for i := 0; i < 200; i++ {
-		res, err := eng.TestBatch(context.Background(), []topo.Connection{mk("x"), mk("y")})
+		res, err := eng.TestBatch(context.Background(), []topo.Connection{mk("x"), mk("y")}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +276,7 @@ func TestTestBatchPinnedSnapshot(t *testing.T) {
 // flavors.
 func TestSetCompactionThresholdRace(t *testing.T) {
 	net := disjointTandem(t, 8)
-	run := func(t *testing.T, admit func(topo.Connection) error, release func(string) bool, setThreshold func(float64)) {
+	run := func(t *testing.T, admit func(topo.Connection) error, release func(string), setThreshold func(float64)) {
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		wg.Add(1)
@@ -307,8 +308,8 @@ func TestSetCompactionThresholdRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		run(t,
-			func(c topo.Connection) error { _, err := eng.Admit(c); return err },
-			eng.Remove,
+			func(c topo.Connection) error { _, err := eng.Admit(bg, c); return err },
+			func(name string) { eng.Release(bg, name) },
 			eng.SetCompactionThreshold)
 	})
 	t.Run("sharded", func(t *testing.T) {
@@ -317,8 +318,8 @@ func TestSetCompactionThresholdRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		run(t,
-			func(c topo.Connection) error { _, err := se.Admit(c); return err },
-			se.Remove,
+			func(c topo.Connection) error { _, err := se.Admit(bg, c); return err },
+			func(name string) { se.Release(bg, name) },
 			se.SetCompactionThreshold)
 	})
 }

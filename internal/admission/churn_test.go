@@ -66,7 +66,7 @@ func driveChurn(t *testing.T, label string, analyzer analysis.Analyzer, net *top
 			t.Fatalf("%s: fresh replay admitted %d, engine holds %d", step, ctrl.Count(), eng.Count())
 		}
 		wantD, wantErr := ctrl.Test(probe)
-		gotD, gotErr := eng.Test(probe)
+		gotD, gotErr := eng.Test(bg, probe)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s: probe error diverged: controller %v, engine %v", step, wantErr, gotErr)
 		}
@@ -89,7 +89,7 @@ func driveChurn(t *testing.T, label string, analyzer analysis.Analyzer, net *top
 					break
 				}
 			}
-			info, ok := eng.Release(name)
+			info, ok, _ := eng.Release(bg, name)
 			if !ok {
 				t.Fatalf("%s/step%d: release %q failed", label, step, name)
 			}
@@ -102,7 +102,7 @@ func driveChurn(t *testing.T, label string, analyzer analysis.Analyzer, net *top
 			names = append(names[:i], names[i+1:]...)
 		case op == 1 && len(released) > 0: // re-admit a released connection
 			for name, conn := range released {
-				if d, err := eng.Admit(conn); err == nil && d.Admitted {
+				if d, err := eng.Admit(bg, conn); err == nil && d.Admitted {
 					names = append(names, name)
 				}
 				delete(released, name)
@@ -112,7 +112,7 @@ func driveChurn(t *testing.T, label string, analyzer analysis.Analyzer, net *top
 			idx := step % len(net.Connections)
 			cand := net.Connections[idx]
 			cand.Name = fmt.Sprintf("churn%d", step)
-			if d, err := eng.Admit(cand); err == nil && d.Admitted {
+			if d, err := eng.Admit(bg, cand); err == nil && d.Admitted {
 				names = append(names, cand.Name)
 			}
 		}
@@ -160,11 +160,11 @@ func TestReleaseUsesIncrementalPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range net.Connections {
-		if _, err := eng.Admit(net.Connections[i]); err != nil {
+		if _, err := eng.Admit(bg, net.Connections[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	info, ok := eng.Release(net.Connections[2].Name)
+	info, ok, _ := eng.Release(bg, net.Connections[2].Name)
 	if !ok {
 		t.Fatal("release failed")
 	}
@@ -183,7 +183,7 @@ func TestReleaseUsesIncrementalPath(t *testing.T) {
 	}
 	// The promoted shrunken baseline keeps the next test incremental.
 	before := eng.Stats().IncrementalTests
-	if _, err := eng.Test(net.Connections[2]); err != nil {
+	if _, err := eng.Test(bg, net.Connections[2]); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Stats().IncrementalTests != before+1 {
@@ -210,11 +210,11 @@ func TestReleaseCompactionFallback(t *testing.T) {
 	eng.SetCompactionThreshold(-1)
 	eng.SetBackgroundPromotion(false)
 	for _, c := range net.Connections[:5] {
-		if _, err := eng.Admit(c); err != nil {
+		if _, err := eng.Admit(bg, c); err != nil {
 			t.Fatal(err)
 		}
 	}
-	info, ok := eng.Release(net.Connections[1].Name)
+	info, ok, _ := eng.Release(bg, net.Connections[1].Name)
 	if !ok {
 		t.Fatal("release failed")
 	}
@@ -236,7 +236,7 @@ func TestReleaseCompactionFallback(t *testing.T) {
 	}
 	cand := net.Connections[5]
 	wantD, _ := ctrl.Test(cand)
-	gotD, _ := eng.Test(cand)
+	gotD, _ := eng.Test(bg, cand)
 	requireSameDecision(t, "after-compaction", wantD, gotD)
 }
 
@@ -267,15 +267,15 @@ func TestChurnConcurrent(t *testing.T) {
 				name := fmt.Sprintf("w%d-%d", g, i)
 				cand := template
 				cand.Name = name
-				if _, err := eng.Admit(cand); err != nil {
+				if _, err := eng.Admit(bg, cand); err != nil {
 					t.Errorf("admit %s: %v", name, err)
 					return
 				}
-				eng.Test(cand)
+				eng.Test(bg, cand)
 				if i%2 == 1 {
 					// Release the connection admitted two iterations ago so
 					// shrinks race with concurrent admits and tests.
-					eng.Release(fmt.Sprintf("w%d-%d", g, i-1))
+					eng.Release(bg, fmt.Sprintf("w%d-%d", g, i-1))
 				}
 				eng.Count()
 				eng.Stats()

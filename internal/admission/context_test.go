@@ -24,29 +24,29 @@ func TestIsCanceled(t *testing.T) {
 	}
 }
 
-// TestTestContextCancelled pins two contract points of the cancelled
+// TestTestCancelled pins two contract points of the cancelled
 // admission test: the error is a cancellation (never mislabeled as a bad
 // spec) and the engine does NOT fall through to the more expensive full
 // path after an incremental cut-off.
-func TestTestContextCancelled(t *testing.T) {
+func TestTestCancelled(t *testing.T) {
 	eng, err := NewEngine(fabric(3), analysis.Integrated{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Warm the incremental baseline so the cancelled test below takes the
 	// incremental path.
-	if d, err := eng.Admit(conn("warm", 50, 0, 1, 2)); err != nil || !d.Admitted {
+	if d, err := eng.Admit(bg, conn("warm", 50, 0, 1, 2)); err != nil || !d.Admitted {
 		t.Fatalf("warm admit: %+v, %v", d, err)
 	}
 	fullBefore := eng.Stats().FullTests
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = eng.TestContext(ctx, conn("probe", 50, 0, 1))
+	_, err = eng.Test(ctx, conn("probe", 50, 0, 1))
 	if err == nil {
-		t.Fatal("cancelled TestContext returned no error")
+		t.Fatal("cancelled test returned no error")
 	}
 	if !IsCanceled(err) {
-		t.Fatalf("cancelled TestContext error %v not classified by IsCanceled", err)
+		t.Fatalf("cancelled test error %v not classified by IsCanceled", err)
 	}
 	if got := eng.Stats().FullTests; got != fullBefore {
 		t.Fatalf("cancelled incremental test fell through to the full path: %d -> %d full tests",
@@ -57,42 +57,48 @@ func TestTestContextCancelled(t *testing.T) {
 	}
 }
 
-// TestAdmitContextCancelledCommitsNothing checks the hard invariant of a
-// cut-off Admit: no partial commit.
-func TestAdmitContextCancelledCommitsNothing(t *testing.T) {
+// TestAdmitCancelledCommitsNothing checks the hard invariant of a cut-off
+// envelope: no partial commit, and it says so (Commits == 0).
+func TestAdmitCancelledCommitsNothing(t *testing.T) {
 	eng, err := NewEngine(fabric(2), analysis.Integrated{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.AdmitContext(ctx, conn("v1", 5, 0, 1)); !IsCanceled(err) {
-		t.Fatalf("cancelled AdmitContext error = %v, want cancellation", err)
+	br, err := eng.ApplyBatch(ctx, []Op{{Kind: OpAdmit, Candidate: conn("v1", 5, 0, 1)}}, nil)
+	if !IsCanceled(err) {
+		t.Fatalf("cancelled admit error = %v, want cancellation", err)
+	}
+	if br == nil || br.Commits != 0 || br.Results != nil {
+		t.Fatalf("cancelled admit reported %+v, want zero commits and no results", br)
 	}
 	if eng.Count() != 0 {
-		t.Fatalf("cancelled AdmitContext committed: count=%d", eng.Count())
+		t.Fatalf("cancelled admit committed: count=%d", eng.Count())
 	}
 }
 
-// TestAdmitWithCommitsAndStaysConsistent drives the degraded admission
-// path: AdmitWith commits under the fallback analyzer's decision, and the
+// TestOverrideCommitsAndStaysConsistent drives the degraded admission
+// path: an envelope with an analyzer override commits under the fallback
+// analyzer's decision, and the
 // engine's NEXT test (back on the primary analyzer) sees the committed
 // connection exactly as a fresh engine would — the degraded commit must
 // not leave a stale incremental baseline behind.
-func TestAdmitWithCommitsAndStaysConsistent(t *testing.T) {
+func TestOverrideCommitsAndStaysConsistent(t *testing.T) {
 	eng, err := NewEngine(fabric(2), analysis.Integrated{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Warm the baseline on the primary analyzer first, as a degraded
 	// request would find it.
-	if d, err := eng.Admit(conn("first", 50, 0, 1)); err != nil || !d.Admitted {
+	if d, err := eng.Admit(bg, conn("first", 50, 0, 1)); err != nil || !d.Admitted {
 		t.Fatalf("first admit: %+v, %v", d, err)
 	}
-	d, err := eng.AdmitWith(context.Background(), analysis.Decomposed{}, conn("degraded", 50, 0, 1))
+	br, err := eng.ApplyBatch(bg, []Op{{Kind: OpAdmit, Candidate: conn("degraded", 50, 0, 1)}}, analysis.Decomposed{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := br.Results[0].Decision
 	if !d.Admitted {
 		t.Fatalf("degraded admit rejected: %+v", d)
 	}
@@ -117,16 +123,16 @@ func TestAdmitWithCommitsAndStaysConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range eng.Admitted() {
-		if d, err := fresh.Admit(c); err != nil || !d.Admitted {
+		if d, err := fresh.Admit(bg, c); err != nil || !d.Admitted {
 			t.Fatalf("replaying %q on fresh engine: %+v, %v", c.Name, d, err)
 		}
 	}
 	probe := conn("probe", 50, 0, 1)
-	got, err := eng.Test(probe)
+	got, err := eng.Test(bg, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.Test(probe)
+	want, err := fresh.Test(bg, probe)
 	if err != nil {
 		t.Fatal(err)
 	}

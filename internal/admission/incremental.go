@@ -2,8 +2,9 @@
 //
 // Engine replaces the serialize-everything pattern (a mutex around
 // Controller for the whole analysis) with versioned immutable snapshots:
-// an admission test analyzes a snapshot outside any lock, and Admit
-// commits with a version check, retrying on conflict. On analyzers that
+// an envelope analyzes a snapshot outside any lock and commits with a
+// version check, retrying on conflict (ApplyBatch and TestBatch in
+// batch.go are the only write and test entry points). On analyzers that
 // implement analysis.Incremental (Integrated, Decomposed), each snapshot
 // carries a lazily built analysis baseline, so a test re-analyzes only the
 // candidate's downstream interference closure and an admission promotes
@@ -109,14 +110,15 @@ type Stats struct {
 	// shrinks on release, and lazy or background rebuilds. It is the
 	// freshness stamp compaction re-promotion checks against.
 	BaselineEpoch uint64
-	// CommitConflicts counts Admit retries forced by a concurrent commit.
+	// CommitConflicts counts envelope retries forced by a concurrent commit.
 	CommitConflicts uint64
-	// BatchEnvelopes counts ApplyBatch calls, BatchOps the operations they
-	// carried, and BatchCommits the snapshot commits they installed. A
-	// mutating envelope commits exactly once regardless of its size
-	// (BatchCommits <= BatchEnvelopes always; strictly fewer when some
-	// envelopes left the admitted set untouched), which is the pipelining
-	// invariant CI gates on.
+	// BatchEnvelopes counts ApplyBatch calls — every write, single admits
+	// and releases included, since each is an envelope of one — BatchOps
+	// the operations they carried, and BatchCommits the snapshot commits
+	// they installed. A mutating envelope commits exactly once regardless
+	// of its size (BatchCommits <= BatchEnvelopes always; strictly fewer
+	// when some envelopes left the admitted set untouched, e.g. a rejected
+	// single admit), which is the pipelining invariant CI gates on.
 	BatchEnvelopes uint64
 	BatchOps       uint64
 	BatchCommits   uint64
@@ -141,7 +143,7 @@ type Engine struct {
 	analyzer analysis.Analyzer
 	inc      analysis.Incremental // nil when unsupported or force-full
 	// compactFrac holds the float64 bits of the affected-set fraction above
-	// which Release stops shrinking and compacts. It is atomic (not plain
+	// which a release stops shrinking and compacts. It is atomic (not plain
 	// startup configuration like prewarm) because SetCompactionThreshold is
 	// documented as callable while releases run concurrently.
 	compactFrac atomic.Uint64
@@ -312,12 +314,9 @@ func (s *Snapshot) Admitted() []topo.Connection {
 	return out
 }
 
-// network materializes the snapshot's (or a trial) connection set.
-func (s *Snapshot) network(extra ...topo.Connection) *topo.Network {
-	net := &topo.Network{Servers: s.eng.servers}
-	net.Connections = append(net.Connections, s.admitted...)
-	net.Connections = append(net.Connections, extra...)
-	return net
+// network materializes the snapshot's connection set.
+func (s *Snapshot) network() *topo.Network {
+	return &topo.Network{Servers: s.eng.servers, Connections: append([]topo.Connection(nil), s.admitted...)}
 }
 
 // Utilization returns the per-server utilization of the admitted set.
@@ -357,248 +356,6 @@ func (s *Snapshot) cachedBaseline() *analysis.Baseline {
 		return s.base
 	}
 	return nil
-}
-
-// Test checks whether the candidate could be admitted into this snapshot.
-// It never mutates the engine and is safe to call concurrently.
-func (s *Snapshot) Test(cand topo.Connection) (Decision, error) {
-	d, _, err := s.test(context.Background(), cand)
-	return d, err
-}
-
-// TestContext is Test with cooperative cancellation: the analysis observes
-// the context and the call returns its error (check with IsCanceled) once
-// it is done. An uncancelled call is bit-identical to Test.
-func (s *Snapshot) TestContext(ctx context.Context, cand topo.Connection) (Decision, error) {
-	d, _, err := s.test(ctx, cand)
-	return d, err
-}
-
-// precheck runs the analysis-free candidate validation shared by every
-// test flavor. proceed is false when the decision (or error) is final.
-func (s *Snapshot) precheck(cand topo.Connection) (trial *topo.Network, d Decision, proceed bool, err error) {
-	if cand.Deadline <= 0 {
-		return nil, Decision{Code: CodeInvalidSpec, Reason: "candidate has no deadline"}, false,
-			fmt.Errorf("admission: candidate %q has no deadline", cand.Name)
-	}
-	trial = s.network(cand)
-	// With a materialized baseline the validation is O(candidate): the
-	// admitted set was validated when it was committed, so only the
-	// candidate can fail. Without one (cold start, post-compaction,
-	// ForceFull) the nil receiver degrades to the identical full check.
-	if err := s.cachedBaseline().ValidateExtend(trial); err != nil {
-		return nil, Decision{Code: CodeInvalidSpec, Reason: err.Error()}, false, err
-	}
-	if !trial.Stable() {
-		return nil, Decision{Code: CodeUnstable, Reason: "network would be unstable"}, false, nil
-	}
-	return trial, Decision{}, true, nil
-}
-
-// test returns the decision plus, on the incremental path, the extension
-// to promote on commit. A cancellation surfaces as a bare error (never as
-// a CodeInvalidSpec decision, and never by silently falling through to
-// the more expensive full path).
-func (s *Snapshot) test(ctx context.Context, cand topo.Connection) (Decision, *analysis.Extension, error) {
-	trial, d, proceed, err := s.precheck(cand)
-	if !proceed {
-		return d, nil, err
-	}
-	affected, _ := AffectedSet(len(s.eng.servers), s.admitted, cand)
-	s.eng.observeAffected(len(affected))
-	if s.eng.inc != nil {
-		if base, err := s.baseline(); err == nil {
-			ext, err := base.ExtendContext(ctx, cand)
-			if err == nil {
-				s.eng.incTests.Add(1)
-				return evaluate(trial, ext.Result()), ext, nil
-			}
-			if IsCanceled(err) {
-				return Decision{}, nil, err
-			}
-		}
-		// Baseline or extension failure: fall through to the full path,
-		// which reproduces Controller.Test exactly (including its error).
-	}
-	s.eng.fullTests.Add(1)
-	res, err := analysis.AnalyzeWithContext(ctx, s.eng.analyzer, trial)
-	if err != nil {
-		if IsCanceled(err) {
-			return Decision{}, nil, err
-		}
-		return Decision{Code: CodeInvalidSpec, Reason: err.Error()}, nil, err
-	}
-	return evaluate(trial, res), nil, nil
-}
-
-// testWith runs the full (non-incremental) admission test with an explicit
-// analyzer — the degradation hook: the serving layer retries a timed-out
-// integrated test with the always-valid decomposed analyzer.
-func (s *Snapshot) testWith(ctx context.Context, analyzer analysis.Analyzer, cand topo.Connection) (Decision, error) {
-	trial, d, proceed, err := s.precheck(cand)
-	if !proceed {
-		return d, err
-	}
-	s.eng.fullTests.Add(1)
-	res, err := analysis.AnalyzeWithContext(ctx, analyzer, trial)
-	if err != nil {
-		if IsCanceled(err) {
-			return Decision{}, err
-		}
-		return Decision{Code: CodeInvalidSpec, Reason: err.Error()}, err
-	}
-	return evaluate(trial, res), nil
-}
-
-// Test runs the admission test against the current snapshot, outside any
-// lock.
-func (e *Engine) Test(cand topo.Connection) (Decision, error) {
-	return e.Snapshot().Test(cand)
-}
-
-// TestContext runs the admission test against the current snapshot under a
-// context; see Snapshot.TestContext.
-func (e *Engine) TestContext(ctx context.Context, cand topo.Connection) (Decision, error) {
-	return e.Snapshot().TestContext(ctx, cand)
-}
-
-// TestWith runs a full admission test with an explicit analyzer against
-// the current snapshot — the serving layer's degraded path. The decision
-// is as sound as the analyzer's bounds; it is never committed here.
-func (e *Engine) TestWith(ctx context.Context, analyzer analysis.Analyzer, cand topo.Connection) (Decision, error) {
-	return e.Snapshot().testWith(ctx, analyzer, cand)
-}
-
-// Admit tests the candidate against the current snapshot and, on success,
-// commits it with a version check: if another commit won the race, the
-// test reruns against the fresh snapshot until the commit applies cleanly.
-func (e *Engine) Admit(cand topo.Connection) (Decision, error) {
-	return e.AdmitContext(context.Background(), cand)
-}
-
-// AdmitContext is Admit with cooperative cancellation; a cancelled call
-// returns the context's error (check with IsCanceled) and commits nothing.
-func (e *Engine) AdmitContext(ctx context.Context, cand topo.Connection) (Decision, error) {
-	for {
-		snap := e.Snapshot()
-		d, ext, err := snap.test(ctx, cand)
-		if err != nil || !d.Admitted {
-			return d, err
-		}
-		if e.commit(snap, cand, ext) {
-			return d, nil
-		}
-		e.conflicts.Add(1)
-	}
-}
-
-// AdmitWith is Admit on the degraded path: the test runs with the given
-// analyzer (full, non-incremental), and a positive decision commits with
-// no promoted baseline, so the next incremental test rebuilds one against
-// the primary analyzer. Sound whenever the analyzer's bounds are valid
-// upper bounds (Decomposed always is).
-func (e *Engine) AdmitWith(ctx context.Context, analyzer analysis.Analyzer, cand topo.Connection) (Decision, error) {
-	for {
-		snap := e.Snapshot()
-		d, err := snap.testWith(ctx, analyzer, cand)
-		if err != nil || !d.Admitted {
-			return d, err
-		}
-		if e.commit(snap, cand, nil) {
-			return d, nil
-		}
-		e.conflicts.Add(1)
-	}
-}
-
-// commit installs snap+cand as the next version iff snap is still current.
-func (e *Engine) commit(snap *Snapshot, cand topo.Connection, ext *analysis.Extension) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.snap.Load() != snap {
-		return false
-	}
-	next := &Snapshot{
-		eng:      e,
-		version:  snap.version + 1,
-		admitted: append(append([]topo.Connection(nil), snap.admitted...), cand),
-	}
-	if ext != nil {
-		next.promoted = ext.Promote()
-		e.epoch.Add(1)
-	}
-	e.snap.Store(next)
-	return true
-}
-
-// ReleaseInfo describes how a release was performed.
-type ReleaseInfo struct {
-	// Incremental is true when the baseline was shrunk in place (scoped
-	// unit-trace replay), false when the release compacted: the baseline
-	// was dropped and, with background promotion on, is being rebuilt off
-	// the request path.
-	Incremental bool
-	// Affected is the number of surviving connections inside the removed
-	// connection's interference closure (-1 when no baseline was available
-	// to scope against).
-	Affected int
-}
-
-// Release removes an admitted connection by name and reports how. Like
-// Admit, it runs optimistically: the shrink analyzes a snapshot outside
-// any lock and the commit retries on conflict.
-//
-// When the snapshot has a materialized baseline and the removed
-// connection's interference closure covers at most the compaction
-// threshold's fraction of the survivors, the baseline is shrunk in place —
-// the surviving unit traces outside the closure replay bit-identically, so
-// the next admission test extends a warm baseline exactly as if the
-// released connection had never been admitted. Otherwise the release
-// compacts: the new snapshot starts epoch-stamped with no baseline and a
-// background build re-promotes one, so the release itself never blocks on
-// a rebuild.
-func (e *Engine) Release(name string) (ReleaseInfo, bool) {
-	for {
-		snap := e.Snapshot()
-		idx := -1
-		for i, conn := range snap.admitted {
-			if conn.Name == name {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			return ReleaseInfo{}, false
-		}
-		info := ReleaseInfo{Affected: -1}
-		var promoted *analysis.Baseline
-		if e.inc != nil {
-			if base := snap.cachedBaseline(); base != nil {
-				survivors := append(append([]topo.Connection(nil), snap.admitted[:idx]...), snap.admitted[idx+1:]...)
-				affected, _ := AffectedSet(len(e.servers), survivors, snap.admitted[idx])
-				info.Affected = len(affected)
-				e.observeAffected(len(affected))
-				if float64(len(affected)) <= e.compactionThreshold()*float64(len(survivors)) {
-					if ext, err := base.Shrink(idx); err == nil {
-						promoted = ext.Promote()
-						info.Incremental = true
-					}
-				}
-			}
-		}
-		if e.commitRemove(snap, idx, promoted) {
-			if info.Incremental {
-				e.incRels.Add(1)
-			} else {
-				e.compactRels.Add(1)
-				if e.inc != nil && e.prewarm {
-					e.scheduleWarm()
-				}
-			}
-			return info, true
-		}
-		e.conflicts.Add(1)
-	}
 }
 
 // scheduleWarm requests a background re-promotion of the current snapshot's
@@ -647,31 +404,6 @@ func (e *Engine) replaceAdmitted(conns []topo.Connection) {
 	e.snap.Store(next)
 }
 
-// commitRemove installs snap minus index idx as the next version iff snap
-// is still current, carrying the shrunken baseline when one was built.
-func (e *Engine) commitRemove(snap *Snapshot, idx int, promoted *analysis.Baseline) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.snap.Load() != snap {
-		return false
-	}
-	next := &Snapshot{eng: e, version: snap.version + 1, promoted: promoted}
-	next.admitted = append(next.admitted, snap.admitted[:idx]...)
-	next.admitted = append(next.admitted, snap.admitted[idx+1:]...)
-	if promoted != nil {
-		e.epoch.Add(1)
-	}
-	e.snap.Store(next)
-	return true
-}
-
-// Remove releases an admitted connection by name. It is Release without
-// the report, kept for callers that only care whether the name existed.
-func (e *Engine) Remove(name string) bool {
-	_, ok := e.Release(name)
-	return ok
-}
-
 // WarmBaseline synchronously materializes the current snapshot's analysis
 // baseline so the next admission test runs incrementally at full speed. It
 // is a no-op when a baseline is already warm (e.g. after an incremental
@@ -694,34 +426,6 @@ func (e *Engine) Admitted() []topo.Connection { return e.Snapshot().Admitted() }
 
 // Utilization returns the per-server utilization of the admitted set.
 func (e *Engine) Utilization() []float64 { return e.Snapshot().Utilization() }
-
-// FillGreedy admits numbered copies of the template until the first
-// rejection, like Controller.FillGreedy. With the incremental path each
-// admission extends the previous baseline instead of re-analyzing the
-// whole network.
-func (e *Engine) FillGreedy(template topo.Connection, limit int) (int, error) {
-	return e.FillGreedyContext(context.Background(), template, limit)
-}
-
-// FillGreedyContext is FillGreedy with cooperative cancellation between
-// (and inside) admissions; it returns the count admitted so far along with
-// the context's error when cut off.
-func (e *Engine) FillGreedyContext(ctx context.Context, template topo.Connection, limit int) (int, error) {
-	n := 0
-	for n < limit {
-		cand := template
-		cand.Name = fmt.Sprintf("%s#%d", template.Name, e.Count())
-		d, err := e.AdmitContext(ctx, cand)
-		if err != nil {
-			return n, err
-		}
-		if !d.Admitted {
-			return n, nil
-		}
-		n++
-	}
-	return n, nil
-}
 
 // MaxBound returns the largest finite bound of a decision's Bounds, +Inf
 // when any bound is unbounded, and NaN when the test never analyzed.

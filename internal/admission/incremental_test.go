@@ -53,14 +53,14 @@ func driveDifferential(t *testing.T, label string, analyzer analysis.Analyzer, n
 	for i, cand := range net.Connections {
 		step := fmt.Sprintf("%s/conn%d", label, i)
 		wantD, wantErr := ctrl.Test(cand)
-		gotD, gotErr := eng.Test(cand)
+		gotD, gotErr := eng.Test(bg, cand)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s: test error diverged: controller %v, engine %v", step, wantErr, gotErr)
 		}
 		requireSameDecision(t, step+"/test", wantD, gotD)
 
 		wantD, wantErr = ctrl.Admit(cand)
-		gotD, gotErr = eng.Admit(cand)
+		gotD, gotErr = eng.Admit(bg, cand)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s: admit error diverged: controller %v, engine %v", step, wantErr, gotErr)
 		}
@@ -125,7 +125,7 @@ func TestEngineMatchesControllerForcedFull(t *testing.T) {
 	}
 	for i, cand := range net.Connections {
 		wantD, _ := ctrl.Admit(cand)
-		gotD, _ := eng.Admit(cand)
+		gotD, _ := eng.Admit(bg, cand)
 		requireSameDecision(t, fmt.Sprintf("forced-full/conn%d", i), wantD, gotD)
 	}
 	st := eng.Stats()
@@ -147,7 +147,7 @@ func TestEngineUsesIncrementalPath(t *testing.T) {
 	}
 	for i := range net.Connections {
 		net.Connections[i].Deadline = 100
-		if _, err := eng.Admit(net.Connections[i]); err != nil {
+		if _, err := eng.Admit(bg, net.Connections[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,14 +178,14 @@ func TestEngineRemoveRebuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range net.Connections[:6] {
-		if _, err := eng.Admit(c); err != nil {
+		if _, err := eng.Admit(bg, c); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !eng.Remove(net.Connections[2].Name) {
+	if _, ok, _ := eng.Release(bg, net.Connections[2].Name); !ok {
 		t.Fatal("remove failed")
 	}
-	if eng.Remove("no-such-connection") {
+	if _, ok, _ := eng.Release(bg, "no-such-connection"); ok {
 		t.Fatal("removed a connection that does not exist")
 	}
 	ctrl, err := New(net.Servers, analysis.Integrated{})
@@ -199,7 +199,7 @@ func TestEngineRemoveRebuilds(t *testing.T) {
 	}
 	cand := net.Connections[6]
 	wantD, _ := ctrl.Test(cand)
-	gotD, _ := eng.Test(cand)
+	gotD, _ := eng.Test(bg, cand)
 	requireSameDecision(t, "after-remove", wantD, gotD)
 }
 
@@ -229,7 +229,7 @@ func TestEngineConcurrentAdmit(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				cand := template
 				cand.Name = fmt.Sprintf("w%d-%d", g, i)
-				d, err := eng.Admit(cand)
+				d, err := eng.Admit(bg, cand)
 				if err != nil {
 					t.Errorf("admit w%d-%d: %v", g, i, err)
 					return
@@ -237,7 +237,7 @@ func TestEngineConcurrentAdmit(t *testing.T) {
 				if d.Admitted {
 					admitted[g]++
 				}
-				eng.Test(cand) // concurrent reads against moving snapshots
+				eng.Test(bg, cand) // concurrent reads against moving snapshots
 			}
 		}(g)
 	}

@@ -46,7 +46,9 @@ import (
 // ShardedEngine is a goroutine-safe admission controller that partitions
 // the fabric into independent components and serves each from its own
 // Engine shard. With one shard it is a transparent wrapper around Engine
-// (same decisions, same counters, no routing overhead).
+// (same decisions, same counters, no routing overhead). ApplyBatch and
+// TestBatch (shard_batch.go) are its only write and test paths; Admit,
+// Release, Test and FillGreedy are envelope-of-one conveniences over them.
 type ShardedEngine struct {
 	servers  []server.Server
 	analyzer analysis.Analyzer
@@ -59,7 +61,6 @@ type ShardedEngine struct {
 	mu     sync.RWMutex
 	router shardRouter
 
-	crossTests   atomic.Uint64
 	crossCommits atomic.Uint64
 	rebalances   atomic.Uint64
 }
@@ -70,7 +71,7 @@ type shardRouter struct {
 	mu    sync.Mutex
 	owner []int // server -> shard id, -1 while unowned
 	refs  []int // server -> committed+in-flight connections traversing it
-	load  []int // shard -> committed connections
+	load  []int // shard -> committed+in-flight connections
 	conns map[string]*routedConn
 	// pending names claimed by in-flight admissions, so two concurrent
 	// admits of one name cannot both commit.
@@ -114,10 +115,11 @@ func NewShardedEngine(servers []server.Server, analyzer analysis.Analyzer, shard
 	return se, nil
 }
 
-// single returns the sole shard when sharding is off, else nil. The
-// single-shard engine bypasses the router entirely so its behavior —
-// including duplicate-name tolerance and operation ordering — is exactly
-// Engine's.
+// single returns the sole shard when sharding is off, else nil. A 1-shard
+// ShardedEngine IS that Engine: ApplyBatch and TestBatch bypass the router
+// entirely, so its behavior — including duplicate-name tolerance (which is
+// why ReadView must not deduplicate it) and operation ordering — is
+// exactly Engine's.
 func (se *ShardedEngine) single() *Engine {
 	if len(se.shards) == 1 {
 		return se.shards[0]
@@ -189,8 +191,9 @@ type ShardedStats struct {
 }
 
 // Stats aggregates every shard's counters. The embedded Stats sums
-// field-wise across shards (cross-shard union analyses count as full
-// tests), so a one-shard engine reports exactly Engine.Stats.
+// field-wise across shards (a cross-shard union analysis counts as a full
+// test of the first involved shard), so a one-shard engine reports exactly
+// Engine.Stats.
 func (se *ShardedEngine) Stats() ShardedStats {
 	agg := ShardedStats{
 		Shards:            len(se.shards),
@@ -226,7 +229,6 @@ func (se *ShardedEngine) Stats() ShardedStats {
 			CompactedReleases:   st.CompactedReleases,
 		})
 	}
-	agg.FullTests += se.crossTests.Load()
 	return agg
 }
 
@@ -278,9 +280,6 @@ func (se *ShardedEngine) Admitted() []topo.Connection {
 
 // Count returns the number of admitted connections.
 func (se *ShardedEngine) Count() int {
-	if eng := se.single(); eng != nil {
-		return eng.Count()
-	}
 	n := 0
 	for _, sh := range se.shards {
 		n += sh.Snapshot().Count()
@@ -329,8 +328,10 @@ func (r *shardRouter) ownersOf(path []int) []int {
 	return owners
 }
 
-// leastLoaded picks the shard with the fewest committed connections
-// (lowest id on ties). Caller must hold r.mu.
+// leastLoaded picks the shard with the fewest committed and claimed
+// connections (lowest id on ties), so the new components of one envelope
+// spread over the shards exactly as one-at-a-time admissions would. Caller
+// must hold r.mu.
 func (r *shardRouter) leastLoaded() int {
 	best := 0
 	for i := 1; i < len(r.load); i++ {
@@ -387,6 +388,7 @@ func (r *shardRouter) claim(cand topo.Connection) (shard int, cross, dup bool) {
 		r.refs[s]++
 	}
 	r.pending[cand.Name] = true
+	r.load[shard]++
 	return shard, false, false
 }
 
@@ -395,6 +397,8 @@ func (r *shardRouter) unclaim(cand topo.Connection) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delete(r.pending, cand.Name)
+	// The claim still pins the route, so its first hop names the shard.
+	r.load[r.owner[cand.Path[0]]]--
 	r.dropRefs(cand.Path)
 }
 
@@ -418,12 +422,11 @@ func (r *shardRouter) confirm(cand topo.Connection, shard int) {
 	delete(r.pending, cand.Name)
 	r.conns[cand.Name] = &routedConn{shard: shard, seq: r.seq, path: cand.Path}
 	r.seq++
-	r.load[shard]++
 }
 
 // validRoute reports whether every hop is an in-range server index; the
-// router only tracks valid routes, invalid candidates go straight to a
-// shard engine for the canonical rejection.
+// router only tracks valid routes, invalid candidates go straight to shard
+// 0 for the canonical rejection.
 func (se *ShardedEngine) validRoute(cand topo.Connection) bool {
 	if cand.Deadline <= 0 || len(cand.Path) == 0 {
 		return false
@@ -436,124 +439,6 @@ func (se *ShardedEngine) validRoute(cand topo.Connection) bool {
 	return true
 }
 
-// Test checks whether the candidate could be admitted; see Engine.Test.
-func (se *ShardedEngine) Test(cand topo.Connection) (Decision, error) {
-	return se.TestContext(context.Background(), cand)
-}
-
-// TestContext runs a dry admission test against the candidate's shard, or
-// against the cross-shard union snapshot when its route spans shards.
-func (se *ShardedEngine) TestContext(ctx context.Context, cand topo.Connection) (Decision, error) {
-	if eng := se.single(); eng != nil {
-		return eng.TestContext(ctx, cand)
-	}
-	return se.test(ctx, nil, cand)
-}
-
-// TestWith is the degraded-path dry test with an explicit analyzer.
-func (se *ShardedEngine) TestWith(ctx context.Context, analyzer analysis.Analyzer, cand topo.Connection) (Decision, error) {
-	if eng := se.single(); eng != nil {
-		return eng.TestWith(ctx, analyzer, cand)
-	}
-	return se.test(ctx, analyzer, cand)
-}
-
-// test is the multi-shard dry test: analyzer nil means the primary
-// analyzer on the shard's incremental path, non-nil forces a full
-// analysis with that analyzer (the degradation hook).
-func (se *ShardedEngine) test(ctx context.Context, analyzer analysis.Analyzer, cand topo.Connection) (Decision, error) {
-	if !se.validRoute(cand) {
-		if analyzer != nil {
-			return se.shards[0].TestWith(ctx, analyzer, cand)
-		}
-		return se.shards[0].TestContext(ctx, cand)
-	}
-	se.mu.RLock()
-	defer se.mu.RUnlock()
-	se.router.mu.Lock()
-	owners := se.router.ownersOf(cand.Path)
-	shard := se.router.leastLoaded()
-	if len(owners) == 1 {
-		shard = owners[0]
-	}
-	se.router.mu.Unlock()
-	if len(owners) <= 1 {
-		if analyzer != nil {
-			return se.shards[shard].TestWith(ctx, analyzer, cand)
-		}
-		return se.shards[shard].TestContext(ctx, cand)
-	}
-	union := se.gatherUnion(owners)
-	if analyzer == nil {
-		analyzer = se.analyzer
-	}
-	se.crossTests.Add(1)
-	d, err := se.unionTest(ctx, analyzer, union, cand)
-	return d, err
-}
-
-// Admit tests and commits the candidate; see Engine.Admit.
-func (se *ShardedEngine) Admit(cand topo.Connection) (Decision, error) {
-	return se.AdmitContext(context.Background(), cand)
-}
-
-// AdmitContext routes the admission to the candidate's shard. A candidate
-// whose route would merge components of different shards falls back to the
-// global cross-shard commit.
-func (se *ShardedEngine) AdmitContext(ctx context.Context, cand topo.Connection) (Decision, error) {
-	if eng := se.single(); eng != nil {
-		return eng.AdmitContext(ctx, cand)
-	}
-	return se.admit(ctx, nil, cand)
-}
-
-// AdmitWith is the degraded admission path; see Engine.AdmitWith.
-func (se *ShardedEngine) AdmitWith(ctx context.Context, analyzer analysis.Analyzer, cand topo.Connection) (Decision, error) {
-	if eng := se.single(); eng != nil {
-		return eng.AdmitWith(ctx, analyzer, cand)
-	}
-	return se.admit(ctx, analyzer, cand)
-}
-
-// admit is the multi-shard admission: claim the route, run the shard-local
-// engine under the shared lock, confirm or unclaim. analyzer nil selects
-// the primary incremental path.
-func (se *ShardedEngine) admit(ctx context.Context, analyzer analysis.Analyzer, cand topo.Connection) (Decision, error) {
-	if !se.validRoute(cand) {
-		// Invalid candidates never touch router state; the shard engine
-		// reproduces Engine's canonical decision and error.
-		if analyzer != nil {
-			return se.shards[0].AdmitWith(ctx, analyzer, cand)
-		}
-		return se.shards[0].AdmitContext(ctx, cand)
-	}
-	se.mu.RLock()
-	shard, cross, dup := se.router.claim(cand)
-	if dup {
-		se.mu.RUnlock()
-		return Decision{Code: CodeInvalidSpec, Reason: fmt.Sprintf("connection %q already admitted", cand.Name)},
-			fmt.Errorf("admission: connection %q already admitted", cand.Name)
-	}
-	if cross {
-		se.mu.RUnlock()
-		return se.admitCross(ctx, analyzer, cand)
-	}
-	var d Decision
-	var err error
-	if analyzer != nil {
-		d, err = se.shards[shard].AdmitWith(ctx, analyzer, cand)
-	} else {
-		d, err = se.shards[shard].AdmitContext(ctx, cand)
-	}
-	if err == nil && d.Admitted {
-		se.router.confirm(cand, shard)
-	} else {
-		se.router.unclaim(cand)
-	}
-	se.mu.RUnlock()
-	return d, err
-}
-
 // seqConn pairs a committed connection with its global commit stamp.
 type seqConn struct {
 	conn  topo.Connection
@@ -561,19 +446,28 @@ type seqConn struct {
 	shard int
 }
 
-// gatherUnion assembles the admitted sets of the given shards in global
-// commit order. Connections a concurrent commit has installed in a shard
-// snapshot but not yet confirmed in the router sort after all confirmed
-// ones, preserving snapshot order (only reachable from the dry-test path;
-// cross-shard commits hold the exclusive lock and see no such gap).
-func (se *ShardedEngine) gatherUnion(owners []int) []seqConn {
+// pin returns every shard's current snapshot.
+func (se *ShardedEngine) pin() []*Snapshot {
+	snaps := make([]*Snapshot, len(se.shards))
+	for i, sh := range se.shards {
+		snaps[i] = sh.Snapshot()
+	}
+	return snaps
+}
+
+// gatherUnion assembles the admitted sets of the given shards, as pinned in
+// snaps, in global commit order. Connections a concurrent commit has
+// installed in a shard snapshot but not yet confirmed in the router sort
+// after all confirmed ones, preserving snapshot order (only reachable from
+// the dry-test path; cross-shard commits hold the exclusive lock and see
+// no such gap).
+func (se *ShardedEngine) gatherUnion(owners []int, snaps []*Snapshot) []seqConn {
 	var union []seqConn
 	se.router.mu.Lock()
 	defer se.router.mu.Unlock()
 	pendingSeq := uint64(math.MaxUint64/2) + 1
 	for _, o := range owners {
-		snap := se.shards[o].Snapshot()
-		for _, c := range snap.admitted {
+		for _, c := range snaps[o].admitted {
 			sc := seqConn{conn: c, shard: o}
 			if rc := se.router.conns[c.Name]; rc != nil && rc.shard == o {
 				sc.seq = rc.seq
@@ -588,104 +482,46 @@ func (se *ShardedEngine) gatherUnion(owners []int) []seqConn {
 	return union
 }
 
-// unionTest runs one full admission analysis over the union of the
-// involved shards plus the candidate. Because every server the trial
-// loads is owned by an involved shard, stability and deadline checks over
-// the union are identical to the full network's (uninvolved components
-// cannot interact with it).
-func (se *ShardedEngine) unionTest(ctx context.Context, analyzer analysis.Analyzer, union []seqConn, cand topo.Connection) (Decision, error) {
-	trial := &topo.Network{Servers: se.servers}
-	for _, sc := range union {
-		trial.Connections = append(trial.Connections, sc.conn)
+// unionConns lists a gathered union's connections, with room for one
+// candidate to be appended.
+func unionConns(union []seqConn) []topo.Connection {
+	conns := make([]topo.Connection, len(union), len(union)+1)
+	for i, sc := range union {
+		conns[i] = sc.conn
 	}
-	trial.Connections = append(trial.Connections, cand)
-	if err := trial.Validate(); err != nil {
-		return Decision{Code: CodeInvalidSpec, Reason: err.Error()}, err
-	}
-	if !trial.Stable() {
-		return Decision{Code: CodeUnstable, Reason: "network would be unstable"}, nil
-	}
-	res, err := analysis.AnalyzeWithContext(ctx, analyzer, trial)
-	if err != nil {
-		if IsCanceled(err) {
-			return Decision{}, err
-		}
-		return Decision{Code: CodeInvalidSpec, Reason: err.Error()}, err
-	}
-	return evaluate(trial, res), nil
+	return conns
 }
 
-// admitCross admits a candidate whose route spans shards: under the
-// exclusive lock (no shard-local operation in flight) it analyzes the
-// union of the involved shards plus the candidate, and on success migrates
-// the candidate's merged component into one winner shard with epoch-
-// stamped commits on every involved engine.
-func (se *ShardedEngine) admitCross(ctx context.Context, analyzer analysis.Analyzer, cand topo.Connection) (Decision, error) {
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	return se.admitCrossLocked(ctx, analyzer, cand)
+// unionTest runs the admission step as one full analysis over the union of
+// the involved shards plus the candidate (charged to the first owner's
+// full-test counter). Because every server the trial loads is owned by an
+// involved shard, stability and deadline checks over the union are
+// identical to the full network's (uninvolved components cannot interact
+// with it).
+func (se *ShardedEngine) unionTest(ctx context.Context, owners []int, conns []topo.Connection, cand topo.Connection, override analysis.Analyzer) (Decision, error) {
+	if override == nil {
+		override = se.analyzer
+	}
+	d, _, err := se.shards[owners[0]].admitStep(ctx, nil, &batchState{admitted: conns}, cand, override)
+	return d, err
 }
 
-// admitCrossLocked is the body of admitCross; the batch path calls it
-// directly while already holding the exclusive lock. Caller must hold
-// se.mu exclusively.
-func (se *ShardedEngine) admitCrossLocked(ctx context.Context, analyzer analysis.Analyzer, cand topo.Connection) (Decision, error) {
-	if se.router.conns[cand.Name] != nil {
-		return Decision{Code: CodeInvalidSpec, Reason: fmt.Sprintf("connection %q already admitted", cand.Name)},
-			fmt.Errorf("admission: connection %q already admitted", cand.Name)
-	}
-	se.router.mu.Lock()
-	owners := se.router.ownersOf(cand.Path)
-	se.router.mu.Unlock()
-	if len(owners) <= 1 {
-		// The spanning components vanished before we got the lock (their
-		// connections were released); retry as a plain shard-local op.
-		shard := 0
-		if len(owners) == 1 {
-			shard = owners[0]
-		} else {
-			se.router.mu.Lock()
-			shard = se.router.leastLoaded()
-			se.router.mu.Unlock()
-		}
-		var d Decision
-		var err error
-		if analyzer != nil {
-			d, err = se.shards[shard].AdmitWith(ctx, analyzer, cand)
-		} else {
-			d, err = se.shards[shard].AdmitContext(ctx, cand)
-		}
-		if err == nil && d.Admitted {
-			se.router.mu.Lock()
-			for _, s := range uniqueServers(nil, cand.Path, len(se.router.owner)) {
-				if se.router.owner[s] < 0 {
-					se.router.owner[s] = shard
-				}
-				se.router.refs[s]++
-			}
-			se.router.mu.Unlock()
-			se.router.confirm(cand, shard)
-		}
-		return d, err
-	}
-	union := se.gatherUnion(owners)
-	if analyzer == nil {
-		analyzer = se.analyzer
-	}
-	se.crossTests.Add(1)
-	d, err := se.unionTest(ctx, analyzer, union, cand)
+// admitCross admits a candidate whose route spans the given (two or more)
+// owner shards: it analyzes the union of the involved shards plus the
+// candidate, and on success migrates the candidate's merged component into
+// one winner shard with epoch-stamped commits on every involved engine.
+// Caller must hold se.mu exclusively (no shard-local operation in flight).
+func (se *ShardedEngine) admitCross(ctx context.Context, cand topo.Connection, owners []int, override analysis.Analyzer) (Decision, error) {
+	union := se.gatherUnion(owners, se.pin())
+	conns := unionConns(union)
+	d, err := se.unionTest(ctx, owners, conns, cand, override)
 	if err != nil || !d.Admitted {
 		return d, err
 	}
 
 	// Commit: compute the candidate's merged component over the union and
 	// migrate it wholesale into the involved shard holding the most of it.
-	trial := &topo.Network{Servers: se.servers}
-	for _, sc := range union {
-		trial.Connections = append(trial.Connections, sc.conn)
-	}
-	trial.Connections = append(trial.Connections, cand)
-	view := analysis.Components(trial)
+	view := analysis.Components(&topo.Network{Servers: se.servers, Connections: append(conns, cand)})
 	candComp := view.Conn[len(union)]
 	perShard := make(map[int]int)
 	for i, sc := range union {
@@ -747,50 +583,6 @@ func (se *ShardedEngine) admitCrossLocked(ctx context.Context, analyzer analysis
 	}
 	se.crossCommits.Add(1)
 	return d, nil
-}
-
-// Release removes an admitted connection by name; see Engine.Release.
-// When the removal may have split its shard's component set and an empty
-// shard exists, a background-style rebalance migrates one component out
-// under the exclusive lock, restoring shard parallelism.
-func (se *ShardedEngine) Release(name string) (ReleaseInfo, bool) {
-	if eng := se.single(); eng != nil {
-		return eng.Release(name)
-	}
-	se.mu.RLock()
-	se.router.mu.Lock()
-	shard := -1
-	if rc := se.router.conns[name]; rc != nil {
-		shard = rc.shard
-	}
-	se.router.mu.Unlock()
-	if shard < 0 {
-		se.mu.RUnlock()
-		return ReleaseInfo{}, false
-	}
-	info, ok := se.shards[shard].Release(name)
-	if ok {
-		se.router.mu.Lock()
-		// Re-read: a concurrent release of the same name may have already
-		// dropped the record (only one engine release succeeds).
-		if cur := se.router.conns[name]; cur != nil {
-			delete(se.router.conns, name)
-			se.router.load[cur.shard]--
-			se.router.dropRefs(cur.path)
-		}
-		se.router.mu.Unlock()
-	}
-	se.mu.RUnlock()
-	if ok && se.wantRebalance(shard) {
-		se.rebalance(shard)
-	}
-	return info, ok
-}
-
-// Remove is Release without the report.
-func (se *ShardedEngine) Remove(name string) bool {
-	_, ok := se.Release(name)
-	return ok
 }
 
 // wantRebalance cheaply checks whether migrating a component off the
@@ -875,22 +667,45 @@ func (se *ShardedEngine) rebalance(from int) {
 	se.rebalances.Add(1)
 }
 
-// FillGreedy admits numbered copies of the template until the first
-// rejection; see Engine.FillGreedy.
-func (se *ShardedEngine) FillGreedy(template topo.Connection, limit int) (int, error) {
-	return se.FillGreedyContext(context.Background(), template, limit)
+// Admit tests and commits one candidate: an ApplyBatch envelope of one.
+func (se *ShardedEngine) Admit(ctx context.Context, cand topo.Connection) (Decision, error) {
+	br, err := se.ApplyBatch(ctx, []Op{{Kind: OpAdmit, Candidate: cand}}, nil)
+	if err != nil {
+		return Decision{}, err
+	}
+	return br.Results[0].Decision, br.Results[0].Err
 }
 
-// FillGreedyContext is FillGreedy with cooperative cancellation.
-func (se *ShardedEngine) FillGreedyContext(ctx context.Context, template topo.Connection, limit int) (int, error) {
-	if eng := se.single(); eng != nil {
-		return eng.FillGreedyContext(ctx, template, limit)
+// Release removes one admitted connection by name and reports how: an
+// ApplyBatch envelope of one. ok is false when no such connection exists.
+func (se *ShardedEngine) Release(ctx context.Context, name string) (info ReleaseInfo, ok bool, err error) {
+	br, err := se.ApplyBatch(ctx, []Op{{Kind: OpRelease, Name: name}}, nil)
+	if err != nil {
+		return ReleaseInfo{}, false, err
 	}
+	return br.Results[0].Release, br.Results[0].Released, nil
+}
+
+// Test dry-runs one candidate: a TestBatch envelope of one.
+func (se *ShardedEngine) Test(ctx context.Context, cand topo.Connection) (Decision, error) {
+	res, err := se.TestBatch(ctx, []topo.Connection{cand}, nil)
+	if err != nil {
+		return Decision{}, err
+	}
+	return res[0].Decision, res[0].Err
+}
+
+// FillGreedy admits numbered copies of the template until the first
+// rejection, like Controller.FillGreedy, returning the count admitted so
+// far along with the context's error when cut off. With the incremental
+// path each admission extends the previous baseline instead of re-analyzing
+// the whole network.
+func (se *ShardedEngine) FillGreedy(ctx context.Context, template topo.Connection, limit int) (int, error) {
 	n := 0
 	for n < limit {
 		cand := template
 		cand.Name = fmt.Sprintf("%s#%d", template.Name, se.Count())
-		d, err := se.AdmitContext(ctx, cand)
+		d, err := se.Admit(ctx, cand)
 		if err != nil {
 			return n, err
 		}

@@ -1,26 +1,26 @@
-// Sharded batch pipelining: an envelope is grouped into per-shard
+// The sharded write path: an envelope is grouped into per-shard
 // sub-batches, each committed as one snapshot by Engine.ApplyBatch, so the
 // single-commit invariant holds per shard touched.
 //
-// Two execution paths mirror the sharded admit/release protocol:
+// Two execution paths make up the sharding protocol:
 //
 //   - The shard-local fast path (shared lock) serves envelopes whose
 //     operations all route to single shards: admits are claimed up front,
 //     releases resolve through the router, and each involved shard runs
 //     exactly one sub-batch. Disjoint envelopes pipeline fully in
-//     parallel, like shard-local admits.
+//     parallel.
 //   - The global path (exclusive lock) serves everything else — an admit
 //     spanning shards, or in-envelope name reuse that needs the strict
 //     sequential resolution. Shard-local runs of operations are buffered
 //     into per-shard segments and flushed (one engine sub-batch = one
-//     commit per shard) before each cross-shard admit, which then commits
-//     exactly as the sequential cross path does.
+//     commit per shard) before each cross-shard admit, which then merges
+//     the involved components with one epoch-stamped commit per shard.
 //
 // Decision equivalence: per-operation Admitted/Code/Reason and release
-// outcomes are identical to issuing the operations one at a time. The one
-// documented divergence is routing, not deciding: shard placement of a
-// later operation may differ from strict sequential order when an earlier
-// admit of the same envelope is rejected (the router claims
+// outcomes are identical to issuing the operations as envelopes of one.
+// The one documented divergence is routing, not deciding: shard placement
+// of a later operation may differ from strict sequential order when an
+// earlier admit of the same envelope is rejected (the router claims
 // optimistically), which can only relocate an independent component — the
 // per-connection bounds and decisions are unaffected.
 package admission
@@ -68,24 +68,28 @@ func dupResult(name string) OpResult {
 
 // ApplyBatch evaluates a mixed admit/release envelope with one snapshot
 // commit per shard touched; see Engine.ApplyBatch for the single-engine
-// contract. Cancellation never tears a shard (each shard's sub-batch is
-// atomic), but in a multi-shard envelope sub-batches of other shards may
-// already have committed when the error surfaces.
-func (se *ShardedEngine) ApplyBatch(ctx context.Context, ops []Op) (*BatchResult, error) {
+// contract and the analyzer override, which is threaded through every
+// sub-batch and cross-shard commit. Cancellation never tears a shard (each
+// shard's sub-batch is atomic), but in a multi-shard envelope sub-batches
+// of other shards may already have committed when the error surfaces; the
+// returned BatchResult then carries no Results but counts them in Commits,
+// and only an envelope that reports zero may be re-run.
+func (se *ShardedEngine) ApplyBatch(ctx context.Context, ops []Op, override analysis.Analyzer) (*BatchResult, error) {
 	if eng := se.single(); eng != nil {
-		return eng.ApplyBatch(ctx, ops)
+		return eng.ApplyBatch(ctx, ops, override)
 	}
 	if err := validateOps(ops); err != nil {
 		return nil, err
 	}
 	se.mu.RLock()
-	br, released, ok, err := se.applyBatchLocal(ctx, ops)
+	br, released, ok, err := se.applyBatchLocal(ctx, ops, override)
 	se.mu.RUnlock()
 	if !ok {
-		br, released, err = se.applyBatchGlobal(ctx, ops)
+		br, released, err = se.applyBatchGlobal(ctx, ops, override)
 	}
 	if err != nil {
-		return nil, err
+		br.Results = nil
+		return br, err
 	}
 	for _, shard := range released {
 		if se.wantRebalance(shard) {
@@ -99,10 +103,10 @@ func (se *ShardedEngine) ApplyBatch(ctx context.Context, ops []Op) (*BatchResult
 // needs the global path (cross-shard admit or in-envelope name reuse);
 // all router claims are rolled back before returning in that case.
 // Caller holds se.mu shared.
-func (se *ShardedEngine) applyBatchLocal(ctx context.Context, ops []Op) (br *BatchResult, released []int, ok bool, err error) {
+func (se *ShardedEngine) applyBatchLocal(ctx context.Context, ops []Op, override analysis.Analyzer) (br *BatchResult, released []int, ok bool, err error) {
 	br = &BatchResult{Results: make([]OpResult, len(ops))}
 	segs := make(map[int]*batchSeg)
-	envAdmit := make(map[string]int)   // in-envelope admit name -> shard
+	envAdmit := make(map[string]int) // in-envelope admit name -> shard
 	envReleased := make(map[string]bool)
 	var claimed []topo.Connection
 
@@ -172,7 +176,7 @@ func (se *ShardedEngine) applyBatchLocal(ctx context.Context, ops []Op) (br *Bat
 	shards := sortedShards(segs)
 	for n, shard := range shards {
 		seg := segs[shard]
-		res, subErr := se.shards[shard].ApplyBatch(ctx, seg.ops)
+		res, subErr := se.shards[shard].ApplyBatch(ctx, seg.ops, override)
 		if subErr != nil {
 			// This shard committed nothing; earlier shards already did and
 			// are reconciled. Roll back the claims of every unreconciled
@@ -184,7 +188,7 @@ func (se *ShardedEngine) applyBatchLocal(ctx context.Context, ops []Op) (br *Bat
 					}
 				}
 			}
-			return nil, nil, true, subErr
+			return br, nil, true, subErr
 		}
 		br.Commits += res.Commits
 		if res.Commits > 0 {
@@ -230,7 +234,7 @@ func (se *ShardedEngine) applyBatchLocal(ctx context.Context, ops []Op) (br *Bat
 // between flushes come from a predicted router view that optimistically
 // assumes admits succeed (see the package comment for why this never
 // changes a decision).
-func (se *ShardedEngine) applyBatchGlobal(ctx context.Context, ops []Op) (*BatchResult, []int, error) {
+func (se *ShardedEngine) applyBatchGlobal(ctx context.Context, ops []Op, override analysis.Analyzer) (*BatchResult, []int, error) {
 	se.mu.Lock()
 	defer se.mu.Unlock()
 
@@ -322,7 +326,7 @@ func (se *ShardedEngine) applyBatchGlobal(ctx context.Context, ops []Op) (*Batch
 		var replay []recon
 		for _, shard := range sortedShards(segs) {
 			seg := segs[shard]
-			res, err := se.shards[shard].ApplyBatch(ctx, seg.ops)
+			res, err := se.shards[shard].ApplyBatch(ctx, seg.ops, override)
 			if err != nil {
 				return err
 			}
@@ -354,6 +358,12 @@ func (se *ShardedEngine) applyBatchGlobal(ctx context.Context, ops []Op) (*Batch
 		return nil
 	}
 
+	// fail surfaces a cancellation with the commit count so far.
+	fail := func(err error) (*BatchResult, []int, error) {
+		br.ShardsTouched = len(touched)
+		return br, released, err
+	}
+
 	for i, op := range ops {
 		switch op.Kind {
 		case OpRelease:
@@ -375,7 +385,7 @@ func (se *ShardedEngine) applyBatchGlobal(ctx context.Context, ops []Op) (*Batch
 				// admit that will actually be rejected); resolve against
 				// the real router before declaring a duplicate.
 				if err := flush(); err != nil {
-					return nil, released, err
+					return fail(err)
 				}
 				sync()
 				if pConns[cand.Name] != nil {
@@ -385,18 +395,21 @@ func (se *ShardedEngine) applyBatchGlobal(ctx context.Context, ops []Op) (*Batch
 			}
 			owners := pOwnersOf(cand.Path)
 			if len(owners) > 1 {
-				// Cross-shard admit: flush so the router reflects every
-				// earlier operation, then run the sequential cross path
-				// inline (we already hold the exclusive lock). This is the
-				// envelope's one cross-shard commit.
+				// Predicted cross-shard admit: flush so the router reflects
+				// every earlier operation and re-route against the real
+				// owners (the spanning components may have been released, or
+				// a predicted admit rejected, in which case this is a plain
+				// shard-local op after all).
 				if err := flush(); err != nil {
-					return nil, released, err
+					return fail(err)
 				}
 				sync()
 				owners = pOwnersOf(cand.Path)
-				d, err := se.admitCrossLocked(ctx, nil, cand)
-				if err != nil && IsCanceled(err) {
-					return nil, released, err
+			}
+			if len(owners) > 1 {
+				d, err := se.admitCross(ctx, cand, owners, override)
+				if IsCanceled(err) {
+					return fail(err)
 				}
 				br.Results[i] = OpResult{Decision: d, Err: err}
 				if d.Admitted {
@@ -417,7 +430,7 @@ func (se *ShardedEngine) applyBatchGlobal(ctx context.Context, ops []Op) (*Batch
 		}
 	}
 	if err := flush(); err != nil {
-		return nil, released, err
+		return fail(err)
 	}
 	br.ShardsTouched = len(touched)
 	return br, released, nil
@@ -460,93 +473,39 @@ func (r *shardRouter) commitRelease(name string) (int, bool) {
 // whose union is assembled from the same pinned snapshots — are judged
 // against one consistent global state even while concurrent admissions
 // commit. Nothing is ever committed and the router is never mutated.
-func (se *ShardedEngine) TestBatch(ctx context.Context, cands []topo.Connection) ([]OpResult, error) {
+// override nil selects each shard's incremental path, non-nil forces a
+// full analysis with it (see Engine.ApplyBatch).
+func (se *ShardedEngine) TestBatch(ctx context.Context, cands []topo.Connection, override analysis.Analyzer) ([]OpResult, error) {
 	if eng := se.single(); eng != nil {
-		return eng.TestBatch(ctx, cands)
+		return eng.TestBatch(ctx, cands, override)
 	}
-	return se.testBatch(ctx, nil, cands)
-}
-
-// TestBatchWith is TestBatch on the degraded path: every candidate runs a
-// full analysis with the explicit analyzer against the same pinned
-// per-shard snapshots.
-func (se *ShardedEngine) TestBatchWith(ctx context.Context, analyzer analysis.Analyzer, cands []topo.Connection) ([]OpResult, error) {
-	if eng := se.single(); eng != nil {
-		return eng.TestBatchWith(ctx, analyzer, cands)
-	}
-	return se.testBatch(ctx, analyzer, cands)
-}
-
-// testBatch is the multi-shard dry envelope: analyzer nil selects each
-// shard's incremental path, non-nil forces a full analysis with it.
-func (se *ShardedEngine) testBatch(ctx context.Context, analyzer analysis.Analyzer, cands []topo.Connection) ([]OpResult, error) {
 	se.mu.RLock()
 	defer se.mu.RUnlock()
-	snaps := make([]*Snapshot, len(se.shards))
-	for i, sh := range se.shards {
-		snaps[i] = sh.Snapshot()
-	}
-	pinnedTest := func(snap *Snapshot, cand topo.Connection) (Decision, error) {
-		if analyzer != nil {
-			return snap.testWith(ctx, analyzer, cand)
-		}
-		d, _, err := snap.test(ctx, cand)
-		return d, err
-	}
+	snaps := se.pin()
 	out := make([]OpResult, len(cands))
 	for i, cand := range cands {
-		var d Decision
-		var err error
-		if !se.validRoute(cand) {
-			d, err = pinnedTest(snaps[0], cand)
-		} else {
+		var owners []int
+		shard := 0
+		if se.validRoute(cand) {
 			se.router.mu.Lock()
-			owners := se.router.ownersOf(cand.Path)
-			shard := se.router.leastLoaded()
+			owners = se.router.ownersOf(cand.Path)
+			shard = se.router.leastLoaded()
 			se.router.mu.Unlock()
 			if len(owners) == 1 {
 				shard = owners[0]
 			}
-			if len(owners) <= 1 {
-				d, err = pinnedTest(snaps[shard], cand)
-			} else {
-				union := se.gatherUnionPinned(owners, snaps)
-				se.crossTests.Add(1)
-				unionAnalyzer := analyzer
-				if unionAnalyzer == nil {
-					unionAnalyzer = se.analyzer
-				}
-				d, err = se.unionTest(ctx, unionAnalyzer, union, cand)
-			}
 		}
-		if err != nil && IsCanceled(err) {
+		var d Decision
+		var err error
+		if len(owners) <= 1 {
+			d, err = snaps[shard].test(ctx, cand, override)
+		} else {
+			d, err = se.unionTest(ctx, owners, unionConns(se.gatherUnion(owners, snaps)), cand, override)
+		}
+		if IsCanceled(err) {
 			return nil, err
 		}
 		out[i] = OpResult{Decision: d, Err: err}
 	}
 	return out, nil
-}
-
-// gatherUnionPinned is gatherUnion over caller-pinned snapshots instead of
-// the live shard heads, preserving dry-run isolation for cross-shard
-// candidates.
-func (se *ShardedEngine) gatherUnionPinned(owners []int, snaps []*Snapshot) []seqConn {
-	var union []seqConn
-	se.router.mu.Lock()
-	defer se.router.mu.Unlock()
-	pendingSeq := uint64(1<<63) + 1
-	for _, o := range owners {
-		for _, c := range snaps[o].admitted {
-			sc := seqConn{conn: c, shard: o}
-			if rc := se.router.conns[c.Name]; rc != nil && rc.shard == o {
-				sc.seq = rc.seq
-			} else {
-				sc.seq = pendingSeq
-				pendingSeq++
-			}
-			union = append(union, sc)
-		}
-	}
-	sort.Slice(union, func(i, j int) bool { return union[i].seq < union[j].seq })
-	return union
 }

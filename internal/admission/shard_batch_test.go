@@ -47,7 +47,7 @@ func TestShardedApplyBatchMatchesSequential(t *testing.T) {
 				end = len(ops)
 			}
 			env := ops[start:end]
-			br, err := batchSE.ApplyBatch(ctx, env)
+			br, err := batchSE.ApplyBatch(ctx, env, nil)
 			if err != nil {
 				t.Fatalf("seed%d: ApplyBatch: %v", seed, err)
 			}
@@ -55,14 +55,14 @@ func TestShardedApplyBatchMatchesSequential(t *testing.T) {
 				step := fmt.Sprintf("seed%d/op%d", seed, start+k)
 				switch op.Kind {
 				case OpAdmit:
-					wantD, wantErr := seqSE.Admit(op.Candidate)
+					wantD, wantErr := seqSE.Admit(bg, op.Candidate)
 					gotR := br.Results[k]
 					if (wantErr == nil) != (gotR.Err == nil) {
 						t.Fatalf("%s: admit error diverged: sequential %v, batch %v", step, wantErr, gotR.Err)
 					}
 					requireSameOutcome(t, step, wantD, gotR.Decision)
 				case OpRelease:
-					_, wantOK := seqSE.Release(op.Name)
+					_, wantOK, _ := seqSE.Release(bg, op.Name)
 					if wantOK != br.Results[k].Released {
 						t.Fatalf("%s: release found diverged: sequential %v, batch %v", step, wantOK, br.Results[k].Released)
 					}
@@ -80,6 +80,15 @@ func TestShardedApplyBatchMatchesSequential(t *testing.T) {
 		for _, c := range batchSE.Admitted() {
 			if !seqNames[c.Name] {
 				t.Fatalf("seed%d: batch admitted %q, sequential did not", seed, c.Name)
+			}
+		}
+		// Every claim was confirmed or handed back: with nothing in flight
+		// the router's load is exactly the committed count, per shard.
+		for _, se := range []*ShardedEngine{seqSE, batchSE} {
+			for i, sh := range se.Stats().PerShard {
+				if se.router.load[i] != sh.Admitted {
+					t.Fatalf("seed%d: router load[%d] = %d, shard holds %d", seed, i, se.router.load[i], sh.Admitted)
+				}
 			}
 		}
 	}
@@ -104,7 +113,7 @@ func TestShardedBatchSingleCommitPerShard(t *testing.T) {
 		ops = append(ops, Op{Kind: OpAdmit, Candidate: net.Connections[i]})
 	}
 	before := se.SnapshotVersion()
-	br, err := se.ApplyBatch(context.Background(), ops)
+	br, err := se.ApplyBatch(context.Background(), ops, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +144,7 @@ func TestShardedBatchSingleCommitPerShard(t *testing.T) {
 	br, err = se.ApplyBatch(context.Background(), []Op{
 		{Kind: OpAdmit, Candidate: net.Connections[0]},
 		{Kind: OpRelease, Name: "ghost"},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +174,7 @@ func TestShardedBatchCrossAdmit(t *testing.T) {
 	}
 	for i := range net.Connections {
 		net.Connections[i].Deadline = 1000
-		if d, err := se.Admit(net.Connections[i]); err != nil || !d.Admitted {
+		if d, err := se.Admit(bg, net.Connections[i]); err != nil || !d.Admitted {
 			t.Fatalf("setup admit %s: %+v err=%v", net.Connections[i].Name, d, err)
 		}
 	}
@@ -181,7 +190,7 @@ func TestShardedBatchCrossAdmit(t *testing.T) {
 		{Kind: OpAdmit, Candidate: extraA},
 		{Kind: OpAdmit, Candidate: bridge},
 		{Kind: OpAdmit, Candidate: extraB},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +207,7 @@ func TestShardedBatchCrossAdmit(t *testing.T) {
 		t.Fatalf("count %d, want %d", se.Count(), len(net.Connections)+3)
 	}
 	for _, name := range []string{"extraA", "bridge", "extraB"} {
-		if _, ok := se.Release(name); !ok {
+		if _, ok, _ := se.Release(bg, name); !ok {
 			t.Fatalf("router lost %q after the cross envelope", name)
 		}
 	}
@@ -219,7 +228,7 @@ func TestShardedBatchReleaseReadmit(t *testing.T) {
 	}
 	for i := range net.Connections {
 		net.Connections[i].Deadline = 1000
-		if d, err := se.Admit(net.Connections[i]); err != nil || !d.Admitted {
+		if d, err := se.Admit(bg, net.Connections[i]); err != nil || !d.Admitted {
 			t.Fatalf("setup admit: %+v err=%v", d, err)
 		}
 	}
@@ -227,7 +236,7 @@ func TestShardedBatchReleaseReadmit(t *testing.T) {
 	br, err := se.ApplyBatch(context.Background(), []Op{
 		{Kind: OpRelease, Name: name},
 		{Kind: OpAdmit, Candidate: net.Connections[0]},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +249,7 @@ func TestShardedBatchReleaseReadmit(t *testing.T) {
 	if se.Count() != len(net.Connections) {
 		t.Fatalf("count %d, want %d", se.Count(), len(net.Connections))
 	}
-	if _, ok := se.Release(name); !ok {
+	if _, ok, _ := se.Release(bg, name); !ok {
 		t.Fatalf("router lost %q after release+readmit envelope", name)
 	}
 }
@@ -290,7 +299,7 @@ func TestShardedBatchStraddlesRebalance(t *testing.T) {
 			for _, c := range chain {
 				admits = append(admits, Op{Kind: OpAdmit, Candidate: c})
 			}
-			if _, err := se.ApplyBatch(ctx, admits); err != nil {
+			if _, err := se.ApplyBatch(ctx, admits, nil); err != nil {
 				errc <- err
 				return
 			}
@@ -298,7 +307,7 @@ func TestShardedBatchStraddlesRebalance(t *testing.T) {
 				{Kind: OpRelease, Name: "chain1"},
 				{Kind: OpRelease, Name: "chain0"},
 				{Kind: OpRelease, Name: "chain2"},
-			}); err != nil {
+			}, nil); err != nil {
 				errc <- err
 				return
 			}
@@ -313,7 +322,7 @@ func TestShardedBatchStraddlesRebalance(t *testing.T) {
 			for _, c := range blockB {
 				ops = append(ops, Op{Kind: OpAdmit, Candidate: c})
 			}
-			if _, err := se.ApplyBatch(ctx, ops); err != nil {
+			if _, err := se.ApplyBatch(ctx, ops, nil); err != nil {
 				errc <- err
 				return
 			}
@@ -321,7 +330,7 @@ func TestShardedBatchStraddlesRebalance(t *testing.T) {
 			for _, c := range blockB {
 				ops = append(ops, Op{Kind: OpRelease, Name: c.Name})
 			}
-			if _, err := se.ApplyBatch(ctx, ops); err != nil {
+			if _, err := se.ApplyBatch(ctx, ops, nil); err != nil {
 				errc <- err
 				return
 			}
@@ -339,8 +348,225 @@ func TestShardedBatchStraddlesRebalance(t *testing.T) {
 	}
 	// The fabric must still be fully usable: admit both blocks again.
 	for _, c := range append(append([]topo.Connection(nil), blockA...), blockB...) {
-		if d, err := se.Admit(c); err != nil || !d.Admitted {
+		if d, err := se.Admit(bg, c); err != nil || !d.Admitted {
 			t.Fatalf("post-churn admit %s: %+v err=%v", c.Name, d, err)
+		}
+	}
+}
+
+// twoShardSetup admits DisjointBlocks(2, 2, 0.3) into a 2-shard engine and
+// returns one fresh candidate per block, ordered by the shard their block
+// landed on (so cands[0]'s sub-batch runs first), plus a route bridging the
+// two blocks.
+func twoShardSetup(t *testing.T) (se *ShardedEngine, net *topo.Network, cands [2]topo.Connection, bridge topo.Connection) {
+	t.Helper()
+	net, err := topo.DisjointBlocks(2, 2, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	se, err = NewShardedEngine(net.Servers, analysis.Integrated{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range net.Connections {
+		net.Connections[i].Deadline = 1000
+		if d, err := se.Admit(bg, net.Connections[i]); err != nil || !d.Admitted {
+			t.Fatalf("setup admit %s: %+v err=%v", net.Connections[i].Name, d, err)
+		}
+	}
+	first, last := net.Connections[0], net.Connections[len(net.Connections)-1]
+	if se.router.conns[first.Name].shard > se.router.conns[last.Name].shard {
+		first, last = last, first
+	}
+	cands[0], cands[1] = first, last
+	cands[0].Name, cands[1].Name = "extra0", "extra1"
+	bridge = net.Connections[0]
+	bridge.Name = "bridge"
+	bridge.Path = []int{0, len(net.Servers) - 1}
+	return se, net, cands, bridge
+}
+
+// tripwire is a context-oblivious analyzer that cancels a context once it
+// has analyzed a trial containing the named connection: the analysis that
+// trips it completes, the next one is cut off — a deterministic "the budget
+// expired between two operations" fault.
+type tripwire struct {
+	name   string
+	cancel context.CancelFunc
+}
+
+func (tripwire) Name() string { return "tripwire" }
+
+func (tw tripwire) Analyze(net *topo.Network) (*analysis.Result, error) {
+	for _, c := range net.Connections {
+		if c.Name == tw.name {
+			tw.cancel()
+		}
+	}
+	return analysis.Decomposed{}.Analyze(net)
+}
+
+// TestShardedBatchCancelReportsCommits pins the measurement the serving
+// layer's degradation rule stands on: a cancelled envelope reports how
+// many shards had already committed, and reports zero exactly when
+// nothing was committed anywhere (so it may be re-run).
+func TestShardedBatchCancelReportsCommits(t *testing.T) {
+	t.Run("after first shard", func(t *testing.T) {
+		se, net, cands, _ := twoShardSetup(t)
+		ctx, cancel := context.WithCancel(bg)
+		defer cancel()
+		br, err := se.ApplyBatch(ctx, []Op{
+			{Kind: OpAdmit, Candidate: cands[0]},
+			{Kind: OpAdmit, Candidate: cands[1]},
+		}, tripwire{name: cands[0].Name, cancel: cancel})
+		if !IsCanceled(err) {
+			t.Fatalf("err = %v, want cancellation", err)
+		}
+		if br == nil || br.Commits != 1 || br.ShardsTouched != 1 || br.Results != nil {
+			t.Fatalf("cancelled envelope reported %+v, want 1 commit on 1 shard and no results", br)
+		}
+		if se.Count() != len(net.Connections)+1 {
+			t.Fatalf("count %d, want the first shard's admit only (%d)", se.Count(), len(net.Connections)+1)
+		}
+	})
+	t.Run("before any commit", func(t *testing.T) {
+		se, net, cands, _ := twoShardSetup(t)
+		ctx, cancel := context.WithCancel(bg)
+		defer cancel()
+		second := cands[0]
+		second.Name = "extra0b"
+		before := se.SnapshotVersion()
+		br, err := se.ApplyBatch(ctx, []Op{
+			{Kind: OpAdmit, Candidate: cands[0]},
+			{Kind: OpAdmit, Candidate: second},
+			{Kind: OpAdmit, Candidate: cands[1]},
+		}, tripwire{name: cands[0].Name, cancel: cancel})
+		if !IsCanceled(err) {
+			t.Fatalf("err = %v, want cancellation", err)
+		}
+		if br == nil || br.Commits != 0 || br.ShardsTouched != 0 {
+			t.Fatalf("cancelled envelope reported %+v, want zero commits", br)
+		}
+		if se.Count() != len(net.Connections) || se.SnapshotVersion() != before {
+			t.Fatalf("zero-commit cancellation mutated the engine: count %d version %d -> %d",
+				se.Count(), before, se.SnapshotVersion())
+		}
+		// The claims of the cancelled envelope were rolled back: the same
+		// names admit cleanly on a re-run.
+		br, err = se.ApplyBatch(bg, []Op{
+			{Kind: OpAdmit, Candidate: cands[0]},
+			{Kind: OpAdmit, Candidate: second},
+			{Kind: OpAdmit, Candidate: cands[1]},
+		}, analysis.Decomposed{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range br.Results {
+			if !r.Decision.Admitted {
+				t.Fatalf("re-run op %d not admitted: %+v err=%v", i, r.Decision, r.Err)
+			}
+		}
+	})
+}
+
+// TestShardedBatchOverride pins the degraded envelope on a multi-shard
+// engine: the override analyzer is threaded through every sub-batch and the
+// cross-shard commit, so the envelope still commits once per shard and
+// every decision carries the override's bounds, not the primary's.
+func TestShardedBatchOverride(t *testing.T) {
+	se, net, cands, bridge := twoShardSetup(t)
+	// The oracle: a Decomposed Controller over the whole fabric. Components
+	// are independent, so each candidate's own bound (the last entry) must
+	// match the shard-scoped degraded decision bit for bit.
+	oracle, err := New(net.Servers, analysis.Decomposed{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range net.Connections {
+		if d, err := oracle.Admit(c); err != nil || !d.Admitted {
+			t.Fatalf("oracle setup admit %s: %+v err=%v", c.Name, d, err)
+		}
+	}
+	ownBound := func(d Decision) float64 { return d.Bounds[len(d.Bounds)-1] }
+
+	before := se.Stats()
+	br, err := se.ApplyBatch(bg, []Op{
+		{Kind: OpAdmit, Candidate: cands[0]},
+		{Kind: OpAdmit, Candidate: cands[1]},
+	}, analysis.Decomposed{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if br.Commits != 2 || br.ShardsTouched != 2 {
+		t.Fatalf("degraded 2-shard envelope: commits %d on %d shards, want one per shard", br.Commits, br.ShardsTouched)
+	}
+	st := se.Stats()
+	if got := st.BatchCommits - before.BatchCommits; got != 2 {
+		t.Fatalf("batch_commits moved by %d, want 2", got)
+	}
+	if got := st.IncrementalTests - before.IncrementalTests; got != 0 {
+		t.Fatalf("degraded envelope ran %d incremental tests, want the override's full analyses only", got)
+	}
+	for i, r := range br.Results {
+		want, err := oracle.Admit(cands[i])
+		if err != nil || !want.Admitted || !r.Decision.Admitted {
+			t.Fatalf("op %d: engine %+v oracle %+v err=%v", i, r.Decision, want, err)
+		}
+		if ownBound(r.Decision) != ownBound(want) {
+			t.Fatalf("op %d: degraded bound %v, decomposed oracle %v", i, ownBound(r.Decision), ownBound(want))
+		}
+	}
+
+	// The bridge merges both shards' components: one cross-shard commit,
+	// analyzed by the override over the union (now the whole network).
+	br, err = se.ApplyBatch(bg, []Op{{Kind: OpAdmit, Candidate: bridge}}, analysis.Decomposed{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := oracle.Admit(bridge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameDecision(t, "degraded bridge", want, br.Results[0].Decision)
+	if got := se.Stats().CrossShardCommits - st.CrossShardCommits; got != 1 || br.Commits != 1 {
+		t.Fatalf("degraded bridge: %d cross-shard commits, envelope reported %d, want 1 and 1", got, br.Commits)
+	}
+}
+
+// TestShardedBatchSpreadsNewComponents pins that claims count toward shard
+// load: one envelope carrying several brand-new components (delayd's
+// start-up pre-admission) spreads them over the shards like one-at-a-time
+// admissions do, instead of piling every component onto shard 0.
+func TestShardedBatchSpreadsNewComponents(t *testing.T) {
+	net, err := topo.DisjointBlocks(4, 2, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	se, err := NewShardedEngine(net.Servers, analysis.Integrated{}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := make([]Op, len(net.Connections))
+	for i := range net.Connections {
+		net.Connections[i].Deadline = 1000
+		ops[i] = Op{Kind: OpAdmit, Candidate: net.Connections[i]}
+	}
+	br, err := se.ApplyBatch(bg, ops, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if br.Commits != 4 || br.ShardsTouched != 4 {
+		t.Fatalf("4 new components on 4 shards: %d commits on %d shards, want 4 and 4", br.Commits, br.ShardsTouched)
+	}
+	for i, sh := range se.Stats().PerShard {
+		if sh.Admitted != len(net.Connections)/4 {
+			t.Fatalf("shard %d holds %d connections, want one block (%d)", i, sh.Admitted, len(net.Connections)/4)
+		}
+	}
+	// Rejected and released claims give their load back.
+	for i, l := range se.router.load {
+		if l != len(net.Connections)/4 {
+			t.Fatalf("router load[%d] = %d after the envelope, want %d", i, l, len(net.Connections)/4)
 		}
 	}
 }

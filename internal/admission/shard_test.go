@@ -57,8 +57,8 @@ func driveShardDifferential(t *testing.T, label string, analyzer analysis.Analyz
 	}
 	for i, cand := range net.Connections {
 		step := fmt.Sprintf("%s/conn%d", label, i)
-		wantD, wantErr := eng.Test(cand)
-		gotD, gotErr := se.Test(cand)
+		wantD, wantErr := eng.Test(bg, cand)
+		gotD, gotErr := se.Test(bg, cand)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s: test error diverged: engine %v, sharded %v", step, wantErr, gotErr)
 		}
@@ -68,8 +68,8 @@ func driveShardDifferential(t *testing.T, label string, analyzer analysis.Analyz
 			requireSameOutcome(t, step+"/test", wantD, gotD)
 		}
 
-		wantD, wantErr = eng.Admit(cand)
-		gotD, gotErr = se.Admit(cand)
+		wantD, wantErr = eng.Admit(bg, cand)
+		gotD, gotErr = se.Admit(bg, cand)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s: admit error diverged: engine %v, sharded %v", step, wantErr, gotErr)
 		}
@@ -162,7 +162,7 @@ func TestShardedDisjointStaysLocal(t *testing.T) {
 	}
 	for i := range net.Connections {
 		net.Connections[i].Deadline = 1000
-		if d, err := se.Admit(net.Connections[i]); err != nil || !d.Admitted {
+		if d, err := se.Admit(bg, net.Connections[i]); err != nil || !d.Admitted {
 			t.Fatalf("admit %s: %+v err=%v", net.Connections[i].Name, d, err)
 		}
 	}
@@ -199,7 +199,7 @@ func TestShardedCrossShardMergeAndRebalance(t *testing.T) {
 	}
 	for i := range net.Connections {
 		net.Connections[i].Deadline = 1000
-		if d, err := se.Admit(net.Connections[i]); err != nil || !d.Admitted {
+		if d, err := se.Admit(bg, net.Connections[i]); err != nil || !d.Admitted {
 			t.Fatalf("admit %s: %+v err=%v", net.Connections[i].Name, d, err)
 		}
 	}
@@ -211,7 +211,7 @@ func TestShardedCrossShardMergeAndRebalance(t *testing.T) {
 	bridge.Name = "bridge"
 	bridge.Path = []int{0, len(net.Servers) - 1} // spans both blocks
 	bridge.Deadline = 1000
-	if d, err := se.Admit(bridge); err != nil || !d.Admitted {
+	if d, err := se.Admit(bg, bridge); err != nil || !d.Admitted {
 		t.Fatalf("bridge admit: %+v err=%v", d, err)
 	}
 	st := se.Stats()
@@ -225,7 +225,7 @@ func TestShardedCrossShardMergeAndRebalance(t *testing.T) {
 		t.Fatalf("count %d, want %d", se.Count(), len(net.Connections)+1)
 	}
 
-	if _, ok := se.Release("bridge"); !ok {
+	if _, ok, _ := se.Release(bg, "bridge"); !ok {
 		t.Fatal("bridge release failed")
 	}
 	st = se.Stats()
@@ -266,10 +266,10 @@ func TestShardedDuplicateNameRejected(t *testing.T) {
 	}
 	cand := net.Connections[0]
 	cand.Deadline = 1000
-	if d, err := se.Admit(cand); err != nil || !d.Admitted {
+	if d, err := se.Admit(bg, cand); err != nil || !d.Admitted {
 		t.Fatalf("first admit: %+v err=%v", d, err)
 	}
-	d, err := se.Admit(cand)
+	d, err := se.Admit(bg, cand)
 	if err == nil || d.Admitted || d.Code != CodeInvalidSpec {
 		t.Fatalf("duplicate admit: %+v err=%v, want invalid_spec rejection", d, err)
 	}
@@ -303,12 +303,12 @@ func TestShardedConcurrentMixedOps(t *testing.T) {
 			for round := 0; round < 3; round++ {
 				for i, c := range conns {
 					c.Deadline = 1000
-					if _, err := se.Admit(c); err != nil {
+					if _, err := se.Admit(bg, c); err != nil {
 						t.Errorf("block %d admit %s: %v", b, c.Name, err)
 						return
 					}
 					if i%2 == 0 {
-						se.Release(c.Name)
+						se.Release(bg, c.Name)
 					}
 				}
 				// A bridging candidate between this block and the next
@@ -317,21 +317,21 @@ func TestShardedConcurrentMixedOps(t *testing.T) {
 				bridge.Name = fmt.Sprintf("bridge-%d-%d", b, round)
 				bridge.Path = []int{b * 2, ((b + 1) % blocks) * 2}
 				bridge.Deadline = 1000
-				if _, err := se.Admit(bridge); err != nil {
+				if _, err := se.Admit(bg, bridge); err != nil {
 					t.Errorf("block %d bridge: %v", b, err)
 					return
 				}
-				se.Release(bridge.Name)
+				se.Release(bg, bridge.Name)
 				for i, c := range conns {
 					if i%2 == 0 {
-						se.Release(c.Name)
+						se.Release(bg, c.Name)
 					}
 				}
-				se.Test(conns[0]) // concurrent replica reads
+				se.Test(bg, conns[0]) // concurrent replica reads
 				se.ReadView()
 				for i, c := range conns {
 					if i%2 != 0 {
-						se.Release(c.Name)
+						se.Release(bg, c.Name)
 					}
 				}
 			}
@@ -357,7 +357,7 @@ func TestShardedConcurrentMixedOps(t *testing.T) {
 	}
 	// Every name must release cleanly exactly once: router and shards agree.
 	for _, c := range conns {
-		if _, ok := se.Release(c.Name); !ok {
+		if _, ok, _ := se.Release(bg, c.Name); !ok {
 			t.Errorf("release %s failed: router/shard divergence", c.Name)
 		}
 	}
@@ -394,12 +394,12 @@ func TestReleaseWarmRace(t *testing.T) {
 				cand := net.Connections[0]
 				cand.Name = fmt.Sprintf("w%d-%d", g, i)
 				cand.Deadline = 1000
-				if _, err := eng.Admit(cand); err != nil {
+				if _, err := eng.Admit(bg, cand); err != nil {
 					t.Errorf("admit %s: %v", cand.Name, err)
 					return
 				}
-				eng.Test(cand)
-				eng.Release(cand.Name)
+				eng.Test(bg, cand)
+				eng.Release(bg, cand.Name)
 			}
 		}(g)
 	}
@@ -413,10 +413,10 @@ func TestReleaseWarmRace(t *testing.T) {
 	cand := net.Connections[0]
 	cand.Name = "last"
 	cand.Deadline = 1000
-	if _, err := eng.Admit(cand); err != nil {
+	if _, err := eng.Admit(bg, cand); err != nil {
 		t.Fatal(err)
 	}
-	eng.Release(cand.Name)
+	eng.Release(bg, cand.Name)
 	deadline := time.Now().Add(10 * time.Second)
 	for eng.Snapshot().cachedBaseline() == nil {
 		if time.Now().After(deadline) {

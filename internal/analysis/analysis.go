@@ -166,7 +166,7 @@ func newPropagationPooled(net *topo.Network, sparse bool) *propagation {
 		if !sparse {
 			n := len(stageSlab)
 			stageSlab = stageSlab[:n+len(c.Path)]
-			p.stage[i] = stageSlab[n:n:n+len(c.Path)]
+			p.stage[i] = stageSlab[n : n : n+len(c.Path)]
 		}
 		hints[i] = p.env[i].NumPoints() + 2*len(c.Path) + 2
 	}

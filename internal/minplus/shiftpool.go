@@ -79,7 +79,7 @@ func (sp *ShiftPool) ShiftLeft(slot int, f Curve, d float64) Curve {
 		h := sp.hints[slot]
 		buf := make([]Point, 2*h)
 		sp.a[slot] = buf[0:0:h]
-		sp.b[slot] = buf[h:h : 2*h]
+		sp.b[slot] = buf[h : h : 2*h]
 	}
 	dst := sp.a[slot]
 	if sameBase(dst, f.pts) {

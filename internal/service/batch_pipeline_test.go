@@ -18,17 +18,17 @@ func heavyConnBody(name string) string {
 // TestBatchSingleCommitViaStats pins the serving-side pipelining invariant
 // end to end: one mixed envelope of N operations is exactly one engine
 // envelope, one snapshot commit, and one version step, as exposed by
-// GET /v1/stats — the same counters the CI bench gate reads.
+// GET /v2/networks/{id}/stats — the same counters the CI bench gate reads.
 func TestBatchSingleCommitViaStats(t *testing.T) {
 	srv := newTestServer(t, nil)
-	before := decode[StatsResponse](t, do(t, srv, "GET", "/v1/stats", ""))
+	before := decode[StatsResponse](t, do(t, srv, "GET", "/v2/networks/default/stats", ""))
 
 	var ops []string
 	for i := 0; i < 8; i++ {
 		ops = append(ops, fmt.Sprintf(`{"op": "admit", "connection": %s}`, connBody(fmt.Sprintf("p%d", i))))
 	}
 	ops = append(ops, `{"op": "release", "name": "p0"}`)
-	w := do(t, srv, "POST", "/v1/batch", fmt.Sprintf(`{"operations": [%s]}`, strings.Join(ops, ",")))
+	w := do(t, srv, "POST", "/v2/networks/default/batch", fmt.Sprintf(`{"operations": [%s]}`, strings.Join(ops, ",")))
 	if w.Code != http.StatusOK {
 		t.Fatalf("batch: %d %s", w.Code, w.Body)
 	}
@@ -37,7 +37,7 @@ func TestBatchSingleCommitViaStats(t *testing.T) {
 		t.Fatalf("batch totals: %+v", resp)
 	}
 
-	after := decode[StatsResponse](t, do(t, srv, "GET", "/v1/stats", ""))
+	after := decode[StatsResponse](t, do(t, srv, "GET", "/v2/networks/default/stats", ""))
 	if envs := after.BatchEnvelopes - before.BatchEnvelopes; envs != 1 {
 		t.Fatalf("envelope count advanced by %d, want 1", envs)
 	}
@@ -64,7 +64,7 @@ func TestBatchDryRunPinnedSnapshot(t *testing.T) {
 		{"op": "admit", "connection": %s}
 	]}`, heavyConnBody("x"), heavyConnBody("y"))
 
-	w := do(t, srv, "POST", "/v1/batch", dryPair)
+	w := do(t, srv, "POST", "/v2/networks/default/batch", dryPair)
 	if w.Code != http.StatusOK {
 		t.Fatalf("dry batch: %d %s", w.Code, w.Body)
 	}
@@ -91,16 +91,16 @@ func TestBatchDryRunPinnedSnapshot(t *testing.T) {
 				return
 			default:
 			}
-			w := do(t, srv, "POST", "/v1/connections",
+			w := do(t, srv, "POST", "/v2/networks/default/connections",
 				fmt.Sprintf(`{"connection": %s}`, heavyConnBody("blocker")))
 			if w.Code != http.StatusOK {
 				return
 			}
-			do(t, srv, "DELETE", "/v1/connections/blocker", "")
+			do(t, srv, "DELETE", "/v2/networks/default/connections/blocker", "")
 		}
 	}()
 	for i := 0; i < 100; i++ {
-		w := do(t, srv, "POST", "/v1/batch", dryPair)
+		w := do(t, srv, "POST", "/v2/networks/default/batch", dryPair)
 		if w.Code != http.StatusOK {
 			t.Fatalf("dry batch %d: %d %s", i, w.Code, w.Body)
 		}
@@ -125,7 +125,7 @@ func TestListCursorStaleAfterWrite(t *testing.T) {
 	srv := newTestServer(t, nil)
 	admitN(t, srv, 5)
 
-	w := do(t, srv, "GET", "/v1/connections?limit=2", "")
+	w := do(t, srv, "GET", "/v2/networks/default/connections?limit=2", "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("page 1: %d %s", w.Code, w.Body)
 	}
@@ -135,7 +135,7 @@ func TestListCursorStaleAfterWrite(t *testing.T) {
 	}
 
 	// Cursor survives as long as nothing commits.
-	w = do(t, srv, "GET", "/v1/connections?limit=2&cursor="+page1.NextCursor, "")
+	w = do(t, srv, "GET", "/v2/networks/default/connections?limit=2&cursor="+page1.NextCursor, "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("page 2 before write: %d %s", w.Code, w.Body)
 	}
@@ -143,10 +143,10 @@ func TestListCursorStaleAfterWrite(t *testing.T) {
 
 	// A release between pages compacts the set: offset 4 now points past a
 	// different suffix and would skip the survivor that slid into it.
-	if w := do(t, srv, "DELETE", "/v1/connections/c0", ""); w.Code != http.StatusOK {
+	if w := do(t, srv, "DELETE", "/v2/networks/default/connections/c0", ""); w.Code != http.StatusOK {
 		t.Fatalf("release: %d %s", w.Code, w.Body)
 	}
-	w = do(t, srv, "GET", "/v1/connections?limit=2&cursor="+page2.NextCursor, "")
+	w = do(t, srv, "GET", "/v2/networks/default/connections?limit=2&cursor="+page2.NextCursor, "")
 	if w.Code != http.StatusGone {
 		t.Fatalf("stale cursor: status %d, want 410 (%s)", w.Code, w.Body)
 	}
@@ -159,7 +159,7 @@ func TestListCursorStaleAfterWrite(t *testing.T) {
 	var got []string
 	cursor := ""
 	for {
-		path := "/v1/connections?limit=2"
+		path := "/v2/networks/default/connections?limit=2"
 		if cursor != "" {
 			path += "&cursor=" + cursor
 		}
@@ -197,7 +197,7 @@ func TestBatchEnvelopeOrderPreserved(t *testing.T) {
 		{"op": "admit", "connection": %s},
 		{"op": "release", "name": "c1"}
 	]}`, connBody("c0"))
-	w := do(t, srv, "POST", "/v1/batch", body)
+	w := do(t, srv, "POST", "/v2/networks/default/batch", body)
 	if w.Code != http.StatusOK {
 		t.Fatalf("batch: %d %s", w.Code, w.Body)
 	}

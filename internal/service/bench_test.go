@@ -47,7 +47,7 @@ func benchAnalyzeSpec() string {
 
 func benchAnalyzeOnce(b *testing.B, srv *Server, body string, wantCached string) {
 	b.Helper()
-	r := httptest.NewRequest("POST", "/v1/analyze", strings.NewReader(body))
+	r := httptest.NewRequest("POST", "/v2/networks/default/analyze", strings.NewReader(body))
 	w := httptest.NewRecorder()
 	srv.ServeHTTP(w, r)
 	if w.Code != http.StatusOK {

@@ -19,7 +19,7 @@ func connBody(name string) string {
 func admitN(t *testing.T, srv *Server, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		w := do(t, srv, "POST", "/v1/connections", fmt.Sprintf(`{"connection": %s}`, connBody(fmt.Sprintf("c%d", i))))
+		w := do(t, srv, "POST", "/v2/networks/default/connections", fmt.Sprintf(`{"connection": %s}`, connBody(fmt.Sprintf("c%d", i))))
 		if w.Code != http.StatusOK {
 			t.Fatalf("admit c%d: %d %s", i, w.Code, w.Body)
 		}
@@ -38,7 +38,7 @@ func TestBatchMixedOps(t *testing.T) {
 		{"op": "release", "name": "ghost"},
 		{"op": "admit", "connection": %s}
 	]}`, connBody("a"), connBody("b"), connBody("a"))
-	w := do(t, srv, "POST", "/v1/batch", body)
+	w := do(t, srv, "POST", "/v2/networks/default/batch", body)
 	if w.Code != http.StatusOK {
 		t.Fatalf("batch: %d %s", w.Code, w.Body)
 	}
@@ -80,7 +80,7 @@ func TestBatchRejectionEnvelope(t *testing.T) {
 	// with the violation list.
 	cross := `{"name": "cross", "sigma": 5, "rho": 0.3, "access_rate": 1, "path": ["s0", "s1"], "deadline": 100}`
 	tight := `{"name": "tight", "sigma": 1, "rho": 0.002, "access_rate": 1, "path": ["s0", "s1"], "deadline": 0.0001}`
-	w := do(t, srv, "POST", "/v1/batch", fmt.Sprintf(
+	w := do(t, srv, "POST", "/v2/networks/default/batch", fmt.Sprintf(
 		`{"operations": [{"op": "admit", "connection": %s}, {"op": "admit", "connection": %s}]}`, cross, tight))
 	if w.Code != http.StatusOK {
 		t.Fatalf("batch: %d %s", w.Code, w.Body)
@@ -113,7 +113,7 @@ func TestBatchValidation(t *testing.T) {
 		{"bad spec mid-batch", fmt.Sprintf(`{"operations": [{"op": "admit", "connection": %s}, {"op": "admit", "connection": {"name": "y", "path": ["nope"]}}]}`, connBody("x"))},
 	}
 	for _, tc := range cases {
-		w := do(t, srv, "POST", "/v1/batch", tc.body)
+		w := do(t, srv, "POST", "/v2/networks/default/batch", tc.body)
 		if w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400: %s", tc.name, w.Code, w.Body)
 		}
@@ -125,32 +125,13 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
-func TestAdmitBatchDeprecatedAlias(t *testing.T) {
-	srv := newTestServer(t, nil)
-	body := fmt.Sprintf(`{"connections": [%s]}`, connBody("legacy"))
-	w := do(t, srv, "POST", "/v1/admit/batch", body)
-	if w.Code != http.StatusOK {
-		t.Fatalf("admit/batch: %d %s", w.Code, w.Body)
-	}
-	if got := w.Header().Get("Deprecation"); got != "true" {
-		t.Errorf("Deprecation header %q, want \"true\"", got)
-	}
-	if got := w.Header().Get("Link"); got != `</v1/batch>; rel="successor-version"` {
-		t.Errorf("Link header %q does not point at /v1/batch", got)
-	}
-	resp := decode[BatchAdmitResponse](t, w)
-	if resp.Admitted != 1 || resp.Count != 1 {
-		t.Fatalf("legacy batch semantics changed: %+v", resp)
-	}
-}
-
 func TestListPagination(t *testing.T) {
 	srv := newTestServer(t, nil)
 	admitN(t, srv, 5)
 
 	// No paging parameters: the whole set, no cursor (the pre-pagination
 	// contract).
-	all := decode[ListResponse](t, do(t, srv, "GET", "/v1/connections", ""))
+	all := decode[ListResponse](t, do(t, srv, "GET", "/v2/networks/default/connections", ""))
 	if all.Count != 5 || len(all.Connections) != 5 || all.NextCursor != "" {
 		t.Fatalf("unpaged list: count %d, page %d, cursor %q", all.Count, len(all.Connections), all.NextCursor)
 	}
@@ -159,7 +140,7 @@ func TestListPagination(t *testing.T) {
 	cursor := ""
 	pages := 0
 	for {
-		path := "/v1/connections?limit=2"
+		path := "/v2/networks/default/connections?limit=2"
 		if cursor != "" {
 			path += "&cursor=" + cursor
 		}
@@ -190,10 +171,10 @@ func TestListPagination(t *testing.T) {
 	}
 
 	for _, path := range []string{
-		"/v1/connections?limit=-1",
-		"/v1/connections?limit=x",
-		"/v1/connections?cursor=%21%21",
-		"/v1/connections?cursor=" + encodeCursor(3, srv.State().SnapshotVersion())[:1],
+		"/v2/networks/default/connections?limit=-1",
+		"/v2/networks/default/connections?limit=x",
+		"/v2/networks/default/connections?cursor=%21%21",
+		"/v2/networks/default/connections?cursor=" + encodeCursor(3, srv.State().SnapshotVersion())[:1],
 	} {
 		if w := do(t, srv, "GET", path, ""); w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", path, w.Code)
@@ -201,7 +182,7 @@ func TestListPagination(t *testing.T) {
 	}
 
 	// A cursor past the end is an empty page, not an error.
-	w := do(t, srv, "GET", "/v1/connections?limit=2&cursor="+encodeCursor(99, srv.State().SnapshotVersion()), "")
+	w := do(t, srv, "GET", "/v2/networks/default/connections?limit=2&cursor="+encodeCursor(99, srv.State().SnapshotVersion()), "")
 	past := decode[ListResponse](t, w)
 	if w.Code != http.StatusOK || len(past.Connections) != 0 || past.NextCursor != "" {
 		t.Fatalf("past-the-end page: %d %+v", w.Code, past)
@@ -215,24 +196,24 @@ func TestListServerFilter(t *testing.T) {
 		`{"connection": {"name": "both", "sigma": 1, "rho": 0.002, "access_rate": 1, "path": ["s0", "s1"], "deadline": 100}}`,
 		`{"connection": {"name": "tail", "sigma": 1, "rho": 0.002, "access_rate": 1, "path": ["s1"], "deadline": 100}}`,
 	} {
-		if w := do(t, srv, "POST", "/v1/connections", body); w.Code != http.StatusOK {
+		if w := do(t, srv, "POST", "/v2/networks/default/connections", body); w.Code != http.StatusOK {
 			t.Fatalf("admit: %d %s", w.Code, w.Body)
 		}
 	}
-	s0 := decode[ListResponse](t, do(t, srv, "GET", "/v1/connections?server=s0", ""))
+	s0 := decode[ListResponse](t, do(t, srv, "GET", "/v2/networks/default/connections?server=s0", ""))
 	if s0.Count != 1 || len(s0.Connections) != 1 || s0.Connections[0].Name != "both" {
 		t.Fatalf("server=s0: %+v", s0)
 	}
-	s1 := decode[ListResponse](t, do(t, srv, "GET", "/v1/connections?server=s1", ""))
+	s1 := decode[ListResponse](t, do(t, srv, "GET", "/v2/networks/default/connections?server=s1", ""))
 	if s1.Count != 2 || len(s1.Connections) != 2 {
 		t.Fatalf("server=s1: %+v", s1)
 	}
 	// The filter composes with paging.
-	paged := decode[ListResponse](t, do(t, srv, "GET", "/v1/connections?server=s1&limit=1", ""))
+	paged := decode[ListResponse](t, do(t, srv, "GET", "/v2/networks/default/connections?server=s1&limit=1", ""))
 	if paged.Count != 2 || len(paged.Connections) != 1 || paged.NextCursor == "" {
 		t.Fatalf("filtered page: %+v", paged)
 	}
-	if w := do(t, srv, "GET", "/v1/connections?server=nope", ""); w.Code != http.StatusBadRequest {
+	if w := do(t, srv, "GET", "/v2/networks/default/connections?server=nope", ""); w.Code != http.StatusBadRequest {
 		t.Fatalf("unknown server: status %d, want 400", w.Code)
 	}
 }
@@ -243,7 +224,7 @@ func TestRemoveReportsMode(t *testing.T) {
 	// the right call under the default threshold.
 	srv := newTestServer(t, nil)
 	admitN(t, srv, 2)
-	w := do(t, srv, "DELETE", "/v1/connections/c0", "")
+	w := do(t, srv, "DELETE", "/v2/networks/default/connections/c0", "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("remove: %d %s", w.Code, w.Body)
 	}
@@ -274,11 +255,11 @@ func TestRemoveReportsMode(t *testing.T) {
 		`{"connection": {"name": "left", "sigma": 1, "rho": 0.002, "access_rate": 1, "path": ["s0", "s1"], "deadline": 100}}`,
 		`{"connection": {"name": "right", "sigma": 1, "rho": 0.002, "access_rate": 1, "path": ["s2", "s3"], "deadline": 100}}`,
 	} {
-		if w := do(t, srv2, "POST", "/v1/connections", body); w.Code != http.StatusOK {
+		if w := do(t, srv2, "POST", "/v2/networks/default/connections", body); w.Code != http.StatusOK {
 			t.Fatalf("admit: %d %s", w.Code, w.Body)
 		}
 	}
-	w = do(t, srv2, "DELETE", "/v1/connections/left", "")
+	w = do(t, srv2, "DELETE", "/v2/networks/default/connections/left", "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("remove: %d %s", w.Code, w.Body)
 	}
@@ -290,9 +271,9 @@ func TestRemoveReportsMode(t *testing.T) {
 func TestStatsEndpoint(t *testing.T) {
 	srv := newTestServer(t, nil)
 	admitN(t, srv, 3)
-	do(t, srv, "DELETE", "/v1/connections/c1", "")
+	do(t, srv, "DELETE", "/v2/networks/default/connections/c1", "")
 
-	w := do(t, srv, "GET", "/v1/stats", "")
+	w := do(t, srv, "GET", "/v2/networks/default/stats", "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("stats: %d %s", w.Code, w.Body)
 	}
@@ -334,8 +315,8 @@ func TestStatsEndpoint(t *testing.T) {
 func TestMetricsExposeReleases(t *testing.T) {
 	srv := newTestServer(t, nil)
 	admitN(t, srv, 1)
-	do(t, srv, "DELETE", "/v1/connections/c0", "")
-	w := do(t, srv, "GET", "/v1/metrics", "")
+	do(t, srv, "DELETE", "/v2/networks/default/connections/c0", "")
+	w := do(t, srv, "GET", "/v2/networks/default/metrics", "")
 	body := w.Body.String()
 	for _, want := range []string{
 		"delayd_admission_releases_total{mode=\"incremental\"}",

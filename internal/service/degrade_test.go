@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -22,7 +23,7 @@ import (
 // decomposed analysis bit for bit.
 func TestAnalyzeDegradesToDecomposed(t *testing.T) {
 	srv := newTestServer(t, func(c *Config) { c.AnalyzeTimeout = time.Nanosecond })
-	w := do(t, srv, "POST", "/v1/analyze", analyzeBody)
+	w := do(t, srv, "POST", "/v2/networks/default/analyze", analyzeBody)
 	if w.Code != http.StatusOK {
 		t.Fatalf("degraded analyze: %d %s", w.Code, w.Body)
 	}
@@ -84,7 +85,7 @@ func TestAnalyzeDegradesToDecomposed(t *testing.T) {
 func TestAnalyzeDecomposedNeverDegrades(t *testing.T) {
 	srv := newTestServer(t, func(c *Config) { c.AnalyzeTimeout = time.Nanosecond })
 	body := strings.Replace(analyzeBody, `"integrated"`, `"decomposed"`, 1)
-	w := do(t, srv, "POST", "/v1/analyze", body)
+	w := do(t, srv, "POST", "/v2/networks/default/analyze", body)
 	if w.Code != http.StatusOK {
 		t.Fatalf("decomposed analyze under 1ns budget: %d %s", w.Code, w.Body)
 	}
@@ -100,12 +101,12 @@ func TestAnalyzeDecomposedNeverDegrades(t *testing.T) {
 func TestAnalyzeTimeoutOverride(t *testing.T) {
 	srv := newTestServer(t, func(c *Config) { c.AnalyzeTimeout = time.Nanosecond })
 	bad := analyzeBody[:len(analyzeBody)-1] + `, "timeout_seconds": -1}`
-	w := do(t, srv, "POST", "/v1/analyze", bad)
+	w := do(t, srv, "POST", "/v2/networks/default/analyze", bad)
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("negative timeout_seconds: want 400, got %d %s", w.Code, w.Body)
 	}
 	generous := analyzeBody[:len(analyzeBody)-1] + `, "timeout_seconds": 30}`
-	w = do(t, srv, "POST", "/v1/analyze", generous)
+	w = do(t, srv, "POST", "/v2/networks/default/analyze", generous)
 	if w.Code != http.StatusOK {
 		t.Fatalf("override analyze: %d %s", w.Code, w.Body)
 	}
@@ -119,7 +120,7 @@ func TestAnalyzeTimeoutOverride(t *testing.T) {
 // bound dominates the integrated one, so an admission it grants is safe.
 func TestAdmitDegradesToDecomposed(t *testing.T) {
 	srv := newTestServer(t, func(c *Config) { c.AnalyzeTimeout = time.Nanosecond })
-	w := do(t, srv, "POST", "/v1/connections", admitBody)
+	w := do(t, srv, "POST", "/v2/networks/default/connections", admitBody)
 	if w.Code != http.StatusOK {
 		t.Fatalf("degraded admit: %d %s", w.Code, w.Body)
 	}
@@ -151,26 +152,151 @@ func TestAdmitDegradesToDecomposed(t *testing.T) {
 	}
 }
 
-// TestBatchAdmitDegrades runs a batch under an instant soft budget: every
-// item is marked degraded and the committed count matches.
-func TestBatchAdmitDegrades(t *testing.T) {
+// TestBatchDegradesWithOneCommit runs a live envelope under an instant soft
+// budget: every item is marked degraded, the committed count matches, and
+// the degraded re-run is still ONE snapshot commit (batch_commits and the
+// snapshot version each move by exactly 1, not once per operation).
+func TestBatchDegradesWithOneCommit(t *testing.T) {
 	srv := newTestServer(t, func(c *Config) { c.AnalyzeTimeout = time.Nanosecond })
 	conn := connectionOf(admitBody)
 	conn2 := strings.Replace(conn, `"video"`, `"audio"`, 1)
-	body := fmt.Sprintf(`{"connections": [%s, %s]}`, conn, conn2)
-	w := do(t, srv, "POST", "/v1/admit/batch", body)
+	body := fmt.Sprintf(`{"operations": [{"op": "admit", "connection": %s}, {"op": "admit", "connection": %s}]}`, conn, conn2)
+	before := srv.State().Engine().Stats()
+	w := do(t, srv, "POST", "/v2/networks/default/batch", body)
 	if w.Code != http.StatusOK {
 		t.Fatalf("degraded batch: %d %s", w.Code, w.Body)
 	}
-	resp := decode[BatchAdmitResponse](t, w)
-	if resp.Admitted != 2 {
-		t.Fatalf("degraded batch admitted %d, want 2: %s", resp.Admitted, w.Body)
+	resp := decode[BatchResponse](t, w)
+	if resp.Admitted != 2 || resp.Count != 2 {
+		t.Fatalf("degraded batch admitted %d (count %d), want 2: %s", resp.Admitted, resp.Count, w.Body)
 	}
 	for i, item := range resp.Results {
-		if !item.Degraded {
+		if item.Decision == nil || !item.Decision.Degraded {
 			t.Errorf("batch item %d not marked degraded: %+v", i, item)
 		}
 	}
+	if got := srv.Metrics().Degraded(); got != 1 {
+		t.Fatalf("degraded counter = %d, want 1 per envelope", got)
+	}
+	after := srv.State().Engine().Stats()
+	if got := after.BatchCommits - before.BatchCommits; got != 1 {
+		t.Fatalf("degraded envelope moved batch_commits by %d, want exactly 1", got)
+	}
+	if got := srv.State().SnapshotVersion(); got != 1 {
+		t.Fatalf("degraded envelope advanced the snapshot version to %d, want 1", got)
+	}
+	if after.BatchCommits > after.BatchEnvelopes {
+		t.Fatalf("batch_commits %d > batch_envelopes %d", after.BatchCommits, after.BatchEnvelopes)
+	}
+}
+
+// TestShardedSingleAdmitDegrades pins the commit-count degradation rule on
+// a multi-shard daemon: a single admit whose soft budget expires committed
+// nothing anywhere, so it re-runs on the decomposed fallback instead of
+// running undegraded to the hard deadline.
+func TestShardedSingleAdmitDegrades(t *testing.T) {
+	net, err := topo.DisjointBlocks(4, 2, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := NewStateShards(net.Servers, analysis.Integrated{}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(Config{State: state, AnalyzeTimeout: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range net.Connections {
+		spec := netspec.ToSpec(&topo.Network{Servers: net.Servers, Connections: []topo.Connection{c}}).Connections[0]
+		spec.Deadline = 1000
+		body, err := json.Marshal(AdmitRequest{Connection: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := do(t, srv, "POST", "/v2/networks/default/connections", string(body))
+		if w.Code != http.StatusOK {
+			t.Fatalf("admit %d on 4 shards: %d %s", i, w.Code, w.Body)
+		}
+		resp := decode[AdmitResponse](t, w)
+		if !resp.Admitted || !resp.Degraded || resp.BoundSource != (analysis.Decomposed{}).Name() {
+			t.Fatalf("admit %d on 4 shards: want an admitted, degraded decomposed decision, got %s", i, w.Body)
+		}
+	}
+	if state.Count() != len(net.Connections) {
+		t.Fatalf("count %d, want %d", state.Count(), len(net.Connections))
+	}
+	if st := state.Engine().Stats(); st.PerShard[0].Admitted == len(net.Connections) {
+		t.Fatalf("every connection landed on one shard; the test never left shard 0: %+v", st.PerShard)
+	}
+
+	// A live envelope spanning shards degrades too when it is cut off before
+	// any shard committed (the old rule refused on Shards() != 1), and the
+	// degraded re-run is still one commit per shard touched.
+	var ops []BatchOp
+	for _, c := range []topo.Connection{net.Connections[0], net.Connections[len(net.Connections)-1]} {
+		spec := netspec.ToSpec(&topo.Network{Servers: net.Servers, Connections: []topo.Connection{c}}).Connections[0]
+		spec.Name += ".again"
+		spec.Deadline = 1000
+		ops = append(ops, BatchOp{Op: "admit", Connection: &spec})
+	}
+	body, err := json.Marshal(BatchRequest{Operations: ops})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := state.SnapshotVersion()
+	w := do(t, srv, "POST", "/v2/networks/default/batch", string(body))
+	if w.Code != http.StatusOK {
+		t.Fatalf("2-shard envelope: %d %s", w.Code, w.Body)
+	}
+	for i, item := range decode[BatchResponse](t, w).Results {
+		if item.Status != BatchStatusAdmitted || !item.Decision.Degraded {
+			t.Fatalf("2-shard envelope op %d: want admitted and degraded, got %+v", i, item)
+		}
+	}
+	if got := state.SnapshotVersion() - before; got != 2 {
+		t.Fatalf("degraded 2-shard envelope committed %d times, want one per shard", got)
+	}
+}
+
+// TestRemoveIsShed pins that DELETE is an envelope like every other write:
+// it answers 503 + Retry-After when the request deadline has already passed
+// and when no analysis slot frees before it, and removes nothing.
+func TestRemoveIsShed(t *testing.T) {
+	check := func(t *testing.T, srv *Server) {
+		t.Helper()
+		w := do(t, srv, "DELETE", "/v2/networks/default/connections/video", "")
+		if w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") == "" {
+			t.Fatalf("DELETE: want a 503 with Retry-After, got %d %s", w.Code, w.Body)
+		}
+		if env := decode[errorResponse](t, w); env.Error.Code != CodeTimeout {
+			t.Fatalf("DELETE: want code %q, got %s", CodeTimeout, w.Body)
+		}
+		if srv.State().Count() != 1 {
+			t.Fatalf("shed DELETE removed the connection: count %d", srv.State().Count())
+		}
+	}
+	admitted := func(t *testing.T, srv *Server) {
+		t.Helper()
+		if _, err := srv.State().Engine().Admit(context.Background(), mustConnection(t, admitBody)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("deadline passed", func(t *testing.T) {
+		srv := newTestServer(t, func(c *Config) { c.RequestTimeout = time.Nanosecond })
+		admitted(t, srv)
+		check(t, srv)
+	})
+	t.Run("no slot frees", func(t *testing.T) {
+		srv := newTestServer(t, func(c *Config) { c.RequestTimeout = 20 * time.Millisecond; c.MaxInFlight = 1 })
+		admitted(t, srv)
+		srv.sem <- struct{}{} // another request holds the only analysis slot
+		check(t, srv)
+		<-srv.sem
+		if w := do(t, srv, "DELETE", "/v2/networks/default/connections/video", ""); w.Code != http.StatusOK {
+			t.Fatalf("DELETE with a free slot: %d %s", w.Code, w.Body)
+		}
+	})
 }
 
 // TestPanickingAnalyzerRecovered injects an analyzer that panics mid
@@ -180,7 +306,7 @@ func TestBatchAdmitDegrades(t *testing.T) {
 func TestPanickingAnalyzerRecovered(t *testing.T) {
 	srv := newTestServer(t, nil)
 	srv.pick = func(string) (analysis.Analyzer, error) { return panicAnalyzer{}, nil }
-	w := do(t, srv, "POST", "/v1/analyze", analyzeBody)
+	w := do(t, srv, "POST", "/v2/networks/default/analyze", analyzeBody)
 	if w.Code != http.StatusInternalServerError {
 		t.Fatalf("panic analyze: want 500, got %d %s", w.Code, w.Body)
 	}
@@ -192,7 +318,7 @@ func TestPanickingAnalyzerRecovered(t *testing.T) {
 		t.Fatalf("in-flight gauge %d after recovered panic, want 0", got)
 	}
 	// The server keeps serving afterwards.
-	if w := do(t, srv, "GET", "/v1/healthz", ""); w.Code != http.StatusOK {
+	if w := do(t, srv, "GET", "/v2/healthz", ""); w.Code != http.StatusOK {
 		t.Fatalf("healthz after panic: %d", w.Code)
 	}
 }
@@ -216,7 +342,7 @@ func TestCancelledAnalysisNoGoroutineLeak(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := do(t, srv, "POST", "/v1/analyze", analyzeBody)
+			w := do(t, srv, "POST", "/v2/networks/default/analyze", analyzeBody)
 			if w.Code != http.StatusServiceUnavailable {
 				t.Errorf("want 503, got %d", w.Code)
 			}

@@ -310,8 +310,8 @@ func writeEngineMetrics(w io.Writer, st *State) {
 
 // writeAdmissionMetrics renders the current admitted-set gauges.
 func writeAdmissionMetrics(w io.Writer, st *State) {
-	_, util, count := st.Snapshot()
-	servers := st.Servers()
+	conns, _, util := st.ReadView()
+	count, servers := len(conns), st.servers
 	fmt.Fprintln(w, "# HELP delayd_admitted_connections Currently admitted connections.")
 	fmt.Fprintln(w, "# TYPE delayd_admitted_connections gauge")
 	gaugeLine(w, "delayd_admitted_connections", "", float64(count))

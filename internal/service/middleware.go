@@ -1,0 +1,282 @@
+package service
+
+import (
+	"context"
+	"net/http"
+	"runtime/debug"
+	"time"
+
+	"delaycalc/internal/admission"
+	"delaycalc/internal/analysis"
+	"delaycalc/internal/topo"
+)
+
+// Request plumbing shared by every endpoint: instrumentation, the bounded
+// analysis-slot queue, load shedding, and the soft-budget degradation
+// policy.
+
+// statusRecorder captures the status code written by a handler.
+type statusRecorder struct {
+	http.ResponseWriter
+	status int
+}
+
+func (r *statusRecorder) WriteHeader(code int) {
+	r.status = code
+	r.ResponseWriter.WriteHeader(code)
+}
+
+// metricsFor resolves the Metrics instance a request charges to: the
+// addressed network's when the path carries a known {netid}, the default
+// network's otherwise (global routes, unknown ids).
+func (s *Server) metricsFor(r *http.Request) *Metrics {
+	if id := r.PathValue("netid"); id != "" {
+		if nw, ok := s.reg.Get(id); ok {
+			return nw.metrics
+		}
+	}
+	return s.reg.Default().metrics
+}
+
+// instrument wraps a handler with the request-scoped plumbing shared by
+// every endpoint: body size limiting, a context deadline, in-flight and
+// latency metrics under a stable endpoint label on the addressed
+// network's accumulator, panic recovery, and a structured access log line.
+func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		m := s.metricsFor(r)
+		m.RequestStarted()
+		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
+		defer cancel()
+		r = r.WithContext(ctx)
+		if r.Body != nil {
+			r.Body = http.MaxBytesReader(rec, r.Body, s.maxBody)
+		}
+		defer func() {
+			if p := recover(); p != nil {
+				s.log.Error("panic", "endpoint", endpoint, "panic", p,
+					"stack", string(debug.Stack()))
+				if rec.status == http.StatusOK {
+					writeError(rec, http.StatusInternalServerError, CodeInternal, "internal error")
+				}
+			}
+			elapsed := time.Since(start)
+			m.RequestFinished(endpoint, rec.status, elapsed.Seconds())
+			s.log.Info("request",
+				"method", r.Method,
+				"path", r.URL.Path,
+				"status", rec.status,
+				"duration_ms", float64(elapsed.Microseconds())/1000,
+				"remote", r.RemoteAddr,
+			)
+		}()
+		h(rec, r)
+	}
+}
+
+// fallbackAnalyzer is the degradation target: the decomposed (Cruz)
+// analysis is always valid — its bound dominates the integrated bound on
+// every network — and cheap, so falling back to it under time pressure
+// trades tightness for latency without ever returning an unsound bound.
+var fallbackAnalyzer = analysis.Decomposed{}
+
+// degradable reports whether an analyzer has a cheaper sound fallback
+// (everything except the fallback itself).
+func degradable(a analysis.Analyzer) bool {
+	_, isDecomposed := a.(analysis.Decomposed)
+	return !isDecomposed
+}
+
+// shed rejects a request whose hard deadline passed (or that could not get
+// an analysis slot in time) with the 503 envelope and a Retry-After hint.
+func (s *Server) shed(nw *Network, w http.ResponseWriter, msg string) {
+	nw.metrics.RequestShed()
+	w.Header().Set("Retry-After", "1")
+	writeError(w, http.StatusServiceUnavailable, CodeTimeout, msg)
+}
+
+// acquireSlot takes one bounded-concurrency analysis slot, queueing (and
+// exporting the queue depth on the network's metrics) until one frees or
+// the request's hard deadline sheds it. Reports false when the context
+// won. The slot pool is shared across networks — it bounds the process's
+// concurrent analyses — but the queue gauge is per-network.
+func (s *Server) acquireSlot(ctx context.Context, nw *Network) bool {
+	if s.sem == nil {
+		return true
+	}
+	select {
+	case s.sem <- struct{}{}:
+		return true
+	default:
+	}
+	nw.metrics.QueueEntered()
+	defer nw.metrics.QueueLeft()
+	select {
+	case s.sem <- struct{}{}:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+// releaseSlot returns an analysis slot.
+func (s *Server) releaseSlot() {
+	if s.sem != nil {
+		<-s.sem
+	}
+}
+
+// softContext derives the soft-budget context for one analysis: the
+// per-request override (seconds) when positive, the server default
+// otherwise. ok is false when degradation is disabled (negative budget),
+// in which case ctx is returned unchanged.
+func (s *Server) softContext(ctx context.Context, override float64) (sctx context.Context, cancel context.CancelFunc, ok bool) {
+	budget := s.softBudget
+	if override > 0 {
+		budget = time.Duration(override * float64(time.Second))
+	}
+	if budget <= 0 {
+		return ctx, func() {}, false
+	}
+	sctx, cancel = context.WithTimeout(ctx, budget)
+	return sctx, cancel, true
+}
+
+// observeStages exports an analysis run's per-stage wall time to the
+// network's metrics histograms and the debug log.
+func (s *Server) observeStages(nw *Network, endpoint string, tm *analysis.Timings) {
+	stages := tm.StageSeconds()
+	for st, sec := range stages {
+		nw.metrics.ObserveStage(st, sec)
+	}
+	s.log.Debug("analysis stages",
+		"endpoint", endpoint,
+		"network", nw.id,
+		"partition_s", stages["partition"],
+		"aggregate_s", stages["aggregate"],
+		"theta_s", stages["theta"],
+		"propagate_s", stages["propagate"],
+	)
+}
+
+// runAnalysis executes one stateless analysis under the degradation
+// policy: the requested analyzer runs under the soft budget; if the budget
+// expires while the hard deadline is still alive, the always-sound
+// decomposed fallback runs in its place and degraded is reported true. An
+// error for which admission.IsCanceled holds means the hard deadline
+// passed and the request must be shed.
+func (s *Server) runAnalysis(ctx context.Context, nw *Network, endpoint string, analyzer analysis.Analyzer, net *topo.Network, override float64) (res *analysis.Result, degraded bool, err error) {
+	tctx, tm := analysis.WithTimings(ctx)
+	defer s.observeStages(nw, endpoint, tm)
+	sctx, cancel, hasSoft := s.softContext(tctx, override)
+	if !hasSoft || !degradable(analyzer) {
+		cancel()
+		res, err = analysis.AnalyzeWithContext(tctx, analyzer, net)
+		return res, false, err
+	}
+	res, err = analysis.AnalyzeWithContext(sctx, analyzer, net)
+	cancel()
+	if err == nil {
+		return res, false, nil
+	}
+	if !admission.IsCanceled(err) || ctx.Err() != nil {
+		// A real analyzer error, or the hard deadline itself: no fallback.
+		return nil, false, err
+	}
+	nw.metrics.DegradedServed()
+	s.log.Warn("analysis degraded to decomposed bound",
+		"endpoint", endpoint, "network", nw.id, "analyzer", analyzer.Name())
+	res, err = analysis.AnalyzeWithContext(tctx, fallbackAnalyzer, net)
+	if err != nil {
+		return nil, false, err
+	}
+	return res, true, nil
+}
+
+// serveEnvelope runs one envelope — every admit, release, dry-run test and
+// batch the API serves — under the one shed policy: a request whose hard
+// deadline has passed, that gets no analysis slot before it, or whose
+// envelope is cut off by it answers 503. ok false means the error response
+// has been written.
+func (s *Server) serveEnvelope(nw *Network, w http.ResponseWriter, r *http.Request, endpoint string, dryRun bool, ops []admission.Op, override float64) (results []admission.OpResult, degraded, ok bool) {
+	ctx := r.Context()
+	if ctx.Err() != nil {
+		s.shed(nw, w, "request deadline exceeded")
+		return nil, false, false
+	}
+	if !s.acquireSlot(ctx, nw) {
+		s.shed(nw, w, "no analysis slot free before the request deadline")
+		return nil, false, false
+	}
+	defer s.releaseSlot()
+	results, degraded, err := s.runBatch(ctx, nw, endpoint, dryRun, ops, override)
+	if err != nil {
+		if admission.IsCanceled(err) {
+			s.shed(nw, w, "admission did not finish before the request deadline")
+			return nil, false, false
+		}
+		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
+		return nil, false, false
+	}
+	return results, degraded, true
+}
+
+// runBatch executes an envelope under the same degradation policy as
+// runAnalysis. Dry-run envelopes (all ops are admits) evaluate every
+// candidate against one pinned snapshot per shard; live envelopes apply
+// with one commit per shard touched. If the soft budget expires while the
+// hard deadline is alive, the envelope re-runs on the decomposed fallback
+// — iff the cut-off run committed nothing, which the engine reports: dry
+// runs never commit, a single-shard envelope is atomic, and a multi-shard
+// envelope qualifies when its first sub-batch was the one cut off. An
+// envelope cut off after some shard committed cannot re-run (that would
+// re-apply the committed sub-batches); its cancellation is returned and
+// the request shed, exactly as when the hard deadline passes mid-envelope.
+//
+// Degrading is sound in the conservative direction: the decomposed bound
+// dominates the integrated bound, so a degraded decision may reject a
+// candidate the integrated analysis would have admitted but never the
+// reverse.
+func (s *Server) runBatch(ctx context.Context, nw *Network, endpoint string, dryRun bool, ops []admission.Op, override float64) ([]admission.OpResult, bool, error) {
+	tctx, tm := analysis.WithTimings(ctx)
+	defer s.observeStages(nw, endpoint, tm)
+	var cands []topo.Connection
+	if dryRun {
+		cands = make([]topo.Connection, len(ops))
+		for i, op := range ops {
+			cands[i] = op.Candidate
+		}
+	}
+	run := func(runCtx context.Context, analyzer analysis.Analyzer) (res []admission.OpResult, commits int, err error) {
+		if dryRun {
+			res, err = nw.state.TestBatchWith(runCtx, analyzer, cands)
+			return res, 0, err
+		}
+		br, err := nw.state.ApplyBatchWith(runCtx, analyzer, ops)
+		if br == nil {
+			return nil, 0, err
+		}
+		return br.Results, br.Commits, err
+	}
+	sctx, cancel, hasSoft := s.softContext(tctx, override)
+	if !hasSoft || !degradable(nw.state.Engine().Analyzer()) {
+		cancel()
+		res, _, err := run(tctx, nil)
+		return res, false, err
+	}
+	res, commits, err := run(sctx, nil)
+	cancel()
+	if err == nil || !admission.IsCanceled(err) || ctx.Err() != nil || commits > 0 {
+		return res, false, err
+	}
+	nw.metrics.DegradedServed()
+	s.log.Warn("admission degraded to decomposed bound",
+		"endpoint", endpoint, "network", nw.id, "dry_run", dryRun, "operations", len(ops))
+	res, _, err = run(tctx, fallbackAnalyzer)
+	if err != nil {
+		return res, false, err
+	}
+	return res, true, nil
+}

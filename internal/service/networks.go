@@ -6,10 +6,8 @@ import (
 	"sync"
 )
 
-// DefaultNetworkID names the network that every /v1 (and legacy) route is
-// an alias for. A Config built from a bare State serves exactly one
-// network under this id, which keeps single-tenant deployments identical
-// to the pre-registry behavior.
+// DefaultNetworkID names the network a Config built from a bare State
+// serves: single-tenant deployments address /v2/networks/default/....
 const DefaultNetworkID = "default"
 
 // Network is one tenant fabric: an admission state (over a sharded
@@ -36,8 +34,8 @@ func (n *Network) Cache() *Cache { return n.cache }
 func (n *Network) Metrics() *Metrics { return n.metrics }
 
 // Registry maps network ids to independent Network instances. The first
-// network added becomes the default: the one /v1 and legacy spellings
-// resolve to. Lookups are lock-free for the common path (read lock);
+// network added becomes the default: the one global routes and requests
+// for unknown ids are accounted to. Lookups are lock-free for the common path (read lock);
 // registration normally happens at startup but is safe at any time.
 type Registry struct {
 	mu        sync.RWMutex

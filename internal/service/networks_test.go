@@ -146,11 +146,10 @@ func TestMethodNotAllowed(t *testing.T) {
 		method, path string
 		allow        []string
 	}{
-		{"PATCH", "/v1/connections", []string{"GET", "POST"}},
 		{"PATCH", "/v2/networks/default/connections", []string{"GET", "POST"}},
+		{"PUT", "/v2/networks/default/connections/video", []string{"DELETE"}},
 		{"GET", "/v2/networks/default/batch", []string{"POST"}},
 		{"DELETE", "/v2/networks", []string{"GET"}},
-		{"PUT", "/connections", []string{"GET", "POST"}},
 	} {
 		w := do(t, srv, tc.method, tc.path, "")
 		if w.Code != http.StatusMethodNotAllowed {

@@ -71,7 +71,7 @@ const admitBody = `{"connection": {"name": "video", "sigma": 1, "rho": 0.02, "ac
 
 func TestHealthz(t *testing.T) {
 	srv := newTestServer(t, nil)
-	w := do(t, srv, "GET", "/healthz", "")
+	w := do(t, srv, "GET", "/v2/healthz", "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("healthz: %d %s", w.Code, w.Body)
 	}
@@ -79,7 +79,7 @@ func TestHealthz(t *testing.T) {
 
 func TestAdmitMatchesLibrary(t *testing.T) {
 	srv := newTestServer(t, nil)
-	w := do(t, srv, "POST", "/v1/connections", admitBody)
+	w := do(t, srv, "POST", "/v2/networks/default/connections", admitBody)
 	if w.Code != http.StatusOK {
 		t.Fatalf("admit: %d %s", w.Code, w.Body)
 	}
@@ -117,7 +117,7 @@ func TestAdmitMatchesLibrary(t *testing.T) {
 func TestAdmitDryRun(t *testing.T) {
 	srv := newTestServer(t, nil)
 	body := admitBody[:len(admitBody)-1] + `, "dry_run": true}`
-	w := do(t, srv, "POST", "/v1/connections", body)
+	w := do(t, srv, "POST", "/v2/networks/default/connections", body)
 	resp := decode[AdmitResponse](t, w)
 	if w.Code != http.StatusOK || !resp.Admitted || !resp.DryRun {
 		t.Fatalf("dry run: %d %+v", w.Code, resp)
@@ -133,7 +133,7 @@ func TestAdmitRejection(t *testing.T) {
 	// and the bound is at least sigma/capacity = 1 > 0.001.
 	tight := strings.Replace(admitBody, `"deadline": 20`, `"deadline": 0.001`, 1)
 	tight = strings.Replace(tight, `"access_rate": 1, `, "", 1)
-	w := do(t, srv, "POST", "/v1/connections", tight)
+	w := do(t, srv, "POST", "/v2/networks/default/connections", tight)
 	resp := decode[AdmitResponse](t, w)
 	if w.Code != http.StatusOK || resp.Admitted {
 		t.Fatalf("want clean rejection, got %d %+v", w.Code, resp)
@@ -155,7 +155,7 @@ func TestAdmitBadInput(t *testing.T) {
 		"path out of range": `{"connection": {"name": "x", "sigma": 1, "rho": 0.1, "path": [9], "deadline": 5}}`,
 	}
 	for label, body := range cases {
-		w := do(t, srv, "POST", "/v1/connections", body)
+		w := do(t, srv, "POST", "/v2/networks/default/connections", body)
 		if w.Code != http.StatusBadRequest {
 			t.Errorf("%s: want 400, got %d %s", label, w.Code, w.Body)
 		}
@@ -167,11 +167,11 @@ func TestAdmitBadInput(t *testing.T) {
 
 func TestListAndRemove(t *testing.T) {
 	srv := newTestServer(t, nil)
-	if w := do(t, srv, "POST", "/v1/connections", admitBody); w.Code != http.StatusOK {
+	if w := do(t, srv, "POST", "/v2/networks/default/connections", admitBody); w.Code != http.StatusOK {
 		t.Fatalf("admit: %d %s", w.Code, w.Body)
 	}
 
-	w := do(t, srv, "GET", "/v1/connections", "")
+	w := do(t, srv, "GET", "/v2/networks/default/connections", "")
 	list := decode[ListResponse](t, w)
 	if list.Count != 1 || len(list.Connections) != 1 || list.Connections[0].Name != "video" {
 		t.Fatalf("list: %+v", list)
@@ -180,13 +180,13 @@ func TestListAndRemove(t *testing.T) {
 		t.Fatalf("utilization: %+v", list.Utilization)
 	}
 
-	if w := do(t, srv, "DELETE", "/v1/connections/video", ""); w.Code != http.StatusOK {
+	if w := do(t, srv, "DELETE", "/v2/networks/default/connections/video", ""); w.Code != http.StatusOK {
 		t.Fatalf("remove: %d %s", w.Code, w.Body)
 	}
 	if srv.State().Count() != 0 {
 		t.Fatalf("remove did not release: count %d", srv.State().Count())
 	}
-	if w := do(t, srv, "DELETE", "/v1/connections/video", ""); w.Code != http.StatusNotFound {
+	if w := do(t, srv, "DELETE", "/v2/networks/default/connections/video", ""); w.Code != http.StatusNotFound {
 		t.Fatalf("second remove: want 404, got %d", w.Code)
 	}
 }
@@ -198,7 +198,7 @@ const analyzeBody = `{"analyzer": "integrated", "network": {
 
 func TestAnalyzeAndCache(t *testing.T) {
 	srv := newTestServer(t, nil)
-	w := do(t, srv, "POST", "/v1/analyze", analyzeBody)
+	w := do(t, srv, "POST", "/v2/networks/default/analyze", analyzeBody)
 	if w.Code != http.StatusOK {
 		t.Fatalf("analyze: %d %s", w.Code, w.Body)
 	}
@@ -209,7 +209,7 @@ func TestAnalyzeAndCache(t *testing.T) {
 
 	// Same network, different formatting and hop addressing: must hit.
 	reformatted := `{"analyzer":"int","network":{"servers":[{"name":"s0","capacity":1},{"name":"s1","capacity":1}],"connections":[{"name":"c","sigma":1,"rho":0.1,"path":[0,1]}]}}`
-	w = do(t, srv, "POST", "/v1/analyze", reformatted)
+	w = do(t, srv, "POST", "/v2/networks/default/analyze", reformatted)
 	second := decode[AnalyzeResponse](t, w)
 	if !second.Cached {
 		t.Fatalf("equivalent spec missed the cache: %+v", second)
@@ -220,7 +220,7 @@ func TestAnalyzeAndCache(t *testing.T) {
 
 	// A different analyzer over the same network must not collide.
 	other := strings.Replace(analyzeBody, `"integrated"`, `"decomposed"`, 1)
-	w = do(t, srv, "POST", "/v1/analyze", other)
+	w = do(t, srv, "POST", "/v2/networks/default/analyze", other)
 	third := decode[AnalyzeResponse](t, w)
 	if third.Cached {
 		t.Fatalf("different analyzer hit the cache: %+v", third)
@@ -236,7 +236,7 @@ func TestAnalyzeUnstableReportsNullBounds(t *testing.T) {
 	srv := newTestServer(t, nil)
 	unstable := strings.Replace(analyzeBody, `"rho": 0.1`, `"rho": 1.5, "sigma": 1`, 1)
 	unstable = strings.Replace(unstable, `"access_rate": 1, `, "", 1)
-	w := do(t, srv, "POST", "/v1/analyze", unstable)
+	w := do(t, srv, "POST", "/v2/networks/default/analyze", unstable)
 	if w.Code != http.StatusOK {
 		t.Fatalf("unstable analyze: %d %s", w.Code, w.Body)
 	}
@@ -257,7 +257,7 @@ func TestAnalyzeBadInput(t *testing.T) {
 		"unknown hop":      {strings.Replace(analyzeBody, `["s0", "s1"]`, `["ghost"]`, 1), http.StatusBadRequest},
 	}
 	for label, c := range cases {
-		w := do(t, srv, "POST", "/v1/analyze", c.body)
+		w := do(t, srv, "POST", "/v2/networks/default/analyze", c.body)
 		if w.Code != c.want {
 			t.Errorf("%s: want %d, got %d %s", label, c.want, w.Code, w.Body)
 		}
@@ -267,7 +267,7 @@ func TestAnalyzeBadInput(t *testing.T) {
 func TestOversizedBody(t *testing.T) {
 	srv := newTestServer(t, func(c *Config) { c.MaxBodyBytes = 64 })
 	big := `{"connection": {"name": "` + strings.Repeat("x", 200) + `"}}`
-	w := do(t, srv, "POST", "/v1/connections", big)
+	w := do(t, srv, "POST", "/v2/networks/default/connections", big)
 	if w.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("want 413, got %d %s", w.Code, w.Body)
 	}
@@ -278,11 +278,11 @@ func TestRequestTimeout(t *testing.T) {
 	// The deadline expires before the handler reaches the analysis, so
 	// both stateful and stateless endpoints must shed with 503 without
 	// touching state.
-	w := do(t, srv, "POST", "/v1/analyze", analyzeBody)
+	w := do(t, srv, "POST", "/v2/networks/default/analyze", analyzeBody)
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("analyze timeout: want 503, got %d %s", w.Code, w.Body)
 	}
-	w = do(t, srv, "POST", "/v1/connections", admitBody)
+	w = do(t, srv, "POST", "/v2/networks/default/connections", admitBody)
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("admit timeout: want 503, got %d %s", w.Code, w.Body)
 	}
@@ -293,11 +293,11 @@ func TestRequestTimeout(t *testing.T) {
 
 func TestMetricsEndpoint(t *testing.T) {
 	srv := newTestServer(t, nil)
-	do(t, srv, "POST", "/v1/connections", admitBody)
-	do(t, srv, "POST", "/v1/analyze", analyzeBody)
-	do(t, srv, "POST", "/v1/analyze", analyzeBody) // cache hit
+	do(t, srv, "POST", "/v2/networks/default/connections", admitBody)
+	do(t, srv, "POST", "/v2/networks/default/analyze", analyzeBody)
+	do(t, srv, "POST", "/v2/networks/default/analyze", analyzeBody) // cache hit
 
-	w := do(t, srv, "GET", "/metrics", "")
+	w := do(t, srv, "GET", "/v2/networks/default/metrics", "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("metrics: %d", w.Code)
 	}
@@ -337,16 +337,16 @@ func TestConcurrentAdmitRelease(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				name := fmt.Sprintf("c%d-%d", g, i)
 				body := fmt.Sprintf(`{"connection": {"name": %q, "sigma": 0.1, "rho": 0.001, "access_rate": 1, "path": ["s0", "s1"], "deadline": 50}}`, name)
-				w := do(t, srv, "POST", "/v1/connections", body)
+				w := do(t, srv, "POST", "/v2/networks/default/connections", body)
 				if w.Code != http.StatusOK {
 					t.Errorf("admit %s: %d %s", name, w.Code, w.Body)
 					continue
 				}
 				resp := decode[AdmitResponse](t, w)
-				do(t, srv, "GET", "/v1/connections", "")
-				do(t, srv, "GET", "/metrics", "")
+				do(t, srv, "GET", "/v2/networks/default/connections", "")
+				do(t, srv, "GET", "/v2/networks/default/metrics", "")
 				if resp.Admitted {
-					if w := do(t, srv, "DELETE", "/v1/connections/"+name, ""); w.Code != http.StatusOK {
+					if w := do(t, srv, "DELETE", "/v2/networks/default/connections/"+name, ""); w.Code != http.StatusOK {
 						t.Errorf("remove %s: %d %s", name, w.Code, w.Body)
 					}
 				}

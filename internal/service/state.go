@@ -10,21 +10,27 @@ import (
 
 	"delaycalc/internal/admission"
 	"delaycalc/internal/analysis"
+	"delaycalc/internal/netspec"
 	"delaycalc/internal/server"
 	"delaycalc/internal/topo"
 )
 
 // State is the live admission fabric shared by concurrent HTTP handlers
-// and the CLIs. It is a thin veneer over admission.ShardedEngine: the
-// fabric is partitioned into independent server-sharing components, one
-// engine shard per component group, so disjoint workloads commit without
-// contending; every test analyzes an immutable snapshot OUTSIDE any lock
-// and Admit commits with a version check (retrying on conflict). With one
-// shard (NewState) the behavior is exactly the single admission.Engine.
-// All accessors return copies.
+// and the CLIs: an admission.ShardedEngine plus the immutable fabric
+// description the handlers resolve requests against. The fabric is
+// partitioned into independent server-sharing components, one engine shard
+// per component group, so disjoint workloads commit without contending;
+// every envelope analyzes an immutable snapshot OUTSIDE any lock and
+// commits with a version check (retrying on conflict). With one shard
+// (NewState) the behavior is exactly the single admission.Engine.
+//
+// Every write is ApplyBatch and every test is TestBatch — a single admit,
+// release or dry run is an envelope of one; Engine() carries the
+// envelope-of-one conveniences. All accessors return copies.
 type State struct {
 	eng     *admission.ShardedEngine
 	servers []server.Server // immutable after construction
+	index   map[string]int  // server name -> index; immutable after construction
 }
 
 // NewState builds a single-shard admission state over the given fabric —
@@ -36,19 +42,24 @@ func NewState(servers []server.Server, analyzer analysis.Analyzer) (*State, erro
 // NewStateShards builds an admission state whose engine is partitioned
 // into the given number of shards. Connections whose components stay
 // disjoint commit on independent shards; admissions that span shards fall
-// back to a global epoch-stamped commit.
+// back to a global epoch-stamped commit. Server names must be unique:
+// requests address fabric servers by name.
 func NewStateShards(servers []server.Server, analyzer analysis.Analyzer, shards int) (*State, error) {
 	eng, err := admission.NewShardedEngine(servers, analyzer, shards)
 	if err != nil {
 		return nil, err
 	}
+	index, err := netspec.ServerIndex(servers)
+	if err != nil {
+		return nil, err
+	}
 	cp := make([]server.Server, len(servers))
 	copy(cp, servers)
-	return &State{eng: eng, servers: cp}, nil
+	return &State{eng: eng, servers: cp, index: index}, nil
 }
 
-// Engine exposes the underlying sharded admission engine (used by metrics
-// and tests).
+// Engine exposes the underlying sharded admission engine (metrics, stats,
+// and the envelope-of-one conveniences Admit/Release/Test/FillGreedy).
 func (s *State) Engine() *admission.ShardedEngine { return s.eng }
 
 // Shards returns the engine's shard count.
@@ -66,50 +77,21 @@ func (s *State) Servers() []server.Server {
 	return cp
 }
 
-// Test runs the admission test without committing the candidate.
-func (s *State) Test(cand topo.Connection) (admission.Decision, error) {
-	return s.eng.Test(cand)
-}
-
-// TestContext is Test with cooperative cancellation: the analysis observes
-// the context and the call returns its error (check admission.IsCanceled)
-// once it is done.
-func (s *State) TestContext(ctx context.Context, cand topo.Connection) (admission.Decision, error) {
-	return s.eng.TestContext(ctx, cand)
-}
-
-// TestWith runs a full admission test with an explicit analyzer — the
-// degraded path: a timed-out integrated test retried with the always-valid
-// decomposed analyzer.
-func (s *State) TestWith(ctx context.Context, analyzer analysis.Analyzer, cand topo.Connection) (admission.Decision, error) {
-	return s.eng.TestWith(ctx, analyzer, cand)
-}
-
-// Admit runs the admission test and commits the candidate on success.
-func (s *State) Admit(cand topo.Connection) (admission.Decision, error) {
-	return s.eng.Admit(cand)
-}
-
-// AdmitContext is Admit with cooperative cancellation; a cancelled call
-// commits nothing.
-func (s *State) AdmitContext(ctx context.Context, cand topo.Connection) (admission.Decision, error) {
-	return s.eng.AdmitContext(ctx, cand)
-}
-
-// AdmitWith is Admit on the degraded path: the test runs with the given
-// analyzer and a positive decision commits without a promoted baseline.
-func (s *State) AdmitWith(ctx context.Context, analyzer analysis.Analyzer, cand topo.Connection) (admission.Decision, error) {
-	return s.eng.AdmitWith(ctx, analyzer, cand)
-}
-
-// ApplyBatch evaluates a whole mixed admit/release envelope through the
-// engine's pipelined batch path: every operation sees the set as left by
-// its predecessors, decisions are bit-identical to per-op calls, and the
-// envelope commits one snapshot per shard touched instead of one per op.
-// A canceled call (admission.IsCanceled) commits nothing on any shard it
-// had not finished.
+// ApplyBatch evaluates a whole mixed admit/release envelope: every
+// operation sees the set as left by its predecessors, and the envelope
+// commits one snapshot per shard touched instead of one per op. A canceled
+// call (admission.IsCanceled) reports in BatchResult.Commits how many
+// shards had already committed; zero means nothing was.
 func (s *State) ApplyBatch(ctx context.Context, ops []admission.Op) (*admission.BatchResult, error) {
-	return s.eng.ApplyBatch(ctx, ops)
+	return s.eng.ApplyBatch(ctx, ops, nil)
+}
+
+// ApplyBatchWith is ApplyBatch on the degraded path: every admit runs a
+// full analysis with the explicit analyzer (a timed-out integrated envelope
+// re-run on the always-valid decomposed analyzer), still one commit per
+// shard touched.
+func (s *State) ApplyBatchWith(ctx context.Context, analyzer analysis.Analyzer, ops []admission.Op) (*admission.BatchResult, error) {
+	return s.eng.ApplyBatch(ctx, ops, analyzer)
 }
 
 // TestBatch evaluates a dry-run envelope of candidates against one pinned
@@ -117,32 +99,19 @@ func (s *State) ApplyBatch(ctx context.Context, ops []admission.Op) (*admission.
 // concurrent admissions commit, and each candidate is judged against the
 // current admitted set alone. Nothing is committed.
 func (s *State) TestBatch(ctx context.Context, cands []topo.Connection) ([]admission.OpResult, error) {
-	return s.eng.TestBatch(ctx, cands)
+	return s.eng.TestBatch(ctx, cands, nil)
 }
 
 // TestBatchWith is TestBatch on the degraded path: every candidate runs a
 // full analysis with the explicit analyzer against the same pinned
 // snapshots.
 func (s *State) TestBatchWith(ctx context.Context, analyzer analysis.Analyzer, cands []topo.Connection) ([]admission.OpResult, error) {
-	return s.eng.TestBatchWith(ctx, analyzer, cands)
-}
-
-// Remove releases a previously admitted connection by name.
-func (s *State) Remove(name string) bool { return s.eng.Remove(name) }
-
-// Release removes a previously admitted connection by name and reports how
-// the engine absorbed it: incrementally (the analysis baseline was shrunk
-// in place) or by compaction (the baseline was dropped and will rebuild).
-func (s *State) Release(name string) (admission.ReleaseInfo, bool) {
-	return s.eng.Release(name)
+	return s.eng.TestBatch(ctx, cands, analyzer)
 }
 
 // WarmBaseline synchronously materializes every shard's analysis baseline
 // so the next admission test runs incrementally at full speed.
 func (s *State) WarmBaseline() error { return s.eng.WarmBaseline() }
-
-// Admitted returns a copy of the currently admitted connections.
-func (s *State) Admitted() []topo.Connection { return s.eng.Admitted() }
 
 // Count returns the number of admitted connections.
 func (s *State) Count() int { return s.eng.Count() }
@@ -150,41 +119,18 @@ func (s *State) Count() int { return s.eng.Count() }
 // Utilization returns the per-server utilization of the admitted set.
 func (s *State) Utilization() []float64 { return s.eng.Utilization() }
 
-// Snapshot returns the admitted set, per-server utilization, and count in
-// one consistent view assembled from the latest immutable promoted shard
-// snapshots — the lock-free read-replica path GET endpoints serve from.
-func (s *State) Snapshot() (conns []topo.Connection, util []float64, count int) {
-	conns, _, util = s.readView()
-	return conns, util, len(conns)
-}
-
 // SnapshotVersion returns the replica-read snapshot version: the sum of
 // every shard's snapshot version, monotone under every commit. GET
 // responses expose it as X-Snapshot-Version so clients can correlate a
 // read with the write history it reflects.
 func (s *State) SnapshotVersion() uint64 { return s.eng.SnapshotVersion() }
 
-// ReadView returns the admitted set, utilization, and the snapshot
-// version in one replica read.
+// ReadView returns the admitted set, the snapshot version, and per-server
+// utilization in one consistent view assembled from the latest immutable
+// promoted shard snapshots — the lock-free read-replica path GET endpoints
+// serve from.
 func (s *State) ReadView() (conns []topo.Connection, version uint64, util []float64) {
-	return s.readView()
-}
-
-func (s *State) readView() ([]topo.Connection, uint64, []float64) {
-	conns, version := s.eng.ReadView()
+	conns, version = s.eng.ReadView()
 	net := &topo.Network{Servers: s.servers, Connections: conns}
 	return conns, version, net.Utilization()
-}
-
-// FillGreedy admits numbered copies of the template until the first
-// rejection. It is the measurement loop used by cmd/admit to compare
-// admission capacity across analyzers.
-func (s *State) FillGreedy(template topo.Connection, limit int) (int, error) {
-	return s.eng.FillGreedy(template, limit)
-}
-
-// FillGreedyContext is FillGreedy with cooperative cancellation between
-// and inside admissions.
-func (s *State) FillGreedyContext(ctx context.Context, template topo.Connection, limit int) (int, error) {
-	return s.eng.FillGreedyContext(ctx, template, limit)
 }
