@@ -6,7 +6,7 @@ GO ?= go
 # upward (cross-machine variance); local runs use the strict default.
 BENCH_TOLERANCE ?= 1.3
 
-.PHONY: all build test race bench bench-admit bench-release bench-service bench-batch bench-shards bench-curves bench-fabric bench-gate profile-curves cover figures fuzz run-delayd falsify falsify-smoke help clean
+.PHONY: all build test race bench bench-check microbench bench-admit bench-release bench-curves bench-fabric bench-gate profile-curves cover figures fuzz run-delayd falsify falsify-smoke help clean
 
 all: build test
 
@@ -15,12 +15,11 @@ help:
 	@echo "  build          compile and vet everything"
 	@echo "  test           run the full test suite"
 	@echo "  race           test suite under the race detector"
-	@echo "  bench          all benchmarks"
-	@echo "  bench-admit    full vs incremental admission benchmark"
-	@echo "  bench-release  incremental vs invalidating release benchmark"
-	@echo "  bench-service  churn + open-loop sweep + batch comparison -> BENCH_service.json"
-	@echo "  bench-batch    batched-vs-sequential gate (>=3x p50), diffed against BENCH_service.json"
-	@echo "  bench-shards   shard-scaling sweep at 1/2/4/8 shards -> BENCH_shards.json"
+	@echo "  bench          the repository benchmark (bench/run.sh), all four workloads"
+	@echo "  bench-check    vet and test the bench/ module"
+	@echo "  microbench     every go test -bench function in the tree"
+	@echo "  bench-admit    full vs incremental admission microbenchmark"
+	@echo "  bench-release  incremental vs invalidating release microbenchmark"
 	@echo "  bench-curves   curve-engine benchmarks -> BENCH_curves.json"
 	@echo "  bench-fabric   10k-switch fat-tree analysis benchmark"
 	@echo "  bench-gate     re-run curve benchmarks, fail past $(BENCH_TOLERANCE)x the committed snapshot"
@@ -31,7 +30,7 @@ help:
 	@echo "  falsify-smoke  CI-budget falsification over 4 scenarios (fails on contradiction)"
 	@echo "  fuzz           fuzz min-plus algebra, netspec decode, incremental admission"
 	@echo "  run-delayd     start the admission daemon on the paper tandem"
-	@echo "  clean          remove generated artifacts"
+	@echo "  clean          remove generated, untracked artifacts"
 
 build:
 	$(GO) build ./...
@@ -43,58 +42,37 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The repository benchmark (bench/README.md, BENCHMARK.json): the only
+# way to make a performance claim. Each workload prints its end-to-end
+# metrics as one JSON object on its last line; a claim compares alternating
+# runs of this at the parent commit and at the change (README.md, "Making a
+# performance claim").
 bench:
+	for w in serve-churn shard-churn analyze-full serve-read; do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
+	done
+
+# bench/ is a module of its own that `go build ./...` at the root never
+# compiles: run this after any internal/ API change.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+microbench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Full vs incremental admission test on the 200-connection, 32-switch
-# tandem (docs/INCREMENTAL.md): the wall-clock rows of the test path
-# (TestIncrementalWork gates the deterministic counters in tier-1).
+# tandem (docs/INCREMENTAL.md). A microbenchmark for working on the test
+# path, not a claim harness: TestIncrementalWork gates the deterministic
+# counters in tier-1, and shard-churn's primary_p50_ms carries the latency.
 bench-admit:
 	$(GO) test -bench='BenchmarkFullTest|BenchmarkIncrementalTest' -benchmem -run '^$$' ./internal/admission
 
 # Incremental (baseline shrink) vs baseline-invalidating release on the
-# same fabric (docs/INCREMENTAL.md): the wall-clock rows of the release
-# path (TestReleaseWork gates the deterministic counters in tier-1).
+# same fabric (docs/INCREMENTAL.md). A microbenchmark for working on the
+# release path: TestReleaseWork gates the deterministic counters in
+# tier-1, and the churn workloads' secondary_p50_ms carries the latency.
 bench-release:
 	$(GO) test -bench='BenchmarkRelease' -benchmem -run '^$$' ./internal/admission
-
-# Service-level churn benchmark (docs/SERVICE.md): a 10s closed-loop
-# admit/release/batch mix, an open-loop Poisson rate sweep (latency from
-# scheduled send time, so overload cannot hide behind coordinated
-# omission), and the batch-of-32 vs 32-sequential-admits comparison, all
-# against one in-process delayd. The decomposed analyzer on a 16-switch
-# tandem keeps the serving-layer costs these gates guard (round-trips,
-# snapshot commits, churn) the dominant term instead of per-op analysis.
-# Emits BENCH_service.json (committed per PR) and fails when the release
-# p99 drifts past 2x the admit p99 or the batch p50 speedup drops under 3x.
-bench-service:
-	$(GO) run ./cmd/delayload -self 16 -analyzer decomposed -duration 10s \
-		-concurrency 4 -mix 6:3:1 -open-rates 100,200,400 -open-duration 3s \
-		-batch-compare 32 -batch-trials 100 -seed 1 -out BENCH_service.json \
-		-gate-release-factor 2 -gate-batch 3
-
-# Focused batch-pipelining gate: re-run the batch-of-32 comparison, fail
-# when the batch arm's p50 is not >=3x faster than 32 sequential admits or
-# when any envelope committed more than one snapshot, then diff the fresh
-# report against the committed BENCH_service.json (regressions in the
-# closed-loop p99s or the batch speedup exit 2).
-bench-batch:
-	$(GO) run ./cmd/delayload -self 16 -analyzer decomposed -duration 1s \
-		-concurrency 4 -mix 6:3:1 -batch-compare 32 -batch-trials 100 \
-		-seed 1 -out /tmp/bench_batch.json -gate-batch 3
-	$(GO) run ./cmd/benchjson -diff BENCH_service.json -tolerance $(BENCH_TOLERANCE) \
-		< /tmp/bench_batch.json > /dev/null
-
-# Shard-scaling benchmark (docs/SERVICE.md): the same closed-loop churn at
-# 1/2/4/8 engine shards over an 8-block disjoint fabric, every worker
-# pinned inside one block and 200 connections per block prefilled so the
-# standing-state costs the sharding removes are present from the first
-# operation. Emits BENCH_shards.json (committed per PR) and fails when
-# 4 shards deliver less than 2x the 1-shard throughput.
-bench-shards:
-	$(GO) run ./cmd/delayload -shards 1,2,4,8 -duration 5s -concurrency 8 \
-		-blocks 8 -block-switches 3 -prefill 200 -rho 0.0001 -deadline 2000 \
-		-seed 1 -out BENCH_shards.json -gate-scaling 2
 
 # Curve-engine benchmarks (docs/PERFORMANCE.md): k-way aggregation vs the
 # pairwise fold, gated convolution, the end-to-end integrated analysis on
@@ -163,5 +141,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/netspec
 	$(GO) test -fuzz=FuzzIncrementalEquivalence -fuzztime=30s ./internal/admission
 
+# Removes only what the targets above generate and git does not track;
+# results/*.csv and results/figures.txt are committed (README cites them).
 clean:
-	rm -rf results FALSIFY_report.json
+	rm -rf .bench_build FALSIFY_report.json results/*.pprof analysis.test

@@ -21,30 +21,13 @@
 // any benchmark regressed. Benchmarks present on only one side are
 // reported but do not fail the gate (new benchmarks land before their
 // snapshot does).
-//
-// When the -diff snapshot is a JSON object rather than an array, it is
-// treated as a delayload service report (BENCH_service.json) and stdin
-// must be a fresh report from the same tool; the per-operation p99_ms
-// latencies are compared under the same tolerance:
-//
-//	delayload -self 8 ... -out /dev/stdout | benchjson -diff BENCH_service.json
-//
-// An object snapshot with a top-level "runs" key is a delayload
-// shard-scaling report (BENCH_shards.json): the per-shard-count ops/sec
-// throughputs and the overall scaling factor are compared instead, and a
-// run counts as regressed when its throughput (or the scaling factor)
-// falls below the snapshot value divided by the tolerance:
-//
-//	delayload -shards 1,2,4,8 ... -out /dev/stdout | benchjson -diff BENCH_shards.json
 package main
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -144,199 +127,21 @@ func diff(current, snapshot []result, tolerance float64) bool {
 	return regressed
 }
 
-// serviceReport is the slice of a delayload report the service diff reads:
-// per-operation closed-loop latencies, the open-loop sweep, and the
-// batched-vs-sequential comparison. Sections absent from either side are
-// skipped, never failed — reports grow sections over time and a snapshot
-// predating one must not block the build that introduces it.
-type serviceReport struct {
-	Ops map[string]struct {
-		P99 float64 `json:"p99_ms"`
-	} `json:"ops"`
-	OpenLoop *struct {
-		Points []struct {
-			TargetRate float64 `json:"target_rate_ops_per_sec"`
-			P99        float64 `json:"p99_ms"`
-		} `json:"points"`
-	} `json:"open_loop"`
-	BatchBench *struct {
-		BatchSize  int     `json:"batch_size"`
-		SpeedupP50 float64 `json:"speedup_p50"`
-	} `json:"batch_bench"`
-}
-
-// diffService compares two delayload reports: per-operation and per-rate
-// open-loop p99 latencies regress upward (current > snapshot x tolerance),
-// the batch speedup regresses downward (current < snapshot / tolerance).
-func diffService(current, snapshot []byte, tolerance float64) (bool, error) {
-	var cur, base serviceReport
-	if err := json.Unmarshal(current, &cur); err != nil {
-		return false, fmt.Errorf("current service report: %w", err)
-	}
-	if err := json.Unmarshal(snapshot, &base); err != nil {
-		return false, fmt.Errorf("snapshot service report: %w", err)
-	}
-	names := make([]string, 0, len(cur.Ops))
-	for name := range cur.Ops {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	regressed := false
-	for _, name := range names {
-		b, ok := base.Ops[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchjson: op %-10s NEW (no snapshot entry)\n", name)
-			continue
-		}
-		c := cur.Ops[name]
-		if b.P99 <= 0 || c.P99 <= 0 {
-			continue
-		}
-		ratio := c.P99 / b.P99
-		status := "ok"
-		if ratio > tolerance {
-			status = "REGRESSED"
-			regressed = true
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: op %-10s p99 %8.3f -> %8.3f ms (%.2fx) %s\n",
-			name, b.P99, c.P99, ratio, status)
-	}
-	if cur.OpenLoop != nil && base.OpenLoop != nil {
-		baseByRate := make(map[float64]float64, len(base.OpenLoop.Points))
-		for _, p := range base.OpenLoop.Points {
-			baseByRate[p.TargetRate] = p.P99
-		}
-		for _, p := range cur.OpenLoop.Points {
-			b, ok := baseByRate[p.TargetRate]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "benchjson: open-loop rate %-8.0f NEW (no snapshot entry)\n", p.TargetRate)
-				continue
-			}
-			if b <= 0 || p.P99 <= 0 {
-				continue
-			}
-			ratio := p.P99 / b
-			status := "ok"
-			if ratio > tolerance {
-				status = "REGRESSED"
-				regressed = true
-			}
-			fmt.Fprintf(os.Stderr, "benchjson: open-loop rate %-8.0f p99 %8.3f -> %8.3f ms (%.2fx) %s\n",
-				p.TargetRate, b, p.P99, ratio, status)
-		}
-	}
-	if cur.BatchBench != nil && base.BatchBench != nil &&
-		cur.BatchBench.SpeedupP50 > 0 && base.BatchBench.SpeedupP50 > 0 {
-		status := "ok"
-		if cur.BatchBench.SpeedupP50 < base.BatchBench.SpeedupP50/tolerance {
-			status = "REGRESSED"
-			regressed = true
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: batch-of-%d speedup %.2fx -> %.2fx (p50) %s\n",
-			base.BatchBench.BatchSize, base.BatchBench.SpeedupP50, cur.BatchBench.SpeedupP50, status)
-	}
-	return regressed, nil
-}
-
-// shardsReport is the slice of a delayload shard-scaling report the
-// scaling diff reads; the "runs" key is what selects this mode.
-type shardsReport struct {
-	Runs []struct {
-		Shards     int     `json:"shards"`
-		Throughput float64 `json:"ops_per_sec"`
-	} `json:"runs"`
-	ScalingFactor float64 `json:"scaling_factor"`
-}
-
-// diffShards compares per-shard-count throughput and the scaling factor of
-// two shard-scaling reports. Throughput regresses downward, so the test is
-// current < snapshot / tolerance.
-func diffShards(current, snapshot []byte, tolerance float64) (bool, error) {
-	var cur, base shardsReport
-	if err := json.Unmarshal(current, &cur); err != nil {
-		return false, fmt.Errorf("current shards report: %w", err)
-	}
-	if err := json.Unmarshal(snapshot, &base); err != nil {
-		return false, fmt.Errorf("snapshot shards report: %w", err)
-	}
-	baseBy := make(map[int]float64, len(base.Runs))
-	for _, r := range base.Runs {
-		baseBy[r.Shards] = r.Throughput
-	}
-	regressed := false
-	for _, r := range cur.Runs {
-		b, ok := baseBy[r.Shards]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchjson: shards=%-3d NEW (no snapshot entry)\n", r.Shards)
-			continue
-		}
-		if b <= 0 || r.Throughput <= 0 {
-			continue
-		}
-		ratio := r.Throughput / b
-		status := "ok"
-		if r.Throughput < b/tolerance {
-			status = "REGRESSED"
-			regressed = true
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: shards=%-3d %8.0f -> %8.0f ops/s (%.2fx) %s\n",
-			r.Shards, b, r.Throughput, ratio, status)
-	}
-	if base.ScalingFactor > 0 && cur.ScalingFactor > 0 {
-		status := "ok"
-		if cur.ScalingFactor < base.ScalingFactor/tolerance {
-			status = "REGRESSED"
-			regressed = true
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: scaling factor %.2fx -> %.2fx %s\n",
-			base.ScalingFactor, cur.ScalingFactor, status)
-	}
-	return regressed, nil
-}
-
 func main() {
 	diffPath := flag.String("diff", "", "compare parsed results against this committed snapshot; exit 2 on ns/op regressions")
 	tolerance := flag.Float64("tolerance", 1.3, "with -diff, the allowed ns/op slowdown factor before a benchmark counts as regressed")
 	flag.Parse()
 
-	var snapshot []byte
+	var base []result
 	if *diffPath != "" {
-		var err error
-		snapshot, err = os.ReadFile(*diffPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-	}
-
-	// An object-shaped snapshot is a delayload report: a "runs" key makes
-	// it a shard-scaling report (diff throughputs), otherwise it is a
-	// service report (diff p99s). Either way the current report echoes
-	// through unchanged.
-	if trimmed := bytes.TrimSpace(snapshot); len(trimmed) > 0 && trimmed[0] == '{' {
-		current, err := io.ReadAll(os.Stdin)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		var probe struct {
-			Runs json.RawMessage `json:"runs"`
-		}
-		var regressed bool
-		if json.Unmarshal(snapshot, &probe) == nil && len(probe.Runs) > 0 {
-			regressed, err = diffShards(current, snapshot, *tolerance)
-		} else {
-			regressed, err = diffService(current, snapshot, *tolerance)
+		snapshot, err := os.ReadFile(*diffPath)
+		if err == nil {
+			err = json.Unmarshal(snapshot, &base)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", *diffPath, err)
 			os.Exit(1)
 		}
-		os.Stdout.Write(current)
-		if regressed {
-			os.Exit(2)
-		}
-		return
 	}
 
 	sc := bufio.NewScanner(os.Stdin)
@@ -350,11 +155,6 @@ func main() {
 
 	regressed := false
 	if *diffPath != "" {
-		var base []result
-		if err := json.Unmarshal(snapshot, &base); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", *diffPath, err)
-			os.Exit(1)
-		}
 		regressed = diff(results, base, *tolerance)
 	}
 

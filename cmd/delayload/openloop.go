@@ -1,19 +1,12 @@
-// Open-loop arrival sweep and batched-vs-sequential comparison for
-// delayload. The closed loop in main.go measures latency under a
-// self-limiting workload: a slow response delays the next request, so
-// overload hides itself (coordinated omission). The open-loop mode instead
-// fixes the arrival schedule up front — Poisson or fixed-spacing at a
-// target rate — dispatches every arrival at its scheduled instant
-// regardless of how many requests are still in flight, and measures each
-// operation from its SCHEDULED send time to completion. Queueing delay the
-// daemon inflicts on a backlogged client shows up in the percentiles
-// instead of silently stretching the schedule.
-//
-// The batch comparison quantifies what the pipelined batch path buys: it
-// alternates envelopes of N admissions through POST .../batch against N
-// sequential POST .../connections round-trips, reports the p99 of each
-// arm, and cross-checks the engine's own counters to prove every batch
-// envelope committed exactly one snapshot.
+// Open-loop arrival sweep for delayload. The closed loop in main.go
+// measures latency under a self-limiting workload: a slow response delays
+// the next request, so overload hides itself (coordinated omission). The
+// open-loop mode instead fixes the arrival schedule up front — Poisson or
+// fixed-spacing at a target rate — dispatches every arrival at its
+// scheduled instant regardless of how many requests are still in flight,
+// and measures each operation from its SCHEDULED send time to completion.
+// Queueing delay the daemon inflicts on a backlogged client shows up in
+// the percentiles instead of silently stretching the schedule.
 package main
 
 import (
@@ -50,34 +43,12 @@ type openLoopPoint struct {
 	MaxMs        float64 `json:"max_ms"`
 }
 
-// openLoopReport is the "open_loop" section of BENCH_service.json.
+// openLoopReport is the "open_loop" section of the -out report.
 type openLoopReport struct {
 	Arrival  string          `json:"arrival"`
 	Duration float64         `json:"duration_seconds"`
 	Mix      string          `json:"mix"`
 	Points   []openLoopPoint `json:"points"`
-}
-
-// batchBenchReport is the "batch_bench" section of BENCH_service.json:
-// one batch-of-N envelope versus N sequential admissions, plus the
-// engine-counter proof that envelopes commit once.
-type batchBenchReport struct {
-	BatchSize       int     `json:"batch_size"`
-	Trials          int     `json:"trials"`
-	SequentialP50Ms float64 `json:"sequential_p50_ms"`
-	SequentialP99Ms float64 `json:"sequential_p99_ms"`
-	BatchP50Ms      float64 `json:"batch_p50_ms"`
-	BatchP99Ms      float64 `json:"batch_p99_ms"`
-	// SpeedupP50 (sequential p50 / batch p50) is the gate statistic: the
-	// median of repeated trials is robust to scheduler and GC hiccups,
-	// which at the ~1 ms scale of a single batch envelope turn one unlucky
-	// sample into a 2-3x outlier. Speedup (the p99 ratio) is still
-	// reported for tail visibility but too noisy to gate on.
-	SpeedupP50         float64 `json:"speedup_p50"`
-	Speedup            float64 `json:"speedup"` // sequential p99 / batch p99
-	Envelopes          uint64  `json:"envelopes"`
-	Commits            uint64  `json:"commits"`
-	CommitsPerEnvelope float64 `json:"commits_per_envelope"`
 }
 
 func parseRates(s string) ([]float64, error) {
@@ -375,181 +346,4 @@ func writeOpenLoopCSV(path string, rep *openLoopReport) error {
 			pt.AchievedRate, pt.MeanMs, pt.P50Ms, pt.P90Ms, pt.P99Ms, pt.MaxMs)
 	}
 	return os.WriteFile(path, []byte(sb.String()), 0o644)
-}
-
-// runBatchCompare alternates trials of one batch-of-N envelope against N
-// sequential single-admit round-trips, cleaning up between trials, and
-// reads the daemon's batch counters before and after to prove the
-// single-commit-per-envelope invariant end to end.
-func runBatchCompare(cfg *config, targetNames []string, out io.Writer) (*batchBenchReport, error) {
-	n, trials := cfg.batchCompare, cfg.batchTrials
-	if trials < 1 {
-		return nil, fmt.Errorf("batch-trials must be at least 1")
-	}
-	base, names := cfg.target, targetNames
-	if base == "" {
-		var shutdown func()
-		var err error
-		base, names, shutdown, err = selfServe(cfg.self, cfg.analyzer)
-		if err != nil {
-			return nil, err
-		}
-		defer shutdown()
-	}
-	prefix := apiPrefix(cfg.network)
-	client := &http.Client{Timeout: 30 * time.Second}
-
-	// Candidates are spread round-robin over disjoint 2-server pairs so the
-	// per-op analysis cost stays flat as the envelope grows: the comparison
-	// then isolates exactly what pipelining removes — the per-op round-trip,
-	// decode, and snapshot-commit overhead — instead of being swamped by the
-	// O(component) incremental analysis both arms pay identically.
-	pairs := len(names) / 2
-	if pairs == 0 {
-		pairs = 1
-	}
-	seq := 0
-	batchSpec := func() netspec.ConnectionSpec {
-		k := seq % pairs
-		seq++
-		lo := 2 * k
-		hi := lo + 1
-		if hi >= len(names) {
-			hi = lo
-		}
-		path := []json.RawMessage{}
-		for _, name := range []string{names[lo], names[hi]} {
-			raw, _ := json.Marshal(name)
-			path = append(path, raw)
-			if lo == hi {
-				break
-			}
-		}
-		return netspec.ConnectionSpec{
-			Name:       fmt.Sprintf("bc%d", seq),
-			Sigma:      1,
-			Rho:        cfg.rho,
-			AccessRate: 1,
-			Path:       path,
-			Deadline:   cfg.deadline,
-		}
-	}
-
-	post := func(path string, body any) ([]byte, error) {
-		raw, err := json.Marshal(body)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := client.Post(base+prefix+path, "application/json", strings.NewReader(string(raw)))
-		if err != nil {
-			return nil, err
-		}
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("POST %s: status %d: %s", path, resp.StatusCode, data)
-		}
-		return data, nil
-	}
-	stats := func() (service.StatsResponse, error) {
-		var st service.StatsResponse
-		resp, err := client.Get(base + prefix + "/stats")
-		if err != nil {
-			return st, err
-		}
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			return st, fmt.Errorf("GET /stats: status %d", resp.StatusCode)
-		}
-		return st, json.Unmarshal(data, &st)
-	}
-
-	// Unrecorded warmup cycles: the first trials pay one-time costs — TCP
-	// connection establishment, the daemon's heap growing to its working
-	// set, the first GC cycles — that would otherwise land straight in the
-	// p99 of the recorded samples.
-	warmup := 3
-	if trials < warmup {
-		warmup = trials
-	}
-	var seqMs, batchMs []float64
-	var before service.StatsResponse
-	for trial := 0; trial < warmup+trials; trial++ {
-		if trial == warmup {
-			var err error
-			if before, err = stats(); err != nil {
-				return nil, err
-			}
-			seqMs, batchMs = seqMs[:0], batchMs[:0]
-		}
-		specs := make([]netspec.ConnectionSpec, n)
-		for i := range specs {
-			specs[i] = batchSpec()
-		}
-
-		// Sequential arm: N individual round-trips, each its own commit.
-		start := time.Now()
-		for i := range specs {
-			if _, err := post("/connections", service.AdmitRequest{Connection: specs[i]}); err != nil {
-				return nil, fmt.Errorf("trial %d sequential: %w", trial, err)
-			}
-		}
-		seqMs = append(seqMs, float64(time.Since(start).Microseconds())/1000)
-		relOps := make([]service.BatchOp, n)
-		for i := range specs {
-			relOps[i] = service.BatchOp{Op: "release", Name: specs[i].Name}
-		}
-		if _, err := post("/batch", service.BatchRequest{Operations: relOps}); err != nil {
-			return nil, fmt.Errorf("trial %d cleanup: %w", trial, err)
-		}
-
-		// Batch arm: the same N admissions as one pipelined envelope.
-		admOps := make([]service.BatchOp, n)
-		for i := range specs {
-			admOps[i] = service.BatchOp{Op: "admit", Connection: &specs[i]}
-		}
-		start = time.Now()
-		data, err := post("/batch", service.BatchRequest{Operations: admOps})
-		if err != nil {
-			return nil, fmt.Errorf("trial %d batch: %w", trial, err)
-		}
-		batchMs = append(batchMs, float64(time.Since(start).Microseconds())/1000)
-		var br service.BatchResponse
-		if json.Unmarshal(data, &br) != nil || br.Admitted != n {
-			return nil, fmt.Errorf("trial %d batch: admitted %d of %d (errors %d)", trial, br.Admitted, n, br.Errors)
-		}
-		if _, err := post("/batch", service.BatchRequest{Operations: relOps}); err != nil {
-			return nil, fmt.Errorf("trial %d cleanup: %w", trial, err)
-		}
-	}
-	after, err := stats()
-	if err != nil {
-		return nil, err
-	}
-
-	sort.Float64s(seqMs)
-	sort.Float64s(batchMs)
-	rep := &batchBenchReport{
-		BatchSize:       n,
-		Trials:          trials,
-		SequentialP50Ms: percentile(seqMs, 0.50),
-		SequentialP99Ms: percentile(seqMs, 0.99),
-		BatchP50Ms:      percentile(batchMs, 0.50),
-		BatchP99Ms:      percentile(batchMs, 0.99),
-		Envelopes:       after.BatchEnvelopes - before.BatchEnvelopes,
-		Commits:         after.BatchCommits - before.BatchCommits,
-	}
-	if rep.BatchP99Ms > 0 {
-		rep.Speedup = rep.SequentialP99Ms / rep.BatchP99Ms
-	}
-	if rep.BatchP50Ms > 0 {
-		rep.SpeedupP50 = rep.SequentialP50Ms / rep.BatchP50Ms
-	}
-	if rep.Envelopes > 0 {
-		rep.CommitsPerEnvelope = float64(rep.Commits) / float64(rep.Envelopes)
-	}
-	fmt.Fprintf(out, "batch-compare: %d x %d ops — sequential p50 %.3f / p99 %.3f ms, batch p50 %.3f / p99 %.3f ms (%.2fx p50, %.2fx p99), %.2f commits/envelope\n",
-		trials, n, rep.SequentialP50Ms, rep.SequentialP99Ms, rep.BatchP50Ms, rep.BatchP99Ms, rep.SpeedupP50, rep.Speedup, rep.CommitsPerEnvelope)
-	return rep, nil
 }

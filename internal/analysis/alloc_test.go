@@ -7,7 +7,45 @@ import (
 	"testing"
 
 	"delaycalc/internal/minplus"
+	"delaycalc/internal/topo"
 )
+
+// analyzeAllocs returns one Integrated analysis of net and the heap
+// allocations a steady-state pass makes: AllocsPerRun's own warm-up pass
+// fills the arena and scratch pools and pins GOMAXPROCS to 1 (levels run
+// sequentially, so the count does not depend on the core count), and GC is
+// suspended so no collection drains the pools between passes.
+func analyzeAllocs(t *testing.T, a Integrated, net *topo.Network) (*Result, float64) {
+	t.Helper()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var res *Result
+	allocs := testing.AllocsPerRun(1, func() {
+		var err error
+		if res, err = a.Analyze(net); err != nil {
+			t.Fatal(err)
+		}
+	})
+	return res, allocs
+}
+
+// raceBuild reports whether the test binary runs under the race detector.
+// There sync.Pool drops a random quarter of its Puts, so the pooled arenas
+// are re-grown at random and analyzeAllocs counts the detector's behaviour,
+// not the engine's (the k=2 theta search reads 9 against its ceiling of 8
+// in one -race run in four): the allocation tests log their counts there
+// and judge only the bounds.
+func raceBuild() bool {
+	info, _ := debug.ReadBuildInfo()
+	if info == nil {
+		return false
+	}
+	for _, s := range info.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
 
 // TestThetaSearchAllocCeiling gates the steady-state allocations of the
 // theta-search inner loop: a warm-arena k=2 enumeration (candidate grids,
@@ -66,7 +104,7 @@ func TestThetaSearchAllocCeiling(t *testing.T) {
 	// minimize builds its memo spine (res outer slice, the two parts rows,
 	// the cands header) on the heap per call; everything per-candidate must
 	// come from the arenas.
-	if allocs > 8 {
+	if allocs > 8 && !raceBuild() {
 		t.Errorf("theta-search inner loop allocates %.0f times per search, ceiling is 8", allocs)
 	}
 }

@@ -6,9 +6,9 @@ package analysis
 // (O(connections x path length) per call), the connection-rescan
 // successor/extension checks in the partitioner, the sort-per-pop
 // subnetwork ready queue, heap-allocated aggregate caches, and the
-// heap-allocating theta search. TestFabricSpeedup measures the pooled
-// engine against this reference on the Clos/fat-tree fabric workload, so
-// the gate compares against the real pre-overhaul code rather than a
+// heap-allocating theta search. TestFabricAllocs measures the pooled
+// engine's bounds and allocations against this reference on the
+// Clos/fat-tree fabric workload, so the gate compares against the real pre-overhaul code rather than a
 // strawman. The minplus layer is shared (the nil-arena paths allocate on
 // the heap like the old operations did), which under-measures the true
 // delta — the gate is conservative.

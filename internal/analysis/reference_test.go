@@ -4,9 +4,9 @@ package analysis
 // envelope folds, the per-candidate residual rebuilds, the generic
 // convolution in the theta enumeration, and the strictly sequential chain
 // loop, exactly as they stood before the k-way/memoized engine replaced
-// them. TestCurveEngineSpeedup measures the new engine against this
-// reference, and TestCurveEngineMatchesReference pins the bounds to it, so
-// the speedup is enforced against the real old code rather than a strawman.
+// them. TestCurveEngineAllocs and TestCurveEngineMatchesReference pin the
+// new engine's bounds to this reference, so equivalence is enforced
+// against the real old code rather than a strawman.
 //
 // Nothing here is reachable from non-test code. Shared, semantically
 // unchanged helpers (FIFOResidual, thetaCandidates, fifoLocalDelay,
