@@ -66,6 +66,37 @@ func benchNetwork(tb testing.TB) (*topo.Network, topo.Connection) {
 	return net, cand
 }
 
+// shardNetwork builds what one engine shard of a sharded Integrated daemon
+// holds at capacity: the servers of an eight-block fabric with 500
+// connections on contiguous 2- and 3-hop routes of its own two blocks, and
+// a candidate crossing one of them. Its trial dirties one block's chains
+// and replays every other unit, so the row shows what a trial costs beside
+// what it recomputes.
+func shardNetwork(tb testing.TB) (*topo.Network, topo.Connection) {
+	tb.Helper()
+	fabric, err := topo.DisjointBlocks(8, 3, 0.5)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	conn := func(name string, path ...int) topo.Connection {
+		return topo.Connection{Name: name, Bucket: traffic.TokenBucket{Sigma: 1, Rho: 1e-4},
+			AccessRate: 1, Path: path, Deadline: 10000}
+	}
+	net := &topo.Network{Servers: fabric.Servers}
+	for i := 0; i < 500; i++ {
+		block, hops := i%2, 2+(i/2)%2
+		path := make([]int, hops)
+		for h := range path {
+			path[h] = 3*block + (i/4)%(4-hops) + h // every start that fits the block
+		}
+		net.Connections = append(net.Connections, conn(fmt.Sprintf("shard%d", i), path...))
+	}
+	if err := net.Validate(); err != nil {
+		tb.Fatal(err)
+	}
+	return net, conn("cand", 0, 1)
+}
+
 // fullController returns a Controller preloaded with the benchmark's
 // admitted set (seeded directly; admitting through the API would run 200
 // full analyses of setup).
@@ -137,12 +168,22 @@ func BenchmarkIncrementalTest(b *testing.B) {
 	runIncrementalTest(b, net, cand)
 }
 
-// BenchmarkAdmission groups both paths under one name for the CI smoke job
-// (go test -bench=Admission -benchtime=1x).
+// BenchmarkIncrementalTestShard is the incremental admission test on one
+// Integrated engine shard at 500 connections (see shardNetwork): with
+// -benchmem, B/op and allocs/op are the bookkeeping of one trial.
+func BenchmarkIncrementalTestShard(b *testing.B) {
+	net, cand := shardNetwork(b)
+	runIncrementalTest(b, net, cand)
+}
+
+// BenchmarkAdmission groups the paths under one name for the CI smoke job
+// (go test -bench=Admission -benchmem -benchtime=1x).
 func BenchmarkAdmission(b *testing.B) {
 	net, cand := benchNetwork(b)
 	b.Run("FullTest", func(b *testing.B) { runFullTest(b, net, cand) })
 	b.Run("IncrementalTest", func(b *testing.B) { runIncrementalTest(b, net, cand) })
+	net, cand = shardNetwork(b)
+	b.Run("IncrementalTestShard", func(b *testing.B) { runIncrementalTest(b, net, cand) })
 }
 
 // churnEngine returns a warm engine holding the benchmark's admitted set

@@ -2,12 +2,14 @@ package analysis
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime/debug"
 	"testing"
 
 	"delaycalc/internal/minplus"
 	"delaycalc/internal/topo"
+	"delaycalc/internal/traffic"
 )
 
 // analyzeAllocs returns one Integrated analysis of net and the heap
@@ -106,5 +108,53 @@ func TestThetaSearchAllocCeiling(t *testing.T) {
 	// come from the arenas.
 	if allocs > 8 && !raceBuild() {
 		t.Errorf("theta-search inner loop allocates %.0f times per search, ceiling is 8", allocs)
+	}
+}
+
+// TestExtendAllocsIndependentOfNetworkSize pins what "a trial costs what it
+// can influence" means for the allocator: the same candidate, with the same
+// interference closure, on the same fabric makes the same number of heap
+// allocations whether 150 or 600 connections are admitted elsewhere. The
+// network-sized pieces of a trial (its connection list, the propagation
+// arrays, the copied index spine) grow in bytes, not in count; nothing is
+// rebuilt per standing connection.
+func TestExtendAllocsIndependentOfNetworkSize(t *testing.T) {
+	fabric, err := topo.DisjointBlocks(2, 3, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := func(name string, path ...int) topo.Connection {
+		return topo.Connection{Name: name, Bucket: traffic.TokenBucket{Sigma: 1, Rho: 1e-4}, AccessRate: 1, Path: path}
+	}
+	extendAllocs := func(standing int) float64 {
+		// The standing population sits on block 0; block 1 holds the same
+		// twelve connections at either size, and the candidate joins them.
+		net := &topo.Network{Servers: fabric.Servers}
+		for i := 0; i < standing; i++ {
+			net.Connections = append(net.Connections, conn(fmt.Sprintf("s%d", i), i%2, i%2+1))
+		}
+		for i := 0; i < 12; i++ {
+			net.Connections = append(net.Connections, conn(fmt.Sprintf("t%d", i), 3+i%2, 4+i%2))
+		}
+		bl, err := Integrated{}.NewBaseline(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cand := conn("cand", 4, 5)
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		return testing.AllocsPerRun(5, func() {
+			ext, err := bl.Extend(cand)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ext.Stats.Affected != 12 || ext.Stats.ReplayedUnits == 0 {
+				t.Fatalf("the candidate's closure is block 1 alone, got %+v", ext.Stats)
+			}
+		})
+	}
+	small, large := extendAllocs(150), extendAllocs(600)
+	t.Logf("tail-candidate Extend: %.0f allocs at 150 standing connections, %.0f at 600", small, large)
+	if math.Abs(large-small) > 4 && !raceBuild() {
+		t.Errorf("Extend allocations follow the network size: %.0f at 150 connections, %.0f at 600", small, large)
 	}
 }

@@ -121,26 +121,12 @@ type propagation struct {
 	// immediate predecessor, still referenced by the analyzing chain's
 	// scratch) is live, so double buffering per connection suffices.
 	// Connections are advanced by at most one chain at a time, so the
-	// per-slot discipline holds under level parallelism.
+	// per-slot discipline holds under level parallelism. Nil in a traced
+	// propagation (see newTracedPropagation).
 	shift *minplus.ShiftPool
 }
 
 func newPropagation(net *topo.Network) *propagation {
-	return newPropagationPooled(net, false)
-}
-
-// newSparsePropagation is newPropagation for the incremental Extend/Shrink
-// drivers, which replay most units from trace: only the dirty closure's few
-// connections ever shift or append stages, so the shift-pool buffers are
-// carved lazily per slot and no stage slab is pre-carved (a replayed
-// connection's stage list aliases the immutable trace; a recomputed one
-// grows from nil). Sizing either for the whole network would dominate the
-// per-extension allocation bill.
-func newSparsePropagation(net *topo.Network) *propagation {
-	return newPropagationPooled(net, true)
-}
-
-func newPropagationPooled(net *topo.Network, sparse bool) *propagation {
 	p := &propagation{
 		env:     make([]minplus.Curve, len(net.Connections)),
 		delay:   make([]float64, len(net.Connections)),
@@ -152,30 +138,53 @@ func newPropagationPooled(net *topo.Network, sparse bool) *propagation {
 	// add at most two breakpoints to its envelope: one flat slab backs
 	// every stage list and the shift pool, fixed-capacity sub-sliced so
 	// concurrent chains append into disjoint ranges.
-	var stageSlab []Stage
-	if !sparse {
-		totalHops := 0
-		for _, c := range net.Connections {
-			totalHops += len(c.Path)
-		}
-		stageSlab = make([]Stage, 0, totalHops)
+	totalHops := 0
+	for _, c := range net.Connections {
+		totalHops += len(c.Path)
 	}
+	stageSlab := make([]Stage, 0, totalHops)
 	hints := make([]int, len(net.Connections))
 	for i, c := range net.Connections {
 		p.env[i] = c.SourceEnvelope()
-		if !sparse {
-			n := len(stageSlab)
-			stageSlab = stageSlab[:n+len(c.Path)]
-			p.stage[i] = stageSlab[n : n : n+len(c.Path)]
-		}
+		n := len(stageSlab)
+		stageSlab = stageSlab[:n+len(c.Path)]
+		p.stage[i] = stageSlab[n : n : n+len(c.Path)]
 		hints[i] = p.env[i].NumPoints() + 2*len(c.Path) + 2
 	}
-	if sparse {
-		p.shift = minplus.NewLazyShiftPool(hints)
-	} else {
-		p.shift = minplus.NewShiftPool(hints)
-	}
+	p.shift = minplus.NewShiftPool(hints)
 	return p
+}
+
+// tracedScratch pools the part of a traced propagation that is dead once
+// the run returns: the live envelopes and hop cursors (delays, stages and
+// backlogs become the run's Result).
+type tracedScratch struct {
+	env  []minplus.Curve
+	next []int
+}
+
+var tracedScratchPool = sync.Pool{New: func() any { return new(tracedScratch) }}
+
+// newTracedPropagation is newPropagation for a Baseline run, which records
+// the state after every unit it computes: without a shift pool or a stage
+// slab, each advance gives the connection a fresh heap envelope and an
+// exact-capacity stage list, so the trace keeps both as they are instead of
+// copying them out of recycled storage — and a trial that replays most
+// units pays for its dirty closure alone. src holds the connections'
+// source envelopes; they are only ever replaced, never written through.
+// sc must not return to its pool before the run is over.
+func newTracedPropagation(net *topo.Network, src []minplus.Curve, sc *tracedScratch) *propagation {
+	sc.env = resize(sc.env, len(src))
+	copy(sc.env, src)
+	sc.next = resize(sc.next, len(src))
+	clear(sc.next)
+	return &propagation{
+		env:     sc.env,
+		delay:   make([]float64, len(net.Connections)),
+		next:    sc.next,
+		stage:   make([][]Stage, len(net.Connections)),
+		backlog: make([]float64, len(net.Servers)),
+	}
 }
 
 // advance records that connection c crossed nHops hops with delay bound d.
@@ -188,8 +197,13 @@ func (p *propagation) advance(c int, servers []int, d float64, nHops int) bool {
 		return false
 	}
 	p.delay[c] += d
-	p.env[c] = p.shift.ShiftLeft(c, p.env[c], d)
 	p.next[c] += nHops
+	if p.shift == nil {
+		p.env[c] = minplus.ShiftLeft(p.env[c], d)
+		p.stage[c] = appendOne(p.stage[c], Stage{Servers: servers, Delay: d})
+		return true
+	}
+	p.env[c] = p.shift.ShiftLeft(c, p.env[c], d)
 	p.stage[c] = append(p.stage[c], Stage{Servers: servers, Delay: d})
 	return true
 }
@@ -217,12 +231,22 @@ func fifoLocalDelay(g minplus.Curve, capacity, lat float64) float64 {
 	return d + lat
 }
 
-// checkAnalyzable verifies the preconditions shared by all analyzers.
-func checkAnalyzable(net *topo.Network) error {
-	if err := net.Validate(); err != nil {
-		return fmt.Errorf("analysis: %w", err)
+// analyzable verifies the preconditions shared by all analyzers and
+// returns the normalized view of net (see normalizeNetwork) with that
+// view's route graph — the one graph the validation, the topological order
+// and the integrated partition of a pass all read. The edge rates must be
+// folded from the normalized rates to stay bit-identical, so a rescaled
+// network has its graph rebuilt.
+func analyzable(net *topo.Network) (norm *topo.Network, scale float64, g *topo.Graph, err error) {
+	g, err = net.ValidateGraph()
+	if err != nil {
+		return nil, 0, nil, fmt.Errorf("analysis: %w", err)
 	}
-	return nil
+	norm, scale = normalizeNetwork(net)
+	if scale != 1 {
+		g = topo.NewGraph(norm)
+	}
+	return norm, scale, g, nil
 }
 
 // normalizeNetwork rescales all bit-valued quantities (capacities, bucket

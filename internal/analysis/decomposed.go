@@ -35,11 +35,11 @@ func (d Decomposed) Analyze(net *topo.Network) (*Result, error) {
 // the context between servers and returns its error once it is done; an
 // uncancelled run is bit-identical to Analyze.
 func (Decomposed) AnalyzeContext(ctx context.Context, net *topo.Network) (*Result, error) {
-	if err := checkAnalyzable(net); err != nil {
+	net, scale, g, err := analyzable(net)
+	if err != nil {
 		return nil, err
 	}
-	net, scale := normalizeNetwork(net)
-	p, _, finite, err := decomposedPass(ctx, net)
+	p, _, finite, err := decomposedPass(ctx, net, g.Order())
 	if err != nil {
 		return nil, err
 	}
@@ -53,16 +53,12 @@ func (Decomposed) AnalyzeContext(ctx context.Context, net *topo.Network) (*Resul
 // and additionally records every connection's traffic envelope at the entry
 // of each of its hops (used by the service-curve analyzer to characterize
 // cross traffic inside the network). finite is false when some stage delay
-// is unbounded, in which case the other return values are meaningless. The
-// context is checked between servers; once it is done the pass aborts with
-// its error.
-func decomposedPass(ctx context.Context, net *topo.Network) (p *propagation, perHopEnv [][]minplus.Curve, finite bool, err error) {
+// is unbounded, in which case the other return values are meaningless.
+// order is a topological order of the servers. The context is checked
+// between servers; once it is done the pass aborts with its error.
+func decomposedPass(ctx context.Context, net *topo.Network, order []int) (p *propagation, perHopEnv [][]minplus.Curve, finite bool, err error) {
 	if !net.Stable() {
 		return nil, nil, false, nil
-	}
-	order, err := net.TopologicalOrder()
-	if err != nil {
-		return nil, nil, false, err
 	}
 	p = newPropagation(net)
 	perHopEnv = make([][]minplus.Curve, len(net.Connections))

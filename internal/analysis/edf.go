@@ -68,10 +68,10 @@ func edfLocalDelays(net *topo.Network, s int, conns []int, p *propagation) ([]fl
 // (zero lateness) for the current source envelopes: the classical EDF
 // admission test sum_j alpha_j(t - D_j) <= C*t.
 func EDFSchedulable(net *topo.Network, s int) (bool, error) {
-	if err := checkAnalyzable(net); err != nil {
+	net, _, _, err := analyzable(net)
+	if err != nil {
 		return false, err
 	}
-	net, _ = normalizeNetwork(net)
 	p := newPropagation(net)
 	conns := net.ConnectionsAt(s)
 	if len(conns) == 0 {

@@ -34,10 +34,10 @@ import (
 // background context: old partition, old ordering, old chain analysis.
 func preIntegratedAnalyze(a Integrated, net *topo.Network) (*Result, error) {
 	ctx := context.Background()
-	if err := checkAnalyzable(net); err != nil {
+	net, scale, g, err := analyzable(net)
+	if err != nil {
 		return nil, err
 	}
-	net, scale := normalizeNetwork(net)
 	for i, s := range net.Servers {
 		if s.Discipline != server.FIFO {
 			return nil, fmt.Errorf("analysis: Integrated applies to FIFO networks; server %d is %v", i, s.Discipline)
@@ -56,7 +56,7 @@ func preIntegratedAnalyze(a Integrated, net *topo.Network) (*Result, error) {
 	}
 	var levels [][]subnetwork
 	if !a.Sequential {
-		levels = levelizeSubnetworks(net, ordered)
+		levels = levelizeSubnetworks(g, ordered)
 	}
 	p := newPropagation(net)
 	if a.Sequential {
@@ -86,7 +86,7 @@ func prePartition(a Integrated, net *topo.Network) ([]subnetwork, error) {
 		return nil, err
 	}
 	maxLen := a.chainLength()
-	pt := newPartitioner(net)
+	pt := newPartitioner(topo.NewGraph(net))
 	used := make(map[int]bool, len(net.Servers))
 	var subnets []subnetwork
 	for _, u := range order {
@@ -103,7 +103,7 @@ func prePartition(a Integrated, net *topo.Network) ([]subnetwork, error) {
 				break
 			}
 			trial := append(append([]int(nil), chain...), next)
-			if !preExtensionValid(pt, trial, unit, next) {
+			if !preExtensionValid(pt, net, trial, unit, next) {
 				break
 			}
 			chain = trial
@@ -142,12 +142,12 @@ func preBestSuccessor(a Integrated, net *topo.Network, tail int, used map[int]bo
 
 // preExtensionValid is the old partitioner.extensionValid: the reversal
 // check rescans every connection's full path.
-func preExtensionValid(pt *partitioner, trial []int, unit, next int) bool {
+func preExtensionValid(pt *partitioner, net *topo.Network, trial []int, unit, next int) bool {
 	pos := make(map[int]int, len(trial))
 	for i, s := range trial {
 		pos[s] = i
 	}
-	for _, c := range pt.net.Connections {
+	for _, c := range net.Connections {
 		for i := 0; i+1 < len(c.Path); i++ {
 			pu, okU := pos[c.Path[i]]
 			pv, okV := pos[c.Path[i+1]]

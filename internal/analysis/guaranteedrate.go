@@ -43,14 +43,14 @@ func (GuaranteedRateNetworkCurve) Name() string { return "GuaranteedRate/Network
 
 // Analyze implements Analyzer.
 func (GuaranteedRateNetworkCurve) Analyze(net *topo.Network) (*Result, error) {
-	if err := checkAnalyzable(net); err != nil {
+	net, scale, g, err := analyzable(net)
+	if err != nil {
 		return nil, err
 	}
-	net, scale := normalizeNetwork(net)
 	res := &Result{Algorithm: "GuaranteedRate/NetworkServiceCurve"}
 	res.Bounds = make([]float64, len(net.Connections))
 	res.Stages = make([][]Stage, len(net.Connections))
-	if pass, _, finite, perr := decomposedPass(context.Background(), net); perr == nil && finite {
+	if pass, _, finite, perr := decomposedPass(context.Background(), net, g.Order()); perr == nil && finite {
 		// Buffer bounds come from the per-hop propagation, which is also
 		// valid for guaranteed-rate servers.
 		res.Backlogs = pass.backlog

@@ -3,9 +3,7 @@ package analysis
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 
 	"delaycalc/internal/minplus"
 	"delaycalc/internal/server"
@@ -24,9 +22,9 @@ import (
 // each crossing connection is entering it with its state fully determined
 // by the units it crossed before. A unit's computation is a deterministic
 // pure function of its servers and the entry states of its crossing
-// connections. Mark the candidate dirty; process the trial partition in
-// order; a unit is dirty iff its server tuple did not exist in the baseline
-// partition or some crossing connection is dirty, and every connection
+// connections. Process the trial partition in order; a unit is dirty iff
+// its server tuple did not exist in the baseline partition, the candidate
+// crosses it, or some crossing connection is dirty, and every connection
 // crossing a dirty unit becomes dirty. By induction, a clean unit sees
 // exactly the entry states of the baseline run, so its recorded outputs are
 // bit-identical to what recomputation would produce. The dirty relation is
@@ -59,14 +57,15 @@ type stepCore interface {
 	// check validates analyzer-specific preconditions (e.g. FIFO-only) on
 	// the normalized network.
 	check(net *topo.Network) error
-	// units returns the ordered partition of the normalized network.
-	units(net *topo.Network) ([]unitSpec, error)
+	// units returns the ordered partition of the normalized network whose
+	// route graph is g.
+	units(g *topo.Graph) ([]unitSpec, error)
 	// reusableUnits reports whether the partition depends only on the
-	// servers and a topological order — in which case a trial whose
-	// checker still shares the baseline's witness can reuse the baseline's
-	// unit list instead of re-deriving it. Decomposed (one unit per server
-	// in witness order) qualifies; Integrated (chain partition, which a
-	// bridging candidate can merge) does not.
+	// servers and a topological order — in which case a trial whose graph
+	// still shares the baseline's order reuses the baseline's unit list
+	// instead of re-deriving it. Decomposed (one unit per server in that
+	// order) qualifies; Integrated (chain partition, which follows the
+	// edge rates and which a bridging candidate can merge) does not.
 	reusableUnits() bool
 	// apply runs the unit's computation. ok=false degrades the whole
 	// analysis to +Inf, exactly as in the full pass. idx is the network's
@@ -78,43 +77,41 @@ type stepCore interface {
 	apply(ctx context.Context, net *topo.Network, idx [][]int, u unitSpec, p *propagation) (ok bool, err error)
 }
 
-// unitSpec identifies one analysis unit by the servers it covers.
+// unitSpec identifies one analysis unit by the servers it covers: the
+// exact server tuple is the unit's identity across partitions.
 type unitSpec struct {
 	servers []int
 }
 
-// key is the unit's identity across partitions: the exact server tuple.
-func (u unitSpec) key() string {
-	var b strings.Builder
-	for i, s := range u.servers {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(s))
-	}
-	return b.String()
-}
-
-// crossing returns the indices of connections with a hop in the unit, in
-// increasing order, read off the network's precomputed ConnectionIndex
-// (the returned slice aliases it for single-server units; callers only
-// read it).
-func (u unitSpec) crossing(idx [][]int) []int {
+// crossing appends to buf the indices of the connections with a hop in the
+// unit, in increasing order: the merge of its servers' ConnectionIndex
+// rows, each of which is sorted.
+func (u unitSpec) crossing(idx [][]int, buf []int) []int {
 	if len(u.servers) == 1 {
-		return idx[u.servers[0]]
+		return append(buf, idx[u.servers[0]]...)
 	}
-	seen := make(map[int]bool)
-	var out []int
-	for _, s := range u.servers {
-		for _, c := range idx[s] {
-			if !seen[c] {
-				seen[c] = true
-				out = append(out, c)
+	var posBuf [8]int
+	pos := posBuf[:0]
+	for range u.servers {
+		pos = append(pos, 0)
+	}
+	for {
+		next := -1
+		for k, s := range u.servers {
+			if pos[k] < len(idx[s]) && (next < 0 || idx[s][pos[k]] < next) {
+				next = idx[s][pos[k]]
+			}
+		}
+		if next < 0 {
+			return buf
+		}
+		buf = append(buf, next)
+		for k, s := range u.servers {
+			if pos[k] < len(idx[s]) && idx[s][pos[k]] == next {
+				pos[k]++
 			}
 		}
 	}
-	sort.Ints(out)
-	return out
 }
 
 // connTrace is one connection's propagation state immediately after a unit.
@@ -137,42 +134,54 @@ type serverBacklog struct {
 // units and immutable once recorded. Pair slices, not maps: a unit crosses
 // a handful of connections, and the churn-heavy paths (remapShrunkTrace in
 // particular) copy traces wholesale, which a slice does in one allocation
-// with no rehashing.
+// with no rehashing. post is in increasing connection order: it doubles as
+// the unit's crossing set when a later trial leaves the unit clean.
 type unitTrace struct {
+	servers []int
 	post    []connTrace
 	backlog []serverBacklog
 }
 
-// crosses reports whether the trace includes connection c.
-func (t *unitTrace) crosses(c int) bool {
+// connSet is a bitset over connection indices: a trial's dirty closure.
+type connSet []uint64
+
+func (s connSet) has(c int) bool { return s[c>>6]&(1<<(c&63)) != 0 }
+
+// add inserts c and reports whether it was absent.
+func (s connSet) add(c int) bool {
+	fresh := !s.has(c)
+	s[c>>6] |= 1 << (c & 63)
+	return fresh
+}
+
+// touches reports whether a connection the trace recorded is in dirty,
+// which indexes the trial network: past a removed connection (none when
+// negative) the recorded indices sit one higher.
+func (t *unitTrace) touches(dirty connSet, removed int) bool {
 	for i := range t.post {
-		if t.post[i].conn == c {
+		c := t.post[i].conn
+		if removed >= 0 && c > removed {
+			c--
+		}
+		if dirty.has(c) {
 			return true
 		}
 	}
 	return false
 }
 
-// recordUnit snapshots the propagation state after a unit was applied.
+// recordUnit snapshots the traced propagation's state after a unit was
+// applied. Envelopes and stage lists are kept as they are: a traced
+// propagation never recycles or appends to either in place (see
+// newTracedPropagation).
 func recordUnit(u unitSpec, conns []int, p *propagation) *unitTrace {
 	t := &unitTrace{
+		servers: u.servers,
 		post:    make([]connTrace, 0, len(conns)),
 		backlog: make([]serverBacklog, 0, len(u.servers)),
 	}
 	for _, c := range conns {
-		t.post = append(t.post, connTrace{
-			conn: c,
-			// The live envelope may sit in the propagation's recycled
-			// shift buffers; the trace outlives them, so detach it.
-			env:   p.env[c].Clone(),
-			delay: p.delay[c],
-			next:  p.next[c],
-			// Exact capacity, deliberately: replayUnit aliases this slice
-			// into later propagations, and len==cap forces any append
-			// there to reallocate instead of writing into the shared
-			// backing array (which concurrent Extends also alias).
-			stages: append(make([]Stage, 0, len(p.stage[c])), p.stage[c]...),
-		})
+		t.post = append(t.post, connTrace{conn: c, env: p.env[c], delay: p.delay[c], next: p.next[c], stages: p.stage[c]})
 	}
 	for _, s := range u.servers {
 		t.backlog = append(t.backlog, serverBacklog{server: s, backlog: p.backlog[s]})
@@ -181,9 +190,9 @@ func recordUnit(u unitSpec, conns []int, p *propagation) *unitTrace {
 }
 
 // replayUnit splices the recorded post-unit state into the propagation.
-// The stage slices are aliased, not copied: recordUnit stores them with
-// len==cap, so the one appender (propagation.advance) reallocates on first
-// touch and the immutable trace can never be written through a replayed
+// The stage slices are aliased, not copied: the one appender
+// (propagation.advance) copies a traced propagation's list on every
+// append, so the immutable trace can never be written through a replayed
 // alias — including by concurrent Extends replaying the same trace.
 func replayUnit(t *unitTrace, p *propagation) {
 	for i := range t.post {
@@ -200,25 +209,33 @@ func replayUnit(t *unitTrace, p *propagation) {
 
 // Baseline is a fully analyzed network plus the per-unit trace that Extend
 // reuses. A Baseline is immutable and safe for concurrent Extend calls.
+//
+// Beside the trace it owns what a trial would otherwise re-derive from the
+// whole network: the route graph, the ConnectionIndex and the source
+// envelopes. Extend and Shrink derive the trial's copies by touching only
+// the rows and entries of the one connection that changes, so the
+// bookkeeping of a trial is proportional to what it can influence; the
+// envelopes' point arrays are shared along the whole derivation chain.
 type Baseline struct {
 	core  stepCore
 	orig  *topo.Network // caller-unit copy of the analyzed network
 	norm  *topo.Network // normalized view (aliases orig when scale == 1)
 	scale float64
-	res   *Result // normalized-internal result
-	trace map[string]*unitTrace
 	// chk validates one-candidate extensions of orig in O(candidate)
 	// instead of re-validating the whole trial network; nil (e.g. after a
 	// failed witness recomputation) degrades every check to the full path.
-	chk *topo.Checker
-	// units caches the core's ordered partition of norm; trials whose
-	// checker shares the witness reuse it (see stepCore.reusableUnits).
-	// nil (unstable baselines) falls back to a fresh core.units call.
+	chk   *topo.Checker
+	graph *topo.Graph     // norm's route graph
+	idx   [][]int         // norm.ConnectionIndex()
+	src   []minplus.Curve // norm's source envelopes, by connection
+
+	// The analysis itself, filled by run. units is the core's ordered
+	// partition of norm and trace the recorded state after each of them,
+	// indexed by the unit's first server (a partition puts every server in
+	// exactly one unit); both stay nil on an unstable baseline.
 	units []unitSpec
-	// idx caches norm.ConnectionIndex(); Extend derives the trial's index
-	// from it in O(candidate route) instead of rebuilding the whole
-	// per-server table. nil (unstable baselines) falls back to a rebuild.
-	idx [][]int
+	trace []*unitTrace
+	res   *Result // normalized-internal result
 	// unstable marks a baseline whose own network is unstable or
 	// unbounded; Extend degenerates to all-Inf exactly like the full pass.
 	unstable bool
@@ -247,47 +264,135 @@ func copyNetwork(net *topo.Network) *topo.Network {
 }
 
 func newBaseline(core stepCore, net *topo.Network) (*Baseline, error) {
-	if err := checkAnalyzable(net); err != nil {
-		return nil, err
-	}
 	orig := copyNetwork(net)
-	norm, scale := normalizeNetwork(orig)
-	if err := core.check(norm); err != nil {
-		return nil, err
-	}
-	b := &Baseline{core: core, orig: orig, norm: norm, scale: scale, trace: map[string]*unitTrace{}}
-	// The network just passed checkAnalyzable, so the checker build cannot
-	// fail; a nil checker would merely fall back to full validation.
-	b.chk, _ = topo.NewChecker(orig)
-	if !norm.Stable() {
-		b.unstable = true
-		b.res = allInf(core.name(), norm)
-		return b, nil
-	}
-	units, err := core.units(norm)
+	norm, scale, g, err := analyzable(orig)
 	if err != nil {
 		return nil, err
 	}
-	b.units = units
-	idx := norm.ConnectionIndex()
-	b.idx = idx
-	p := newPropagation(norm)
+	if err := core.check(norm); err != nil {
+		return nil, err
+	}
+	src := make([]minplus.Curve, len(norm.Connections))
+	for i, c := range norm.Connections {
+		src[i] = c.SourceEnvelope()
+	}
+	b := &Baseline{core: core, orig: orig, norm: norm, scale: scale,
+		chk: topo.NewCheckerFromGraph(orig, g), graph: g, idx: norm.ConnectionIndex(), src: src}
+	// Baselines are built uncancellable: a half-built baseline would
+	// poison every later Extend, so the build always runs to completion.
+	if _, err := b.run(context.Background(), nil, nil, -1); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// run analyzes the receiver's network and fills in its units, trace and
+// result; everything else the caller has set. Units the change from the
+// already analyzed baseline from cannot influence are replayed from its
+// trace: path is the route of the one connection the change adds or
+// removes, removed that connection's index in from's network when it is a
+// release (negative otherwise). A nil from analyzes from scratch.
+//
+// A unit is dirty iff its server tuple did not exist in from's partition,
+// it holds a server of path, or a connection crossing it is dirty; every
+// connection crossing a dirty unit becomes dirty. A clean unit's crossing
+// set is exactly what its trace recorded, so only dirty units pay for
+// deriving theirs.
+func (b *Baseline) run(ctx context.Context, from *Baseline, path []int, removed int) (ExtendStats, error) {
+	net := b.norm
+	// The candidate of an extension gets dirty like any connection, but
+	// Affected counts existing connections only.
+	candidate := 0
+	if from != nil && removed < 0 {
+		candidate = 1
+	}
+	degraded := func() (ExtendStats, error) {
+		b.unstable = true
+		b.res = allInf(b.core.name(), net)
+		return ExtendStats{Affected: len(net.Connections) - candidate}, nil
+	}
+	if !net.Stable() {
+		return degraded()
+	}
+	units := from.unitsFor(b)
+	if units == nil {
+		var err error
+		if units, err = b.core.units(b.graph); err != nil {
+			return ExtendStats{}, err
+		}
+	}
+	sc := tracedScratchPool.Get().(*tracedScratch)
+	defer tracedScratchPool.Put(sc)
+	p := newTracedPropagation(net, b.src, sc)
+	seeded := make([]bool, len(net.Servers))
+	for _, s := range path {
+		seeded[s] = true
+	}
+	dirty := make(connSet, (len(net.Connections)+63)/64)
+	trace := make([]*unitTrace, len(net.Servers))
+	var conns []int
+	stats := ExtendStats{}
 	for _, u := range units {
-		// Baselines are built uncancellable: a half-built baseline would
-		// poison every later Extend, so the build always runs to completion.
-		ok, err := core.apply(context.Background(), norm, idx, u, p)
+		if canceled(ctx) {
+			return stats, ctxErr(ctx.Err())
+		}
+		old := from.traceOf(u)
+		isDirty := old == nil
+		for _, s := range u.servers {
+			isDirty = isDirty || seeded[s]
+		}
+		if !isDirty && !old.touches(dirty, removed) {
+			old = remapShrunkTrace(old, removed)
+			replayUnit(old, p)
+			trace[u.servers[0]] = old
+			stats.ReplayedUnits++
+			continue
+		}
+		ok, err := b.core.apply(ctx, net, b.idx, u, p)
 		if err != nil {
-			return nil, err
+			return stats, err
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			return stats, ctxErr(cerr)
 		}
 		if !ok {
-			b.unstable = true
-			b.res = allInf(core.name(), norm)
-			return b, nil
+			return degraded()
 		}
-		b.trace[u.key()] = recordUnit(u, u.crossing(idx), p)
+		conns = u.crossing(b.idx, conns[:0])
+		for _, c := range conns {
+			if dirty.add(c) {
+				stats.Affected++
+			}
+		}
+		trace[u.servers[0]] = recordUnit(u, conns, p)
+		stats.RecomputedUnits++
 	}
-	b.res = p.result(core.name())
-	return b, nil
+	stats.Affected -= candidate
+	b.units, b.trace, b.res = units, trace, p.result(b.core.name())
+	return stats, nil
+}
+
+// unitsFor returns the receiver's unit list when trial can reuse it: the
+// partition depends only on an order both graphs still share. Unit specs
+// are immutable server tuples, so sharing the slice across baselines is
+// safe. Nil (also on a nil receiver) means re-derive.
+func (b *Baseline) unitsFor(trial *Baseline) []unitSpec {
+	if b != nil && b.core.reusableUnits() && trial.graph.SharesOrder(b.graph) {
+		return b.units
+	}
+	return nil
+}
+
+// traceOf returns the receiver's recorded trace of exactly the unit u, or
+// nil when its partition had no such unit (or on a nil receiver).
+func (b *Baseline) traceOf(u unitSpec) *unitTrace {
+	if b == nil || b.trace == nil {
+		return nil
+	}
+	if t := b.trace[u.servers[0]]; t != nil && slices.Equal(t.servers, u.servers) {
+		return t
+	}
+	return nil
 }
 
 // Result returns the baseline's full analysis result in the caller's
@@ -308,33 +413,17 @@ func (b *Baseline) ValidateExtend(trial *topo.Network) error {
 	return b.chk.ValidateExtend(trial)
 }
 
-// trialUnits returns the core's ordered partition of the trial network,
-// reusing the baseline's cached unit list when the partition depends only
-// on the (unchanged) servers and a witness order the trial's checker still
-// shares. Unit specs are immutable server tuples, so sharing the slice
-// across baselines is safe.
-func (b *Baseline) trialUnits(trial *topo.Network, pchk *topo.Checker) ([]unitSpec, error) {
-	if b.units != nil && b.core.reusableUnits() && pchk.SharesWitness(b.chk) {
-		return b.units, nil
-	}
-	return b.core.units(trial)
-}
-
-// extendIndex derives the trial's ConnectionIndex from the baseline's
-// cached one: the candidate sits at the last index, so only the rows of
-// the servers on its route change. Touched rows are reallocated with a
-// full-slice clamp (the cached rows are shared with the baseline and
-// possibly its ancestors); untouched rows alias the cache, which is safe
-// because index rows are never written after construction.
-func (b *Baseline) extendIndex(trial *topo.Network) [][]int {
-	if b.idx == nil {
-		return trial.ConnectionIndex()
-	}
-	candIdx := len(trial.Connections) - 1
+// extendIndex derives the trial's ConnectionIndex from the baseline's: the
+// candidate sits at the last index, so only the rows of the servers on its
+// route change. Touched rows are reallocated (the cached rows are shared
+// with the baseline and possibly its ancestors); untouched rows alias the
+// cache, which is safe because index rows are never written after
+// construction.
+func (b *Baseline) extendIndex(path []int) [][]int {
+	candIdx := len(b.norm.Connections)
 	out := append([][]int(nil), b.idx...)
-	for _, s := range trial.Connections[candIdx].Path {
-		row := out[s]
-		out[s] = append(row[:len(row):len(row)], candIdx)
+	for _, s := range path {
+		out[s] = appendOne(out[s], candIdx)
 	}
 	return out
 }
@@ -382,14 +471,12 @@ type ExtendStats struct {
 // Extension is the outcome of extending a baseline with one candidate.
 type Extension struct {
 	Stats    ExtendStats
-	res      *Result
-	scale    float64
 	promoted *Baseline
 }
 
 // Result returns the trial network's analysis result (admitted connections
 // first, the candidate last) in caller units. The slices are copies.
-func (e *Extension) Result() *Result { return exportResult(e.res, e.scale) }
+func (e *Extension) Result() *Result { return e.promoted.Result() }
 
 // Promote returns a Baseline for the extended network, reusing every
 // replayed unit's trace, so committing an admission costs no extra
@@ -411,126 +498,64 @@ func (b *Baseline) Extend(cand topo.Connection) (*Extension, error) {
 func (b *Baseline) ExtendContext(ctx context.Context, cand topo.Connection) (*Extension, error) {
 	// Trial in caller units, candidate appended last so existing
 	// connection indices are stable.
-	trialOrig := &topo.Network{
-		Servers:     b.orig.Servers,
-		Connections: append(append([]topo.Connection(nil), b.orig.Connections...), cand),
-	}
+	trialOrig := &topo.Network{Servers: b.orig.Servers, Connections: appendOne(b.orig.Connections, cand)}
 	// The baseline's own network was validated when it was built, so only
 	// the candidate needs checking — O(candidate) via the cached checker
-	// instead of re-validating (and re-sorting) the whole trial network on
-	// every admission test.
+	// instead of re-validating the whole trial network on every admission
+	// test. core.check inspects only the servers (e.g. the FIFO-only
+	// rule), which the candidate does not change.
 	if err := b.chk.ValidateExtend(trialOrig); err != nil {
 		return nil, fmt.Errorf("analysis: %w", err)
 	}
-	// Checker for the would-be promoted baseline: reuses the witness order
-	// (recomputing it only for routes that disagree with it) and extends
-	// the name set by the candidate.
-	pchk := b.chk.Extend(trialOrig)
 	// Trial in normalized units: the scale depends only on the servers,
 	// which the candidate does not change.
 	trial := trialOrig
 	if b.scale != 1 {
-		ncand := cand
-		normalizeConnection(&ncand, b.scale)
-		trial = &topo.Network{
-			Servers:     b.norm.Servers,
-			Connections: append(append([]topo.Connection(nil), b.norm.Connections...), ncand),
-		}
+		normalizeConnection(&cand, b.scale)
+		trial = &topo.Network{Servers: b.norm.Servers, Connections: appendOne(b.norm.Connections, cand)}
 	}
-	// core.check inspects only the servers (e.g. the FIFO-only rule),
-	// which the candidate does not change and newBaseline already checked.
-	mkExt := func(res *Result, stats ExtendStats, promoted *Baseline) *Extension {
-		return &Extension{Stats: stats, res: res, scale: b.scale, promoted: promoted}
+	t := &Baseline{core: b.core, orig: trialOrig, norm: trial, scale: b.scale,
+		chk:   b.chk.Extend(trialOrig),
+		graph: b.graph.Extend(cand),
+		idx:   b.extendIndex(cand.Path),
+		src:   appendOne(b.src, cand.SourceEnvelope()),
 	}
-	// An unstable baseline has an empty trace, so the loop below simply
-	// recomputes every unit — still exact, never wrong.
-	if !trial.Stable() {
-		// The full pass would degrade everything to +Inf before any unit
-		// ran; an unstable trial is never committed, but keep Promote
-		// total by handing back an unstable baseline.
-		res := allInf(b.core.name(), trial)
-		promoted := &Baseline{core: b.core, orig: trialOrig, norm: trial, scale: b.scale,
-			res: res, trace: map[string]*unitTrace{}, unstable: true, chk: pchk}
-		return mkExt(res, ExtendStats{Affected: len(b.orig.Connections)}, promoted), nil
-	}
-	units, err := b.trialUnits(trial, pchk)
+	return t.replay(ctx, b, cand.Path, -1)
+}
+
+// replay runs the trial t against the baseline it was derived from and
+// wraps the outcome; an unstable trial is never committed, but Promote
+// stays total by handing back the unstable baseline.
+func (t *Baseline) replay(ctx context.Context, from *Baseline, path []int, removed int) (*Extension, error) {
+	stats, err := t.run(ctx, from, path, removed)
 	if err != nil {
 		return nil, err
 	}
-	idx := b.extendIndex(trial)
-	p := newSparsePropagation(trial)
-	candIdx := len(trial.Connections) - 1
-	dirty := map[int]bool{candIdx: true}
-	stats := ExtendStats{}
-	newTrace := make(map[string]*unitTrace, len(units))
-	for _, u := range units {
-		if canceled(ctx) {
-			return nil, ctxErr(ctx.Err())
-		}
-		conns := u.crossing(idx)
-		old := b.trace[u.key()]
-		isDirty := old == nil
-		if !isDirty {
-			for _, c := range conns {
-				if dirty[c] {
-					isDirty = true
-					break
-				}
-			}
-		}
-		if isDirty {
-			ok, err := b.core.apply(ctx, trial, idx, u, p)
-			if err != nil {
-				return nil, err
-			}
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, ctxErr(cerr)
-			}
-			if !ok {
-				res := allInf(b.core.name(), trial)
-				promoted := &Baseline{core: b.core, orig: trialOrig, norm: trial, scale: b.scale,
-					res: res, trace: map[string]*unitTrace{}, unstable: true, chk: pchk}
-				return mkExt(res, ExtendStats{Affected: len(b.orig.Connections)}, promoted), nil
-			}
-			for _, c := range conns {
-				dirty[c] = true
-			}
-			newTrace[u.key()] = recordUnit(u, conns, p)
-			stats.RecomputedUnits++
-		} else {
-			replayUnit(old, p)
-			newTrace[u.key()] = old
-			stats.ReplayedUnits++
-		}
-	}
-	stats.Affected = len(dirty) - 1
-	promoted := &Baseline{
-		core:  b.core,
-		orig:  trialOrig,
-		norm:  trial,
-		scale: b.scale,
-		res:   p.result(b.core.name()),
-		trace: newTrace,
-		chk:   pchk,
-		units: units,
-		idx:   idx,
-	}
-	return mkExt(promoted.res, stats, promoted), nil
+	return &Extension{Stats: stats, promoted: t}, nil
 }
 
-// removeConnection returns a copy of conns without index remove.
-func removeConnection(conns []topo.Connection, remove int) []topo.Connection {
-	out := make([]topo.Connection, 0, len(conns)-1)
-	out = append(out, conns[:remove]...)
-	out = append(out, conns[remove+1:]...)
+// appendOne returns a copy of s with x appended, sized exactly: s is
+// shared with the baseline (and concurrent trials), so it is never
+// appended to in place.
+func appendOne[T any](s []T, x T) []T {
+	out := make([]T, len(s)+1)
+	copy(out, s)
+	out[len(s)] = x
 	return out
 }
 
+// removeAt returns a copy of s without index i.
+func removeAt[T any](s []T, i int) []T {
+	out := make([]T, 0, len(s)-1)
+	out = append(out, s[:i]...)
+	return append(out, s[i+1:]...)
+}
+
 // remapShrunkTrace rebuilds a recorded unit trace with connection indices
-// shifted down past the removed one. Clean units are never crossed by the
-// removed connection (that is what makes them clean), so its entry is
-// absent by construction; the guard keeps a would-be bug loud in tests
-// rather than silently replaying stale state.
+// shifted down past the removed one (none when negative). Clean units are
+// never crossed by the removed connection (that is what makes them clean),
+// so its entry is absent by construction; the guard keeps a would-be bug
+// loud in tests rather than silently replaying stale state.
 func remapShrunkTrace(t *unitTrace, removed int) *unitTrace {
 	// Traces are immutable once recorded, so when no index clears the
 	// removed one — releases of recently admitted connections, the common
@@ -546,10 +571,10 @@ func remapShrunkTrace(t *unitTrace, removed int) *unitTrace {
 			needsRemap = true
 		}
 	}
-	if !needsRemap {
+	if removed < 0 || !needsRemap {
 		return t
 	}
-	out := &unitTrace{post: append([]connTrace(nil), t.post...), backlog: t.backlog}
+	out := &unitTrace{servers: t.servers, post: append([]connTrace(nil), t.post...), backlog: t.backlog}
 	for i := range out.post {
 		if out.post[i].conn > removed {
 			out.post[i].conn--
@@ -579,110 +604,31 @@ func (b *Baseline) ShrinkContext(ctx context.Context, remove int) (*Extension, e
 	if remove < 0 || remove >= len(b.orig.Connections) {
 		return nil, fmt.Errorf("analysis: shrink index %d out of range [0,%d)", remove, len(b.orig.Connections))
 	}
-	trialOrig := &topo.Network{
-		Servers:     b.orig.Servers,
-		Connections: removeConnection(b.orig.Connections, remove),
-	}
 	// No re-validation: a valid network stays valid under connection
 	// removal. The servers are untouched, every survivor was individually
 	// valid, the name set only shrinks, and the route graph loses edges,
 	// so no cycle can appear. core.check likewise inspects only the
-	// (unchanged) servers. Skipping the O(network) checks here is what
-	// keeps a release proportional to its affected set.
-	pchk := b.chk.Shrink(b.orig.Connections[remove])
+	// (unchanged) servers. Releasing traffic can restore stability, so an
+	// unstable baseline does not imply an unstable trial: its empty trace
+	// just recomputes every unit.
+	trialOrig := &topo.Network{Servers: b.orig.Servers, Connections: removeAt(b.orig.Connections, remove)}
 	// Shrunken trial in normalized units: the scale depends only on the
 	// servers, which a release does not change.
 	trial := trialOrig
 	if b.scale != 1 {
-		trial = &topo.Network{
-			Servers:     b.norm.Servers,
-			Connections: removeConnection(b.norm.Connections, remove),
-		}
+		trial = &topo.Network{Servers: b.norm.Servers, Connections: removeAt(b.norm.Connections, remove)}
 	}
-	mkExt := func(res *Result, stats ExtendStats, promoted *Baseline) *Extension {
-		return &Extension{Stats: stats, res: res, scale: b.scale, promoted: promoted}
-	}
-	// Releasing traffic can restore stability, so an unstable baseline does
-	// not imply an unstable trial: its empty trace just recomputes every
-	// unit below. The converse cannot happen, but keep the same guard as
-	// Extend so the degenerate case stays total.
-	if !trial.Stable() {
-		res := allInf(b.core.name(), trial)
-		promoted := &Baseline{core: b.core, orig: trialOrig, norm: trial, scale: b.scale,
-			res: res, trace: map[string]*unitTrace{}, unstable: true, chk: pchk}
-		return mkExt(res, ExtendStats{Affected: len(trial.Connections)}, promoted), nil
-	}
-	units, err := b.trialUnits(trial, pchk)
-	if err != nil {
-		return nil, err
-	}
+	gone := b.norm.Connections[remove]
+	// Every index past the removed one shifts, so the index is rebuilt: one
+	// counting pass, no sort.
 	idx := trial.ConnectionIndex()
-	p := newSparsePropagation(trial)
-	dirty := map[int]bool{}
-	stats := ExtendStats{}
-	newTrace := make(map[string]*unitTrace, len(units))
-	for _, u := range units {
-		if canceled(ctx) {
-			return nil, ctxErr(ctx.Err())
-		}
-		conns := u.crossing(idx)
-		old := b.trace[u.key()]
-		isDirty := old == nil
-		if !isDirty {
-			// The removed connection seeds the closure: every unit it
-			// crossed in the baseline run loses a crossing connection and
-			// must recompute.
-			if old.crosses(remove) {
-				isDirty = true
-			}
-		}
-		if !isDirty {
-			for _, c := range conns {
-				if dirty[c] {
-					isDirty = true
-					break
-				}
-			}
-		}
-		if isDirty {
-			ok, err := b.core.apply(ctx, trial, idx, u, p)
-			if err != nil {
-				return nil, err
-			}
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, ctxErr(cerr)
-			}
-			if !ok {
-				res := allInf(b.core.name(), trial)
-				promoted := &Baseline{core: b.core, orig: trialOrig, norm: trial, scale: b.scale,
-					res: res, trace: map[string]*unitTrace{}, unstable: true, chk: pchk}
-				return mkExt(res, ExtendStats{Affected: len(trial.Connections)}, promoted), nil
-			}
-			for _, c := range conns {
-				dirty[c] = true
-			}
-			newTrace[u.key()] = recordUnit(u, conns, p)
-			stats.RecomputedUnits++
-		} else {
-			t := remapShrunkTrace(old, remove)
-			replayUnit(t, p)
-			newTrace[u.key()] = t
-			stats.ReplayedUnits++
-		}
-	}
-	stats.Affected = len(dirty)
-	promoted := &Baseline{
-		core:  b.core,
-		orig:  trialOrig,
-		norm:  trial,
-		scale: b.scale,
-		res:   p.result(b.core.name()),
-		trace: newTrace,
-		chk:   pchk,
-		units: units,
+	t := &Baseline{core: b.core, orig: trialOrig, norm: trial, scale: b.scale,
+		chk:   b.chk.Shrink(b.orig.Connections[remove]),
+		graph: b.graph.Shrink(trial, idx, gone),
 		idx:   idx,
+		src:   removeAt(b.src, remove),
 	}
-	return mkExt(promoted.res, stats, promoted), nil
+	return t.replay(ctx, b, gone.Path, remove)
 }
 
 // decomposedCore adapts the decomposition analysis to the driver: one unit
@@ -694,14 +640,11 @@ func (decomposedCore) check(net *topo.Network) error { return nil }
 
 func (decomposedCore) reusableUnits() bool { return true }
 
-func (decomposedCore) units(net *topo.Network) ([]unitSpec, error) {
-	order, err := net.TopologicalOrder()
-	if err != nil {
-		return nil, err
-	}
+func (decomposedCore) units(g *topo.Graph) ([]unitSpec, error) {
+	order := g.Order()
 	units := make([]unitSpec, len(order))
-	for i, s := range order {
-		units[i] = unitSpec{servers: []int{s}}
+	for i := range order {
+		units[i] = unitSpec{servers: order[i : i+1 : i+1]}
 	}
 	return units, nil
 }
@@ -733,17 +676,14 @@ func (ic integratedCore) check(net *topo.Network) error {
 	return nil
 }
 
-// reusableUnits is false for the integrated partition: a candidate whose
-// route bridges two chains merges them, so the unit list must be
-// re-derived per trial.
+// reusableUnits is false for the integrated partition: chains follow the
+// edge rates, and a candidate whose route bridges two chains merges them,
+// so the unit list is re-derived per trial — from the trial's graph, in
+// O(servers + edges).
 func (ic integratedCore) reusableUnits() bool { return false }
 
-func (ic integratedCore) units(net *topo.Network) ([]unitSpec, error) {
-	subnets, err := ic.a.partition(net)
-	if err != nil {
-		return nil, err
-	}
-	ordered, err := orderSubnetworks(net, subnets)
+func (ic integratedCore) units(g *topo.Graph) ([]unitSpec, error) {
+	ordered, err := orderSubnetworks(g, ic.a.partition(g))
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"delaycalc/internal/server"
@@ -202,4 +203,52 @@ func TestExtendUnstableTrial(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameResult(t, "unstable", full, ext.Result())
+}
+
+// TestConcurrentExtendsShareBaseline runs many trials against one Baseline
+// at once — extensions that replay its traces and start from its cached
+// source envelopes, graph rows and index rows, and releases beside them —
+// and checks each against the full analysis. Under -race it is the proof
+// that a trial only ever copies the shared state it changes.
+func TestConcurrentExtendsShareBaseline(t *testing.T) {
+	net, err := topo.RandomFeedforward(8, 24, 0.4, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []Incremental{Decomposed{}, Integrated{}} {
+		bl, err := a.NewBaseline(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cand := net.Connections[w]
+				cand.Name = fmt.Sprintf("again%d", w)
+				trial := &topo.Network{Servers: net.Servers, Connections: append(append([]topo.Connection(nil), net.Connections...), cand)}
+				ext, err := bl.Extend(cand)
+				if w%2 == 1 {
+					trial = &topo.Network{Servers: net.Servers, Connections: removeAt(net.Connections, w)}
+					ext, err = bl.Shrink(w)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				full, err := a.Analyze(trial)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range full.Bounds {
+					if full.Bounds[i] != ext.Result().Bounds[i] {
+						t.Errorf("%s/worker %d: bound %d: full %v, concurrent trial %v", a.Name(), w, i, full.Bounds[i], ext.Result().Bounds[i])
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,10 +112,10 @@ func (a Integrated) Analyze(net *topo.Network) (*Result, error) {
 // run is bit-identical to Analyze; once the context is done the partial
 // state is discarded and the context's error is returned.
 func (a Integrated) AnalyzeContext(ctx context.Context, net *topo.Network) (*Result, error) {
-	if err := checkAnalyzable(net); err != nil {
+	net, scale, g, err := analyzable(net)
+	if err != nil {
 		return nil, err
 	}
-	net, scale := normalizeNetwork(net)
 	for i, s := range net.Servers {
 		if s.Discipline != server.FIFO {
 			return nil, fmt.Errorf("analysis: Integrated applies to FIFO networks; server %d is %v", i, s.Discipline)
@@ -127,17 +126,13 @@ func (a Integrated) AnalyzeContext(ctx context.Context, net *topo.Network) (*Res
 	}
 	tm := timingsFrom(ctx)
 	partStart := time.Now()
-	subnets, err := a.partition(net)
-	if err != nil {
-		return nil, err
-	}
-	ordered, err := orderSubnetworks(net, subnets)
+	ordered, err := orderSubnetworks(g, a.partition(g))
 	if err != nil {
 		return nil, err
 	}
 	var levels [][]subnetwork
 	if !a.Sequential {
-		levels = levelizeSubnetworks(net, ordered)
+		levels = levelizeSubnetworks(g, ordered)
 	}
 	if tm != nil {
 		tm.observe(&tm.Partition, partStart)
@@ -182,38 +177,20 @@ func subnetOwner(nServers int, subnets []subnetwork) []int {
 	return owner
 }
 
-// unitPairs collects the distinct cross-unit precedence edges
-// (owner[path[i]], owner[path[i+1]]) over all routes, sorted by (from,
-// to): one flat pair list instead of the per-unit successor maps the
-// ordering passes previously built.
-func unitPairs(net *topo.Network, owner []int) [][2]int {
-	n := 0
-	for _, c := range net.Connections {
-		n += len(c.Path) - 1
-	}
-	pairs := make([][2]int, 0, n)
-	for _, c := range net.Connections {
-		for i := 0; i+1 < len(c.Path); i++ {
-			u, v := owner[c.Path[i]], owner[c.Path[i+1]]
-			if u != v {
-				pairs = append(pairs, [2]int{u, v})
+// unitEdges enumerates the cross-unit precedence edges of a partition for
+// topo.MinFirstOrder, read straight off the route graph: unit u precedes
+// owner[e.To] for every edge e leaving one of u's servers for another
+// unit. An edge may be reported once per server pair realising it.
+func unitEdges(g *topo.Graph, subnets []subnetwork, owner []int) func(u int, visit func(v int)) {
+	return func(u int, visit func(v int)) {
+		for _, s := range subnets[u].servers {
+			for _, e := range g.Succ(s) {
+				if v := owner[e.To]; v != u {
+					visit(v)
+				}
 			}
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	w := 0
-	for i, p := range pairs {
-		if i == 0 || p != pairs[w-1] {
-			pairs[w] = p
-			w++
-		}
-	}
-	return pairs[:w]
 }
 
 // levelizeSubnetworks cuts a topologically ordered partition into
@@ -221,22 +198,23 @@ func unitPairs(net *topo.Network, owner []int) [][2]int {
 // the chains feeding it, so every chain of a level only depends on
 // earlier levels. Order within a level follows the input order, keeping
 // the grouping deterministic.
-func levelizeSubnetworks(net *topo.Network, ordered []subnetwork) [][]subnetwork {
-	owner := subnetOwner(len(net.Servers), ordered)
-	pairs := unitPairs(net, owner)
+func levelizeSubnetworks(g *topo.Graph, ordered []subnetwork) [][]subnetwork {
+	owner := subnetOwner(g.Servers(), ordered)
+	edges := unitEdges(g, ordered, owner)
 	// ordered is topological, so every edge points from a smaller to a
 	// larger index: relaxing edges in ascending from-index order computes
 	// the exact longest-path level in one pass.
 	level := make([]int, len(ordered))
-	for _, p := range pairs {
-		if level[p[1]] < level[p[0]]+1 {
-			level[p[1]] = level[p[0]] + 1
+	maxLevel, u := 0, 0 // relax reads the loop's u: one closure for all units
+	relax := func(v int) {
+		if level[v] < level[u]+1 {
+			level[v] = level[u] + 1
 		}
 	}
-	maxLevel := 0
-	for _, l := range level {
-		if l > maxLevel {
-			maxLevel = l
+	for u = range ordered {
+		edges(u, relax)
+		if level[u] > maxLevel {
+			maxLevel = level[u]
 		}
 	}
 	levels := make([][]subnetwork, maxLevel+1)
@@ -296,130 +274,59 @@ func analyzeLevel(level []subnetwork, f func(subnetwork) bool) bool {
 // unit — a local reachability probe over the contracted unit graph
 // (partitioner.createsCycle) instead of the full clone-and-toposort the
 // previous implementation ran per candidate.
-func (a Integrated) partition(net *topo.Network) ([]subnetwork, error) {
-	order, err := net.TopologicalOrder()
-	if err != nil {
-		return nil, err
-	}
+func (a Integrated) partition(g *topo.Graph) []subnetwork {
 	maxLen := a.chainLength()
-	pt := newPartitioner(net)
-	rates := edgeThroughRates(net)
-	used := make([]bool, len(net.Servers))
-	var subnets []subnetwork
-	for _, u := range order {
-		if used[u] {
+	pt := newPartitioner(g)
+	for _, u := range g.Order() {
+		if pt.owner[u] >= 0 {
 			continue
 		}
-		chain := []int{u}
-		used[u] = true
 		unit := pt.newUnit(u)
-		for len(chain) < maxLen {
-			tail := chain[len(chain)-1]
-			next := a.bestSuccessor(rates, tail, used)
-			if next < 0 {
+		for chain := pt.members(unit); len(chain) < maxLen; chain = pt.members(unit) {
+			next := a.bestSuccessor(g.Succ(chain[len(chain)-1]), pt.owner)
+			if next < 0 || !pt.extensionValid(unit, next) {
 				break
 			}
-			pt.trial = append(append(pt.trial[:0], chain...), next)
-			if !pt.extensionValid(pt.trial, unit, next) {
-				break
-			}
-			chain = append(chain, next)
-			used[next] = true
 			pt.assign(unit, next)
 		}
-		subnets = append(subnets, subnetwork{servers: chain})
 	}
-	return subnets, nil
+	subnets := make([]subnetwork, len(pt.start))
+	for unit := range subnets {
+		chain := pt.members(unit)
+		subnets[unit] = subnetwork{servers: chain[:len(chain):len(chain)]}
+	}
+	return subnets
 }
 
-// edgeRate is one outgoing server edge with the total sustained rate of
-// the connections traversing it.
-type edgeRate struct {
-	to   int
-	rate float64
-}
-
-// edgeThroughRates sums, per consecutive-hop edge, the sustained rates of
-// the connections using it, in one pass over all routes; successors are
-// listed in ascending index. bestSuccessor reads this instead of
-// re-scanning every connection per chain tail, which made the partition
-// quadratic on fabric-scale networks. The accumulation sorts one flat
-// edge list and folds equal (from, to) entries in ascending connection
-// order — the same per-edge left-to-right addition order the previous
-// per-server maps performed, so the sums are bit-identical.
-func edgeThroughRates(net *topo.Network) [][]edgeRate {
-	type hopEdge struct {
-		from, to int
-		rho      float64
-	}
-	n := 0
-	for _, c := range net.Connections {
-		n += len(c.Path) - 1
-	}
-	edges := make([]hopEdge, 0, n)
-	for _, c := range net.Connections {
-		for i := 0; i+1 < len(c.Path); i++ {
-			edges = append(edges, hopEdge{from: c.Path[i], to: c.Path[i+1], rho: c.Bucket.Rho})
-		}
-	}
-	// Stable keeps equal-key entries in connection order, preserving the
-	// float addition order of the map-based accumulation.
-	sort.SliceStable(edges, func(i, j int) bool {
-		if edges[i].from != edges[j].from {
-			return edges[i].from < edges[j].from
-		}
-		return edges[i].to < edges[j].to
-	})
-	flat := make([]edgeRate, 0, len(edges))
-	out := make([][]edgeRate, len(net.Servers))
-	for i := 0; i < len(edges); {
-		u := edges[i].from
-		row := len(flat)
-		for i < len(edges) && edges[i].from == u {
-			e := edgeRate{to: edges[i].to, rate: edges[i].rho}
-			i++
-			for i < len(edges) && edges[i].from == u && edges[i].to == e.to {
-				e.rate += edges[i].rho
-				i++
-			}
-			flat = append(flat, e)
-		}
-		out[u] = flat[row:len(flat):len(flat)]
-	}
-	return out
-}
-
-// bestSuccessor picks the unused direct successor of tail with the largest
-// through-traffic rate above the ablation threshold, or -1. Skipping used
-// successors at selection time is equivalent to the old per-call rescan
-// that filtered them during accumulation: an edge's rate sum never mixes
-// used and unused targets, and ascending-index iteration with a strict
-// comparison picks the same winner.
-func (a Integrated) bestSuccessor(rates [][]edgeRate, tail int, used []bool) int {
+// bestSuccessor picks, among a chain tail's successor edges, the successor
+// no unit owns yet with the largest through-traffic rate above the
+// ablation threshold, or -1. Ascending-index iteration with a strict
+// comparison breaks rate ties toward the smaller server index.
+func (a Integrated) bestSuccessor(succ []topo.Edge, owner []int) int {
 	best, bestRate := -1, a.MaxPairRate
-	for _, e := range rates[tail] {
-		if used[e.to] {
-			continue
-		}
-		if e.rate > bestRate {
-			best, bestRate = e.to, e.rate
+	for _, e := range succ {
+		if owner[e.To] < 0 && e.Rate > bestRate {
+			best, bestRate = e.To, e.Rate
 		}
 	}
 	return best
 }
 
 // partitioner maintains the state of a growing partition — server
-// ownership and the server-level successor relation — so that each
+// ownership over the route graph's successor relation — so that each
 // extension's validity check is a local graph probe. The committed
 // partition (completed chains, the currently growing chain, and implicit
 // singletons for unassigned servers) is acyclic as an invariant: it
 // starts as the server DAG itself, and every accepted extension is
 // checked to preserve acyclicity.
 type partitioner struct {
-	net   *topo.Network
-	succ  [][]int // server -> sorted distinct successor servers
-	owner []int   // server -> unit id, -1 while an implicit singleton
-	units [][]int // unit id -> member servers
+	g     *topo.Graph
+	owner []int // server -> unit id, -1 while an implicit singleton
+	// Chains are grown one at a time and every server joins exactly one,
+	// so all of them sit back to back, in chain order, in one array: unit
+	// id's members start at start[id] and run to the next unit's start.
+	flat  []int
+	start []int
 
 	// Epoch-stamped DFS marks and stack, reused across probes without
 	// clearing (the stack grows to its high-water mark once).
@@ -427,97 +334,53 @@ type partitioner struct {
 	serverMark []int
 	epoch      int
 	stack      []int
-	trial      []int // reusable extension-candidate chain buffer
 }
 
-func newPartitioner(net *topo.Network) *partitioner {
-	n := len(net.Servers)
-	// Distinct route edges as one sorted, deduplicated flat pair list;
-	// per-server successor rows slice it (same sorted contents the
-	// per-server map construction produced).
-	cnt := 0
-	for _, c := range net.Connections {
-		cnt += len(c.Path) - 1
-	}
-	pairs := make([][2]int, 0, cnt)
-	for _, c := range net.Connections {
-		for i := 0; i+1 < len(c.Path); i++ {
-			pairs = append(pairs, [2]int{c.Path[i], c.Path[i+1]})
-		}
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	w := 0
-	for i, p := range pairs {
-		if i == 0 || p != pairs[w-1] {
-			pairs[w] = p
-			w++
-		}
-	}
-	pairs = pairs[:w]
-	flat := make([]int, len(pairs))
-	succ := make([][]int, n)
-	for i := 0; i < len(pairs); {
-		u := pairs[i][0]
-		row := i
-		for i < len(pairs) && pairs[i][0] == u {
-			flat[i] = pairs[i][1]
-			i++
-		}
-		succ[u] = flat[row:i:i]
-	}
+func newPartitioner(g *topo.Graph) *partitioner {
+	n := g.Servers()
 	owner := make([]int, n)
 	for i := range owner {
 		owner[i] = -1
 	}
-	return &partitioner{
-		net:        net,
-		succ:       succ,
-		owner:      owner,
-		serverMark: make([]int, n),
+	return &partitioner{g: g, owner: owner, flat: make([]int, 0, n), start: make([]int, 0, n),
+		unitMark: make([]int, 0, n), serverMark: make([]int, n)}
+}
+
+// members returns unit id's servers in chain order.
+func (pt *partitioner) members(id int) []int {
+	if id+1 < len(pt.start) {
+		return pt.flat[pt.start[id]:pt.start[id+1]]
 	}
+	return pt.flat[pt.start[id]:]
 }
 
 // newUnit opens a unit for a fresh chain rooted at server s.
 func (pt *partitioner) newUnit(s int) int {
-	id := len(pt.units)
-	pt.units = append(pt.units, []int{s})
+	id := len(pt.start)
+	pt.start = append(pt.start, len(pt.flat))
 	pt.unitMark = append(pt.unitMark, 0)
-	pt.owner[s] = id
+	pt.assign(id, s)
 	return id
 }
 
-// assign commits server s to unit id after a successful extension.
+// assign commits server s to unit id, the newest unit, after a successful
+// extension.
 func (pt *partitioner) assign(id, s int) {
 	pt.owner[s] = id
-	pt.units[id] = append(pt.units[id], s)
+	pt.flat = append(pt.flat, s)
 }
 
-// extensionValid checks that extending `unit` (whose members plus `next`
-// form `trial`) keeps the partition free of reversed intra-chain
-// traversals and acyclic. The predicate is equivalent to rebuilding the
-// whole partition with the trial chain and toposorting it, as the
-// previous implementation did: reversal is checked identically, and with
-// the pre-extension partition acyclic, the rebuilt partition has a cycle
+// extensionValid checks that extending unit by next keeps the partition
+// free of reversed intra-chain traversals and acyclic. A reversed
+// traversal is a route edge with both endpoints in the chain and its head
+// earlier than its tail; the chain passed this check at every earlier
+// extension, so only an edge out of next back into the chain can add one.
+// With the pre-extension partition acyclic, the extended one has a cycle
 // iff the merged unit lies on one, iff the merged unit reaches itself.
-func (pt *partitioner) extensionValid(trial []int, unit, next int) bool {
-	// A reversed traversal is a route edge u -> v with both endpoints in
-	// the trial chain and v earlier than u. The precomputed successor
-	// relation contains exactly the distinct route edges, so probing it
-	// from each trial member is equivalent to the old full scan over
-	// every connection's path. Trial chains are at most ChainLength long,
-	// so a linear position scan beats a map.
-	for i, s := range trial {
-		for _, t := range pt.succ[s] {
-			for j := 0; j < i; j++ {
-				if trial[j] == t {
-					return false
-				}
-			}
+func (pt *partitioner) extensionValid(unit, next int) bool {
+	for _, e := range pt.g.Succ(next) {
+		if pt.owner[e.To] == unit {
+			return false
 		}
 	}
 	return !pt.createsCycle(unit, next)
@@ -549,22 +412,22 @@ func (pt *partitioner) createsCycle(unit, next int) bool {
 	// merged set (including tail -> next, the edge being contracted) are
 	// not cycles.
 	seed := func(s int) {
-		for _, t := range pt.succ[s] {
-			if !inMerged(t) {
-				push(t)
+		for _, e := range pt.g.Succ(s) {
+			if !inMerged(e.To) {
+				push(e.To)
 			}
 		}
 	}
-	for _, s := range pt.units[unit] {
+	for _, s := range pt.members(unit) {
 		seed(s)
 	}
 	seed(next)
 	probe := func(s int) bool {
-		for _, t := range pt.succ[s] {
-			if inMerged(t) {
+		for _, e := range pt.g.Succ(s) {
+			if inMerged(e.To) {
 				return true
 			}
-			push(t)
+			push(e.To)
 		}
 		return false
 	}
@@ -572,7 +435,7 @@ func (pt *partitioner) createsCycle(unit, next int) bool {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if n >= 0 {
-			for _, s := range pt.units[n] {
+			for _, s := range pt.members(n) {
 				if probe(s) {
 					return true
 				}
@@ -585,90 +448,20 @@ func (pt *partitioner) createsCycle(unit, next int) bool {
 }
 
 // orderSubnetworks topologically sorts the partition by the precedence
-// relation "some connection leaves subnetwork A and enters subnetwork B".
-// An error means the partition induces a cycle.
-func orderSubnetworks(net *topo.Network, subnets []subnetwork) ([]subnetwork, error) {
-	owner := subnetOwner(len(net.Servers), subnets)
-	pairs := unitPairs(net, owner)
-	// Counting-sort offsets into the sorted pair list: unit u's out-edges
-	// are pairs[start[u]:start[u+1]].
-	start := make([]int, len(subnets)+1)
-	for _, p := range pairs {
-		start[p[0]+1]++
-	}
-	for u := 1; u <= len(subnets); u++ {
-		start[u] += start[u-1]
-	}
-	indeg := make([]int, len(subnets))
-	for _, p := range pairs {
-		indeg[p[1]]++
-	}
-	ready := make(intMinHeap, 0, len(subnets))
-	for i := range subnets {
-		if indeg[i] == 0 {
-			ready.push(i)
-		}
-	}
-	order := make([]subnetwork, 0, len(subnets))
-	for len(ready) > 0 {
-		u := ready.pop()
-		order = append(order, subnets[u])
-		// Popping the global minimum each round reproduces the old
-		// sorted-queue order without its per-pop re-sort.
-		for _, p := range pairs[start[u]:start[u+1]] {
-			indeg[p[1]]--
-			if indeg[p[1]] == 0 {
-				ready.push(p[1])
-			}
-		}
-	}
-	if len(order) != len(subnets) {
+// relation "some connection leaves subnetwork A and enters subnetwork B",
+// smallest ready index first. An error means the partition induces a
+// cycle.
+func orderSubnetworks(g *topo.Graph, subnets []subnetwork) ([]subnetwork, error) {
+	owner := subnetOwner(g.Servers(), subnets)
+	order := topo.MinFirstOrder(len(subnets), unitEdges(g, subnets, owner))
+	if order == nil {
 		return nil, fmt.Errorf("analysis: subnetwork partition induces a cycle")
 	}
-	return order, nil
-}
-
-// intMinHeap is a hand-rolled binary min-heap of unit indices backing the
-// ready queue of orderSubnetworks (the sort-after-every-pop queue it
-// replaces was quadratic on fabric-scale partitions).
-type intMinHeap []int
-
-func (h *intMinHeap) push(x int) {
-	*h = append(*h, x)
-	s := *h
-	for i := len(s) - 1; i > 0; {
-		p := (i - 1) / 2
-		if s[p] <= s[i] {
-			break
-		}
-		s[p], s[i] = s[i], s[p]
-		i = p
+	ordered := make([]subnetwork, len(order))
+	for i, u := range order {
+		ordered[i] = subnets[u]
 	}
-}
-
-func (h *intMinHeap) pop() int {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && s[l] < s[m] {
-			m = l
-		}
-		if r < n && s[r] < s[m] {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
-	}
-	*h = s
-	return top
+	return ordered, nil
 }
 
 // run is a maximal consecutive interval of chain positions traversed by a

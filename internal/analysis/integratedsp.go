@@ -54,10 +54,10 @@ func (a IntegratedSP) Analyze(net *topo.Network) (*Result, error) {
 // spawns stop between candidates once the context is done. An uncancelled
 // run is bit-identical to Analyze.
 func (a IntegratedSP) AnalyzeContext(ctx context.Context, net *topo.Network) (*Result, error) {
-	if err := checkAnalyzable(net); err != nil {
+	net, scale, g, err := analyzable(net)
+	if err != nil {
 		return nil, err
 	}
-	net, scale := normalizeNetwork(net)
 	for i, s := range net.Servers {
 		if s.Discipline != server.StaticPriority {
 			return nil, fmt.Errorf("analysis: IntegratedSP applies to static-priority networks; server %d is %v", i, s.Discipline)
@@ -67,11 +67,7 @@ func (a IntegratedSP) AnalyzeContext(ctx context.Context, net *topo.Network) (*R
 		return allInf("IntegratedSP", net), nil
 	}
 	chainer := Integrated{ChainLength: a.ChainLength}
-	subnets, err := chainer.partition(net)
-	if err != nil {
-		return nil, err
-	}
-	ordered, err := orderSubnetworks(net, subnets)
+	ordered, err := orderSubnetworks(g, chainer.partition(g))
 	if err != nil {
 		return nil, err
 	}

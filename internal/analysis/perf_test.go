@@ -77,10 +77,11 @@ func TestCurveEngineAllocs(t *testing.T) {
 		}
 	}
 	t.Logf("%.0f allocs/pass", allocs)
-	// Measured 604 on go1.24; the margin absorbs runtime differences between
-	// Go releases, not new per-connection heap traffic (400 connections).
-	if allocs > 640 && !raceBuild() {
-		t.Errorf("Integrated.Analyze allocates %.0f times per pass, ceiling is 640", allocs)
+	// Measured 440 on go1.24; the 10% margin absorbs runtime differences
+	// between Go releases, not new per-connection heap traffic (400
+	// connections).
+	if allocs > 484 && !raceBuild() {
+		t.Errorf("Integrated.Analyze allocates %.0f times per pass, ceiling is 484", allocs)
 	}
 }
 

@@ -50,10 +50,10 @@ func refSumSorted(m map[int]minplus.Curve) minplus.Curve {
 // refIntegratedAnalyze is the old Integrated.Analyze: strictly sequential
 // subnetwork processing over the old chain analysis.
 func refIntegratedAnalyze(a Integrated, net *topo.Network) (*Result, error) {
-	if err := checkAnalyzable(net); err != nil {
+	net, scale, g, err := analyzable(net)
+	if err != nil {
 		return nil, err
 	}
-	net, scale := normalizeNetwork(net)
 	for i, s := range net.Servers {
 		if s.Discipline != server.FIFO {
 			return nil, fmt.Errorf("analysis: Integrated applies to FIFO networks; server %d is %v", i, s.Discipline)
@@ -62,11 +62,7 @@ func refIntegratedAnalyze(a Integrated, net *topo.Network) (*Result, error) {
 	if !net.Stable() {
 		return allInf("Integrated", net), nil
 	}
-	subnets, err := a.partition(net)
-	if err != nil {
-		return nil, err
-	}
-	ordered, err := orderSubnetworks(net, subnets)
+	ordered, err := orderSubnetworks(g, a.partition(g))
 	if err != nil {
 		return nil, err
 	}
@@ -82,17 +78,14 @@ func refIntegratedAnalyze(a Integrated, net *topo.Network) (*Result, error) {
 // refDecomposedAnalyze is the old Decomposed.Analyze for FIFO networks,
 // with the pairwise aggregate fold.
 func refDecomposedAnalyze(net *topo.Network) (*Result, error) {
-	if err := checkAnalyzable(net); err != nil {
-		return nil, err
-	}
-	net, scale := normalizeNetwork(net)
-	if !net.Stable() {
-		return allInf("Decomposed", net), nil
-	}
-	order, err := net.TopologicalOrder()
+	net, scale, g, err := analyzable(net)
 	if err != nil {
 		return nil, err
 	}
+	if !net.Stable() {
+		return allInf("Decomposed", net), nil
+	}
+	order := g.Order()
 	p := newPropagation(net)
 	for _, s := range order {
 		srv := net.Servers[s]

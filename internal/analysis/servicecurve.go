@@ -35,16 +35,16 @@ func (ServiceCurve) Name() string { return "ServiceCurve" }
 
 // Analyze implements Analyzer.
 func (ServiceCurve) Analyze(net *topo.Network) (*Result, error) {
-	if err := checkAnalyzable(net); err != nil {
+	net, scale, g, err := analyzable(net)
+	if err != nil {
 		return nil, err
 	}
-	net, scale := normalizeNetwork(net)
 	for i, s := range net.Servers {
 		if s.Discipline != server.FIFO {
 			return nil, fmt.Errorf("analysis: ServiceCurve applies to FIFO networks; server %d is %v", i, s.Discipline)
 		}
 	}
-	pass, perHopEnv, finite, err := decomposedPass(context.Background(), net)
+	pass, perHopEnv, finite, err := decomposedPass(context.Background(), net, g.Order())
 	if err != nil {
 		return nil, err
 	}

@@ -34,7 +34,7 @@ func TestShrinkMatchesFullAnalysis(t *testing.T) {
 				}
 				shrunk := &topo.Network{
 					Servers:     net.Servers,
-					Connections: removeConnection(net.Connections, remove),
+					Connections: removeAt(net.Connections, remove),
 				}
 				want, err := inc.Analyze(shrunk)
 				if err != nil {

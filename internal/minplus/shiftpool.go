@@ -13,20 +13,13 @@ package minplus
 // never run into a neighbouring slot.
 //
 // Distinct slots may be used concurrently (they write disjoint slab
-// ranges, and a lazy slot carves its own private buffer); a single slot
-// must not.
+// ranges); a single slot must not.
 type ShiftPool struct {
 	a, b [][]Point
-	// hints is retained only by lazy pools: a slot's buffers are carved on
-	// its first shift instead of up front, so uses that touch few slots —
-	// an incremental extension shifts only the dirty closure — pay for
-	// those alone instead of one network-sized slab.
-	hints []int
 }
 
 // NewShiftPool sizes a pool of len(hints) slots, hints[i] being slot i's
-// per-buffer point capacity, with all slots carved from one slab up
-// front — the right shape when most slots will shift (a full analysis).
+// per-buffer point capacity, with all slots carved from one slab.
 func NewShiftPool(hints []int) *ShiftPool {
 	total := 0
 	for _, h := range hints {
@@ -42,17 +35,6 @@ func NewShiftPool(hints []int) *ShiftPool {
 		off += h
 	}
 	return sp
-}
-
-// NewLazyShiftPool is NewShiftPool without the up-front slab: each slot
-// allocates its two buffers on its first shift. The right shape when only
-// a few slots will ever shift (an incremental extension's dirty closure).
-func NewLazyShiftPool(hints []int) *ShiftPool {
-	return &ShiftPool{
-		a:     make([][]Point, len(hints)),
-		b:     make([][]Point, len(hints)),
-		hints: hints,
-	}
 }
 
 // sameBase reports whether two slices share a backing array, by first
@@ -71,15 +53,6 @@ func (sp *ShiftPool) ShiftLeft(slot int, f Curve, d float64) Curve {
 	}
 	if d == 0 {
 		return f
-	}
-	if sp.hints != nil && cap(sp.a[slot]) == 0 && sp.hints[slot] > 0 {
-		// Lazy pool, first shift on this slot: carve its double buffer
-		// now. Distinct slots stay concurrency-safe — each writes only
-		// its own index.
-		h := sp.hints[slot]
-		buf := make([]Point, 2*h)
-		sp.a[slot] = buf[0:0:h]
-		sp.b[slot] = buf[h : h : 2*h]
 	}
 	dst := sp.a[slot]
 	if sameBase(dst, f.pts) {

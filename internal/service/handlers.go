@@ -53,7 +53,7 @@ func (s *Server) handleAdmit(nw *Network, w http.ResponseWriter, r *http.Request
 		Code:       d.Code,
 		Reason:     d.Reason,
 		Violations: toViolations(d.Violations),
-		Bounds:     toBounds(d.Bounds),
+		Bounds:     Bounds(d.Bounds),
 		Count:      nw.state.Count(),
 		Degraded:   degraded,
 	}
@@ -443,8 +443,8 @@ func writeAnalyzeResponse(w http.ResponseWriter, res *analysis.Result, digest st
 		Algorithm: res.Algorithm,
 		Digest:    digest,
 		Cached:    cached,
-		Bounds:    toBounds(res.Bounds),
-		Backlogs:  toBounds(res.Backlogs),
+		Bounds:    Bounds(res.Bounds),
+		Backlogs:  Bounds(res.Backlogs),
 		MaxBound:  Bound(res.MaxBound()),
 		Degraded:  degraded,
 	}

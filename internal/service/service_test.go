@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -370,6 +372,68 @@ func TestBoundMarshalsInfAsNull(t *testing.T) {
 	}
 	if string(b) != "[1.5,null,null]" {
 		t.Fatalf("got %s", b)
+	}
+}
+
+// jsonBound is what a bound on the wire used to be: null when it is not a
+// number, otherwise whatever encoding/json makes of the float64. The
+// golden test holds the hand-rolled Bounds and Bound encoders to it.
+type jsonBound float64
+
+func (b jsonBound) MarshalJSON() ([]byte, error) {
+	if f := float64(b); math.IsInf(f, 0) || math.IsNaN(f) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(float64(b))
+}
+
+// TestBoundsMatchEncodingJSON is the golden test of the one-call vector
+// marshaler: over the format's edge cases and 10,000 random bit patterns,
+// a Bounds renders byte for byte like the per-element encoding it
+// replaces, compact and indented, as a field and with omitempty.
+func TestBoundsMatchEncodingJSON(t *testing.T) {
+	fs := []float64{0, math.Copysign(0, -1), 1e-7, -1e-7, 1e-6, 9.999999e-7, 1e21, 9.99e20, -1e21, 5e-324,
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(), 1, 0.1, 1.5, 123456789.125, 1e-9, 1e100}
+	rng := rand.New(rand.NewSource(1))
+	for len(fs) < 10000 {
+		fs = append(fs, math.Float64frombits(rng.Uint64()), rng.NormFloat64(), rng.ExpFloat64()*1e-3)
+	}
+	type reply[V any] struct {
+		Bounds   V         `json:"bounds"`
+		Backlogs V         `json:"backlogs,omitempty"`
+		Max      jsonBound `json:"max_bound"`
+	}
+	encode := func(v any, indent bool) string {
+		t.Helper()
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		if indent {
+			enc.SetIndent("", "  ")
+		}
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	for _, vec := range [][]float64{fs, fs[:1], {}, nil} {
+		old := make([]jsonBound, len(vec))
+		for i, f := range vec {
+			old[i] = jsonBound(f)
+		}
+		for _, indent := range []bool{false, true} {
+			want := encode(reply[[]jsonBound]{Bounds: old, Backlogs: old}, indent)
+			got := encode(reply[Bounds]{Bounds: vec, Backlogs: vec}, indent)
+			if got != want {
+				t.Fatalf("%d bounds, indent %v: Bounds and the per-element encoding differ:\n got %.200s\nwant %.200s", len(vec), indent, got, want)
+			}
+		}
+	}
+	for _, f := range fs {
+		got, _ := json.Marshal(Bound(f))
+		want, _ := json.Marshal(jsonBound(f))
+		if string(got) != string(want) {
+			t.Fatalf("Bound(%v) renders %s, encoding/json %s", f, got, want)
+		}
 	}
 }
 

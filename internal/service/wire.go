@@ -99,19 +99,45 @@ type Bound float64
 
 // MarshalJSON implements json.Marshaler.
 func (b Bound) MarshalJSON() ([]byte, error) {
-	f := float64(b)
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return []byte("null"), nil
-	}
-	return json.Marshal(f)
+	return appendBound(nil, float64(b)), nil
 }
 
-func toBounds(fs []float64) []Bound {
-	out := make([]Bound, len(fs))
-	for i, f := range fs {
-		out[i] = Bound(f)
+// Bounds marshals a vector of bounds like a []Bound, byte for byte, in one
+// MarshalJSON call: a reply carrying one bound per admitted connection
+// otherwise pays encoding/json's per-element marshaler round trip hundreds
+// of times. A nil vector renders as [].
+type Bounds []float64
+
+// MarshalJSON implements json.Marshaler.
+func (bs Bounds) MarshalJSON() ([]byte, error) {
+	out := make([]byte, 0, 2+20*len(bs))
+	out = append(out, '[')
+	for i, f := range bs {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = appendBound(out, f)
 	}
-	return out
+	return append(out, ']'), nil
+}
+
+// appendBound appends f exactly as encoding/json renders a float64 —
+// shortest round-trip digits, exponent form only below 1e-6 or from 1e21
+// up, with its e-0X -> e-X clean-up — and null for +-Inf and NaN.
+func appendBound(b []byte, f float64) []byte {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return append(b, "null"...)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // ViolationSpec mirrors admission.Violation in JSON: one connection whose
@@ -153,7 +179,7 @@ type AdmitResponse struct {
 	Code       string          `json:"code,omitempty"`
 	Reason     string          `json:"reason,omitempty"`
 	Violations []ViolationSpec `json:"violations,omitempty"`
-	Bounds     []Bound         `json:"bounds,omitempty"`
+	Bounds     Bounds          `json:"bounds,omitempty"`
 	Count      int             `json:"count"`
 	// Degraded marks a decision made against the decomposed fallback bound
 	// after the requested analysis exceeded its soft budget; BoundSource
@@ -337,12 +363,12 @@ type AnalyzeRequest struct {
 // AnalyzeResponse reports per-connection delay bounds and per-server
 // backlog bounds. Null entries mark unbounded (unstable) connections.
 type AnalyzeResponse struct {
-	Algorithm string  `json:"algorithm"`
-	Digest    string  `json:"digest"`
-	Cached    bool    `json:"cached"`
-	Bounds    []Bound `json:"bounds"`
-	Backlogs  []Bound `json:"backlogs,omitempty"`
-	MaxBound  Bound   `json:"max_bound"`
+	Algorithm string `json:"algorithm"`
+	Digest    string `json:"digest"`
+	Cached    bool   `json:"cached"`
+	Bounds    Bounds `json:"bounds"`
+	Backlogs  Bounds `json:"backlogs,omitempty"`
+	MaxBound  Bound  `json:"max_bound"`
 	// Degraded marks bounds produced by the decomposed fallback after the
 	// requested analyzer exceeded its soft budget; BoundSource names the
 	// analysis that produced them.

@@ -23,7 +23,57 @@ type Checker struct {
 	// derivations and never written after construction.
 	pos []int
 	// names holds the non-empty connection names in the network.
-	names map[string]bool
+	names nameSet
+}
+
+// nameSet is a persistent set of names: an immutable base map shared along
+// a derivation chain, plus the chain's latest changes, newest last. A
+// derivation copies only the changes, and once maxNameDeltas of them have
+// piled up they are folded into a fresh base — O(names/maxNameDeltas)
+// amortised per derivation instead of a whole-map copy on every trial.
+type nameSet struct {
+	base   map[string]bool
+	deltas []nameDelta
+}
+
+type nameDelta struct {
+	name    string
+	present bool
+}
+
+const maxNameDeltas = 32
+
+func (s nameSet) has(name string) bool {
+	for i := len(s.deltas) - 1; i >= 0; i-- {
+		if s.deltas[i].name == name {
+			return s.deltas[i].present
+		}
+	}
+	return s.base[name]
+}
+
+// with returns the set with name added or removed; the empty name is
+// never a member.
+func (s nameSet) with(name string, present bool) nameSet {
+	if name == "" {
+		return s
+	}
+	deltas := append(s.deltas[:len(s.deltas):len(s.deltas)], nameDelta{name, present})
+	if len(deltas) <= maxNameDeltas {
+		return nameSet{base: s.base, deltas: deltas}
+	}
+	base := make(map[string]bool, len(s.base)+len(deltas))
+	for n := range s.base {
+		base[n] = true
+	}
+	for _, d := range deltas {
+		if d.present {
+			base[d.name] = true
+		} else {
+			delete(base, d.name)
+		}
+	}
+	return nameSet{base: base}
 }
 
 // NewChecker builds a Checker over a network that already passed
@@ -32,12 +82,18 @@ type Checker struct {
 // connection slice (how the analysis and admission layers build trials)
 // is fine.
 func NewChecker(n *Network) (*Checker, error) {
-	order, err := n.TopologicalOrder()
-	if err != nil {
+	g := NewGraph(n)
+	if _, err := g.feedforwardOrder(); err != nil {
 		return nil, err
 	}
+	return NewCheckerFromGraph(n, g), nil
+}
+
+// NewCheckerFromGraph is NewChecker for a caller that already holds the
+// graph n.ValidateGraph returned: the graph's order is the witness.
+func NewCheckerFromGraph(n *Network, g *Graph) *Checker {
 	pos := make([]int, len(n.Servers))
-	for p, s := range order {
+	for p, s := range g.order {
 		pos[s] = p
 	}
 	names := make(map[string]bool, len(n.Connections))
@@ -46,7 +102,7 @@ func NewChecker(n *Network) (*Checker, error) {
 			names[c.Name] = true
 		}
 	}
-	return &Checker{nServers: len(n.Servers), nConns: len(n.Connections), pos: pos, names: names}, nil
+	return &Checker{nServers: len(n.Servers), nConns: len(n.Connections), pos: pos, names: nameSet{base: names}}
 }
 
 // ValidateExtend validates trial — the checker's network plus exactly one
@@ -62,7 +118,7 @@ func (k *Checker) ValidateExtend(trial *Network) error {
 	if err := cand.Validate(k.nServers); err != nil {
 		return fmt.Errorf("topo: connection %d: %w", k.nConns, err)
 	}
-	if cand.Name != "" && k.names[cand.Name] {
+	if cand.Name != "" && k.names.has(cand.Name) {
 		return fmt.Errorf("topo: duplicate connection name %q", cand.Name)
 	}
 	for i := 0; i+1 < len(cand.Path); i++ {
@@ -84,14 +140,7 @@ func (k *Checker) Extend(trial *Network) *Checker {
 		return nil
 	}
 	cand := trial.Connections[len(trial.Connections)-1]
-	nk := &Checker{nServers: k.nServers, nConns: k.nConns + 1, pos: k.pos,
-		names: make(map[string]bool, len(k.names)+1)}
-	for n := range k.names {
-		nk.names[n] = true
-	}
-	if cand.Name != "" {
-		nk.names[cand.Name] = true
-	}
+	nk := &Checker{nServers: k.nServers, nConns: k.nConns + 1, pos: k.pos, names: k.names.with(cand.Name, true)}
 	for i := 0; i+1 < len(cand.Path); i++ {
 		if k.pos[cand.Path[i]] >= k.pos[cand.Path[i+1]] {
 			order, err := trial.TopologicalOrder()
@@ -111,14 +160,6 @@ func (k *Checker) Extend(trial *Network) *Checker {
 	return nk
 }
 
-// SharesWitness reports whether both checkers carry the same witness
-// order — true exactly when the derivation chain between them never had
-// to recompute it. Callers use it to reuse order-derived caches across an
-// Extend or Shrink.
-func (k *Checker) SharesWitness(o *Checker) bool {
-	return k != nil && o != nil && len(k.pos) > 0 && len(o.pos) > 0 && &k.pos[0] == &o.pos[0]
-}
-
 // Shrink returns a checker for the network with the given connection
 // removed: a subgraph of a feedforward network is feedforward, so the
 // witness order carries over unchanged and only the name set shrinks.
@@ -126,12 +167,5 @@ func (k *Checker) Shrink(removed Connection) *Checker {
 	if k == nil {
 		return nil
 	}
-	nk := &Checker{nServers: k.nServers, nConns: k.nConns - 1, pos: k.pos,
-		names: make(map[string]bool, len(k.names))}
-	for n := range k.names {
-		if n != removed.Name {
-			nk.names[n] = true
-		}
-	}
-	return nk
+	return &Checker{nServers: k.nServers, nConns: k.nConns - 1, pos: k.pos, names: k.names.with(removed.Name, false)}
 }

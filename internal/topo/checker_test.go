@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"delaycalc/internal/server"
@@ -172,4 +173,36 @@ func TestCheckerExtendShrinkChain(t *testing.T) {
 	// The released name must be admissible again.
 	admit(Connection{Name: "a", Bucket: traffic.TokenBucket{Sigma: 1, Rho: 0.1}, AccessRate: 1, Path: []int{0, 1}})
 	probe("after-readmit")
+
+	// A long churn chain takes the persistent name set through many
+	// flattenings of its change list: every step admits a fresh name,
+	// re-admits one released earlier (which must be accepted) or releases
+	// one, and offers a duplicate of a live name (which must be refused
+	// exactly as the full validation refuses it).
+	rng := rand.New(rand.NewSource(3))
+	small := traffic.TokenBucket{Sigma: 1, Rho: 1e-6}
+	var released []string
+	for step := 0; step < 1000; step++ {
+		switch live := len(net.Connections); {
+		case live > 40 || (live > 4 && rng.Intn(3) == 0):
+			name := net.Connections[rng.Intn(live)].Name
+			release(name)
+			released = append(released, name)
+		case len(released) > 0 && rng.Intn(2) == 0:
+			i := rng.Intn(len(released))
+			admit(Connection{Name: released[i], Bucket: small, AccessRate: 1, Path: []int{0, 3}})
+			released = append(released[:i], released[i+1:]...)
+		default:
+			admit(Connection{Name: fmt.Sprintf("churn%d", step), Bucket: small, AccessRate: 1, Path: []int{0, 1, 3}})
+		}
+		dup := net.Connections[rng.Intn(len(net.Connections))]
+		trial := extended(net, dup)
+		got, want := k.ValidateExtend(trial), trial.Validate()
+		if got == nil || want == nil || got.Error() != want.Error() {
+			t.Fatalf("step %d: duplicate %q: got %v, want %v", step, dup.Name, got, want)
+		}
+		if step%100 == 99 {
+			probe(fmt.Sprintf("churn-%d", step))
+		}
+	}
 }

@@ -114,17 +114,25 @@ type Network struct {
 
 // Validate checks servers, connections, and the feedforward property.
 func (n *Network) Validate() error {
+	_, err := n.ValidateGraph()
+	return err
+}
+
+// ValidateGraph is Validate handing back the route graph it built for the
+// feedforward check, so a caller that goes on to order or partition the
+// network does not derive it a second time.
+func (n *Network) ValidateGraph() (*Graph, error) {
 	if len(n.Servers) == 0 {
-		return fmt.Errorf("topo: network has no servers")
+		return nil, fmt.Errorf("topo: network has no servers")
 	}
 	names := make(map[string]bool, len(n.Servers))
 	for i, s := range n.Servers {
 		if err := s.Validate(); err != nil {
-			return fmt.Errorf("topo: server %d: %w", i, err)
+			return nil, fmt.Errorf("topo: server %d: %w", i, err)
 		}
 		if s.Name != "" {
 			if names[s.Name] {
-				return fmt.Errorf("topo: duplicate server name %q", s.Name)
+				return nil, fmt.Errorf("topo: duplicate server name %q", s.Name)
 			}
 			names[s.Name] = true
 		}
@@ -132,19 +140,20 @@ func (n *Network) Validate() error {
 	cnames := make(map[string]bool, len(n.Connections))
 	for i, c := range n.Connections {
 		if err := c.Validate(len(n.Servers)); err != nil {
-			return fmt.Errorf("topo: connection %d: %w", i, err)
+			return nil, fmt.Errorf("topo: connection %d: %w", i, err)
 		}
 		if c.Name != "" {
 			if cnames[c.Name] {
-				return fmt.Errorf("topo: duplicate connection name %q", c.Name)
+				return nil, fmt.Errorf("topo: duplicate connection name %q", c.Name)
 			}
 			cnames[c.Name] = true
 		}
 	}
-	if _, err := n.TopologicalOrder(); err != nil {
-		return err
+	g := NewGraph(n)
+	if _, err := g.feedforwardOrder(); err != nil {
+		return nil, err
 	}
-	return nil
+	return g, nil
 }
 
 // ConnectionsAt returns the indices of connections whose path includes
@@ -207,128 +216,20 @@ func (n *Network) HopIndex(c, s int) int {
 	return -1
 }
 
-// edgePairs returns the distinct server precedence pairs induced by
-// connection routes — u -> v whenever some connection visits u
-// immediately before v — sorted by (u, v). One flat sorted-and-deduped
-// slice instead of a map of per-node sets, so fabric-scale graphs
-// (hundreds of thousands of hop pairs) build their adjacency with a
-// handful of allocations.
-func (n *Network) edgePairs() [][2]int {
-	total := 0
-	for _, c := range n.Connections {
-		if len(c.Path) > 1 {
-			total += len(c.Path) - 1
-		}
-	}
-	pairs := make([][2]int, 0, total)
-	for _, c := range n.Connections {
-		for i := 0; i+1 < len(c.Path); i++ {
-			pairs = append(pairs, [2]int{c.Path[i], c.Path[i+1]})
-		}
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	w := 0
-	for i, p := range pairs {
-		if i == 0 || p != pairs[w-1] {
-			pairs[w] = p
-			w++
-		}
-	}
-	return pairs[:w]
-}
-
 // TopologicalOrder returns the servers sorted so that every connection
 // visits them in increasing order, or an error when the route graph has a
 // cycle (the network is not feedforward). Ties are broken by server index
 // for determinism.
 func (n *Network) TopologicalOrder() ([]int, error) {
-	pairs := n.edgePairs()
-	indeg := make([]int, len(n.Servers))
-	for _, p := range pairs {
-		indeg[p[1]]++
-	}
-	var ready intMinHeap
-	for i := range n.Servers {
-		if indeg[i] == 0 {
-			ready.push(i)
-		}
-	}
-	// start[u]..start[u+1] delimits u's successor range in pairs
-	// (counting-sort offsets over the sorted pair list).
-	start := make([]int, len(n.Servers)+1)
-	for _, p := range pairs {
-		start[p[0]+1]++
-	}
-	for u := 1; u <= len(n.Servers); u++ {
-		start[u] += start[u-1]
-	}
-	order := make([]int, 0, len(n.Servers))
-	for len(ready) > 0 {
-		u := ready.pop()
-		order = append(order, u)
-		// Newly freed successors enter the heap; popping the global
-		// minimum each round reproduces the sorted-queue order exactly.
-		for _, p := range pairs[start[u]:start[u+1]] {
-			v := p[1]
-			indeg[v]--
-			if indeg[v] == 0 {
-				ready.push(v)
-			}
-		}
-	}
-	if len(order) != len(n.Servers) {
+	return NewGraph(n).feedforwardOrder()
+}
+
+// feedforwardOrder is Order with the cycle reported as Validate words it.
+func (g *Graph) feedforwardOrder() ([]int, error) {
+	if g.order == nil {
 		return nil, fmt.Errorf("topo: connection routes induce a cycle; the network is not feedforward")
 	}
-	return order, nil
-}
-
-// intMinHeap is a hand-rolled binary min-heap of server indices, replacing
-// the sort-after-every-pop ready queue that made TopologicalOrder
-// quadratic on fabric-scale networks. Popping the global minimum each
-// round yields exactly the order of the sorted queue.
-type intMinHeap []int
-
-func (h *intMinHeap) push(x int) {
-	*h = append(*h, x)
-	s := *h
-	for i := len(s) - 1; i > 0; {
-		p := (i - 1) / 2
-		if s[p] <= s[i] {
-			break
-		}
-		s[p], s[i] = s[i], s[p]
-		i = p
-	}
-}
-
-func (h *intMinHeap) pop() int {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && s[l] < s[m] {
-			m = l
-		}
-		if r < n && s[r] < s[m] {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
-	}
-	*h = s
-	return top
+	return g.order, nil
 }
 
 // IsFeedforward reports whether the route graph is acyclic.
