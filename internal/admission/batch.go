@@ -57,13 +57,12 @@ type OpResult struct {
 // ReleaseInfo describes how a release was performed.
 type ReleaseInfo struct {
 	// Incremental is true when the baseline was shrunk in place (scoped
-	// unit-trace replay), false when the release compacted: the baseline
-	// was dropped and, with background promotion on, is being rebuilt off
-	// the request path.
+	// unit-trace replay), false when the release dropped it and the next
+	// incremental test rebuilds it.
 	Incremental bool
 	// Affected is the number of surviving connections inside the removed
-	// connection's interference closure (-1 when no baseline was available
-	// to scope against).
+	// connection's interference closure (-1 when the release did not
+	// shrink, so nothing was scoped).
 	Affected int
 }
 
@@ -101,10 +100,6 @@ type batchState struct {
 	// set go straight to the full path. Any mutation starts a fresh would-be
 	// set, so the flag resets.
 	buildFailed bool
-	// compacted records that some release dropped the baseline, so a warm
-	// rebuild should be scheduled after the commit unless a later operation
-	// promoted a fresh one.
-	compacted bool
 }
 
 // workingState opens an envelope evaluation over the snapshot.
@@ -161,9 +156,6 @@ func (e *Engine) ApplyBatch(ctx context.Context, ops []Op, override analysis.Ana
 		if e.commitBatch(snap, st) {
 			br.Commits = 1
 			br.ShardsTouched = 1
-			if st.compacted && st.base == nil && e.inc != nil && e.prewarm {
-				e.scheduleWarm()
-			}
 			return br, nil
 		}
 		e.conflicts.Add(1)
@@ -188,7 +180,11 @@ func (e *Engine) evalBatch(ctx context.Context, snap *Snapshot, ops []Op, overri
 			}
 			br.Results[i] = OpResult{Decision: d, Err: err}
 		case OpRelease:
-			res, err := e.releaseStep(ctx, st, op.Name)
+			// Only the primary analyzer's baseline is shrunk, and only by a
+			// release that ends its run: inside a run each shrink would
+			// recompute the closure just for the next release to discard it.
+			shrink := override == nil && (i+1 == len(ops) || ops[i+1].Kind != OpRelease)
+			res, err := e.releaseStep(ctx, st, op.Name, shrink)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -269,8 +265,9 @@ func (e *Engine) admitStep(ctx context.Context, snap *Snapshot, st *batchState, 
 	trial.Connections = append(append(trial.Connections, st.admitted...), cand)
 	// st.base, when present, is the baseline over exactly st.admitted — that
 	// set was validated when it was committed, so its checker validates the
-	// candidate in O(candidate); a nil working baseline (cold start,
-	// post-compaction, ForceFull) degrades to the identical full validation.
+	// candidate in O(candidate); a nil working baseline (cold start, after a
+	// release that dropped it, ForceFull) degrades to the identical full
+	// validation.
 	if err := st.base.ValidateExtend(trial); err != nil {
 		return Decision{Code: CodeInvalidSpec, Reason: err.Error()}, nil, err
 	}
@@ -312,16 +309,14 @@ func (e *Engine) admitStep(ctx context.Context, snap *Snapshot, st *batchState, 
 // one implementation of release. The only returned error is a cancellation
 // from the scoped shrink replay.
 //
-// When the working state has a materialized baseline and the removed
-// connection's interference closure covers at most the compaction
-// threshold's fraction of the survivors, the baseline is shrunk in place —
-// the surviving unit traces outside the closure replay bit-identically, so
-// the next admission test extends a warm baseline exactly as if the
-// released connection had never been admitted. Otherwise the release
-// compacts: the working state continues with no baseline and, if the
-// envelope commits that way, a background build re-promotes one, so the
-// release itself never blocks on a rebuild.
-func (e *Engine) releaseStep(ctx context.Context, st *batchState, name string) (OpResult, error) {
+// With shrink set and a materialized working baseline, the baseline is
+// shrunk in place — the surviving unit traces outside the removed
+// connection's closure replay bit-identically, so the next admission test
+// extends a warm baseline exactly as if the released connection had never
+// been admitted. Otherwise the release drops the baseline and the next
+// incremental test rebuilds it (ensureBaseline), so a run of releases pays
+// one rebuild instead of one shrink each.
+func (e *Engine) releaseStep(ctx context.Context, st *batchState, name string, shrink bool) (OpResult, error) {
 	idx := -1
 	for i, conn := range st.admitted {
 		if conn.Name == name {
@@ -337,24 +332,21 @@ func (e *Engine) releaseStep(ctx context.Context, st *batchState, name string) (
 	survivors = append(append(survivors, st.admitted[:idx]...), st.admitted[idx+1:]...)
 	info := ReleaseInfo{Affected: -1}
 	var shrunk *analysis.Baseline
-	if e.inc != nil && st.base != nil {
-		affected, _ := AffectedSet(len(e.servers), survivors, st.admitted[idx])
-		info.Affected = len(affected)
-		e.observeAffected(len(affected))
-		if float64(len(affected)) <= e.compactionThreshold()*float64(len(survivors)) {
-			ext, err := st.base.ShrinkContext(ctx, idx)
-			if err == nil {
-				shrunk = ext.Promote()
-				info.Incremental = true
-			} else if IsCanceled(err) {
-				return OpResult{}, err
-			}
+	if shrink && st.base != nil {
+		ext, err := st.base.ShrinkContext(ctx, idx)
+		if IsCanceled(err) {
+			return OpResult{}, err
+		}
+		if err == nil {
+			affected, _ := AffectedSet(len(e.servers), survivors, st.admitted[idx])
+			info = ReleaseInfo{Incremental: true, Affected: len(affected)}
+			e.observeAffected(len(affected))
+			shrunk = ext.Promote()
 		}
 	}
-	if info.Incremental {
+	if shrunk != nil {
 		e.incRels.Add(1)
 	} else {
-		st.compacted = true
 		e.compactRels.Add(1)
 	}
 	st.admitted = survivors

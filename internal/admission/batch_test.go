@@ -43,6 +43,10 @@ func randomOps(net *topo.Network, seed int64, n int) []Op {
 // the Engine-vs-Controller corpus) and a batch engine (random-size
 // ApplyBatch envelopes) and asserts per-op bit-identical decisions,
 // identical final state, and the single-commit-per-envelope invariant.
+// Release modes follow the run rule, so they are compared where it makes
+// them comparable: a release inside a run must drop, one that ends its run
+// right after an accepted admit must shrink, and every shrink must report
+// the closure the sequential engine scoped.
 func driveBatchDifferential(t *testing.T, label string, analyzer analysis.Analyzer, net *topo.Network, seed int64) {
 	t.Helper()
 	seqEng, err := NewEngine(net.Servers, analyzer)
@@ -53,13 +57,6 @@ func driveBatchDifferential(t *testing.T, label string, analyzer analysis.Analyz
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ReleaseInfo (not the decisions) depends on whether a compacted
-	// baseline has been re-promoted yet, and the background warmer makes
-	// that a race against this test's own schedule. Pin both engines to
-	// the deterministic no-warm configuration so the info comparison below
-	// is exact; decisions are baseline-independent either way.
-	seqEng.SetBackgroundPromotion(false)
-	batchEng.SetBackgroundPromotion(false)
 	ops := randomOps(net, seed, 3*len(net.Connections))
 	rng := rand.New(rand.NewSource(seed * 31))
 	ctx := context.Background()
@@ -91,8 +88,18 @@ func driveBatchDifferential(t *testing.T, label string, analyzer analysis.Analyz
 				if wantOK != gotR.Released {
 					t.Fatalf("%s: release found diverged: sequential %v, batch %v", step, wantOK, gotR.Released)
 				}
-				if wantOK && wantInfo != gotR.Release {
-					t.Fatalf("%s: release info diverged: sequential %+v, batch %+v", step, wantInfo, gotR.Release)
+				if !wantOK {
+					continue
+				}
+				endsRun := k+1 == len(env) || env[k+1].Kind != OpRelease
+				afterAdmit := k > 0 && env[k-1].Kind == OpAdmit && br.Results[k-1].Decision.Admitted
+				switch got := gotR.Release; {
+				case !endsRun && got != (ReleaseInfo{Affected: -1}):
+					t.Fatalf("%s: release inside a run reported %+v, want the baseline dropped", step, got)
+				case endsRun && afterAdmit && !got.Incremental:
+					t.Fatalf("%s: release after an accepted admit did not shrink: %+v", step, got)
+				case got.Incremental && got != wantInfo:
+					t.Fatalf("%s: release info diverged: sequential %+v, batch %+v", step, wantInfo, got)
 				}
 			}
 		}
@@ -270,56 +277,79 @@ func TestTestBatchPinnedSnapshot(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSetCompactionThresholdRace is the -race regression for the
-// previously unsynchronized compactFrac write: flipping the threshold
-// while releases read it concurrently must be clean on both engine
-// flavors.
-func TestSetCompactionThresholdRace(t *testing.T) {
-	net := disjointTandem(t, 8)
-	run := func(t *testing.T, admit func(topo.Connection) error, release func(string), setThreshold func(float64)) {
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				setThreshold(float64(i%2) * DefaultCompactionThreshold * 2)
-			}
-		}()
-		for i := 0; i < 50; i++ {
-			c := net.Connections[i%len(net.Connections)]
-			c.Name = fmt.Sprintf("r%d", i)
-			if err := admit(c); err != nil {
-				t.Fatal(err)
-			}
-			release(c.Name)
-		}
-		close(stop)
-		wg.Wait()
+// TestReleaseRunDropsOnce pins the run rule: an envelope of k releases
+// followed by k admits drops the baseline at the first release, rebuilds it
+// once for the first admit and promotes it once at the commit, where k
+// single releases and k single admits materialise 2k baselines — and every
+// result equals theirs and the Controller's.
+func TestReleaseRunDropsOnce(t *testing.T) {
+	const k = 4
+	net, cand := benchNetwork(t)
+	batchEng := warmEngine(t, net, cand)
+	seqEng := warmEngine(t, net, cand)
+	ctrl := fullController(t, net)
+	// Controller.Remove edits its slice in place; the engines alias net's.
+	ctrl.admitted = append([]topo.Connection(nil), net.Connections...)
+	var ops []Op
+	for _, c := range net.Connections[:k] {
+		ops = append(ops, Op{Kind: OpRelease, Name: c.Name})
 	}
-	t.Run("engine", func(t *testing.T) {
-		eng, err := NewEngine(net.Servers, analysis.Integrated{})
-		if err != nil {
-			t.Fatal(err)
+	for i, c := range net.Connections[:k] {
+		c.Name = fmt.Sprintf("back%d", i)
+		if i == k-1 {
+			c.Deadline = 1e-3 // rejected
 		}
-		run(t,
-			func(c topo.Connection) error { _, err := eng.Admit(bg, c); return err },
-			func(name string) { eng.Release(bg, name) },
-			eng.SetCompactionThreshold)
-	})
-	t.Run("sharded", func(t *testing.T) {
-		se, err := NewShardedEngine(net.Servers, analysis.Integrated{}, 2)
-		if err != nil {
-			t.Fatal(err)
+		ops = append(ops, Op{Kind: OpAdmit, Candidate: c})
+	}
+
+	before := batchEng.Stats()
+	br, err := batchEng.ApplyBatch(bg, ops, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := batchEng.Stats()
+	if dropped, shrunk := st.CompactedReleases-before.CompactedReleases, st.IncrementalReleases-before.IncrementalReleases; dropped != k || shrunk != 0 {
+		t.Fatalf("release run dropped %d and shrank %d baselines, want %d and 0", dropped, shrunk, k)
+	}
+	if inc, full := st.IncrementalTests-before.IncrementalTests, st.FullTests-before.FullTests; inc != k || full != 0 {
+		t.Fatalf("envelope ran %d incremental and %d full tests, want %d and 0", inc, full, k)
+	}
+	if epochs := st.BaselineEpoch - before.BaselineEpoch; epochs != 2 {
+		t.Fatalf("envelope materialised %d baselines, want 2 (one rebuild, one promotion)", epochs)
+	}
+
+	before = seqEng.Stats()
+	for i, op := range ops {
+		step := fmt.Sprintf("op%d", i)
+		got := br.Results[i]
+		if op.Kind == OpRelease {
+			info, ok, err := seqEng.Release(bg, op.Name)
+			if err != nil || !ok || !info.Incremental || !ctrl.Remove(op.Name) {
+				t.Fatalf("%s: single release: info=%+v ok=%v err=%v", step, info, ok, err)
+			}
+			if !got.Released || got.Release != (ReleaseInfo{Affected: -1}) {
+				t.Fatalf("%s: envelope release reported %+v, want the baseline dropped", step, got)
+			}
+			continue
 		}
-		run(t,
-			func(c topo.Connection) error { _, err := se.Admit(bg, c); return err },
-			func(name string) { se.Release(bg, name) },
-			se.SetCompactionThreshold)
-	})
+		seqD, seqErr := seqEng.Admit(bg, op.Candidate)
+		ctrlD, ctrlErr := ctrl.Admit(op.Candidate)
+		if seqErr != nil || ctrlErr != nil || got.Err != nil {
+			t.Fatalf("%s: admit errors: single %v, controller %v, envelope %v", step, seqErr, ctrlErr, got.Err)
+		}
+		requireSameDecision(t, step+"/single", ctrlD, seqD)
+		requireSameDecision(t, step+"/envelope", ctrlD, got.Decision)
+	}
+	if epochs := seqEng.Stats().BaselineEpoch - before.BaselineEpoch; epochs != 2*k-1 {
+		t.Fatalf("singles materialised %d baselines, want %d", epochs, 2*k-1)
+	}
+	want, got := ctrl.Admitted(), batchEng.Admitted()
+	if len(want) != len(got) || len(got) != len(net.Connections)-1 {
+		t.Fatalf("final sets: controller %d, envelope %d, want %d", len(want), len(got), len(net.Connections)-1)
+	}
+	for i := range want {
+		if want[i].Name != got[i].Name {
+			t.Fatalf("final set order diverged at %d: %q vs %q", i, want[i].Name, got[i].Name)
+		}
+	}
 }

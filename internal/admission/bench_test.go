@@ -186,65 +186,89 @@ func BenchmarkAdmission(b *testing.B) {
 	b.Run("IncrementalTestShard", func(b *testing.B) { runIncrementalTest(b, net, cand) })
 }
 
+// churnVictims names what one measured removal releases. The incremental
+// arm releases the candidate alone, which shrinks the baseline. The
+// invalidating arm releases it and a twin on the same route in ONE
+// envelope: a run of releases drops the baseline once, so the following
+// admission pays a full re-analysis to rebuild it.
+func churnVictims(cand topo.Connection, invalidating bool) []topo.Connection {
+	if !invalidating {
+		return []topo.Connection{cand}
+	}
+	twin := cand
+	twin.Name = cand.Name + "-twin"
+	return []topo.Connection{cand, twin}
+}
+
 // churnEngine returns a warm engine holding the benchmark's admitted set
-// plus the candidate, ready for release/re-admit cycles. invalidating
-// configures the pre-tentpole behavior: every release drops the baseline
-// (no shrink, no background re-promotion), so the following admission pays
-// a full re-analysis to rebuild it.
-func churnEngine(tb testing.TB, net *topo.Network, cand topo.Connection, invalidating bool) *Engine {
+// plus the victims, ready for release/re-admit cycles.
+func churnEngine(tb testing.TB, net *topo.Network, victims []topo.Connection) *Engine {
 	tb.Helper()
-	eng := warmEngine(tb, net, cand)
-	if invalidating {
-		eng.SetCompactionThreshold(-1)
-		eng.SetBackgroundPromotion(false)
-	}
-	d, err := eng.Admit(bg, cand)
-	if err != nil || !d.Admitted {
-		tb.Fatalf("benchmark candidate not admitted: %+v %v", d, err)
-	}
+	eng := warmEngine(tb, net, victims[0])
+	readmit(tb, eng, victims)
 	return eng
 }
 
-// releaseAndWarm is one measured removal: release the candidate and pay
-// whatever it takes to leave the engine ready for the next incremental
-// admission. An incremental release promotes the shrunken baseline inline,
-// so the warm-up is free; a baseline-invalidating release forces a full
-// re-analysis here — the cost the tentpole removes from the churn path.
-// The subsequent re-admission costs one extend in both worlds and is
-// restored outside the timer by the callers.
-func releaseAndWarm(tb testing.TB, eng *Engine, cand topo.Connection) {
+// releaseVictims releases the victims as one envelope.
+func releaseVictims(tb testing.TB, eng *Engine, victims []topo.Connection) []OpResult {
 	tb.Helper()
-	if _, ok, _ := eng.Release(bg, cand.Name); !ok {
-		tb.Fatalf("release %q failed", cand.Name)
+	ops := make([]Op, len(victims))
+	for i, v := range victims {
+		ops[i] = Op{Kind: OpRelease, Name: v.Name}
 	}
+	br, err := eng.ApplyBatch(bg, ops, nil)
+	if err != nil {
+		tb.Fatalf("release envelope: %v", err)
+	}
+	for i, r := range br.Results {
+		if !r.Released {
+			tb.Fatalf("release %q failed", victims[i].Name)
+		}
+	}
+	return br.Results
+}
+
+// releaseAndWarm is one measured removal: release the victims and pay
+// whatever it takes to leave the engine ready for the next incremental
+// admission. A shrinking release promotes the shrunken baseline inline, so
+// the warm-up is free; one that dropped the baseline forces a full
+// re-analysis here. The subsequent re-admission costs one extend per victim
+// in both worlds and is restored outside the timer by the callers.
+func releaseAndWarm(tb testing.TB, eng *Engine, victims []topo.Connection) {
+	tb.Helper()
+	releaseVictims(tb, eng, victims)
 	if err := eng.WarmBaseline(); err != nil {
 		tb.Fatalf("warm baseline: %v", err)
 	}
 }
 
-// readmit restores the benchmark state after a measured release.
-func readmit(tb testing.TB, eng *Engine, cand topo.Connection) {
+// readmit admits the victims one by one: the benchmark state before a
+// measured release.
+func readmit(tb testing.TB, eng *Engine, victims []topo.Connection) {
 	tb.Helper()
-	d, err := eng.Admit(bg, cand)
-	if err != nil || !d.Admitted {
-		tb.Fatalf("re-admit failed: %+v %v", d, err)
+	for _, v := range victims {
+		d, err := eng.Admit(bg, v)
+		if err != nil || !d.Admitted {
+			tb.Fatalf("admit %q failed: %+v %v", v.Name, d, err)
+		}
 	}
 }
 
 // BenchmarkRelease measures one removal on the 200-connection, 32-switch
 // tandem: Incremental shrinks the baseline in place (scoped unit-trace
-// replay), Invalidating (the pre-tentpole behavior) drops it and pays the
-// full re-analysis the next admission would otherwise absorb. The
-// deterministic counterpart in tier-1 is TestReleaseWork.
+// replay), Invalidating (a two-release envelope) drops it and pays the full
+// re-analysis the next admission would otherwise absorb. The deterministic
+// counterpart in tier-1 is TestReleaseWork.
 func BenchmarkRelease(b *testing.B) {
 	net, cand := benchNetwork(b)
 	run := func(b *testing.B, invalidating bool) {
-		eng := churnEngine(b, net, cand, invalidating)
+		victims := churnVictims(cand, invalidating)
+		eng := churnEngine(b, net, victims)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			releaseAndWarm(b, eng, cand)
+			releaseAndWarm(b, eng, victims)
 			b.StopTimer()
-			readmit(b, eng, cand)
+			readmit(b, eng, victims)
 			b.StartTimer()
 		}
 	}
@@ -254,31 +278,43 @@ func BenchmarkRelease(b *testing.B) {
 
 // TestReleaseWork is the deterministic tier-1 gate behind BenchmarkRelease
 // (whose wall-clock rows live in `make bench-release`): on the
-// 200-connection benchmark fabric an incremental release takes the shrink
-// path exactly once and leaves a materialised baseline behind, while the
-// invalidating engine compacts and leaves none — the full rebuild the next
-// admission would pay.
+// 200-connection benchmark fabric a lone release takes the shrink path
+// exactly once and leaves a materialised baseline behind, so the next
+// admission only promotes; a two-release envelope drops the baseline once,
+// leaves none, and the next admission rebuilds it exactly once.
 func TestReleaseWork(t *testing.T) {
 	net, cand := benchNetwork(t)
 	for _, invalidating := range []bool{false, true} {
-		eng := churnEngine(t, net, cand, invalidating)
+		victims := churnVictims(cand, invalidating)
+		eng := churnEngine(t, net, victims)
 		before := eng.Stats()
-		info, ok, err := eng.Release(bg, cand.Name)
-		if err != nil || !ok {
-			t.Fatalf("invalidating=%v: release failed: ok=%v err=%v", invalidating, ok, err)
-		}
+		results := releaseVictims(t, eng, victims)
 		st := eng.Stats()
 		inc := st.IncrementalReleases - before.IncrementalReleases
-		compacted := st.CompactedReleases - before.CompactedReleases
+		dropped := st.CompactedReleases - before.CompactedReleases
 		warm := eng.Snapshot().cachedBaseline() != nil
+		// An admission promotes one baseline; a cold one builds one first.
+		wantEpochs := uint64(1)
 		if invalidating {
-			if info.Incremental || inc != 0 || compacted != 1 || warm {
-				t.Fatalf("invalidating release: info=%+v incremental=%d compacted=%d baseline=%v, want one compaction and no baseline",
-					info, inc, compacted, warm)
+			wantEpochs = 2
+			for _, r := range results {
+				if r.Release != (ReleaseInfo{Affected: -1}) {
+					t.Fatalf("release run: info=%+v, want the baseline dropped", r.Release)
+				}
 			}
-		} else if !info.Incremental || inc != 1 || compacted != 0 || !warm {
-			t.Fatalf("incremental release: info=%+v incremental=%d compacted=%d baseline=%v, want one shrink and a warm baseline",
-				info, inc, compacted, warm)
+			if inc != 0 || dropped != 2 || warm {
+				t.Fatalf("release run: incremental=%d dropped=%d baseline=%v, want two drops and no baseline", inc, dropped, warm)
+			}
+		} else if info := results[0].Release; !info.Incremental || inc != 1 || dropped != 0 || !warm {
+			t.Fatalf("lone release: info=%+v incremental=%d dropped=%d baseline=%v, want one shrink and a warm baseline",
+				info, inc, dropped, warm)
+		}
+		before = st
+		readmit(t, eng, victims[:1])
+		st = eng.Stats()
+		if epochs, full := st.BaselineEpoch-before.BaselineEpoch, st.FullTests-before.FullTests; epochs != wantEpochs || full != 0 {
+			t.Fatalf("invalidating=%v: next admission materialised %d baselines and ran %d full tests, want %d and 0",
+				invalidating, epochs, full, wantEpochs)
 		}
 	}
 }

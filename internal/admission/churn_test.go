@@ -38,10 +38,33 @@ func disjointTandem(tb testing.TB, n int) *topo.Network {
 	return net
 }
 
+// requireMatchesFreshController checks that a probe admission test on the
+// engine is bit-identical to a fresh Controller replaying the engine's
+// admitted set from scratch — the acceptance bar for incremental removal.
+func requireMatchesFreshController(t *testing.T, step string, eng *Engine, probe topo.Connection) {
+	t.Helper()
+	ctrl, err := New(eng.Servers(), eng.Analyzer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range eng.Admitted() {
+		if _, err := ctrl.Admit(c); err != nil {
+			t.Fatalf("%s: fresh controller replay: %v", step, err)
+		}
+	}
+	if ctrl.Count() != eng.Count() {
+		t.Fatalf("%s: fresh replay admitted %d, engine holds %d", step, ctrl.Count(), eng.Count())
+	}
+	wantD, wantErr := ctrl.Test(probe)
+	gotD, gotErr := eng.Test(bg, probe)
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%s: probe error diverged: controller %v, engine %v", step, wantErr, gotErr)
+	}
+	requireSameDecision(t, step+"/probe", wantD, gotD)
+}
+
 // driveChurn replays one admit→release→re-admit schedule through an Engine
-// and checks, after every mutation, that a probe admission test is
-// bit-identical to a fresh Controller replaying the engine's admitted set
-// from scratch — the acceptance bar for incremental removal.
+// and checks it against a fresh Controller after every mutation.
 func driveChurn(t *testing.T, label string, analyzer analysis.Analyzer, net *topo.Network, seed int64) {
 	t.Helper()
 	eng, err := NewEngine(net.Servers, analyzer)
@@ -53,24 +76,7 @@ func driveChurn(t *testing.T, label string, analyzer analysis.Analyzer, net *top
 	probe.Deadline = 100
 	check := func(step string) {
 		t.Helper()
-		ctrl, err := New(net.Servers, analyzer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range eng.Admitted() {
-			if _, err := ctrl.Admit(c); err != nil {
-				t.Fatalf("%s: fresh controller replay: %v", step, err)
-			}
-		}
-		if ctrl.Count() != eng.Count() {
-			t.Fatalf("%s: fresh replay admitted %d, engine holds %d", step, ctrl.Count(), eng.Count())
-		}
-		wantD, wantErr := ctrl.Test(probe)
-		gotD, gotErr := eng.Test(bg, probe)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("%s: probe error diverged: controller %v, engine %v", step, wantErr, gotErr)
-		}
-		requireSameDecision(t, step+"/probe", wantD, gotD)
+		requireMatchesFreshController(t, step, eng, probe)
 	}
 
 	rng := rand.New(rand.NewSource(seed))
@@ -152,8 +158,7 @@ func TestChurnMatchesFreshController(t *testing.T) {
 // from a warm baseline must count as an incremental release and leave a
 // promoted baseline behind, so the following test stays incremental.
 func TestReleaseUsesIncrementalPath(t *testing.T) {
-	// Disjoint 2-hop routes on a tandem: any release has an empty closure,
-	// so it must take the shrink path under the default threshold.
+	// Disjoint 2-hop routes on a tandem: any release has an empty closure.
 	net := disjointTandem(t, 12)
 	eng, err := NewEngine(net.Servers, analysis.Integrated{})
 	if err != nil {
@@ -191,58 +196,48 @@ func TestReleaseUsesIncrementalPath(t *testing.T) {
 	}
 }
 
-// TestReleaseCompactionFallback forces the compaction path (threshold -1)
-// and checks the engine stays exact: the baseline is dropped, the release
-// is counted as compacted, and later decisions still match a fresh
-// controller.
-func TestReleaseCompactionFallback(t *testing.T) {
-	net, err := topo.RandomFeedforward(5, 6, 0.4, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range net.Connections {
-		net.Connections[i].Deadline = 100
-	}
-	eng, err := NewEngine(net.Servers, analysis.Integrated{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.SetCompactionThreshold(-1)
-	eng.SetBackgroundPromotion(false)
-	for _, c := range net.Connections[:5] {
-		if _, err := eng.Admit(bg, c); err != nil {
+// TestChurnHeadOfTandemRelease is the corpus's worst case for the shrink
+// path: the paper tandem's connection 0 traverses every server, so its
+// release has every survivor in its closure and the shrink recomputes the
+// whole network. It must still shrink, and stay bit-identical to a fresh
+// Controller before and after the connection comes back.
+func TestChurnHeadOfTandemRelease(t *testing.T) {
+	for _, analyzer := range []analysis.Analyzer{analysis.Integrated{}, analysis.Decomposed{}} {
+		net, err := topo.PaperTandem(6, 0.6)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	info, ok, _ := eng.Release(bg, net.Connections[1].Name)
-	if !ok {
-		t.Fatal("release failed")
-	}
-	if info.Incremental {
-		t.Fatalf("threshold -1 still shrank incrementally: %+v", info)
-	}
-	st := eng.Stats()
-	if st.CompactedReleases != 1 || st.IncrementalReleases != 0 {
-		t.Fatalf("release counters: %+v", st)
-	}
-	ctrl, err := New(net.Servers, analysis.Integrated{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range eng.Admitted() {
-		if _, err := ctrl.Admit(c); err != nil {
+		eng, err := NewEngine(net.Servers, analyzer)
+		if err != nil {
 			t.Fatal(err)
 		}
+		for i := range net.Connections {
+			net.Connections[i].Deadline = 100
+			if d, err := eng.Admit(bg, net.Connections[i]); err != nil || !d.Admitted {
+				t.Fatalf("%s: admit %s: %+v %v", analyzer.Name(), net.Connections[i].Name, d, err)
+			}
+		}
+		head := net.Connections[0]
+		probe := net.Connections[len(net.Connections)-1]
+		probe.Name = "probe"
+		info, ok, err := eng.Release(bg, head.Name)
+		if err != nil || !ok {
+			t.Fatalf("%s: head release failed: ok=%v err=%v", analyzer.Name(), ok, err)
+		}
+		if want := (ReleaseInfo{Incremental: true, Affected: len(net.Connections) - 1}); info != want {
+			t.Fatalf("%s: head release reported %+v, want %+v", analyzer.Name(), info, want)
+		}
+		requireMatchesFreshController(t, analyzer.Name()+"/released", eng, probe)
+		if d, err := eng.Admit(bg, head); err != nil || !d.Admitted {
+			t.Fatalf("%s: head re-admit: %+v %v", analyzer.Name(), d, err)
+		}
+		requireMatchesFreshController(t, analyzer.Name()+"/readmitted", eng, probe)
 	}
-	cand := net.Connections[5]
-	wantD, _ := ctrl.Test(cand)
-	gotD, _ := eng.Test(bg, cand)
-	requireSameDecision(t, "after-compaction", wantD, gotD)
 }
 
 // TestChurnConcurrent hammers one engine with concurrent admits, releases,
 // and reads; under -race this is the data-race check for the release
-// commit protocol and the background re-promotion goroutine. The final
+// commit protocol. The final
 // admitted set must still prove every deadline under a full re-analysis.
 func TestChurnConcurrent(t *testing.T) {
 	net, err := topo.RandomFeedforward(6, 1, 0.9, 1)

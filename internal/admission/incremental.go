@@ -88,13 +88,6 @@ func AffectedSet(nServers int, admitted []topo.Connection, cand topo.Connection)
 // affectedBuckets are the upper bounds of the affected-set size histogram.
 var affectedBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
 
-// DefaultCompactionThreshold is the affected-set fraction above which a
-// release stops shrinking the baseline in place and falls back to epoch
-// compaction: when more than this fraction of the survivors must be
-// re-analyzed anyway, the scoped replay approaches the cost of a full
-// rebuild, so the rebuild moves off the request path instead.
-const DefaultCompactionThreshold = 0.5
-
 // Stats is a point-in-time copy of the engine's counters.
 type Stats struct {
 	// IncrementalTests and FullTests count admission analyses by path.
@@ -102,13 +95,11 @@ type Stats struct {
 	FullTests        uint64
 	// IncrementalReleases counts removals that shrank the baseline in
 	// place (scoped unit-trace replay); CompactedReleases counts removals
-	// that fell back to epoch compaction (baseline dropped, re-promoted in
-	// the background).
+	// that dropped it (the next incremental test rebuilds it).
 	IncrementalReleases uint64
 	CompactedReleases   uint64
 	// BaselineEpoch counts baseline materializations: promotions on admit,
-	// shrinks on release, and lazy or background rebuilds. It is the
-	// freshness stamp compaction re-promotion checks against.
+	// shrinks on release, and lazy rebuilds.
 	BaselineEpoch uint64
 	// CommitConflicts counts envelope retries forced by a concurrent commit.
 	CommitConflicts uint64
@@ -139,18 +130,10 @@ func AffectedBucketBounds() []float64 {
 // All reads and tests run against immutable snapshots; mutations swap the
 // snapshot pointer under a short lock that never covers an analysis.
 type Engine struct {
-	servers  []server.Server
-	analyzer analysis.Analyzer
-	inc      analysis.Incremental // nil when unsupported or force-full
-	// compactFrac holds the float64 bits of the affected-set fraction above
-	// which a release stops shrinking and compacts. It is atomic (not plain
-	// startup configuration like prewarm) because SetCompactionThreshold is
-	// documented as callable while releases run concurrently.
-	compactFrac atomic.Uint64
-	// prewarm rebuilds compacted baselines in the background; startup
-	// configuration, like ForceFull.
-	prewarm     bool
-	mu          sync.Mutex // serializes snapshot swaps only
+	servers     []server.Server
+	analyzer    analysis.Analyzer
+	inc         analysis.Incremental // nil when unsupported or force-full
+	mu          sync.Mutex           // serializes snapshot swaps only
 	snap        atomic.Pointer[Snapshot]
 	incTests    atomic.Uint64
 	fullTests   atomic.Uint64
@@ -164,12 +147,6 @@ type Engine struct {
 	affBucket   []atomic.Uint64
 	affCount    atomic.Uint64
 	affSum      atomic.Uint64
-	// warmBusy/warmDirty implement the single-owner background baseline
-	// warmer: at most one warm goroutine runs per engine, and a compaction
-	// landing while it runs marks it dirty so the warmer re-checks the
-	// (possibly newer) current snapshot before exiting.
-	warmBusy  atomic.Bool
-	warmDirty atomic.Bool
 }
 
 // NewEngine builds an engine over the given fabric. The analyzer's
@@ -192,10 +169,8 @@ func NewEngine(servers []server.Server, analyzer analysis.Analyzer) (*Engine, er
 	e := &Engine{
 		servers:   cp,
 		analyzer:  analyzer,
-		prewarm:   true,
 		affBucket: make([]atomic.Uint64, len(affectedBuckets)+1),
 	}
-	e.compactFrac.Store(math.Float64bits(DefaultCompactionThreshold))
 	if inc, ok := analyzer.(analysis.Incremental); ok {
 		e.inc = inc
 	}
@@ -226,26 +201,6 @@ func (e *Engine) Servers() []server.Server {
 	copy(cp, e.servers)
 	return cp
 }
-
-// SetCompactionThreshold sets the affected-set fraction above which a
-// release compacts instead of shrinking (see DefaultCompactionThreshold).
-// Negative disables incremental release entirely; >= 1 always shrinks.
-// Safe to call while releases run concurrently: the threshold is stored
-// atomically and each release reads it once.
-func (e *Engine) SetCompactionThreshold(frac float64) {
-	e.compactFrac.Store(math.Float64bits(frac))
-}
-
-// compactionThreshold reads the release compaction threshold.
-func (e *Engine) compactionThreshold() float64 {
-	return math.Float64frombits(e.compactFrac.Load())
-}
-
-// SetBackgroundPromotion toggles the background baseline rebuild after a
-// compacting release. On by default; benchmarks of the invalidating path
-// turn it off so the rebuild cost lands on the measured request instead of
-// a racing goroutine. Call it before serving traffic, like ForceFull.
-func (e *Engine) SetBackgroundPromotion(on bool) { e.prewarm = on }
 
 // Stats copies the engine's counters.
 func (e *Engine) Stats() Stats {
@@ -329,12 +284,6 @@ func (s *Snapshot) baseline() (*analysis.Baseline, error) {
 		return s.promoted, nil
 	}
 	s.baseOnce.Do(func() {
-		// inc can be nil here when ForceFull raced a stale warm goroutine;
-		// the guard keeps the snapshot baseline-less instead of panicking.
-		if s.eng.inc == nil {
-			s.baseErr = fmt.Errorf("admission: incremental path disabled")
-			return
-		}
 		s.base, s.baseErr = s.eng.inc.NewBaseline(s.network())
 		if s.baseErr == nil {
 			s.eng.epoch.Add(1)
@@ -358,43 +307,10 @@ func (s *Snapshot) cachedBaseline() *analysis.Baseline {
 	return nil
 }
 
-// scheduleWarm requests a background re-promotion of the current snapshot's
-// baseline. The engine owns exactly one warmer goroutine at a time: earlier
-// code spawned a detached goroutine per compacted release, so a release
-// racing a concurrent admit on the same component could leave several full
-// analyses running against superseded snapshots, each briefly claiming the
-// lazy slot a fresh test was about to join. The warmer always re-reads the
-// *current* snapshot, and the dirty flag closes the lost-wakeup window: a
-// compaction that lands while a warm is in flight re-runs the loop instead
-// of being dropped.
-func (e *Engine) scheduleWarm() {
-	e.warmDirty.Store(true)
-	if !e.warmBusy.CompareAndSwap(false, true) {
-		return // an active warmer will observe the dirty flag
-	}
-	go func() {
-		for {
-			for e.warmDirty.Swap(false) {
-				if e.inc == nil {
-					break
-				}
-				_, _ = e.Snapshot().baseline()
-			}
-			e.warmBusy.Store(false)
-			// Re-check: a scheduleWarm between the last Swap and the
-			// busy reset would otherwise be lost.
-			if !e.warmDirty.Load() || !e.warmBusy.CompareAndSwap(false, true) {
-				return
-			}
-		}
-	}()
-}
-
 // replaceAdmitted installs a wholesale new admitted set as the next
-// version: an epoch-stamped compaction commit with no baseline, used by
-// ShardedEngine when a cross-shard admission or a rebalance migrates
-// connections between shards. The next incremental test (or a scheduled
-// warm) rebuilds the baseline lazily.
+// version: an epoch-stamped commit with no baseline, used by ShardedEngine
+// when a cross-shard admission or a rebalance migrates connections between
+// shards. The next incremental test rebuilds the baseline lazily.
 func (e *Engine) replaceAdmitted(conns []topo.Connection) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -408,8 +324,8 @@ func (e *Engine) replaceAdmitted(conns []topo.Connection) {
 // baseline so the next admission test runs incrementally at full speed. It
 // is a no-op when a baseline is already warm (e.g. after an incremental
 // release) or when the incremental path is off. Daemons call it after
-// startup pre-admission; benchmarks use it to charge a compacted release
-// with the rebuild it forces.
+// startup pre-admission; benchmarks use it to charge a release that dropped
+// the baseline with the rebuild it forces.
 func (e *Engine) WarmBaseline() error {
 	if e.inc == nil {
 		return nil

@@ -149,20 +149,6 @@ func (se *ShardedEngine) ForceFull() {
 	}
 }
 
-// SetCompactionThreshold forwards to every shard; see Engine.
-func (se *ShardedEngine) SetCompactionThreshold(frac float64) {
-	for _, sh := range se.shards {
-		sh.SetCompactionThreshold(frac)
-	}
-}
-
-// SetBackgroundPromotion forwards to every shard; see Engine.
-func (se *ShardedEngine) SetBackgroundPromotion(on bool) {
-	for _, sh := range se.shards {
-		sh.SetBackgroundPromotion(on)
-	}
-}
-
 // ShardStat is a point-in-time summary of one shard.
 type ShardStat struct {
 	Admitted            int
@@ -577,9 +563,6 @@ func (se *ShardedEngine) admitCross(ctx context.Context, cand topo.Connection, o
 		} else {
 			se.shards[o].replaceAdmitted(kept[o])
 		}
-		if se.shards[o].inc != nil && se.shards[o].prewarm {
-			se.shards[o].scheduleWarm()
-		}
 	}
 	se.crossCommits.Add(1)
 	return d, nil
@@ -659,11 +642,6 @@ func (se *ShardedEngine) rebalance(from int) {
 	se.router.mu.Unlock()
 	se.shards[from].replaceAdmitted(keptConns)
 	se.shards[target].replaceAdmitted(moved)
-	for _, o := range []int{from, target} {
-		if se.shards[o].inc != nil && se.shards[o].prewarm {
-			se.shards[o].scheduleWarm()
-		}
-	}
 	se.rebalances.Add(1)
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -90,6 +91,54 @@ func TestShardedApplyBatchMatchesSequential(t *testing.T) {
 					t.Fatalf("seed%d: router load[%d] = %d, shard holds %d", seed, i, se.router.load[i], sh.Admitted)
 				}
 			}
+		}
+	}
+}
+
+// TestReleaseAccountingDeterministic replays one seeded schedule of single
+// operations and envelopes on two fresh engines and requires the same
+// counters from both: every baseline is built by the request that needs it,
+// so which releases shrank, what they scoped and how many baselines were
+// materialised depend on the schedule alone.
+func TestReleaseAccountingDeterministic(t *testing.T) {
+	net, err := topo.DisjointBlocks(4, 3, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range net.Connections {
+		net.Connections[i].Deadline = 1000
+	}
+	ops := randomOps(net, 7, 4*len(net.Connections))
+	replay := func(shards int) ShardedStats {
+		se, err := NewShardedEngine(net.Servers, analysis.Integrated{}, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(11))
+		for start := 0; start < len(ops); {
+			end := min(start+1+rng.Intn(6), len(ops))
+			if _, err := se.ApplyBatch(bg, ops[start:end], nil); err != nil {
+				t.Fatalf("%d shards: ApplyBatch: %v", shards, err)
+			}
+			start = end
+		}
+		// Drain in one envelope, so every shard sees a run of releases.
+		var drain []Op
+		for _, c := range se.Admitted() {
+			drain = append(drain, Op{Kind: OpRelease, Name: c.Name})
+		}
+		if _, err := se.ApplyBatch(bg, drain, nil); err != nil || se.Count() != 0 {
+			t.Fatalf("%d shards: drain left %d connections: %v", shards, se.Count(), err)
+		}
+		return se.Stats()
+	}
+	for _, shards := range []int{1, 4} {
+		first, second := replay(shards), replay(shards)
+		if !reflect.DeepEqual(first, second) {
+			t.Fatalf("%d shards: the same schedule counted differently:\n  %+v\n  %+v", shards, first, second)
+		}
+		if first.FullTests != 0 || first.IncrementalReleases == 0 || first.CompactedReleases == 0 || first.AffectedCount == 0 {
+			t.Fatalf("%d shards: schedule must stay incremental and exercise both release modes: %+v", shards, first)
 		}
 	}
 }

@@ -3,9 +3,9 @@ package admission
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"delaycalc/internal/analysis"
 	"delaycalc/internal/topo"
@@ -366,62 +366,53 @@ func TestShardedConcurrentMixedOps(t *testing.T) {
 	}
 }
 
-// TestReleaseWarmRace is the regression test for the baseline-warmth race:
-// before the engine owned a single background warmer, every compacting
-// release detached a goroutine that rebuilt a possibly superseded
-// snapshot's baseline while concurrent admits on the same component raced
-// it for the lazy slot. Hammering admit/release on one component with
-// compaction forced (threshold < 0 disables incremental release) must be
-// race-clean and leave a warm baseline for the final snapshot.
-func TestReleaseWarmRace(t *testing.T) {
-	net, err := topo.PaperTandem(3, 0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(net.Servers, analysis.Integrated{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.SetCompactionThreshold(-1) // every release compacts and schedules a warm
-
-	const workers = 4
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 6; i++ {
-				cand := net.Connections[0]
-				cand.Name = fmt.Sprintf("w%d-%d", g, i)
-				cand.Deadline = 1000
-				if _, err := eng.Admit(bg, cand); err != nil {
-					t.Errorf("admit %s: %v", cand.Name, err)
-					return
-				}
-				eng.Test(bg, cand)
-				eng.Release(bg, cand.Name)
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	if eng.Count() != 0 {
-		t.Fatalf("count %d after symmetric admit/release", eng.Count())
-	}
-	// One more compacting release schedules a warm of the final snapshot;
-	// the single-owner warmer must converge on it.
-	cand := net.Connections[0]
-	cand.Name = "last"
-	cand.Deadline = 1000
-	if _, err := eng.Admit(bg, cand); err != nil {
-		t.Fatal(err)
-	}
-	eng.Release(bg, cand.Name)
-	deadline := time.Now().Add(10 * time.Second)
-	for eng.Snapshot().cachedBaseline() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("background warmer never promoted the final snapshot's baseline")
+// TestCrossShardCommitsRebuildLazily pins what replaces the background
+// warmer: a cross-shard admission and a rebalance install their shards'
+// new sets without a baseline and start nothing, so the next shard-local
+// test on every touched shard builds it — exactly once, on the request's
+// own goroutine — and runs incrementally.
+func TestCrossShardCommitsRebuildLazily(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	se, _, cands, bridge := twoShardSetup(t)
+	requireLazyBuild := func(step string, shard int, test func() (Decision, error)) {
+		t.Helper()
+		before := se.Shard(shard).Stats()
+		if d, err := test(); err != nil || !d.Admitted {
+			t.Fatalf("%s: test on shard %d: %+v err=%v", step, shard, d, err)
 		}
-		time.Sleep(5 * time.Millisecond)
+		st := se.Shard(shard).Stats()
+		if inc, full, epochs := st.IncrementalTests-before.IncrementalTests, st.FullTests-before.FullTests,
+			st.BaselineEpoch-before.BaselineEpoch; inc != 1 || full != 0 || epochs != 1 {
+			t.Fatalf("%s: shard %d ran %d incremental and %d full tests over %d baseline builds, want 1, 0 and 1",
+				step, shard, inc, full, epochs)
+		}
+	}
+
+	if d, err := se.Admit(bg, bridge); err != nil || !d.Admitted {
+		t.Fatalf("bridge admit: %+v err=%v", d, err)
+	}
+	if st := se.Stats(); st.CrossShardCommits != 1 {
+		t.Fatalf("bridge admission made %d cross-shard commits, want 1", st.CrossShardCommits)
+	}
+	winner := se.router.owner[bridge.Path[0]]
+	requireLazyBuild("merge", winner, func() (Decision, error) { return se.Test(bg, cands[0]) })
+	// The merge emptied the other shard and owns every server, so the router
+	// sends nothing there; its engine is tested directly.
+	requireLazyBuild("merge", 1-winner, func() (Decision, error) { return se.Shard(1-winner).Test(bg, cands[1]) })
+
+	if _, ok, err := se.Release(bg, bridge.Name); err != nil || !ok {
+		t.Fatalf("bridge release: ok=%v err=%v", ok, err)
+	}
+	if st := se.Stats(); st.Rebalances != 1 {
+		t.Fatalf("bridge release rebalanced %d times, want 1", st.Rebalances)
+	}
+	for _, cand := range cands {
+		requireLazyBuild("rebalance", se.router.owner[cand.Path[0]], func() (Decision, error) { return se.Test(bg, cand) })
+	}
+	if se.router.owner[cands[0].Path[0]] == se.router.owner[cands[1].Path[0]] {
+		t.Fatal("rebalance left both blocks on one shard")
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Fatalf("cross-shard commits left goroutines behind: %d at the start, %d now", goroutines, n)
 	}
 }

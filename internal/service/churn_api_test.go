@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"delaycalc/internal/analysis"
-	"delaycalc/internal/server"
 )
 
 // connBody renders an admit spec for the test fabric with a loose deadline
@@ -220,51 +219,37 @@ func TestListServerFilter(t *testing.T) {
 
 func TestRemoveReportsMode(t *testing.T) {
 	// On the shared 2-server fabric every connection interferes with every
-	// other, so a release's closure covers all survivors and compaction is
-	// the right call under the default threshold.
+	// other, so a release's closure covers all survivors; a lone release
+	// shrinks the baseline all the same.
 	srv := newTestServer(t, nil)
-	admitN(t, srv, 2)
+	admitN(t, srv, 3)
 	w := do(t, srv, "DELETE", "/v2/networks/default/connections/c0", "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("remove: %d %s", w.Code, w.Body)
 	}
 	resp := decode[RemoveResponse](t, w)
-	if resp.Removed != "c0" || resp.Count != 1 {
+	if resp.Removed != "c0" || resp.Count != 2 {
 		t.Fatalf("remove response: %+v", resp)
 	}
-	if resp.Mode != "compacted" {
-		t.Fatalf("full-closure release reported mode %q, want compacted", resp.Mode)
+	if resp.Mode != "incremental" {
+		t.Fatalf("full-closure release reported mode %q, want incremental", resp.Mode)
 	}
 
-	// Disjoint routes: the closure is empty, so the same release shrinks
-	// the baseline in place and reports incremental.
-	state, err := NewState([]server.Server{
-		{Name: "s0", Capacity: 1, Discipline: server.FIFO},
-		{Name: "s1", Capacity: 1, Discipline: server.FIFO},
-		{Name: "s2", Capacity: 1, Discipline: server.FIFO},
-		{Name: "s3", Capacity: 1, Discipline: server.FIFO},
-	}, analysis.Integrated{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2, err := NewServer(Config{State: state})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, body := range []string{
-		`{"connection": {"name": "left", "sigma": 1, "rho": 0.002, "access_rate": 1, "path": ["s0", "s1"], "deadline": 100}}`,
-		`{"connection": {"name": "right", "sigma": 1, "rho": 0.002, "access_rate": 1, "path": ["s2", "s3"], "deadline": 100}}`,
-	} {
-		if w := do(t, srv2, "POST", "/v2/networks/default/connections", body); w.Code != http.StatusOK {
-			t.Fatalf("admit: %d %s", w.Code, w.Body)
-		}
-	}
-	w = do(t, srv2, "DELETE", "/v2/networks/default/connections/left", "")
+	// A run of releases drops the baseline at its first release instead of
+	// shrinking it once per release.
+	w = do(t, srv, "POST", "/v2/networks/default/batch",
+		`{"operations": [{"op": "release", "name": "c1"}, {"op": "release", "name": "c2"}]}`)
 	if w.Code != http.StatusOK {
-		t.Fatalf("remove: %d %s", w.Code, w.Body)
+		t.Fatalf("batch: %d %s", w.Code, w.Body)
 	}
-	if resp := decode[RemoveResponse](t, w); resp.Mode != "incremental" {
-		t.Fatalf("disjoint release reported mode %q, want incremental", resp.Mode)
+	batch := decode[BatchResponse](t, w)
+	if batch.Released != 2 || batch.Count != 0 {
+		t.Fatalf("batch response: %+v", batch)
+	}
+	for _, r := range batch.Results {
+		if r.Mode != "compacted" {
+			t.Fatalf("release %d of a run reported mode %q, want compacted", r.Index, r.Mode)
+		}
 	}
 }
 

@@ -190,6 +190,41 @@ func TestBatchDegradesWithOneCommit(t *testing.T) {
 	}
 }
 
+// TestRemoveDegradesWithoutShrinking cuts a DELETE on a warm network off by
+// the soft budget: the degraded re-run must not repeat the primary
+// analyzer's shrink under the hard deadline. It drops the baseline, answers
+// 200 and commits once.
+func TestRemoveDegradesWithoutShrinking(t *testing.T) {
+	srv := newTestServer(t, func(c *Config) { c.AnalyzeTimeout = time.Nanosecond })
+	eng := srv.State().Engine()
+	// Disjoint routes: the cheapest shrink there is, and still not taken.
+	video := mustConnection(t, admitBody)
+	audio := video
+	audio.Name = "audio"
+	video.Path, audio.Path = video.Path[:1], video.Path[1:]
+	for _, c := range []topo.Connection{video, audio} {
+		if d, err := eng.Admit(context.Background(), c); err != nil || !d.Admitted {
+			t.Fatalf("admit %s: %+v %v", c.Name, d, err)
+		}
+	}
+	before := eng.Stats()
+	w := do(t, srv, "DELETE", "/v2/networks/default/connections/video", "")
+	if w.Code != http.StatusOK {
+		t.Fatalf("degraded DELETE: %d %s", w.Code, w.Body)
+	}
+	if resp := decode[RemoveResponse](t, w); resp != (RemoveResponse{Removed: "video", Count: 1, Mode: "compacted"}) {
+		t.Fatalf("degraded DELETE answered %+v", resp)
+	}
+	if got := srv.Metrics().Degraded(); got != 1 {
+		t.Fatalf("degraded counter = %d, want 1", got)
+	}
+	after := eng.Stats()
+	if commits, dropped, shrunk := after.BatchCommits-before.BatchCommits, after.CompactedReleases-before.CompactedReleases,
+		after.IncrementalReleases-before.IncrementalReleases; commits != 1 || dropped != 1 || shrunk != 0 {
+		t.Fatalf("degraded DELETE made %d commits, dropped %d and shrank %d baselines, want 1, 1 and 0", commits, dropped, shrunk)
+	}
+}
+
 // TestShardedSingleAdmitDegrades pins the commit-count degradation rule on
 // a multi-shard daemon: a single admit whose soft budget expires committed
 // nothing anywhere, so it re-runs on the decomposed fallback instead of

@@ -245,7 +245,9 @@ type BatchOpResult struct {
 	Status   string          `json:"status"`
 	Decision *BatchAdmitItem `json:"decision,omitempty"`
 	// Mode reports how a release was absorbed: "incremental" (baseline
-	// shrunk in place) or "compacted" (baseline dropped, rebuilt lazily).
+	// shrunk in place) or "compacted" (baseline dropped, rebuilt by the
+	// next test: no warm baseline, a degraded run, or the next operation of
+	// the envelope is another release).
 	Mode  string       `json:"mode,omitempty"`
 	Error *ErrorDetail `json:"error,omitempty"`
 }
@@ -276,7 +278,8 @@ type ListResponse struct {
 // RemoveResponse is the body of DELETE /v2/networks/{netid}/connections/
 // {name}. Mode reports how the engine absorbed the release: "incremental"
 // (the analysis baseline was shrunk in place, so the next test stays fast)
-// or "compacted" (the baseline was dropped and rebuilds lazily).
+// or "compacted" (the baseline was dropped and the next test rebuilds it:
+// there was no warm baseline, or the release ran degraded).
 type RemoveResponse struct {
 	Removed string `json:"removed"`
 	Count   int    `json:"count"`
@@ -308,11 +311,11 @@ type ShardStatSpec struct {
 
 // StatsResponse is the body of GET /v2/networks/{netid}/stats: the
 // admission engine's counters as a stable JSON schema. Releases.Full
-// counts compacted releases (baseline dropped); AffectedSum/AffectedCount
-// give the mean closure size alongside the histogram. The shard fields
-// are additive: Shards is the configured shard count,
-// CrossShardCommits the number of global epoch-stamped commits (component
-// merges plus rebalances), and PerShard the per-shard breakdown.
+// counts compacted releases (baseline dropped, rebuilt by the next test);
+// AffectedSum/AffectedCount give the mean closure size alongside the
+// histogram. The shard fields are additive: Shards is the configured shard
+// count, CrossShardCommits the number of global epoch-stamped commits
+// (component merges plus rebalances), and PerShard the per-shard breakdown.
 type StatsResponse struct {
 	Analyzer          string           `json:"analyzer"`
 	Incremental       bool             `json:"incremental"`
