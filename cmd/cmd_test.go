@@ -3,11 +3,16 @@
 package cmd_test
 
 import (
+	"encoding/json"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
 var binDir string
@@ -18,7 +23,7 @@ func TestMain(m *testing.M) {
 		panic(err)
 	}
 	binDir = dir
-	for _, tool := range []string{"delaycalc", "figures", "simulate", "admit", "falsify"} {
+	for _, tool := range []string{"delaycalc", "figures", "simulate", "admit", "falsify", "delayd"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, tool), "delaycalc/cmd/"+tool)
 		cmd.Dir = ".."
 		if out, err := cmd.CombinedOutput(); err != nil {
@@ -154,4 +159,76 @@ func TestFalsifyBadFlags(t *testing.T) {
 	run(t, false, "falsify", "-analyzers", "nonsense")
 	run(t, false, "falsify", "-packets", "zero")
 	run(t, false, "falsify", "-replay", "/does/not/exist.json")
+}
+
+// TestDelaydAnalyzerMustFitFabric pins that a daemon whose -algo cannot
+// analyze its own fabric refuses to boot, naming the analyzer and the
+// server, instead of answering every admit with the client's "invalid
+// spec"; and that a static-priority spec under integratedsp boots on the
+// incremental path.
+func TestDelaydAnalyzerMustFitFabric(t *testing.T) {
+	out := run(t, false, "delayd", "-addr", "127.0.0.1:0", "-tandem", "3", "-algo", "integratedsp")
+	for _, want := range []string{"IntegratedSP", "server 0 is FIFO"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("boot error does not name %q:\n%s", want, out)
+		}
+	}
+
+	spec := filepath.Join(t.TempDir(), "sp.json")
+	doc := `{"servers":[{"name":"a","capacity":1,"discipline":"sp"},{"name":"b","capacity":1,"discipline":"sp"}],
+	 "connections":[{"name":"c","sigma":1,"rho":0.2,"priority":1,"path":["a","b"],"deadline":9}]}`
+	if err := os.WriteFile(spec, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Reserve a loopback port for the daemon.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+	var logs strings.Builder
+	daemon := exec.Command(filepath.Join(binDir, "delayd"), "-addr", addr, "-spec", spec, "-algo", "integratedsp")
+	daemon.Stderr = &logs
+	if err := daemon.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- daemon.Wait() }()
+	defer func() {
+		_ = daemon.Process.Signal(syscall.SIGTERM) // fails only on an exited daemon, which the wait below reports
+		select {
+		case <-exited:
+		case <-time.After(10 * time.Second):
+			daemon.Process.Kill()
+			t.Error("delayd did not stop on SIGTERM")
+		}
+	}()
+	var stats struct {
+		Incremental bool `json:"incremental"`
+		Admitted    int  `json:"admitted"`
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		resp, err := http.Get("http://" + addr + "/v2/networks/default/stats")
+		if err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&stats)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatalf("decoding /stats: %v", err)
+			}
+			break
+		}
+		select {
+		case err := <-exited:
+			exited <- err
+			t.Fatalf("delayd exited before serving: %v\n%s", err, logs.String())
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("delayd never answered /stats: %v\n%s", err, logs.String())
+		}
+	}
+	if !stats.Incremental || stats.Admitted != 1 {
+		t.Errorf("/stats = %+v, want incremental with the spec's connection admitted", stats)
+	}
 }

@@ -118,6 +118,9 @@ func driveBatchDifferential(t *testing.T, label string, analyzer analysis.Analyz
 	if got := batchEng.Stats().BatchCommits; got != uint64(mutating) {
 		t.Fatalf("%s: stats report %d batch commits, want %d", label, got, mutating)
 	}
+	if seq, batch := seqEng.Stats().FullTests, batchEng.Stats().FullTests; seq != 0 || batch != 0 {
+		t.Fatalf("%s: full analyses on the incremental path: sequential %d, batch %d", label, seq, batch)
+	}
 	seqAdmitted, batchAdmitted := seqEng.Admitted(), batchEng.Admitted()
 	if len(seqAdmitted) != len(batchAdmitted) {
 		t.Fatalf("%s: final sets differ: sequential %d, batch %d", label, len(seqAdmitted), len(batchAdmitted))
@@ -150,13 +153,11 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 	}{
 		{"integrated", analysis.Integrated{}},
 		{"decomposed", analysis.Decomposed{}},
+		{"integratedsp", analysis.IntegratedSP{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(0); seed < seeds; seed++ {
-				net, err := topo.RandomFeedforward(6, 6, 0.5, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
+				net := corpusNet(t, tc.analyzer, 6, 6, 0.5, seed)
 				rng := rand.New(rand.NewSource(seed * 17))
 				for i := range net.Connections {
 					if rng.Intn(4) == 0 {

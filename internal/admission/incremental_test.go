@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"delaycalc/internal/analysis"
+	"delaycalc/internal/server"
 	"delaycalc/internal/topo"
 )
 
@@ -69,20 +70,52 @@ func driveDifferential(t *testing.T, label string, analyzer analysis.Analyzer, n
 			t.Fatalf("%s: count diverged: controller %d, engine %d", step, ctrl.Count(), eng.Count())
 		}
 	}
+	if st := eng.Stats(); !eng.Incremental() || st.FullTests != 0 {
+		t.Fatalf("%s: engine left the incremental path (Incremental() = %v): %+v", label, eng.Incremental(), st)
+	}
 }
+
+// spify turns a FIFO network into a static-priority one, classes 0-2 dealt
+// round-robin over the connections (the corpus analysis.IntegratedSP is
+// pinned on); withLatency also gives every server a fixed latency.
+func spify(net *topo.Network, withLatency bool) {
+	for s := range net.Servers {
+		net.Servers[s].Discipline = server.StaticPriority
+		if withLatency {
+			net.Servers[s].Latency = 0.05 * float64(1+s%3)
+		}
+	}
+	for c := range net.Connections {
+		net.Connections[c].Priority = c % 3
+	}
+}
+
+// corpusNet is one network of the 26-seed differential corpus, made
+// static-priority (odd seeds with latencies) for analysis.IntegratedSP.
+func corpusNet(t *testing.T, analyzer analysis.Analyzer, nServers, nConns int, util float64, seed int64) *topo.Network {
+	t.Helper()
+	net, err := topo.RandomFeedforward(nServers, nConns, util, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if analyzer == (analysis.IntegratedSP{}) {
+		spify(net, seed%2 == 1)
+	}
+	return net
+}
+
+// incrementalAnalyzers are the analyzers the engine accelerates.
+var incrementalAnalyzers = []analysis.Analyzer{analysis.Integrated{}, analysis.Decomposed{}, analysis.IntegratedSP{}}
 
 // TestEngineMatchesControllerOnRandomNetworks is the differential
 // acceptance test: on 50+ randomized feedforward networks with a mix of
 // loose and tight deadlines, the engine's decisions must be bit-identical
-// to the controller's at every admission step, for both incremental
-// analyzers.
+// to the controller's at every admission step, for every incremental
+// analyzer, without one full analysis.
 func TestEngineMatchesControllerOnRandomNetworks(t *testing.T) {
-	for _, analyzer := range []analysis.Analyzer{analysis.Integrated{}, analysis.Decomposed{}} {
+	for _, analyzer := range incrementalAnalyzers {
 		for seed := int64(0); seed < 26; seed++ {
-			net, err := topo.RandomFeedforward(6, 9, 0.6, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
+			net := corpusNet(t, analyzer, 6, 9, 0.6, seed)
 			// Deadline mix drawn from the same seed: loose (always fits),
 			// tight (often violated), and one absent (spec error path).
 			rng := rand.New(rand.NewSource(seed * 31))

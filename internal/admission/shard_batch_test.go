@@ -23,7 +23,7 @@ func TestShardedApplyBatchMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		seeds = 4
 	}
-	for seed := int64(0); seed < seeds; seed++ {
+	for seed := int64(0); seed < 2*seeds; seed++ {
 		net, err := topo.DisjointBlocks(4, 3, 0.5)
 		if err != nil {
 			t.Fatal(err)
@@ -31,11 +31,17 @@ func TestShardedApplyBatchMatchesSequential(t *testing.T) {
 		for i := range net.Connections {
 			net.Connections[i].Deadline = 1000
 		}
-		seqSE, err := NewShardedEngine(net.Servers, analysis.Integrated{}, 4)
+		// Odd seeds run the static-priority core on the same blocks.
+		var analyzer analysis.Analyzer = analysis.Integrated{}
+		if seed%2 == 1 {
+			analyzer = analysis.IntegratedSP{}
+			spify(net, seed%4 == 1)
+		}
+		seqSE, err := NewShardedEngine(net.Servers, analyzer, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		batchSE, err := NewShardedEngine(net.Servers, analysis.Integrated{}, 4)
+		batchSE, err := NewShardedEngine(net.Servers, analyzer, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,6 +92,9 @@ func TestShardedApplyBatchMatchesSequential(t *testing.T) {
 		// Every claim was confirmed or handed back: with nothing in flight
 		// the router's load is exactly the committed count, per shard.
 		for _, se := range []*ShardedEngine{seqSE, batchSE} {
+			if !se.Incremental() {
+				t.Fatalf("seed%d: %s shards are not incremental", seed, analyzer.Name())
+			}
 			for i, sh := range se.Stats().PerShard {
 				if se.router.load[i] != sh.Admitted {
 					t.Fatalf("seed%d: router load[%d] = %d, shard holds %d", seed, i, se.router.load[i], sh.Admitted)
@@ -101,44 +110,49 @@ func TestShardedApplyBatchMatchesSequential(t *testing.T) {
 // so which releases shrank, what they scoped and how many baselines were
 // materialised depend on the schedule alone.
 func TestReleaseAccountingDeterministic(t *testing.T) {
-	net, err := topo.DisjointBlocks(4, 3, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range net.Connections {
-		net.Connections[i].Deadline = 1000
-	}
-	ops := randomOps(net, 7, 4*len(net.Connections))
-	replay := func(shards int) ShardedStats {
-		se, err := NewShardedEngine(net.Servers, analysis.Integrated{}, shards)
+	for _, analyzer := range []analysis.Analyzer{analysis.Integrated{}, analysis.IntegratedSP{}} {
+		net, err := topo.DisjointBlocks(4, 3, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(11))
-		for start := 0; start < len(ops); {
-			end := min(start+1+rng.Intn(6), len(ops))
-			if _, err := se.ApplyBatch(bg, ops[start:end], nil); err != nil {
-				t.Fatalf("%d shards: ApplyBatch: %v", shards, err)
+		for i := range net.Connections {
+			net.Connections[i].Deadline = 1000
+		}
+		if analyzer == (analysis.IntegratedSP{}) {
+			spify(net, true)
+		}
+		ops := randomOps(net, 7, 4*len(net.Connections))
+		replay := func(shards int) ShardedStats {
+			se, err := NewShardedEngine(net.Servers, analyzer, shards)
+			if err != nil {
+				t.Fatal(err)
 			}
-			start = end
+			rng := rand.New(rand.NewSource(11))
+			for start := 0; start < len(ops); {
+				end := min(start+1+rng.Intn(6), len(ops))
+				if _, err := se.ApplyBatch(bg, ops[start:end], nil); err != nil {
+					t.Fatalf("%s, %d shards: ApplyBatch: %v", analyzer.Name(), shards, err)
+				}
+				start = end
+			}
+			// Drain in one envelope, so every shard sees a run of releases.
+			var drain []Op
+			for _, c := range se.Admitted() {
+				drain = append(drain, Op{Kind: OpRelease, Name: c.Name})
+			}
+			if _, err := se.ApplyBatch(bg, drain, nil); err != nil || se.Count() != 0 {
+				t.Fatalf("%s, %d shards: drain left %d connections: %v", analyzer.Name(), shards, se.Count(), err)
+			}
+			return se.Stats()
 		}
-		// Drain in one envelope, so every shard sees a run of releases.
-		var drain []Op
-		for _, c := range se.Admitted() {
-			drain = append(drain, Op{Kind: OpRelease, Name: c.Name})
-		}
-		if _, err := se.ApplyBatch(bg, drain, nil); err != nil || se.Count() != 0 {
-			t.Fatalf("%d shards: drain left %d connections: %v", shards, se.Count(), err)
-		}
-		return se.Stats()
-	}
-	for _, shards := range []int{1, 4} {
-		first, second := replay(shards), replay(shards)
-		if !reflect.DeepEqual(first, second) {
-			t.Fatalf("%d shards: the same schedule counted differently:\n  %+v\n  %+v", shards, first, second)
-		}
-		if first.FullTests != 0 || first.IncrementalReleases == 0 || first.CompactedReleases == 0 || first.AffectedCount == 0 {
-			t.Fatalf("%d shards: schedule must stay incremental and exercise both release modes: %+v", shards, first)
+		for _, shards := range []int{1, 4} {
+			first, second := replay(shards), replay(shards)
+			if !reflect.DeepEqual(first, second) {
+				t.Fatalf("%s, %d shards: the same schedule counted differently:\n  %+v\n  %+v", analyzer.Name(), shards, first, second)
+			}
+			if first.FullTests != 0 || first.IncrementalReleases == 0 || first.CompactedReleases == 0 || first.AffectedCount == 0 {
+				t.Fatalf("%s, %d shards: schedule must stay incremental and exercise both release modes: %+v", analyzer.Name(), shards, first)
+			}
 		}
 	}
 }

@@ -92,12 +92,9 @@ func driveShardDifferential(t *testing.T, label string, analyzer analysis.Analyz
 // suite, at 1, 2, and 4 shards. Candidates routinely merge components, so
 // the cross-shard path is exercised throughout.
 func TestShardedMatchesEngineOnRandomNetworks(t *testing.T) {
-	for _, analyzer := range []analysis.Analyzer{analysis.Integrated{}, analysis.Decomposed{}} {
+	for _, analyzer := range incrementalAnalyzers {
 		for seed := int64(0); seed < 26; seed++ {
-			net, err := topo.RandomFeedforward(6, 9, 0.6, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
+			net := corpusNet(t, analyzer, 6, 9, 0.6, seed)
 			rng := rand.New(rand.NewSource(seed * 31))
 			for i := range net.Connections {
 				switch rng.Intn(4) {

@@ -2,30 +2,11 @@ package analysis
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"delaycalc/internal/minplus"
 )
-
-// sumSorted adds the map's curves in deterministic (key-sorted) order so
-// results do not depend on map iteration. It is the one shared aggregate
-// helper of the analysis layer (the FIFO and static-priority analyzers
-// both fold envelopes through it), built on the k-way minplus.SumN instead
-// of a pairwise Add fold.
-func sumSorted(m map[int]minplus.Curve) minplus.Curve {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	curves := make([]minplus.Curve, len(keys))
-	for i, k := range keys {
-		curves[i] = m[k]
-	}
-	return minplus.SumN(curves...)
-}
 
 // runAggregates is the per-iteration aggregate cache of one chain: for
 // every chain position, the partial sum of each run's member envelopes at

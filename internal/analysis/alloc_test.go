@@ -12,12 +12,12 @@ import (
 	"delaycalc/internal/traffic"
 )
 
-// analyzeAllocs returns one Integrated analysis of net and the heap
+// analyzeAllocs returns one chain-engine analysis of net and the heap
 // allocations a steady-state pass makes: AllocsPerRun's own warm-up pass
 // fills the arena and scratch pools and pins GOMAXPROCS to 1 (levels run
 // sequentially, so the count does not depend on the core count), and GC is
 // suspended so no collection drains the pools between passes.
-func analyzeAllocs(t *testing.T, a Integrated, net *topo.Network) (*Result, float64) {
+func analyzeAllocs(t *testing.T, a Analyzer, net *topo.Network) (*Result, float64) {
 	t.Helper()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var res *Result
@@ -80,7 +80,7 @@ func TestThetaSearchAllocCeiling(t *testing.T) {
 			cands: cands,
 			ar:    ar,
 			residual: func(i int, theta float64) minplus.Curve {
-				return fifoResidual(ar, caps[i], cross[i], theta)
+				return residual(ar, minplus.Rate(caps[i]), cross[i], theta)
 			},
 		}
 		return ts.minimize()

@@ -12,7 +12,9 @@
 //
 // Extensions the paper announces as ongoing work are also provided:
 // static-priority servers (per-class leftover analysis in the decomposed
-// pass, plus IntegratedSP — the integrated analysis per priority class),
+// pass, plus IntegratedSP — the integrated analysis per priority class:
+// the same chain engine, driver and incremental core as Integrated, run
+// once per class against the leftover of the more urgent ones),
 // guaranteed-rate servers (GuaranteedRateNetworkCurve, where the
 // service-curve method is the right tool), and EDF servers
 // (schedulability and uniform-lateness bounds).

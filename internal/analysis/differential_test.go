@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -115,8 +116,23 @@ func TestCurveEngineMatchesReference(t *testing.T) {
 
 // TestParallelAnalyzeDeterministic checks that the level-parallel analysis
 // is bitwise identical to the sequential order: within one engine there is
-// no floating-point reassociation, so equality must be exact.
+// no floating-point reassociation, so equality must be exact. IntegratedSP
+// runs on the same driver; its sequential order is the driver's internal
+// switch.
 func TestParallelAnalyzeDeterministic(t *testing.T) {
+	for name, net := range spRandomCorpus(t) {
+		par, err := IntegratedSP{}.Analyze(net)
+		if err != nil {
+			t.Fatalf("%s: parallel: %v", name, err)
+		}
+		core := IntegratedSP{}.core()
+		core.sequential = true
+		seq, err := core.analyze(context.Background(), net)
+		if err != nil {
+			t.Fatalf("%s: sequential: %v", name, err)
+		}
+		requireSameResult(t, name, seq, par)
+	}
 	nets := differentialCorpus(t)
 	for seed := int64(100); seed < 126; seed++ {
 		net, err := topo.RandomFeedforward(10, 16, 0.65, seed)

@@ -126,7 +126,7 @@ func preBestSuccessor(a Integrated, net *topo.Network, tail int, used map[int]bo
 			}
 		}
 	}
-	best, bestRate := -1, a.MaxPairRate
+	best, bestRate := -1, 0.0
 	keys := make([]int, 0, len(through))
 	for v := range through {
 		keys = append(keys, v)

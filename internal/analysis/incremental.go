@@ -12,12 +12,12 @@ import (
 
 // This file implements incremental re-analysis: a Baseline records, for a
 // fully analyzed network, the propagation state after every analysis unit
-// (one server for Decomposed, one chain for Integrated), and Extend
-// re-analyzes the network with one extra connection by recomputing only the
-// units the candidate can influence and replaying the recorded state for
-// every other unit.
+// (one server for Decomposed, one chain for Integrated and IntegratedSP), and
+// Extend re-analyzes the network with one extra connection by recomputing
+// only the units the candidate can influence and replaying the recorded
+// state for every other unit.
 //
-// Why replay is exact: both analyzers process units in a topological order
+// Why replay is exact: every core processes units in a topological order
 // consistent with every connection's route, so when a unit is processed,
 // each crossing connection is entering it with its state fully determined
 // by the units it crossed before. A unit's computation is a deterministic
@@ -43,10 +43,11 @@ type Incremental interface {
 	NewBaseline(net *topo.Network) (*Baseline, error)
 }
 
-// Compile-time checks: the two analyzers the admission engine accelerates.
+// Compile-time checks: the analyzers the admission engine accelerates.
 var (
 	_ Incremental = Decomposed{}
 	_ Incremental = Integrated{}
+	_ Incremental = IntegratedSP{}
 )
 
 // stepCore is the analyzer-specific machinery behind the shared driver: an
@@ -64,8 +65,8 @@ type stepCore interface {
 	// servers and a topological order — in which case a trial whose graph
 	// still shares the baseline's order reuses the baseline's unit list
 	// instead of re-deriving it. Decomposed (one unit per server in that
-	// order) qualifies; Integrated (chain partition, which follows the
-	// edge rates and which a bridging candidate can merge) does not.
+	// order) qualifies; the chain partition (which follows the edge rates
+	// and which a bridging candidate can merge) does not.
 	reusableUnits() bool
 	// apply runs the unit's computation. ok=false degrades the whole
 	// analysis to +Inf, exactly as in the full pass. idx is the network's
@@ -248,7 +249,13 @@ func (Decomposed) NewBaseline(net *topo.Network) (*Baseline, error) {
 
 // NewBaseline implements Incremental for the integrated analysis.
 func (a Integrated) NewBaseline(net *topo.Network) (*Baseline, error) {
-	return newBaseline(integratedCore{a}, net)
+	return newBaseline(a.core(), net)
+}
+
+// NewBaseline implements Incremental for the static-priority integrated
+// analysis.
+func (a IntegratedSP) NewBaseline(net *topo.Network) (*Baseline, error) {
+	return newBaseline(a.core(), net)
 }
 
 // copyNetwork clones the network's top-level slices so the baseline owns
@@ -659,31 +666,28 @@ func (decomposedCore) apply(_ context.Context, net *topo.Network, idx [][]int, u
 	return decomposedServerStep(net, s, idx[s], p, ar)
 }
 
-// integratedCore adapts the integrated analysis: one unit per chain of the
+// chainCore (integrated.go) as a stepCore: one unit per chain of the
 // partition, in subnetwork topological order.
-type integratedCore struct {
-	a Integrated
-}
 
-func (ic integratedCore) name() string { return "Integrated" }
+func (cc chainCore) name() string { return cc.algo }
 
-func (ic integratedCore) check(net *topo.Network) error {
+func (cc chainCore) check(net *topo.Network) error {
 	for i, s := range net.Servers {
-		if s.Discipline != server.FIFO {
-			return fmt.Errorf("analysis: Integrated applies to FIFO networks; server %d is %v", i, s.Discipline)
+		if s.Discipline != cc.discipline {
+			return fmt.Errorf("analysis: %s applies to %s networks; server %d is %v", cc.algo, cc.serves, i, s.Discipline)
 		}
 	}
 	return nil
 }
 
-// reusableUnits is false for the integrated partition: chains follow the
-// edge rates, and a candidate whose route bridges two chains merges them,
-// so the unit list is re-derived per trial — from the trial's graph, in
+// reusableUnits is false for the chain partition: chains follow the edge
+// rates, and a candidate whose route bridges two chains merges them, so the
+// unit list is re-derived per trial — from the trial's graph, in
 // O(servers + edges).
-func (ic integratedCore) reusableUnits() bool { return false }
+func (cc chainCore) reusableUnits() bool { return false }
 
-func (ic integratedCore) units(g *topo.Graph) ([]unitSpec, error) {
-	ordered, err := orderSubnetworks(g, ic.a.partition(g))
+func (cc chainCore) units(g *topo.Graph) ([]unitSpec, error) {
+	ordered, err := orderSubnetworks(g, partition(g, cc.maxLen))
 	if err != nil {
 		return nil, err
 	}
@@ -694,6 +698,6 @@ func (ic integratedCore) units(g *topo.Graph) ([]unitSpec, error) {
 	return units, nil
 }
 
-func (ic integratedCore) apply(ctx context.Context, net *topo.Network, idx [][]int, u unitSpec, p *propagation) (bool, error) {
-	return analyzeChain(ctx, net, idx, u.servers, p, ic.a.DeconvPropagation), nil
+func (cc chainCore) apply(ctx context.Context, net *topo.Network, idx [][]int, u unitSpec, p *propagation) (bool, error) {
+	return cc.chain(ctx, net, idx, u.servers, p), nil
 }

@@ -70,6 +70,15 @@ func TestExtendMatchesFullOnRandomNetworks(t *testing.T) {
 			extendAndCompare(t, fmt.Sprintf("%s/seed%d", a.Name(), seed), a, net)
 		}
 	}
+	replayed, recomputed := 0, 0
+	for name, net := range spRandomCorpus(t) {
+		ext := extendAndCompare(t, "IntegratedSP/"+name, IntegratedSP{}, net)
+		replayed += ext.Stats.ReplayedUnits
+		recomputed += ext.Stats.RecomputedUnits
+	}
+	if replayed == 0 || recomputed == 0 {
+		t.Errorf("IntegratedSP extensions replayed %d units and recomputed %d, want both", replayed, recomputed)
+	}
 }
 
 // TestExtendMatchesFullWhenPartitionShifts forces the integrated partition
@@ -211,11 +220,16 @@ func TestExtendUnstableTrial(t *testing.T) {
 // and checks each against the full analysis. Under -race it is the proof
 // that a trial only ever copies the shared state it changes.
 func TestConcurrentExtendsShareBaseline(t *testing.T) {
-	net, err := topo.RandomFeedforward(8, 24, 0.4, 11)
+	fifo, err := topo.RandomFeedforward(8, 24, 0.4, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range []Incremental{Decomposed{}, Integrated{}} {
+	sp := spRandomCorpus(t)["spff12x30-seed11"]
+	for _, a := range []Incremental{Decomposed{}, Integrated{}, IntegratedSP{}} {
+		net := fifo
+		if a == (IntegratedSP{}) {
+			net = sp
+		}
 		bl, err := a.NewBaseline(net)
 		if err != nil {
 			t.Fatal(err)

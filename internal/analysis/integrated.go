@@ -57,13 +57,6 @@ type Integrated struct {
 	// values trade analysis time for tighter bounds; 1 degenerates to
 	// plain decomposition.
 	ChainLength int
-	// MaxPairRate, when set, requires a grouping's through-aggregate rate
-	// to exceed the threshold (an ablation knob; zero keeps every viable
-	// grouping).
-	MaxPairRate float64
-	// DisablePairing turns the analysis into plain decomposition
-	// (equivalent to ChainLength 1; kept as an explicit ablation knob).
-	DisablePairing bool
 	// DeconvPropagation refines the envelope a connection carries out of
 	// a multi-server run: in addition to the paper's burstiness shift
 	// b(I + d_run), the connection's own per-flow residual service curve
@@ -85,14 +78,10 @@ func (a Integrated) Name() string { return "Integrated" }
 
 // chainLength resolves the effective maximum subnetwork size.
 func (a Integrated) chainLength() int {
-	switch {
-	case a.DisablePairing:
-		return 1
-	case a.ChainLength <= 0:
+	if a.ChainLength <= 0 {
 		return 2
-	default:
-		return a.ChainLength
 	}
+	return a.ChainLength
 }
 
 // subnetwork is one element of the partition: a chain of consecutive
@@ -112,26 +101,76 @@ func (a Integrated) Analyze(net *topo.Network) (*Result, error) {
 // run is bit-identical to Analyze; once the context is done the partial
 // state is discarded and the context's error is returned.
 func (a Integrated) AnalyzeContext(ctx context.Context, net *topo.Network) (*Result, error) {
+	return a.core().analyze(ctx, net)
+}
+
+// core is the FIFO chain analysis: every position serves at its line rate
+// with the server's latency added outside the deviation, and every
+// connection of the chain takes part in the one pass.
+func (a Integrated) core() chainCore {
+	return chainCore{algo: "Integrated", serves: "FIFO", discipline: server.FIFO,
+		maxLen: a.chainLength(), sequential: a.Sequential,
+		chain: func(ctx context.Context, net *topo.Network, idx [][]int, chain []int, p *propagation) bool {
+			sc := getChainScratch()
+			defer sc.release()
+			svc := sc.service(len(chain))
+			for i, s := range chain {
+				srv := net.Servers[s]
+				svc[i] = hopService{beta: minplus.Rate(srv.Capacity), lat: srv.Latency}
+			}
+			if !analyzeChain(ctx, sc, net, idx, chain, p, chainPass{svc: svc, deconv: a.DeconvPropagation}) {
+				return false
+			}
+			for i, s := range chain {
+				p.recordBacklog(s, sc.agg[i], net.Servers[s].Capacity)
+			}
+			return true
+		}}
+}
+
+// chainCore is a chain analysis — Integrated on FIFO servers, IntegratedSP
+// on static-priority ones — as the one driver sees it, whole-network
+// (analyze) and incremental (stepCore): partition into chains of at most
+// maxLen servers, order them, and run chain on each.
+type chainCore struct {
+	algo       string
+	serves     string // discipline, as the check's error words it
+	discipline server.Discipline
+	maxLen     int
+	// sequential analyzes the chains strictly in topological order on one
+	// goroutine instead of level-parallel; the bounds are bit-identical.
+	sequential bool
+	// chain advances the propagation across one chain. It reports false
+	// when a bound is unbounded (the whole analysis degrades to +Inf) or
+	// the context was cancelled; callers consult ctx.Err() to tell.
+	chain func(ctx context.Context, net *topo.Network, idx [][]int, chain []int, p *propagation) bool
+}
+
+// analyze runs the chain analysis over the whole network. Independent
+// chains run concurrently, one dependency level at a time (see Integrated).
+func (cc chainCore) analyze(ctx context.Context, net *topo.Network) (*Result, error) {
 	net, scale, g, err := analyzable(net)
 	if err != nil {
 		return nil, err
 	}
-	for i, s := range net.Servers {
-		if s.Discipline != server.FIFO {
-			return nil, fmt.Errorf("analysis: Integrated applies to FIFO networks; server %d is %v", i, s.Discipline)
-		}
+	if err := cc.check(net); err != nil {
+		return nil, err
 	}
 	if !net.Stable() {
-		return allInf("Integrated", net), nil
+		return allInf(cc.algo, net), nil
 	}
 	tm := timingsFrom(ctx)
 	partStart := time.Now()
-	ordered, err := orderSubnetworks(g, a.partition(g))
+	ordered, err := orderSubnetworks(g, partition(g, cc.maxLen))
 	if err != nil {
 		return nil, err
 	}
 	var levels [][]subnetwork
-	if !a.Sequential {
+	if cc.sequential {
+		for i := range ordered {
+			levels = append(levels, ordered[i:i+1])
+		}
+	} else {
 		levels = levelizeSubnetworks(g, ordered)
 	}
 	if tm != nil {
@@ -139,30 +178,18 @@ func (a Integrated) AnalyzeContext(ctx context.Context, net *topo.Network) (*Res
 	}
 	idx := net.ConnectionIndex()
 	p := newPropagation(net)
-	if a.Sequential {
-		for _, sn := range ordered {
-			ok := analyzeChain(ctx, net, idx, sn.servers, p, a.DeconvPropagation)
-			if err := ctx.Err(); err != nil {
-				return nil, ctxErr(err)
-			}
-			if !ok {
-				return allInf("Integrated", net), nil
-			}
+	for _, level := range levels {
+		ok := analyzeLevel(level, func(sn subnetwork) bool {
+			return cc.chain(ctx, net, idx, sn.servers, p)
+		})
+		if err := ctx.Err(); err != nil {
+			return nil, ctxErr(err)
 		}
-	} else {
-		for _, level := range levels {
-			ok := analyzeLevel(level, func(sn subnetwork) bool {
-				return analyzeChain(ctx, net, idx, sn.servers, p, a.DeconvPropagation)
-			})
-			if err := ctx.Err(); err != nil {
-				return nil, ctxErr(err)
-			}
-			if !ok {
-				return allInf("Integrated", net), nil
-			}
+		if !ok {
+			return allInf(cc.algo, net), nil
 		}
 	}
-	return denormalizeBacklogs(p.result("Integrated"), scale), nil
+	return denormalizeBacklogs(p.result(cc.algo), scale), nil
 }
 
 // subnetOwner maps every server to the index of its subnetwork. The
@@ -274,8 +301,7 @@ func analyzeLevel(level []subnetwork, f func(subnetwork) bool) bool {
 // unit — a local reachability probe over the contracted unit graph
 // (partitioner.createsCycle) instead of the full clone-and-toposort the
 // previous implementation ran per candidate.
-func (a Integrated) partition(g *topo.Graph) []subnetwork {
-	maxLen := a.chainLength()
+func partition(g *topo.Graph, maxLen int) []subnetwork {
 	pt := newPartitioner(g)
 	for _, u := range g.Order() {
 		if pt.owner[u] >= 0 {
@@ -283,7 +309,7 @@ func (a Integrated) partition(g *topo.Graph) []subnetwork {
 		}
 		unit := pt.newUnit(u)
 		for chain := pt.members(unit); len(chain) < maxLen; chain = pt.members(unit) {
-			next := a.bestSuccessor(g.Succ(chain[len(chain)-1]), pt.owner)
+			next := bestSuccessor(g.Succ(chain[len(chain)-1]), pt.owner)
 			if next < 0 || !pt.extensionValid(unit, next) {
 				break
 			}
@@ -299,11 +325,11 @@ func (a Integrated) partition(g *topo.Graph) []subnetwork {
 }
 
 // bestSuccessor picks, among a chain tail's successor edges, the successor
-// no unit owns yet with the largest through-traffic rate above the
-// ablation threshold, or -1. Ascending-index iteration with a strict
-// comparison breaks rate ties toward the smaller server index.
-func (a Integrated) bestSuccessor(succ []topo.Edge, owner []int) int {
-	best, bestRate := -1, a.MaxPairRate
+// no unit owns yet with the largest (positive) through-traffic rate, or -1.
+// Ascending-index iteration with a strict comparison breaks rate ties
+// toward the smaller server index.
+func bestSuccessor(succ []topo.Edge, owner []int) int {
+	best, bestRate := -1, 0.0
 	for _, e := range succ {
 		if owner[e.To] < 0 && e.Rate > bestRate {
 			best, bestRate = e.To, e.Rate
@@ -490,10 +516,17 @@ func resize[T any](s []T, n int) []T {
 // at indices the current chain provably wrote, so stale contents never
 // leak between chains.
 type chainScratch struct {
-	hdrs  []*run // grow-only header pool; member slices keep capacity
-	nHdrs int
-	runs  []*run
-	base  []int // runs[ri]'s members own slots base[ri]..base[ri]+len-1
+	// ar backs every intra-chain curve; it is drawn with the scratch and
+	// released with it, so what a pass leaves here (agg) stays readable by
+	// the caller between passes over the same chain.
+	ar      *minplus.Arena
+	svc     []hopService    // the caller's per-position service description
+	agg     []minplus.Curve // out: the last pass's aggregate per position
+	classes []int           // IntegratedSP's priority classes of the chain
+	hdrs    []*run          // grow-only header pool; member slices keep capacity
+	nHdrs   int
+	runs    []*run
+	base    []int // runs[ri]'s members own slots base[ri]..base[ri]+len-1
 	// envBuf backs the per-position envelope rows: envAt[i] =
 	// envBuf[i*total : (i+1)*total], indexed by member slot.
 	envBuf []minplus.Curve
@@ -505,6 +538,48 @@ type chainScratch struct {
 }
 
 var chainScratchPool = sync.Pool{New: func() any { return new(chainScratch) }}
+
+func getChainScratch() *chainScratch {
+	sc := chainScratchPool.Get().(*chainScratch)
+	sc.ar = minplus.GetArena()
+	return sc
+}
+
+func (sc *chainScratch) release() {
+	sc.ar.Release()
+	sc.ar = nil
+	chainScratchPool.Put(sc)
+}
+
+// service returns the n-position service description for the caller to
+// fill in.
+func (sc *chainScratch) service(n int) []hopService {
+	sc.svc = resize(sc.svc, n)
+	return sc.svc
+}
+
+// hopService is what one chain position offers the traffic of a pass: the
+// service curve its delays deviate from, and a fixed latency added outside
+// the deviation. Theta candidates scale by the server's capacity either way.
+type hopService struct {
+	beta minplus.Curve
+	lat  float64
+}
+
+// chainPass is what one pass of analyzeChain serves. The FIFO analysis makes
+// one pass per chain: Rate(C_i) with the server's latency, every connection.
+// Static priority makes one per class, most urgent first, with the
+// rate-latency leftover of the more urgent classes and only the class's
+// connections (FIFO among themselves) taking part.
+type chainPass struct {
+	svc []hopService // per chain position
+	// byClass restricts the pass to the connections of priority class.
+	byClass bool
+	class   int
+	// deconv also deconvolves each multi-hop connection's own residual
+	// service out of its entry envelope (Integrated.DeconvPropagation).
+	deconv bool
+}
 
 // newRun hands out a reset run header from the grow-only pool. Headers are
 // allocated once and keep their member slice's capacity across chains.
@@ -518,14 +593,17 @@ func (sc *chainScratch) newRun(lo, hi int) *run {
 	return r
 }
 
-// analyzeChain performs the integrated analysis on one chain of servers.
+// analyzeChain performs one pass of the integrated analysis on one chain of
+// servers: the connections the pass admits, against the service it
+// describes.
 //
 // Within the chain, connections sharing the same maximal interval of
 // consecutive chain servers form one FIFO sub-aggregate (a "run"): the
 // paper's S12 with S1/S2 generalizes to one run per distinct interval.
-// Every run of length one gets the exact local FIFO bound against the full
-// aggregate at its server; every longer run gets the residual-convolution
-// bound against its cross traffic, clamped by the decomposed sum. Cross
+// Every run of length one gets the exact local FIFO bound against the
+// pass's full aggregate at its server; every longer run gets the
+// residual-convolution bound against its cross traffic, clamped by the
+// decomposed sum. Cross
 // envelopes at interior servers are the run-entry envelopes deformed by
 // the local FIFO delays accumulated so far — a valid (decomposed-style)
 // intra-chain characterization.
@@ -543,16 +621,14 @@ func (sc *chainScratch) newRun(lo, hi int) *run {
 //
 // idx is the network's ConnectionIndex. Every intra-chain curve —
 // envelope shifts, run partial sums, residuals, theta-search scratch —
-// is drawn from one pooled arena owned by the chain and released on
-// return; only what outlives the chain (the propagation's envelopes and
-// stages) is heap-allocated. Chains of one level run concurrently, so the
-// arena is strictly chain-local, and the theta search's candidate
-// fan-outs use their own per-worker pool arenas.
-func analyzeChain(ctx context.Context, net *topo.Network, idx [][]int, chain []int, p *propagation, deconv bool) bool {
-	ar := minplus.GetArena()
-	defer ar.Release()
-	sc := chainScratchPool.Get().(*chainScratch)
-	defer chainScratchPool.Put(sc)
+// is drawn from the arena of the caller's scratch and dies with it; only
+// what outlives the chain (the propagation's envelopes and stages) is
+// heap-allocated. Chains of one level run concurrently, so scratch and
+// arena are strictly chain-local, and the theta search's candidate
+// fan-outs use their own per-worker pool arenas. On success sc.agg holds
+// the pass's aggregate envelope at every position.
+func analyzeChain(ctx context.Context, sc *chainScratch, net *topo.Network, idx [][]int, chain []int, p *propagation, pass chainPass) bool {
+	ar, svc := sc.ar, pass.svc
 	tm := timingsFrom(ctx)
 	// Chains hold at most ChainLength servers, so position lookup is a
 	// linear scan instead of a per-chain map.
@@ -580,6 +656,9 @@ func analyzeChain(ctx context.Context, net *topo.Network, idx [][]int, chain []i
 	runs := sc.runs[:0]
 	for i, s := range chain {
 		for _, c := range idx[s] {
+			if pass.byClass && net.Connections[c].Priority != pass.class {
+				continue
+			}
 			path := net.Connections[c].Path
 			h := p.next[c]
 			lo := posOf(path[h])
@@ -686,6 +765,7 @@ func analyzeChain(ctx context.Context, net *topo.Network, idx [][]int, chain []i
 		}
 		local := resize(sc.local, len(chain))
 		sc.local = local
+		sc.agg = resize(sc.agg, len(chain))
 		for ri, r := range runs {
 			b := base[ri]
 			for j, c := range r.conns {
@@ -704,15 +784,12 @@ func analyzeChain(ctx context.Context, net *topo.Network, idx [][]int, chain []i
 			if canceled(ctx) {
 				return false
 			}
-			srv := net.Servers[chain[i]]
 			ra.fill(i, envAt[i])
 			agg := ra.total(i)
-			local[i] = fifoLocalDelay(agg, srv.Capacity, srv.Latency)
+			sc.agg[i] = agg
+			local[i] = minplus.HorizontalDeviation(agg, svc[i].beta) + svc[i].lat
 			if math.IsInf(local[i], 1) {
 				return false
-			}
-			if iter == iters-1 {
-				p.recordBacklog(chain[i], agg, srv.Capacity)
 			}
 			if iter == 0 {
 				// Initial decomposed-style propagation.
@@ -731,7 +808,7 @@ func analyzeChain(ctx context.Context, net *topo.Network, idx [][]int, chain []i
 		}
 		thetaStart := time.Now()
 		bounds = &sc.ib
-		bounds.init(ctx, ar, net, chain, runs, ra, envAt, base, local)
+		bounds.init(ctx, ar, net, chain, svc, runs, ra, envAt, base, local)
 		// Record the DP prefix bounds as the next iteration's shifts. The
 		// shift vector is identical for every member of a run, so one
 		// arena-backed vector per run is shared by all its slots.
@@ -769,7 +846,7 @@ func analyzeChain(ctx context.Context, net *topo.Network, idx [][]int, chain []i
 		}
 		propStart := time.Now()
 		var excl *runExclSums
-		if deconv && r.hi > r.lo {
+		if pass.deconv && r.hi > r.lo {
 			excl = newRunExclSums(ar, bounds, ri)
 		}
 		for mi, c := range r.conns {
@@ -778,7 +855,7 @@ func analyzeChain(ctx context.Context, net *topo.Network, idx [][]int, chain []i
 				return false
 			}
 			if excl != nil {
-				refined := deconvOutput(ar, net, chain, r, mi, entry, excl)
+				refined := deconvOutput(ar, svc, r, mi, entry, excl)
 				if refined != nil {
 					p.env[c] = minplus.Min(p.env[c], *refined)
 				}
@@ -858,10 +935,10 @@ func (ex *runExclSums) crossWithout(i, mi int) minplus.Curve {
 // member no guaranteed rate. The residual convolution is chain-arena
 // scratch; the returned deconvolution is heap-allocated because the
 // caller folds it into the propagation, which outlives the chain.
-func deconvOutput(ar *minplus.Arena, net *topo.Network, chain []int, r *run, mi int, entry minplus.Curve, ex *runExclSums) *minplus.Curve {
+func deconvOutput(ar *minplus.Arena, svc []hopService, r *run, mi int, entry minplus.Curve, ex *runExclSums) *minplus.Curve {
 	beta := minplus.Curve{}
 	for i := r.lo; i <= r.hi; i++ {
-		res := fifoResidual(ar, net.Servers[chain[i]].Capacity, ex.crossWithout(i, mi), 0)
+		res := residual(ar, svc[i].beta, ex.crossWithout(i, mi), 0)
 		if i == r.lo {
 			beta = res
 		} else {
@@ -889,6 +966,7 @@ type intervalBounds struct {
 	ar     *minplus.Arena  // owning chain's arena for interval scratch
 	net    *topo.Network
 	chain  []int
+	svc    []hopService
 	runs   []*run
 	ra     *runAggregates
 	envAt  [][]minplus.Curve
@@ -898,8 +976,8 @@ type intervalBounds struct {
 	opt    []float64
 }
 
-func (ib *intervalBounds) init(ctx context.Context, ar *minplus.Arena, net *topo.Network, chain []int, runs []*run, ra *runAggregates, envAt [][]minplus.Curve, base []int, local []float64) {
-	ib.ctx, ib.ar, ib.net, ib.chain = ctx, ar, net, chain
+func (ib *intervalBounds) init(ctx context.Context, ar *minplus.Arena, net *topo.Network, chain []int, svc []hopService, runs []*run, ra *runAggregates, envAt [][]minplus.Curve, base []int, local []float64) {
+	ib.ctx, ib.ar, ib.net, ib.chain, ib.svc = ctx, ar, net, chain, svc
 	ib.runs, ib.ra, ib.envAt, ib.base, ib.local = runs, ra, envAt, base, local
 	n := len(chain) * len(chain)
 	ib.direct = resize(ib.direct, n)
@@ -938,36 +1016,34 @@ func (ib *intervalBounds) directBound(lo, hi int) float64 {
 	if d := ib.direct[key]; !math.IsNaN(d) {
 		return d
 	}
-	d := runIntervalBound(ib.ctx, ib.ar, ib.net, ib.chain, lo, hi, ib.ra, ib.local)
+	d := runIntervalBound(ib.ctx, ib.ar, ib.net, ib.chain, ib.svc, lo, hi, ib.ra, ib.local)
 	ib.direct[key] = d
 	return d
 }
 
 // runIntervalBound computes the joint bound of a multi-server interval for
 // a given aggregate: the horizontal deviation between the aggregate's
-// entry envelope and the min-plus convolution of the per-server FIFO
-// residual curves against the local cross traffic, minimized over the
+// entry envelope and the min-plus convolution of the per-position FIFO
+// residuals of svc's service curves against the local cross traffic (plus
+// svc's latencies), minimized over the
 // theta parameters by the shared memoized search (full enumeration for
 // two servers, coordinate descent for longer intervals — every
 // evaluation is a valid bound, so any search strategy is sound), clamped
 // by the decomposed sum of local delays.
-func runIntervalBound(ctx context.Context, ar *minplus.Arena, net *topo.Network, chain []int, lo, hi int, ra *runAggregates, local []float64) float64 {
+func runIntervalBound(ctx context.Context, ar *minplus.Arena, net *topo.Network, chain []int, svc []hopService, lo, hi int, ra *runAggregates, local []float64) float64 {
 	agg := ra.covering(lo, lo, hi)
 
 	k := hi - lo + 1
 	cross := ar.Curves(k)[:k]
-	caps := ar.Floats(k)[:k]
 	cands := make([][]float64, k)
 	lat := 0.0
 	decomposedSum := 0.0
 	for i := 0; i < k; i++ {
 		posIdx := lo + i
-		srv := net.Servers[chain[posIdx]]
-		caps[i] = srv.Capacity
-		lat += srv.Latency
+		lat += svc[posIdx].lat
 		decomposedSum += local[posIdx]
 		cross[i] = ra.crossAt(posIdx, lo, hi)
-		cands[i] = thetaCandidatesArena(ar, caps[i], cross[i], local[posIdx])
+		cands[i] = thetaCandidatesArena(ar, net.Servers[chain[posIdx]].Capacity, cross[i], local[posIdx])
 	}
 
 	ts := &thetaSearch{
@@ -976,7 +1052,7 @@ func runIntervalBound(ctx context.Context, ar *minplus.Arena, net *topo.Network,
 		cands: cands,
 		ar:    ar,
 		residual: func(i int, theta float64) minplus.Curve {
-			return fifoResidual(ar, caps[i], cross[i], theta)
+			return residual(ar, svc[lo+i].beta, cross[i], theta)
 		},
 	}
 	best := ts.minimize() + lat

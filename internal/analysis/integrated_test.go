@@ -81,7 +81,7 @@ func TestIntegratedDisablePairingEqualsDecomposed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ri, err := (Integrated{DisablePairing: true}).Analyze(net)
+	ri, err := (Integrated{ChainLength: 1}).Analyze(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestIntegratedPairingOnTandem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subnets := (Integrated{}).partition(topo.NewGraph(net))
+	subnets := partition(topo.NewGraph(net), 2)
 	if len(subnets) != 2 {
 		t.Fatalf("expected 2 pairs for a 4-tandem, got %d subnetworks: %+v", len(subnets), subnets)
 	}
@@ -113,7 +113,7 @@ func TestIntegratedPairingOnTandem(t *testing.T) {
 	}
 	// Odd tandem leaves one singleton.
 	net5, _ := topo.PaperTandem(5, 0.5)
-	subnets5 := (Integrated{}).partition(topo.NewGraph(net5))
+	subnets5 := partition(topo.NewGraph(net5), 2)
 	singles := 0
 	for _, sn := range subnets5 {
 		if len(sn.servers) == 1 {
@@ -124,7 +124,7 @@ func TestIntegratedPairingOnTandem(t *testing.T) {
 		t.Errorf("5-tandem: expected exactly 1 singleton, got %d", singles)
 	}
 	// Longer chains: the whole tandem becomes one subnetwork.
-	subnetsFull := (Integrated{ChainLength: 8}).partition(topo.NewGraph(net))
+	subnetsFull := partition(topo.NewGraph(net), 8)
 	if len(subnetsFull) != 1 || len(subnetsFull[0].servers) != 4 {
 		t.Errorf("ChainLength=8 on a 4-tandem: got %+v, want one 4-chain", subnetsFull)
 	}

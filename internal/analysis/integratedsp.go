@@ -2,9 +2,8 @@ package analysis
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"delaycalc/internal/minplus"
 	"delaycalc/internal/server"
@@ -24,22 +23,20 @@ import (
 //     valid (slightly weaker) service curve.
 //
 //  2. Within its class the server is FIFO, so the theta-parameterized
-//     FIFO residual family applies against same-class cross traffic on
-//     top of the rate-latency guarantee:
+//     FIFO residual family (residual.go) applies against same-class cross
+//     traffic on top of the rate-latency guarantee:
 //
 //     beta_theta(t) = [ beta_{R,T}(t) - F_cross(t - theta) ]^+ . 1{t > theta},
 //
 //     the form used throughout FIFO network calculus for rate-latency
 //     nodes; every theta >= 0 yields a sound bound.
 //
-// Chains of consecutive servers then convolve these per-class residuals
-// exactly like the FIFO Integrated analyzer, clamped by the per-server
-// class bounds. Classes are processed from the most urgent down, so the
-// higher-class envelopes each class sees are already propagated.
-type IntegratedSP struct {
-	// ChainLength bounds the subnetwork size, as in Integrated.
-	ChainLength int
-}
+// So static priority is not a second chain analysis but a per-class view of
+// the one Integrated runs: the same partition into pairs, the same driver
+// (level-parallel, incremental through NewBaseline), and per chain one
+// analyzeChain pass per class, from the most urgent down, each against the
+// leftover of the classes already propagated.
+type IntegratedSP struct{}
 
 // Name implements Analyzer.
 func (IntegratedSP) Name() string { return "IntegratedSP" }
@@ -49,219 +46,65 @@ func (a IntegratedSP) Analyze(net *topo.Network) (*Result, error) {
 	return a.AnalyzeContext(context.Background(), net)
 }
 
-// AnalyzeContext implements ContextAnalyzer: the per-class chain analysis
-// checks the context between chains and classes, and the theta searches it
-// spawns stop between candidates once the context is done. An uncancelled
-// run is bit-identical to Analyze.
+// AnalyzeContext implements ContextAnalyzer, with Integrated's cancellation
+// checkpoints plus one between classes. An uncancelled run is bit-identical
+// to Analyze.
 func (a IntegratedSP) AnalyzeContext(ctx context.Context, net *topo.Network) (*Result, error) {
-	net, scale, g, err := analyzable(net)
-	if err != nil {
-		return nil, err
-	}
-	for i, s := range net.Servers {
-		if s.Discipline != server.StaticPriority {
-			return nil, fmt.Errorf("analysis: IntegratedSP applies to static-priority networks; server %d is %v", i, s.Discipline)
-		}
-	}
-	if !net.Stable() {
-		return allInf("IntegratedSP", net), nil
-	}
-	chainer := Integrated{ChainLength: a.ChainLength}
-	ordered, err := orderSubnetworks(g, chainer.partition(g))
-	if err != nil {
-		return nil, err
-	}
-	p := newPropagation(net)
-	for _, sn := range ordered {
-		ok := analyzeSPChain(ctx, net, sn.servers, p)
-		if err := ctx.Err(); err != nil {
-			return nil, ctxErr(err)
-		}
-		if !ok {
-			return allInf("IntegratedSP", net), nil
-		}
-	}
-	return denormalizeBacklogs(p.result("IntegratedSP"), scale), nil
+	return a.core().analyze(ctx, net)
 }
 
-// analyzeSPChain handles one chain of static-priority servers: classes in
-// priority order, each analyzed like a FIFO chain against the leftover
-// rate-latency guarantees after all more-urgent classes.
-func analyzeSPChain(ctx context.Context, net *topo.Network, chain []int, p *propagation) bool {
-	pos := make(map[int]int, len(chain))
-	for i, s := range chain {
-		pos[s] = i
-	}
-	// Classes present in this chain, most urgent first.
-	classSet := map[int]bool{}
+func (IntegratedSP) core() chainCore {
+	return chainCore{algo: "IntegratedSP", serves: "static-priority", discipline: server.StaticPriority,
+		maxLen: 2, chain: analyzeSPChain}
+}
+
+// analyzeSPChain handles one chain of static-priority servers: one
+// analyzeChain pass per class present, in priority order, each served the
+// rate-latency leftover after all more-urgent classes.
+func analyzeSPChain(ctx context.Context, net *topo.Network, idx [][]int, chain []int, p *propagation) bool {
+	sc := getChainScratch()
+	defer sc.release()
+	classes := sc.classes[:0]
 	for _, s := range chain {
-		for _, c := range net.ConnectionsAt(s) {
-			classSet[net.Connections[c].Priority] = true
+		for _, c := range idx[s] {
+			classes = append(classes, net.Connections[c].Priority)
 		}
 	}
-	classes := make([]int, 0, len(classSet))
-	for q := range classSet {
-		classes = append(classes, q)
-	}
-	sort.Ints(classes)
+	slices.Sort(classes)
+	classes = slices.Compact(classes)
+	sc.classes = classes
 
-	// higherEnv[i] accumulates, per chain position, the envelopes of all
+	// higher[i] accumulates, per chain position, the envelopes of all
 	// classes more urgent than the one currently analyzed (at their
 	// position-local deformation).
-	higherEnv := make([]minplus.Curve, len(chain))
-	for i := range higherEnv {
-		higherEnv[i] = minplus.Zero()
+	higher := sc.ar.Curves(len(chain))[:len(chain)]
+	for i := range higher {
+		higher[i] = minplus.Zero()
 	}
-
+	svc := sc.service(len(chain))
 	for _, class := range classes {
 		if canceled(ctx) {
 			return false
 		}
-		if !analyzeSPClass(ctx, net, chain, pos, class, higherEnv, p) {
-			return false
-		}
-	}
-	// Record whole-server backlog bounds: the total aggregate after all
-	// classes have been propagated is exactly higherEnv.
-	for i, s := range chain {
-		p.recordBacklog(s, higherEnv[i], net.Servers[s].Capacity)
-	}
-	return true
-}
-
-// analyzeSPClass runs the FIFO-style run analysis for one priority class
-// of a chain and folds the class's per-position envelopes into higherEnv.
-func analyzeSPClass(ctx context.Context, net *topo.Network, chain []int, pos map[int]int, class int, higherEnv []minplus.Curve, p *propagation) bool {
-	// Runs of this class within the chain.
-	runIndex := map[[2]int]*run{}
-	var runs []*run
-	seen := map[int]bool{}
-	for _, s := range chain {
-		for _, c := range net.ConnectionsAt(s) {
-			if net.Connections[c].Priority != class || seen[c] {
-				continue
-			}
-			seen[c] = true
-			path := net.Connections[c].Path
-			h := p.next[c]
-			lo := pos[path[h]]
-			hi := lo
-			for k := h + 1; k < len(path); k++ {
-				q, ok := pos[path[k]]
-				if !ok || q != hi+1 {
-					break
-				}
-				hi = q
-			}
-			key := [2]int{lo, hi}
-			r, ok := runIndex[key]
+		for i, s := range chain {
+			srv := net.Servers[s]
+			beta, ok := spRateLatencyGuarantee(srv.Capacity, higher[i], srv.Latency)
 			if !ok {
-				r = &run{lo: lo, hi: hi}
-				runIndex[key] = r
-				runs = append(runs, r)
-			}
-			r.conns = append(r.conns, c)
-		}
-	}
-	if len(runs) == 0 {
-		return true
-	}
-	sort.Slice(runs, func(i, j int) bool {
-		if runs[i].lo != runs[j].lo {
-			return runs[i].lo < runs[j].lo
-		}
-		return runs[i].hi < runs[j].hi
-	})
-
-	// Per-position rate-latency guarantee for this class and local class
-	// delays, then decomposed-style envelope propagation within the class.
-	k := len(chain)
-	guar := make([]minplus.Curve, k)
-	local := make([]float64, k)
-	envAt := make([]map[int]minplus.Curve, k+1)
-	for i := range envAt {
-		envAt[i] = map[int]minplus.Curve{}
-	}
-	for _, r := range runs {
-		for _, c := range r.conns {
-			envAt[r.lo][c] = p.env[c]
-		}
-	}
-	for i := range chain {
-		srv := net.Servers[chain[i]]
-		var err error
-		guar[i], err = spRateLatencyGuarantee(srv.Capacity, higherEnv[i], srv.Latency)
-		if err != nil {
-			return false
-		}
-		agg := sumSorted(envAt[i])
-		local[i] = minplus.HorizontalDeviation(agg, guar[i])
-		if math.IsInf(local[i], 1) {
-			return false
-		}
-		for _, r := range runs {
-			if r.lo <= i && i < r.hi {
-				for _, c := range r.conns {
-					envAt[i+1][c] = minplus.ShiftLeft(envAt[i][c], local[i])
-				}
-			}
-		}
-	}
-
-	// Interval DP identical in structure to the FIFO chain analysis.
-	type key [2]int
-	direct := map[key]float64{}
-	var best func(lo, hi int) float64
-	directBound := func(lo, hi int) float64 {
-		if lo == hi {
-			return local[lo]
-		}
-		if d, ok := direct[key{lo, hi}]; ok {
-			return d
-		}
-		covering := map[int]bool{}
-		for _, r := range runs {
-			if r.lo <= lo && hi <= r.hi {
-				for _, c := range r.conns {
-					covering[c] = true
-				}
-			}
-		}
-		d := spRunBound(ctx, net, chain, lo, hi, covering, envAt, guar, local)
-		direct[key{lo, hi}] = d
-		return d
-	}
-	memo := map[key]float64{}
-	best = func(lo, hi int) float64 {
-		if d, ok := memo[key{lo, hi}]; ok {
-			return d
-		}
-		d := directBound(lo, hi)
-		for m := lo; m < hi; m++ {
-			if split := best(lo, m) + best(m+1, hi); split < d {
-				d = split
-			}
-		}
-		memo[key{lo, hi}] = d
-		return d
-	}
-
-	for _, r := range runs {
-		servers := make([]int, 0, r.hi-r.lo+1)
-		for i := r.lo; i <= r.hi; i++ {
-			servers = append(servers, chain[i])
-		}
-		d := best(r.lo, r.hi)
-		for _, c := range r.conns {
-			if !p.advance(c, servers, d, len(servers)) {
 				return false
 			}
+			svc[i] = hopService{beta: beta}
+		}
+		if !analyzeChain(ctx, sc, net, idx, chain, p, chainPass{svc: svc, byClass: true, class: class}) {
+			return false
+		}
+		for i := range chain {
+			higher[i] = sc.ar.Add(higher[i], sc.agg[i])
 		}
 	}
-	// Fold this class's per-position envelopes into the interference seen
-	// by less urgent classes.
-	for i := range chain {
-		higherEnv[i] = minplus.Add(higherEnv[i], sumSorted(envAt[i]))
+	// Whole-server backlog bounds: after the last class, higher is the
+	// total aggregate.
+	for i, s := range chain {
+		p.recordBacklog(s, higher[i], net.Servers[s].Capacity)
 	}
 	return true
 }
@@ -270,70 +113,16 @@ func analyzeSPClass(ctx context.Context, net *topo.Network, chain []int, pos map
 // leftover [C*t - higher(t)]^+: rate R = C - rate(higher), latency T = the
 // last time the leftover is zero (the higher classes' maximal busy
 // period), shifted by the server's fixed latency. A minorant of a valid
-// service curve is valid.
-func spRateLatencyGuarantee(capacity float64, higher minplus.Curve, lat float64) (minplus.Curve, error) {
+// service curve is valid. ok is false when the higher classes saturate the
+// server or their busy period is unbounded: the class has no finite bound.
+func spRateLatencyGuarantee(capacity float64, higher minplus.Curve, lat float64) (beta minplus.Curve, ok bool) {
 	rate := capacity - higher.FinalSlope()
 	if rate <= 0 {
-		return minplus.Curve{}, fmt.Errorf("analysis: higher-priority classes saturate the server")
+		return minplus.Curve{}, false
 	}
 	t := minplus.MaxBusyPeriod(higher, capacity)
 	if math.IsInf(t, 1) {
-		return minplus.Curve{}, fmt.Errorf("analysis: higher-priority busy period unbounded")
+		return minplus.Curve{}, false
 	}
-	return minplus.RateLatency(rate, t+lat), nil
-}
-
-// spRunBound is runIntervalBound with the constant-rate service replaced
-// by the class's rate-latency guarantees: the residual family
-// [beta(t) - cross(t-theta)]^+ . 1{t>theta} on a rate-latency beta is the
-// standard FIFO-node form, sound for every theta. The theta minimization
-// is the shared memoized search (thetaSearch) with the rate-latency
-// residual family injected.
-func spRunBound(ctx context.Context, net *topo.Network, chain []int, lo, hi int, inAgg map[int]bool, envAt []map[int]minplus.Curve, guar []minplus.Curve, local []float64) float64 {
-	entry := make(map[int]minplus.Curve, len(inAgg))
-	for c := range inAgg {
-		entry[c] = envAt[lo][c]
-	}
-	agg := sumSorted(entry)
-
-	k := hi - lo + 1
-	cross := make([]minplus.Curve, k)
-	cands := make([][]float64, k)
-	decomposedSum := 0.0
-	for i := 0; i < k; i++ {
-		posIdx := lo + i
-		decomposedSum += local[posIdx]
-		crossCurves := make(map[int]minplus.Curve)
-		for c, e := range envAt[posIdx] {
-			if !inAgg[c] {
-				crossCurves[c] = e
-			}
-		}
-		cross[i] = sumSorted(crossCurves)
-		cands[i] = thetaCandidates(net.Servers[chain[posIdx]].Capacity, cross[i], local[posIdx])
-	}
-
-	ts := &thetaSearch{
-		ctx:   ctx,
-		agg:   agg,
-		cands: cands,
-		residual: func(i int, theta float64) minplus.Curve {
-			return spResidual(guar[lo+i], cross[i], theta)
-		},
-	}
-	best := ts.minimize()
-	if decomposedSum < best {
-		best = decomposedSum
-	}
-	return best
-}
-
-// spResidual is the FIFO residual family over a general (rate-latency)
-// service curve.
-func spResidual(beta, cross minplus.Curve, theta float64) minplus.Curve {
-	raw := minplus.PositivePart(minplus.Sub(beta, minplus.Delay(cross, theta)))
-	if !raw.IsNonDecreasing() {
-		raw = minplus.MonotoneClosure(raw)
-	}
-	return minplus.ZeroUntil(raw, theta)
+	return minplus.RateLatency(rate, t+lat), true
 }

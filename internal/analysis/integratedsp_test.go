@@ -1,7 +1,11 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"delaycalc/internal/server"
@@ -66,9 +70,9 @@ func TestIntegratedSPImprovesLowPriorityThroughTraffic(t *testing.T) {
 }
 
 func TestIntegratedSPMatchesFIFOWhenOneClass(t *testing.T) {
-	// With every connection in the same class, static priority IS FIFO,
-	// and IntegratedSP's bounds should be close to Integrated's (the
-	// rate-latency minorant of the full service line is the line itself).
+	// With every connection in the same class, static priority IS FIFO:
+	// the rate-latency minorant of the full service line is the line itself,
+	// and the one engine evaluates the same expressions on it.
 	net, err := topo.Tandem(topo.TandemSpec{
 		Switches: 4, Sigma: 1, Rho: 0.15, Capacity: 1,
 		Discipline: server.StaticPriority,
@@ -92,7 +96,7 @@ func TestIntegratedSPMatchesFIFOWhenOneClass(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range net.Connections {
-		if math.Abs(rsp.Bound(i)-rfifo.Bound(i)) > 1e-6 {
+		if rsp.Bound(i) != rfifo.Bound(i) {
 			t.Errorf("conn %d: single-class SP %g != FIFO %g", i, rsp.Bound(i), rfifo.Bound(i))
 		}
 	}
@@ -141,5 +145,127 @@ func TestIntegratedSPUrgentClassTiny(t *testing.T) {
 	// Connection 0 is alone in the urgent class: essentially zero delay.
 	if res.Bound(0) > 1e-6 {
 		t.Errorf("urgent lone connection bound %g, want ~0", res.Bound(0))
+	}
+}
+
+// spify turns a FIFO network into a static-priority one, classes 0-2 dealt
+// round-robin over the connections; withLatency also gives every server a
+// fixed latency.
+func spify(net *topo.Network, withLatency bool) *topo.Network {
+	for s := range net.Servers {
+		net.Servers[s].Discipline = server.StaticPriority
+		if withLatency {
+			net.Servers[s].Latency = 0.05 * float64(1+s%3)
+		}
+	}
+	for c := range net.Connections {
+		net.Connections[c].Priority = c % 3
+	}
+	return net
+}
+
+// spRandomCorpus is 26 random feedforward networks (12 servers, 30
+// connections) made static-priority, odd seeds with server latencies.
+func spRandomCorpus(t testing.TB) map[string]*topo.Network {
+	t.Helper()
+	nets := map[string]*topo.Network{}
+	for seed := int64(1); seed <= 26; seed++ {
+		net, err := topo.RandomFeedforward(12, 30, 0.6, seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		nets[fmt.Sprintf("spff12x30-seed%d", seed)] = spify(net, seed%2 == 1)
+	}
+	return nets
+}
+
+// spCorpus is the 43 static-priority networks IntegratedSP is pinned on:
+// 15 two-class tandems, the benchmark's sp64, a one-class tandem and
+// spRandomCorpus.
+func spCorpus(t testing.TB) map[string]*topo.Network {
+	t.Helper()
+	nets := spRandomCorpus(t)
+	for _, n := range []int{2, 3, 4, 6, 8} {
+		for _, u := range []float64{0.3, 0.6, 0.9} {
+			nets[fmt.Sprintf("sptandem%d-u%g", n, u)] = spTandem(n, u)
+		}
+	}
+	for name, spec := range map[string]topo.TandemSpec{
+		"sp64":     {Switches: 64, Sigma: 1, Rho: 0.2, Capacity: 1, Discipline: server.StaticPriority, Priority0: 1},
+		"oneclass": {Switches: 4, Sigma: 1, Rho: 0.15, Capacity: 1, Discipline: server.StaticPriority},
+	} {
+		net, err := topo.Tandem(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		nets[name] = net
+	}
+	return nets
+}
+
+// TestIntegratedSPMatchesParentEngine pins the per-class view of analyzeChain
+// to the bounds and backlogs of the separate SP chain analysis it replaced,
+// captured as hex floats in testdata/integratedsp_parent.txt just before
+// that engine was deleted: sp64 (the benchmark's item) bit for bit, the rest
+// within 1e-12 relative (run partial sums associate differently from the old
+// per-connection fold).
+func TestIntegratedSPMatchesParentEngine(t *testing.T) {
+	data, err := os.ReadFile("testdata/integratedsp_parent.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets := spCorpus(t)
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != 2*len(nets) {
+		t.Fatalf("%d golden lines for %d networks", len(lines), len(nets))
+	}
+	results := map[string]*Result{}
+	exact, total := 0, 0
+	for _, line := range lines {
+		f := strings.Fields(line)
+		name, kind := f[0], f[1]
+		res := results[name]
+		if res == nil {
+			if nets[name] == nil {
+				t.Fatalf("golden network %q not in the corpus", name)
+			}
+			if res, err = (IntegratedSP{}).Analyze(nets[name]); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			results[name] = res
+		}
+		got := res.Bounds
+		if kind == "backlogs" {
+			got = res.Backlogs
+		}
+		if len(got) != len(f)-2 {
+			t.Fatalf("%s: %d %s, golden has %d", name, len(got), kind, len(f)-2)
+		}
+		for i, h := range f[2:] {
+			want, err := strconv.ParseFloat(h, 64)
+			if err != nil {
+				t.Fatalf("%s %s[%d]: %v", name, kind, i, err)
+			}
+			total++
+			if got[i] == want {
+				exact++
+			} else if name == "sp64" || math.Abs(got[i]-want) > 1e-12*math.Abs(want) {
+				t.Errorf("%s %s[%d] = %v (%x), parent engine %v (%x)", name, kind, i, got[i], got[i], want, want)
+			}
+		}
+	}
+	t.Logf("%d of %d values bit-identical to the parent engine", exact, total)
+}
+
+// TestIntegratedSPAllocs holds the static-priority passes to the pooled
+// chain engine's memory discipline on the benchmark's sp64 item: the
+// separate SP analysis this replaced built maps and heap curves per class
+// and chain (25,097 allocations per pass).
+func TestIntegratedSPAllocs(t *testing.T) {
+	_, allocs := analyzeAllocs(t, IntegratedSP{}, spCorpus(t)["sp64"])
+	t.Logf("%.0f allocs/pass", allocs)
+	// Measured 831 on go1.24.
+	if allocs > 1000 && !raceBuild() {
+		t.Errorf("IntegratedSP.Analyze allocates %.0f times per pass on sp64, ceiling is 1000", allocs)
 	}
 }

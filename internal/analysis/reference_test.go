@@ -62,7 +62,7 @@ func refIntegratedAnalyze(a Integrated, net *topo.Network) (*Result, error) {
 	if !net.Stable() {
 		return allInf("Integrated", net), nil
 	}
-	ordered, err := orderSubnetworks(g, a.partition(g))
+	ordered, err := orderSubnetworks(g, partition(g, a.chainLength()))
 	if err != nil {
 		return nil, err
 	}

@@ -7,26 +7,35 @@ import (
 	"delaycalc/internal/minplus"
 )
 
-// FIFOResidual returns the theta-parameterized FIFO residual service curve
+// This file holds the one residual service curve of the chain analyses and
+// its theta candidates. A FIFO multiplexor that offers the aggregate it
+// serves the service curve beta offers a flow (or sub-aggregate) of that
+// aggregate, whose competing traffic is bounded by alphaCross, the curve
 //
-//	beta_theta(t) = [C*t - alphaCross(t - theta)]^+  for t > theta,  0 otherwise,
+//	beta_theta(t) = [beta(t) - alphaCross(t - theta)]^+  for t > theta,  0 otherwise,
 //
-// which a FIFO multiplexor of capacity C provably offers to a flow (or
-// sub-aggregate) whose competing traffic is bounded by alphaCross, for
-// every theta >= 0 (Cruz's induced FIFO curves; Proposition 6.2.1 in
+// for every theta >= 0 (Cruz's induced FIFO curves; Proposition 6.2.1 in
 // Le Boudec & Thiran). Small theta emphasizes rate, large theta emphasizes
 // latency; every member of the family yields a sound bound, so optimizing
-// over a finite candidate set of thetas is always safe.
+// over a finite candidate set of thetas is always safe. Who passes what:
+// Integrated serves at the line rate, beta = Rate(C); IntegratedSP serves
+// each class, FIFO within itself, the rate-latency leftover of the more
+// urgent classes (spRateLatencyGuarantee). FIFO and static priority are the
+// Delta = 0 and Delta = +-inf rows of one residual (Ghiassi-Farrokhfal /
+// Liebeherr / Burchard, PAPERS.md); the finite-Delta rows are ROADMAP item 4.
+
+// FIFOResidual returns the residual of a FIFO multiplexor of capacity C:
+// beta = Rate(C) in the family above.
 func FIFOResidual(capacity float64, alphaCross minplus.Curve, theta float64) minplus.Curve {
-	return fifoResidual(nil, capacity, alphaCross, theta)
+	return residual(nil, minplus.Rate(capacity), alphaCross, theta)
 }
 
-// fifoResidual is FIFOResidual with the intermediate and result curves
-// drawn from the arena (heap when ar is nil). The hot analysis paths build
-// residual families per theta candidate; keeping them arena-backed keeps
-// the steady-state search allocation-free.
-func fifoResidual(ar *minplus.Arena, capacity float64, alphaCross minplus.Curve, theta float64) minplus.Curve {
-	raw := ar.PositivePart(ar.Sub(minplus.Rate(capacity), ar.Delay(alphaCross, theta)))
+// residual evaluates the family above with the intermediate and result
+// curves drawn from the arena (heap when ar is nil). The hot analysis paths
+// build residual families per theta candidate; keeping them arena-backed
+// keeps the steady-state search allocation-free.
+func residual(ar *minplus.Arena, beta, alphaCross minplus.Curve, theta float64) minplus.Curve {
+	raw := ar.PositivePart(ar.Sub(beta, ar.Delay(alphaCross, theta)))
 	if !raw.IsNonDecreasing() {
 		raw = ar.MonotoneClosure(raw)
 	}

@@ -13,21 +13,32 @@ import (
 // TestShrinkMatchesFullAnalysis is the bit-identity check for incremental
 // removal: over randomized feedforward networks, shrinking a baseline by
 // any connection index must reproduce the full analysis of the shrunken
-// network exactly — bounds, stages, and backlogs — for both incremental
-// analyzers, and the promoted baseline must keep extending exactly.
+// network exactly — bounds, stages, and backlogs — for every incremental
+// analyzer, and the promoted baseline must keep extending exactly.
 func TestShrinkMatchesFullAnalysis(t *testing.T) {
-	for _, inc := range []Incremental{Decomposed{}, Integrated{}} {
-		for seed := int64(0); seed < 8; seed++ {
-			net, err := topo.RandomFeedforward(6, 7, 0.6, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
+	fifo, sp := map[string]*topo.Network{}, map[string]*topo.Network{}
+	for seed := int64(0); seed < 8; seed++ {
+		net, err := topo.RandomFeedforward(6, 7, 0.6, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fifo[fmt.Sprintf("seed%d", seed)] = net
+	}
+	// Six of the static-priority corpus (30 removal indices each), three of
+	// them with server latencies.
+	spAll := spRandomCorpus(t)
+	for seed := 1; seed <= 6; seed++ {
+		name := fmt.Sprintf("spff12x30-seed%d", seed)
+		sp[name] = spAll[name]
+	}
+	for inc, corpus := range map[Incremental]map[string]*topo.Network{Decomposed{}: fifo, Integrated{}: fifo, IntegratedSP{}: sp} {
+		for name, net := range corpus {
 			base, err := inc.NewBaseline(net)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for remove := 0; remove < len(net.Connections); remove++ {
-				label := fmt.Sprintf("%s/seed%d/remove%d", inc.Name(), seed, remove)
+				label := fmt.Sprintf("%s/%s/remove%d", inc.Name(), name, remove)
 				ext, err := base.Shrink(remove)
 				if err != nil {
 					t.Fatalf("%s: shrink: %v", label, err)

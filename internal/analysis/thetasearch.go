@@ -9,11 +9,12 @@ import (
 
 // thetaSearch minimizes, over theta vectors, the horizontal deviation
 // between an aggregate envelope and the convolution of k per-position
-// residual service curves. It is shared by the FIFO chain analysis
-// (constant-rate service) and the static-priority chain analysis
-// (rate-latency service) — the residual family is injected — and it
-// replaces the naive enumeration that rebuilt every residual and redid the
-// full convolution for every candidate vector:
+// residual service curves. Every pass of analyzeChain searches through it;
+// the residual is injected, and is always the one family of residual.go
+// over the pass's per-position service curve (the line rate for Integrated,
+// a class's rate-latency leftover for IntegratedSP). It replaces the naive
+// enumeration that rebuilt every residual and redid the full convolution
+// for every candidate vector:
 //
 //   - residual curves are memoized per (position, candidate) — a k=2
 //     enumeration over c0 x c1 pairs builds c0 + c1 residuals, not
@@ -60,11 +61,11 @@ type thetaSearch struct {
 	ar *minplus.Arena
 
 	// res memoizes residuals per (position, candidate) by value, rows
-	// drawn from the chain arena. The zero Curve marks an unset slot:
-	// both residual families (FIFO constant-rate, static-priority
-	// rate-latency) have strictly positive final slope under stability,
-	// so a genuine residual is never the zero curve (if one ever were,
-	// the memo would merely recompute it — still correct).
+	// drawn from the chain arena. The zero Curve marks an unset slot: over
+	// either service (constant-rate, rate-latency) the residual has
+	// strictly positive final slope under stability, so a genuine residual
+	// is never the zero curve (if one ever were, the memo would merely
+	// recompute it — still correct).
 	res [][]minplus.Curve
 }
 

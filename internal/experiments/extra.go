@@ -117,7 +117,7 @@ func AblationPairing(n int, loads []float64) ([]textplot.Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		rs, err := (analysis.Integrated{DisablePairing: true}).Analyze(net)
+		rs, err := (analysis.Integrated{ChainLength: 1}).Analyze(net)
 		if err != nil {
 			return nil, err
 		}

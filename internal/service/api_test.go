@@ -1,7 +1,9 @@
 package service
 
 import (
+	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -194,6 +196,35 @@ func TestEngineMetricsExposed(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q\n%s", want, body)
+		}
+	}
+}
+
+// TestSPAnalyzeFillsStageTimings pins that a static-priority analysis runs
+// on the shared chain driver, which reads analysis.Timings: the stage
+// histograms must gain time, not just samples (the separate SP engine never
+// looked at the collector, so _count grew while _sum stayed 0).
+func TestSPAnalyzeFillsStageTimings(t *testing.T) {
+	srv := newTestServer(t, nil)
+	body := `{"analyzer": "integratedsp", "network": {
+  "servers": [{"name": "s0", "capacity": 1, "discipline": "sp"}, {"name": "s1", "capacity": 1, "discipline": "sp"}],
+  "connections": [
+    {"name": "urgent", "sigma": 1, "rho": 0.1, "path": ["s0", "s1"]},
+    {"name": "bulk", "sigma": 1, "rho": 0.1, "priority": 1, "path": ["s0", "s1"]},
+    {"name": "cross", "sigma": 1, "rho": 0.1, "priority": 1, "path": ["s1"]}]}}`
+	if w := do(t, srv, "POST", "/v2/networks/default/analyze", body); w.Code != http.StatusOK {
+		t.Fatalf("analyze: %d %s", w.Code, w.Body)
+	}
+	metrics := do(t, srv, "GET", "/v2/networks/default/metrics", "").Body.String()
+	for _, stage := range []string{"aggregate", "theta"} {
+		series := fmt.Sprintf("delayd_analysis_stage_seconds_sum{stage=%q} ", stage)
+		_, rest, ok := strings.Cut(metrics, series)
+		if !ok {
+			t.Fatalf("metrics missing %q\n%s", series, metrics)
+		}
+		line, _, _ := strings.Cut(rest, "\n")
+		if sum, err := strconv.ParseFloat(line, 64); err != nil || sum <= 0 {
+			t.Errorf("%s= %q after an IntegratedSP analyze, want > 0", series, line)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"delaycalc/internal/analysis"
 	"delaycalc/internal/netspec"
+	"delaycalc/internal/server"
 	"delaycalc/internal/topo"
 )
 
@@ -118,36 +119,58 @@ func TestAnalyzeTimeoutOverride(t *testing.T) {
 // TestAdmitDegradesToDecomposed forces the admission test onto the
 // degraded path and checks the decision still commits: the decomposed
 // bound dominates the integrated one, so an admission it grants is safe.
+// Both chain analyzers are incremental primaries; a static-priority tenant
+// degrades to the decomposed static-priority bound.
 func TestAdmitDegradesToDecomposed(t *testing.T) {
-	srv := newTestServer(t, func(c *Config) { c.AnalyzeTimeout = time.Nanosecond })
-	w := do(t, srv, "POST", "/v2/networks/default/connections", admitBody)
-	if w.Code != http.StatusOK {
-		t.Fatalf("degraded admit: %d %s", w.Code, w.Body)
+	spFabric := testFabric()
+	for i := range spFabric {
+		spFabric[i].Discipline = server.StaticPriority
 	}
-	resp := decode[AdmitResponse](t, w)
-	if !resp.Degraded {
-		t.Fatalf("want degraded:true, got %s", w.Body)
-	}
-	if resp.BoundSource != (analysis.Decomposed{}).Name() {
-		t.Fatalf("want bound_source %q, got %q", (analysis.Decomposed{}).Name(), resp.BoundSource)
-	}
-	if !resp.Admitted || resp.Count != 1 {
-		t.Fatalf("degraded admit should still commit: %+v", resp)
-	}
-	if srv.State().Count() != 1 {
-		t.Fatalf("state count = %d after degraded admit", srv.State().Count())
-	}
-	// The decomposed bounds the decision was made on.
-	lib, err := analysis.Decomposed{}.Analyze(&topo.Network{
-		Servers:     testFabric(),
-		Connections: []topo.Connection{mustConnection(t, admitBody)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range lib.Bounds {
-		if float64(resp.Bounds[i]) != lib.Bounds[i] {
-			t.Errorf("degraded admit bound %d = %v, want decomposed %v", i, resp.Bounds[i], lib.Bounds[i])
+	for _, tc := range []struct {
+		analyzer analysis.Analyzer
+		fabric   []server.Server
+	}{{analysis.Integrated{}, testFabric()}, {analysis.IntegratedSP{}, spFabric}} {
+		name := tc.analyzer.Name()
+		state, err := NewState(tc.fabric, tc.analyzer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !state.Engine().Incremental() {
+			t.Fatalf("%s: primary path is not incremental", name)
+		}
+		srv, err := NewServer(Config{State: state, AnalyzeTimeout: time.Nanosecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := do(t, srv, "POST", "/v2/networks/default/connections", admitBody)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: degraded admit: %d %s", name, w.Code, w.Body)
+		}
+		resp := decode[AdmitResponse](t, w)
+		if !resp.Degraded {
+			t.Fatalf("%s: want degraded:true, got %s", name, w.Body)
+		}
+		if resp.BoundSource != (analysis.Decomposed{}).Name() {
+			t.Fatalf("%s: want bound_source %q, got %q", name, (analysis.Decomposed{}).Name(), resp.BoundSource)
+		}
+		if !resp.Admitted || resp.Count != 1 {
+			t.Fatalf("%s: degraded admit should still commit: %+v", name, resp)
+		}
+		if state.Count() != 1 {
+			t.Fatalf("%s: state count = %d after degraded admit", name, state.Count())
+		}
+		// The decomposed bounds the decision was made on.
+		lib, err := analysis.Decomposed{}.Analyze(&topo.Network{
+			Servers:     tc.fabric,
+			Connections: []topo.Connection{mustConnection(t, admitBody)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range lib.Bounds {
+			if float64(resp.Bounds[i]) != lib.Bounds[i] {
+				t.Errorf("%s: degraded admit bound %d = %v, want decomposed %v", name, i, resp.Bounds[i], lib.Bounds[i])
+			}
 		}
 	}
 }
