@@ -2,11 +2,7 @@
 
 GO ?= go
 
-# Allowed ns/op slowdown factor before bench-gate fails. CI overrides this
-# upward (cross-machine variance); local runs use the strict default.
-BENCH_TOLERANCE ?= 1.3
-
-.PHONY: all build test race bench bench-check microbench bench-admit bench-release bench-curves bench-fabric bench-gate profile-curves cover figures fuzz run-delayd falsify falsify-smoke help clean
+.PHONY: all build test race bench bench-check microbench bench-admit bench-release bench-fabric profile-curves cover figures fuzz run-delayd falsify falsify-smoke help clean
 
 all: build test
 
@@ -20,9 +16,7 @@ help:
 	@echo "  microbench     every go test -bench function in the tree"
 	@echo "  bench-admit    full vs incremental admission microbenchmark"
 	@echo "  bench-release  incremental vs invalidating release microbenchmark"
-	@echo "  bench-curves   curve-engine benchmarks -> BENCH_curves.json"
 	@echo "  bench-fabric   10k-switch fat-tree analysis benchmark"
-	@echo "  bench-gate     re-run curve benchmarks, fail past $(BENCH_TOLERANCE)x the committed snapshot"
 	@echo "  profile-curves fabric benchmark with CPU/heap profiles -> results/"
 	@echo "  cover          test suite with coverage"
 	@echo "  figures        regenerate paper figures and CSVs"
@@ -73,27 +67,6 @@ bench-admit:
 # tier-1, and the churn workloads' secondary_p50_ms carries the latency.
 bench-release:
 	$(GO) test -bench='BenchmarkRelease' -benchmem -run '^$$' ./internal/admission
-
-# Curve-engine benchmarks (docs/PERFORMANCE.md): k-way aggregation vs the
-# pairwise fold, gated convolution, the end-to-end integrated analysis on
-# the 64-switch/400-connection tandem, and the k=8 fat-tree fabric. Emits
-# BENCH_curves.json; benchjson sorts results by (pkg, name), so the
-# artifact's order is deterministic regardless of package run order.
-BENCH_CURVES_MINPLUS = BenchmarkSumN|BenchmarkSumPairwiseFold|BenchmarkConvolveGated
-BENCH_CURVES_ANALYSIS = BenchmarkIntegratedAnalyze|BenchmarkFabricAnalyzeK8
-
-bench-curves:
-	{ $(GO) test -bench='$(BENCH_CURVES_MINPLUS)' -benchmem -run '^$$' ./internal/minplus ; \
-	  $(GO) test -bench='$(BENCH_CURVES_ANALYSIS)' -benchmem -run '^$$' ./internal/analysis ; } \
-	| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_curves.json
-
-# Re-run the bench-curves suite and fail (exit 2) when any benchmark's
-# ns/op exceeds BENCH_TOLERANCE times its committed BENCH_curves.json
-# entry. The regression diff goes to stderr.
-bench-gate:
-	{ $(GO) test -bench='$(BENCH_CURVES_MINPLUS)' -benchmem -run '^$$' ./internal/minplus ; \
-	  $(GO) test -bench='$(BENCH_CURVES_ANALYSIS)' -benchmem -run '^$$' ./internal/analysis ; } \
-	| $(GO) run ./cmd/benchjson -diff BENCH_curves.json -tolerance $(BENCH_TOLERANCE) > /dev/null
 
 # Datacenter-fabric benchmark (docs/PERFORMANCE.md): the integrated
 # analysis on a k=22 fat-tree — ~10k switch-port servers, ~100k

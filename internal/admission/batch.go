@@ -72,10 +72,12 @@ type BatchResult struct {
 	// envelope was cancelled.
 	Results []OpResult
 	// Commits is the number of snapshot commits the envelope performed:
-	// 0 when no operation mutated the set, otherwise exactly one per shard
-	// touched (1 for a plain Engine). It is reported even when ApplyBatch
-	// returns a cancellation error: zero then means nothing was committed
-	// anywhere and the envelope may be re-run.
+	// 0 when no operation mutated the set, otherwise one per shard touched
+	// per window — one window unless a sharded envelope holds a barrier
+	// (shard_batch.go), which commits the window before it and, when it
+	// merges shards, once more itself; 1 for a plain Engine. It is reported
+	// even when ApplyBatch returns a cancellation error: zero then means
+	// nothing was committed anywhere and the envelope may be re-run.
 	Commits int
 	// ShardsTouched is the number of engine shards that committed (a plain
 	// Engine reports 1 when the envelope mutated, 0 otherwise).

@@ -121,6 +121,28 @@ type Stats struct {
 	AffectedSum     uint64
 }
 
+// add sums other into s field by field (ShardedEngine.Stats over its
+// shards); a new counter is added here, next to its definition.
+func (s *Stats) add(other Stats) {
+	s.IncrementalTests += other.IncrementalTests
+	s.FullTests += other.FullTests
+	s.IncrementalReleases += other.IncrementalReleases
+	s.CompactedReleases += other.CompactedReleases
+	s.BaselineEpoch += other.BaselineEpoch
+	s.CommitConflicts += other.CommitConflicts
+	s.BatchEnvelopes += other.BatchEnvelopes
+	s.BatchOps += other.BatchOps
+	s.BatchCommits += other.BatchCommits
+	if s.AffectedBuckets == nil {
+		s.AffectedBuckets = make([]uint64, len(other.AffectedBuckets))
+	}
+	for i, v := range other.AffectedBuckets {
+		s.AffectedBuckets[i] += v
+	}
+	s.AffectedCount += other.AffectedCount
+	s.AffectedSum += other.AffectedSum
+}
+
 // AffectedBucketBounds returns the histogram bucket upper bounds.
 func AffectedBucketBounds() []float64 {
 	return append([]float64(nil), affectedBuckets...)

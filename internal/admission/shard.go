@@ -8,23 +8,33 @@
 // every concurrent test. ShardedEngine runs one Engine per shard, each
 // with its own versioned snapshot chain, baseline, and commit loop, and
 // routes operations to shards by the candidate's component. Disjoint
-// workloads therefore test and commit fully in parallel; only an
-// operation whose closure spans shards (two components merging through a
-// new route) or a rebalance after a release falls back to a global
-// epoch-stamped commit under an exclusive lock.
+// workloads therefore test and commit fully in parallel.
 //
 // Sharding invariants:
 //
 //   - Every server is owned by at most one shard (router.owner); a shard
-//     owns a server while at least one of its committed connections
-//     traverses it (router.refs).
+//     owns a server while at least one of its committed or claimed
+//     connections traverses it (router.refs). A FIFO server's bound is a
+//     function of every flow through it, so this is what makes a shard's
+//     local analysis sound, not bookkeeping.
 //   - A connection's entire route is owned by its shard, so each shard's
 //     admitted set is a union of whole components and its local analysis
 //     is bit-identical to the full-network analysis restricted to those
 //     components.
-//   - Cross-shard operations run under the exclusive lock, so they observe
-//     no in-flight shard-local operations and can migrate whole components
-//     between shards atomically (epoch-stamped replaceAdmitted commits).
+//   - The router learns of a mutation only after the shard committed it
+//     (reconcile, shard_batch.go): an admit is a claim until then, a
+//     release keeps its record and its servers until then.
+//
+// An envelope is planned against the router under the shared lock; one
+// holding a barrier (an admit whose route spans shards or whose name the
+// envelope already uses, see shard_batch.go) is planned again under the
+// exclusive lock, where the barrier first runs and reconciles what is
+// planned so far, so the router is exact when the operation is routed
+// again. One that still spans shards goes to admitCross, which merges the
+// involved components into one shard with an epoch-stamped commit on every
+// involved engine; rebalance, the release-splits-a-component half, migrates
+// a component to an empty shard the same way. Both observe no in-flight
+// shard-local operation.
 //
 // Unlike Engine, a multi-shard engine requires admitted connection names
 // to be unique: routing and release resolve connections by name.
@@ -34,6 +44,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -54,10 +65,10 @@ type ShardedEngine struct {
 	analyzer analysis.Analyzer
 	shards   []*Engine
 
-	// mu is the sharding protocol lock: shard-local operations hold it
-	// shared (they may run concurrently with each other), cross-shard
-	// commits and rebalances hold it exclusively. It never serializes two
-	// operations on disjoint components.
+	// mu is the sharding protocol lock: envelopes without a barrier hold it
+	// shared (they may run concurrently with each other), envelopes with one
+	// and rebalances hold it exclusively. It never serializes two
+	// barrier-free operations on disjoint components.
 	mu     sync.RWMutex
 	router shardRouter
 
@@ -189,23 +200,7 @@ func (se *ShardedEngine) Stats() ShardedStats {
 	for _, sh := range se.shards {
 		st := sh.Stats()
 		snap := sh.Snapshot()
-		agg.IncrementalTests += st.IncrementalTests
-		agg.FullTests += st.FullTests
-		agg.IncrementalReleases += st.IncrementalReleases
-		agg.CompactedReleases += st.CompactedReleases
-		agg.BaselineEpoch += st.BaselineEpoch
-		agg.CommitConflicts += st.CommitConflicts
-		agg.BatchEnvelopes += st.BatchEnvelopes
-		agg.BatchOps += st.BatchOps
-		agg.BatchCommits += st.BatchCommits
-		if agg.AffectedBuckets == nil {
-			agg.AffectedBuckets = make([]uint64, len(st.AffectedBuckets))
-		}
-		for i, v := range st.AffectedBuckets {
-			agg.AffectedBuckets[i] += v
-		}
-		agg.AffectedCount += st.AffectedCount
-		agg.AffectedSum += st.AffectedSum
+		agg.Stats.add(st)
 		agg.PerShard = append(agg.PerShard, ShardStat{
 			Admitted:            snap.Count(),
 			Version:             snap.Version(),
@@ -290,42 +285,29 @@ func (se *ShardedEngine) WarmBaseline() error {
 	return nil
 }
 
-// ownersOf returns the distinct shards owning servers of the route, in
-// ascending order. Caller must hold r.mu.
-func (r *shardRouter) ownersOf(path []int) []int {
-	var owners []int
+// route resolves where a candidate over path would be admitted: the shard
+// owning its servers, or, with none of them owned, the shard with the
+// fewest committed and claimed connections (lowest id on ties, so the new
+// components of one envelope spread over the shards exactly as
+// one-at-a-time admissions would). owners lists the distinct owning shards
+// in ascending order; more than one means the route spans shards and shard
+// is meaningless. Caller must hold r.mu.
+func (r *shardRouter) route(path []int) (shard int, owners []int) {
 	for _, s := range path {
-		o := r.owner[s]
-		if o < 0 {
-			continue
-		}
-		dup := false
-		for _, k := range owners {
-			if k == o {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if o := r.owner[s]; o >= 0 && !slices.Contains(owners, o) {
 			owners = append(owners, o)
 		}
 	}
 	sort.Ints(owners)
-	return owners
-}
-
-// leastLoaded picks the shard with the fewest committed and claimed
-// connections (lowest id on ties), so the new components of one envelope
-// spread over the shards exactly as one-at-a-time admissions would. Caller
-// must hold r.mu.
-func (r *shardRouter) leastLoaded() int {
-	best := 0
+	if len(owners) > 0 {
+		return owners[0], owners
+	}
 	for i := 1; i < len(r.load); i++ {
-		if r.load[i] < r.load[best] {
-			best = i
+		if r.load[i] < r.load[shard] {
+			shard = i
 		}
 	}
-	return best
+	return shard, nil
 }
 
 // uniqueServers appends the distinct in-range servers of path to buf.
@@ -348,66 +330,108 @@ func uniqueServers(buf []int, path []int, n int) []int {
 	return buf
 }
 
-// claim routes an admission candidate: it either pins the route's servers
-// to one shard (reserving them for the duration of the analysis) or
-// reports that the route spans shards (cross) or that the name is already
-// taken (dup). Caller must hold se.mu at least shared.
-func (r *shardRouter) claim(cand topo.Connection) (shard int, cross, dup bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.conns[cand.Name] != nil || r.pending[cand.Name] {
-		return 0, false, true
-	}
-	owners := r.ownersOf(cand.Path)
-	if len(owners) > 1 {
-		return 0, true, false
-	}
-	if len(owners) == 1 {
-		shard = owners[0]
-	} else {
-		shard = r.leastLoaded()
-	}
-	for _, s := range uniqueServers(nil, cand.Path, len(r.owner)) {
+// pin counts one connection over path onto the shard: a reference on every
+// server of the route, ownership of those nobody owns yet, one unit of
+// load. Caller must hold r.mu.
+func (r *shardRouter) pin(path []int, shard int) {
+	for _, s := range uniqueServers(nil, path, len(r.owner)) {
 		if r.owner[s] < 0 {
 			r.owner[s] = shard
 		}
 		r.refs[s]++
 	}
-	r.pending[cand.Name] = true
 	r.load[shard]++
-	return shard, false, false
 }
 
-// unclaim releases a claim after a rejected or failed admission.
-func (r *shardRouter) unclaim(cand topo.Connection) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.pending, cand.Name)
-	// The claim still pins the route, so its first hop names the shard.
-	r.load[r.owner[cand.Path[0]]]--
-	r.dropRefs(cand.Path)
-}
-
-// dropRefs decrements the route's server refcounts, freeing ownership of
-// servers no committed or in-flight connection traverses anymore. Caller
-// must hold r.mu.
-func (r *shardRouter) dropRefs(path []int) {
+// unpin undoes pin, freeing ownership of servers no committed or in-flight
+// connection traverses anymore. Caller must hold r.mu.
+func (r *shardRouter) unpin(path []int, shard int) {
 	for _, s := range uniqueServers(nil, path, len(r.owner)) {
 		r.refs[s]--
 		if r.refs[s] == 0 {
 			r.owner[s] = -1
 		}
 	}
+	r.load[shard]--
 }
 
-// confirm converts a claim into a committed routing record and assigns
-// the connection its global commit sequence number.
+// record installs a pinned connection's routing record and assigns it the
+// next global commit sequence number. Caller must hold r.mu.
+func (r *shardRouter) record(cand topo.Connection, shard int) {
+	r.conns[cand.Name] = &routedConn{shard: shard, seq: r.seq, path: cand.Path}
+	r.seq++
+}
+
+// move re-homes a recorded connection, and ownership of its route, to
+// another shard. Every connection sharing a server with it must move in
+// the same critical section (callers migrate whole components). Caller
+// must hold r.mu.
+func (r *shardRouter) move(rc *routedConn, to int) {
+	r.load[rc.shard]--
+	r.load[to]++
+	rc.shard = to
+	for _, s := range uniqueServers(nil, rc.path, len(r.owner)) {
+		r.owner[s] = to
+	}
+}
+
+// claim routes an admission candidate: it either pins the route to one
+// shard (reserving its servers for the duration of the analysis), or
+// reports that the route spans shards (len(owners) > 1) or that the name is
+// already taken (dup), claiming nothing. Caller must hold se.mu at least
+// shared.
+func (r *shardRouter) claim(cand topo.Connection) (shard int, owners []int, dup bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.conns[cand.Name] != nil || r.pending[cand.Name] {
+		return 0, nil, true
+	}
+	shard, owners = r.route(cand.Path)
+	if len(owners) <= 1 {
+		r.pin(cand.Path, shard)
+		r.pending[cand.Name] = true
+	}
+	return shard, owners, false
+}
+
+// unclaim hands back the claim of a rejected or never-run admission.
+func (r *shardRouter) unclaim(cand topo.Connection, shard int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	delete(r.pending, cand.Name)
+	r.unpin(cand.Path, shard)
+}
+
+// confirm converts the claim of a committed admission into its routing
+// record.
 func (r *shardRouter) confirm(cand topo.Connection, shard int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delete(r.pending, cand.Name)
-	r.conns[cand.Name] = &routedConn{shard: shard, seq: r.seq, path: cand.Path}
-	r.seq++
+	r.record(cand, shard)
+}
+
+// shardOf resolves a committed connection's shard by name.
+func (r *shardRouter) shardOf(name string) (int, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	rc := r.conns[name]
+	if rc == nil {
+		return 0, false
+	}
+	return rc.shard, true
+}
+
+// release drops the routing record of a connection whose release
+// committed, giving its route back; a concurrent release of the same name
+// may have dropped it already.
+func (r *shardRouter) release(name string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if rc := r.conns[name]; rc != nil {
+		delete(r.conns, name)
+		r.unpin(rc.path, rc.shard)
+	}
 }
 
 // validRoute reports whether every hop is an in-range server index; the
@@ -432,8 +456,8 @@ type seqConn struct {
 	shard int
 }
 
-// pin returns every shard's current snapshot.
-func (se *ShardedEngine) pin() []*Snapshot {
+// snapshots returns every shard's current snapshot.
+func (se *ShardedEngine) snapshots() []*Snapshot {
 	snaps := make([]*Snapshot, len(se.shards))
 	for i, sh := range se.shards {
 		snaps[i] = sh.Snapshot()
@@ -496,9 +520,10 @@ func (se *ShardedEngine) unionTest(ctx context.Context, owners []int, conns []to
 // owner shards: it analyzes the union of the involved shards plus the
 // candidate, and on success migrates the candidate's merged component into
 // one winner shard with epoch-stamped commits on every involved engine.
-// Caller must hold se.mu exclusively (no shard-local operation in flight).
+// Caller must hold se.mu exclusively with no claim outstanding (no
+// shard-local operation in flight, the envelope's own window reconciled).
 func (se *ShardedEngine) admitCross(ctx context.Context, cand topo.Connection, owners []int, override analysis.Analyzer) (Decision, error) {
-	union := se.gatherUnion(owners, se.pin())
+	union := se.gatherUnion(owners, se.snapshots())
 	conns := unionConns(union)
 	d, err := se.unionTest(ctx, owners, conns, cand, override)
 	if err != nil || !d.Admitted {
@@ -533,13 +558,7 @@ func (se *ShardedEngine) admitCross(ctx context.Context, cand topo.Connection, o
 			kept[sc.shard] = append(kept[sc.shard], sc.conn)
 		}
 		if inComp && sc.shard != winner {
-			rc := se.router.conns[sc.conn.Name]
-			se.router.load[rc.shard]--
-			se.router.load[winner]++
-			rc.shard = winner
-			for _, s := range uniqueServers(nil, rc.path, len(se.router.owner)) {
-				se.router.owner[s] = winner
-			}
+			se.router.move(se.router.conns[sc.conn.Name], winner)
 		}
 	}
 	sort.Slice(merged, func(i, j int) bool { return merged[i].seq < merged[j].seq })
@@ -548,13 +567,10 @@ func (se *ShardedEngine) admitCross(ctx context.Context, cand topo.Connection, o
 		next = append(next, sc.conn)
 	}
 	next = append(next, cand)
-	for _, s := range uniqueServers(nil, cand.Path, len(se.router.owner)) {
-		se.router.owner[s] = winner
-		se.router.refs[s]++
-	}
-	se.router.conns[cand.Name] = &routedConn{shard: winner, seq: se.router.seq, path: cand.Path}
-	se.router.seq++
-	se.router.load[winner]++
+	// Every owned server of the candidate's route now belongs to the winner
+	// (its owners were all members of the merged component).
+	se.router.pin(cand.Path, winner)
+	se.router.record(cand, winner)
 	se.router.mu.Unlock()
 
 	for _, o := range owners {
@@ -628,15 +644,8 @@ func (se *ShardedEngine) rebalance(from int) {
 	}
 	se.router.mu.Lock()
 	for _, c := range moved {
-		rc := se.router.conns[c.Name]
-		if rc == nil || rc.shard != from {
-			continue
-		}
-		rc.shard = target
-		se.router.load[from]--
-		se.router.load[target]++
-		for _, s := range uniqueServers(nil, rc.path, len(se.router.owner)) {
-			se.router.owner[s] = target
+		if rc := se.router.conns[c.Name]; rc != nil && rc.shard == from {
+			se.router.move(rc, target)
 		}
 	}
 	se.router.mu.Unlock()

@@ -17,7 +17,9 @@ import (
 // sharded engine fed the same ops one at a time. The sharded guarantee is
 // Admitted/Code/Reason/Violations and release outcomes (Bounds may list a
 // different co-resident set when optimistic routing places a component on
-// a different shard — see the shard_batch.go package comment).
+// a different shard — see the shard_batch.go package comment). Its blocks
+// are disjoint and its names unique, so it then runs a second input that
+// is neither: driveReuseDifferential over the random feed-forward corpus.
 func TestShardedApplyBatchMatchesSequential(t *testing.T) {
 	seeds := int64(12)
 	if testing.Short() {
@@ -89,19 +91,149 @@ func TestShardedApplyBatchMatchesSequential(t *testing.T) {
 				t.Fatalf("seed%d: batch admitted %q, sequential did not", seed, c.Name)
 			}
 		}
-		// Every claim was confirmed or handed back: with nothing in flight
-		// the router's load is exactly the committed count, per shard.
 		for _, se := range []*ShardedEngine{seqSE, batchSE} {
 			if !se.Incremental() {
 				t.Fatalf("seed%d: %s shards are not incremental", seed, analyzer.Name())
 			}
-			for i, sh := range se.Stats().PerShard {
-				if se.router.load[i] != sh.Admitted {
-					t.Fatalf("seed%d: router load[%d] = %d, shard holds %d", seed, i, se.router.load[i], sh.Admitted)
+			requireRouterMatchesShards(t, fmt.Sprintf("seed%d", seed), se)
+		}
+	}
+
+	for _, analyzer := range incrementalAnalyzers {
+		var merges uint64
+		for seed := int64(0); seed < seeds; seed++ {
+			net := corpusNet(t, analyzer, 6, 9, 0.6, seed)
+			for _, shards := range []int{2, 4} {
+				label := fmt.Sprintf("reuse/%s/seed%d/shards%d", analyzer.Name(), seed, shards)
+				merges += driveReuseDifferential(t, label, analyzer, net, shards, seed)
+			}
+		}
+		// Component merges inside multi-op envelopes must not silently drop
+		// out of this test: they are what the barrier exists for.
+		if merges == 0 {
+			t.Fatalf("reuse/%s: the corpus never merged two shards' components", analyzer.Name())
+		}
+	}
+}
+
+// requireRouterMatchesShards checks, with nothing in flight, that the
+// router describes exactly what the shards hold: every claim was confirmed
+// or handed back, every connection is recorded on the shard holding it,
+// load and refs are recounts of the committed set, a server is owned iff
+// referenced — and by the one shard whose connections traverse it.
+func requireRouterMatchesShards(t *testing.T, label string, se *ShardedEngine) {
+	t.Helper()
+	r := &se.router
+	if len(r.pending) != 0 {
+		t.Fatalf("%s: %d claims outstanding with nothing in flight: %v", label, len(r.pending), r.pending)
+	}
+	refs := make([]int, len(r.refs))
+	holder := make([]int, len(r.owner))
+	for s := range holder {
+		holder[s] = -1
+	}
+	for i, sh := range se.Stats().PerShard {
+		if r.load[i] != sh.Admitted {
+			t.Fatalf("%s: router load[%d] = %d, shard holds %d", label, i, r.load[i], sh.Admitted)
+		}
+		for _, c := range se.Shard(i).Snapshot().Admitted() {
+			if rc := r.conns[c.Name]; rc == nil || rc.shard != i {
+				t.Fatalf("%s: shard %d holds %q, router records %+v", label, i, c.Name, rc)
+			}
+			for _, s := range uniqueServers(nil, c.Path, len(holder)) {
+				if holder[s] >= 0 && holder[s] != i {
+					t.Fatalf("%s: server %d is loaded from shards %d and %d", label, s, holder[s], i)
 				}
+				holder[s] = i
+				refs[s]++
 			}
 		}
 	}
+	if len(r.conns) != se.Count() {
+		t.Fatalf("%s: router records %d connections, shards hold %d", label, len(r.conns), se.Count())
+	}
+	for s := range refs {
+		if r.refs[s] != refs[s] || r.owner[s] != holder[s] {
+			t.Fatalf("%s: server %d: router refs %d owner %d, shards say refs %d owner %d",
+				label, s, r.refs[s], r.owner[s], refs[s], holder[s])
+		}
+	}
+}
+
+// driveReuseDifferential replays a schedule that reuses names — re-admit
+// of a live name, release then re-admit, double and ghost releases — over
+// routes that merge components, as random-size envelopes through a sharded
+// engine, against a plain Engine fed the same ops one at a time. The Engine
+// tolerates duplicate names and a multi-shard engine rejects them by
+// contract, so the oracle skips the admit of a live name and the sharded
+// side must reject it as invalid. Returns the component merges seen.
+func driveReuseDifferential(t *testing.T, label string, analyzer analysis.Analyzer, net *topo.Network, shards int, seed int64) uint64 {
+	t.Helper()
+	eng, err := NewEngine(net.Servers, analyzer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	se, err := NewShardedEngine(net.Servers, analyzer, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed*17 + int64(shards)))
+	live := make(map[string]bool)
+	for n := 0; n < 5*len(net.Connections); {
+		env := make([]Op, 1+rng.Intn(7))
+		for k := range env {
+			name := fmt.Sprintf("n%d", rng.Intn(len(net.Connections)))
+			if rng.Intn(3) == 0 {
+				env[k] = Op{Kind: OpRelease, Name: name}
+				continue
+			}
+			cand := net.Connections[rng.Intn(len(net.Connections))]
+			cand.Name = name
+			cand.Deadline = 100
+			if rng.Intn(6) == 0 {
+				// Tight enough to pass only while the route is idle: a deadline
+				// a later release could push its holder over (the Integrated
+				// bound is not monotone in the admitted set) would have the
+				// whole-network oracle reject unrelated components' candidates.
+				cand.Deadline = 0.2 + 0.4*rng.Float64()
+			}
+			env[k] = Op{Kind: OpAdmit, Candidate: cand}
+		}
+		br, err := se.ApplyBatch(bg, env, nil)
+		if err != nil {
+			t.Fatalf("%s: ApplyBatch: %v", label, err)
+		}
+		for k, op := range env {
+			step := fmt.Sprintf("%s/op%d", label, n+k)
+			got := br.Results[k]
+			switch {
+			case op.Kind == OpRelease:
+				_, want, _ := eng.Release(bg, op.Name)
+				if want != got.Released {
+					t.Fatalf("%s: release of %q found diverged: engine %v, sharded %v", step, op.Name, want, got.Released)
+				}
+				delete(live, op.Name)
+			case live[op.Candidate.Name]:
+				if got.Decision.Code != CodeInvalidSpec || got.Err == nil {
+					t.Fatalf("%s: admit of live name %q not rejected as invalid: %+v", step, op.Candidate.Name, got)
+				}
+			default:
+				want, wantErr := eng.Admit(bg, op.Candidate)
+				if (wantErr == nil) != (got.Err == nil) {
+					t.Fatalf("%s: admit error diverged: engine %v, sharded %v", step, wantErr, got.Err)
+				}
+				requireSameOutcome(t, step, want, got.Decision)
+				live[op.Candidate.Name] = want.Admitted
+			}
+		}
+		if eng.Count() != se.Count() {
+			t.Fatalf("%s: count after envelope at op %d: engine %d, sharded %d", label, n, eng.Count(), se.Count())
+		}
+		n += len(env)
+	}
+	requireRouterMatchesShards(t, label, se)
+	st := se.Stats()
+	return st.CrossShardCommits - st.Rebalances
 }
 
 // TestReleaseAccountingDeterministic replays one seeded schedule of single
@@ -528,6 +660,65 @@ func TestShardedBatchCancelReportsCommits(t *testing.T) {
 			if !r.Decision.Admitted {
 				t.Fatalf("re-run op %d not admitted: %+v err=%v", i, r.Decision, r.Err)
 			}
+		}
+	})
+	// The in-envelope name reuse is a barrier, so the first two admits run
+	// as its window under the exclusive lock; cut off after shard 0, what
+	// shard 0 committed must still reach the router.
+	t.Run("inside a barrier's window", func(t *testing.T) {
+		se, _, cands, _ := twoShardSetup(t)
+		ctx, cancel := context.WithCancel(bg)
+		defer cancel()
+		br, err := se.ApplyBatch(ctx, []Op{
+			{Kind: OpAdmit, Candidate: cands[0]},
+			{Kind: OpAdmit, Candidate: cands[1]},
+			{Kind: OpAdmit, Candidate: cands[0]},
+		}, tripwire{name: cands[0].Name, cancel: cancel})
+		if !IsCanceled(err) {
+			t.Fatalf("err = %v, want cancellation", err)
+		}
+		if br == nil || br.Commits != 1 {
+			t.Fatalf("cancelled envelope reported %+v, want 1 commit", br)
+		}
+		requireRouterMatchesShards(t, "after the cut-off", se)
+		if _, ok, _ := se.Release(bg, cands[0].Name); !ok {
+			t.Fatalf("router lost %q, committed before the cut-off", cands[0].Name)
+		}
+	})
+	// Y's route spans both shards until R is gone, so where Y goes depends
+	// on the release ahead of it: routing must not act on that release
+	// before it has committed, or a cut-off leaves Y on one shard and R on
+	// the other, both loading server 3 and neither analysis seeing both.
+	t.Run("release ahead of a dependent admit", func(t *testing.T) {
+		se, err := NewShardedEngine(fabric(4), analysis.Integrated{}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []topo.Connection{conn("P", 1000, 0), conn("R", 1000, 3)} {
+			if d, err := se.Admit(bg, c); err != nil || !d.Admitted {
+				t.Fatalf("setup admit %s: %+v err=%v", c.Name, d, err)
+			}
+		}
+		if p, r := se.router.conns["P"].shard, se.router.conns["R"].shard; p != 0 || r != 1 {
+			t.Fatalf("setup placed P on shard %d and R on shard %d, want 0 and 1", p, r)
+		}
+		ctx, cancel := context.WithCancel(bg)
+		defer cancel()
+		_, err = se.ApplyBatch(ctx, []Op{
+			{Kind: OpRelease, Name: "R"},
+			{Kind: OpAdmit, Candidate: conn("Y", 1000, 0, 3)},
+			{Kind: OpAdmit, Candidate: conn("Z", 1000, 2)},
+		}, tripwire{name: "Y", cancel: cancel})
+		if !IsCanceled(err) {
+			t.Fatalf("err = %v, want cancellation", err)
+		}
+		requireRouterMatchesShards(t, "after the cut-off", se)
+		held := make(map[string]bool)
+		for _, c := range se.Admitted() {
+			held[c.Name] = true
+		}
+		if held["Y"] && held["R"] {
+			t.Fatalf("Y was admitted beside R, which the envelope releases ahead of it: %v", se.Admitted())
 		}
 	})
 }
