@@ -97,21 +97,16 @@ func (ra *runAggregates) crossAt(at, lo, hi int) minplus.Curve {
 	return ra.ar.SumNSlice(curves)
 }
 
-// parallelValues evaluates f(0..n-1) across the available cores into a
-// slice. Each slot is written by exactly one worker and f is pure, so the
-// result is identical to a sequential evaluation regardless of
+// parallelValuesArena evaluates f(0..n-1) across the available cores into
+// a slice. Each slot is written by exactly one worker and f is pure, so
+// the result is identical to a sequential evaluation regardless of
 // scheduling. Workers check ctx between evaluations and stop early once
 // it is done, leaving the remaining slots zero; callers must discard the
-// slice after cancellation (they surface ctx.Err() instead).
-func parallelValues(ctx context.Context, n int, f func(int) float64) []float64 {
-	return parallelValuesArena(ctx, n, func(_ *minplus.Arena, i int) float64 { return f(i) })
-}
-
-// parallelValuesArena is parallelValues with a per-worker curve arena:
-// each worker draws one arena from the pool, resets it between
-// evaluations, and releases it when done, so per-candidate curve scratch
-// never reaches the garbage collector. f must not retain arena-backed
-// curves past its return.
+// slice after cancellation (they surface ctx.Err() instead). Each worker
+// draws one curve arena from the pool, resets it between evaluations, and
+// releases it when done, so per-candidate curve scratch never reaches the
+// garbage collector. f must not retain arena-backed curves past its
+// return.
 func parallelValuesArena(ctx context.Context, n int, f func(*minplus.Arena, int) float64) []float64 {
 	vals := make([]float64, n)
 	workers := maxParallelWorkers()

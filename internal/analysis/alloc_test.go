@@ -33,7 +33,7 @@ func analyzeAllocs(t *testing.T, a Analyzer, net *topo.Network) (*Result, float6
 // raceBuild reports whether the test binary runs under the race detector.
 // There sync.Pool drops a random quarter of its Puts, so the pooled arenas
 // are re-grown at random and analyzeAllocs counts the detector's behaviour,
-// not the engine's (the k=2 theta search reads 9 against its ceiling of 8
+// not the engine's (the k=2 theta search read 9 against a ceiling of 8
 // in one -race run in four): the allocation tests log their counts there
 // and judge only the bounds.
 func raceBuild() bool {
@@ -53,9 +53,8 @@ func raceBuild() bool {
 // theta-search inner loop: a warm-arena k=2 enumeration (candidate grids,
 // memoized residuals, gated-convex decompositions, and the per-pair slope
 // merges) must run the pooled path end to end without heap traffic beyond
-// a small constant. testing.AllocsPerRun pins GOMAXPROCS to 1, so the
-// enumeration takes parallelMinArena's sequential branch and draws its
-// worker arena from the warm pool deterministically.
+// a small constant. The pair sweep runs on the calling goroutine and
+// draws its one scratch arena from the warm pool deterministically.
 func TestThetaSearchAllocCeiling(t *testing.T) {
 	caps := [2]float64{1.0, 1.0}
 	cross := [2]minplus.Curve{
@@ -82,6 +81,7 @@ func TestThetaSearchAllocCeiling(t *testing.T) {
 			residual: func(i int, theta float64) minplus.Curve {
 				return residual(ar, minplus.Rate(caps[i]), cross[i], theta)
 			},
+			ceil: math.Inf(1), // no ceiling: the exact grid minimum
 		}
 		return ts.minimize()
 	}
@@ -106,8 +106,9 @@ func TestThetaSearchAllocCeiling(t *testing.T) {
 	// minimize builds its memo spine (res outer slice, the two parts rows,
 	// the cands header) on the heap per call; everything per-candidate must
 	// come from the arenas.
-	if allocs > 8 && !raceBuild() {
-		t.Errorf("theta-search inner loop allocates %.0f times per search, ceiling is 8", allocs)
+	// Measured 6; the ceiling is that plus 10%, rounded up.
+	if allocs > 7 && !raceBuild() {
+		t.Errorf("theta-search inner loop allocates %.0f times per search, ceiling is 7", allocs)
 	}
 }
 

@@ -306,24 +306,18 @@ func denormalizeBacklogs(r *Result, scale float64) *Result {
 }
 
 // maxParallelWorkers bounds the fan-out of the intra-analysis parallel
-// helpers (parallelMin, parallelValues).
+// helpers (parallelMinArena, parallelValuesArena).
 func maxParallelWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// parallelMin evaluates f(0..n-1) across the available cores and returns
-// the minimum. Used for the embarrassingly parallel theta enumerations;
-// the result is deterministic because min is order-independent. Each
-// worker checks ctx between candidates and stops early once it is done;
-// the partial minimum returned after cancellation is meaningless and
-// callers must discard it (they surface ctx.Err() instead).
-func parallelMin(ctx context.Context, n int, f func(int) float64) float64 {
-	return parallelMinArena(ctx, n, func(_ *minplus.Arena, i int) float64 { return f(i) })
-}
-
-// parallelMinArena is parallelMin with a per-worker curve arena: each
-// worker draws one arena from the pool, resets it between candidates, and
-// releases it when done, so candidate-local curve scratch never reaches
-// the garbage collector. f must not retain arena-backed curves past its
-// return.
+// parallelMinArena evaluates f(0..n-1) across the available cores and
+// returns the minimum; the result is deterministic because min is
+// order-independent. Each worker checks ctx between candidates and stops
+// early once it is done; the partial minimum returned after cancellation
+// is meaningless and callers must discard it (they surface ctx.Err()
+// instead). Each worker draws one curve arena from the pool, resets it
+// between candidates, and releases it when done, so candidate-local curve
+// scratch never reaches the garbage collector. f must not retain
+// arena-backed curves past its return.
 func parallelMinArena(ctx context.Context, n int, f func(*minplus.Arena, int) float64) float64 {
 	if n == 0 {
 		return math.Inf(1)

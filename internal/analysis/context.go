@@ -64,13 +64,19 @@ func ctxErr(err error) error {
 // search over residual-curve candidates, and bound/envelope propagation.
 // Chains of one dependency level run concurrently, so the counters are
 // atomic and a stage's total can exceed wall-clock time (it is CPU time
-// across workers). Attach a collector with WithTimings; analyzers that
-// find none in the context skip all instrumentation.
+// across workers). ThetaPairs and ThetaEvaluated count the theta pairs
+// the two-server searches faced and those they had to evaluate (the rest
+// fell to their lower bound); both depend on the network alone. Attach a
+// collector with WithTimings; analyzers that find none in the context
+// skip all instrumentation.
 type Timings struct {
 	Partition atomic.Int64
 	Aggregate atomic.Int64
 	Theta     atomic.Int64
 	Propagate atomic.Int64
+
+	ThetaPairs     atomic.Int64
+	ThetaEvaluated atomic.Int64
 }
 
 // StageSeconds returns the accumulated stage times in seconds, keyed by

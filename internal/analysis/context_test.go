@@ -3,6 +3,8 @@ package analysis
 import (
 	"context"
 	"errors"
+	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -107,6 +109,17 @@ func TestAnalyzeContextCancelled(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: cancelled AnalyzeContext error %v does not wrap context.Canceled", aname, err)
 		}
+	}
+	// The two-server pair sweep, reached directly (a cancelled analysis
+	// stops before its first search): it checks the context per evaluated
+	// pair, so an already-cancelled one buys at most one evaluation.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sc := randomPairScenario(rand.New(rand.NewSource(7)))
+	_, tm := WithTimings(ctx)
+	sc.search(ctx, nil, math.Inf(1), tm).minimize()
+	if p, e := tm.ThetaPairs.Load(), tm.ThetaEvaluated.Load(); p == 0 || e > 1 {
+		t.Fatalf("cancelled pair sweep evaluated %d of %d pairs, want at most 1", e, p)
 	}
 	// Give worker goroutines a moment to observe the cancellation and exit.
 	deadline := time.Now().Add(2 * time.Second)

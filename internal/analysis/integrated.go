@@ -808,7 +808,7 @@ func analyzeChain(ctx context.Context, sc *chainScratch, net *topo.Network, idx 
 		}
 		thetaStart := time.Now()
 		bounds = &sc.ib
-		bounds.init(ctx, ar, net, chain, svc, runs, ra, envAt, base, local)
+		bounds.init(ctx, tm, ar, net, chain, svc, runs, ra, envAt, base, local)
 		// Record the DP prefix bounds as the next iteration's shifts. The
 		// shift vector is identical for every member of a run, so one
 		// arena-backed vector per run is shared by all its slots.
@@ -963,6 +963,7 @@ func deconvOutput(ar *minplus.Arena, svc []hopService, r *run, mi int, entry min
 // its decomposed sum of local delays.
 type intervalBounds struct {
 	ctx    context.Context // cancellation for the theta searches it spawns
+	tm     *Timings        // pair counts of those searches (nil: none)
 	ar     *minplus.Arena  // owning chain's arena for interval scratch
 	net    *topo.Network
 	chain  []int
@@ -976,8 +977,8 @@ type intervalBounds struct {
 	opt    []float64
 }
 
-func (ib *intervalBounds) init(ctx context.Context, ar *minplus.Arena, net *topo.Network, chain []int, svc []hopService, runs []*run, ra *runAggregates, envAt [][]minplus.Curve, base []int, local []float64) {
-	ib.ctx, ib.ar, ib.net, ib.chain, ib.svc = ctx, ar, net, chain, svc
+func (ib *intervalBounds) init(ctx context.Context, tm *Timings, ar *minplus.Arena, net *topo.Network, chain []int, svc []hopService, runs []*run, ra *runAggregates, envAt [][]minplus.Curve, base []int, local []float64) {
+	ib.ctx, ib.tm, ib.ar, ib.net, ib.chain, ib.svc = ctx, tm, ar, net, chain, svc
 	ib.runs, ib.ra, ib.envAt, ib.base, ib.local = runs, ra, envAt, base, local
 	n := len(chain) * len(chain)
 	ib.direct = resize(ib.direct, n)
@@ -1016,7 +1017,7 @@ func (ib *intervalBounds) directBound(lo, hi int) float64 {
 	if d := ib.direct[key]; !math.IsNaN(d) {
 		return d
 	}
-	d := runIntervalBound(ib.ctx, ib.ar, ib.net, ib.chain, ib.svc, lo, hi, ib.ra, ib.local)
+	d := runIntervalBound(ib.ctx, ib.tm, ib.ar, ib.net, ib.chain, ib.svc, lo, hi, ib.ra, ib.local)
 	ib.direct[key] = d
 	return d
 }
@@ -1026,11 +1027,11 @@ func (ib *intervalBounds) directBound(lo, hi int) float64 {
 // entry envelope and the min-plus convolution of the per-position FIFO
 // residuals of svc's service curves against the local cross traffic (plus
 // svc's latencies), minimized over the
-// theta parameters by the shared memoized search (full enumeration for
+// theta parameters by the shared memoized search (exact enumeration for
 // two servers, coordinate descent for longer intervals — every
 // evaluation is a valid bound, so any search strategy is sound), clamped
-// by the decomposed sum of local delays.
-func runIntervalBound(ctx context.Context, ar *minplus.Arena, net *topo.Network, chain []int, svc []hopService, lo, hi int, ra *runAggregates, local []float64) float64 {
+// by the decomposed sum of local delays (the search's pruning ceiling).
+func runIntervalBound(ctx context.Context, tm *Timings, ar *minplus.Arena, net *topo.Network, chain []int, svc []hopService, lo, hi int, ra *runAggregates, local []float64) float64 {
 	agg := ra.covering(lo, lo, hi)
 
 	k := hi - lo + 1
@@ -1054,6 +1055,9 @@ func runIntervalBound(ctx context.Context, ar *minplus.Arena, net *topo.Network,
 		residual: func(i int, theta float64) minplus.Curve {
 			return residual(ar, svc[lo+i].beta, cross[i], theta)
 		},
+		lat:  lat,
+		ceil: decomposedSum,
+		tm:   tm,
 	}
 	best := ts.minimize() + lat
 	if decomposedSum < best {

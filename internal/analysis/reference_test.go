@@ -391,3 +391,9 @@ func refRunIntervalBound(net *topo.Network, chain []int, lo, hi int, inAgg map[i
 	}
 	return best
 }
+
+// parallelMin is parallelMinArena without the arena, for the frozen
+// engines (here and in fabricref_test.go), which allocate on the heap.
+func parallelMin(ctx context.Context, n int, f func(int) float64) float64 {
+	return parallelMinArena(ctx, n, func(_ *minplus.Arena, i int) float64 { return f(i) })
+}

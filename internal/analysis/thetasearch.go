@@ -41,18 +41,27 @@ import (
 //     convolutions instead of k-1, and memoizes evaluated theta vectors
 //     across passes;
 //
-//   - candidate evaluations fan out across cores (parallelValues /
-//     parallelMin); the reduction is sequential over the precomputed
-//     values, replicating the serial argmin exactly.
+//   - the k=2 closed form is an exact branch and bound: the two cached
+//     deviations bound a pair from below at no cost, and pairs that cannot
+//     lower the caller's clamped total are skipped, sequentially, so
+//     neither result nor evaluated count depends on the core count;
+//
+//   - the k=2 generic fallback and the coordinate-descent scans fan out
+//     across cores (parallelMinArena / parallelValuesArena); the reduction
+//     is sequential over the values, replicating the serial argmin.
 type thetaSearch struct {
-	// ctx carries the cancellation signal into the candidate fan-out: the
-	// parallel enumerations stop between candidates once it is done. A
-	// cancelled search returns a meaningless partial minimum; the owning
-	// analyzer checks the context after minimize and discards the value.
+	// ctx carries the cancellation signal into the search: the pair sweep
+	// and the parallel enumerations stop between candidates once it is
+	// done. A cancelled search returns a meaningless partial minimum; the
+	// owning analyzer checks the context after minimize and discards it.
 	ctx      context.Context
 	agg      minplus.Curve
 	cands    [][]float64
 	residual func(pos int, theta float64) minplus.Curve
+	// The caller keeps min(minimize() + lat, ceil); the k=2 sweep skips
+	// the pairs that cannot lower that total. ceil = +Inf means no ceiling.
+	lat, ceil float64
+	tm        *Timings // non-nil: receives the k=2 pair counts
 	// ar is the owning chain's arena (nil for heap allocation): residual
 	// curves, decompositions and prefix/suffix convolutions are drawn from
 	// it. The arena is not goroutine-safe, so everything built from it is
@@ -80,7 +89,9 @@ func (ts *thetaSearch) residualAt(i, ci int) minplus.Curve {
 }
 
 // minimize returns the minimal horizontal deviation over the candidate
-// grid (full enumeration for k = 2, coordinate descent otherwise).
+// grid (enumeration for k = 2, coordinate descent otherwise). A k = 2
+// search that pruned may return more (+Inf if it evaluated nothing): what
+// is exact is min(minimize() + lat, ceil), the value the caller keeps.
 func (ts *thetaSearch) minimize() float64 {
 	k := len(ts.cands)
 	ts.res = make([][]minplus.Curve, k)
@@ -106,7 +117,7 @@ func (ts *thetaSearch) aggRisesImmediately() bool {
 	return ts.agg.EvalRight(0) > minplus.Eps || ts.agg.RightSlope(0) > minplus.Eps
 }
 
-// enumeratePairs is the k = 2 full enumeration.
+// enumeratePairs is the k = 2 enumeration.
 func (ts *thetaSearch) enumeratePairs() float64 {
 	n0, n1 := len(ts.cands[0]), len(ts.cands[1])
 	for i := 0; i < 2; i++ {
@@ -114,47 +125,95 @@ func (ts *thetaSearch) enumeratePairs() float64 {
 			ts.residualAt(i, ci)
 		}
 	}
-	// Gated-convex fast path: decompose every residual once; pairs then
-	// cost a slope merge plus one deviation.
+	// Gated-convex fast path: decompose every residual once and measure
+	// its gate-stripped deviation; pairs then cost a slope merge plus one
+	// deviation.
 	type part struct {
 		dec minplus.GatedConvex
 		hd  float64 // h(agg, chi) with the gate stripped
 	}
-	fast := true
+	fast := ts.aggRisesImmediately()
 	parts := [2][]part{make([]part, n0), make([]part, n1)}
 	for i := 0; i < 2 && fast; i++ {
 		for ci := range ts.cands[i] {
-			dec, ok := ts.ar.DecomposeGatedConvex(ts.residualAt(i, ci))
+			res := ts.residualAt(i, ci)
+			dec, ok := ts.ar.DecomposeGatedConvex(res)
 			if !ok {
 				fast = false
 				break
 			}
-			parts[i][ci] = part{dec: dec}
+			chi := ts.ar.ShiftLeft(res, dec.Gate)
+			parts[i][ci] = part{dec, minplus.HorizontalDeviation(ts.agg, chi)}
 		}
 	}
-	if fast && ts.aggRisesImmediately() {
-		for i := 0; i < 2; i++ {
-			for ci := range ts.cands[i] {
-				chi := ts.ar.ShiftLeft(ts.residualAt(i, ci), parts[i][ci].dec.Gate)
-				parts[i][ci].hd = minplus.HorizontalDeviation(ts.agg, chi)
-			}
-		}
+	if !fast {
+		ts.count(n0*n1, n0*n1)
 		return parallelMinArena(ts.ctx, n0*n1, func(wa *minplus.Arena, idx int) float64 {
-			a, b := &parts[0][idx/n1], &parts[1][idx%n1]
-			w := wa.ConvolveConvexParts(a.dec, b.dec)
-			hd := math.Max(math.Max(a.hd, b.hd), minplus.HorizontalDeviation(ts.agg, w))
-			return a.dec.Gate + b.dec.Gate + hd
+			beta := wa.Convolve(ts.residualAt(0, idx/n1), ts.residualAt(1, idx%n1))
+			return minplus.HorizontalDeviation(ts.agg, beta)
 		})
 	}
-	return parallelMinArena(ts.ctx, n0*n1, func(wa *minplus.Arena, idx int) float64 {
-		beta := wa.Convolve(ts.residualAt(0, idx/n1), ts.residualAt(1, idx%n1))
-		return minplus.HorizontalDeviation(ts.agg, beta)
-	})
+	// Exact branch and bound. A pair is worth
+	// g0 + g1 + max(hd0, hd1, h(A, W)) >= lb = g0 + g1 + max(hd0, hd1),
+	// in floating point as on paper (+ and max are monotone), so a pair
+	// with lb + lat >= the best total so far (at first: the ceiling) cannot
+	// lower it. The pair of smallest lb goes first, the rest in index order
+	// on this goroutine: what is evaluated depends only on the inputs.
+	lb := func(i0, i1 int) float64 {
+		a, b := &parts[0][i0], &parts[1][i1]
+		return a.dec.Gate + b.dec.Gate + math.Max(a.hd, b.hd)
+	}
+	f0, f1, least := 0, 0, math.Inf(1)
+	for i0 := 0; i0 < n0; i0++ {
+		for i1 := 0; i1 < n1; i1++ {
+			if l := lb(i0, i1); l < least {
+				f0, f1, least = i0, i1, l
+			}
+		}
+	}
+	wa := minplus.GetArena()
+	defer wa.Release()
+	best, total, evaluated := math.Inf(1), ts.ceil, 0
+	visit := func(i0, i1 int) {
+		if lb(i0, i1)+ts.lat >= total || canceled(ts.ctx) {
+			return
+		}
+		wa.Reset()
+		a, b := &parts[0][i0], &parts[1][i1]
+		w := wa.ConvolveConvexParts(a.dec, b.dec)
+		hd := math.Max(math.Max(a.hd, b.hd), minplus.HorizontalDeviation(ts.agg, w))
+		v := a.dec.Gate + b.dec.Gate + hd
+		evaluated++
+		if v < best {
+			best = v
+		}
+		if v+ts.lat < total {
+			total = v + ts.lat
+		}
+	}
+	visit(f0, f1)
+	for i0 := 0; i0 < n0; i0++ {
+		for i1 := 0; i1 < n1; i1++ {
+			if i0 != f0 || i1 != f1 {
+				visit(i0, i1)
+			}
+		}
+	}
+	ts.count(n0*n1, evaluated)
+	return best
+}
+
+// count reports one k=2 search to the collector, if any.
+func (ts *thetaSearch) count(pairs, evaluated int) {
+	if ts.tm != nil {
+		ts.tm.ThetaPairs.Add(int64(pairs))
+		ts.tm.ThetaEvaluated.Add(int64(evaluated))
+	}
 }
 
 // coordinateDescent scans one coordinate at a time from the all-zero
-// vector (candidate index 0 is always theta = 0), keeping the first
-// strictly improving candidate per scan, up to three passes — the same
+// vector (candidate index 0 is always theta = 0), keeping the best
+// strictly improving candidate of each scan, up to three passes — the same
 // search the pre-overhaul engine ran, with prefix/suffix convolutions
 // hoisted out of the candidate loop and evaluated vectors memoized.
 func (ts *thetaSearch) coordinateDescent() float64 {

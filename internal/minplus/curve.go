@@ -30,14 +30,15 @@ import (
 const Eps = 1e-9
 
 // almostEqual reports whether a and b are equal within tolerance, scaling
-// the tolerance with the magnitude of the operands.
+// the tolerance with the magnitude of the operands: diff <= Eps*max(|a|,
+// |b|), spelled as two comparisons (scaling by a positive constant is
+// monotone, so Eps*max(x, y) is max(Eps*x, Eps*y) to the bit) because
+// math.Max's NaN and signed-zero handling was a third of this function's
+// cost and kept it from inlining. A NaN operand makes diff NaN and every
+// comparison false, as before.
 func almostEqual(a, b float64) bool {
 	diff := math.Abs(a - b)
-	if diff <= Eps {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= Eps*scale
+	return diff <= Eps || diff <= Eps*math.Abs(a) || diff <= Eps*math.Abs(b)
 }
 
 // Point is a breakpoint of a piecewise-linear curve.

@@ -2,6 +2,7 @@ package minplus
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -298,5 +299,52 @@ func TestBuilderPanics(t *testing.T) {
 			}()
 			tc.fn()
 		})
+	}
+}
+
+// TestAlmostEqualTruthTable pins almostEqual to the expression it replaced
+// (diff <= Eps*math.Max(|a|, |b|)) on every kind of input: the kernels
+// branch on it, so one differing answer would move bounds.
+func TestAlmostEqualTruthTable(t *testing.T) {
+	old := func(a, b float64) bool {
+		diff := math.Abs(a - b)
+		if diff <= Eps {
+			return true
+		}
+		return diff <= Eps*math.Max(math.Abs(a), math.Abs(b))
+	}
+	negZero := math.Copysign(0, -1)
+	vals := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), 0, negZero,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1e-310, 2.2250738585072014e-308,
+		Eps, -Eps, math.Nextafter(Eps, 0), math.Nextafter(Eps, 1), Eps / 2, 2 * Eps,
+		1, -1, 1 + Eps, 1 - Eps, math.Nextafter(1+Eps, 2), math.Nextafter(1+Eps, 0),
+		1e9, 1e9 + 1, 1e9 + 1 + 1e-7, 1e9 * (1 + Eps), math.Nextafter(1e9*(1+Eps), math.Inf(1)),
+		-1e9, -1e9 - 1, 1e18, 1e18 + 1e9, 1e18 + 2e9,
+		math.MaxFloat64, -math.MaxFloat64, math.MaxFloat64 / 2,
+	}
+	check := func(a, b float64) {
+		if got, want := almostEqual(a, b), old(a, b); got != want {
+			t.Fatalf("almostEqual(%b, %b) = %v, the old expression says %v", a, b, got, want)
+		}
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			check(a, b)
+		}
+	}
+	rng := rand.New(rand.NewSource(25))
+	for i := 0; i < 200000; i++ {
+		a := math.Float64frombits(rng.Uint64())
+		check(a, math.Float64frombits(rng.Uint64()))
+		// Near pairs, straddling the relative tolerance.
+		rel := (rng.Float64()*4 - 2) * Eps
+		check(a, a*(1+rel))
+		check(a, math.Nextafter(a*(1+Eps), math.Inf(1)))
+		check(a, math.Nextafter(a*(1+Eps), 0))
+		// Small magnitudes, straddling the absolute tolerance.
+		s := rng.Float64() * 4 * Eps
+		check(s, -rng.Float64()*Eps)
+		check(s, s+Eps)
 	}
 }

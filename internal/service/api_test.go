@@ -216,15 +216,30 @@ func TestSPAnalyzeFillsStageTimings(t *testing.T) {
 		t.Fatalf("analyze: %d %s", w.Code, w.Body)
 	}
 	metrics := do(t, srv, "GET", "/v2/networks/default/metrics", "").Body.String()
-	for _, stage := range []string{"aggregate", "theta"} {
-		series := fmt.Sprintf("delayd_analysis_stage_seconds_sum{stage=%q} ", stage)
-		_, rest, ok := strings.Cut(metrics, series)
+	sample := func(series string) float64 {
+		t.Helper()
+		_, rest, ok := strings.Cut(metrics, series+" ")
 		if !ok {
 			t.Fatalf("metrics missing %q\n%s", series, metrics)
 		}
 		line, _, _ := strings.Cut(rest, "\n")
-		if sum, err := strconv.ParseFloat(line, 64); err != nil || sum <= 0 {
-			t.Errorf("%s= %q after an IntegratedSP analyze, want > 0", series, line)
+		v, err := strconv.ParseFloat(line, 64)
+		if err != nil {
+			t.Fatalf("%s = %q: %v", series, line, err)
 		}
+		return v
+	}
+	for _, stage := range []string{"aggregate", "theta"} {
+		series := fmt.Sprintf("delayd_analysis_stage_seconds_sum{stage=%q}", stage)
+		if sum := sample(series); sum <= 0 {
+			t.Errorf("%s = %v after an IntegratedSP analyze, want > 0", series, sum)
+		}
+	}
+	// The run's two-server searches report their pair counts: some pair
+	// was evaluated, and the lower bound pruned most of the grid.
+	evaluated := sample(`delayd_analysis_theta_pairs_total{outcome="evaluated"}`)
+	pruned := sample(`delayd_analysis_theta_pairs_total{outcome="pruned"}`)
+	if evaluated < 1 || pruned <= evaluated {
+		t.Errorf("theta pairs evaluated / pruned = %v / %v, want at least one evaluated and more pruned", evaluated, pruned)
 	}
 }

@@ -53,6 +53,8 @@ type Metrics struct {
 	queued   int64                     // atomic: requests waiting for an analysis slot
 	degraded uint64                    // atomic: requests served from the decomposed fallback
 	shed     uint64                    // atomic: requests shed at the hard deadline or queue
+	// atomic: theta pairs the two-server searches evaluated / pruned
+	thetaEvaluated, thetaPruned uint64
 }
 
 // NewMetrics builds an empty metrics accumulator.
@@ -117,6 +119,13 @@ func (m *Metrics) RequestShed() { atomic.AddUint64(&m.shed, 1) }
 
 // Shed returns the cumulative shed-request count.
 func (m *Metrics) Shed() uint64 { return atomic.LoadUint64(&m.shed) }
+
+// observeThetaPairs adds one analysis run's theta-pair counts
+// (analysis.Timings.ThetaPairs / ThetaEvaluated).
+func (m *Metrics) observeThetaPairs(pairs, evaluated int64) {
+	atomic.AddUint64(&m.thetaEvaluated, uint64(evaluated))
+	atomic.AddUint64(&m.thetaPruned, uint64(pairs-evaluated))
+}
 
 // ObserveStage records one analysis stage's accumulated time in seconds.
 // Stage names come from analysis.Timings.StageSeconds.
@@ -199,6 +208,11 @@ func (m *Metrics) WriteText(w io.Writer) {
 		gaugeLine(w, "delayd_analysis_stage_seconds_sum", fmt.Sprintf("stage=%q", st), h.sum)
 		gaugeLine(w, "delayd_analysis_stage_seconds_count", fmt.Sprintf("stage=%q", st), float64(h.count))
 	}
+
+	fmt.Fprintln(w, "# HELP delayd_analysis_theta_pairs_total Theta pairs of the two-server searches, by outcome (evaluated, or pruned by their lower bound).")
+	fmt.Fprintln(w, "# TYPE delayd_analysis_theta_pairs_total counter")
+	gaugeLine(w, "delayd_analysis_theta_pairs_total", `outcome="evaluated"`, float64(atomic.LoadUint64(&m.thetaEvaluated)))
+	gaugeLine(w, "delayd_analysis_theta_pairs_total", `outcome="pruned"`, float64(atomic.LoadUint64(&m.thetaPruned)))
 
 	fmt.Fprintln(w, "# HELP delayd_request_duration_seconds Request latency, by endpoint.")
 	fmt.Fprintln(w, "# TYPE delayd_request_duration_seconds histogram")

@@ -144,13 +144,15 @@ func (s *Server) softContext(ctx context.Context, override float64) (sctx contex
 	return sctx, cancel, true
 }
 
-// observeStages exports an analysis run's per-stage wall time to the
-// network's metrics histograms and the debug log.
+// observeStages exports an analysis run's per-stage wall time and
+// theta-pair counts to the network's metrics and the debug log.
 func (s *Server) observeStages(nw *Network, endpoint string, tm *analysis.Timings) {
 	stages := tm.StageSeconds()
 	for st, sec := range stages {
 		nw.metrics.ObserveStage(st, sec)
 	}
+	pairs, evaluated := tm.ThetaPairs.Load(), tm.ThetaEvaluated.Load()
+	nw.metrics.observeThetaPairs(pairs, evaluated)
 	s.log.Debug("analysis stages",
 		"endpoint", endpoint,
 		"network", nw.id,
@@ -158,6 +160,8 @@ func (s *Server) observeStages(nw *Network, endpoint string, tm *analysis.Timing
 		"aggregate_s", stages["aggregate"],
 		"theta_s", stages["theta"],
 		"propagate_s", stages["propagate"],
+		"theta_pairs", pairs,
+		"theta_evaluated", evaluated,
 	)
 }
 
