@@ -44,8 +44,8 @@
 // Each request runs under two clocks: -timeout is the hard deadline (a
 // request that reaches it is shed with 503 + Retry-After and its analysis
 // is cancelled) and -analyze-timeout is the soft budget (an analysis that
-// exceeds it degrades to the always-sound decomposed bound, labeled
-// degraded:true). -max-inflight bounds concurrently running analyses;
+// outlives it stops searching and finishes on the always-sound decomposed
+// ceilings it already holds, labeled degraded:true). -max-inflight bounds concurrently running analyses;
 // excess requests queue until a slot frees or their deadline sheds them.
 //
 // On SIGINT/SIGTERM the daemon stops accepting connections and drains
@@ -95,7 +95,7 @@ func main() {
 		algo     = flag.String("algo", "integrated", "admission-test analyzer (integrated, decomposed, servicecurve, gr, integratedsp)")
 		cacheSz  = flag.Int("cache", service.DefaultCacheSize, "analyze-cache capacity (0 disables caching)")
 		timeout  = flag.Duration("timeout", service.DefaultRequestTimeout, "per-request hard deadline (shed with 503 when passed)")
-		analyzeT = flag.Duration("analyze-timeout", service.DefaultAnalyzeTimeout, "soft analysis budget before degrading to the decomposed bound (negative disables degradation)")
+		analyzeT = flag.Duration("analyze-timeout", service.DefaultAnalyzeTimeout, "soft analysis budget: past it an analysis finishes on decomposed ceilings, degraded (negative disables degradation)")
 		inflight = flag.Int("max-inflight", service.DefaultMaxInFlight, "maximum concurrently running analyses (negative disables the bound)")
 		maxBody  = flag.Int64("max-body", service.DefaultMaxBodyBytes, "maximum request body bytes")
 		grace    = flag.Duration("shutdown-grace", 10*time.Second, "drain window after SIGINT/SIGTERM")

@@ -133,14 +133,13 @@ func validateOps(ops []Op) error {
 // cancellation (check IsCanceled) aborts the envelope with nothing
 // committed.
 //
-// override nil runs the engine's analyzer on its incremental path. A
-// non-nil override is the degradation hook — the serving layer re-runs a
-// timed-out envelope with the always-valid decomposed analyzer: every admit
-// is a full analysis with it, and a positive decision commits without a
-// promoted baseline, so the next incremental test rebuilds one against the
-// primary analyzer. Sound whenever the override's bounds are valid upper
-// bounds.
-func (e *Engine) ApplyBatch(ctx context.Context, ops []Op, override analysis.Analyzer) (*BatchResult, error) {
+// A soft budget on ctx (analysis.WithBudget) that runs out cancels nothing:
+// the envelope completes on sound, looser bounds and commits as usual. Two
+// rules keep what it leaves behind exact. A result computed after the budget
+// degraded never seeds a baseline: the next incremental test rebuilds it.
+// An expired budget never starts a baseline build, which could not be cut
+// short: with none at hand the admit is one full analysis under ctx.
+func (e *Engine) ApplyBatch(ctx context.Context, ops []Op) (*BatchResult, error) {
 	if err := validateOps(ops); err != nil {
 		return nil, err
 	}
@@ -148,7 +147,7 @@ func (e *Engine) ApplyBatch(ctx context.Context, ops []Op, override analysis.Ana
 	e.batchOps.Add(uint64(len(ops)))
 	for {
 		snap := e.Snapshot()
-		br, st, err := e.evalBatch(ctx, snap, ops, override)
+		br, st, err := e.evalBatch(ctx, snap, ops)
 		if err != nil {
 			return &BatchResult{}, err
 		}
@@ -167,13 +166,13 @@ func (e *Engine) ApplyBatch(ctx context.Context, ops []Op, override analysis.Ana
 // evalBatch runs every operation against a private working state, never
 // mutating the engine. The returned batchState is what commitBatch
 // installs.
-func (e *Engine) evalBatch(ctx context.Context, snap *Snapshot, ops []Op, override analysis.Analyzer) (*BatchResult, *batchState, error) {
+func (e *Engine) evalBatch(ctx context.Context, snap *Snapshot, ops []Op) (*BatchResult, *batchState, error) {
 	st := snap.workingState()
 	br := &BatchResult{Results: make([]OpResult, len(ops))}
 	for i, op := range ops {
 		switch op.Kind {
 		case OpAdmit:
-			d, ext, err := e.admitStep(ctx, snap, st, op.Candidate, override)
+			d, ext, err := e.admitStep(ctx, snap, st, op.Candidate)
 			if IsCanceled(err) {
 				return nil, nil, err
 			}
@@ -182,10 +181,10 @@ func (e *Engine) evalBatch(ctx context.Context, snap *Snapshot, ops []Op, overri
 			}
 			br.Results[i] = OpResult{Decision: d, Err: err}
 		case OpRelease:
-			// Only the primary analyzer's baseline is shrunk, and only by a
-			// release that ends its run: inside a run each shrink would
-			// recompute the closure just for the next release to discard it.
-			shrink := override == nil && (i+1 == len(ops) || ops[i+1].Kind != OpRelease)
+			// Only a release that ends its run shrinks the baseline: inside
+			// a run each shrink would recompute the closure just for the
+			// next release to discard it.
+			shrink := i+1 == len(ops) || ops[i+1].Kind != OpRelease
 			res, err := e.releaseStep(ctx, st, op.Name, shrink)
 			if err != nil {
 				return nil, nil, err
@@ -233,7 +232,7 @@ func (st *batchState) ensureBaseline(e *Engine, snap *Snapshot) (*analysis.Basel
 }
 
 // admit advances the working state past an accepted candidate. ext is the
-// incremental extension to promote; nil (a full-path or override admit)
+// incremental extension to promote; nil (a full-path or degraded admit)
 // leaves the would-be set without a baseline, and the next incremental
 // admit rebuilds one over it.
 func (st *batchState) admit(cand topo.Connection, ext *analysis.Extension) {
@@ -255,10 +254,9 @@ func (st *batchState) admit(cand topo.Connection, ext *analysis.Extension) {
 // CodeInvalidSpec decision, and never by silently falling through to the
 // more expensive full path).
 //
-// A non-nil override forces one full analysis with that analyzer; snap is
-// only consulted on the incremental path, so override callers with no
-// snapshot (the cross-shard union test) pass nil.
-func (e *Engine) admitStep(ctx context.Context, snap *Snapshot, st *batchState, cand topo.Connection, override analysis.Analyzer) (Decision, *analysis.Extension, error) {
+// A nil snap (the cross-shard union test, which has none) forces one full
+// analysis; so does an expired soft budget with no working baseline.
+func (e *Engine) admitStep(ctx context.Context, snap *Snapshot, st *batchState, cand topo.Connection) (Decision, *analysis.Extension, error) {
 	if cand.Deadline <= 0 {
 		return Decision{Code: CodeInvalidSpec, Reason: "candidate has no deadline"}, nil,
 			fmt.Errorf("admission: candidate %q has no deadline", cand.Name)
@@ -276,16 +274,20 @@ func (e *Engine) admitStep(ctx context.Context, snap *Snapshot, st *batchState, 
 	if !trial.Stable() {
 		return Decision{Code: CodeUnstable, Reason: "network would be unstable"}, nil, nil
 	}
-	analyzer := override
-	if override == nil {
+	if snap != nil {
 		affected, _ := AffectedSet(len(e.servers), st.admitted, cand)
 		e.observeAffected(len(affected))
-		if e.inc != nil {
+		if e.inc != nil && (st.base != nil || !analysis.Expired(ctx)) {
 			if base, err := st.ensureBaseline(e, snap); err == nil {
 				ext, err := base.ExtendContext(ctx, cand)
 				if err == nil {
 					e.incTests.Add(1)
-					return evaluate(trial, ext.Result()), ext, nil
+					d := evaluate(trial, ext.Result())
+					if analysis.Degraded(ctx) {
+						// Its traces depend on when the budget ran out.
+						ext = nil
+					}
+					return d, ext, nil
 				}
 				if IsCanceled(err) {
 					return Decision{}, nil, err
@@ -294,10 +296,9 @@ func (e *Engine) admitStep(ctx context.Context, snap *Snapshot, st *batchState, 
 			// Baseline or extension failure: fall through to the full path,
 			// which reproduces Controller.Test exactly (including its error).
 		}
-		analyzer = e.analyzer
 	}
 	e.fullTests.Add(1)
-	res, err := analysis.AnalyzeWithContext(ctx, analyzer, trial)
+	res, err := analysis.AnalyzeWithContext(ctx, e.analyzer, trial)
 	if err != nil {
 		if IsCanceled(err) {
 			return Decision{}, nil, err
@@ -315,9 +316,9 @@ func (e *Engine) admitStep(ctx context.Context, snap *Snapshot, st *batchState, 
 // shrunk in place — the surviving unit traces outside the removed
 // connection's closure replay bit-identically, so the next admission test
 // extends a warm baseline exactly as if the released connection had never
-// been admitted. Otherwise the release drops the baseline and the next
-// incremental test rebuilds it (ensureBaseline), so a run of releases pays
-// one rebuild instead of one shrink each.
+// been admitted. Otherwise, or if the shrink ran into the soft budget, the
+// release drops the baseline and the next incremental test rebuilds it
+// (ensureBaseline), so a run of releases pays one rebuild, not a shrink each.
 func (e *Engine) releaseStep(ctx context.Context, st *batchState, name string, shrink bool) (OpResult, error) {
 	idx := -1
 	for i, conn := range st.admitted {
@@ -339,7 +340,7 @@ func (e *Engine) releaseStep(ctx context.Context, st *batchState, name string, s
 		if IsCanceled(err) {
 			return OpResult{}, err
 		}
-		if err == nil {
+		if err == nil && !analysis.Degraded(ctx) {
 			affected, _ := AffectedSet(len(e.servers), survivors, st.admitted[idx])
 			info = ReleaseInfo{Incremental: true, Affected: len(affected)}
 			e.observeAffected(len(affected))
@@ -381,12 +382,11 @@ func (e *Engine) commitBatch(snap *Snapshot, st *batchState) bool {
 // consistent even while concurrent admissions commit. Candidates are judged
 // against the current admitted set alone (a dry-run envelope does not
 // accumulate its own hypothetical admissions). Nothing is ever committed.
-// override is as for ApplyBatch.
-func (e *Engine) TestBatch(ctx context.Context, cands []topo.Connection, override analysis.Analyzer) ([]OpResult, error) {
+func (e *Engine) TestBatch(ctx context.Context, cands []topo.Connection) ([]OpResult, error) {
 	snap := e.Snapshot()
 	out := make([]OpResult, len(cands))
 	for i, cand := range cands {
-		d, err := snap.test(ctx, cand, override)
+		d, err := snap.test(ctx, cand)
 		if IsCanceled(err) {
 			return nil, err
 		}
@@ -396,7 +396,7 @@ func (e *Engine) TestBatch(ctx context.Context, cands []topo.Connection, overrid
 }
 
 // test dry-runs one candidate against this pinned snapshot.
-func (s *Snapshot) test(ctx context.Context, cand topo.Connection, override analysis.Analyzer) (Decision, error) {
-	d, _, err := s.eng.admitStep(ctx, s, s.workingState(), cand, override)
+func (s *Snapshot) test(ctx context.Context, cand topo.Connection) (Decision, error) {
+	d, _, err := s.eng.admitStep(ctx, s, s.workingState(), cand)
 	return d, err
 }

@@ -58,7 +58,7 @@ func BenchmarkApplyBatch32(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := eng.ApplyBatch(context.Background(), ops, nil); err != nil {
+		if _, err := eng.ApplyBatch(context.Background(), ops); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -68,7 +68,7 @@ func driveBatchDifferential(t *testing.T, label string, analyzer analysis.Analyz
 		}
 		env := ops[start:end]
 		vBefore := batchEng.Snapshot().Version()
-		br, err := batchEng.ApplyBatch(ctx, env, nil)
+		br, err := batchEng.ApplyBatch(ctx, env)
 		if err != nil {
 			t.Fatalf("%s: ApplyBatch: %v", label, err)
 		}
@@ -186,7 +186,7 @@ func TestApplyBatchSingleCommit(t *testing.T) {
 		ops = append(ops, Op{Kind: OpAdmit, Candidate: c})
 	}
 	ops = append(ops, Op{Kind: OpRelease, Name: net.Connections[0].Name})
-	br, err := eng.ApplyBatch(context.Background(), ops, nil)
+	br, err := eng.ApplyBatch(context.Background(), ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestApplyBatchSingleCommit(t *testing.T) {
 	}
 
 	// A read-only envelope (release of nothing) must not commit at all.
-	br, err = eng.ApplyBatch(context.Background(), []Op{{Kind: OpRelease, Name: "ghost"}}, nil)
+	br, err = eng.ApplyBatch(context.Background(), []Op{{Kind: OpRelease, Name: "ghost"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestTestBatchPinnedSnapshot(t *testing.T) {
 		c.Deadline = 100
 		return c
 	}
-	res, err := eng.TestBatch(context.Background(), []topo.Connection{mk("x"), mk("y")}, nil)
+	res, err := eng.TestBatch(context.Background(), []topo.Connection{mk("x"), mk("y")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestTestBatchPinnedSnapshot(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 200; i++ {
-		res, err := eng.TestBatch(context.Background(), []topo.Connection{mk("x"), mk("y")}, nil)
+		res, err := eng.TestBatch(context.Background(), []topo.Connection{mk("x"), mk("y")})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +304,7 @@ func TestReleaseRunDropsOnce(t *testing.T) {
 	}
 
 	before := batchEng.Stats()
-	br, err := batchEng.ApplyBatch(bg, ops, nil)
+	br, err := batchEng.ApplyBatch(bg, ops)
 	if err != nil {
 		t.Fatal(err)
 	}

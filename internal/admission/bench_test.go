@@ -216,7 +216,7 @@ func releaseVictims(tb testing.TB, eng *Engine, victims []topo.Connection) []OpR
 	for i, v := range victims {
 		ops[i] = Op{Kind: OpRelease, Name: v.Name}
 	}
-	br, err := eng.ApplyBatch(bg, ops, nil)
+	br, err := eng.ApplyBatch(bg, ops)
 	if err != nil {
 		tb.Fatalf("release envelope: %v", err)
 	}
@@ -335,7 +335,7 @@ func TestIncrementalWork(t *testing.T) {
 	eng := warmEngine(t, net, cand)
 	before := eng.Stats()
 	snap := eng.Snapshot()
-	d, ext, err := eng.admitStep(bg, snap, snap.workingState(), cand, nil)
+	d, ext, err := eng.admitStep(bg, snap, snap.workingState(), cand)
 	if err != nil || !d.Admitted {
 		t.Fatalf("incremental test failed: %+v %v", d, err)
 	}

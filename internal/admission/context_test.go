@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"delaycalc/internal/analysis"
+	"delaycalc/internal/minplus"
 	"delaycalc/internal/topo"
 )
 
@@ -66,7 +67,7 @@ func TestAdmitCancelledCommitsNothing(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	br, err := eng.ApplyBatch(ctx, []Op{{Kind: OpAdmit, Candidate: conn("v1", 5, 0, 1)}}, nil)
+	br, err := eng.ApplyBatch(ctx, []Op{{Kind: OpAdmit, Candidate: conn("v1", 5, 0, 1)}})
 	if !IsCanceled(err) {
 		t.Fatalf("cancelled admit error = %v, want cancellation", err)
 	}
@@ -78,40 +79,64 @@ func TestAdmitCancelledCommitsNothing(t *testing.T) {
 	}
 }
 
-// TestOverrideCommitsAndStaysConsistent drives the degraded admission
-// path: an envelope with an analyzer override commits under the fallback
-// analyzer's decision, and the
-// engine's NEXT test (back on the primary analyzer) sees the committed
-// connection exactly as a fresh engine would — the degraded commit must
-// not leave a stale incremental baseline behind.
-func TestOverrideCommitsAndStaysConsistent(t *testing.T) {
+// expiredBudget is a context whose soft analysis budget has already run
+// out: every theta search under it takes its decomposed ceiling.
+func expiredBudget() context.Context {
+	return analysis.WithBudget(bg, func() bool { return true })
+}
+
+// requireBetween checks the degradation law on the last n bounds of a
+// degraded result: none below the primary analyzer's, none above the
+// decomposed one.
+func requireBetween(t *testing.T, label string, got, primary, decomposed []float64, n int) {
+	t.Helper()
+	for i := 1; i <= n; i++ {
+		b, lo, hi := got[len(got)-i], primary[len(primary)-i], decomposed[len(decomposed)-i]
+		if b < lo-minplus.Eps || b > hi+minplus.Eps {
+			t.Errorf("%s: bound %d from the end = %v outside [primary %v, decomposed %v]", label, i, b, lo, hi)
+		}
+	}
+}
+
+// TestDegradedCommitStaysConsistent drives the degraded admission path: an
+// envelope whose soft budget has run out still commits, once, on bounds
+// between the primary analyzer's and the decomposed ones, and the engine's
+// NEXT test (no budget) sees the committed connection exactly as a fresh
+// engine would — the degraded extension must not be left behind as the
+// incremental baseline.
+func TestDegradedCommitStaysConsistent(t *testing.T) {
 	eng, err := NewEngine(fabric(2), analysis.Integrated{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm the baseline on the primary analyzer first, as a degraded
-	// request would find it.
+	// Warm the baseline first, as a degraded request would find it.
 	if d, err := eng.Admit(bg, conn("first", 50, 0, 1)); err != nil || !d.Admitted {
 		t.Fatalf("first admit: %+v, %v", d, err)
 	}
-	br, err := eng.ApplyBatch(bg, []Op{{Kind: OpAdmit, Candidate: conn("degraded", 50, 0, 1)}}, analysis.Decomposed{})
+	ctx := expiredBudget()
+	br, err := eng.ApplyBatch(ctx, []Op{{Kind: OpAdmit, Candidate: conn("degraded", 50, 0, 1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := br.Results[0].Decision
-	if !d.Admitted {
-		t.Fatalf("degraded admit rejected: %+v", d)
+	if !d.Admitted || br.Commits != 1 || !analysis.Degraded(ctx) {
+		t.Fatalf("degraded admit: %+v, %d commits, degraded %v; want admitted, one commit, degraded",
+			d, br.Commits, analysis.Degraded(ctx))
 	}
-	// The decision's bounds are the fallback analyzer's, not the primary's.
-	decRef, err := analysis.Decomposed{}.Analyze(trialNetworkForTest(t, eng))
+	if eng.Snapshot().cachedBaseline() != nil {
+		t.Fatal("degraded admit promoted its extension to the snapshot's baseline")
+	}
+	// The decision's bounds sit between the two analyzers'.
+	trial := trialNetworkForTest(t, eng)
+	intRef, err := analysis.Integrated{}.Analyze(trial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range decRef.Bounds {
-		if d.Bounds[i] != decRef.Bounds[i] {
-			t.Errorf("degraded bound %d = %v, want decomposed %v", i, d.Bounds[i], decRef.Bounds[i])
-		}
+	decRef, err := analysis.Decomposed{}.Analyze(trial)
+	if err != nil {
+		t.Fatal(err)
 	}
+	requireBetween(t, "degraded admit", d.Bounds, intRef.Bounds, decRef.Bounds, len(d.Bounds))
 	if eng.Count() != 2 {
 		t.Fatalf("count = %d after degraded admit, want 2", eng.Count())
 	}

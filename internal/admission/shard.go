@@ -508,11 +508,8 @@ func unionConns(union []seqConn) []topo.Connection {
 // involved shard, stability and deadline checks over the union are
 // identical to the full network's (uninvolved components cannot interact
 // with it).
-func (se *ShardedEngine) unionTest(ctx context.Context, owners []int, conns []topo.Connection, cand topo.Connection, override analysis.Analyzer) (Decision, error) {
-	if override == nil {
-		override = se.analyzer
-	}
-	d, _, err := se.shards[owners[0]].admitStep(ctx, nil, &batchState{admitted: conns}, cand, override)
+func (se *ShardedEngine) unionTest(ctx context.Context, owners []int, conns []topo.Connection, cand topo.Connection) (Decision, error) {
+	d, _, err := se.shards[owners[0]].admitStep(ctx, nil, &batchState{admitted: conns}, cand)
 	return d, err
 }
 
@@ -522,10 +519,10 @@ func (se *ShardedEngine) unionTest(ctx context.Context, owners []int, conns []to
 // one winner shard with epoch-stamped commits on every involved engine.
 // Caller must hold se.mu exclusively with no claim outstanding (no
 // shard-local operation in flight, the envelope's own window reconciled).
-func (se *ShardedEngine) admitCross(ctx context.Context, cand topo.Connection, owners []int, override analysis.Analyzer) (Decision, error) {
+func (se *ShardedEngine) admitCross(ctx context.Context, cand topo.Connection, owners []int) (Decision, error) {
 	union := se.gatherUnion(owners, se.snapshots())
 	conns := unionConns(union)
-	d, err := se.unionTest(ctx, owners, conns, cand, override)
+	d, err := se.unionTest(ctx, owners, conns, cand)
 	if err != nil || !d.Admitted {
 		return d, err
 	}
@@ -656,7 +653,7 @@ func (se *ShardedEngine) rebalance(from int) {
 
 // Admit tests and commits one candidate: an ApplyBatch envelope of one.
 func (se *ShardedEngine) Admit(ctx context.Context, cand topo.Connection) (Decision, error) {
-	br, err := se.ApplyBatch(ctx, []Op{{Kind: OpAdmit, Candidate: cand}}, nil)
+	br, err := se.ApplyBatch(ctx, []Op{{Kind: OpAdmit, Candidate: cand}})
 	if err != nil {
 		return Decision{}, err
 	}
@@ -666,7 +663,7 @@ func (se *ShardedEngine) Admit(ctx context.Context, cand topo.Connection) (Decis
 // Release removes one admitted connection by name and reports how: an
 // ApplyBatch envelope of one. ok is false when no such connection exists.
 func (se *ShardedEngine) Release(ctx context.Context, name string) (info ReleaseInfo, ok bool, err error) {
-	br, err := se.ApplyBatch(ctx, []Op{{Kind: OpRelease, Name: name}}, nil)
+	br, err := se.ApplyBatch(ctx, []Op{{Kind: OpRelease, Name: name}})
 	if err != nil {
 		return ReleaseInfo{}, false, err
 	}
@@ -675,7 +672,7 @@ func (se *ShardedEngine) Release(ctx context.Context, name string) (info Release
 
 // Test dry-runs one candidate: a TestBatch envelope of one.
 func (se *ShardedEngine) Test(ctx context.Context, cand topo.Connection) (Decision, error) {
-	res, err := se.TestBatch(ctx, []topo.Connection{cand}, nil)
+	res, err := se.TestBatch(ctx, []topo.Connection{cand})
 	if err != nil {
 		return Decision{}, err
 	}

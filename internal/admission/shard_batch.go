@@ -49,7 +49,6 @@ import (
 	"context"
 	"fmt"
 
-	"delaycalc/internal/analysis"
 	"delaycalc/internal/topo"
 )
 
@@ -63,20 +62,21 @@ func dupResult(name string) OpResult {
 // ApplyBatch evaluates a mixed admit/release envelope with one snapshot
 // commit per shard per window (one window unless the envelope holds a
 // barrier, see the file comment); see Engine.ApplyBatch for the
-// single-engine contract and the analyzer override, which is threaded
-// through every sub-batch and cross-shard commit. Cancellation never tears a
-// shard (each shard's sub-batch is atomic), but in a multi-shard envelope
-// sub-batches of other shards may already have committed when the error
-// surfaces; the returned BatchResult then carries no Results but counts
-// them in Commits, and only an envelope that reports zero may be re-run.
-func (se *ShardedEngine) ApplyBatch(ctx context.Context, ops []Op, override analysis.Analyzer) (*BatchResult, error) {
+// single-engine contract, soft budget included: ctx reaches every sub-batch
+// and cross-shard commit, so a budget that runs out mid-envelope degrades the
+// rest of it and cancels nothing. Cancellation never tears a shard (each
+// shard's sub-batch is atomic), but in a multi-shard envelope sub-batches of
+// other shards may already have committed when the error surfaces; the
+// returned BatchResult then carries no Results but counts them in Commits,
+// and only an envelope that reports zero may be re-run.
+func (se *ShardedEngine) ApplyBatch(ctx context.Context, ops []Op) (*BatchResult, error) {
 	if eng := se.single(); eng != nil {
-		return eng.ApplyBatch(ctx, ops, override)
+		return eng.ApplyBatch(ctx, ops)
 	}
 	if err := validateOps(ops); err != nil {
 		return nil, err
 	}
-	env := &envelope{se: se, ctx: ctx, ops: ops, override: override}
+	env := &envelope{se: se, ctx: ctx, ops: ops}
 	se.mu.RLock()
 	done, err := env.apply(false)
 	se.mu.RUnlock()
@@ -105,10 +105,9 @@ func (se *ShardedEngine) ApplyBatch(ctx context.Context, ops []Op, override anal
 // envelope is one ApplyBatch call on its way through plan, run and
 // reconcile.
 type envelope struct {
-	se       *ShardedEngine
-	ctx      context.Context
-	ops      []Op
-	override analysis.Analyzer
+	se  *ShardedEngine
+	ctx context.Context
+	ops []Op
 
 	br       *BatchResult
 	touched  []bool // shard -> committed at least once
@@ -180,7 +179,7 @@ func (e *envelope) apply(exclusive bool) (done bool, err error) {
 			case dup:
 				e.br.Results[i] = dupResult(cand.Name)
 			case len(owners) > 1:
-				d, err := se.admitCross(e.ctx, cand, owners, e.override)
+				d, err := se.admitCross(e.ctx, cand, owners)
 				if IsCanceled(err) {
 					return true, err
 				}
@@ -215,7 +214,7 @@ func (e *envelope) run() error {
 		if len(ops) == 0 {
 			continue
 		}
-		res, err := e.se.shards[shard].ApplyBatch(e.ctx, ops, e.override)
+		res, err := e.se.shards[shard].ApplyBatch(e.ctx, ops)
 		if err != nil {
 			return err
 		}
@@ -261,11 +260,9 @@ func (e *envelope) reconcile() {
 // whose union is assembled from the same pinned snapshots — are judged
 // against one consistent global state even while concurrent admissions
 // commit. Nothing is ever committed and the router is never mutated.
-// override nil selects each shard's incremental path, non-nil forces a
-// full analysis with it (see Engine.ApplyBatch).
-func (se *ShardedEngine) TestBatch(ctx context.Context, cands []topo.Connection, override analysis.Analyzer) ([]OpResult, error) {
+func (se *ShardedEngine) TestBatch(ctx context.Context, cands []topo.Connection) ([]OpResult, error) {
 	if eng := se.single(); eng != nil {
-		return eng.TestBatch(ctx, cands, override)
+		return eng.TestBatch(ctx, cands)
 	}
 	se.mu.RLock()
 	defer se.mu.RUnlock()
@@ -282,9 +279,9 @@ func (se *ShardedEngine) TestBatch(ctx context.Context, cands []topo.Connection,
 		var d Decision
 		var err error
 		if len(owners) <= 1 {
-			d, err = snaps[shard].test(ctx, cand, override)
+			d, err = snaps[shard].test(ctx, cand)
 		} else {
-			d, err = se.unionTest(ctx, owners, unionConns(se.gatherUnion(owners, snaps)), cand, override)
+			d, err = se.unionTest(ctx, owners, unionConns(se.gatherUnion(owners, snaps)), cand)
 		}
 		if IsCanceled(err) {
 			return nil, err

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"delaycalc/internal/analysis"
@@ -56,7 +57,7 @@ func TestShardedApplyBatchMatchesSequential(t *testing.T) {
 				end = len(ops)
 			}
 			env := ops[start:end]
-			br, err := batchSE.ApplyBatch(ctx, env, nil)
+			br, err := batchSE.ApplyBatch(ctx, env)
 			if err != nil {
 				t.Fatalf("seed%d: ApplyBatch: %v", seed, err)
 			}
@@ -199,7 +200,7 @@ func driveReuseDifferential(t *testing.T, label string, analyzer analysis.Analyz
 			}
 			env[k] = Op{Kind: OpAdmit, Candidate: cand}
 		}
-		br, err := se.ApplyBatch(bg, env, nil)
+		br, err := se.ApplyBatch(bg, env)
 		if err != nil {
 			t.Fatalf("%s: ApplyBatch: %v", label, err)
 		}
@@ -262,7 +263,7 @@ func TestReleaseAccountingDeterministic(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			for start := 0; start < len(ops); {
 				end := min(start+1+rng.Intn(6), len(ops))
-				if _, err := se.ApplyBatch(bg, ops[start:end], nil); err != nil {
+				if _, err := se.ApplyBatch(bg, ops[start:end]); err != nil {
 					t.Fatalf("%s, %d shards: ApplyBatch: %v", analyzer.Name(), shards, err)
 				}
 				start = end
@@ -272,7 +273,7 @@ func TestReleaseAccountingDeterministic(t *testing.T) {
 			for _, c := range se.Admitted() {
 				drain = append(drain, Op{Kind: OpRelease, Name: c.Name})
 			}
-			if _, err := se.ApplyBatch(bg, drain, nil); err != nil || se.Count() != 0 {
+			if _, err := se.ApplyBatch(bg, drain); err != nil || se.Count() != 0 {
 				t.Fatalf("%s, %d shards: drain left %d connections: %v", analyzer.Name(), shards, se.Count(), err)
 			}
 			return se.Stats()
@@ -308,7 +309,7 @@ func TestShardedBatchSingleCommitPerShard(t *testing.T) {
 		ops = append(ops, Op{Kind: OpAdmit, Candidate: net.Connections[i]})
 	}
 	before := se.SnapshotVersion()
-	br, err := se.ApplyBatch(context.Background(), ops, nil)
+	br, err := se.ApplyBatch(context.Background(), ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +340,7 @@ func TestShardedBatchSingleCommitPerShard(t *testing.T) {
 	br, err = se.ApplyBatch(context.Background(), []Op{
 		{Kind: OpAdmit, Candidate: net.Connections[0]},
 		{Kind: OpRelease, Name: "ghost"},
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +386,7 @@ func TestShardedBatchCrossAdmit(t *testing.T) {
 		{Kind: OpAdmit, Candidate: extraA},
 		{Kind: OpAdmit, Candidate: bridge},
 		{Kind: OpAdmit, Candidate: extraB},
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +432,7 @@ func TestShardedBatchReleaseReadmit(t *testing.T) {
 	br, err := se.ApplyBatch(context.Background(), []Op{
 		{Kind: OpRelease, Name: name},
 		{Kind: OpAdmit, Candidate: net.Connections[0]},
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +495,7 @@ func TestShardedBatchStraddlesRebalance(t *testing.T) {
 			for _, c := range chain {
 				admits = append(admits, Op{Kind: OpAdmit, Candidate: c})
 			}
-			if _, err := se.ApplyBatch(ctx, admits, nil); err != nil {
+			if _, err := se.ApplyBatch(ctx, admits); err != nil {
 				errc <- err
 				return
 			}
@@ -502,7 +503,7 @@ func TestShardedBatchStraddlesRebalance(t *testing.T) {
 				{Kind: OpRelease, Name: "chain1"},
 				{Kind: OpRelease, Name: "chain0"},
 				{Kind: OpRelease, Name: "chain2"},
-			}, nil); err != nil {
+			}); err != nil {
 				errc <- err
 				return
 			}
@@ -517,7 +518,7 @@ func TestShardedBatchStraddlesRebalance(t *testing.T) {
 			for _, c := range blockB {
 				ops = append(ops, Op{Kind: OpAdmit, Candidate: c})
 			}
-			if _, err := se.ApplyBatch(ctx, ops, nil); err != nil {
+			if _, err := se.ApplyBatch(ctx, ops); err != nil {
 				errc <- err
 				return
 			}
@@ -525,7 +526,7 @@ func TestShardedBatchStraddlesRebalance(t *testing.T) {
 			for _, c := range blockB {
 				ops = append(ops, Op{Kind: OpRelease, Name: c.Name})
 			}
-			if _, err := se.ApplyBatch(ctx, ops, nil); err != nil {
+			if _, err := se.ApplyBatch(ctx, ops); err != nil {
 				errc <- err
 				return
 			}
@@ -549,17 +550,17 @@ func TestShardedBatchStraddlesRebalance(t *testing.T) {
 	}
 }
 
-// twoShardSetup admits DisjointBlocks(2, 2, 0.3) into a 2-shard engine and
-// returns one fresh candidate per block, ordered by the shard their block
-// landed on (so cands[0]'s sub-batch runs first), plus a route bridging the
-// two blocks.
-func twoShardSetup(t *testing.T) (se *ShardedEngine, net *topo.Network, cands [2]topo.Connection, bridge topo.Connection) {
+// twoShardSetup admits DisjointBlocks(2, 2, 0.3) into a 2-shard engine on
+// the given analyzer and returns one fresh candidate per block, ordered by
+// the shard their block landed on (so cands[0]'s sub-batch runs first), plus
+// a route bridging the two blocks.
+func twoShardSetup(t *testing.T, analyzer analysis.Analyzer) (se *ShardedEngine, net *topo.Network, cands [2]topo.Connection, bridge topo.Connection) {
 	t.Helper()
 	net, err := topo.DisjointBlocks(2, 2, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	se, err = NewShardedEngine(net.Servers, analysis.Integrated{}, 2)
+	se, err = NewShardedEngine(net.Servers, analyzer, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,39 +582,42 @@ func twoShardSetup(t *testing.T) (se *ShardedEngine, net *topo.Network, cands [2
 	return se, net, cands, bridge
 }
 
-// tripwire is a context-oblivious analyzer that cancels a context once it
-// has analyzed a trial containing the named connection: the analysis that
-// trips it completes, the next one is cut off — a deterministic "the budget
-// expired between two operations" fault.
+// tripwire is a context-oblivious analyzer that fires once it has analyzed
+// a trial containing the named connection: the analysis that trips it
+// completes, the next one runs after the fault — a deterministic "the
+// deadline (cancel) or the soft budget (a flag) expired between two
+// operations". It is the engine's own analyzer, armed after setup.
 type tripwire struct {
-	name   string
-	cancel context.CancelFunc
+	name string
+	fire func()
 }
 
-func (tripwire) Name() string { return "tripwire" }
+func (*tripwire) Name() string { return "tripwire" }
 
-func (tw tripwire) Analyze(net *topo.Network) (*analysis.Result, error) {
+func (tw *tripwire) Analyze(net *topo.Network) (*analysis.Result, error) {
 	for _, c := range net.Connections {
 		if c.Name == tw.name {
-			tw.cancel()
+			tw.fire()
 		}
 	}
 	return analysis.Decomposed{}.Analyze(net)
 }
 
-// TestShardedBatchCancelReportsCommits pins the measurement the serving
-// layer's degradation rule stands on: a cancelled envelope reports how
-// many shards had already committed, and reports zero exactly when
-// nothing was committed anywhere (so it may be re-run).
+// TestShardedBatchCancelReportsCommits pins what a client of a shed
+// envelope stands on: a cancelled envelope reports how many shards had
+// already committed, and reports zero exactly when nothing was committed
+// anywhere (so it may be re-run).
 func TestShardedBatchCancelReportsCommits(t *testing.T) {
 	t.Run("after first shard", func(t *testing.T) {
-		se, net, cands, _ := twoShardSetup(t)
+		tw := &tripwire{}
+		se, net, cands, _ := twoShardSetup(t, tw)
 		ctx, cancel := context.WithCancel(bg)
 		defer cancel()
+		tw.name, tw.fire = cands[0].Name, cancel
 		br, err := se.ApplyBatch(ctx, []Op{
 			{Kind: OpAdmit, Candidate: cands[0]},
 			{Kind: OpAdmit, Candidate: cands[1]},
-		}, tripwire{name: cands[0].Name, cancel: cancel})
+		})
 		if !IsCanceled(err) {
 			t.Fatalf("err = %v, want cancellation", err)
 		}
@@ -625,9 +629,11 @@ func TestShardedBatchCancelReportsCommits(t *testing.T) {
 		}
 	})
 	t.Run("before any commit", func(t *testing.T) {
-		se, net, cands, _ := twoShardSetup(t)
+		tw := &tripwire{}
+		se, net, cands, _ := twoShardSetup(t, tw)
 		ctx, cancel := context.WithCancel(bg)
 		defer cancel()
+		tw.name, tw.fire = cands[0].Name, cancel
 		second := cands[0]
 		second.Name = "extra0b"
 		before := se.SnapshotVersion()
@@ -635,7 +641,7 @@ func TestShardedBatchCancelReportsCommits(t *testing.T) {
 			{Kind: OpAdmit, Candidate: cands[0]},
 			{Kind: OpAdmit, Candidate: second},
 			{Kind: OpAdmit, Candidate: cands[1]},
-		}, tripwire{name: cands[0].Name, cancel: cancel})
+		})
 		if !IsCanceled(err) {
 			t.Fatalf("err = %v, want cancellation", err)
 		}
@@ -652,7 +658,7 @@ func TestShardedBatchCancelReportsCommits(t *testing.T) {
 			{Kind: OpAdmit, Candidate: cands[0]},
 			{Kind: OpAdmit, Candidate: second},
 			{Kind: OpAdmit, Candidate: cands[1]},
-		}, analysis.Decomposed{})
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -666,14 +672,16 @@ func TestShardedBatchCancelReportsCommits(t *testing.T) {
 	// as its window under the exclusive lock; cut off after shard 0, what
 	// shard 0 committed must still reach the router.
 	t.Run("inside a barrier's window", func(t *testing.T) {
-		se, _, cands, _ := twoShardSetup(t)
+		tw := &tripwire{}
+		se, _, cands, _ := twoShardSetup(t, tw)
 		ctx, cancel := context.WithCancel(bg)
 		defer cancel()
+		tw.name, tw.fire = cands[0].Name, cancel
 		br, err := se.ApplyBatch(ctx, []Op{
 			{Kind: OpAdmit, Candidate: cands[0]},
 			{Kind: OpAdmit, Candidate: cands[1]},
 			{Kind: OpAdmit, Candidate: cands[0]},
-		}, tripwire{name: cands[0].Name, cancel: cancel})
+		})
 		if !IsCanceled(err) {
 			t.Fatalf("err = %v, want cancellation", err)
 		}
@@ -690,7 +698,8 @@ func TestShardedBatchCancelReportsCommits(t *testing.T) {
 	// before it has committed, or a cut-off leaves Y on one shard and R on
 	// the other, both loading server 3 and neither analysis seeing both.
 	t.Run("release ahead of a dependent admit", func(t *testing.T) {
-		se, err := NewShardedEngine(fabric(4), analysis.Integrated{}, 2)
+		tw := &tripwire{}
+		se, err := NewShardedEngine(fabric(4), tw, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -704,11 +713,12 @@ func TestShardedBatchCancelReportsCommits(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(bg)
 		defer cancel()
+		tw.name, tw.fire = "Y", cancel
 		_, err = se.ApplyBatch(ctx, []Op{
 			{Kind: OpRelease, Name: "R"},
 			{Kind: OpAdmit, Candidate: conn("Y", 1000, 0, 3)},
 			{Kind: OpAdmit, Candidate: conn("Z", 1000, 2)},
-		}, tripwire{name: "Y", cancel: cancel})
+		})
 		if !IsCanceled(err) {
 			t.Fatalf("err = %v, want cancellation", err)
 		}
@@ -723,65 +733,126 @@ func TestShardedBatchCancelReportsCommits(t *testing.T) {
 	})
 }
 
-// TestShardedBatchOverride pins the degraded envelope on a multi-shard
-// engine: the override analyzer is threaded through every sub-batch and the
-// cross-shard commit, so the envelope still commits once per shard and
-// every decision carries the override's bounds, not the primary's.
-func TestShardedBatchOverride(t *testing.T) {
-	se, net, cands, bridge := twoShardSetup(t)
-	// The oracle: a Decomposed Controller over the whole fabric. Components
-	// are independent, so each candidate's own bound (the last entry) must
-	// match the shard-scoped degraded decision bit for bit.
-	oracle, err := New(net.Servers, analysis.Decomposed{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range net.Connections {
-		if d, err := oracle.Admit(c); err != nil || !d.Admitted {
-			t.Fatalf("oracle setup admit %s: %+v err=%v", c.Name, d, err)
-		}
-	}
-	ownBound := func(d Decision) float64 { return d.Bounds[len(d.Bounds)-1] }
-
-	before := se.Stats()
-	br, err := se.ApplyBatch(bg, []Op{
+// TestShardedBatchSoftExpiryCompletes is the other half of the cut-off
+// tests above: when it is the SOFT budget that runs out after shard 0
+// committed, nothing is cancelled — the envelope completes, every operation
+// is decided and the router agrees with the shards. (Re-running a cut-off
+// envelope on a second analyzer, as the engine's callers once did, could
+// only shed this one: a shard had already committed.)
+func TestShardedBatchSoftExpiryCompletes(t *testing.T) {
+	tw := &tripwire{}
+	se, net, cands, _ := twoShardSetup(t, tw)
+	var expired atomic.Bool
+	tw.name, tw.fire = cands[0].Name, func() { expired.Store(true) }
+	br, err := se.ApplyBatch(analysis.WithBudget(bg, expired.Load), []Op{
 		{Kind: OpAdmit, Candidate: cands[0]},
 		{Kind: OpAdmit, Candidate: cands[1]},
-	}, analysis.Decomposed{})
+	})
+	if err != nil || !expired.Load() {
+		t.Fatalf("err = %v, budget expired %v; want a completed envelope whose budget ran out", err, expired.Load())
+	}
+	if br.Commits != 2 || br.ShardsTouched != 2 {
+		t.Fatalf("envelope reported %+v, want one commit on each of 2 shards", br)
+	}
+	for i, r := range br.Results {
+		if !r.Decision.Admitted {
+			t.Fatalf("op %d not admitted: %+v err=%v", i, r.Decision, r.Err)
+		}
+	}
+	if se.Count() != len(net.Connections)+2 {
+		t.Fatalf("count %d, want both admits (%d)", se.Count(), len(net.Connections)+2)
+	}
+	requireRouterMatchesShards(t, "after the soft expiry", se)
+}
+
+// TestShardedBatchDegraded pins the degraded envelope on a multi-shard
+// engine: the expired budget reaches every sub-batch and the cross-shard
+// commit through the context, so the envelope still commits once per shard,
+// on bounds between the primary analyzer's and the decomposed ones, and
+// leaves no degraded baseline behind.
+func TestShardedBatchDegraded(t *testing.T) {
+	se, net, cands, bridge := twoShardSetup(t, analysis.Integrated{})
+	// The oracles: Controllers over the whole fabric on the primary and on
+	// the decomposed analyzer. Components are independent, so a candidate's
+	// own bound (the last entry) compares with the shard-scoped decision's.
+	var oracles [2]*Controller
+	for i, a := range []analysis.Analyzer{analysis.Integrated{}, analysis.Decomposed{}} {
+		o, err := New(net.Servers, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range net.Connections {
+			if d, err := o.Admit(c); err != nil || !d.Admitted {
+				t.Fatalf("oracle setup admit %s: %+v err=%v", c.Name, d, err)
+			}
+		}
+		oracles[i] = o
+	}
+	// sandwiched admits cand on both oracles and requires the degraded
+	// decision to be an admit whose last n bounds lie between theirs.
+	sandwiched := func(label string, cand topo.Connection, got Decision, n int) {
+		t.Helper()
+		lo, err := oracles[0].Admit(cand)
+		if err != nil || !lo.Admitted {
+			t.Fatalf("%s: primary oracle %+v err=%v", label, lo, err)
+		}
+		hi, err := oracles[1].Admit(cand)
+		if err != nil || !hi.Admitted || !got.Admitted {
+			t.Fatalf("%s: engine %+v decomposed oracle %+v err=%v", label, got, hi, err)
+		}
+		requireBetween(t, label, got.Bounds, lo.Bounds, hi.Bounds, n)
+	}
+
+	ctx := expiredBudget()
+	before := se.Stats()
+	br, err := se.ApplyBatch(ctx, []Op{
+		{Kind: OpAdmit, Candidate: cands[0]},
+		{Kind: OpAdmit, Candidate: cands[1]},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if br.Commits != 2 || br.ShardsTouched != 2 {
-		t.Fatalf("degraded 2-shard envelope: commits %d on %d shards, want one per shard", br.Commits, br.ShardsTouched)
+	if br.Commits != 2 || br.ShardsTouched != 2 || !analysis.Degraded(ctx) {
+		t.Fatalf("degraded 2-shard envelope: commits %d on %d shards, degraded %v; want one per shard, degraded",
+			br.Commits, br.ShardsTouched, analysis.Degraded(ctx))
 	}
 	st := se.Stats()
 	if got := st.BatchCommits - before.BatchCommits; got != 2 {
 		t.Fatalf("batch_commits moved by %d, want 2", got)
 	}
-	if got := st.IncrementalTests - before.IncrementalTests; got != 0 {
-		t.Fatalf("degraded envelope ran %d incremental tests, want the override's full analyses only", got)
+	for i, sh := range se.shards {
+		if sh.Snapshot().cachedBaseline() != nil {
+			t.Fatalf("shard %d kept a degraded extension as its baseline", i)
+		}
 	}
 	for i, r := range br.Results {
-		want, err := oracle.Admit(cands[i])
-		if err != nil || !want.Admitted || !r.Decision.Admitted {
-			t.Fatalf("op %d: engine %+v oracle %+v err=%v", i, r.Decision, want, err)
-		}
-		if ownBound(r.Decision) != ownBound(want) {
-			t.Fatalf("op %d: degraded bound %v, decomposed oracle %v", i, ownBound(r.Decision), ownBound(want))
-		}
+		sandwiched(fmt.Sprintf("op %d", i), cands[i], r.Decision, 1)
+	}
+
+	// The next test has no budget: it rebuilds the baselines and answers
+	// exactly what the primary oracle does.
+	probe := cands[0]
+	probe.Name = "probe"
+	got, err := se.Test(bg, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := oracles[0].Test(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Admitted != want.Admitted || got.Bounds[len(got.Bounds)-1] != want.Bounds[len(want.Bounds)-1] {
+		t.Fatalf("undegraded test after the degraded envelope: engine %+v, oracle %+v", got, want)
 	}
 
 	// The bridge merges both shards' components: one cross-shard commit,
-	// analyzed by the override over the union (now the whole network).
-	br, err = se.ApplyBatch(bg, []Op{{Kind: OpAdmit, Candidate: bridge}}, analysis.Decomposed{})
+	// one degraded analysis of the union (now the whole network).
+	st = se.Stats()
+	br, err = se.ApplyBatch(expiredBudget(), []Op{{Kind: OpAdmit, Candidate: bridge}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := oracle.Admit(bridge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameDecision(t, "degraded bridge", want, br.Results[0].Decision)
+	sandwiched("degraded bridge", bridge, br.Results[0].Decision, len(br.Results[0].Decision.Bounds))
 	if got := se.Stats().CrossShardCommits - st.CrossShardCommits; got != 1 || br.Commits != 1 {
 		t.Fatalf("degraded bridge: %d cross-shard commits, envelope reported %d, want 1 and 1", got, br.Commits)
 	}
@@ -805,7 +876,7 @@ func TestShardedBatchSpreadsNewComponents(t *testing.T) {
 		net.Connections[i].Deadline = 1000
 		ops[i] = Op{Kind: OpAdmit, Candidate: net.Connections[i]}
 	}
-	br, err := se.ApplyBatch(bg, ops, nil)
+	br, err := se.ApplyBatch(bg, ops)
 	if err != nil {
 		t.Fatal(err)
 	}

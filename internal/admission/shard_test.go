@@ -370,7 +370,7 @@ func TestShardedConcurrentMixedOps(t *testing.T) {
 // own goroutine — and runs incrementally.
 func TestCrossShardCommitsRebuildLazily(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
-	se, _, cands, bridge := twoShardSetup(t)
+	se, _, cands, bridge := twoShardSetup(t, analysis.Integrated{})
 	requireLazyBuild := func(step string, shard int, test func() (Decision, error)) {
 		t.Helper()
 		before := se.Shard(shard).Stats()

@@ -13,7 +13,7 @@ var bg = context.Background()
 // the exported ones on ShardedEngine.
 
 func (e *Engine) Admit(ctx context.Context, cand topo.Connection) (Decision, error) {
-	br, err := e.ApplyBatch(ctx, []Op{{Kind: OpAdmit, Candidate: cand}}, nil)
+	br, err := e.ApplyBatch(ctx, []Op{{Kind: OpAdmit, Candidate: cand}})
 	if err != nil {
 		return Decision{}, err
 	}
@@ -21,7 +21,7 @@ func (e *Engine) Admit(ctx context.Context, cand topo.Connection) (Decision, err
 }
 
 func (e *Engine) Release(ctx context.Context, name string) (ReleaseInfo, bool, error) {
-	br, err := e.ApplyBatch(ctx, []Op{{Kind: OpRelease, Name: name}}, nil)
+	br, err := e.ApplyBatch(ctx, []Op{{Kind: OpRelease, Name: name}})
 	if err != nil {
 		return ReleaseInfo{}, false, err
 	}
@@ -29,7 +29,7 @@ func (e *Engine) Release(ctx context.Context, name string) (ReleaseInfo, bool, e
 }
 
 func (e *Engine) Test(ctx context.Context, cand topo.Connection) (Decision, error) {
-	res, err := e.TestBatch(ctx, []topo.Connection{cand}, nil)
+	res, err := e.TestBatch(ctx, []topo.Connection{cand})
 	if err != nil {
 		return Decision{}, err
 	}

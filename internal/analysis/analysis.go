@@ -24,12 +24,10 @@
 package analysis
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"delaycalc/internal/minplus"
 	"delaycalc/internal/server"
@@ -305,72 +303,6 @@ func denormalizeBacklogs(r *Result, scale float64) *Result {
 	return r
 }
 
-// maxParallelWorkers bounds the fan-out of the intra-analysis parallel
-// helpers (parallelMinArena, parallelValuesArena).
+// maxParallelWorkers bounds the fan-out of the intra-analysis worker
+// pools (analyzeLevel's chains, parallelValuesArena's scan candidates).
 func maxParallelWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// parallelMinArena evaluates f(0..n-1) across the available cores and
-// returns the minimum; the result is deterministic because min is
-// order-independent. Each worker checks ctx between candidates and stops
-// early once it is done; the partial minimum returned after cancellation
-// is meaningless and callers must discard it (they surface ctx.Err()
-// instead). Each worker draws one curve arena from the pool, resets it
-// between candidates, and releases it when done, so candidate-local curve
-// scratch never reaches the garbage collector. f must not retain
-// arena-backed curves past its return.
-func parallelMinArena(ctx context.Context, n int, f func(*minplus.Arena, int) float64) float64 {
-	if n == 0 {
-		return math.Inf(1)
-	}
-	workers := maxParallelWorkers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		ar := minplus.GetArena()
-		defer ar.Release()
-		best := math.Inf(1)
-		for i := 0; i < n; i++ {
-			if canceled(ctx) {
-				break
-			}
-			ar.Reset()
-			if v := f(ar, i); v < best {
-				best = v
-			}
-		}
-		return best
-	}
-	var (
-		next int64 = -1
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-	)
-	best := math.Inf(1)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			ar := minplus.GetArena()
-			defer ar.Release()
-			local := math.Inf(1)
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n || canceled(ctx) {
-					break
-				}
-				ar.Reset()
-				if v := f(ar, i); v < local {
-					local = v
-				}
-			}
-			mu.Lock()
-			if local < best {
-				best = local
-			}
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	return best
-}

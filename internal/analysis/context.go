@@ -52,6 +52,61 @@ func canceled(ctx context.Context) bool {
 	}
 }
 
+// budget is the soft deadline of an analysis, next to the context's hard
+// one: when it runs out nothing is cancelled, the analysis finishes on what
+// it already holds. A multi-server interval whose theta search has not
+// started takes its decomposed sum (the ceiling runIntervalBound clamps by
+// anyway), a search under way keeps its best candidate so far, and chains,
+// propagation and replay complete as usual: sound, per connection between
+// the undegraded bound and, at pairs, the decomposed one.
+type budget struct {
+	expired  func() bool
+	degraded atomic.Bool
+}
+
+// spent is the soft checkpoint, read where a search is about to spend time:
+// true once the budget has run out, recording that a bound was cut short. A
+// nil budget (none attached) never runs out.
+func (b *budget) spent() bool {
+	if b == nil || !b.expired() {
+		return false
+	}
+	b.degraded.Store(true)
+	return true
+}
+
+type budgetKey struct{}
+
+// WithBudget derives a context carrying a soft analysis budget. expired is
+// polled at the search checkpoints, possibly from several goroutines at
+// once, and must stay true once it has been: a wall-clock comparison in the
+// serving layer (no timer, no goroutine), a flag or a countdown in tests. A
+// budget that never expires leaves the analysis bit-identical to one without.
+func WithBudget(ctx context.Context, expired func() bool) context.Context {
+	return context.WithValue(ctx, budgetKey{}, &budget{expired: expired})
+}
+
+// budgetFrom extracts the budget, or nil when none is attached.
+func budgetFrom(ctx context.Context) *budget {
+	b, _ := ctx.Value(budgetKey{}).(*budget)
+	return b
+}
+
+// Expired reports whether ctx's budget has run out, marking nothing: callers
+// use it to avoid starting work that cannot be cut short (a baseline build).
+func Expired(ctx context.Context) bool {
+	b := budgetFrom(ctx)
+	return b != nil && b.expired()
+}
+
+// Degraded reports whether a bound computed under ctx's budget was cut
+// short: the results are sound but depend on when the budget ran out, so
+// they must neither be cached nor seed a baseline.
+func Degraded(ctx context.Context) bool {
+	b := budgetFrom(ctx)
+	return b != nil && b.degraded.Load()
+}
+
 // ctxErr wraps a context error in the package's error convention while
 // keeping errors.Is(err, context.Canceled / DeadlineExceeded) working.
 func ctxErr(err error) error {
@@ -107,9 +162,6 @@ func WithTimings(ctx context.Context) (context.Context, *Timings) {
 
 // timingsFrom extracts the collector, or nil when none is attached.
 func timingsFrom(ctx context.Context) *Timings {
-	if ctx == nil {
-		return nil
-	}
 	t, _ := ctx.Value(timingsKey{}).(*Timings)
 	return t
 }

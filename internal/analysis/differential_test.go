@@ -4,8 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
+	"delaycalc/internal/minplus"
 	"delaycalc/internal/server"
 	"delaycalc/internal/topo"
 	"delaycalc/internal/traffic"
@@ -233,5 +236,165 @@ func TestParallelAnalyzeRaceStress(t *testing.T) {
 				t.Fatalf("round %d: conn %d bound %v differs from first run %v", round, i, res.Bounds[i], first.Bounds[i])
 			}
 		}
+	}
+}
+
+// countdown is a soft budget that runs out after k checkpoint reads.
+func countdown(k int) func() bool {
+	var reads atomic.Int64
+	return func() bool { return reads.Add(1) > int64(k) }
+}
+
+// lawCounts tallies the degradation law's comparisons: bounds below the
+// undegraded analyzer's, bounds above Decomposed, and how many of the latter
+// sit on a bound the undegraded analyzer already has above it.
+type lawCounts struct{ comparisons, below, above, aboveAnyway int }
+
+// checkLaw compares one result computed under a budget with the undegraded
+// result and the decomposed one, per connection.
+func (lc *lawCounts) checkLaw(got, exact, dec *Result) {
+	for i, b := range got.Bounds {
+		lc.comparisons++
+		if b < exact.Bounds[i]-minplus.Eps {
+			lc.below++
+		}
+		if b > dec.Bounds[i]+minplus.Eps {
+			lc.above++
+			if exact.Bounds[i] > dec.Bounds[i]+minplus.Eps {
+				lc.aboveAnyway++
+			}
+		}
+	}
+}
+
+// sweepExpiry runs analyze with a budget that expires after k = 0, 1, 2, ...
+// checkpoint reads (every k when dense, thinning out geometrically
+// otherwise) until a run no longer degrades, checking every result against
+// the law; a run that did not degrade must be the exact result bit for bit.
+// analyze must read the budget of the context it is given.
+func (lc *lawCounts) sweepExpiry(t *testing.T, label string, dense bool, exact, dec *Result, analyze func(context.Context) (*Result, error)) {
+	t.Helper()
+	for k := 0; ; k++ {
+		if !dense {
+			k += k / 4
+		}
+		ctx := WithBudget(context.Background(), countdown(k))
+		got, err := analyze(ctx)
+		if err != nil {
+			t.Fatalf("%s: budget of %d reads: %v", label, k, err)
+		}
+		lc.checkLaw(got, exact, dec)
+		if !Degraded(ctx) {
+			requireSameResult(t, fmt.Sprintf("%s: budget of %d reads, not degraded", label, k), exact, got)
+			return
+		}
+	}
+}
+
+// TestDegradationLaw pins what a soft budget may do to a bound: expiring it
+// at every checkpoint in turn, over both differential corpora, for full
+// analyses and for an extension of a baseline, every connection's bound
+// stays at or above the undegraded analyzer's (sound: the search only ever
+// lowers a valid bound) and, at pairs — what every serving path runs — and
+// for static priority, at or below the decomposed one. A budget that never
+// expires changes nothing, a run that reports no degradation is the exact
+// result, and a budget expired from the start (which runs no search at all)
+// does not depend on the core count.
+//
+// At ChainLength 3 and 4 only the lower side is asserted and the upper one
+// recorded: long FIFO chains can exceed Decomposed by themselves, with no
+// budget at all (the FIFO twin of the static-priority finding, ROADMAP item
+// 5), so the upper side is no law there and a degraded run above it is not
+// degradation's doing — it merely has fewer searched bounds left to hide
+// the excess behind.
+func TestDegradationLaw(t *testing.T) {
+	type variant struct {
+		a interface {
+			ContextAnalyzer
+			Incremental
+		}
+		corpus map[string]*topo.Network
+		upper  bool // bound <= Decomposed is part of the law; swept densely
+	}
+	fifo, sp := differentialCorpus(t), spCorpus(t)
+	variants := []variant{
+		{Integrated{}, fifo, true},
+		{Integrated{DeconvPropagation: true}, fifo, true},
+		{IntegratedSP{}, sp, true},
+		{Integrated{ChainLength: 3}, fifo, false},
+		{Integrated{ChainLength: 4}, fifo, false},
+	}
+	never := func() bool { return false }
+	for _, v := range variants {
+		var lc lawCounts
+		for name, net := range v.corpus {
+			label := fmt.Sprintf("%s/%+v", name, v.a)
+			exact, err := v.a.Analyze(net)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			dec, err := Decomposed{}.Analyze(net)
+			if err != nil {
+				t.Fatalf("%s: decomposed: %v", label, err)
+			}
+			ctx := WithBudget(context.Background(), never)
+			got, err := v.a.AnalyzeContext(ctx, net)
+			if err != nil || Degraded(ctx) {
+				t.Fatalf("%s: unexpired budget: err %v, degraded %v", label, err, Degraded(ctx))
+			}
+			requireSameResult(t, label+": unexpired budget", exact, got)
+
+			lc.sweepExpiry(t, label, v.upper, exact, dec, func(ctx context.Context) (*Result, error) {
+				return v.a.AnalyzeContext(ctx, net)
+			})
+
+			var expired [2]*Result
+			for i, procs := range []int{1, 2} {
+				prev := runtime.GOMAXPROCS(procs)
+				expired[i], err = v.a.AnalyzeContext(WithBudget(context.Background(), countdown(0)), net)
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatalf("%s: expired budget, GOMAXPROCS=%d: %v", label, procs, err)
+				}
+			}
+			requireSameResult(t, label+": expired budget, GOMAXPROCS 1 vs 2", expired[0], expired[1])
+
+			// The same sweep over one extension: the last connection joins
+			// a baseline of the others.
+			last := len(net.Connections) - 1
+			base, err := v.a.NewBaseline(&topo.Network{Servers: net.Servers, Connections: net.Connections[:last]})
+			if err != nil {
+				t.Fatalf("%s: baseline: %v", label, err)
+			}
+			ext, err := base.Extend(net.Connections[last])
+			if err != nil {
+				t.Fatalf("%s: extend: %v", label, err)
+			}
+			lc.sweepExpiry(t, label+"/extend", v.upper, ext.Result(), dec, func(ctx context.Context) (*Result, error) {
+				ext, err := base.ExtendContext(ctx, net.Connections[last])
+				if err != nil {
+					return nil, err
+				}
+				return ext.Result(), nil
+			})
+		}
+		t.Logf("%+v: %d comparisons, %d below the undegraded bound, %d above Decomposed (%d of them above it with no budget too)",
+			v.a, lc.comparisons, lc.below, lc.above, lc.aboveAnyway)
+		if lc.below != 0 || v.upper && lc.above != 0 {
+			t.Errorf("%+v: degradation law broken: %d bounds below the undegraded analyzer, %d above Decomposed",
+				v.a, lc.below, lc.above)
+		}
+	}
+}
+
+// TestExpiredBudgetRunsNoSearch pins the price of a pass that starts
+// expired as a count: on the k=16 fat-tree it faces no theta pair at all.
+func TestExpiredBudgetRunsNoSearch(t *testing.T) {
+	ctx, tm := WithTimings(WithBudget(context.Background(), countdown(0)))
+	if _, err := (Integrated{}).AnalyzeContext(ctx, fabricNet(t, 16, 20)); err != nil {
+		t.Fatal(err)
+	}
+	if pairs := tm.ThetaPairs.Load(); pairs != 0 || !Degraded(ctx) {
+		t.Fatalf("expired pass faced %d theta pairs (degraded %v), want none and degraded", pairs, Degraded(ctx))
 	}
 }

@@ -619,14 +619,14 @@ func (ts *preThetaSearch) enumeratePairs() float64 {
 				parts[i][ci].hd = minplus.HorizontalDeviation(ts.agg, chi)
 			}
 		}
-		return parallelMin(ts.ctx, n0*n1, func(idx int) float64 {
+		return seqMin(ts.ctx, n0*n1, func(idx int) float64 {
 			a, b := &parts[0][idx/n1], &parts[1][idx%n1]
 			w := minplus.ConvolveConvexParts(a.dec, b.dec)
 			hd := math.Max(math.Max(a.hd, b.hd), minplus.HorizontalDeviation(ts.agg, w))
 			return a.dec.Gate + b.dec.Gate + hd
 		})
 	}
-	return parallelMin(ts.ctx, n0*n1, func(idx int) float64 {
+	return seqMin(ts.ctx, n0*n1, func(idx int) float64 {
 		beta := minplus.Convolve(ts.residualAt(0, idx/n1), ts.residualAt(1, idx%n1))
 		return minplus.HorizontalDeviation(ts.agg, beta)
 	})

@@ -629,7 +629,7 @@ func (sc *chainScratch) newRun(lo, hi int) *run {
 // the pass's aggregate envelope at every position.
 func analyzeChain(ctx context.Context, sc *chainScratch, net *topo.Network, idx [][]int, chain []int, p *propagation, pass chainPass) bool {
 	ar, svc := sc.ar, pass.svc
-	tm := timingsFrom(ctx)
+	tm, bg := timingsFrom(ctx), budgetFrom(ctx)
 	// Chains hold at most ChainLength servers, so position lookup is a
 	// linear scan instead of a per-chain map.
 	posOf := func(s int) int {
@@ -808,7 +808,7 @@ func analyzeChain(ctx context.Context, sc *chainScratch, net *topo.Network, idx 
 		}
 		thetaStart := time.Now()
 		bounds = &sc.ib
-		bounds.init(ctx, tm, ar, net, chain, svc, runs, ra, envAt, base, local)
+		bounds.init(ctx, tm, bg, ar, net, chain, svc, runs, ra, envAt, base, local)
 		// Record the DP prefix bounds as the next iteration's shifts. The
 		// shift vector is identical for every member of a run, so one
 		// arena-backed vector per run is shared by all its slots.
@@ -964,6 +964,7 @@ func deconvOutput(ar *minplus.Arena, svc []hopService, r *run, mi int, entry min
 type intervalBounds struct {
 	ctx    context.Context // cancellation for the theta searches it spawns
 	tm     *Timings        // pair counts of those searches (nil: none)
+	bg     *budget         // soft budget of those searches (nil: none)
 	ar     *minplus.Arena  // owning chain's arena for interval scratch
 	net    *topo.Network
 	chain  []int
@@ -977,8 +978,8 @@ type intervalBounds struct {
 	opt    []float64
 }
 
-func (ib *intervalBounds) init(ctx context.Context, tm *Timings, ar *minplus.Arena, net *topo.Network, chain []int, svc []hopService, runs []*run, ra *runAggregates, envAt [][]minplus.Curve, base []int, local []float64) {
-	ib.ctx, ib.tm, ib.ar, ib.net, ib.chain, ib.svc = ctx, tm, ar, net, chain, svc
+func (ib *intervalBounds) init(ctx context.Context, tm *Timings, bg *budget, ar *minplus.Arena, net *topo.Network, chain []int, svc []hopService, runs []*run, ra *runAggregates, envAt [][]minplus.Curve, base []int, local []float64) {
+	ib.ctx, ib.tm, ib.bg, ib.ar, ib.net, ib.chain, ib.svc = ctx, tm, bg, ar, net, chain, svc
 	ib.runs, ib.ra, ib.envAt, ib.base, ib.local = runs, ra, envAt, base, local
 	n := len(chain) * len(chain)
 	ib.direct = resize(ib.direct, n)
@@ -1017,7 +1018,7 @@ func (ib *intervalBounds) directBound(lo, hi int) float64 {
 	if d := ib.direct[key]; !math.IsNaN(d) {
 		return d
 	}
-	d := runIntervalBound(ib.ctx, ib.tm, ib.ar, ib.net, ib.chain, ib.svc, lo, hi, ib.ra, ib.local)
+	d := runIntervalBound(ib.ctx, ib.tm, ib.bg, ib.ar, ib.net, ib.chain, ib.svc, lo, hi, ib.ra, ib.local)
 	ib.direct[key] = d
 	return d
 }
@@ -1030,25 +1031,30 @@ func (ib *intervalBounds) directBound(lo, hi int) float64 {
 // theta parameters by the shared memoized search (exact enumeration for
 // two servers, coordinate descent for longer intervals — every
 // evaluation is a valid bound, so any search strategy is sound), clamped
-// by the decomposed sum of local delays (the search's pruning ceiling).
-func runIntervalBound(ctx context.Context, tm *Timings, ar *minplus.Arena, net *topo.Network, chain []int, svc []hopService, lo, hi int, ra *runAggregates, local []float64) float64 {
+// by the decomposed sum of local delays (the search's pruning ceiling, and
+// the whole answer for an interval reached after the soft budget ran out).
+func runIntervalBound(ctx context.Context, tm *Timings, bg *budget, ar *minplus.Arena, net *topo.Network, chain []int, svc []hopService, lo, hi int, ra *runAggregates, local []float64) float64 {
+	lat, decomposedSum := 0.0, 0.0
+	for i := lo; i <= hi; i++ {
+		lat += svc[i].lat
+		decomposedSum += local[i]
+	}
+	if bg.spent() {
+		return decomposedSum
+	}
 	agg := ra.covering(lo, lo, hi)
-
 	k := hi - lo + 1
 	cross := ar.Curves(k)[:k]
 	cands := make([][]float64, k)
-	lat := 0.0
-	decomposedSum := 0.0
 	for i := 0; i < k; i++ {
 		posIdx := lo + i
-		lat += svc[posIdx].lat
-		decomposedSum += local[posIdx]
 		cross[i] = ra.crossAt(posIdx, lo, hi)
 		cands[i] = thetaCandidatesArena(ar, net.Servers[chain[posIdx]].Capacity, cross[i], local[posIdx])
 	}
 
 	ts := &thetaSearch{
 		ctx:   ctx,
+		bg:    bg,
 		agg:   agg,
 		cands: cands,
 		ar:    ar,

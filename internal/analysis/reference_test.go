@@ -357,7 +357,7 @@ func refRunIntervalBound(net *topo.Network, chain []int, lo, hi int, inAgg map[i
 				jobs = append(jobs, pair{t0, t1})
 			}
 		}
-		best = parallelMin(context.Background(), len(jobs), func(i int) float64 {
+		best = seqMin(context.Background(), len(jobs), func(i int) float64 {
 			return evalAt([]float64{jobs[i].t0, jobs[i].t1})
 		})
 	} else {
@@ -392,8 +392,14 @@ func refRunIntervalBound(net *topo.Network, chain []int, lo, hi int, inAgg map[i
 	return best
 }
 
-// parallelMin is parallelMinArena without the arena, for the frozen
-// engines (here and in fabricref_test.go), which allocate on the heap.
-func parallelMin(ctx context.Context, n int, f func(int) float64) float64 {
-	return parallelMinArena(ctx, n, func(_ *minplus.Arena, i int) float64 { return f(i) })
+// seqMin is the minimum of f over 0..n-1, evaluated in order until ctx is
+// done, for the frozen engines (here and in fabricref_test.go).
+func seqMin(ctx context.Context, n int, f func(int) float64) float64 {
+	best := math.Inf(1)
+	for i := 0; i < n && !canceled(ctx); i++ {
+		if v := f(i); v < best {
+			best = v
+		}
+	}
+	return best
 }

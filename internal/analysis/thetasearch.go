@@ -46,15 +46,17 @@ import (
 //     lower the caller's clamped total are skipped, sequentially, so
 //     neither result nor evaluated count depends on the core count;
 //
-//   - the k=2 generic fallback and the coordinate-descent scans fan out
-//     across cores (parallelMinArena / parallelValuesArena); the reduction
-//     is sequential over the values, replicating the serial argmin.
+//   - the k=2 generic fallback sweeps sequentially too; only the
+//     coordinate-descent scans fan out across cores (parallelValuesArena),
+//     their reduction sequential, replicating the serial argmin.
 type thetaSearch struct {
-	// ctx carries the cancellation signal into the search: the pair sweep
-	// and the parallel enumerations stop between candidates once it is
-	// done. A cancelled search returns a meaningless partial minimum; the
-	// owning analyzer checks the context after minimize and discards it.
+	// ctx carries the cancellation signal and bg the soft budget into the
+	// search, which stops between candidates once either is done. A
+	// cancelled search returns a meaningless partial minimum; the owning
+	// analyzer checks the context and discards it. One whose budget ran out
+	// returns the minimum over what it evaluated, each a valid bound.
 	ctx      context.Context
+	bg       *budget // nil: none
 	agg      minplus.Curve
 	cands    [][]float64
 	residual func(pos int, theta float64) minplus.Curve
@@ -77,6 +79,9 @@ type thetaSearch struct {
 	// recompute it — still correct).
 	res [][]minplus.Curve
 }
+
+// stop is the search's checkpoint, read before every evaluation.
+func (ts *thetaSearch) stop() bool { return canceled(ts.ctx) || ts.bg.spent() }
 
 // residualAt returns the memoized residual of candidate ci at position i.
 func (ts *thetaSearch) residualAt(i, ci int) minplus.Curve {
@@ -146,12 +151,19 @@ func (ts *thetaSearch) enumeratePairs() float64 {
 			parts[i][ci] = part{dec, minplus.HorizontalDeviation(ts.agg, chi)}
 		}
 	}
-	if !fast {
-		ts.count(n0*n1, n0*n1)
-		return parallelMinArena(ts.ctx, n0*n1, func(wa *minplus.Arena, idx int) float64 {
-			beta := wa.Convolve(ts.residualAt(0, idx/n1), ts.residualAt(1, idx%n1))
-			return minplus.HorizontalDeviation(ts.agg, beta)
-		})
+	wa := minplus.GetArena()
+	defer wa.Release()
+	best, evaluated := math.Inf(1), 0
+	if !fast { // generic convolution: nothing bounds a pair from below
+		for ; evaluated < n0*n1 && !ts.stop(); evaluated++ {
+			wa.Reset()
+			beta := wa.Convolve(ts.residualAt(0, evaluated/n1), ts.residualAt(1, evaluated%n1))
+			if v := minplus.HorizontalDeviation(ts.agg, beta); v < best {
+				best = v
+			}
+		}
+		ts.count(n0*n1, evaluated)
+		return best
 	}
 	// Exact branch and bound. A pair is worth
 	// g0 + g1 + max(hd0, hd1, h(A, W)) >= lb = g0 + g1 + max(hd0, hd1),
@@ -171,11 +183,9 @@ func (ts *thetaSearch) enumeratePairs() float64 {
 			}
 		}
 	}
-	wa := minplus.GetArena()
-	defer wa.Release()
-	best, total, evaluated := math.Inf(1), ts.ceil, 0
+	total := ts.ceil
 	visit := func(i0, i1 int) {
-		if lb(i0, i1)+ts.lat >= total || canceled(ts.ctx) {
+		if lb(i0, i1)+ts.lat >= total || ts.stop() {
 			return
 		}
 		wa.Reset()
@@ -237,7 +247,7 @@ func (ts *thetaSearch) coordinateDescent() float64 {
 	for pass := 0; pass < 3; pass++ {
 		improved := false
 		for i := 0; i < k; i++ {
-			if canceled(ts.ctx) {
+			if ts.stop() {
 				return best
 			}
 			// Build every residual of the scanned coordinate before the

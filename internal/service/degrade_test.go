@@ -12,38 +12,20 @@ import (
 	"time"
 
 	"delaycalc/internal/analysis"
+	"delaycalc/internal/minplus"
 	"delaycalc/internal/netspec"
 	"delaycalc/internal/server"
 	"delaycalc/internal/topo"
 )
 
 // TestAnalyzeDegradesToDecomposed forces the soft budget to expire
-// instantly: the integrated analysis is cut off at its first checkpoint,
-// the handler falls back to the decomposed bound, and the response is
-// labeled degraded with the bound source. The bounds must match a direct
-// decomposed analysis bit for bit.
+// instantly: the integrated analysis still runs, once, taking the
+// decomposed ceiling of every interval instead of searching, and the
+// response is labeled degraded with the bound source while the algorithm
+// stays the analyzer that ran. The bounds must lie between the two
+// analyzers', and nothing is cached.
 func TestAnalyzeDegradesToDecomposed(t *testing.T) {
 	srv := newTestServer(t, func(c *Config) { c.AnalyzeTimeout = time.Nanosecond })
-	w := do(t, srv, "POST", "/v2/networks/default/analyze", analyzeBody)
-	if w.Code != http.StatusOK {
-		t.Fatalf("degraded analyze: %d %s", w.Code, w.Body)
-	}
-	resp := decode[AnalyzeResponse](t, w)
-	if !resp.Degraded {
-		t.Fatalf("want degraded:true, got %s", w.Body)
-	}
-	if resp.BoundSource != (analysis.Decomposed{}).Name() {
-		t.Fatalf("want bound_source %q, got %q", (analysis.Decomposed{}).Name(), resp.BoundSource)
-	}
-	if resp.Algorithm != (analysis.Decomposed{}).Name() {
-		t.Fatalf("degraded algorithm %q, want decomposed", resp.Algorithm)
-	}
-	if got := srv.Metrics().Degraded(); got != 1 {
-		t.Fatalf("degraded counter = %d, want 1", got)
-	}
-
-	// The degraded bounds are exactly the decomposed analysis of the
-	// posted network.
 	var req AnalyzeRequest
 	if err := json.Unmarshal([]byte(analyzeBody), &req); err != nil {
 		t.Fatal(err)
@@ -52,37 +34,57 @@ func TestAnalyzeDegradesToDecomposed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := analysis.Decomposed{}.Analyze(net)
+	lo, err := analysis.Integrated{}.Analyze(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Bounds) != len(want.Bounds) {
-		t.Fatalf("degraded bounds length %d, want %d", len(resp.Bounds), len(want.Bounds))
+	hi, err := analysis.Decomposed{}.Analyze(net)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range want.Bounds {
-		if float64(resp.Bounds[i]) != want.Bounds[i] {
-			t.Errorf("degraded bound %d = %v, want decomposed %v", i, resp.Bounds[i], want.Bounds[i])
+	// Twice: a degraded result depends on when the budget ran out, so the
+	// repeat re-analyzes instead of hitting the cache.
+	for round := 1; round <= 2; round++ {
+		w := do(t, srv, "POST", "/v2/networks/default/analyze", analyzeBody)
+		if w.Code != http.StatusOK {
+			t.Fatalf("degraded analyze: %d %s", w.Code, w.Body)
+		}
+		resp := decode[AnalyzeResponse](t, w)
+		if !resp.Degraded || resp.Cached {
+			t.Fatalf("round %d: want degraded:true and no cache hit, got %s", round, w.Body)
+		}
+		if resp.BoundSource != (analysis.Decomposed{}).Name() {
+			t.Fatalf("want bound_source %q, got %q", (analysis.Decomposed{}).Name(), resp.BoundSource)
+		}
+		if resp.Algorithm != (analysis.Integrated{}).Name() {
+			t.Fatalf("degraded algorithm %q, want the analyzer that ran", resp.Algorithm)
+		}
+		if got := srv.Metrics().Degraded(); got != uint64(round) {
+			t.Fatalf("degraded counter = %d, want %d", got, round)
+		}
+		if len(resp.Bounds) != len(lo.Bounds) {
+			t.Fatalf("degraded bounds length %d, want %d", len(resp.Bounds), len(lo.Bounds))
+		}
+		for i, b := range resp.Bounds {
+			if float64(b) < lo.Bounds[i]-minplus.Eps || float64(b) > hi.Bounds[i]+minplus.Eps {
+				t.Errorf("degraded bound %d = %v outside [integrated %v, decomposed %v]", i, b, lo.Bounds[i], hi.Bounds[i])
+			}
 		}
 	}
-
-	// The degraded result was cached under the FALLBACK's key, never the
-	// requested analyzer's: a later uncontended integrated request must
-	// miss, while an explicit decomposed request hits.
 	digest, err := netspec.Digest(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := srv.Cache().Get((analysis.Integrated{}).Name() + ":" + digest); ok {
-		t.Fatal("degraded result cached under the integrated key")
-	}
-	if _, ok := srv.Cache().Get((analysis.Decomposed{}).Name() + ":" + digest); !ok {
-		t.Fatal("degraded result not cached under the decomposed key")
+	for _, a := range []analysis.Analyzer{analysis.Integrated{}, analysis.Decomposed{}} {
+		if _, ok := srv.Cache().Get(a.Name() + ":" + digest); ok {
+			t.Fatalf("degraded result cached under the %s key", a.Name())
+		}
 	}
 }
 
-// TestAnalyzeDecomposedNeverDegrades pins that the fallback analyzer
-// itself is exempt from the soft budget: there is nothing sound to degrade
-// to below it, so it runs to completion under the hard deadline.
+// TestAnalyzeDecomposedNeverDegrades pins that an analyzer with no theta
+// search never reads the soft budget: there is nothing to cut short, so it
+// runs to completion under the hard deadline.
 func TestAnalyzeDecomposedNeverDegrades(t *testing.T) {
 	srv := newTestServer(t, func(c *Config) { c.AnalyzeTimeout = time.Nanosecond })
 	body := strings.Replace(analyzeBody, `"integrated"`, `"decomposed"`, 1)
@@ -213,18 +215,16 @@ func TestBatchDegradesWithOneCommit(t *testing.T) {
 	}
 }
 
-// TestRemoveDegradesWithoutShrinking cuts a DELETE on a warm network off by
-// the soft budget: the degraded re-run must not repeat the primary
-// analyzer's shrink under the hard deadline. It drops the baseline, answers
-// 200 and commits once.
+// TestRemoveDegradesWithoutShrinking runs a DELETE on a warm network past
+// its soft budget: the shrink replays the survivor's two-hop closure on a
+// decomposed ceiling, and a baseline computed that way is never kept. The
+// release drops it, answers 200 and commits once.
 func TestRemoveDegradesWithoutShrinking(t *testing.T) {
 	srv := newTestServer(t, func(c *Config) { c.AnalyzeTimeout = time.Nanosecond })
 	eng := srv.State().Engine()
-	// Disjoint routes: the cheapest shrink there is, and still not taken.
 	video := mustConnection(t, admitBody)
 	audio := video
 	audio.Name = "audio"
-	video.Path, audio.Path = video.Path[:1], video.Path[1:]
 	for _, c := range []topo.Connection{video, audio} {
 		if d, err := eng.Admit(context.Background(), c); err != nil || !d.Admitted {
 			t.Fatalf("admit %s: %+v %v", c.Name, d, err)
@@ -248,10 +248,9 @@ func TestRemoveDegradesWithoutShrinking(t *testing.T) {
 	}
 }
 
-// TestShardedSingleAdmitDegrades pins the commit-count degradation rule on
-// a multi-shard daemon: a single admit whose soft budget expires committed
-// nothing anywhere, so it re-runs on the decomposed fallback instead of
-// running undegraded to the hard deadline.
+// TestShardedSingleAdmitDegrades pins degradation on a multi-shard daemon:
+// a single admit whose soft budget expires completes on the decomposed
+// ceilings instead of running undegraded to the hard deadline.
 func TestShardedSingleAdmitDegrades(t *testing.T) {
 	net, err := topo.DisjointBlocks(4, 2, 0.3)
 	if err != nil {
@@ -288,9 +287,9 @@ func TestShardedSingleAdmitDegrades(t *testing.T) {
 		t.Fatalf("every connection landed on one shard; the test never left shard 0: %+v", st.PerShard)
 	}
 
-	// A live envelope spanning shards degrades too when it is cut off before
-	// any shard committed (the old rule refused on Shards() != 1), and the
-	// degraded re-run is still one commit per shard touched.
+	// A live envelope spanning shards degrades too — the budget travels with
+	// the context into every sub-batch — and is still one commit per shard
+	// touched, every item marked.
 	var ops []BatchOp
 	for _, c := range []topo.Connection{net.Connections[0], net.Connections[len(net.Connections)-1]} {
 		spec := netspec.ToSpec(&topo.Network{Servers: net.Servers, Connections: []topo.Connection{c}}).Connections[0]
@@ -314,6 +313,62 @@ func TestShardedSingleAdmitDegrades(t *testing.T) {
 	}
 	if got := state.SnapshotVersion() - before; got != 2 {
 		t.Fatalf("degraded 2-shard envelope committed %d times, want one per shard", got)
+	}
+}
+
+// TestShardedBatchTimeoutSecondsDegrades arms the budget per request on a
+// warm 4-shard daemon: a batch spanning two shards with a 1 ns
+// timeout_seconds answers 200 with every item degraded and one commit per
+// shard — the same envelope the default budget serves undegraded.
+func TestShardedBatchTimeoutSecondsDegrades(t *testing.T) {
+	net, err := topo.DisjointBlocks(4, 2, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := NewStateShards(net.Servers, analysis.Integrated{}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(Config{State: state})
+	if err != nil {
+		t.Fatal(err)
+	}
+	envelope := func(suffix string, conns []topo.Connection, timeout float64) BatchResponse {
+		t.Helper()
+		req := BatchRequest{TimeoutSeconds: timeout}
+		for _, c := range conns {
+			spec := netspec.ToSpec(&topo.Network{Servers: net.Servers, Connections: []topo.Connection{c}}).Connections[0]
+			spec.Name += suffix
+			spec.Deadline = 1000
+			req.Operations = append(req.Operations, BatchOp{Op: "admit", Connection: &spec})
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := do(t, srv, "POST", "/v2/networks/default/batch", string(body))
+		if w.Code != http.StatusOK {
+			t.Fatalf("envelope %q: %d %s", suffix, w.Code, w.Body)
+		}
+		return decode[BatchResponse](t, w)
+	}
+	for i, item := range envelope("", net.Connections, 0).Results {
+		if item.Status != BatchStatusAdmitted || item.Decision.Degraded {
+			t.Fatalf("setup op %d under the default budget: want admitted and not degraded, got %+v", i, item)
+		}
+	}
+	before := state.SnapshotVersion()
+	spanning := []topo.Connection{net.Connections[0], net.Connections[len(net.Connections)-1]}
+	for i, item := range envelope(".again", spanning, 1e-9).Results {
+		if item.Status != BatchStatusAdmitted || !item.Decision.Degraded {
+			t.Fatalf("1ns envelope op %d: want admitted and degraded, got %+v", i, item)
+		}
+	}
+	if got := state.SnapshotVersion() - before; got != 2 {
+		t.Fatalf("degraded 2-shard envelope committed %d times, want one per shard", got)
+	}
+	if got := srv.Metrics().Degraded(); got != 1 {
+		t.Fatalf("degraded counter = %d, want 1 per envelope", got)
 	}
 }
 

@@ -58,7 +58,7 @@ func (s *Server) handleAdmit(nw *Network, w http.ResponseWriter, r *http.Request
 		Degraded:   degraded,
 	}
 	if degraded {
-		resp.BoundSource = fallbackAnalyzer.Name()
+		resp.BoundSource = degradedSource
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -428,11 +428,8 @@ func (s *Server) handleAnalyze(nw *Network, w http.ResponseWriter, r *http.Reque
 		writeError(w, http.StatusUnprocessableEntity, CodeInvalidSpec, err.Error())
 		return
 	}
-	if degradedRes {
-		// A degraded result is a valid decomposed analysis: cache it under
-		// the fallback's own key, never under the requested analyzer's.
-		nw.cache.Put(fallbackAnalyzer.Name()+":"+digest, res)
-	} else {
+	if !degradedRes {
+		// A degraded result depends on when the budget ran out: never cached.
 		nw.cache.Put(key, res)
 	}
 	writeAnalyzeResponse(w, res, digest, false, degradedRes)
@@ -449,7 +446,7 @@ func writeAnalyzeResponse(w http.ResponseWriter, res *analysis.Result, digest st
 		Degraded:  degraded,
 	}
 	if degraded {
-		resp.BoundSource = res.Algorithm
+		resp.BoundSource = degradedSource
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

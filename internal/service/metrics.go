@@ -51,7 +51,7 @@ type Metrics struct {
 	stages   map[string]*histogram     // analysis stage -> timing histogram
 	inFlight int64                     // atomic
 	queued   int64                     // atomic: requests waiting for an analysis slot
-	degraded uint64                    // atomic: requests served from the decomposed fallback
+	degraded uint64                    // atomic: requests finished on decomposed ceilings
 	shed     uint64                    // atomic: requests shed at the hard deadline or queue
 	// atomic: theta pairs the two-server searches evaluated / pruned
 	thetaEvaluated, thetaPruned uint64
@@ -107,7 +107,7 @@ func (m *Metrics) QueueLeft()    { atomic.AddInt64(&m.queued, -1) }
 // analysis slot.
 func (m *Metrics) QueueDepth() int64 { return atomic.LoadInt64(&m.queued) }
 
-// DegradedServed counts one request answered from the decomposed fallback.
+// DegradedServed counts one request finished on decomposed ceilings.
 func (m *Metrics) DegradedServed() { atomic.AddUint64(&m.degraded, 1) }
 
 // Degraded returns the cumulative degraded-request count.
@@ -183,7 +183,7 @@ func (m *Metrics) WriteText(w io.Writer) {
 	fmt.Fprintln(w, "# TYPE delayd_analysis_queue_depth gauge")
 	gaugeLine(w, "delayd_analysis_queue_depth", "", float64(atomic.LoadInt64(&m.queued)))
 
-	fmt.Fprintln(w, "# HELP delayd_degraded_requests_total Requests answered from the decomposed fallback after the soft analysis budget expired.")
+	fmt.Fprintln(w, "# HELP delayd_degraded_requests_total Requests whose analysis outlived its soft budget and finished, in one pass, on decomposed ceilings.")
 	fmt.Fprintln(w, "# TYPE delayd_degraded_requests_total counter")
 	gaugeLine(w, "delayd_degraded_requests_total", "", float64(atomic.LoadUint64(&m.degraded)))
 

@@ -76,18 +76,12 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	}
 }
 
-// fallbackAnalyzer is the degradation target: the decomposed (Cruz)
-// analysis is always valid — its bound dominates the integrated bound on
-// every network — and cheap, so falling back to it under time pressure
-// trades tightness for latency without ever returning an unsound bound.
-var fallbackAnalyzer = analysis.Decomposed{}
-
-// degradable reports whether an analyzer has a cheaper sound fallback
-// (everything except the fallback itself).
-func degradable(a analysis.Analyzer) bool {
-	_, isDecomposed := a.(analysis.Decomposed)
-	return !isDecomposed
-}
+// degradedSource is the bound_source of a degraded reply: some of its
+// bounds are the decomposed (Cruz) sums of chain intervals whose theta
+// search the soft budget cut. Those are valid and dominate the searched
+// bound, so a degraded decision may reject a candidate the full analysis
+// would have admitted but never the reverse.
+var degradedSource = analysis.Decomposed{}.Name()
 
 // shed rejects a request whose hard deadline passed (or that could not get
 // an analysis slot in time) with the 503 envelope and a Retry-After hint.
@@ -128,20 +122,32 @@ func (s *Server) releaseSlot() {
 	}
 }
 
-// softContext derives the soft-budget context for one analysis: the
+// withBudget arms the soft budget of one request on its context: the
 // per-request override (seconds) when positive, the server default
-// otherwise. ok is false when degradation is disabled (negative budget),
-// in which case ctx is returned unchanged.
-func (s *Server) softContext(ctx context.Context, override float64) (sctx context.Context, cancel context.CancelFunc, ok bool) {
+// otherwise; a negative default disables degradation. It is a deadline the
+// analysis polls (analysis.WithBudget): no timer, no goroutine.
+func (s *Server) withBudget(ctx context.Context, override float64) context.Context {
 	budget := s.softBudget
 	if override > 0 {
 		budget = time.Duration(override * float64(time.Second))
 	}
 	if budget <= 0 {
-		return ctx, func() {}, false
+		return ctx
 	}
-	sctx, cancel = context.WithTimeout(ctx, budget)
-	return sctx, cancel, true
+	deadline := time.Now().Add(budget)
+	return analysis.WithBudget(ctx, func() bool { return !time.Now().Before(deadline) })
+}
+
+// degraded reports whether the request's analysis ran into its soft budget,
+// counting and logging it if so.
+func (s *Server) degraded(ctx context.Context, nw *Network, endpoint string) bool {
+	if !analysis.Degraded(ctx) {
+		return false
+	}
+	nw.metrics.DegradedServed()
+	s.log.Warn("soft budget expired: reply carries decomposed ceilings",
+		"endpoint", endpoint, "network", nw.id)
+	return true
 }
 
 // observeStages exports an analysis run's per-stage wall time and
@@ -165,38 +171,19 @@ func (s *Server) observeStages(nw *Network, endpoint string, tm *analysis.Timing
 	)
 }
 
-// runAnalysis executes one stateless analysis under the degradation
-// policy: the requested analyzer runs under the soft budget; if the budget
-// expires while the hard deadline is still alive, the always-sound
-// decomposed fallback runs in its place and degraded is reported true. An
-// error for which admission.IsCanceled holds means the hard deadline
-// passed and the request must be shed.
+// runAnalysis executes one stateless analysis, once, under the soft budget;
+// degraded reports that the budget ran out and some bounds are decomposed
+// ceilings (analyzers that run no theta search never degrade). An error for
+// which admission.IsCanceled holds means the hard deadline passed and the
+// request must be shed.
 func (s *Server) runAnalysis(ctx context.Context, nw *Network, endpoint string, analyzer analysis.Analyzer, net *topo.Network, override float64) (res *analysis.Result, degraded bool, err error) {
-	tctx, tm := analysis.WithTimings(ctx)
+	ctx, tm := analysis.WithTimings(s.withBudget(ctx, override))
 	defer s.observeStages(nw, endpoint, tm)
-	sctx, cancel, hasSoft := s.softContext(tctx, override)
-	if !hasSoft || !degradable(analyzer) {
-		cancel()
-		res, err = analysis.AnalyzeWithContext(tctx, analyzer, net)
-		return res, false, err
-	}
-	res, err = analysis.AnalyzeWithContext(sctx, analyzer, net)
-	cancel()
-	if err == nil {
-		return res, false, nil
-	}
-	if !admission.IsCanceled(err) || ctx.Err() != nil {
-		// A real analyzer error, or the hard deadline itself: no fallback.
-		return nil, false, err
-	}
-	nw.metrics.DegradedServed()
-	s.log.Warn("analysis degraded to decomposed bound",
-		"endpoint", endpoint, "network", nw.id, "analyzer", analyzer.Name())
-	res, err = analysis.AnalyzeWithContext(tctx, fallbackAnalyzer, net)
+	res, err = analysis.AnalyzeWithContext(ctx, analyzer, net)
 	if err != nil {
 		return nil, false, err
 	}
-	return res, true, nil
+	return res, s.degraded(ctx, nw, endpoint), nil
 }
 
 // serveEnvelope runs one envelope — every admit, release, dry-run test and
@@ -227,60 +214,27 @@ func (s *Server) serveEnvelope(nw *Network, w http.ResponseWriter, r *http.Reque
 	return results, degraded, true
 }
 
-// runBatch executes an envelope under the same degradation policy as
+// runBatch executes an envelope, once, under the same soft budget as
 // runAnalysis. Dry-run envelopes (all ops are admits) evaluate every
 // candidate against one pinned snapshot per shard; live envelopes apply
-// with one commit per shard touched. If the soft budget expires while the
-// hard deadline is alive, the envelope re-runs on the decomposed fallback
-// — iff the cut-off run committed nothing, which the engine reports: dry
-// runs never commit, a single-shard envelope is atomic, and a multi-shard
-// envelope qualifies when its first sub-batch was the one cut off. An
-// envelope cut off after some shard committed cannot re-run (that would
-// re-apply the committed sub-batches); its cancellation is returned and
-// the request shed, exactly as when the hard deadline passes mid-envelope.
-//
-// Degrading is sound in the conservative direction: the decomposed bound
-// dominates the integrated bound, so a degraded decision may reject a
-// candidate the integrated analysis would have admitted but never the
-// reverse.
-func (s *Server) runBatch(ctx context.Context, nw *Network, endpoint string, dryRun bool, ops []admission.Op, override float64) ([]admission.OpResult, bool, error) {
-	tctx, tm := analysis.WithTimings(ctx)
+// with one commit per shard touched, budget or no budget.
+func (s *Server) runBatch(ctx context.Context, nw *Network, endpoint string, dryRun bool, ops []admission.Op, override float64) (res []admission.OpResult, degraded bool, err error) {
+	ctx, tm := analysis.WithTimings(s.withBudget(ctx, override))
 	defer s.observeStages(nw, endpoint, tm)
-	var cands []topo.Connection
 	if dryRun {
-		cands = make([]topo.Connection, len(ops))
+		cands := make([]topo.Connection, len(ops))
 		for i, op := range ops {
 			cands[i] = op.Candidate
 		}
-	}
-	run := func(runCtx context.Context, analyzer analysis.Analyzer) (res []admission.OpResult, commits int, err error) {
-		if dryRun {
-			res, err = nw.state.TestBatchWith(runCtx, analyzer, cands)
-			return res, 0, err
+		res, err = nw.state.TestBatch(ctx, cands)
+	} else {
+		var br *admission.BatchResult
+		if br, err = nw.state.ApplyBatch(ctx, ops); br != nil {
+			res = br.Results
 		}
-		br, err := nw.state.ApplyBatchWith(runCtx, analyzer, ops)
-		if br == nil {
-			return nil, 0, err
-		}
-		return br.Results, br.Commits, err
 	}
-	sctx, cancel, hasSoft := s.softContext(tctx, override)
-	if !hasSoft || !degradable(nw.state.Engine().Analyzer()) {
-		cancel()
-		res, _, err := run(tctx, nil)
-		return res, false, err
-	}
-	res, commits, err := run(sctx, nil)
-	cancel()
-	if err == nil || !admission.IsCanceled(err) || ctx.Err() != nil || commits > 0 {
-		return res, false, err
-	}
-	nw.metrics.DegradedServed()
-	s.log.Warn("admission degraded to decomposed bound",
-		"endpoint", endpoint, "network", nw.id, "dry_run", dryRun, "operations", len(ops))
-	res, _, err = run(tctx, fallbackAnalyzer)
 	if err != nil {
-		return res, false, err
+		return nil, false, err
 	}
-	return res, true, nil
+	return res, s.degraded(ctx, nw, endpoint), nil
 }

@@ -40,12 +40,12 @@ type Config struct {
 	// once it passes, the request is shed with a 503 envelope and a
 	// Retry-After header, and its in-flight analysis is cancelled.
 	RequestTimeout time.Duration
-	// AnalyzeTimeout is the SOFT analysis budget: when the requested
-	// analyzer exceeds it, the request degrades to the always-sound
-	// decomposed bound, labeled degraded:true with the bound source.
-	// Zero applies DefaultAnalyzeTimeout; negative disables degradation
-	// (the analyzer runs until the hard deadline). Overridable
-	// per-request via timeout_seconds.
+	// AnalyzeTimeout is the SOFT analysis budget: an analysis that
+	// outlives it stops searching and finishes on the always-sound
+	// decomposed ceilings it already holds, labeled degraded:true with the
+	// bound source. Zero applies DefaultAnalyzeTimeout; negative disables
+	// degradation (the analyzer runs until the hard deadline).
+	// Overridable per-request via timeout_seconds.
 	AnalyzeTimeout time.Duration
 	// MaxInFlight bounds the number of concurrently running analyses
 	// across the analyze, admit, release and batch endpoints of EVERY

@@ -83,15 +83,7 @@ func (s *State) Servers() []server.Server {
 // call (admission.IsCanceled) reports in BatchResult.Commits how many
 // shards had already committed; zero means nothing was.
 func (s *State) ApplyBatch(ctx context.Context, ops []admission.Op) (*admission.BatchResult, error) {
-	return s.eng.ApplyBatch(ctx, ops, nil)
-}
-
-// ApplyBatchWith is ApplyBatch on the degraded path: every admit runs a
-// full analysis with the explicit analyzer (a timed-out integrated envelope
-// re-run on the always-valid decomposed analyzer), still one commit per
-// shard touched.
-func (s *State) ApplyBatchWith(ctx context.Context, analyzer analysis.Analyzer, ops []admission.Op) (*admission.BatchResult, error) {
-	return s.eng.ApplyBatch(ctx, ops, analyzer)
+	return s.eng.ApplyBatch(ctx, ops)
 }
 
 // TestBatch evaluates a dry-run envelope of candidates against one pinned
@@ -99,14 +91,7 @@ func (s *State) ApplyBatchWith(ctx context.Context, analyzer analysis.Analyzer, 
 // concurrent admissions commit, and each candidate is judged against the
 // current admitted set alone. Nothing is committed.
 func (s *State) TestBatch(ctx context.Context, cands []topo.Connection) ([]admission.OpResult, error) {
-	return s.eng.TestBatch(ctx, cands, nil)
-}
-
-// TestBatchWith is TestBatch on the degraded path: every candidate runs a
-// full analysis with the explicit analyzer against the same pinned
-// snapshots.
-func (s *State) TestBatchWith(ctx context.Context, analyzer analysis.Analyzer, cands []topo.Connection) ([]admission.OpResult, error) {
-	return s.eng.TestBatch(ctx, cands, analyzer)
+	return s.eng.TestBatch(ctx, cands)
 }
 
 // WarmBaseline synchronously materializes every shard's analysis baseline

@@ -181,9 +181,9 @@ type AdmitResponse struct {
 	Violations []ViolationSpec `json:"violations,omitempty"`
 	Bounds     Bounds          `json:"bounds,omitempty"`
 	Count      int             `json:"count"`
-	// Degraded marks a decision made against the decomposed fallback bound
-	// after the requested analysis exceeded its soft budget; BoundSource
-	// names the analysis that produced the bounds.
+	// Degraded marks a decision whose analysis outlived its soft budget
+	// and finished on decomposed ceilings, which BoundSource then names:
+	// every bound is valid, some are looser than the analyzer's own.
 	Degraded    bool   `json:"degraded,omitempty"`
 	BoundSource string `json:"bound_source,omitempty"`
 }
@@ -198,8 +198,8 @@ type BatchAdmitItem struct {
 	// MaxBound is the largest per-connection bound of the item's trial
 	// analysis; null when unbounded or when the candidate never analyzed.
 	MaxBound Bound `json:"max_bound"`
-	// Degraded marks a decision made against the decomposed fallback
-	// bound after the candidate's analysis exceeded its soft budget.
+	// Degraded marks every item of an envelope whose analysis outlived
+	// its soft budget (see AdmitResponse).
 	Degraded bool `json:"degraded,omitempty"`
 }
 
@@ -246,8 +246,8 @@ type BatchOpResult struct {
 	Decision *BatchAdmitItem `json:"decision,omitempty"`
 	// Mode reports how a release was absorbed: "incremental" (baseline
 	// shrunk in place) or "compacted" (baseline dropped, rebuilt by the
-	// next test: no warm baseline, a degraded run, or the next operation of
-	// the envelope is another release).
+	// next test: no warm baseline, a shrink cut short by the soft budget,
+	// or the next operation of the envelope is another release).
 	Mode  string       `json:"mode,omitempty"`
 	Error *ErrorDetail `json:"error,omitempty"`
 }
@@ -279,7 +279,7 @@ type ListResponse struct {
 // {name}. Mode reports how the engine absorbed the release: "incremental"
 // (the analysis baseline was shrunk in place, so the next test stays fast)
 // or "compacted" (the baseline was dropped and the next test rebuilds it:
-// there was no warm baseline, or the release ran degraded).
+// there was no warm baseline, or the soft budget cut the shrink short).
 type RemoveResponse struct {
 	Removed string `json:"removed"`
 	Count   int    `json:"count"`
@@ -372,9 +372,9 @@ type AnalyzeResponse struct {
 	Bounds    Bounds `json:"bounds"`
 	Backlogs  Bounds `json:"backlogs,omitempty"`
 	MaxBound  Bound  `json:"max_bound"`
-	// Degraded marks bounds produced by the decomposed fallback after the
-	// requested analyzer exceeded its soft budget; BoundSource names the
-	// analysis that produced them.
+	// Degraded marks a result whose analysis outlived its soft budget and
+	// finished on decomposed ceilings, which BoundSource then names;
+	// Algorithm is still the analyzer that ran. Never cached.
 	Degraded    bool   `json:"degraded,omitempty"`
 	BoundSource string `json:"bound_source,omitempty"`
 }
