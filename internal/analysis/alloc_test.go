@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -109,6 +110,68 @@ func TestThetaSearchAllocCeiling(t *testing.T) {
 	// Measured 6; the ceiling is that plus 10%, rounded up.
 	if allocs > 7 && !raceBuild() {
 		t.Errorf("theta-search inner loop allocates %.0f times per search, ceiling is 7", allocs)
+	}
+}
+
+// TestCoordinateDescentAllocCeiling is the same gate for one k=4 search:
+// the descent's spine (the residual and part tables, the index vector, the
+// packed-key memo and a value slice and two closures per scan) is all the
+// heap sees; branch sets, merges and branch curves come from the arenas,
+// and a memo lookup allocates nothing.
+func TestCoordinateDescentAllocCeiling(t *testing.T) {
+	caps := [4]float64{1.0, 1.2, 1.0, 0.9}
+	cross := [4]minplus.Curve{
+		minplus.TokenBucket(0.3, 0.25),
+		minplus.TokenBucket(0.2, 0.35),
+		minplus.Min(minplus.TokenBucket(0.4, 0.2), minplus.TokenBucket(0.1, 0.5)),
+		minplus.TokenBucket(0.25, 0.15),
+	}
+	agg := minplus.TokenBucketCapped(0.5, 0.3, 1.0)
+	local := [4]float64{1.1, 0.9, 1.3, 1.0}
+
+	ar := minplus.GetArena()
+	defer ar.Release()
+	_, tm := WithTimings(context.Background())
+	run := func() float64 {
+		ar.Reset()
+		cands := make([][]float64, 4)
+		for i := range cands {
+			cands[i] = thetaCandidatesArena(ar, caps[i], cross[i], local[i])
+		}
+		ts := &thetaSearch{
+			ctx:   context.Background(),
+			agg:   agg,
+			cands: cands,
+			ar:    ar,
+			residual: func(i int, theta float64) minplus.Curve {
+				return residual(ar, minplus.Rate(caps[i]), cross[i], theta)
+			},
+			ceil: math.Inf(1),
+			tm:   tm,
+		}
+		return ts.minimize()
+	}
+
+	prev := runtime.GOMAXPROCS(1) // scans run on the calling goroutine, as in analyzeAllocs
+	defer runtime.GOMAXPROCS(prev)
+	want := run()
+	if math.IsInf(want, 1) || math.IsNaN(want) {
+		t.Fatalf("theta search returned %v on a stable four-server scenario", want)
+	}
+	if tm.ThetaBranches.Load() == 0 {
+		t.Fatal("the scenario left the closed form")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := testing.AllocsPerRun(10, func() {
+		if got := run(); got != want {
+			t.Errorf("theta search drifted: got %v, want %v", got, want)
+		}
+	})
+	t.Logf("theta-search k=4 allocs/op: %.0f (bound %v)", allocs, want)
+	// Measured 57 (the parent's string-keyed memo and per-candidate index
+	// copies made it 576); the ceiling is that plus 10%, rounded up.
+	if allocs > 63 && !raceBuild() {
+		t.Errorf("coordinate descent allocates %.0f times per search, ceiling is 63", allocs)
 	}
 }
 

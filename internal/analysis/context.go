@@ -121,9 +121,12 @@ func ctxErr(err error) error {
 // atomic and a stage's total can exceed wall-clock time (it is CPU time
 // across workers). ThetaPairs and ThetaEvaluated count the theta pairs
 // the two-server searches faced and those they had to evaluate (the rest
-// fell to their lower bound); both depend on the network alone. Attach a
-// collector with WithTimings; analyzers that find none in the context
-// skip all instrumentation.
+// fell to their lower bound); ThetaBranches and ThetaBranchesCut count
+// the closed-form branches the longer searches faced (2^k - 1 per theta
+// vector evaluated on k servers, k counted as 40 at most) and those the
+// two prunings of the coordinate descent skipped. All four depend on the
+// network alone. Attach a collector with WithTimings; analyzers that find
+// none in the context skip all instrumentation.
 type Timings struct {
 	Partition atomic.Int64
 	Aggregate atomic.Int64
@@ -132,6 +135,9 @@ type Timings struct {
 
 	ThetaPairs     atomic.Int64
 	ThetaEvaluated atomic.Int64
+
+	ThetaBranches    atomic.Int64
+	ThetaBranchesCut atomic.Int64
 }
 
 // StageSeconds returns the accumulated stage times in seconds, keyed by

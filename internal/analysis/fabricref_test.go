@@ -712,3 +712,14 @@ func (ts *preThetaSearch) coordinateDescent() float64 {
 	}
 	return best
 }
+
+// vecKey encodes a candidate-index vector as the frozen engine's memo key
+// (two bytes an index: it collides past 65,535 candidates, which the
+// engine's corpora never reach).
+func vecKey(v []int) string {
+	b := make([]byte, 0, 2*len(v))
+	for _, x := range v {
+		b = append(b, byte(x), byte(x>>8))
+	}
+	return string(b)
+}

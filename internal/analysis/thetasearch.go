@@ -2,7 +2,9 @@ package analysis
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
+	"math/bits"
 
 	"delaycalc/internal/minplus"
 )
@@ -36,19 +38,56 @@ import (
 //     convolution — and the lower pseudo-inverse of a min of
 //     non-decreasing curves is the max of their pseudo-inverses;
 //
-//   - coordinate descent for k > 2 convolves the fixed prefix and suffix
-//     of the scanned coordinate once per scan, so each candidate pays two
-//     convolutions instead of k-1, and memoizes evaluated theta vectors
-//     across passes;
+//   - coordinate descent for k > 2 runs on the k-ary form of the same
+//     identity and never convolves decomposable residuals generically.
+//     With chi_i(0) = 0 and chi_i(u) = J_i + psi_i(u) for u > 0, splitting
+//     the infimal convolution by the set S of coordinates that receive a
+//     positive share (the others contribute chi_j(0) = 0; psi_i is
+//     continuous with psi_i(0) = 0, so positive and non-negative shares
+//     have the same infimum) gives
+//
+//     chi_1 ⊗ ... ⊗ chi_k = min over nonempty S of W_S,
+//     W_S(u) = sum_{i in S} J_i + (⊗_{i in S} psi_i)(u)  for u > 0,
+//
+//     each W_S a jump and a convex section again (gates and jumps add,
+//     sections merge by slope, cut at the smallest tail:
+//     minplus.MergeConvexParts), and therefore
+//
+//     h(A, ⊗ res_i) = sum g_i + max over nonempty S of h(A, W_S);
+//
+//     the k = 2 formula above is the |S| <= 2 case. A scan of coordinate
+//     i builds the branches of the fixed coordinates once (closedFormScan);
+//     a candidate then pays one slope merge and one deviation per fixed
+//     branch instead of two generic convolutions. Two prunings keep the
+//     branch set small. Zero-jump domination: if J_j = 0, W_{S+j} <= W_S
+//     pointwise (psi_j(0) = 0), so only the S that contain every zero-jump
+//     coordinate are kept — the descent starts at all-theta-0, where every
+//     jump is 0, from one branch; what is left is 2^(coordinates with a
+//     jump), and a scan whose branches outnumber the branch curves the
+//     generic convolutions would build takes those instead. Early exit:
+//     the running sum g + max is a lower bound of the candidate's value in
+//     floating point as on paper (+ and max are monotone), so once it
+//     reaches the scan's incumbent — read once, before the fan-out — the
+//     candidate cannot be strictly improving and the rest of its branches
+//     are skipped. Memoising that lower bound is exact: the incumbent only
+//     decreases, so every later "d < best" reads false for the bound as it
+//     would for the value, and the best returned is always a value that
+//     was evaluated in full;
+//
+//   - evaluated theta vectors are memoized across scans and passes under a
+//     packed integer key;
 //
 //   - the k=2 closed form is an exact branch and bound: the two cached
 //     deviations bound a pair from below at no cost, and pairs that cannot
 //     lower the caller's clamped total are skipped, sequentially, so
 //     neither result nor evaluated count depends on the core count;
 //
-//   - the k=2 generic fallback sweeps sequentially too; only the
-//     coordinate-descent scans fan out across cores (parallelValuesArena),
-//     their reduction sequential, replicating the serial argmin.
+//   - a search whose residuals do not all decompose, or whose aggregate
+//     does not rise immediately, convolves generically (k=2: a sequential
+//     sweep; k>2: the fixed prefix and suffix of the scanned coordinate
+//     convolved once per scan); only the coordinate-descent scans fan out
+//     across cores (parallelValuesArena), their reduction sequential,
+//     replicating the serial argmin.
 type thetaSearch struct {
 	// ctx carries the cancellation signal and bg the soft budget into the
 	// search, which stops between candidates once either is done. A
@@ -63,12 +102,13 @@ type thetaSearch struct {
 	// The caller keeps min(minimize() + lat, ceil); the k=2 sweep skips
 	// the pairs that cannot lower that total. ceil = +Inf means no ceiling.
 	lat, ceil float64
-	tm        *Timings // non-nil: receives the k=2 pair counts
+	tm        *Timings // non-nil: receives the pair and branch counts
 	// ar is the owning chain's arena (nil for heap allocation): residual
-	// curves, decompositions and prefix/suffix convolutions are drawn from
-	// it. The arena is not goroutine-safe, so everything built from it is
-	// built sequentially before a candidate fan-out; the parallel workers
-	// only read those curves and allocate from their own pooled arenas.
+	// curves, decompositions, a scan's branch set and prefix/suffix
+	// convolutions are drawn from it. The arena is not goroutine-safe, so
+	// everything built from it is built sequentially before a candidate
+	// fan-out; the parallel workers only read those curves and allocate
+	// from their own pooled arenas.
 	ar *minplus.Arena
 
 	// res memoizes residuals per (position, candidate) by value, rows
@@ -78,6 +118,16 @@ type thetaSearch struct {
 	// is never the zero curve (if one ever were, the memo would merely
 	// recompute it — still correct).
 	res [][]minplus.Curve
+	// parts holds, per (position, candidate), the closed forms' view of the
+	// residual; filled by decompose.
+	parts [][]part
+}
+
+// part is a residual as the closed forms see it: the gated-convex form and
+// the deviation h(agg, chi) of the curve with its gate stripped.
+type part struct {
+	dec minplus.GatedConvex
+	hd  float64
 }
 
 // stop is the search's checkpoint, read before every evaluation.
@@ -98,20 +148,14 @@ func (ts *thetaSearch) residualAt(i, ci int) minplus.Curve {
 // search that pruned may return more (+Inf if it evaluated nothing): what
 // is exact is min(minimize() + lat, ceil), the value the caller keeps.
 func (ts *thetaSearch) minimize() float64 {
-	k := len(ts.cands)
-	ts.res = make([][]minplus.Curve, k)
-	for i := range ts.res {
-		n := len(ts.cands[i])
-		row := ts.ar.Curves(n)[:n]
-		for j := range row {
-			row[j] = minplus.Curve{} // arena memory is not zeroed
-		}
-		ts.res[i] = row
+	closed := ts.decompose()
+	switch {
+	case len(ts.cands) == 2:
+		return ts.enumeratePairs(closed)
+	case closed:
+		return ts.coordinateDescent(ts.closedFormScan)
 	}
-	if k == 2 {
-		return ts.enumeratePairs()
-	}
-	return ts.coordinateDescent()
+	return ts.coordinateDescent(ts.genericScan)
 }
 
 // aggRisesImmediately reports whether the aggregate is positive on
@@ -122,35 +166,48 @@ func (ts *thetaSearch) aggRisesImmediately() bool {
 	return ts.agg.EvalRight(0) > minplus.Eps || ts.agg.RightSlope(0) > minplus.Eps
 }
 
-// enumeratePairs is the k = 2 enumeration.
-func (ts *thetaSearch) enumeratePairs() float64 {
-	n0, n1 := len(ts.cands[0]), len(ts.cands[1])
-	for i := 0; i < 2; i++ {
-		for ci := range ts.cands[i] {
-			ts.residualAt(i, ci)
+// decompose builds every candidate's residual and, while the closed forms
+// apply, its gated-convex form and gate-stripped deviation. It reports
+// whether they apply to the whole search: the aggregate rises immediately
+// and every residual decomposes.
+func (ts *thetaSearch) decompose() bool {
+	total := 0
+	for _, c := range ts.cands {
+		total += len(c)
+	}
+	flat := make([]part, total)
+	ts.res = make([][]minplus.Curve, len(ts.cands))
+	ts.parts = make([][]part, len(ts.cands))
+	closed := ts.aggRisesImmediately()
+	for i, c := range ts.cands {
+		n := len(c)
+		row := ts.ar.Curves(n)[:n]
+		for j := range row {
+			row[j] = minplus.Curve{} // arena memory is not zeroed
 		}
-	}
-	// Gated-convex fast path: decompose every residual once and measure
-	// its gate-stripped deviation; pairs then cost a slope merge plus one
-	// deviation.
-	type part struct {
-		dec minplus.GatedConvex
-		hd  float64 // h(agg, chi) with the gate stripped
-	}
-	fast := ts.aggRisesImmediately()
-	parts := [2][]part{make([]part, n0), make([]part, n1)}
-	for i := 0; i < 2 && fast; i++ {
-		for ci := range ts.cands[i] {
+		ts.res[i] = row
+		ts.parts[i], flat = flat[:n:n], flat[n:]
+		for ci := range c {
 			res := ts.residualAt(i, ci)
+			if !closed {
+				continue
+			}
 			dec, ok := ts.ar.DecomposeGatedConvex(res)
 			if !ok {
-				fast = false
-				break
+				closed = false
+				continue
 			}
 			chi := ts.ar.ShiftLeft(res, dec.Gate)
-			parts[i][ci] = part{dec, minplus.HorizontalDeviation(ts.agg, chi)}
+			ts.parts[i][ci] = part{dec, minplus.HorizontalDeviation(ts.agg, chi)}
 		}
 	}
+	return closed
+}
+
+// enumeratePairs is the k = 2 enumeration.
+func (ts *thetaSearch) enumeratePairs(fast bool) float64 {
+	n0, n1 := len(ts.cands[0]), len(ts.cands[1])
+	parts := ts.parts
 	wa := minplus.GetArena()
 	defer wa.Release()
 	best, evaluated := math.Inf(1), 0
@@ -221,84 +278,51 @@ func (ts *thetaSearch) count(pairs, evaluated int) {
 	}
 }
 
-// coordinateDescent scans one coordinate at a time from the all-zero
-// vector (candidate index 0 is always theta = 0), keeping the best
-// strictly improving candidate of each scan, up to three passes — the same
-// search the pre-overhaul engine ran, with prefix/suffix convolutions
-// hoisted out of the candidate loop and evaluated vectors memoized.
-func (ts *thetaSearch) coordinateDescent() float64 {
+// scanFunc prepares the scan of coordinate i with the other coordinates
+// held at idx — sequentially, on the chain arena — and returns the
+// evaluator of i's candidates, which the scan fans out: it only reads what
+// the preparation built and allocates from the worker arena it is handed.
+// best is the scan's incumbent: the evaluator may return any lower bound of
+// a candidate's value that is >= best in place of the value.
+type scanFunc func(idx []int, i int, best float64) func(wa *minplus.Arena, ci int) float64
+
+// coordinateDescent is the k > 2 search, on the closed form when it
+// applies to the search and on generic convolutions otherwise: it scans one
+// coordinate at a time from the all-zero vector (candidate index 0 is
+// always theta = 0), keeping the best strictly improving candidate of each
+// scan, up to three passes — the same search the pre-overhaul engine ran —
+// with evaluated vectors memoized.
+func (ts *thetaSearch) coordinateDescent(scan scanFunc) float64 {
 	k := len(ts.cands)
 	idx := make([]int, k)
-	seen := map[string]float64{}
-	evalVec := func(v []int) float64 {
-		key := vecKey(v)
-		if d, ok := seen[key]; ok {
-			return d
-		}
-		beta := ts.residualAt(0, v[0])
-		for i := 1; i < k; i++ {
-			beta = ts.ar.Convolve(beta, ts.residualAt(i, v[i]))
-		}
-		d := minplus.HorizontalDeviation(ts.agg, beta)
-		seen[key] = d
-		return d
-	}
-	best := evalVec(idx)
+	seen := newVecMemo(ts.cands)
+	// The starting vector, as the last coordinate's scan evaluates it: for
+	// the generic scan that is the left fold of the convolution.
+	wa := minplus.GetArena()
+	best := scan(idx, k-1, math.Inf(1))(wa, idx[k-1])
+	wa.Release()
+	seen.put(idx, k-1, idx[k-1], best)
 	for pass := 0; pass < 3; pass++ {
 		improved := false
 		for i := 0; i < k; i++ {
 			if ts.stop() {
 				return best
 			}
-			// Build every residual of the scanned coordinate before the
-			// fan-out: residualAt writes the chain arena and the memo
-			// table, which the parallel workers may only read.
-			for ci := range ts.cands[i] {
-				ts.residualAt(i, ci)
-			}
-			// Convolve the fixed prefix and suffix once; min-plus
-			// convolution is associative, so prefix ⊗ res_i ⊗ suffix is
-			// the same curve as the left fold.
-			var pre, suf *minplus.Curve
-			if i > 0 {
-				b := ts.residualAt(0, idx[0])
-				for j := 1; j < i; j++ {
-					b = ts.ar.Convolve(b, ts.residualAt(j, idx[j]))
-				}
-				pre = &b
-			}
-			if i+1 < k {
-				b := ts.residualAt(i+1, idx[i+1])
-				for j := i + 2; j < k; j++ {
-					b = ts.ar.Convolve(b, ts.residualAt(j, idx[j]))
-				}
-				suf = &b
-			}
+			eval := scan(idx, i, best)
 			// evalCand runs concurrently: it only reads seen (no concurrent
 			// writes happen during the fan-out), and a memo miss recomputes
 			// the pure evaluation — the identical value the serial code
 			// would have cached.
 			evalCand := func(wa *minplus.Arena, ci int) float64 {
-				v := append([]int(nil), idx...)
-				v[i] = ci
-				if d, ok := seen[vecKey(v)]; ok {
+				if d, ok := seen.get(idx, i, ci); ok {
 					return d
 				}
-				beta := ts.residualAt(i, ci)
-				if pre != nil {
-					beta = wa.Convolve(*pre, beta)
-				}
-				if suf != nil {
-					beta = wa.Convolve(beta, *suf)
-				}
-				return minplus.HorizontalDeviation(ts.agg, beta)
+				return eval(wa, ci)
 			}
 			vals := parallelValuesArena(ts.ctx, len(ts.cands[i]), evalCand)
 			// Persist the scan's evaluations into the memo sequentially.
-			wb := append([]int(nil), idx...)
-			for ci := range ts.cands[i] {
-				wb[i] = ci
-				seen[vecKey(wb)] = vals[ci]
+			for ci, d := range vals {
+				seen.put(idx, i, ci, d)
 			}
 			bestHere := idx[i]
 			for ci := range ts.cands[i] {
@@ -320,11 +344,214 @@ func (ts *thetaSearch) coordinateDescent() float64 {
 	return best
 }
 
-// vecKey encodes a candidate-index vector as a map key.
-func vecKey(v []int) string {
-	b := make([]byte, 0, 2*len(v))
-	for _, x := range v {
-		b = append(b, byte(x), byte(x>>8))
+// genericScan evaluates coordinate i's candidates by generic convolution,
+// the fixed prefix and suffix convolved once; min-plus convolution is
+// associative, so prefix ⊗ res_i ⊗ suffix is the same curve as the left
+// fold.
+func (ts *thetaSearch) genericScan(idx []int, i int, _ float64) func(*minplus.Arena, int) float64 {
+	k := len(idx)
+	var pre, suf *minplus.Curve
+	if i > 0 {
+		b := ts.residualAt(0, idx[0])
+		for j := 1; j < i; j++ {
+			b = ts.ar.Convolve(b, ts.residualAt(j, idx[j]))
+		}
+		pre = &b
+	}
+	if i+1 < k {
+		b := ts.residualAt(i+1, idx[i+1])
+		for j := i + 2; j < k; j++ {
+			b = ts.ar.Convolve(b, ts.residualAt(j, idx[j]))
+		}
+		suf = &b
+	}
+	return func(wa *minplus.Arena, ci int) float64 {
+		beta := ts.residualAt(i, ci)
+		if pre != nil {
+			beta = wa.Convolve(*pre, beta)
+		}
+		if suf != nil {
+			beta = wa.Convolve(beta, *suf)
+		}
+		return minplus.HorizontalDeviation(ts.agg, beta)
+	}
+}
+
+// closedFormScan evaluates coordinate i's candidates on the k-ary closed
+// form (file header). The branches of the fixed coordinates — every set T
+// of them that contains all the zero-jump ones — are built here, each with
+// its deviation; a candidate c is then worth
+//
+//	sum of gates + max( maxFixed if J_c > 0, max over T of h(agg, W_{T+c}) ),
+//
+// the branches without c being dominated when c has no jump. A single
+// coordinate's branch takes the deviation decompose cached, as a pair does.
+func (ts *thetaSearch) closedFormScan(idx []int, i int, best float64) func(*minplus.Arena, int) float64 {
+	k := len(idx)
+	gates, jumps, points := 0.0, 0, 0
+	for j := 0; j < k; j++ {
+		if j == i {
+			continue
+		}
+		p := &ts.parts[j][idx[j]]
+		gates += p.dec.Gate
+		points += ts.residualAt(j, idx[j]).NumPoints()
+		if p.dec.Jump != 0 {
+			jumps++
+		}
+	}
+	// The closed form faces 2^jumps branches per candidate where the two
+	// generic convolutions build 2 * (the operands' breakpoints) branch
+	// curves: past that it has lost its advantage, and its branch set
+	// would grow without bound.
+	if jumps >= 62 || 1<<jumps > 2*(points+ts.scanPoints(i)) {
+		return ts.genericScan(idx, i, best)
+	}
+	// branches[m] is W_T for T = the zero-jump coordinates plus the subset m
+	// of the others, hds[m] its deviation; alone says branches[0] is the
+	// empty set, whose merge with a candidate is the candidate on its own.
+	branches := append(ts.ar.Gated(1<<jumps), minplus.GatedConvex{})
+	hds := append(ts.ar.Floats(1<<jumps), 0)
+	deviation := func(w minplus.GatedConvex) float64 {
+		return minplus.HorizontalDeviation(ts.agg, ts.ar.ConvexPartCurve(w))
+	}
+	members := 0 // of branches[0]
+	for j := 0; j < k; j++ {
+		p := &ts.parts[j][idx[j]]
+		if j == i || p.dec.Jump != 0 {
+			continue
+		}
+		if members == 0 {
+			branches[0], hds[0] = p.dec, p.hd
+		} else {
+			branches[0] = ts.ar.MergeConvexParts(branches[0], p.dec)
+		}
+		members++
+	}
+	if members > 1 {
+		hds[0] = deviation(branches[0])
+	}
+	alone := members == 0
+	for j := 0; j < k; j++ {
+		p := &ts.parts[j][idx[j]]
+		if j == i || p.dec.Jump == 0 {
+			continue
+		}
+		for m, n := 0, len(branches); m < n; m++ {
+			if m == 0 && alone {
+				branches, hds = append(branches, p.dec), append(hds, p.hd)
+				continue
+			}
+			w := ts.ar.MergeConvexParts(branches[m], p.dec)
+			branches, hds = append(branches, w), append(hds, deviation(w))
+		}
+	}
+	maxFixed := 0.0
+	for _, hd := range hds {
+		maxFixed = math.Max(maxFixed, hd)
+	}
+	kept := int64(len(branches))
+	if alone {
+		kept-- // the empty set is no branch of the fixed coordinates
+	}
+	faced := int64(1)<<min(k, 40) - 1
+	return func(wa *minplus.Arena, ci int) float64 {
+		c := &ts.parts[i][ci]
+		g, m, evaluated := gates+c.dec.Gate, 0.0, int64(0)
+		if c.dec.Jump != 0 {
+			m, evaluated = maxFixed, kept
+		}
+		for b := range branches {
+			if g+m >= best {
+				break
+			}
+			hd := c.hd
+			if b > 0 || !alone {
+				wa.Reset()
+				hd = minplus.HorizontalDeviation(ts.agg, wa.ConvolveConvexParts(branches[b], c.dec))
+			}
+			m = math.Max(m, hd)
+			evaluated++
+		}
+		if ts.tm != nil {
+			ts.tm.ThetaBranches.Add(faced)
+			ts.tm.ThetaBranchesCut.Add(faced - evaluated)
+		}
+		return g + m
+	}
+}
+
+// scanPoints returns the largest breakpoint count among the residuals of
+// coordinate i's candidates.
+func (ts *thetaSearch) scanPoints(i int) int {
+	n := 0
+	for ci := range ts.cands[i] {
+		n = max(n, ts.residualAt(i, ci).NumPoints())
+	}
+	return n
+}
+
+// vecMemo memoizes evaluated candidate-index vectors. A vector is keyed by
+// its value as a mixed-radix number over the candidate counts; a grid with
+// more than 2^64 vectors falls back to the indices spelled out.
+type vecMemo struct {
+	weight  []uint64 // nil: the grid outgrows a uint64
+	packed  map[uint64]float64
+	spelled map[string]float64
+}
+
+func newVecMemo(cands [][]float64) *vecMemo {
+	weight, w := make([]uint64, len(cands)), uint64(1)
+	for j, c := range cands {
+		weight[j] = w
+		hi, lo := bits.Mul64(w, uint64(len(c)))
+		if hi != 0 {
+			return &vecMemo{spelled: map[string]float64{}}
+		}
+		w = lo
+	}
+	return &vecMemo{weight: weight, packed: map[uint64]float64{}}
+}
+
+// key returns the packed key of idx with coordinate i at ci.
+func (m *vecMemo) key(idx []int, i, ci int) uint64 {
+	key := uint64(0)
+	for j, x := range idx {
+		if j == i {
+			x = ci
+		}
+		key += m.weight[j] * uint64(x)
+	}
+	return key
+}
+
+// spell is the fallback key: four bytes an index.
+func spell(idx []int, i, ci int) string {
+	b := make([]byte, 0, 4*len(idx))
+	for j, x := range idx {
+		if j == i {
+			x = ci
+		}
+		b = binary.LittleEndian.AppendUint32(b, uint32(x))
 	}
 	return string(b)
+}
+
+// get looks up idx with coordinate i at ci.
+func (m *vecMemo) get(idx []int, i, ci int) (float64, bool) {
+	if m.weight == nil {
+		d, ok := m.spelled[spell(idx, i, ci)]
+		return d, ok
+	}
+	d, ok := m.packed[m.key(idx, i, ci)]
+	return d, ok
+}
+
+// put records idx with coordinate i at ci.
+func (m *vecMemo) put(idx []int, i, ci int, d float64) {
+	if m.weight == nil {
+		m.spelled[spell(idx, i, ci)] = d
+		return
+	}
+	m.packed[m.key(idx, i, ci)] = d
 }

@@ -27,6 +27,7 @@ type Arena struct {
 	seg slab[SlopeSeg]
 	cur slab[Cursor]
 	cv  slab[Curve]
+	gc  slab[GatedConvex]
 }
 
 // slab is a grow-only block list handing out exact-capacity sub-slices.
@@ -39,10 +40,19 @@ type slab[T any] struct {
 	off    int // used prefix of blocks[bi]
 }
 
-// arenaBlock is the minimum slab block length, in elements.
-const arenaBlock = 2048
+// arenaBlock is the minimum slab block length, in elements; gatedBlock
+// that of the GatedConvex slab, whose buffers are a handful of 56-byte
+// forms (a scan's branch set) where the others hold breakpoint runs.
+const (
+	arenaBlock = 2048
+	gatedBlock = 128
+)
 
-func (s *slab[T]) alloc(n int) []T {
+func (s *slab[T]) alloc(n int) []T { return s.allocBlock(n, arenaBlock) }
+
+// allocBlock is alloc with the minimum length of a new block given: for
+// element types that are large and drawn a few at a time.
+func (s *slab[T]) allocBlock(n, block int) []T {
 	if n < 0 {
 		panic("minplus: negative arena allocation")
 	}
@@ -56,7 +66,7 @@ func (s *slab[T]) alloc(n int) []T {
 		s.bi++
 		s.off = 0
 	}
-	size := arenaBlock
+	size := block
 	if n > size {
 		size = n
 	}
@@ -82,6 +92,7 @@ func (a *Arena) Reset() {
 	a.seg.reset()
 	a.cur.reset()
 	a.cv.reset()
+	a.gc.reset()
 }
 
 var arenaPool = sync.Pool{New: func() any { return &Arena{} }}
@@ -149,6 +160,16 @@ func (a *Arena) curves(n int) []Curve {
 // callers assembling operand lists (e.g. for SumNSlice) without a heap
 // allocation per call. The buffer obeys the arena lifetime rules.
 func (a *Arena) Curves(n int) []Curve { return a.curves(n) }
+
+// Gated returns an empty GatedConvex buffer with the given capacity, for
+// callers assembling the branch set of a closed-form convolution. The
+// buffer obeys the arena lifetime rules.
+func (a *Arena) Gated(n int) []GatedConvex {
+	if a == nil {
+		return make([]GatedConvex, 0, n)
+	}
+	return a.gc.allocBlock(n, gatedBlock)
+}
 
 // Floats returns an empty float64 buffer with the given capacity, for
 // callers assembling scalar scratch (candidate lists, sample grids)

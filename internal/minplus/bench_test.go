@@ -59,12 +59,33 @@ func BenchmarkMin(b *testing.B) {
 	}
 }
 
+// BenchmarkHorizontalDeviation measures the deviation kernel on the shapes
+// the theta search feeds it: an aggregate envelope against a rate-latency
+// curve, against a 3-point residual (what a fat-tree pass pays per
+// candidate, where the fixed overhead of a call is the cost) and against a
+// 40-point convex branch (where the walk over beta is).
 func BenchmarkHorizontalDeviation(b *testing.B) {
 	alpha := Sum(TokenBucketCapped(2, 0.3, 1), TokenBucket(1, 0.1))
-	beta := RateLatency(0.9, 1.5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		HorizontalDeviation(alpha, beta)
+	beta3 := ZeroUntil(PositivePart(Sub(Rate(1), Delay(TokenBucket(0.5, 0.3), 1))), 1)
+	pts := []Point{{0, 0}, {0, 0.25}}
+	for i := 1; i < 39; i++ {
+		x := 0.2 * float64(i)
+		pts = append(pts, Point{x, 0.25 + 0.01*x*x})
+	}
+	beta40 := New(pts, 1)
+	for _, bc := range []struct {
+		name   string
+		beta   Curve
+		points int
+	}{{"rate_latency", RateLatency(0.9, 1.5), 2}, {"beta3", beta3, 3}, {"beta40", beta40, 40}} {
+		if n := bc.beta.NumPoints(); n != bc.points {
+			b.Fatalf("%s has %d points, want %d", bc.name, n, bc.points)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				HorizontalDeviation(alpha, bc.beta)
+			}
+		})
 	}
 }
 

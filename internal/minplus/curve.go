@@ -253,17 +253,41 @@ func (c Curve) EvalRight(x float64) float64 {
 	if x < 0 {
 		x = 0
 	}
-	// Last index with X <= x (within tolerance).
-	j := sort.Search(len(c.pts), func(i int) bool { return c.pts[i].X > x })
-	for j < len(c.pts) && almostEqual(c.pts[j].X, x) {
-		j++
-	}
-	i := j - 1
+	i := c.rightIndex(x)
 	if i < 0 {
 		// x below first breakpoint (only possible through rounding).
 		return c.pts[0].Y
 	}
 	return c.pts[i].Y + c.segSlope(i)*(x-c.pts[i].X)
+}
+
+// rightIndex returns the last breakpoint index with X <= x within
+// tolerance — the point whose segment holds the values just right of
+// x >= 0 — or -1 when there is none.
+func (c Curve) rightIndex(x float64) int {
+	j := sort.Search(len(c.pts), func(i int) bool { return c.pts[i].X > x })
+	for j < len(c.pts) && almostEqual(c.pts[j].X, x) {
+		j++
+	}
+	return j - 1
+}
+
+// evalRightSlope returns EvalRight(x) and RightSlope(x), bit for bit, from
+// the one index search the two share.
+func (c Curve) evalRightSlope(x float64) (v, slope float64) {
+	if x < 0 {
+		x = 0
+	}
+	i := c.rightIndex(x)
+	if i < 0 {
+		return c.pts[0].Y, c.segSlope(c.lastOfRun(0))
+	}
+	slope = c.segSlope(i)
+	v = c.pts[i].Y + slope*(x-c.pts[i].X)
+	if last := c.lastOfRun(i); last != i {
+		slope = c.segSlope(last)
+	}
+	return v, slope
 }
 
 // IsNonDecreasing reports whether the curve never decreases. Dips within
@@ -508,13 +532,5 @@ func (c Curve) RightSlope(x float64) float64 {
 	if x < 0 {
 		x = 0
 	}
-	j := sort.Search(len(c.pts), func(i int) bool { return c.pts[i].X > x })
-	for j < len(c.pts) && almostEqual(c.pts[j].X, x) {
-		j++
-	}
-	i := j - 1
-	if i < 0 {
-		i = 0
-	}
-	return c.segSlope(c.lastOfRun(i))
+	return c.segSlope(c.lastOfRun(max(c.rightIndex(x), 0)))
 }

@@ -79,61 +79,28 @@ func HorizontalDeviation(alpha, beta Curve) float64 {
 	// beta's breakpoint ordinates. The supremum over that candidate set is
 	// order-independent, so the candidates are probed as they are
 	// enumerated — no merged/sorted abscissa list is materialized and the
-	// whole computation is allocation-free.
-	best := 0.0
-	probeOne := func(t, y float64) bool {
-		x := LowerInverseAtBounded(beta, y)
-		if x < 0 {
-			best = math.Inf(1)
-			return false
-		}
-		if d := x - t; d > best {
-			best = d
-		}
-		return true
-	}
-	probe := func(t float64) {
-		if !probeOne(t, alpha.Eval(t)) || !probeOne(t, alpha.EvalRight(t)) {
-			return
-		}
-		// When alpha crosses a plateau ordinate of beta exactly at t and
-		// keeps rising, the deviation just after t uses the strict inverse
-		// inf{x : beta(x) > y}, which jumps across the plateau; take the
-		// right limit of d at t as well (the deviation is a supremum, so
-		// one-sided limits count). The strict inverse applies only while
-		// alpha strictly increases after t: for a locally flat alpha the
-		// non-strict inverse above is the exact one.
-		if alpha.RightSlope(t) > Eps {
-			y := alpha.EvalRight(t)
-			x := strictInverseAtBounded(beta, y)
-			if x < 0 {
-				best = math.Inf(1)
-				return
-			}
-			if d := x - t; d > best {
-				best = d
-			}
-		}
-	}
+	// whole computation is allocation-free. Both enumerations ascend in t,
+	// hence in the ordinates looked up, so each pseudo-inverse is one
+	// forward walk (inverseCursor) over curves validated once, above.
+	s := deviationSweep{alpha: alpha, beta: beta, betaInv: inverseCursor{f: beta}}
 	maxT := 0.0
 	for i, p := range alpha.pts {
 		if i > 0 && almostEqual(p.X, alpha.pts[i-1].X) {
 			continue
 		}
-		probe(p.X)
-		if math.IsInf(best, 1) {
-			return best
+		if !s.probe(p.X) {
+			return math.Inf(1)
 		}
 		maxT = math.Max(maxT, p.X)
 	}
+	alphaInv := inverseCursor{f: alpha}
 	for _, p := range beta.pts {
-		t := LowerInverseAtBounded(alpha, p.Y)
+		t := alphaInv.at(p.Y)
 		if t < 0 {
 			continue
 		}
-		probe(t)
-		if math.IsInf(best, 1) {
-			return best
+		if !s.probe(t) {
+			return math.Inf(1)
 		}
 		maxT = math.Max(maxT, t)
 	}
@@ -141,9 +108,56 @@ func HorizontalDeviation(alpha, beta Curve) float64 {
 	// are affine; if their difference still grows the deviation is
 	// unbounded, otherwise the last candidates dominate.
 	far := maxT + 1
-	probe(far)
-	probe(far + 1)
-	return best
+	if !s.probe(far) || !s.probe(far+1) {
+		return math.Inf(1)
+	}
+	return s.best
+}
+
+// deviationSweep is the state of one HorizontalDeviation: the running
+// supremum and beta's pseudo-inverse position.
+type deviationSweep struct {
+	alpha, beta Curve
+	betaInv     inverseCursor
+	best        float64
+}
+
+// probe raises best to d(t) and its one-sided limits; false means beta
+// never covers alpha(t), an infinite deviation.
+func (s *deviationSweep) probe(t float64) bool {
+	y := s.alpha.Eval(t)
+	x := s.betaInv.at(y)
+	if !s.raise(x, t) {
+		return false
+	}
+	// Wherever alpha is continuous at t the right limit has the bits of the
+	// value, and so has its inverse.
+	yr, slope := s.alpha.evalRightSlope(t)
+	if math.Float64bits(yr) != math.Float64bits(y) {
+		if x = s.betaInv.at(yr); !s.raise(x, t) {
+			return false
+		}
+	}
+	// When alpha crosses a plateau ordinate of beta exactly at t and
+	// keeps rising, the deviation just after t uses the strict inverse
+	// inf{x : beta(x) > y}, which jumps across the plateau; take the
+	// right limit of d at t as well (the deviation is a supremum, so
+	// one-sided limits count). The strict inverse applies only while
+	// alpha strictly increases after t: for a locally flat alpha the
+	// non-strict inverse above is the exact one.
+	return slope <= Eps || s.raise(strictInverseFrom(s.beta, yr, x), t)
+}
+
+// raise takes the candidate deviation x - t, x a pseudo-inverse of beta at
+// an ordinate alpha takes at t; false when there is none (x < 0).
+func (s *deviationSweep) raise(x, t float64) bool {
+	if x < 0 {
+		return false
+	}
+	if d := x - t; d > s.best {
+		s.best = d
+	}
+	return true
 }
 
 // MaxBusyPeriod returns the length of the longest interval during which a

@@ -2,6 +2,7 @@ package minplus
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -172,5 +173,235 @@ func TestMaxBusyPeriodCappedSources(t *testing.T) {
 	// Solve 2 + 0.4t = t -> t = 10/3.
 	if !almostEqual(got, 10.0/3) {
 		t.Errorf("busy period = %g, want %g", got, 10.0/3)
+	}
+}
+
+// horizontalDeviationProbe is HorizontalDeviation as it stood before the
+// sweep, verbatim: every probe re-validates beta and walks its inverse from
+// the first breakpoint. The sweep is held to it bit for bit.
+func horizontalDeviationProbe(alpha, beta Curve) float64 {
+	alpha.mustValid()
+	beta.mustValid()
+	if !alpha.IsNonDecreasing() || !beta.IsNonDecreasing() {
+		panic("minplus: HorizontalDeviation requires non-decreasing curves")
+	}
+	if alpha.slope > beta.slope+Eps {
+		return math.Inf(1)
+	}
+	if beta.slope <= Eps {
+		// Bounded service: finite delay only if alpha is bounded below
+		// beta's supremum.
+		aSup := alpha.pts[len(alpha.pts)-1].Y
+		bSup := beta.pts[len(beta.pts)-1].Y
+		if alpha.slope > Eps || aSup > bSup+Eps {
+			return math.Inf(1)
+		}
+	}
+	// d(t) = betaInv(alpha(t)) - t is piecewise linear in t with
+	// breakpoints at alpha's breakpoints and at preimages (under alpha) of
+	// beta's breakpoint ordinates. The supremum over that candidate set is
+	// order-independent, so the candidates are probed as they are
+	// enumerated — no merged/sorted abscissa list is materialized and the
+	// whole computation is allocation-free.
+	best := 0.0
+	probeOne := func(t, y float64) bool {
+		x := LowerInverseAtBounded(beta, y)
+		if x < 0 {
+			best = math.Inf(1)
+			return false
+		}
+		if d := x - t; d > best {
+			best = d
+		}
+		return true
+	}
+	probe := func(t float64) {
+		if !probeOne(t, alpha.Eval(t)) || !probeOne(t, alpha.EvalRight(t)) {
+			return
+		}
+		// When alpha crosses a plateau ordinate of beta exactly at t and
+		// keeps rising, the deviation just after t uses the strict inverse
+		// inf{x : beta(x) > y}, which jumps across the plateau; take the
+		// right limit of d at t as well (the deviation is a supremum, so
+		// one-sided limits count). The strict inverse applies only while
+		// alpha strictly increases after t: for a locally flat alpha the
+		// non-strict inverse above is the exact one.
+		if alpha.RightSlope(t) > Eps {
+			y := alpha.EvalRight(t)
+			x := strictInverseAtBounded(beta, y)
+			if x < 0 {
+				best = math.Inf(1)
+				return
+			}
+			if d := x - t; d > best {
+				best = d
+			}
+		}
+	}
+	maxT := 0.0
+	for i, p := range alpha.pts {
+		if i > 0 && almostEqual(p.X, alpha.pts[i-1].X) {
+			continue
+		}
+		probe(p.X)
+		if math.IsInf(best, 1) {
+			return best
+		}
+		maxT = math.Max(maxT, p.X)
+	}
+	for _, p := range beta.pts {
+		t := LowerInverseAtBounded(alpha, p.Y)
+		if t < 0 {
+			continue
+		}
+		probe(t)
+		if math.IsInf(best, 1) {
+			return best
+		}
+		maxT = math.Max(maxT, t)
+	}
+	// Tail probe: beyond the last candidate both alpha and betaInv(alpha)
+	// are affine; if their difference still grows the deviation is
+	// unbounded, otherwise the last candidates dominate.
+	far := maxT + 1
+	probe(far)
+	probe(far + 1)
+	return best
+}
+
+// strictInverseAtBounded returns inf{ x >= 0 : f(x) > y } for a
+// non-decreasing curve, or -1 when f never strictly exceeds y (bounded
+// curves whose supremum is at most y). It differs from the lower
+// pseudo-inverse only where f has a plateau at exactly y, in which case the
+// strict inverse skips past the plateau.
+func strictInverseAtBounded(f Curve, y float64) float64 {
+	x := LowerInverseAtBounded(f, y)
+	if x < 0 {
+		return -1
+	}
+	for {
+		if r := f.EvalRight(x); r > y && !almostEqual(r, y) {
+			return x
+		}
+		// The right limit at x is still y; if the curve rises continuously
+		// from it, f exceeds y immediately after x and x is the strict
+		// inverse. Only a genuine plateau (zero right slope) is skipped.
+		if f.RightSlope(x) > Eps {
+			return x
+		}
+		// The curve sits at (approximately) y just after x: advance to the
+		// next distinct breakpoint, or into the affine tail.
+		advanced := false
+		for i, p := range f.pts {
+			if i > 0 && almostEqual(p.X, f.pts[i-1].X) {
+				continue
+			}
+			if p.X > x && !almostEqual(p.X, x) {
+				x = p.X
+				advanced = true
+				break
+			}
+		}
+		if !advanced {
+			if f.slope > Eps {
+				return x // the tail rises immediately past y
+			}
+			return -1 // flat forever at y
+		}
+	}
+}
+
+// deviationCorpus is the seeded operand set the sweep is held to the probe
+// kernel on: the shapes the analyzers feed it, then lattice curves with
+// jumps and plateaus, and the three ways a deviation is infinite.
+func deviationCorpus() (alphas, betas []Curve) {
+	rng := rand.New(rand.NewSource(27))
+	u := func(lo, hi float64) float64 { return lo + (hi-lo)*rng.Float64() }
+	concave := func() Curve {
+		c := TokenBucket(u(0.1, 3), u(0.05, 0.4))
+		for n := rng.Intn(4); n > 0; n-- {
+			c = Min(c, TokenBucket(c.EvalRight(0)*u(0.2, 0.8), c.FinalSlope()*u(1.5, 3.5)))
+		}
+		return c
+	}
+	for i := 0; i < 12; i++ {
+		alphas = append(alphas,
+			TokenBucket(u(0.1, 3), u(0.05, 0.5)),
+			TokenBucketCapped(u(0.2, 2), u(0.05, 0.3), u(1, 2)),
+			concave(),
+			Sum(TokenBucketCapped(u(0.2, 2), u(0.05, 0.2), 1), concave()))
+		betas = append(betas, Rate(u(0.6, 2)), RateLatency(u(0.5, 1.5), u(0, 3)))
+		// FIFO residuals [beta - cross(t - theta)]^+ past theta: gated-convex,
+		// with a jump once theta exceeds the natural gate; and convolutions
+		// of two, which are not gated-convex any more.
+		var res [2]Curve
+		for j := range res {
+			capacity, cross := u(0.8, 2), concave()
+			theta := 0.0
+			if rng.Intn(3) > 0 {
+				theta = u(0, 2*cross.EvalRight(0)/capacity)
+			}
+			raw := PositivePart(Sub(Rate(capacity), Delay(cross, theta)))
+			if !raw.IsNonDecreasing() {
+				raw = MonotoneClosure(raw)
+			}
+			res[j] = ZeroUntil(raw, theta)
+		}
+		betas = append(betas, res[0], res[1], Convolve(res[0], res[1]))
+	}
+	for i := 0; i < 40; i++ {
+		alphas = append(alphas, genCurve(rng))
+		betas = append(betas, genCurve(rng))
+	}
+	// A plateau of beta at exactly the ordinate of a breakpoint of alpha,
+	// which keeps rising (the strict inverse skips the plateau), stays flat,
+	// or jumps across it.
+	plateau := New([]Point{{0, 0}, {2, 3}, {5, 3}, {6, 4}, {8, 4}}, 0.5)
+	alphas = append(alphas,
+		New([]Point{{0, 0}, {1, 3}}, 0.25),
+		New([]Point{{0, 0}, {1, 3}, {4, 3}}, 0.25),
+		New([]Point{{0, 1}, {1, 3}, {1, 4}}, 0.125),
+		New([]Point{{0, 0}, {0, 3}, {2, 4}}, 0))
+	betas = append(betas, plateau, New([]Point{{0, 0}, {0, 3}, {3, 3}}, 1))
+	// Bounded service, and the infinite exits: a faster tail, a supremum
+	// above the service's, and an arrival still rising where it meets a
+	// service that is flat for ever.
+	bounded := New([]Point{{0, 0}, {5, 5}}, 0)
+	alphas = append(alphas,
+		New([]Point{{0, 0}, {1, 3}}, 0),
+		New([]Point{{0, 0}, {1, 9}}, 0),
+		Rate(4),
+		New([]Point{{0, 0}, {1, 5}, {1.0000001, 5 + 5e-10}}, 0))
+	betas = append(betas, bounded, New([]Point{{0, 0}, {2, 0}, {2, 1}, {4, 6}}, 0))
+	return alphas, betas
+}
+
+// TestHorizontalDeviationSweepMatchesProbe holds the sweep to the kernel it
+// replaced, bit for bit, over the whole corpus crossed with itself.
+func TestHorizontalDeviationSweepMatchesProbe(t *testing.T) {
+	alphas, betas := deviationCorpus()
+	finite, infinite := 0, 0
+	for _, alpha := range alphas {
+		for _, beta := range betas {
+			got, want := HorizontalDeviation(alpha, beta), horizontalDeviationProbe(alpha, beta)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("sweep %v (%016x), probe %v (%016x)\nalpha=%v\nbeta=%v",
+					got, math.Float64bits(got), want, math.Float64bits(want), alpha, beta)
+			}
+			if math.IsInf(got, 1) {
+				infinite++
+			} else {
+				finite++
+			}
+		}
+	}
+	t.Logf("%d finite and %d infinite deviations identical", finite, infinite)
+	if finite == 0 || infinite == 0 {
+		t.Error("the corpus no longer reaches both outcomes")
+	}
+	// The third infinite exit is a probe, not a tail comparison.
+	rising := alphas[len(alphas)-1]
+	if h := HorizontalDeviation(rising, New([]Point{{0, 0}, {5, 5}}, 0)); !math.IsInf(h, 1) {
+		t.Errorf("arrival rising through the supremum of a bounded service: deviation %v, want +Inf", h)
 	}
 }

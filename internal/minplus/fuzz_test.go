@@ -70,6 +70,13 @@ func FuzzAlgebra(f *testing.F) {
 				t.Fatalf("conv above g-split at %g", x)
 			}
 		}
+		// The deviation sweep returns the bits of the probe kernel, either
+		// way round.
+		for _, ab := range [][2]Curve{{fcur, gcur}, {gcur, fcur}, {fcur, conv}} {
+			if got, want := HorizontalDeviation(ab[0], ab[1]), horizontalDeviationProbe(ab[0], ab[1]); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("deviation sweep %v, probe kernel %v (alpha=%v beta=%v)", got, want, ab[0], ab[1])
+			}
+		}
 		// Deviations must be consistent: against the same service curve,
 		// sup-diff of the min never exceeds that of either operand.
 		beta := RateLatency(1, 1)

@@ -99,15 +99,53 @@ func (g GatedConvex) Curve() Curve {
 	return New(pts, g.Tail)
 }
 
+// MergeConvexParts returns, in canonical form, the branch of a ⊗ b in
+// which both operands receive a positive share of the argument: gates and
+// jumps add, and the convex sections convolve — their segments replayed in
+// ascending slope order, truncated at the smaller tail slope. The result is
+// again a gate, a jump and a convex section, so branches of longer
+// convolutions are built by merging one operand at a time (the k-ary
+// identity in internal/analysis/thetasearch.go); the whole convolution is
+// not gated-convex, see ConvolveGated. Segs is drawn from the arena.
+func (ar *Arena) MergeConvexParts(a, b GatedConvex) GatedConvex {
+	tail := math.Min(a.Tail, b.Tail)
+	return GatedConvex{
+		Gate: a.Gate + b.Gate,
+		Jump: a.Jump + b.Jump,
+		Segs: mergeConvexSegs(ar, a.Segs, b.Segs, tail),
+		Tail: tail,
+	}
+}
+
+// ConvexPartCurve returns the curve of g with its gate stripped,
+//
+//	W(0) = 0,  W(u) = Jump + psi(u)  for u > 0,
+//
+// drawn from the arena.
+func (ar *Arena) ConvexPartCurve(g GatedConvex) Curve {
+	pts := ar.points(len(g.Segs) + 2)
+	pts = append(pts, Point{0, 0})
+	x, y := 0.0, g.Jump
+	if !almostEqual(g.Jump, 0) {
+		pts = append(pts, Point{0, g.Jump})
+	}
+	for _, s := range g.Segs {
+		x += s.Len
+		y += s.Len * s.Slope
+		pts = append(pts, Point{x, y})
+	}
+	out := Curve{pts: pts, slope: g.Tail}
+	out.normalize()
+	return out
+}
+
 // ConvolveConvexParts returns the "interior" branch of the convolution of
 // two gated-convex curves with their gates stripped: the curve
 //
 //	W(0) = 0,  W(u) = Jump_a + Jump_b + (psi_a ⊗ psi_b)(u)  for u > 0,
 //
-// where psi_a ⊗ psi_b is the infimal convolution of the two convex
-// sections — their segments replayed in ascending slope order, truncated
-// at the smaller tail slope. Together with the two single-jump branches it
-// yields the full convolution; see ConvolveGated.
+// that is ConvexPartCurve(MergeConvexParts(a, b)). Together with the two
+// single-jump branches it yields the full convolution; see ConvolveGated.
 func ConvolveConvexParts(a, b GatedConvex) Curve {
 	return convolveConvexParts(nil, a, b)
 }
@@ -118,23 +156,7 @@ func (ar *Arena) ConvolveConvexParts(a, b GatedConvex) Curve {
 }
 
 func convolveConvexParts(ar *Arena, a, b GatedConvex) Curve {
-	tail := math.Min(a.Tail, b.Tail)
-	segs := mergeConvexSegs(ar, a.Segs, b.Segs, tail)
-	jump := a.Jump + b.Jump
-	pts := ar.points(len(segs) + 2)
-	pts = append(pts, Point{0, 0})
-	x, y := 0.0, jump
-	if !almostEqual(jump, 0) {
-		pts = append(pts, Point{0, jump})
-	}
-	for _, s := range segs {
-		x += s.Len
-		y += s.Len * s.Slope
-		pts = append(pts, Point{x, y})
-	}
-	out := Curve{pts: pts, slope: tail}
-	out.normalize()
-	return out
+	return ar.ConvexPartCurve(ar.MergeConvexParts(a, b))
 }
 
 // mergeConvexSegs merges two ascending-slope segment lists in slope order,
@@ -173,7 +195,12 @@ func mergeConvexSegs(ar *Arena, a, b []SlopeSeg, cut float64) []SlopeSeg {
 // convex section) and W = ConvolveConvexParts pays both jumps at once: the
 // three branches are the s=0, s=u and 0<s<u splits of the infimal
 // convolution. Exact for gated-convex operands; falls back to the generic
-// Convolve when either operand does not decompose.
+// Convolve when either operand does not decompose. The result is a minimum
+// of three gated-convex curves, not one: a longer convolution is the
+// minimum over every nonempty subset of operands of their merged branch
+// (MergeConvexParts; the k-ary identity is spelled out in the header of
+// internal/analysis/thetasearch.go, which takes deviations branch by branch
+// and never materialises the minimum).
 func ConvolveGated(f, g Curve) Curve { return convolveGated(nil, f, g) }
 
 // ConvolveGated is the arena variant of the package-level ConvolveGated.

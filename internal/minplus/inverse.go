@@ -41,17 +41,29 @@ func LowerInverseAt(f Curve, y float64) float64 {
 	if y <= f.pts[0].Y {
 		return 0
 	}
-	// Walk segments; find the first time the curve reaches y.
-	for i := 0; i < len(f.pts); i++ {
+	x, _ := f.lowerInverseFrom(0, y)
+	return x
+}
+
+// lowerInverseFrom walks the segments of f from breakpoint index i to the
+// first time the curve reaches y, and returns that time with the index the
+// walk stopped at. The walk visits a fixed sequence of indices (the first
+// and last point of every X-run) and y only decides where it stops, later
+// for a larger y: an index passed over for y is passed over for every
+// y' >= y (its ordinates lie below y by more than the tolerance, which
+// grows slower than the gap), so a walk for y' resumed at the index the
+// walk for y stopped at returns what a walk from 0 returns, bit for bit.
+func (f Curve) lowerInverseFrom(i int, y float64) (float64, int) {
+	for ; i < len(f.pts); i++ {
 		p := f.pts[i]
 		if p.Y >= y || almostEqual(p.Y, y) {
-			return p.X
+			return p.X, i
 		}
 		last := f.lastOfRun(i)
 		if last != i {
 			// Jump at p.X from p.Y to f.pts[last].Y.
 			if f.pts[last].Y >= y || almostEqual(f.pts[last].Y, y) {
-				return p.X
+				return p.X, i
 			}
 			i = last - 1 // continue from the upper point
 			continue
@@ -75,10 +87,39 @@ func LowerInverseAt(f Curve, y float64) float64 {
 				// the next breakpoint handles it.
 				continue
 			}
-			return p.X + (y-p.Y)/s
+			return p.X + (y-p.Y)/s, i
 		}
 	}
 	panic("minplus: LowerInverseAt internal error") // unreachable
+}
+
+// inverseCursor evaluates LowerInverseAtBounded(f, y) for a sequence of
+// ordinates of a curve the caller has validated (valid, non-decreasing)
+// once: an ascending sequence costs one walk over f in total, and a y
+// below the previous one restarts the walk, so every answer has the bits
+// of the standalone call.
+type inverseCursor struct {
+	f Curve
+	i int     // where the last walk stopped
+	y float64 // the ordinate it stopped for; only meaningful once i > 0
+}
+
+func (c *inverseCursor) at(y float64) float64 {
+	f := c.f
+	if y <= f.pts[0].Y {
+		return 0
+	}
+	last := f.pts[len(f.pts)-1]
+	if f.slope <= Eps && y > last.Y && !almostEqual(y, last.Y) {
+		return -1
+	}
+	if c.i > 0 && y < c.y {
+		c.i = 0
+	}
+	var x float64
+	x, c.i = f.lowerInverseFrom(c.i, y)
+	c.y = y
+	return x
 }
 
 // UpperInverse returns the upper pseudo-inverse
@@ -132,24 +173,21 @@ func upperInverseAt(f Curve, y float64) float64 {
 	}
 }
 
-// strictInverseAtBounded returns inf{ x >= 0 : f(x) > y } for a
-// non-decreasing curve, or -1 when f never strictly exceeds y (bounded
-// curves whose supremum is at most y). It differs from the lower
-// pseudo-inverse only where f has a plateau at exactly y, in which case the
-// strict inverse skips past the plateau.
-func strictInverseAtBounded(f Curve, y float64) float64 {
-	x := LowerInverseAtBounded(f, y)
-	if x < 0 {
-		return -1
-	}
+// strictInverseFrom returns inf{ x >= 0 : f(x) > y } for a non-decreasing
+// curve, given its lower pseudo-inverse x = LowerInverseAtBounded(f, y) >= 0,
+// or -1 when f never strictly exceeds y (bounded curves whose supremum is
+// at most y). It differs from x only where f has a plateau at exactly y,
+// in which case the strict inverse skips past the plateau.
+func strictInverseFrom(f Curve, y, x float64) float64 {
 	for {
-		if r := f.EvalRight(x); r > y && !almostEqual(r, y) {
+		r, slope := f.evalRightSlope(x)
+		if r > y && !almostEqual(r, y) {
 			return x
 		}
 		// The right limit at x is still y; if the curve rises continuously
 		// from it, f exceeds y immediately after x and x is the strict
 		// inverse. Only a genuine plateau (zero right slope) is skipped.
-		if f.RightSlope(x) > Eps {
+		if slope > Eps {
 			return x
 		}
 		// The curve sits at (approximately) y just after x: advance to the

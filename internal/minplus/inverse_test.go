@@ -2,6 +2,8 @@ package minplus
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -184,4 +186,49 @@ func TestComposeJumpInInner(t *testing.T) {
 	if got := h.EvalRight(0); !almostEqual(got, 6) {
 		t.Errorf("h(0+) = %g, want 6", got)
 	}
+}
+
+// TestInverseCursorMatchesStandalone drives one cursor per corpus curve with
+// ascending, repeated and falling ordinates — every breakpoint ordinate, the
+// midpoints between them, values past the supremum — and holds each answer
+// to LowerInverseAtBounded bit for bit; and evalRightSlope to the two calls
+// it replaces.
+func TestInverseCursorMatchesStandalone(t *testing.T) {
+	alphas, betas := deviationCorpus()
+	rng := rand.New(rand.NewSource(27))
+	lookups := 0
+	for _, f := range append(alphas, betas...) {
+		if !f.IsNonDecreasing() {
+			t.Fatalf("corpus curve decreases: %v", f)
+		}
+		var ys []float64
+		for i := 0; i < f.NumPoints(); i++ {
+			y := f.PointAt(i).Y
+			ys = append(ys, y, y, y+0.5*rng.Float64(), math.Nextafter(y, math.Inf(1)), math.Nextafter(y, 0))
+		}
+		ys = append(ys, f.PointAt(f.NumPoints()-1).Y+3, -1, 0)
+		c := inverseCursor{f: f}
+		// Ascending first, then the same ordinates in a random order: every
+		// fall restarts the walk.
+		sort.Float64s(ys)
+		for pass := 0; pass < 2; pass++ {
+			for _, y := range ys {
+				got, want := c.at(y), LowerInverseAtBounded(f, y)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("cursor at %v = %v, standalone %v on %v", y, got, want, f)
+				}
+				lookups++
+			}
+			rng.Shuffle(len(ys), func(i, j int) { ys[i], ys[j] = ys[j], ys[i] })
+		}
+		for i := 0; i < f.NumPoints(); i++ {
+			for _, x := range []float64{f.PointAt(i).X, f.PointAt(i).X + 0.25, f.LastX() + 2} {
+				v, slope := f.evalRightSlope(x)
+				if wv, ws := f.EvalRight(x), f.RightSlope(x); math.Float64bits(v) != math.Float64bits(wv) || math.Float64bits(slope) != math.Float64bits(ws) {
+					t.Fatalf("evalRightSlope(%v) = %v, %v; EvalRight %v, RightSlope %v on %v", x, v, slope, wv, ws, f)
+				}
+			}
+		}
+	}
+	t.Logf("%d lookups identical", lookups)
 }

@@ -7,6 +7,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"delaycalc/internal/analysis"
+	"delaycalc/internal/server"
 )
 
 // TestRetiredSpellings pins the removal of the deprecated surface: every
@@ -216,19 +219,7 @@ func TestSPAnalyzeFillsStageTimings(t *testing.T) {
 		t.Fatalf("analyze: %d %s", w.Code, w.Body)
 	}
 	metrics := do(t, srv, "GET", "/v2/networks/default/metrics", "").Body.String()
-	sample := func(series string) float64 {
-		t.Helper()
-		_, rest, ok := strings.Cut(metrics, series+" ")
-		if !ok {
-			t.Fatalf("metrics missing %q\n%s", series, metrics)
-		}
-		line, _, _ := strings.Cut(rest, "\n")
-		v, err := strconv.ParseFloat(line, 64)
-		if err != nil {
-			t.Fatalf("%s = %q: %v", series, line, err)
-		}
-		return v
-	}
+	sample := func(series string) float64 { return sampleMetric(t, metrics, series) }
 	for _, stage := range []string{"aggregate", "theta"} {
 		series := fmt.Sprintf("delayd_analysis_stage_seconds_sum{stage=%q}", stage)
 		if sum := sample(series); sum <= 0 {
@@ -242,4 +233,49 @@ func TestSPAnalyzeFillsStageTimings(t *testing.T) {
 	if evaluated < 1 || pruned <= evaluated {
 		t.Errorf("theta pairs evaluated / pruned = %v / %v, want at least one evaluated and more pruned", evaluated, pruned)
 	}
+}
+
+// TestThetaBranchMetricsExposed runs admissions on an engine whose analyzer
+// searches three servers at once and reads the closed-form branch counter
+// back: some branch evaluated, some cut, the series documented.
+func TestThetaBranchMetricsExposed(t *testing.T) {
+	fabric := append(testFabric(), server.Server{Name: "s2", Capacity: 1, Discipline: server.FIFO})
+	state, err := NewState(fabric, analysis.Integrated{ChainLength: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(Config{State: state})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Replace(admitBody, `["s0", "s1"]`, `["s0", "s1", "s2"]`, 1)
+	for _, body := range []string{long, strings.Replace(long, `"video"`, `"v2"`, 1), strings.Replace(admitBody, `"video"`, `"cross"`, 1)} {
+		if w := do(t, srv, "POST", "/v2/networks/default/connections", body); w.Code != http.StatusOK {
+			t.Fatalf("admit: %d %s", w.Code, w.Body)
+		}
+	}
+	metrics := do(t, srv, "GET", "/v2/networks/default/metrics", "").Body.String()
+	if !strings.Contains(metrics, "# HELP delayd_analysis_theta_branches_total ") {
+		t.Errorf("metrics carry no HELP line for the branch counter\n%s", metrics)
+	}
+	evaluated := sampleMetric(t, metrics, `delayd_analysis_theta_branches_total{outcome="evaluated"}`)
+	cut := sampleMetric(t, metrics, `delayd_analysis_theta_branches_total{outcome="cut"}`)
+	if evaluated < 1 || cut < 1 {
+		t.Errorf("closed-form branches evaluated / cut = %v / %v, want some of each", evaluated, cut)
+	}
+}
+
+// sampleMetric reads one series' value out of a metrics exposition.
+func sampleMetric(t *testing.T, metrics, series string) float64 {
+	t.Helper()
+	_, rest, ok := strings.Cut(metrics, series+" ")
+	if !ok {
+		t.Fatalf("metrics missing %q\n%s", series, metrics)
+	}
+	line, _, _ := strings.Cut(rest, "\n")
+	v, err := strconv.ParseFloat(line, 64)
+	if err != nil {
+		t.Fatalf("%s = %q: %v", series, line, err)
+	}
+	return v
 }

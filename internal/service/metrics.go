@@ -55,6 +55,8 @@ type Metrics struct {
 	shed     uint64                    // atomic: requests shed at the hard deadline or queue
 	// atomic: theta pairs the two-server searches evaluated / pruned
 	thetaEvaluated, thetaPruned uint64
+	// atomic: closed-form branches the longer searches evaluated / cut
+	branchesEvaluated, branchesCut uint64
 }
 
 // NewMetrics builds an empty metrics accumulator.
@@ -125,6 +127,13 @@ func (m *Metrics) Shed() uint64 { return atomic.LoadUint64(&m.shed) }
 func (m *Metrics) observeThetaPairs(pairs, evaluated int64) {
 	atomic.AddUint64(&m.thetaEvaluated, uint64(evaluated))
 	atomic.AddUint64(&m.thetaPruned, uint64(pairs-evaluated))
+}
+
+// observeThetaBranches adds one analysis run's closed-form branch counts
+// (analysis.Timings.ThetaBranches / ThetaBranchesCut).
+func (m *Metrics) observeThetaBranches(faced, cut int64) {
+	atomic.AddUint64(&m.branchesEvaluated, uint64(faced-cut))
+	atomic.AddUint64(&m.branchesCut, uint64(cut))
 }
 
 // ObserveStage records one analysis stage's accumulated time in seconds.
@@ -213,6 +222,11 @@ func (m *Metrics) WriteText(w io.Writer) {
 	fmt.Fprintln(w, "# TYPE delayd_analysis_theta_pairs_total counter")
 	gaugeLine(w, "delayd_analysis_theta_pairs_total", `outcome="evaluated"`, float64(atomic.LoadUint64(&m.thetaEvaluated)))
 	gaugeLine(w, "delayd_analysis_theta_pairs_total", `outcome="pruned"`, float64(atomic.LoadUint64(&m.thetaPruned)))
+
+	fmt.Fprintln(w, "# HELP delayd_analysis_theta_branches_total Closed-form branches of the searches over three or more servers, by outcome (evaluated, or cut by zero-jump domination and early exit).")
+	fmt.Fprintln(w, "# TYPE delayd_analysis_theta_branches_total counter")
+	gaugeLine(w, "delayd_analysis_theta_branches_total", `outcome="evaluated"`, float64(atomic.LoadUint64(&m.branchesEvaluated)))
+	gaugeLine(w, "delayd_analysis_theta_branches_total", `outcome="cut"`, float64(atomic.LoadUint64(&m.branchesCut)))
 
 	fmt.Fprintln(w, "# HELP delayd_request_duration_seconds Request latency, by endpoint.")
 	fmt.Fprintln(w, "# TYPE delayd_request_duration_seconds histogram")

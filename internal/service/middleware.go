@@ -150,8 +150,9 @@ func (s *Server) degraded(ctx context.Context, nw *Network, endpoint string) boo
 	return true
 }
 
-// observeStages exports an analysis run's per-stage wall time and
-// theta-pair counts to the network's metrics and the debug log.
+// observeStages exports an analysis run's per-stage wall time and its
+// theta-pair and closed-form branch counts to the network's metrics and the
+// debug log.
 func (s *Server) observeStages(nw *Network, endpoint string, tm *analysis.Timings) {
 	stages := tm.StageSeconds()
 	for st, sec := range stages {
@@ -159,6 +160,8 @@ func (s *Server) observeStages(nw *Network, endpoint string, tm *analysis.Timing
 	}
 	pairs, evaluated := tm.ThetaPairs.Load(), tm.ThetaEvaluated.Load()
 	nw.metrics.observeThetaPairs(pairs, evaluated)
+	branches, cut := tm.ThetaBranches.Load(), tm.ThetaBranchesCut.Load()
+	nw.metrics.observeThetaBranches(branches, cut)
 	s.log.Debug("analysis stages",
 		"endpoint", endpoint,
 		"network", nw.id,
@@ -168,6 +171,8 @@ func (s *Server) observeStages(nw *Network, endpoint string, tm *analysis.Timing
 		"propagate_s", stages["propagate"],
 		"theta_pairs", pairs,
 		"theta_evaluated", evaluated,
+		"theta_branches", branches,
+		"theta_branches_cut", cut,
 	)
 }
 
