@@ -19,7 +19,6 @@ import (
 	"delaycalc"
 	"delaycalc/internal/analysis"
 	"delaycalc/internal/experiments"
-	"delaycalc/internal/minplus"
 	"delaycalc/internal/sim"
 	"delaycalc/internal/topo"
 )
@@ -254,29 +253,6 @@ func BenchmarkAblationChainLength(b *testing.B) {
 		gain = 1 - series[2].Y[last]/series[1].Y[last]
 	}
 	b.ReportMetric(gain, "full-vs-pairs-gain@0.8")
-}
-
-// BenchmarkAblationSampling compares the exact piecewise-linear
-// convolution against grid-sampled convolution (how several network
-// calculus tools approximate it): reported metrics are the sampled
-// variant's worst-case error at a 0.1 grid and the exact/sampled time
-// ratio implied by the per-op cost of each.
-func BenchmarkAblationSampling(b *testing.B) {
-	f := minplus.TokenBucketCapped(3, 0.25, 1)
-	g := minplus.RateLatency(0.8, 2)
-	exact := minplus.Convolve(f, g)
-	var worst float64
-	for i := 0; i < b.N; i++ {
-		sampled := minplus.ConvolveSampled(f, g, 0.17, 30)
-		worst = 0
-		for k := 0; k <= 300; k++ {
-			x := 0.17 * float64(k) / 3
-			if d := sampled.Eval(x) - exact.Eval(x); d > worst {
-				worst = d
-			}
-		}
-	}
-	b.ReportMetric(worst, "grid-0.17-error")
 }
 
 // BenchmarkAdmissionCapacity regenerates the admission-capacity sweep

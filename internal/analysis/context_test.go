@@ -169,6 +169,33 @@ func TestExtendContextMatchesExtend(t *testing.T) {
 	}
 }
 
+// TestTrialTimesItsPartition pins where a trial's partition time goes: an
+// extension of an Integrated baseline re-derives the chain partition and
+// reports it under Timings.Partition, like a whole-network pass; a Decomposed
+// trial whose candidate adds no route edge reuses the baseline's units and
+// reports none.
+func TestTrialTimesItsPartition(t *testing.T) {
+	net := benchTandemNet(32, 200)
+	cand := net.Connections[0]
+	cand.Name = "partition-probe"
+	for _, tc := range []struct {
+		a       Incremental
+		derived bool
+	}{{Integrated{}, true}, {Decomposed{}, false}} {
+		base, err := tc.a.NewBaseline(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, tm := WithTimings(context.Background())
+		if _, err := base.ExtendContext(ctx, cand); err != nil {
+			t.Fatal(err)
+		}
+		if got := tm.Partition.Load(); (got > 0) != tc.derived {
+			t.Errorf("%s trial: Timings.Partition = %dns, partition derived: %v", tc.a.Name(), got, tc.derived)
+		}
+	}
+}
+
 // TestTimingsCollected checks that an analysis run under WithTimings
 // attributes time to every pipeline stage it executes.
 func TestTimingsCollected(t *testing.T) {

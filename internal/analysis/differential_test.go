@@ -15,9 +15,9 @@ import (
 )
 
 // boundsClose compares delay/backlog values with a tight relative
-// tolerance. The reworked engine reassociates floating-point sums (SumN
-// merges k operands in one pass where the reference folds pairwise), so
-// last-ulp differences are legitimate; anything larger is a bug.
+// tolerance. The engine reassociates floating-point sums (SumN merges k
+// operands in one pass where the oracle folds pairwise), so last-ulp
+// differences are legitimate; anything larger is a bug.
 func boundsClose(a, b float64) bool {
 	if math.IsInf(a, 1) || math.IsInf(b, 1) {
 		return math.IsInf(a, 1) && math.IsInf(b, 1)
@@ -58,9 +58,9 @@ func checkResultsClose(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// differentialCorpus returns the randomized networks both engines are
-// compared on: small feedforward meshes across seeds plus the paper's
-// tandem at several sizes and loads.
+// differentialCorpus returns the randomized networks the engine and the
+// oracle (oracle_test.go) are compared on: small feedforward meshes across
+// seeds plus the paper's tandem at several sizes and loads.
 func differentialCorpus(t *testing.T) map[string]*topo.Network {
 	t.Helper()
 	nets := map[string]*topo.Network{}
@@ -84,57 +84,25 @@ func differentialCorpus(t *testing.T) map[string]*topo.Network {
 	return nets
 }
 
-// TestCurveEngineMatchesReference runs the reworked engines against the
-// frozen pre-overhaul implementations (reference_test.go) on a randomized
-// corpus, across every ChainLength / DeconvPropagation configuration.
-func TestCurveEngineMatchesReference(t *testing.T) {
-	for name, net := range differentialCorpus(t) {
-		got, err := Decomposed{}.Analyze(net)
-		if err != nil {
-			t.Fatalf("%s: decomposed: %v", name, err)
-		}
-		want, err := refDecomposedAnalyze(net)
-		if err != nil {
-			t.Fatalf("%s: reference decomposed: %v", name, err)
-		}
-		checkResultsClose(t, name+"/decomposed", got, want)
-
-		for chainLen := 1; chainLen <= 4; chainLen++ {
-			for _, deconv := range []bool{false, true} {
-				a := Integrated{ChainLength: chainLen, DeconvPropagation: deconv, Sequential: true}
-				got, err := a.Analyze(net)
-				if err != nil {
-					t.Fatalf("%s: integrated: %v", name, err)
-				}
-				want, err := refIntegratedAnalyze(a, net)
-				if err != nil {
-					t.Fatalf("%s: reference integrated: %v", name, err)
-				}
-				label := fmt.Sprintf("%s/integrated-L%d-deconv%v", name, chainLen, deconv)
-				checkResultsClose(t, label, got, want)
-			}
-		}
-	}
-}
-
 // TestParallelAnalyzeDeterministic checks that the level-parallel analysis
-// is bitwise identical to the sequential order: within one engine there is
-// no floating-point reassociation, so equality must be exact. IntegratedSP
-// runs on the same driver; its sequential order is the driver's internal
-// switch.
+// is bitwise identical to the one-goroutine walk of the same chains in
+// topological order — a Baseline build, which records every unit as it goes:
+// within one engine there is no floating-point reassociation, so equality
+// must be exact.
 func TestParallelAnalyzeDeterministic(t *testing.T) {
-	for name, net := range spRandomCorpus(t) {
-		par, err := IntegratedSP{}.Analyze(net)
+	check := func(name string, a Incremental, net *topo.Network) {
+		par, err := a.Analyze(net)
 		if err != nil {
 			t.Fatalf("%s: parallel: %v", name, err)
 		}
-		core := IntegratedSP{}.core()
-		core.sequential = true
-		seq, err := core.analyze(context.Background(), net)
+		seq, err := a.NewBaseline(net)
 		if err != nil {
 			t.Fatalf("%s: sequential: %v", name, err)
 		}
-		requireSameResult(t, name, seq, par)
+		requireSameResult(t, name, seq.Result(), par)
+	}
+	for name, net := range spRandomCorpus(t) {
+		check(name, IntegratedSP{}, net)
 	}
 	nets := differentialCorpus(t)
 	for seed := int64(100); seed < 126; seed++ {
@@ -146,37 +114,7 @@ func TestParallelAnalyzeDeterministic(t *testing.T) {
 	}
 	nets["forest"] = forestNet(8, 5)
 	for name, net := range nets {
-		par, err := Integrated{DeconvPropagation: true}.Analyze(net)
-		if err != nil {
-			t.Fatalf("%s: parallel: %v", name, err)
-		}
-		seq, err := Integrated{DeconvPropagation: true, Sequential: true}.Analyze(net)
-		if err != nil {
-			t.Fatalf("%s: sequential: %v", name, err)
-		}
-		for i := range par.Bounds {
-			if par.Bounds[i] != seq.Bounds[i] {
-				t.Errorf("%s: conn %d parallel bound %v != sequential %v", name, i, par.Bounds[i], seq.Bounds[i])
-			}
-		}
-		for i := range par.Stages {
-			if len(par.Stages[i]) != len(seq.Stages[i]) {
-				t.Errorf("%s: conn %d parallel has %d stages, sequential %d",
-					name, i, len(par.Stages[i]), len(seq.Stages[i]))
-				continue
-			}
-			for j := range par.Stages[i] {
-				if par.Stages[i][j].Delay != seq.Stages[i][j].Delay {
-					t.Errorf("%s: conn %d stage %d parallel delay %v != sequential %v",
-						name, i, j, par.Stages[i][j].Delay, seq.Stages[i][j].Delay)
-				}
-			}
-		}
-		for s := range par.Backlogs {
-			if par.Backlogs[s] != seq.Backlogs[s] {
-				t.Errorf("%s: server %d parallel backlog %v != sequential %v", name, s, par.Backlogs[s], seq.Backlogs[s])
-			}
-		}
+		check(name, Integrated{DeconvPropagation: true}, net)
 	}
 }
 

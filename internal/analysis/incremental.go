@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"time"
 
 	"delaycalc/internal/minplus"
 	"delaycalc/internal/server"
@@ -323,9 +324,13 @@ func (b *Baseline) run(ctx context.Context, from *Baseline, path []int, removed 
 	}
 	units := from.unitsFor(b)
 	if units == nil {
+		tm, partStart := timingsFrom(ctx), time.Now()
 		var err error
 		if units, err = b.core.units(b.graph); err != nil {
 			return ExtendStats{}, err
+		}
+		if tm != nil {
+			tm.observe(&tm.Partition, partStart)
 		}
 	}
 	sc := tracedScratchPool.Get().(*tracedScratch)
@@ -687,15 +692,7 @@ func (cc chainCore) check(net *topo.Network) error {
 func (cc chainCore) reusableUnits() bool { return false }
 
 func (cc chainCore) units(g *topo.Graph) ([]unitSpec, error) {
-	ordered, err := orderSubnetworks(g, partition(g, cc.maxLen))
-	if err != nil {
-		return nil, err
-	}
-	units := make([]unitSpec, len(ordered))
-	for i, sn := range ordered {
-		units[i] = unitSpec{servers: sn.servers}
-	}
-	return units, nil
+	return orderSubnetworks(g, partition(g, cc.maxLen))
 }
 
 func (cc chainCore) apply(ctx context.Context, net *topo.Network, idx [][]int, u unitSpec, p *propagation) (bool, error) {

@@ -10,7 +10,7 @@ import (
 	"delaycalc/internal/traffic"
 )
 
-// requireSameResult asserts bit-identical bounds and backlogs.
+// requireSameResult asserts bit-identical bounds, stage delays and backlogs.
 func requireSameResult(t *testing.T, label string, full, incr *Result) {
 	t.Helper()
 	if full.Algorithm != incr.Algorithm {
@@ -22,6 +22,17 @@ func requireSameResult(t *testing.T, label string, full, incr *Result) {
 	for i := range full.Bounds {
 		if full.Bounds[i] != incr.Bounds[i] {
 			t.Errorf("%s: bound %d: full %v incremental %v", label, i, full.Bounds[i], incr.Bounds[i])
+		}
+	}
+	for i := range full.Stages {
+		if len(full.Stages[i]) != len(incr.Stages[i]) {
+			t.Errorf("%s: conn %d: %d stages vs %d", label, i, len(full.Stages[i]), len(incr.Stages[i]))
+			continue
+		}
+		for j, st := range full.Stages[i] {
+			if st.Delay != incr.Stages[i][j].Delay {
+				t.Errorf("%s: conn %d stage %d: full %v incremental %v", label, i, j, st.Delay, incr.Stages[i][j].Delay)
+			}
 		}
 	}
 	for s := range full.Backlogs {

@@ -29,7 +29,7 @@ import (
 // The multi-server bound realizes the paper's Theorem 1 idea — the delay
 // dependency between consecutive FIFO servers means through traffic cannot
 // pay every local worst case in full — with the provably sound FIFO
-// residual service-curve family (see FIFOResidual): each server s of a run
+// residual service-curve family (see residual.go): each server s of a run
 // offers the run's through-aggregate the curve beta_theta_s against the
 // local cross traffic, the run offers their min-plus convolution, and
 //
@@ -50,7 +50,7 @@ import (
 // crossing two chains induces a path between them in the subnetwork DAG,
 // which would separate their levels), so their writes into the propagation
 // state touch disjoint indices and the merged result is bit-identical to
-// a sequential run regardless of scheduling.
+// the one-goroutine walk of a Baseline build regardless of scheduling.
 type Integrated struct {
 	// ChainLength is the maximum number of consecutive servers grouped
 	// into one subnetwork. 0 and 2 reproduce the paper (pairs); larger
@@ -65,12 +65,6 @@ type Integrated struct {
 	// An ablation knob for the propagation rule; costs one residual
 	// convolution and deconvolution per multi-hop connection per chain.
 	DeconvPropagation bool
-	// Sequential disables the level-parallel chain execution and analyzes
-	// subnetworks strictly in topological order on one goroutine. The
-	// bounds are bit-identical either way (the determinism test suite
-	// asserts it); the knob exists for that suite and for benchmarking
-	// the parallel speedup itself.
-	Sequential bool
 }
 
 // Name implements Analyzer.
@@ -82,12 +76,6 @@ func (a Integrated) chainLength() int {
 		return 2
 	}
 	return a.ChainLength
-}
-
-// subnetwork is one element of the partition: a chain of consecutive
-// servers (singletons have length 1).
-type subnetwork struct {
-	servers []int
 }
 
 // Analyze implements Analyzer.
@@ -109,7 +97,7 @@ func (a Integrated) AnalyzeContext(ctx context.Context, net *topo.Network) (*Res
 // connection of the chain takes part in the one pass.
 func (a Integrated) core() chainCore {
 	return chainCore{algo: "Integrated", serves: "FIFO", discipline: server.FIFO,
-		maxLen: a.chainLength(), sequential: a.Sequential,
+		maxLen: a.chainLength(),
 		chain: func(ctx context.Context, net *topo.Network, idx [][]int, chain []int, p *propagation) bool {
 			sc := getChainScratch()
 			defer sc.release()
@@ -137,9 +125,6 @@ type chainCore struct {
 	serves     string // discipline, as the check's error words it
 	discipline server.Discipline
 	maxLen     int
-	// sequential analyzes the chains strictly in topological order on one
-	// goroutine instead of level-parallel; the bounds are bit-identical.
-	sequential bool
 	// chain advances the propagation across one chain. It reports false
 	// when a bound is unbounded (the whole analysis degrades to +Inf) or
 	// the context was cancelled; callers consult ctx.Err() to tell.
@@ -161,26 +146,19 @@ func (cc chainCore) analyze(ctx context.Context, net *topo.Network) (*Result, er
 	}
 	tm := timingsFrom(ctx)
 	partStart := time.Now()
-	ordered, err := orderSubnetworks(g, partition(g, cc.maxLen))
+	ordered, err := cc.units(g)
 	if err != nil {
 		return nil, err
 	}
-	var levels [][]subnetwork
-	if cc.sequential {
-		for i := range ordered {
-			levels = append(levels, ordered[i:i+1])
-		}
-	} else {
-		levels = levelizeSubnetworks(g, ordered)
-	}
+	levels := levelizeSubnetworks(g, ordered)
 	if tm != nil {
 		tm.observe(&tm.Partition, partStart)
 	}
 	idx := net.ConnectionIndex()
 	p := newPropagation(net)
 	for _, level := range levels {
-		ok := analyzeLevel(level, func(sn subnetwork) bool {
-			return cc.chain(ctx, net, idx, sn.servers, p)
+		ok := analyzeLevel(level, func(u unitSpec) bool {
+			return cc.chain(ctx, net, idx, u.servers, p)
 		})
 		if err := ctx.Err(); err != nil {
 			return nil, ctxErr(err)
@@ -194,7 +172,7 @@ func (cc chainCore) analyze(ctx context.Context, net *topo.Network) (*Result, er
 
 // subnetOwner maps every server to the index of its subnetwork. The
 // partition covers all servers, so the result is total.
-func subnetOwner(nServers int, subnets []subnetwork) []int {
+func subnetOwner(nServers int, subnets []unitSpec) []int {
 	owner := make([]int, nServers)
 	for i, sn := range subnets {
 		for _, s := range sn.servers {
@@ -208,7 +186,7 @@ func subnetOwner(nServers int, subnets []subnetwork) []int {
 // topo.MinFirstOrder, read straight off the route graph: unit u precedes
 // owner[e.To] for every edge e leaving one of u's servers for another
 // unit. An edge may be reported once per server pair realising it.
-func unitEdges(g *topo.Graph, subnets []subnetwork, owner []int) func(u int, visit func(v int)) {
+func unitEdges(g *topo.Graph, subnets []unitSpec, owner []int) func(u int, visit func(v int)) {
 	return func(u int, visit func(v int)) {
 		for _, s := range subnets[u].servers {
 			for _, e := range g.Succ(s) {
@@ -225,7 +203,7 @@ func unitEdges(g *topo.Graph, subnets []subnetwork, owner []int) func(u int, vis
 // the chains feeding it, so every chain of a level only depends on
 // earlier levels. Order within a level follows the input order, keeping
 // the grouping deterministic.
-func levelizeSubnetworks(g *topo.Graph, ordered []subnetwork) [][]subnetwork {
+func levelizeSubnetworks(g *topo.Graph, ordered []unitSpec) [][]unitSpec {
 	owner := subnetOwner(g.Servers(), ordered)
 	edges := unitEdges(g, ordered, owner)
 	// ordered is topological, so every edge points from a smaller to a
@@ -244,7 +222,7 @@ func levelizeSubnetworks(g *topo.Graph, ordered []subnetwork) [][]subnetwork {
 			maxLevel = level[u]
 		}
 	}
-	levels := make([][]subnetwork, maxLevel+1)
+	levels := make([][]unitSpec, maxLevel+1)
 	for i, sn := range ordered {
 		levels[level[i]] = append(levels[level[i]], sn)
 	}
@@ -254,7 +232,7 @@ func levelizeSubnetworks(g *topo.Graph, ordered []subnetwork) [][]subnetwork {
 // analyzeLevel runs f on every chain of one dependency level concurrently
 // and reports whether all succeeded. The chains write disjoint slices of
 // the propagation state, so no synchronization beyond the join is needed.
-func analyzeLevel(level []subnetwork, f func(subnetwork) bool) bool {
+func analyzeLevel(level []unitSpec, f func(unitSpec) bool) bool {
 	if len(level) == 1 {
 		return f(level[0])
 	}
@@ -301,7 +279,7 @@ func analyzeLevel(level []subnetwork, f func(subnetwork) bool) bool {
 // unit — a local reachability probe over the contracted unit graph
 // (partitioner.createsCycle) instead of the full clone-and-toposort the
 // previous implementation ran per candidate.
-func partition(g *topo.Graph, maxLen int) []subnetwork {
+func partition(g *topo.Graph, maxLen int) []unitSpec {
 	pt := newPartitioner(g)
 	for _, u := range g.Order() {
 		if pt.owner[u] >= 0 {
@@ -316,10 +294,10 @@ func partition(g *topo.Graph, maxLen int) []subnetwork {
 			pt.assign(unit, next)
 		}
 	}
-	subnets := make([]subnetwork, len(pt.start))
+	subnets := make([]unitSpec, len(pt.start))
 	for unit := range subnets {
 		chain := pt.members(unit)
-		subnets[unit] = subnetwork{servers: chain[:len(chain):len(chain)]}
+		subnets[unit] = unitSpec{servers: chain[:len(chain):len(chain)]}
 	}
 	return subnets
 }
@@ -477,13 +455,13 @@ func (pt *partitioner) createsCycle(unit, next int) bool {
 // relation "some connection leaves subnetwork A and enters subnetwork B",
 // smallest ready index first. An error means the partition induces a
 // cycle.
-func orderSubnetworks(g *topo.Graph, subnets []subnetwork) ([]subnetwork, error) {
+func orderSubnetworks(g *topo.Graph, subnets []unitSpec) ([]unitSpec, error) {
 	owner := subnetOwner(g.Servers(), subnets)
 	order := topo.MinFirstOrder(len(subnets), unitEdges(g, subnets, owner))
 	if order == nil {
 		return nil, fmt.Errorf("analysis: subnetwork partition induces a cycle")
 	}
-	ordered := make([]subnetwork, len(order))
+	ordered := make([]unitSpec, len(order))
 	for i, u := range order {
 		ordered[i] = subnets[u]
 	}
@@ -650,8 +628,9 @@ func analyzeChain(ctx context.Context, sc *chainScratch, net *topo.Network, idx 
 	// run was cut short by a chain-position gap, leaving p.next pointing
 	// into an already-analyzed chain): the historical map-based grouping
 	// defaulted those to position 0 at the connection's first chain
-	// server, and that behavior is replicated verbatim — the bounds are
-	// pinned bitwise to the frozen reference engine.
+	// server, and that behavior is replicated verbatim — the test oracle
+	// groups the same way, and TestLongChainLedger keeps the books of what
+	// it costs (ROADMAP item 5).
 	sc.nHdrs = 0
 	runs := sc.runs[:0]
 	for i, s := range chain {

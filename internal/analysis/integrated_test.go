@@ -254,10 +254,10 @@ func TestGreedyPairEstimateBelowSoundBound(t *testing.T) {
 		t.Fatalf("estimate = %g, want positive", est)
 	}
 	best := math.Inf(1)
-	for _, th1 := range thetaCandidates(c, f1, 5) {
-		b1 := FIFOResidual(c, f1, th1)
-		for _, th2 := range thetaCandidates(c, f2, 5) {
-			b2 := FIFOResidual(c, f2, th2)
+	for _, th1 := range thetaCandidatesArena(nil, c, f1, 5) {
+		b1 := residual(nil, minplus.Rate(c), f1, th1)
+		for _, th2 := range thetaCandidatesArena(nil, c, f2, 5) {
+			b2 := residual(nil, minplus.Rate(c), f2, th2)
 			if d := minplus.HorizontalDeviation(f12, minplus.Convolve(b1, b2)); d < best {
 				best = d
 			}

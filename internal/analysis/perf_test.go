@@ -53,38 +53,6 @@ func benchTandemNet(nServers, nConns int) *topo.Network {
 	return net
 }
 
-// TestCurveEngineAllocs holds the reworked Integrated engine to the
-// overhaul's acceptance facts on the 64-switch / 400-connection tandem
-// without reading a clock: the same bounds as the pre-overhaul engine
-// (frozen verbatim in reference_test.go), and a steady-state allocation
-// count under a committed ceiling. BenchmarkIntegratedAnalyze is the
-// wall-clock row of the same fixture.
-func TestCurveEngineAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the frozen reference engine")
-	}
-	net := benchTandemNet(64, 400)
-	a := Integrated{}
-
-	slowRes, err := refIntegratedAnalyze(a, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fastRes, allocs := analyzeAllocs(t, a, net)
-	for i := range fastRes.Bounds {
-		if !boundsClose(fastRes.Bounds[i], slowRes.Bounds[i]) {
-			t.Fatalf("conn %d: new engine bound %v, reference %v", i, fastRes.Bounds[i], slowRes.Bounds[i])
-		}
-	}
-	t.Logf("%.0f allocs/pass", allocs)
-	// Measured 409 on go1.24; the 10% margin absorbs runtime differences
-	// between Go releases, not new per-connection heap traffic (400
-	// connections).
-	if allocs > 450 && !raceBuild() {
-		t.Errorf("Integrated.Analyze allocates %.0f times per pass, ceiling is 450", allocs)
-	}
-}
-
 func BenchmarkIntegratedAnalyze(b *testing.B) {
 	net := benchTandemNet(64, 400)
 	a := Integrated{}
@@ -100,6 +68,46 @@ func BenchmarkIntegratedAnalyze(b *testing.B) {
 func BenchmarkIntegratedAnalyzeChain4(b *testing.B) {
 	net := benchTandemNet(32, 200)
 	a := Integrated{ChainLength: 4}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.Analyze(net); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// fabricNet builds the datacenter-fabric benchmark workload: a k-ary
+// fat-tree with hostsPerEdge flows per edge switch, loaded to 55% on its
+// hottest link.
+func fabricNet(tb testing.TB, k, hostsPerEdge int) *topo.Network {
+	tb.Helper()
+	net, err := topo.FatTree(k, hostsPerEdge, 0.55)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return net
+}
+
+// BenchmarkFabricAnalyze is the headline datacenter-scale benchmark: a
+// k=22 fat-tree — 10,648 link servers — crossed by 99,946 host flows.
+func BenchmarkFabricAnalyze(b *testing.B) {
+	net := fabricNet(b, 22, 413)
+	a := Integrated{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.Analyze(net); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFabricAnalyzeK8 is the small-fabric variant for quick
+// comparisons: 512 link servers, 640 flows.
+func BenchmarkFabricAnalyzeK8(b *testing.B) {
+	net := fabricNet(b, 8, 20)
+	a := Integrated{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

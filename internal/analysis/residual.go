@@ -24,12 +24,6 @@ import (
 // Delta = 0 and Delta = +-inf rows of one residual (Ghiassi-Farrokhfal /
 // Liebeherr / Burchard, PAPERS.md); the finite-Delta rows are ROADMAP item 4.
 
-// FIFOResidual returns the residual of a FIFO multiplexor of capacity C:
-// beta = Rate(C) in the family above.
-func FIFOResidual(capacity float64, alphaCross minplus.Curve, theta float64) minplus.Curve {
-	return residual(nil, minplus.Rate(capacity), alphaCross, theta)
-}
-
 // residual evaluates the family above with the intermediate and result
 // curves drawn from the arena (heap when ar is nil). The hot analysis paths
 // build residual families per theta candidate; keeping them arena-backed
@@ -42,19 +36,12 @@ func residual(ar *minplus.Arena, beta, alphaCross minplus.Curve, theta float64) 
 	return ar.ZeroUntil(raw, theta)
 }
 
-// thetaCandidates proposes a finite set of theta parameters for the
+// thetaCandidatesArena proposes a finite set of theta parameters for the
 // residual family at a server of the given capacity with the given cross
 // envelope: structural values derived from the cross curve's breakpoints
-// (where the optimum of piecewise-linear problems lives) plus a geometric
-// sweep up to the server's busy-period scale. The result is sorted and
-// exact-duplicate-free — the same set the previous map-based construction
-// produced, without the map or the breakpoint copy.
-func thetaCandidates(capacity float64, cross minplus.Curve, scale float64) []float64 {
-	return thetaCandidatesArena(nil, capacity, cross, scale)
-}
-
-// thetaCandidatesArena is thetaCandidates with the candidate list drawn
-// from the arena (heap when ar is nil), for the hot chain-analysis path.
+// (where the optimum of piecewise-linear problems lives) plus eight
+// even steps up to the server's local delay. The result is sorted and
+// exact-duplicate-free, drawn from the arena (heap when ar is nil).
 func thetaCandidatesArena(ar *minplus.Arena, capacity float64, cross minplus.Curve, scale float64) []float64 {
 	out := ar.Floats(2*cross.NumPoints() + 10)
 	out = append(out, 0)

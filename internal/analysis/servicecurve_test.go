@@ -88,7 +88,7 @@ func TestServiceCurveUnstable(t *testing.T) {
 func TestFIFOResidualProperties(t *testing.T) {
 	cross := minplus.TokenBucketCapped(2, 0.3, 1)
 	for _, theta := range []float64{0, 0.5, 2, 5} {
-		beta := FIFOResidual(1, cross, theta)
+		beta := residual(nil, minplus.Rate(1), cross, theta)
 		if !beta.IsNonDecreasing() {
 			t.Errorf("theta=%g: residual not non-decreasing: %v", theta, beta)
 		}
@@ -98,7 +98,7 @@ func TestFIFOResidualProperties(t *testing.T) {
 		// Larger theta means more traffic already counted as gone: the
 		// curve beyond the gate can only be higher.
 		if theta > 0 {
-			base := FIFOResidual(1, cross, 0)
+			base := residual(nil, minplus.Rate(1), cross, 0)
 			for _, x := range []float64{theta + 1, theta + 5, theta + 20} {
 				if beta.Eval(x) < base.Eval(x)-1e-9 {
 					t.Errorf("theta=%g: residual below theta=0 curve at %g", theta, x)
@@ -110,7 +110,7 @@ func TestFIFOResidualProperties(t *testing.T) {
 
 func TestFIFOResidualThetaZeroIsBlindLeftover(t *testing.T) {
 	cross := minplus.TokenBucketCapped(2, 0.3, 1)
-	got := FIFOResidual(1, cross, 0)
+	got := residual(nil, minplus.Rate(1), cross, 0)
 	want := minplus.PositivePart(minplus.Sub(minplus.Rate(1), cross))
 	if !got.Equal(want) {
 		t.Errorf("theta=0 residual %v != blind leftover %v", got, want)
@@ -119,7 +119,7 @@ func TestFIFOResidualThetaZeroIsBlindLeftover(t *testing.T) {
 
 func TestThetaCandidatesContainStructuralPoints(t *testing.T) {
 	cross := minplus.TokenBucketCapped(2, 0.3, 1)
-	cands := thetaCandidates(1, cross, 4)
+	cands := thetaCandidatesArena(nil, 1, cross, 4)
 	has := func(v float64) bool {
 		for _, c := range cands {
 			if math.Abs(c-v) < 1e-12 {

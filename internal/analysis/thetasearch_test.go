@@ -56,7 +56,7 @@ func randomScenario(rng *rand.Rand, k int) pairScenario {
 		}
 		sc.cross[i] = cross
 		local := minplus.HorizontalDeviation(minplus.Add(sc.agg, cross), sc.beta[i])
-		sc.cands[i] = thetaCandidates(capacity, cross, local)
+		sc.cands[i] = thetaCandidatesArena(nil, capacity, cross, local)
 	}
 	return sc
 }
@@ -351,8 +351,8 @@ func TestCoordinateDescentClosedForm(t *testing.T) {
 
 // TestCoordinateDescentFallsBack forces the two ways out of the closed form
 // — a residual that is not gated-convex, an aggregate that does not rise
-// immediately — and holds the search to the frozen generic descent
-// (fabricref_test.go) bit for bit, no branch counted.
+// immediately — and holds the search to the descent on the written-out fold
+// of generic convolutions (foldScan), no branch counted.
 func TestCoordinateDescentFallsBack(t *testing.T) {
 	concave := minplus.New([]minplus.Point{{X: 0, Y: 0}, {X: 1, Y: 2}}, 0.5)
 	if _, ok := minplus.DecomposeGatedConvex(concave); ok {
@@ -387,9 +387,13 @@ func TestCoordinateDescentFallsBack(t *testing.T) {
 				ts := sc.search(context.Background(), ar, math.Inf(1), tm)
 				ts.residual = residualOf(sc, ar)
 				got := ts.minimize()
-				want := (&preThetaSearch{ctx: context.Background(), agg: sc.agg, cands: sc.cands, residual: residualOf(sc, nil)}).minimize()
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Errorf("k=%d scenario %d, %s: search %v, frozen generic descent %v", k, n, name, got, want)
+				fold := sc.search(context.Background(), nil, math.Inf(1), nil)
+				fold.residual = residualOf(sc, nil)
+				if fold.decompose() {
+					t.Fatalf("k=%d scenario %d, %s: the closed form applies", k, n, name)
+				}
+				if want := fold.coordinateDescent(foldScan(fold)); !boundsClose(got, want) {
+					t.Errorf("k=%d scenario %d, %s: search %v, fold of generic convolutions %v", k, n, name, got, want)
 				}
 				if b := tm.ThetaBranches.Load(); b != 0 {
 					t.Errorf("k=%d scenario %d, %s: %d closed-form branches counted on the generic path", k, n, name, b)

@@ -23,15 +23,6 @@ func BenchmarkConvolve(b *testing.B) {
 	}
 }
 
-func BenchmarkConvolveSampled(b *testing.B) {
-	f := TokenBucketCapped(3, 0.25, 1)
-	g := RateLatency(0.8, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ConvolveSampled(f, g, 0.1, 30)
-	}
-}
-
 func BenchmarkDeconvolve(b *testing.B) {
 	f := TokenBucketCapped(3, 0.25, 1)
 	g := RateLatency(0.8, 2)

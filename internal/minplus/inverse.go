@@ -122,57 +122,6 @@ func (c *inverseCursor) at(y float64) float64 {
 	return x
 }
 
-// UpperInverse returns the upper pseudo-inverse
-//
-//	f^{+1}(y) = sup{ t >= 0 : f(t) <= y } = inf{ t >= 0 : f(t) > y },
-//
-// for a non-decreasing unbounded curve.
-func UpperInverse(f Curve) Curve {
-	f.mustValid()
-	if !f.IsNonDecreasing() {
-		panic("minplus: UpperInverse requires a non-decreasing curve")
-	}
-	if f.slope <= Eps {
-		panic("minplus: UpperInverse of a bounded curve (final slope 0)")
-	}
-	ys := []float64{0}
-	for _, p := range f.pts {
-		if p.Y > 0 {
-			ys = append(ys, p.Y)
-		}
-	}
-	eval := func(y float64) float64 { return upperInverseAt(f, y) }
-	return fromEvaluator(nil, ys, eval, 1/f.slope)
-}
-
-// upperInverseAt evaluates inf{ t : f(t) > y }.
-func upperInverseAt(f Curve, y float64) float64 {
-	// inf{t : f(t) > y} = lim_{y' -> y+} lowerInverse(y'). Evaluate by
-	// scanning for the last time the curve is still <= y.
-	t := LowerInverseAt(f, y)
-	// If f stays at y on a flat run starting at t, advance past it.
-	for {
-		r := f.EvalRight(t)
-		if r > y && !almostEqual(r, y) {
-			return t
-		}
-		// Flat at y: find the end of the flat segment.
-		adv := false
-		for i := 0; i < len(f.pts); i++ {
-			if f.pts[i].X > t+Eps && almostEqual(f.Eval(f.pts[i].X), y) {
-				t = f.pts[i].X
-				adv = true
-				break
-			}
-		}
-		if !adv {
-			// Flat to infinity at y would contradict positive final
-			// slope unless y is beyond all breakpoints.
-			return t
-		}
-	}
-}
-
 // strictInverseFrom returns inf{ x >= 0 : f(x) > y } for a non-decreasing
 // curve, given its lower pseudo-inverse x = LowerInverseAtBounded(f, y) >= 0,
 // or -1 when f never strictly exceeds y (bounded curves whose supremum is

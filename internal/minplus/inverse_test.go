@@ -97,20 +97,6 @@ func TestLowerInverseGaloisProperty(t *testing.T) {
 	}
 }
 
-func TestUpperInverse(t *testing.T) {
-	// Strictly increasing: upper == lower inverse.
-	f := Rate(2)
-	if !UpperInverse(f).Equal(LowerInverse(f)) {
-		t.Error("upper and lower inverse should agree for strictly increasing f")
-	}
-	// Plateau at 2 on [2,5]: upper inverse at 2 is 5, lower is 2.
-	g := New([]Point{{0, 0}, {2, 2}, {5, 2}}, 1)
-	up := UpperInverse(g)
-	if got := up.Eval(2); !almostEqual(got, 5) && !almostEqual(up.EvalRight(2), 5) {
-		t.Errorf("upper inverse at plateau = %g / %g, want 5", up.Eval(2), up.EvalRight(2))
-	}
-}
-
 func TestLowerInversePanicsOnBounded(t *testing.T) {
 	defer func() {
 		if recover() == nil {
