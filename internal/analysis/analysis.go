@@ -5,9 +5,10 @@
 //     time, burstiness propagated, local delays summed).
 //   - ServiceCurve: the induced-service-curve analysis (per-connection
 //     leftover service curves convolved into a network service curve).
-//   - Integrated: the paper's contribution — subnetworks of up to two
-//     servers analyzed jointly with the input/output-function lemmas
-//     (Lemmas 1-4, Theorem 1), capturing the delay dependency between
+//   - Integrated: the paper's contribution — chains of up to ChainLength
+//     consecutive servers (pairs by default, as in the paper) analyzed
+//     jointly with the FIFO residual service curves (residual.go), the
+//     sound realization of Theorem 1's idea: the delay dependency between
 //     consecutive FIFO servers.
 //
 // Extensions the paper announces as ongoing work are also provided:
@@ -20,7 +21,8 @@
 // (schedulability and uniform-lateness bounds).
 //
 // All analyzers consume a topo.Network and produce per-connection
-// end-to-end delay bounds plus a per-stage breakdown.
+// end-to-end delay bounds plus a per-stage breakdown; Decomposed,
+// Integrated and IntegratedSP run on one driver (Baseline.run).
 package analysis
 
 import (
@@ -37,8 +39,9 @@ import (
 // Stage records one step of a connection's per-stage delay breakdown.
 type Stage struct {
 	// Servers lists the server indices of the subnetwork this stage
-	// covers (one server for decomposition, up to two for the integrated
-	// analysis).
+	// covers (one server for decomposition, up to ChainLength consecutive
+	// ones for the integrated analysis, the whole route for the
+	// service-curve analyses).
 	Servers []int
 	// Delay is the worst-case delay bound contributed by the stage.
 	Delay float64
@@ -165,7 +168,8 @@ type tracedScratch struct {
 
 var tracedScratchPool = sync.Pool{New: func() any { return new(tracedScratch) }}
 
-// newTracedPropagation is newPropagation for a Baseline run, which records
+// newTracedPropagation is newPropagation for a run that is kept (a baseline
+// build or trial, or the Decomposed run ServiceCurve reads), which records
 // the state after every unit it computes: without a shift pool or a stage
 // slab, each advance gives the connection a fresh heap envelope and an
 // exact-capacity stage list, so the trace keeps both as they are instead of
@@ -304,5 +308,5 @@ func denormalizeBacklogs(r *Result, scale float64) *Result {
 }
 
 // maxParallelWorkers bounds the fan-out of the intra-analysis worker
-// pools (analyzeLevel's chains, parallelValuesArena's scan candidates).
+// pools (analyzeLevel's units, parallelValuesArena's scan candidates).
 func maxParallelWorkers() int { return runtime.GOMAXPROCS(0) }

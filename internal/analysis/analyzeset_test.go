@@ -41,17 +41,8 @@ func analyzeSet(t *testing.T) ([]analyzeSetItem, map[string]*topo.Network) {
 	rf, err := topo.RandomFeedforward(64, 400, 0.6, 1)
 	add("rf", rf, err)
 	for name, d := range map[string]server.Discipline{"sp64": server.StaticPriority, "edf64": server.EDF, "gr64": server.GuaranteedRate} {
-		net, err := topo.Tandem(topo.TandemSpec{Switches: 64, Sigma: 1, Rho: 0.2, Capacity: 1, Discipline: d, Priority0: 1})
+		net, err := disciplineTandem(64, d)
 		add(name, net, err)
-	}
-	for i := range nets["edf64"].Connections {
-		nets["edf64"].Connections[i].Deadline = 400
-	}
-	for i := range nets["gr64"].Servers {
-		nets["gr64"].Servers[i].Latency = 0.1
-	}
-	for i := range nets["gr64"].Connections {
-		nets["gr64"].Connections[i].Rate = 0.25
 	}
 	return []analyzeSetItem{
 		{"ft16_int", "ft16", Integrated{}},
@@ -68,6 +59,30 @@ func analyzeSet(t *testing.T) ([]analyzeSetItem, map[string]*topo.Network) {
 		{"gr64_gr", "gr64", GuaranteedRateNetworkCurve{}},
 		{"gr64_dec", "gr64", Decomposed{}},
 	}, nets
+}
+
+// disciplineTandem builds the set's tandem of n switches of discipline d as
+// bench/analyze.go does: an EDF connection's deadline is 400, and a
+// guaranteed-rate server has latency 0.1 and reserves 0.25 per connection.
+func disciplineTandem(n int, d server.Discipline) (*topo.Network, error) {
+	net, err := topo.Tandem(topo.TandemSpec{Switches: n, Sigma: 1, Rho: 0.2, Capacity: 1, Discipline: d, Priority0: 1})
+	if err != nil {
+		return nil, err
+	}
+	for i := range net.Connections {
+		switch d {
+		case server.EDF:
+			net.Connections[i].Deadline = 400
+		case server.GuaranteedRate:
+			net.Connections[i].Rate = 0.25
+		}
+	}
+	if d == server.GuaranteedRate {
+		for i := range net.Servers {
+			net.Servers[i].Latency = 0.1
+		}
+	}
+	return net, nil
 }
 
 // boundsDigest is the benchmark's digest of one item: FNV-1a over the bits
@@ -87,7 +102,12 @@ func boundsDigest(bounds []float64) string {
 // item but rf_int4 (the only one that searches more than two servers) keeps
 // its digest — the deviation sweep is bit-identical — and rf_int4 stays
 // within 1e-12 relative of the generic convolutions, the moved bounds
-// counted by direction. ANALYZESET_WRITE=<file> rewrites the golden file.
+// counted by direction. pt64_sc's digest is newer: ServiceCurve once read
+// its cross traffic from the pooled propagation's recycled buffers, so on a
+// route of four or more hops a recorded entry envelope was overwritten by a
+// later hop's (125 of 129 bounds looser, up to 6.0e6 against 14.0); it
+// reads a traced run's unit traces now. ANALYZESET_WRITE=<file> rewrites
+// the golden file.
 func TestAnalyzeSetMatchesParent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analyses the full-size benchmark set")

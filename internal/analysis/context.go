@@ -12,11 +12,12 @@ import (
 // ContextAnalyzer is implemented by analyzers that support cooperative
 // cancellation: AnalyzeContext behaves exactly like Analyze — an
 // uncancelled run returns bit-identical results — but observes the
-// context at internal checkpoints (theta-search candidate fan-out, the
-// level-parallel chain loop, per-server propagation steps) and returns
-// the context's error once it is done. The granularity is one checkpoint
-// per candidate evaluation or chain position, so cancellation latency is
-// bounded by a single curve operation, not a whole analysis.
+// context at internal checkpoints (theta-search candidate fan-out, chain
+// positions, and before every level and every unit of the one driver,
+// Baseline.run) and returns the context's error once it is done. The
+// granularity is one checkpoint per candidate evaluation, chain position
+// or server, so cancellation latency is bounded by a single curve
+// operation, not a whole analysis.
 type ContextAnalyzer interface {
 	Analyzer
 	AnalyzeContext(ctx context.Context, net *topo.Network) (*Result, error)
@@ -117,7 +118,7 @@ func ctxErr(err error) error {
 // nanoseconds. Stages are the integrated analyzer's phases: partitioning
 // the network into chains, aggregate-envelope construction, the theta
 // search over residual-curve candidates, and bound/envelope propagation.
-// Chains of one dependency level run concurrently, so the counters are
+// Units of one dependency level run concurrently, so the counters are
 // atomic and a stage's total can exceed wall-clock time (it is CPU time
 // across workers). ThetaPairs and ThetaEvaluated count the theta pairs
 // the two-server searches faced and those they had to evaluate (the rest

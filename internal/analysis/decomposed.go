@@ -20,7 +20,8 @@ import (
 //
 // The method is simple and fully general for feedforward networks, but it
 // charges every connection the worst-case delay at every hop, which the
-// integrated analysis avoids.
+// integrated analysis avoids. It runs on the one driver (Baseline.run) with
+// one unit per server, so servers of one dependency level run concurrently.
 type Decomposed struct{}
 
 // Name implements Analyzer.
@@ -31,74 +32,20 @@ func (d Decomposed) Analyze(net *topo.Network) (*Result, error) {
 	return d.AnalyzeContext(context.Background(), net)
 }
 
-// AnalyzeContext implements ContextAnalyzer: the decomposed pass checks
-// the context between servers and returns its error once it is done; an
+// AnalyzeContext implements ContextAnalyzer: the driver checks the context
+// before every server and returns its error once it is done; an
 // uncancelled run is bit-identical to Analyze.
 func (Decomposed) AnalyzeContext(ctx context.Context, net *topo.Network) (*Result, error) {
-	net, scale, g, err := analyzable(net)
-	if err != nil {
-		return nil, err
-	}
-	p, _, finite, err := decomposedPass(ctx, net, g.Order())
-	if err != nil {
-		return nil, err
-	}
-	if !finite {
-		return allInf("Decomposed", net), nil
-	}
-	return denormalizeBacklogs(p.result("Decomposed"), scale), nil
-}
-
-// decomposedPass runs the decomposition propagation over the whole network
-// and additionally records every connection's traffic envelope at the entry
-// of each of its hops (used by the service-curve analyzer to characterize
-// cross traffic inside the network). finite is false when some stage delay
-// is unbounded, in which case the other return values are meaningless.
-// order is a topological order of the servers. The context is checked
-// between servers; once it is done the pass aborts with its error.
-func decomposedPass(ctx context.Context, net *topo.Network, order []int) (p *propagation, perHopEnv [][]minplus.Curve, finite bool, err error) {
-	if !net.Stable() {
-		return nil, nil, false, nil
-	}
-	p = newPropagation(net)
-	perHopEnv = make([][]minplus.Curve, len(net.Connections))
-	for i, c := range net.Connections {
-		perHopEnv[i] = make([]minplus.Curve, len(c.Path))
-	}
-	record := func(conns []int) {
-		for _, c := range conns {
-			perHopEnv[c][p.next[c]] = p.env[c]
-		}
-	}
-	idx := net.ConnectionIndex()
-	ar := minplus.GetArena()
-	defer ar.Release()
-	for _, s := range order {
-		if canceled(ctx) {
-			return nil, nil, false, ctxErr(ctx.Err())
-		}
-		conns := idx[s]
-		if len(conns) == 0 {
-			continue
-		}
-		record(conns)
-		ar.Reset()
-		ok, serr := decomposedServerStep(net, s, conns, p, ar)
-		if serr != nil || !ok {
-			return nil, nil, false, serr
-		}
-	}
-	return p, perHopEnv, true, nil
+	return analyzeOnce(ctx, decomposedCore{}, net)
 }
 
 // decomposedServerStep analyzes a single server: it records the server's
 // backlog bound and advances every crossing connection by the local delay
-// of the server's discipline. It is the unit computation shared by the
-// full decomposed pass and the incremental driver. ok=false means a local
-// delay was unbounded and the whole analysis degrades to +Inf. conns must
-// be the server's crossing connections (ConnectionIndex order); the
-// aggregate envelope is computed once, in the arena, and consumed before
-// the caller resets it.
+// of the server's discipline: decomposedCore's unit computation. ok=false
+// means a local delay was unbounded and the whole analysis degrades to
+// +Inf. conns must be the server's crossing connections (ConnectionIndex
+// order); the aggregate envelope is computed once, in the arena, and
+// consumed before the caller resets it.
 func decomposedServerStep(net *topo.Network, s int, conns []int, p *propagation, ar *minplus.Arena) (ok bool, err error) {
 	srv := net.Servers[s]
 	if len(conns) == 0 {

@@ -84,37 +84,57 @@ func differentialCorpus(t *testing.T) map[string]*topo.Network {
 	return nets
 }
 
-// TestParallelAnalyzeDeterministic checks that the level-parallel analysis
-// is bitwise identical to the one-goroutine walk of the same chains in
-// topological order — a Baseline build, which records every unit as it goes:
-// within one engine there is no floating-point reassociation, so equality
-// must be exact.
+// TestParallelAnalyzeDeterministic checks that no result depends on the
+// core count. Analyze and a Baseline build are the same driver on both
+// sides of its one branch (pooled propagation, nothing recorded, against
+// traced and recorded), so on one core and on two they must agree bit for
+// bit for every stepCore analyzer, and every result, ServiceCurve's
+// included, must be the same on both core counts.
 func TestParallelAnalyzeDeterministic(t *testing.T) {
-	check := func(name string, a Incremental, net *topo.Network) {
-		par, err := a.Analyze(net)
-		if err != nil {
-			t.Fatalf("%s: parallel: %v", name, err)
-		}
-		seq, err := a.NewBaseline(net)
-		if err != nil {
-			t.Fatalf("%s: sequential: %v", name, err)
-		}
-		requireSameResult(t, name, seq.Result(), par)
-	}
-	for name, net := range spRandomCorpus(t) {
-		check(name, IntegratedSP{}, net)
-	}
-	nets := differentialCorpus(t)
+	fifo := differentialCorpus(t)
 	for seed := int64(100); seed < 126; seed++ {
 		net, err := topo.RandomFeedforward(10, 16, 0.65, seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		nets[fmt.Sprintf("ff10x16-seed%d", seed)] = net
+		fifo[fmt.Sprintf("ff10x16-seed%d", seed)] = net
 	}
-	nets["forest"] = forestNet(8, 5)
-	for name, net := range nets {
-		check(name, Integrated{DeconvPropagation: true}, net)
+	fifo["forest"] = forestNet(8, 5)
+	sp := spRandomCorpus(t)
+	oneCore := map[string]*Result{}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, tc := range []struct {
+			a    Analyzer
+			nets map[string]*topo.Network
+		}{
+			{Decomposed{}, fifo},
+			{Integrated{DeconvPropagation: true}, fifo},
+			{IntegratedSP{}, sp},
+			{ServiceCurve{}, fifo},
+		} {
+			for name, net := range tc.nets {
+				key := fmt.Sprintf("%s%+v/%s", tc.a.Name(), tc.a, name)
+				label := fmt.Sprintf("GOMAXPROCS=%d/%s", procs, key)
+				res, err := tc.a.Analyze(net)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if inc, ok := tc.a.(Incremental); ok {
+					b, err := inc.NewBaseline(net)
+					if err != nil {
+						t.Fatalf("%s: baseline: %v", label, err)
+					}
+					requireSameResult(t, label+": Analyze vs NewBaseline", res, b.Result())
+				}
+				if procs == 1 {
+					oneCore[key] = res
+				} else {
+					requireSameResult(t, label+": against one core", oneCore[key], res)
+				}
+			}
+		}
 	}
 }
 

@@ -50,10 +50,12 @@ func (GuaranteedRateNetworkCurve) Analyze(net *topo.Network) (*Result, error) {
 	res := &Result{Algorithm: "GuaranteedRate/NetworkServiceCurve"}
 	res.Bounds = make([]float64, len(net.Connections))
 	res.Stages = make([][]Stage, len(net.Connections))
-	if pass, _, finite, perr := decomposedPass(context.Background(), net, g.Order()); perr == nil && finite {
-		// Buffer bounds come from the per-hop propagation, which is also
-		// valid for guaranteed-rate servers.
-		res.Backlogs = pass.backlog
+	// Buffer bounds come from one decomposed run, which is also valid for
+	// guaranteed-rate servers; an unstable or failed run leaves them unset.
+	// They stay normalized until the one denormalization below.
+	dec := fresh(decomposedCore{}, net, scale, g, false)
+	if _, derr := dec.run(context.Background(), nil, nil, -1); derr == nil {
+		res.Backlogs = dec.res.Backlogs
 	}
 	for i, conn := range net.Connections {
 		betaNet := minplus.Curve{}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"delaycalc/internal/minplus"
@@ -11,12 +13,13 @@ import (
 	"delaycalc/internal/topo"
 )
 
-// This file implements incremental re-analysis: a Baseline records, for a
-// fully analyzed network, the propagation state after every analysis unit
-// (one server for Decomposed, one chain for Integrated and IntegratedSP), and
-// Extend re-analyzes the network with one extra connection by recomputing
-// only the units the candidate can influence and replaying the recorded
-// state for every other unit.
+// This file holds the one driver, Baseline.run, and the incremental
+// re-analysis it serves: a Baseline records, for a fully analyzed network,
+// the propagation state after every analysis unit (one server for
+// Decomposed, one chain for Integrated and IntegratedSP), and Extend
+// re-analyzes the network with one extra connection by recomputing only
+// the units the candidate can influence and replaying the recorded state
+// for every other unit. A plain Analyze is the same run, recording nothing.
 //
 // Why replay is exact: every core processes units in a topological order
 // consistent with every connection's route, so when a unit is processed,
@@ -51,9 +54,9 @@ var (
 	_ Incremental = IntegratedSP{}
 )
 
-// stepCore is the analyzer-specific machinery behind the shared driver: an
-// ordered partition of the network into units, and the computation that
-// advances the propagation state across one unit.
+// stepCore is the analyzer-specific machinery behind the one driver
+// (Baseline.run): an ordered partition of the network into units, and the
+// computation that advances the propagation state across one unit.
 type stepCore interface {
 	name() string
 	// check validates analyzer-specific preconditions (e.g. FIFO-only) on
@@ -70,7 +73,8 @@ type stepCore interface {
 	// and which a bridging candidate can merge) does not.
 	reusableUnits() bool
 	// apply runs the unit's computation. ok=false degrades the whole
-	// analysis to +Inf, exactly as in the full pass. idx is the network's
+	// analysis to +Inf. Units of one dependency level are applied
+	// concurrently; they share no connection. idx is the network's
 	// ConnectionIndex, computed once per (trial) network by the driver so
 	// unit computations avoid per-server route scans. The context feeds the
 	// unit's internal cancellation checkpoints; after cancellation the
@@ -273,39 +277,79 @@ func copyNetwork(net *topo.Network) *topo.Network {
 
 func newBaseline(core stepCore, net *topo.Network) (*Baseline, error) {
 	orig := copyNetwork(net)
-	norm, scale, g, err := analyzable(orig)
+	// Baselines are built uncancellable: a half-built baseline would
+	// poison every later Extend, so the build always runs to completion.
+	b, err := analyze(context.Background(), core, orig, true)
+	if err != nil {
+		return nil, err
+	}
+	b.orig, b.chk = orig, topo.NewCheckerFromGraph(orig, b.graph)
+	return b, nil
+}
+
+// analyzeOnce is a whole-network analysis whose result nobody keeps as a
+// baseline: Decomposed, Integrated and IntegratedSP answer Analyze with it.
+func analyzeOnce(ctx context.Context, core stepCore, net *topo.Network) (*Result, error) {
+	b, err := analyze(ctx, core, net, false)
+	if err != nil {
+		return nil, err
+	}
+	return denormalizeBacklogs(b.res, b.scale), nil
+}
+
+// analyze validates and normalizes net and runs core over it from scratch.
+// keep records the unit traces, for a caller that keeps the run: a
+// baseline, or ServiceCurve reading its cross traffic off them.
+func analyze(ctx context.Context, core stepCore, net *topo.Network, keep bool) (*Baseline, error) {
+	norm, scale, g, err := analyzable(net)
 	if err != nil {
 		return nil, err
 	}
 	if err := core.check(norm); err != nil {
 		return nil, err
 	}
-	src := make([]minplus.Curve, len(norm.Connections))
-	for i, c := range norm.Connections {
-		src[i] = c.SourceEnvelope()
-	}
-	b := &Baseline{core: core, orig: orig, norm: norm, scale: scale,
-		chk: topo.NewCheckerFromGraph(orig, g), graph: g, idx: norm.ConnectionIndex(), src: src}
-	// Baselines are built uncancellable: a half-built baseline would
-	// poison every later Extend, so the build always runs to completion.
-	if _, err := b.run(context.Background(), nil, nil, -1); err != nil {
+	b := fresh(core, norm, scale, g, keep)
+	if _, err := b.run(ctx, nil, nil, -1); err != nil {
 		return nil, err
 	}
 	return b, nil
 }
 
+// fresh is what a run from scratch starts from; a kept run also gets the
+// source envelopes its traced propagation starts from.
+func fresh(core stepCore, norm *topo.Network, scale float64, g *topo.Graph, keep bool) *Baseline {
+	b := &Baseline{core: core, norm: norm, scale: scale, graph: g, idx: norm.ConnectionIndex()}
+	if keep {
+		b.src = make([]minplus.Curve, len(norm.Connections))
+		for i, c := range norm.Connections {
+			b.src[i] = c.SourceEnvelope()
+		}
+	}
+	return b
+}
+
 // run analyzes the receiver's network and fills in its units, trace and
-// result; everything else the caller has set. Units the change from the
-// already analyzed baseline from cannot influence are replayed from its
-// trace: path is the route of the one connection the change adds or
-// removes, removed that connection's index in from's network when it is a
-// release (negative otherwise). A nil from analyzes from scratch.
+// result; everything else the caller has set. It is the only loop that
+// applies a stepCore. Units the change from the already analyzed baseline
+// from cannot influence are replayed from its trace: path is the route of
+// the one connection the change adds or removes, removed that connection's
+// index in from's network when it is a release (negative otherwise). A nil
+// from analyzes from scratch.
 //
 // A unit is dirty iff its server tuple did not exist in from's partition,
 // it holds a server of path, or a connection crossing it is dirty; every
 // connection crossing a dirty unit becomes dirty. A clean unit's crossing
 // set is exactly what its trace recorded, so only dirty units pay for
 // deriving theirs.
+//
+// Units run one dependency level at a time (levelizeSubnetworks). Units of
+// a level share no connection (one crossing both would order them), so
+// whether one is dirty depends on earlier levels alone; the level's dirty
+// units run concurrently (analyzeLevel), and the connections crossing them
+// turn dirty after the join, since connSet words are shared.
+//
+// A receiver without source envelopes (see fresh) is a run nobody keeps: it
+// runs on the pooled propagation and records no trace.
 func (b *Baseline) run(ctx context.Context, from *Baseline, path []int, removed int) (ExtendStats, error) {
 	net := b.norm
 	// The candidate of an extension gets dirty like any connection, but
@@ -322,45 +366,61 @@ func (b *Baseline) run(ctx context.Context, from *Baseline, path []int, removed 
 	if !net.Stable() {
 		return degraded()
 	}
+	tm, partStart := timingsFrom(ctx), time.Now()
 	units := from.unitsFor(b)
-	if units == nil {
-		tm, partStart := timingsFrom(ctx), time.Now()
+	derived := units == nil
+	if derived {
 		var err error
 		if units, err = b.core.units(b.graph); err != nil {
 			return ExtendStats{}, err
 		}
-		if tm != nil {
-			tm.observe(&tm.Partition, partStart)
+	}
+	levels := levelizeSubnetworks(b.graph, units)
+	if tm != nil && derived {
+		tm.observe(&tm.Partition, partStart)
+	}
+	var (
+		p     *propagation
+		dirty connSet
+		trace []*unitTrace
+	)
+	if b.src == nil {
+		p = newPropagation(net)
+	} else {
+		sc := tracedScratchPool.Get().(*tracedScratch)
+		defer tracedScratchPool.Put(sc)
+		p = newTracedPropagation(net, b.src, sc)
+		dirty = make(connSet, (len(net.Connections)+63)/64)
+		trace = make([]*unitTrace, len(net.Servers))
+	}
+	onPath := func(s int) bool { return slices.Contains(path, s) }
+	apply := func(u unitSpec) (bool, error) {
+		if canceled(ctx) {
+			return false, nil
 		}
+		return b.core.apply(ctx, net, b.idx, u, p)
 	}
-	sc := tracedScratchPool.Get().(*tracedScratch)
-	defer tracedScratchPool.Put(sc)
-	p := newTracedPropagation(net, b.src, sc)
-	seeded := make([]bool, len(net.Servers))
-	for _, s := range path {
-		seeded[s] = true
-	}
-	dirty := make(connSet, (len(net.Connections)+63)/64)
-	trace := make([]*unitTrace, len(net.Servers))
-	var conns []int
-	stats := ExtendStats{}
-	for _, u := range units {
+	var (
+		todo  []unitSpec
+		conns []int
+		stats ExtendStats
+	)
+	for _, level := range levels {
 		if canceled(ctx) {
 			return stats, ctxErr(ctx.Err())
 		}
-		old := from.traceOf(u)
-		isDirty := old == nil
-		for _, s := range u.servers {
-			isDirty = isDirty || seeded[s]
+		todo = todo[:0]
+		for _, u := range level {
+			if old := from.traceOf(u); old != nil && !slices.ContainsFunc(u.servers, onPath) && !old.touches(dirty, removed) {
+				old = remapShrunkTrace(old, removed)
+				replayUnit(old, p)
+				trace[u.servers[0]] = old
+				stats.ReplayedUnits++
+				continue
+			}
+			todo = append(todo, u)
 		}
-		if !isDirty && !old.touches(dirty, removed) {
-			old = remapShrunkTrace(old, removed)
-			replayUnit(old, p)
-			trace[u.servers[0]] = old
-			stats.ReplayedUnits++
-			continue
-		}
-		ok, err := b.core.apply(ctx, net, b.idx, u, p)
+		ok, err := analyzeLevel(todo, apply)
 		if err != nil {
 			return stats, err
 		}
@@ -370,18 +430,90 @@ func (b *Baseline) run(ctx context.Context, from *Baseline, path []int, removed 
 		if !ok {
 			return degraded()
 		}
-		conns = u.crossing(b.idx, conns[:0])
-		for _, c := range conns {
-			if dirty.add(c) {
-				stats.Affected++
-			}
+		stats.RecomputedUnits += len(todo)
+		if trace == nil {
+			continue
 		}
-		trace[u.servers[0]] = recordUnit(u, conns, p)
-		stats.RecomputedUnits++
+		for _, u := range todo {
+			conns = u.crossing(b.idx, conns[:0])
+			for _, c := range conns {
+				if dirty.add(c) {
+					stats.Affected++
+				}
+			}
+			trace[u.servers[0]] = recordUnit(u, conns, p)
+		}
 	}
 	stats.Affected -= candidate
 	b.units, b.trace, b.res = units, trace, p.result(b.core.name())
 	return stats, nil
+}
+
+// levelizeSubnetworks cuts a topologically ordered partition into
+// dependency levels: a unit's level is one past the deepest level among
+// the units feeding it, so every unit of a level only depends on earlier
+// levels. Order within a level follows the input order, keeping the
+// grouping deterministic.
+func levelizeSubnetworks(g *topo.Graph, ordered []unitSpec) [][]unitSpec {
+	owner := subnetOwner(g.Servers(), ordered)
+	edges := unitEdges(g, ordered, owner)
+	// ordered is topological, so every edge points from a smaller to a
+	// larger index: relaxing edges in ascending from-index order computes
+	// the exact longest-path level in one pass.
+	level := make([]int, len(ordered))
+	maxLevel, u := 0, 0 // relax reads the loop's u: one closure for all units
+	relax := func(v int) {
+		if level[v] < level[u]+1 {
+			level[v] = level[u] + 1
+		}
+	}
+	for u = range ordered {
+		edges(u, relax)
+		if level[u] > maxLevel {
+			maxLevel = level[u]
+		}
+	}
+	levels := make([][]unitSpec, maxLevel+1)
+	for i, sn := range ordered {
+		levels[level[i]] = append(levels[level[i]], sn)
+	}
+	return levels
+}
+
+// analyzeLevel applies f to every unit of one dependency level and reports
+// the outcome of the first unit, in level order, that failed: f's error, or
+// false when a bound was unbounded. With two or more units and more than
+// one core the units run concurrently: they write disjoint entries of the
+// propagation state, so no synchronization beyond the join is needed.
+func analyzeLevel(level []unitSpec, f func(unitSpec) (bool, error)) (bool, error) {
+	workers := min(maxParallelWorkers(), len(level))
+	if workers <= 1 {
+		for _, u := range level {
+			if ok, err := f(u); !ok || err != nil {
+				return ok, err
+			}
+		}
+		return true, nil
+	}
+	oks, errs := make([]bool, len(level)), make([]error, len(level))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(level); i = int(next.Add(1)) - 1 {
+				oks[i], errs[i] = f(level[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range level {
+		if !oks[i] || errs[i] != nil {
+			return oks[i], errs[i]
+		}
+	}
+	return true, nil
 }
 
 // unitsFor returns the receiver's unit list when trial can reuse it: the
@@ -663,8 +795,8 @@ func (decomposedCore) units(g *topo.Graph) ([]unitSpec, error) {
 
 func (decomposedCore) apply(_ context.Context, net *topo.Network, idx [][]int, u unitSpec, p *propagation) (bool, error) {
 	// One server is the unit of cancellation granularity here; the driver
-	// checks the context between units. The pooled arena makes the replay
-	// loop reuse the same scratch slabs across units.
+	// checks the context before every unit. The pooled arena makes the
+	// driver reuse the same scratch slabs across units.
 	s := u.servers[0]
 	ar := minplus.GetArena()
 	defer ar.Release()
@@ -677,9 +809,15 @@ func (decomposedCore) apply(_ context.Context, net *topo.Network, idx [][]int, u
 func (cc chainCore) name() string { return cc.algo }
 
 func (cc chainCore) check(net *topo.Network) error {
+	return requireDiscipline(net, cc.algo, cc.serves, cc.discipline)
+}
+
+// requireDiscipline refuses a network with a server of another discipline
+// than d; serves words d for the error.
+func requireDiscipline(net *topo.Network, algo, serves string, d server.Discipline) error {
 	for i, s := range net.Servers {
-		if s.Discipline != cc.discipline {
-			return fmt.Errorf("analysis: %s applies to %s networks; server %d is %v", cc.algo, cc.serves, i, s.Discipline)
+		if s.Discipline != d {
+			return fmt.Errorf("analysis: %s applies to %s networks; server %d is %v", algo, serves, i, s.Discipline)
 		}
 	}
 	return nil

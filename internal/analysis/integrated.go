@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"delaycalc/internal/minplus"
@@ -44,13 +43,10 @@ import (
 // member of which is a proven service curve. Every run bound is clamped by
 // the decomposed sum of its local FIFO delays, which is always valid.
 //
-// Independent subnetworks run concurrently: the topological order is cut
-// into dependency levels, and all chains of a level are analyzed in
-// parallel. Chains of one level share no connections (a connection
-// crossing two chains induces a path between them in the subnetwork DAG,
-// which would separate their levels), so their writes into the propagation
-// state touch disjoint indices and the merged result is bit-identical to
-// the one-goroutine walk of a Baseline build regardless of scheduling.
+// Steps 2-4 are the one driver every analysis runs on (Baseline.run): the
+// ordered chains are cut into dependency levels and the chains of a level
+// are analyzed concurrently, the same for a whole-network pass, a baseline
+// build and an incremental trial.
 type Integrated struct {
 	// ChainLength is the maximum number of consecutive servers grouped
 	// into one subnetwork. 0 and 2 reproduce the paper (pairs); larger
@@ -89,7 +85,7 @@ func (a Integrated) Analyze(net *topo.Network) (*Result, error) {
 // run is bit-identical to Analyze; once the context is done the partial
 // state is discarded and the context's error is returned.
 func (a Integrated) AnalyzeContext(ctx context.Context, net *topo.Network) (*Result, error) {
-	return a.core().analyze(ctx, net)
+	return analyzeOnce(ctx, a.core(), net)
 }
 
 // core is the FIFO chain analysis: every position serves at its line rate
@@ -117,9 +113,8 @@ func (a Integrated) core() chainCore {
 }
 
 // chainCore is a chain analysis — Integrated on FIFO servers, IntegratedSP
-// on static-priority ones — as the one driver sees it, whole-network
-// (analyze) and incremental (stepCore): partition into chains of at most
-// maxLen servers, order them, and run chain on each.
+// on static-priority ones — as a stepCore of the one driver: partition into
+// chains of at most maxLen servers, order them, and run chain on each.
 type chainCore struct {
 	algo       string
 	serves     string // discipline, as the check's error words it
@@ -129,45 +124,6 @@ type chainCore struct {
 	// when a bound is unbounded (the whole analysis degrades to +Inf) or
 	// the context was cancelled; callers consult ctx.Err() to tell.
 	chain func(ctx context.Context, net *topo.Network, idx [][]int, chain []int, p *propagation) bool
-}
-
-// analyze runs the chain analysis over the whole network. Independent
-// chains run concurrently, one dependency level at a time (see Integrated).
-func (cc chainCore) analyze(ctx context.Context, net *topo.Network) (*Result, error) {
-	net, scale, g, err := analyzable(net)
-	if err != nil {
-		return nil, err
-	}
-	if err := cc.check(net); err != nil {
-		return nil, err
-	}
-	if !net.Stable() {
-		return allInf(cc.algo, net), nil
-	}
-	tm := timingsFrom(ctx)
-	partStart := time.Now()
-	ordered, err := cc.units(g)
-	if err != nil {
-		return nil, err
-	}
-	levels := levelizeSubnetworks(g, ordered)
-	if tm != nil {
-		tm.observe(&tm.Partition, partStart)
-	}
-	idx := net.ConnectionIndex()
-	p := newPropagation(net)
-	for _, level := range levels {
-		ok := analyzeLevel(level, func(u unitSpec) bool {
-			return cc.chain(ctx, net, idx, u.servers, p)
-		})
-		if err := ctx.Err(); err != nil {
-			return nil, ctxErr(err)
-		}
-		if !ok {
-			return allInf(cc.algo, net), nil
-		}
-	}
-	return denormalizeBacklogs(p.result(cc.algo), scale), nil
 }
 
 // subnetOwner maps every server to the index of its subnetwork. The
@@ -196,75 +152,6 @@ func unitEdges(g *topo.Graph, subnets []unitSpec, owner []int) func(u int, visit
 			}
 		}
 	}
-}
-
-// levelizeSubnetworks cuts a topologically ordered partition into
-// dependency levels: a chain's level is one past the deepest level among
-// the chains feeding it, so every chain of a level only depends on
-// earlier levels. Order within a level follows the input order, keeping
-// the grouping deterministic.
-func levelizeSubnetworks(g *topo.Graph, ordered []unitSpec) [][]unitSpec {
-	owner := subnetOwner(g.Servers(), ordered)
-	edges := unitEdges(g, ordered, owner)
-	// ordered is topological, so every edge points from a smaller to a
-	// larger index: relaxing edges in ascending from-index order computes
-	// the exact longest-path level in one pass.
-	level := make([]int, len(ordered))
-	maxLevel, u := 0, 0 // relax reads the loop's u: one closure for all units
-	relax := func(v int) {
-		if level[v] < level[u]+1 {
-			level[v] = level[u] + 1
-		}
-	}
-	for u = range ordered {
-		edges(u, relax)
-		if level[u] > maxLevel {
-			maxLevel = level[u]
-		}
-	}
-	levels := make([][]unitSpec, maxLevel+1)
-	for i, sn := range ordered {
-		levels[level[i]] = append(levels[level[i]], sn)
-	}
-	return levels
-}
-
-// analyzeLevel runs f on every chain of one dependency level concurrently
-// and reports whether all succeeded. The chains write disjoint slices of
-// the propagation state, so no synchronization beyond the join is needed.
-func analyzeLevel(level []unitSpec, f func(unitSpec) bool) bool {
-	if len(level) == 1 {
-		return f(level[0])
-	}
-	oks := make([]bool, len(level))
-	workers := maxParallelWorkers()
-	if workers > len(level) {
-		workers = len(level)
-	}
-	var (
-		next int64 = -1
-		wg   sync.WaitGroup
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(level) {
-					return
-				}
-				oks[i] = f(level[i])
-			}
-		}()
-	}
-	wg.Wait()
-	for _, ok := range oks {
-		if !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // partition greedily grows chains of consecutive servers (in topological

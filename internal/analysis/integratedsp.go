@@ -50,7 +50,7 @@ func (a IntegratedSP) Analyze(net *topo.Network) (*Result, error) {
 // checkpoints plus one between classes. An uncancelled run is bit-identical
 // to Analyze.
 func (a IntegratedSP) AnalyzeContext(ctx context.Context, net *topo.Network) (*Result, error) {
-	return a.core().analyze(ctx, net)
+	return analyzeOnce(ctx, a.core(), net)
 }
 
 func (IntegratedSP) core() chainCore {

@@ -3,6 +3,7 @@ package analysis
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"delaycalc/internal/minplus"
 	"delaycalc/internal/server"
@@ -27,38 +28,41 @@ import (
 // Cross-traffic envelopes inside the network are characterized with the
 // decomposition propagation — the tightest description available to the
 // method — so the comparison against Algorithm Integrated is as favorable
-// to the service-curve method as the available machinery allows.
+// to the service-curve method as the available machinery allows. They are
+// read off the unit traces of one traced Decomposed run.
 type ServiceCurve struct{}
 
 // Name implements Analyzer.
 func (ServiceCurve) Name() string { return "ServiceCurve" }
 
+// serviceCurveCore is the decomposed propagation ServiceCurve reads its
+// cross traffic from, on FIFO networks only.
+type serviceCurveCore struct{ decomposedCore }
+
+func (serviceCurveCore) name() string { return "ServiceCurve" }
+
+func (serviceCurveCore) check(net *topo.Network) error {
+	return requireDiscipline(net, "ServiceCurve", "FIFO", server.FIFO)
+}
+
 // Analyze implements Analyzer.
 func (ServiceCurve) Analyze(net *topo.Network) (*Result, error) {
-	net, scale, g, err := analyzable(net)
+	b, err := analyze(context.Background(), serviceCurveCore{}, net, true)
 	if err != nil {
 		return nil, err
 	}
-	for i, s := range net.Servers {
-		if s.Discipline != server.FIFO {
-			return nil, fmt.Errorf("analysis: ServiceCurve applies to FIFO networks; server %d is %v", i, s.Discipline)
-		}
+	if b.unstable {
+		return b.res, nil
 	}
-	pass, perHopEnv, finite, err := decomposedPass(context.Background(), net, g.Order())
-	if err != nil {
-		return nil, err
-	}
-	if !finite {
-		return allInf("ServiceCurve", net), nil
-	}
+	net = b.norm
 	res := &Result{Algorithm: "ServiceCurve"}
 	res.Bounds = make([]float64, len(net.Connections))
 	res.Stages = make([][]Stage, len(net.Connections))
 	// Buffer bounds are discipline-independent for work-conserving
-	// servers; reuse the ones the propagation pass computed.
-	res.Backlogs = pass.backlog
+	// servers; reuse the ones the propagation computed.
+	res.Backlogs = b.res.Backlogs
 	for i, conn := range net.Connections {
-		betaNet, err := networkServiceCurve(net, perHopEnv, i)
+		betaNet, err := networkServiceCurve(b, i)
 		if err != nil {
 			return nil, err
 		}
@@ -66,16 +70,31 @@ func (ServiceCurve) Analyze(net *topo.Network) (*Result, error) {
 		res.Bounds[i] = d
 		res.Stages[i] = []Stage{{Servers: append([]int(nil), conn.Path...), Delay: d}}
 	}
-	return denormalizeBacklogs(res, scale), nil
+	return denormalizeBacklogs(res, b.scale), nil
+}
+
+// entryEnv is connection c's envelope entering server s of its route, read
+// off a traced Decomposed run: its source envelope at its first hop, else
+// what the unit of the hop before recorded for it. Traced envelopes are
+// never recycled, so every hop keeps its own.
+func (b *Baseline) entryEnv(c, s int) minplus.Curve {
+	path := b.norm.Connections[c].Path
+	h := slices.Index(path, s)
+	if h == 0 {
+		return b.src[c]
+	}
+	post := b.trace[path[h-1]].post
+	k, _ := slices.BinarySearchFunc(post, c, func(ct connTrace, c int) int { return ct.conn - c })
+	return post[k].env
 }
 
 // networkServiceCurve convolves the leftover service curves offered to
-// connection i along its path.
-func networkServiceCurve(net *topo.Network, perHopEnv [][]minplus.Curve, i int) (minplus.Curve, error) {
-	conn := net.Connections[i]
+// connection i along its path, over the traced Decomposed run b.
+func networkServiceCurve(b *Baseline, i int) (minplus.Curve, error) {
+	conn := b.norm.Connections[i]
 	var betaNet minplus.Curve
 	for hop, s := range conn.Path {
-		beta := leftoverServiceCurve(net, perHopEnv, s, i)
+		beta := leftoverServiceCurve(b, s, i)
 		if hop == 0 {
 			betaNet = beta
 		} else {
@@ -94,15 +113,13 @@ func networkServiceCurve(net *topo.Network, perHopEnv [][]minplus.Curve, i int) 
 // leftover dips (possible for non-concave cross envelopes) it is replaced
 // by its monotone closure, which is a smaller and therefore still valid
 // service curve.
-func leftoverServiceCurve(net *topo.Network, perHopEnv [][]minplus.Curve, s, i int) minplus.Curve {
-	srv := net.Servers[s]
+func leftoverServiceCurve(b *Baseline, s, i int) minplus.Curve {
+	srv := b.norm.Servers[s]
 	cross := minplus.Zero()
-	for _, o := range net.ConnectionsAt(s) {
-		if o == i {
-			continue
+	for _, o := range b.idx[s] {
+		if o != i {
+			cross = minplus.Add(cross, b.entryEnv(o, s))
 		}
-		h := net.HopIndex(o, s)
-		cross = minplus.Add(cross, perHopEnv[o][h])
 	}
 	raw := minplus.PositivePart(minplus.Sub(minplus.Rate(srv.Capacity), cross))
 	if !raw.IsNonDecreasing() {

@@ -62,6 +62,38 @@ func TestServiceCurveDegradesWithLoadFasterThanDecomposed(t *testing.T) {
 	}
 }
 
+// TestServiceCurveCrossTrafficAtItsHop pins which envelope a connection's
+// cross traffic is charged with: a four-hop connection crossing a one-hop
+// one at its second server counts there with its source envelope shifted
+// by its first stage's delay (read off Decomposed), not by the delays of
+// the hops it crosses later.
+func TestServiceCurveCrossTrafficAtItsHop(t *testing.T) {
+	servers := make([]server.Server, 4)
+	for i := range servers {
+		servers[i] = server.Server{Capacity: 1, Discipline: server.FIFO}
+	}
+	net := &topo.Network{Servers: servers, Connections: []topo.Connection{
+		{Name: "long", Bucket: traffic.TokenBucket{Sigma: 1, Rho: 0.2}, Path: []int{0, 1, 2, 3}},
+		{Name: "short", Bucket: traffic.TokenBucket{Sigma: 1, Rho: 0.2}, Path: []int{1}},
+	}}
+	dec, err := (Decomposed{}).Analyze(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := (ServiceCurve{}).Analyze(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cross := minplus.ShiftLeft(net.Connections[0].SourceEnvelope(), dec.Stages[0][0].Delay)
+	beta := minplus.PositivePart(minplus.Sub(minplus.Rate(1), cross))
+	if !beta.IsNonDecreasing() {
+		beta = minplus.MonotoneClosure(beta)
+	}
+	if want := minplus.HorizontalDeviation(net.Connections[1].SourceEnvelope(), beta); !boundsClose(res.Bound(1), want) {
+		t.Errorf("one-hop connection: bound %v, want %v", res.Bound(1), want)
+	}
+}
+
 func TestServiceCurveRejectsNonFIFO(t *testing.T) {
 	net := &topo.Network{
 		Servers: []server.Server{{Capacity: 1, Discipline: server.GuaranteedRate}},

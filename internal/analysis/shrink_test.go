@@ -3,6 +3,7 @@ package analysis
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"delaycalc/internal/server"
@@ -110,6 +111,64 @@ func TestShrinkScopesWork(t *testing.T) {
 	}
 	if ext.Stats.ReplayedUnits < n-2 {
 		t.Errorf("replayed %d units, want >= %d", ext.Stats.ReplayedUnits, n-2)
+	}
+}
+
+// TestShrinkRecomputesALevelConcurrently releases the only connection
+// between two pairs of servers, s0->s1 and s2->s3: the trial's units of
+// both pairs land in one dependency level and are dirty together, so the
+// driver recomputes them concurrently — a chain each for Integrated, s1 and
+// s3 for Decomposed. The result must be the full analysis bit for bit, and
+// under -race the run proves the level's units write disjoint state.
+func TestShrinkRecomputesALevelConcurrently(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	servers := make([]server.Server, 4)
+	for i := range servers {
+		servers[i] = server.Server{Name: fmt.Sprintf("s%d", i), Capacity: 1, Discipline: server.FIFO}
+	}
+	conn := func(name string, rho float64, path ...int) topo.Connection {
+		return topo.Connection{Name: name, Bucket: traffic.TokenBucket{Sigma: 1, Rho: rho}, Path: path}
+	}
+	net := &topo.Network{Servers: servers, Connections: []topo.Connection{
+		conn("a", 0.3, 0, 1), conn("b", 0.3, 2, 3), conn("bridge", 0.1, 1, 2),
+	}}
+	shrunk := &topo.Network{Servers: servers, Connections: net.Connections[:2]}
+	for _, tc := range []struct {
+		a Incremental
+		// The trial's levels, each unit named by its first server, and its
+		// one replayed unit (s0, upstream of everything released) if any.
+		levels   string
+		replayed int
+	}{{Integrated{}, "[[0 2]]", 0}, {Decomposed{}, "[[0 2] [1 3]]", 1}} {
+		base, err := tc.a.NewBaseline(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext, err := base.Shrink(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := tc.a.Analyze(shrunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, tc.a.Name(), want, ext.Result())
+		trial := ext.Promote()
+		var levels [][]int
+		for _, level := range levelizeSubnetworks(trial.graph, trial.units) {
+			var firsts []int
+			for _, u := range level {
+				firsts = append(firsts, u.servers[0])
+			}
+			levels = append(levels, firsts)
+		}
+		if got := fmt.Sprint(levels); got != tc.levels {
+			t.Errorf("%s: trial levels %s, want %s", tc.a.Name(), got, tc.levels)
+		}
+		if st := ext.Stats; st.ReplayedUnits != tc.replayed || st.RecomputedUnits != len(trial.units)-tc.replayed {
+			t.Errorf("%s: replayed %d and recomputed %d of %d units, want %d replayed", tc.a.Name(),
+				st.ReplayedUnits, st.RecomputedUnits, len(trial.units), tc.replayed)
+		}
 	}
 }
 
