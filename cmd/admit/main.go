@@ -5,14 +5,14 @@
 //
 // Usage:
 //
-//	admit [-servers 4] [-deadline 14] [-sigma 1] [-rho 0.02] [-limit 200] [-full]
+//	admit [-servers 4] [-deadline 14] [-sigma 1] [-rho 0.02] [-limit 200]
 //	      [-timeout 0] [-shards 1]
 //
-// The greedy fill runs through the same incremental admission engine the
-// delayd daemon serves (docs/INCREMENTAL.md): each admission extends the
-// previous analysis baseline instead of re-analyzing the whole network.
-// -full forces a complete re-analysis per test; the admitted counts are
-// identical either way.
+// The greedy fill runs through the same admission engine the delayd daemon
+// serves (docs/INCREMENTAL.md): under Decomposed and Integrated each
+// admission extends the previous analysis baseline instead of re-analyzing
+// the whole network; ServiceCurve, which has no incremental path,
+// re-analyzes per test. The last column counts the incremental tests.
 package main
 
 import (
@@ -40,7 +40,6 @@ func main() {
 		sigma    = flag.Float64("sigma", 1, "token bucket depth")
 		rho      = flag.Float64("rho", 0.02, "token rate")
 		limit    = flag.Int("limit", 200, "admission attempts")
-		full     = flag.Bool("full", false, "disable incremental analysis (full re-analysis per test)")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget per analyzer's greedy fill (0 = unlimited)")
 		shards   = flag.Int("shards", 1, "engine shards (a tandem is one component, so >1 only helps on disjoint fabrics)")
 	)
@@ -69,9 +68,6 @@ func main() {
 		state, err := service.NewStateShards(servers, a, *shards)
 		if err != nil {
 			fatal(err)
-		}
-		if *full {
-			state.ForceFull()
 		}
 		ctx, cancel := fillContext(*timeout)
 		n, err := state.Engine().FillGreedy(ctx, template, *limit)

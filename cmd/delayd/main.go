@@ -9,7 +9,7 @@
 //	delayd [-addr :8080] [-algo integrated] (-spec net.json | -tandem 4 [-load 0.5])
 //	       [-shards 1] [-network id=spec.json ...]
 //	       [-cache 256] [-timeout 10s] [-analyze-timeout 5s] [-max-inflight 64]
-//	       [-max-body 1048576] [-shutdown-grace 10s] [-incremental=true] [-pprof]
+//	       [-max-body 1048576] [-shutdown-grace 10s] [-pprof]
 //
 // The daemon serves one or more independent admission fabrics ("networks").
 // -spec/-tandem define the default network; each repeatable -network flag
@@ -35,11 +35,11 @@
 // immutable promoted snapshot (a lock-free replica read) and carry its
 // version in the X-Snapshot-Version header.
 //
-// Admission tests run against immutable snapshots outside any lock; with
-// -incremental (the default, on analyzers that support it) each test
+// Admission tests run against immutable snapshots outside any lock; on an
+// analyzer that supports it (integrated, decomposed, integratedsp) each test
 // re-analyzes only the candidate's interference closure and splices cached
-// bounds for the rest — see docs/INCREMENTAL.md. -incremental=false forces
-// a full re-analysis per test.
+// bounds for the rest — see docs/INCREMENTAL.md. The others re-analyze the
+// whole trial network per test.
 //
 // Each request runs under two clocks: -timeout is the hard deadline (a
 // request that reaches it is shed with 503 + Retry-After and its analysis
@@ -99,7 +99,6 @@ func main() {
 		inflight = flag.Int("max-inflight", service.DefaultMaxInFlight, "maximum concurrently running analyses (negative disables the bound)")
 		maxBody  = flag.Int64("max-body", service.DefaultMaxBodyBytes, "maximum request body bytes")
 		grace    = flag.Duration("shutdown-grace", 10*time.Second, "drain window after SIGINT/SIGTERM")
-		incr     = flag.Bool("incremental", true, "use incremental admission analysis when the analyzer supports it")
 		shards   = flag.Int("shards", 1, "engine shards per network (disjoint subnetworks commit independently)")
 		profile  = flag.Bool("pprof", false, "expose net/http/pprof handlers under /debug/pprof/")
 		verbose  = flag.Bool("v", false, "debug-level logging")
@@ -114,7 +113,7 @@ func main() {
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
-	if err := run(logger, *addr, *specPath, *tandem, *load, *algo, *cacheSz, *timeout, *analyzeT, *inflight, *maxBody, *grace, *incr, *shards, extraNets, *profile); err != nil {
+	if err := run(logger, *addr, *specPath, *tandem, *load, *algo, *cacheSz, *timeout, *analyzeT, *inflight, *maxBody, *grace, *shards, extraNets, *profile); err != nil {
 		logger.Error("delayd exiting", "err", err)
 		os.Exit(1)
 	}
@@ -125,7 +124,7 @@ func main() {
 // analysis baselines. Every network — default or tenant — boots through
 // this one path.
 func buildState(logger *slog.Logger, id, specPath string, tandem int, load float64,
-	algo string, shards int, incremental bool) (*service.State, int, error) {
+	algo string, shards int) (*service.State, int, error) {
 
 	analyzer, err := service.PickAnalyzer(algo)
 	if err != nil {
@@ -138,9 +137,6 @@ func buildState(logger *slog.Logger, id, specPath string, tandem int, load float
 	state, err := service.NewStateShards(net.Servers, analyzer, shards)
 	if err != nil {
 		return nil, 0, err
-	}
-	if !incremental {
-		state.ForceFull()
 	}
 	// Pre-admit deadline-bearing connections from the spec so a saved
 	// fabric restarts with its admitted set; the tandem builder's
@@ -183,10 +179,10 @@ func buildState(logger *slog.Logger, id, specPath string, tandem int, load float
 
 func run(logger *slog.Logger, addr, specPath string, tandem int, load float64, algo string,
 	cacheSz int, timeout, analyzeTimeout time.Duration, maxInFlight int, maxBody int64,
-	grace time.Duration, incremental bool, shards int, extraNets networkFlags, profile bool) error {
+	grace time.Duration, shards int, extraNets networkFlags, profile bool) error {
 
 	reg := service.NewRegistry()
-	state, nServers, err := buildState(logger, service.DefaultNetworkID, specPath, tandem, load, algo, shards, incremental)
+	state, nServers, err := buildState(logger, service.DefaultNetworkID, specPath, tandem, load, algo, shards)
 	if err != nil {
 		return err
 	}
@@ -195,7 +191,7 @@ func run(logger *slog.Logger, addr, specPath string, tandem int, load float64, a
 	}
 	for _, nf := range extraNets {
 		id, spec, _ := strings.Cut(nf, "=")
-		st, n, err := buildState(logger, id, spec, 0, load, algo, shards, incremental)
+		st, n, err := buildState(logger, id, spec, 0, load, algo, shards)
 		if err != nil {
 			return err
 		}

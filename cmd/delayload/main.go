@@ -1,18 +1,17 @@
 // Command delayload is an operator's load generator for the delayd
 // admission API. It drives a live daemon (or an in-process one it starts
-// itself) with a configurable mix of admit, release, and mixed-batch
-// operations and prints per-operation latency percentiles and throughput.
-// It judges nothing but failures: any transport error or non-200 reply
-// makes it exit non-zero. Performance claims about this repository are
-// made with bench/ (see bench/README.md), not with this tool.
+// itself) with a mix of admit, release, and mixed-batch operations and
+// prints per-operation latency percentiles and throughput. It judges
+// nothing but failures: any transport error or non-200 reply makes it exit
+// non-zero; an admission the daemon rejects is a rejection, not a failure.
+// Performance claims about this repository are made with bench/ (see
+// bench/README.md), not with this tool.
 //
 // Usage:
 //
-//	delayload [-target http://host:8080 -servers s0,s1,...] | [-self 8]
+//	delayload [-target http://host:8080 -servers s0,s1,...] | [-self 8 [-analyzer integrated]]
 //	          [-network default] [-duration 10s] [-concurrency 4] [-mix 6:3:1]
-//	          [-rate 0] [-seed 1] [-rho 0.002] [-deadline 100]
-//	          [-open-rates 100,200 [-arrival poisson] [-open-duration 3s]
-//	           [-open-csv sweep.csv]] [-out report.json]
+//	          [-seed 1] [-rho 0.002] [-deadline 100] [-open-rates 100,200]
 //
 // With -target, delayload aims at a running delayd and -servers must name
 // the fabric servers in path order (generated connections take random
@@ -21,20 +20,18 @@
 // that. Operations go through the network-scoped /v2 API against the
 // -network tenant.
 //
-// Each worker runs a closed loop: it issues one operation, waits for the
-// response, records the latency under the operation's class, and issues
-// the next. -rate caps the aggregate operation rate (0 = unthrottled).
-// The -mix a:r:b weights choose between single admissions (POST
-// .../connections), releases of previously admitted connections (DELETE
-// .../connections/{name}), and small mixed batches (POST .../batch).
+// Each of the -concurrency workers runs a closed loop for -duration: it
+// issues one operation, waits for the response, records the latency under
+// the operation's class, and issues the next. The -mix a:r:b weights choose
+// between single admissions (POST .../connections), releases of previously
+// admitted connections (DELETE .../connections/{name}), and small mixed
+// batches (POST .../batch).
 //
-// -open-rates r1,r2,... appends an open-loop arrival sweep to the run
-// (see openloop.go): each rate point fixes a Poisson or fixed-spacing
-// (-arrival) schedule up front and measures latency from the SCHEDULED
-// send time, so overload cannot hide behind coordinated omission. -open-csv
-// also writes the sweep as CSV. -out writes the whole run (closed loop,
-// the daemon's stats document, the sweep under "open_loop") as JSON; by
-// default nothing is written and the summary goes to stdout only.
+// -open-rates r1,r2,... appends an open-loop sweep (openloop.go): each rate
+// point runs for -duration on a Poisson schedule fixed up front and measures
+// latency from the SCHEDULED send time, so overload cannot hide behind
+// coordinated omission. Both loops send through the same request layer
+// (client below). Nothing is written to disk.
 package main
 
 import (
@@ -56,7 +53,6 @@ import (
 	"sync"
 	"time"
 
-	"delaycalc/internal/analysis"
 	"delaycalc/internal/netspec"
 	"delaycalc/internal/server"
 	"delaycalc/internal/service"
@@ -70,7 +66,7 @@ func main() {
 	if err != nil {
 		os.Exit(2) // the flag package has already printed the error and usage
 	}
-	if err := run(cfg, os.Stdout); err != nil {
+	if _, err := run(cfg, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "delayload:", err)
 		os.Exit(1)
 	}
@@ -79,27 +75,26 @@ func main() {
 // parseFlags builds the run configuration from the command line; parse
 // errors and usage go to errOut.
 func parseFlags(args []string, errOut io.Writer) (*config, error) {
-	var cfg config
+	cfg := config{weights: [3]int{6, 3, 1}}
 	fs := flag.NewFlagSet("delayload", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	fs.StringVar(&cfg.target, "target", "", "base URL of a running delayd (empty: start one in-process)")
 	fs.StringVar(&cfg.servers, "servers", "", "comma-separated fabric server names in path order (required with -target)")
 	fs.IntVar(&cfg.self, "self", 8, "tandem size of the in-process daemon (without -target)")
-	fs.StringVar(&cfg.analyzer, "analyzer", "integrated", "in-process daemon's analysis: integrated or decomposed")
+	fs.StringVar(&cfg.analyzer, "analyzer", "integrated",
+		"in-process daemon's admission analyzer ("+strings.Join(service.AnalyzerNames(), ", ")+")")
 	fs.StringVar(&cfg.network, "network", service.DefaultNetworkID, "tenant network the /v2 operations are scoped to")
-	fs.DurationVar(&cfg.duration, "duration", 10*time.Second, "measurement window")
+	fs.DurationVar(&cfg.duration, "duration", 10*time.Second, "closed-loop window, and the window of every open-loop rate point")
 	fs.IntVar(&cfg.concurrency, "concurrency", 4, "closed-loop workers")
-	fs.StringVar(&cfg.mix, "mix", "6:3:1", "admit:release:batch operation weights")
-	fs.Float64Var(&cfg.rate, "rate", 0, "aggregate operations per second (0 = unthrottled)")
+	fs.Func("mix", "admit:release:batch operation weights (default 6:3:1)", func(s string) (err error) {
+		cfg.weights, err = parseMix(s)
+		return err
+	})
 	fs.Int64Var(&cfg.seed, "seed", 1, "workload RNG seed")
 	fs.Float64Var(&cfg.rho, "rho", 0.002, "token rate of generated connections")
 	fs.Float64Var(&cfg.deadline, "deadline", 100, "deadline of generated connections")
-	fs.StringVar(&cfg.out, "out", "", "also write the run as a JSON report to this path")
 	fs.StringVar(&cfg.openRates, "open-rates", "",
-		"comma-separated target rates (ops/sec): run an open-loop arrival sweep after the closed-loop window")
-	fs.StringVar(&cfg.arrival, "arrival", "poisson", "open-loop arrival process: poisson or fixed")
-	fs.DurationVar(&cfg.openDuration, "open-duration", 0, "open-loop window per rate point (0: use -duration)")
-	fs.StringVar(&cfg.openCSV, "open-csv", "", "also write the open-loop sweep as CSV to this path")
+		"comma-separated target rates (ops/sec): run an open-loop sweep after the closed-loop window")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -113,63 +108,271 @@ type config struct {
 	network         string
 	duration        time.Duration
 	concurrency     int
-	mix             string
-	rate            float64
+	weights         [3]int // -mix
 	seed            int64
 	rho, deadline   float64
-	out             string
-
-	// Open-loop sweep (-open-rates).
-	openRates    string
-	arrival      string
-	openDuration time.Duration
-	openCSV      string
+	openRates       string
 }
 
-// apiPrefix is the network-scoped /v2 path prefix operations run under.
-func apiPrefix(network string) string { return "/v2/networks/" + network }
-
-// opStats is the per-class section of the report.
-type opStats struct {
-	Count      int     `json:"count"`
-	Errors     int     `json:"errors"`
-	Rejected   int     `json:"rejected,omitempty"` // admission tests that said no (not errors)
-	MeanMs     float64 `json:"mean_ms"`
-	P50Ms      float64 `json:"p50_ms"`
-	P90Ms      float64 `json:"p90_ms"`
-	P99Ms      float64 `json:"p99_ms"`
-	MaxMs      float64 `json:"max_ms"`
-	Throughput float64 `json:"ops_per_sec"`
+// client is the one request layer both loops send through: one method per
+// HTTP operation of the admission API, each answering an error for a
+// transport failure or any reply but 200.
+type client struct {
+	http *http.Client
+	base string // daemon URL plus the network-scoped /v2 prefix
 }
 
-// report is the -out JSON schema.
-type report struct {
-	Target      string             `json:"target"`
-	Network     string             `json:"network,omitempty"`
-	Duration    float64            `json:"duration_seconds"`
-	Concurrency int                `json:"concurrency"`
-	Mix         string             `json:"mix"`
-	Rate        float64            `json:"rate_ops_per_sec"` // 0: unthrottled
-	Seed        int64              `json:"seed"`
-	TotalOps    int                `json:"total_ops"`
-	Throughput  float64            `json:"ops_per_sec"`
-	Ops         map[string]opStats `json:"ops"`
-	// EngineStats is the daemon's network-scoped stats document after the run.
-	EngineStats json.RawMessage `json:"engine_stats,omitempty"`
-	// OpenLoop is the -open-rates arrival sweep (latency from scheduled
-	// send time).
-	OpenLoop *openLoopReport `json:"open_loop,omitempty"`
+func newClient(target, network string) *client {
+	return &client{http: &http.Client{Timeout: 30 * time.Second}, base: target + "/v2/networks/" + network}
 }
 
-// recorder accumulates one operation class's latencies inside a worker.
-type recorder struct {
+// send issues one request with an optional JSON body and returns the reply
+// body of a 200.
+func (c *client) send(method, path string, body any) ([]byte, error) {
+	var rd io.Reader
+	if body != nil {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			return nil, err
+		}
+		rd = bytes.NewReader(raw)
+	}
+	req, err := http.NewRequest(method, c.base+path, rd)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("%s %s: status %d", method, path, resp.StatusCode)
+	}
+	return data, nil
+}
+
+// admit tests and admits one connection and reports the decision.
+func (c *client) admit(spec netspec.ConnectionSpec) (bool, error) {
+	data, err := c.send(http.MethodPost, "/connections", service.AdmitRequest{Connection: spec})
+	if err != nil {
+		return false, err
+	}
+	var ar service.AdmitResponse
+	if err := json.Unmarshal(data, &ar); err != nil {
+		return false, fmt.Errorf("admit: %w", err)
+	}
+	return ar.Admitted, nil
+}
+
+// release removes one admitted connection.
+func (c *client) release(name string) error {
+	_, err := c.send(http.MethodDelete, "/connections/"+name, nil)
+	return err
+}
+
+// batch runs one mixed envelope and returns the names it admitted and the
+// number of admissions it rejected.
+func (c *client) batch(ops []service.BatchOp) (admitted []string, rejected int, err error) {
+	data, err := c.send(http.MethodPost, "/batch", service.BatchRequest{Operations: ops})
+	if err != nil {
+		return nil, 0, err
+	}
+	var br service.BatchResponse
+	if err := json.Unmarshal(data, &br); err != nil {
+		return nil, 0, fmt.Errorf("batch: %w", err)
+	}
+	for _, res := range br.Results {
+		if res.Op == "admit" && res.Status == service.BatchStatusAdmitted {
+			admitted = append(admitted, ops[res.Index].Connection.Name)
+		}
+	}
+	return admitted, br.Rejected, nil
+}
+
+// Operation kinds, in -mix order.
+const (
+	opAdmit = iota
+	opRelease
+	opBatch
+)
+
+// op is one generated operation. Every op carries an admit candidate: a
+// release that finds no admitted connection to remove admits it instead.
+type op struct {
+	kind         int
+	specA, specB netspec.ConnectionSpec
+}
+
+// pool holds the admitted names releases draw from; safe for concurrent use.
+type pool struct {
+	mu    sync.Mutex
+	names []string
+}
+
+func (p *pool) add(names ...string) {
+	p.mu.Lock()
+	p.names = append(p.names, names...)
+	p.mu.Unlock()
+}
+
+func (p *pool) take() (string, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.names) == 0 {
+		return "", false
+	}
+	name := p.names[len(p.names)-1]
+	p.names = p.names[:len(p.names)-1]
+	return name, true
+}
+
+// exec sends o, taking release targets from and returning admissions to p,
+// and reports the class it ran as and how many admissions were rejected.
+func (c *client) exec(o op, p *pool) (class string, rejected int, err error) {
+	switch o.kind {
+	case opRelease:
+		if name, ok := p.take(); ok {
+			return "release", 0, c.release(name)
+		}
+	case opBatch:
+		ops := []service.BatchOp{{Op: "admit", Connection: &o.specA}, {Op: "admit", Connection: &o.specB}}
+		if name, ok := p.take(); ok {
+			ops = append(ops, service.BatchOp{Op: "release", Name: name})
+		}
+		admitted, n, err := c.batch(ops)
+		p.add(admitted...)
+		return "batch", n, err
+	}
+	ok, err := c.admit(o.specA)
+	if ok {
+		p.add(o.specA.Name)
+	} else if err == nil {
+		rejected = 1
+	}
+	return "admit", rejected, err
+}
+
+// generator draws operations by the mix weights and candidates on random
+// contiguous sub-paths of the fabric.
+type generator struct {
+	rng           *rand.Rand
+	prefix        string   // connection name prefix, unique per generator
+	names         []string // fabric servers in path order
+	weights       [3]int
+	rho, deadline float64
+	seq           int
+}
+
+func newGenerator(cfg *config, names []string, seed int64, prefix string) *generator {
+	return &generator{rng: rand.New(rand.NewSource(seed)), prefix: prefix, names: names,
+		weights: cfg.weights, rho: cfg.rho, deadline: cfg.deadline}
+}
+
+func (g *generator) next() op {
+	o := op{kind: opBatch}
+	switch n := g.rng.Intn(g.weights[0] + g.weights[1] + g.weights[2]); {
+	case n < g.weights[0]:
+		o.kind = opAdmit
+	case n < g.weights[0]+g.weights[1]:
+		o.kind = opRelease
+	default:
+		o.specB = g.spec()
+	}
+	o.specA = g.spec()
+	return o
+}
+
+// spec generates one candidate of two or three hops.
+func (g *generator) spec() netspec.ConnectionSpec {
+	g.seq++
+	hops := min(2, len(g.names))
+	if len(g.names) > 2 && g.rng.Intn(2) == 0 {
+		hops = 3
+	}
+	start := g.rng.Intn(len(g.names) - hops + 1)
+	path := make([]json.RawMessage, hops)
+	for i, name := range g.names[start : start+hops] {
+		path[i], _ = json.Marshal(name) // a string always marshals
+	}
+	return netspec.ConnectionSpec{Name: fmt.Sprintf("%sn%d", g.prefix, g.seq), Sigma: 1, Rho: g.rho,
+		AccessRate: 1, Path: path, Deadline: g.deadline}
+}
+
+// parseMix reads admit:release:batch weights.
+func parseMix(s string) (w [3]int, err error) {
+	parts := strings.Split(s, ":")
+	if len(parts) != 3 {
+		return w, fmt.Errorf("mix %q: want admit:release:batch", s)
+	}
+	for i, p := range parts {
+		w[i], err = strconv.Atoi(strings.TrimSpace(p))
+		if err != nil || w[i] < 0 {
+			return w, fmt.Errorf("mix %q: weights must be non-negative integers", s)
+		}
+	}
+	if w[0]+w[1]+w[2] == 0 {
+		return w, fmt.Errorf("mix %q: all weights are zero", s)
+	}
+	return w, nil
+}
+
+// samples is what a loop measured for one operation class (or one open-loop
+// rate point): the latencies of the operations that got a 200, the ones that
+// failed, and the admissions the daemon rejected.
+type samples struct {
 	latMs    []float64
 	errors   int
 	rejected int
+	lastErr  error
 }
 
-func (r *recorder) observe(d time.Duration) {
-	r.latMs = append(r.latMs, float64(d.Microseconds())/1000)
+// recorder collects samples per class; safe for concurrent use.
+type recorder struct {
+	mu      sync.Mutex
+	classes map[string]*samples
+}
+
+func (r *recorder) observe(class string, d time.Duration, rejected int, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.classes == nil {
+		r.classes = map[string]*samples{}
+	}
+	s := r.classes[class]
+	if s == nil {
+		s = &samples{}
+		r.classes[class] = s
+	}
+	if err != nil {
+		s.errors++
+		s.lastErr = err
+		return
+	}
+	s.latMs = append(s.latMs, float64(d.Microseconds())/1000)
+	s.rejected += rejected
+}
+
+// stats is the summary of one samples set.
+type stats struct {
+	count, errors, rejected int
+	p50, p90, p99, max      float64
+	lastErr                 error
+}
+
+func (s *samples) stats() stats {
+	sort.Float64s(s.latMs)
+	st := stats{count: len(s.latMs), errors: s.errors, rejected: s.rejected, lastErr: s.lastErr,
+		p50: percentile(s.latMs, 0.50), p90: percentile(s.latMs, 0.90), p99: percentile(s.latMs, 0.99)}
+	if st.count > 0 {
+		st.max = s.latMs[st.count-1]
+	}
+	return st
 }
 
 // percentile returns the q-quantile (0 < q <= 1) of sorted samples.
@@ -178,50 +381,14 @@ func percentile(sorted []float64, q float64) float64 {
 		return 0
 	}
 	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-func parseMix(s string) (admit, release, batch int, err error) {
-	parts := strings.Split(s, ":")
-	if len(parts) != 3 {
-		return 0, 0, 0, fmt.Errorf("mix %q: want admit:release:batch", s)
-	}
-	w := make([]int, 3)
-	for i, p := range parts {
-		w[i], err = strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || w[i] < 0 {
-			return 0, 0, 0, fmt.Errorf("mix %q: weights must be non-negative integers", s)
-		}
-	}
-	if w[0]+w[1]+w[2] == 0 {
-		return 0, 0, 0, fmt.Errorf("mix %q: all weights are zero", s)
-	}
-	return w[0], w[1], w[2], nil
-}
-
-// pickAnalyzer resolves the -analyzer flag for the in-process daemon.
-func pickAnalyzer(name string) (analysis.Analyzer, error) {
-	switch name {
-	case "", "integrated":
-		return analysis.Integrated{}, nil
-	case "decomposed":
-		return analysis.Decomposed{}, nil
-	default:
-		return nil, fmt.Errorf("analyzer %q: want integrated or decomposed", name)
-	}
+	return sorted[max(0, min(idx, len(sorted)-1))]
 }
 
 // selfServe starts an in-process delayd over an n-server tandem fabric on
 // a loopback listener and returns its base URL, the fabric server names,
 // and a shutdown func.
 func selfServe(n int, analyzerName string) (base string, names []string, shutdown func(), err error) {
-	analyzer, err := pickAnalyzer(analyzerName)
+	analyzer, err := service.PickAnalyzer(analyzerName)
 	if err != nil {
 		return "", nil, nil, err
 	}
@@ -259,318 +426,67 @@ func selfServe(n int, analyzerName string) (base string, names []string, shutdow
 	return "http://" + ln.Addr().String(), names, shutdown, nil
 }
 
-// worker is one closed loop: it owns a pool of the connections it has
-// admitted (so its releases never race another worker's) and one recorder
-// per operation class.
-type worker struct {
-	id      int
-	base    string
-	prefix  string // network-scoped /v2 path prefix
-	client  *http.Client
-	rng     *rand.Rand
-	names   []string // fabric servers in path order
-	rho     float64
-	deadl   float64
-	seq     int
-	pool    []string
-	rec     map[string]*recorder
-	tick    <-chan time.Time // nil: unthrottled
-	wAdmit  int
-	wRel    int
-	wBatch  int
-	errLast error
-}
-
-func (w *worker) recordFor(class string) *recorder {
-	r, ok := w.rec[class]
-	if !ok {
-		r = &recorder{}
-		w.rec[class] = r
-	}
-	return r
-}
-
-// connSpec generates one candidate on a random contiguous sub-path.
-func (w *worker) connSpec() netspec.ConnectionSpec {
-	w.seq++
-	hops := 2
-	if len(w.names) < 2 {
-		hops = len(w.names)
-	} else if len(w.names) > 2 && w.rng.Intn(2) == 0 {
-		hops = 3
-		if hops > len(w.names) {
-			hops = len(w.names)
-		}
-	}
-	start := w.rng.Intn(len(w.names) - hops + 1)
-	path := make([]json.RawMessage, hops)
-	for i, name := range w.names[start : start+hops] {
-		raw, _ := json.Marshal(name)
-		path[i] = raw
-	}
-	return netspec.ConnectionSpec{
-		Name:       fmt.Sprintf("ld%dn%d", w.id, w.seq),
-		Sigma:      1,
-		Rho:        w.rho,
-		AccessRate: 1,
-		Path:       path,
-		Deadline:   w.deadl,
-	}
-}
-
-func (w *worker) post(path string, body any) (*http.Response, []byte, error) {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return nil, nil, err
-	}
-	resp, err := w.client.Post(w.base+path, "application/json", bytes.NewReader(raw))
-	if err != nil {
-		return nil, nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	return resp, data, err
-}
-
-func (w *worker) doAdmit() {
-	rec := w.recordFor("admit")
-	spec := w.connSpec()
+// closedLoop runs cfg.concurrency workers against base for cfg.duration and
+// returns the per-class summaries and the window's length.
+func closedLoop(cfg *config, base string, names []string) (map[string]stats, time.Duration) {
+	c, p, rec := newClient(base, cfg.network), &pool{}, &recorder{}
+	ctx, cancel := context.WithTimeout(context.Background(), cfg.duration)
+	defer cancel()
+	var wg sync.WaitGroup
 	start := time.Now()
-	resp, data, err := w.post(w.prefix+"/connections", service.AdmitRequest{Connection: spec})
-	elapsed := time.Since(start)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		rec.errors++
-		w.errLast = fmt.Errorf("admit: %v (status %v)", err, respStatus(resp))
-		return
-	}
-	rec.observe(elapsed)
-	var ar service.AdmitResponse
-	if json.Unmarshal(data, &ar) == nil && ar.Admitted {
-		w.pool = append(w.pool, spec.Name)
-	} else {
-		rec.rejected++
-	}
-}
-
-func (w *worker) doRelease() {
-	if len(w.pool) == 0 {
-		w.doAdmit()
-		return
-	}
-	rec := w.recordFor("release")
-	i := w.rng.Intn(len(w.pool))
-	name := w.pool[i]
-	w.pool = append(w.pool[:i], w.pool[i+1:]...)
-	start := time.Now()
-	req, err := http.NewRequest(http.MethodDelete, w.base+w.prefix+"/connections/"+name, nil)
-	if err != nil {
-		rec.errors++
-		return
-	}
-	resp, err := w.client.Do(req)
-	elapsed := time.Since(start)
-	if err != nil {
-		rec.errors++
-		w.errLast = fmt.Errorf("release: %v", err)
-		return
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		rec.errors++
-		w.errLast = fmt.Errorf("release: status %d", resp.StatusCode)
-		return
-	}
-	rec.observe(elapsed)
-}
-
-func (w *worker) doBatch() {
-	rec := w.recordFor("batch")
-	specA, specB := w.connSpec(), w.connSpec()
-	ops := []service.BatchOp{
-		{Op: "admit", Connection: &specA},
-		{Op: "admit", Connection: &specB},
-	}
-	releasing := ""
-	if len(w.pool) > 0 {
-		i := w.rng.Intn(len(w.pool))
-		releasing = w.pool[i]
-		w.pool = append(w.pool[:i], w.pool[i+1:]...)
-		ops = append(ops, service.BatchOp{Op: "release", Name: releasing})
-	}
-	start := time.Now()
-	resp, data, err := w.post(w.prefix+"/batch", service.BatchRequest{Operations: ops})
-	elapsed := time.Since(start)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		rec.errors++
-		w.errLast = fmt.Errorf("batch: %v (status %v)", err, respStatus(resp))
-		return
-	}
-	rec.observe(elapsed)
-	var br service.BatchResponse
-	if json.Unmarshal(data, &br) != nil {
-		rec.errors++
-		return
-	}
-	for _, res := range br.Results {
-		if res.Op == "admit" && res.Status == service.BatchStatusAdmitted {
-			w.pool = append(w.pool, ops[res.Index].Connection.Name)
-		}
-	}
-}
-
-func respStatus(resp *http.Response) any {
-	if resp == nil {
-		return "none"
-	}
-	return resp.StatusCode
-}
-
-func (w *worker) loop(ctx context.Context) {
-	total := w.wAdmit + w.wRel + w.wBatch
-	for ctx.Err() == nil {
-		if w.tick != nil {
-			select {
-			case <-w.tick:
-			case <-ctx.Done():
-				return
+	for i := 0; i < cfg.concurrency; i++ {
+		g := newGenerator(cfg, names, cfg.seed+int64(i)*7919, fmt.Sprintf("ld%d", i))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				o := g.next()
+				t := time.Now()
+				class, rejected, err := c.exec(o, p)
+				rec.observe(class, time.Since(t), rejected, err)
 			}
-		}
-		switch n := w.rng.Intn(total); {
-		case n < w.wAdmit:
-			w.doAdmit()
-		case n < w.wAdmit+w.wRel:
-			w.doRelease()
-		default:
-			w.doBatch()
-		}
+		}()
 	}
+	wg.Wait()
+	out := map[string]stats{}
+	for class, s := range rec.classes {
+		out[class] = s.stats()
+	}
+	return out, time.Since(start)
 }
 
-// measure runs the closed-loop workload against base for cfg.duration and
-// returns the merged percentile report. names are the fabric server names
-// (in path order) the generated connections run over.
-func measure(cfg *config, base string, names []string) (*report, error) {
-	wAdmit, wRel, wBatch, err := parseMix(cfg.mix)
-	if err != nil {
-		return nil, err
-	}
+// results is what a run measured: the closed loop per class, then the
+// open-loop sweep per rate point.
+type results struct {
+	closed map[string]stats
+	open   []point
+}
+
+// run validates cfg, runs the closed loop and the open-loop sweep, prints
+// their summaries to out, and fails when any operation failed.
+func run(cfg *config, out io.Writer) (*results, error) {
 	if cfg.concurrency < 1 {
 		return nil, fmt.Errorf("concurrency must be at least 1")
 	}
 	if cfg.duration <= 0 {
 		return nil, fmt.Errorf("duration must be positive")
 	}
-
-	var ticker *time.Ticker
-	var tick <-chan time.Time
-	if cfg.rate > 0 {
-		ticker = time.NewTicker(time.Duration(float64(time.Second) / cfg.rate))
-		defer ticker.Stop()
-		tick = ticker.C
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.duration)
-	defer cancel()
-	workers := make([]*worker, cfg.concurrency)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := range workers {
-		workers[i] = &worker{
-			id:     i,
-			base:   base,
-			prefix: apiPrefix(cfg.network),
-			client: &http.Client{Timeout: 30 * time.Second},
-			rng:    rand.New(rand.NewSource(cfg.seed + int64(i)*7919)),
-			names:  names,
-			rho:    cfg.rho,
-			deadl:  cfg.deadline,
-			rec:    make(map[string]*recorder),
-			tick:   tick,
-			wAdmit: wAdmit, wRel: wRel, wBatch: wBatch,
+	var rates []float64
+	var err error
+	if cfg.openRates != "" {
+		if rates, err = parseRates(cfg.openRates); err != nil {
+			return nil, err
 		}
-		wg.Add(1)
-		go func(w *worker) { defer wg.Done(); w.loop(ctx) }(workers[i])
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	rep := &report{
-		Target:      base,
-		Network:     cfg.network,
-		Duration:    elapsed.Seconds(),
-		Concurrency: cfg.concurrency,
-		Mix:         cfg.mix,
-		Rate:        cfg.rate,
-		Seed:        cfg.seed,
-		Ops:         make(map[string]opStats),
-	}
-	merged := make(map[string]*recorder)
-	for _, w := range workers {
-		for class, r := range w.rec {
-			m, ok := merged[class]
-			if !ok {
-				m = &recorder{}
-				merged[class] = m
-			}
-			m.latMs = append(m.latMs, r.latMs...)
-			m.errors += r.errors
-			m.rejected += r.rejected
-		}
-		if w.errLast != nil {
-			fmt.Fprintf(os.Stderr, "delayload: worker %d last error: %v\n", w.id, w.errLast)
-		}
-	}
-	for class, r := range merged {
-		sort.Float64s(r.latMs)
-		sum := 0.0
-		for _, v := range r.latMs {
-			sum += v
-		}
-		st := opStats{
-			Count:    len(r.latMs),
-			Errors:   r.errors,
-			Rejected: r.rejected,
-			P50Ms:    percentile(r.latMs, 0.50),
-			P90Ms:    percentile(r.latMs, 0.90),
-			P99Ms:    percentile(r.latMs, 0.99),
-		}
-		if st.Count > 0 {
-			st.MeanMs = sum / float64(st.Count)
-			st.MaxMs = r.latMs[st.Count-1]
-			st.Throughput = float64(st.Count) / elapsed.Seconds()
-		}
-		rep.Ops[class] = st
-		rep.TotalOps += st.Count
-	}
-	rep.Throughput = float64(rep.TotalOps) / elapsed.Seconds()
-
-	// Attach the daemon's own counters so the report records how much of
-	// the churn ran incrementally.
-	if resp, err := http.Get(base + apiPrefix(cfg.network) + "/stats"); err == nil {
-		if data, err := io.ReadAll(resp.Body); err == nil && resp.StatusCode == http.StatusOK {
-			rep.EngineStats = json.RawMessage(data)
-		}
-		resp.Body.Close()
-	}
-	return rep, nil
-}
-
-func run(cfg *config, out io.Writer) error {
-	if cfg.network == "" {
-		cfg.network = service.DefaultNetworkID
 	}
 	base := cfg.target
 	var names []string
 	if base == "" {
 		if cfg.self < 1 {
-			return fmt.Errorf("-self must be at least 1 without -target")
+			return nil, fmt.Errorf("-self must be at least 1 without -target")
 		}
 		var shutdown func()
-		var err error
-		base, names, shutdown, err = selfServe(cfg.self, cfg.analyzer)
-		if err != nil {
-			return err
+		if base, names, shutdown, err = selfServe(cfg.self, cfg.analyzer); err != nil {
+			return nil, err
 		}
 		defer shutdown()
 	} else {
@@ -580,58 +496,43 @@ func run(cfg *config, out io.Writer) error {
 			}
 		}
 		if len(names) == 0 {
-			return fmt.Errorf("-target requires -servers with the fabric server names in path order")
+			return nil, fmt.Errorf("-target requires -servers with the fabric server names in path order")
 		}
 	}
 
-	rep, err := measure(cfg, base, names)
-	if err != nil {
-		return err
-	}
-	if cfg.openRates != "" {
-		rep.OpenLoop, err = runOpenLoopSweep(cfg, names, out)
-		if err != nil {
-			return err
-		}
-	}
-
-	classes := make([]string, 0, len(rep.Ops))
-	for class := range rep.Ops {
+	closed, elapsed := closedLoop(cfg, base, names)
+	res := &results{closed: closed}
+	classes := make([]string, 0, len(closed))
+	total := 0
+	for class, st := range closed {
 		classes = append(classes, class)
+		total += st.count
 	}
 	sort.Strings(classes)
 	fmt.Fprintf(out, "delayload: %d ops in %.1fs (%.0f ops/s) against %s\n",
-		rep.TotalOps, rep.Duration, rep.Throughput, rep.Target)
-	fmt.Fprintf(out, "%-8s %8s %7s %9s %9s %9s %9s\n", "op", "count", "errors", "p50 ms", "p90 ms", "p99 ms", "max ms")
+		total, elapsed.Seconds(), float64(total)/elapsed.Seconds(), base)
+	fmt.Fprintf(out, "%-8s %8s %7s %8s %9s %9s %9s %9s\n", "op", "count", "errors", "rejected", "p50 ms", "p90 ms", "p99 ms", "max ms")
 	for _, class := range classes {
-		st := rep.Ops[class]
-		fmt.Fprintf(out, "%-8s %8d %7d %9.3f %9.3f %9.3f %9.3f\n",
-			class, st.Count, st.Errors, st.P50Ms, st.P90Ms, st.P99Ms, st.MaxMs)
+		st := closed[class]
+		fmt.Fprintf(out, "%-8s %8d %7d %8d %9.3f %9.3f %9.3f %9.3f\n",
+			class, st.count, st.errors, st.rejected, st.p50, st.p90, st.p99, st.max)
 	}
-
-	if cfg.out != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
+	if len(rates) > 0 {
+		if res.open, err = openLoopSweep(cfg, rates, names, out); err != nil {
+			return res, err
 		}
-		if err := os.WriteFile(cfg.out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "report written to %s\n", cfg.out)
 	}
 
 	var failures []error
 	for _, class := range classes {
-		if st := rep.Ops[class]; st.Errors > 0 {
-			failures = append(failures, fmt.Errorf("%d %s operations failed", st.Errors, class))
+		if st := closed[class]; st.errors > 0 {
+			failures = append(failures, fmt.Errorf("%d %s operations failed (last: %v)", st.errors, class, st.lastErr))
 		}
 	}
-	if rep.OpenLoop != nil {
-		for _, pt := range rep.OpenLoop.Points {
-			if pt.Errors > 0 {
-				failures = append(failures, fmt.Errorf("%d open-loop operations failed at rate %g", pt.Errors, pt.TargetRate))
-			}
+	for _, pt := range res.open {
+		if pt.errors > 0 {
+			failures = append(failures, fmt.Errorf("%d open-loop operations failed at rate %g (last: %v)", pt.errors, pt.rate, pt.lastErr))
 		}
 	}
-	return errors.Join(failures...)
+	return res, errors.Join(failures...)
 }

@@ -266,8 +266,8 @@ func (e *Engine) admitStep(ctx context.Context, snap *Snapshot, st *batchState, 
 	// st.base, when present, is the baseline over exactly st.admitted — that
 	// set was validated when it was committed, so its checker validates the
 	// candidate in O(candidate); a nil working baseline (cold start, after a
-	// release that dropped it, ForceFull) degrades to the identical full
-	// validation.
+	// release that dropped it, a non-incremental analyzer) degrades to the
+	// identical full validation.
 	if err := st.base.ValidateExtend(trial); err != nil {
 		return Decision{Code: CodeInvalidSpec, Reason: err.Error()}, nil, err
 	}

@@ -154,7 +154,7 @@ func AffectedBucketBounds() []float64 {
 type Engine struct {
 	servers     []server.Server
 	analyzer    analysis.Analyzer
-	inc         analysis.Incremental // nil when unsupported or force-full
+	inc         analysis.Incremental // nil when the analyzer is not incremental
 	mu          sync.Mutex           // serializes snapshot swaps only
 	snap        atomic.Pointer[Snapshot]
 	incTests    atomic.Uint64
@@ -200,21 +200,11 @@ func NewEngine(servers []server.Server, analyzer analysis.Analyzer) (*Engine, er
 	return e, nil
 }
 
-// ForceFull disables the incremental path (every test re-analyzes the
-// whole trial network). Call it before serving traffic; it is not meant
-// to be flipped concurrently with tests.
-func (e *Engine) ForceFull() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.inc = nil
-	cur := e.snap.Load()
-	e.snap.Store(&Snapshot{eng: e, version: cur.version + 1, admitted: cur.admitted})
-}
-
 // Analyzer returns the analyzer admission tests run.
 func (e *Engine) Analyzer() analysis.Analyzer { return e.analyzer }
 
-// Incremental reports whether the incremental path is active.
+// Incremental reports whether the analyzer implements analysis.Incremental,
+// so that admission tests extend a baseline instead of re-analyzing.
 func (e *Engine) Incremental() bool { return e.inc != nil }
 
 // Servers returns a copy of the fabric.
@@ -345,7 +335,7 @@ func (e *Engine) replaceAdmitted(conns []topo.Connection) {
 // WarmBaseline synchronously materializes the current snapshot's analysis
 // baseline so the next admission test runs incrementally at full speed. It
 // is a no-op when a baseline is already warm (e.g. after an incremental
-// release) or when the incremental path is off. Daemons call it after
+// release) or when the analyzer is not incremental. Daemons call it after
 // startup pre-admission; benchmarks use it to charge a release that dropped
 // the baseline with the rebuild it forces.
 func (e *Engine) WarmBaseline() error {

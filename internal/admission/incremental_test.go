@@ -134,9 +134,11 @@ func TestEngineMatchesControllerOnRandomNetworks(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesControllerForcedFull pins the fallback: with the
-// incremental path disabled the engine is still exactly the controller.
-func TestEngineMatchesControllerForcedFull(t *testing.T) {
+// TestEngineMatchesControllerFullPath pins the full path — what a cross-shard
+// union test, an expired budget and a failed baseline also run — on an
+// analyzer without an incremental one: the engine is still exactly the
+// controller, and every test it runs is a full one.
+func TestEngineMatchesControllerFullPath(t *testing.T) {
 	net, err := topo.RandomFeedforward(5, 8, 0.5, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -144,26 +146,25 @@ func TestEngineMatchesControllerForcedFull(t *testing.T) {
 	for i := range net.Connections {
 		net.Connections[i].Deadline = 50
 	}
-	ctrl, err := New(net.Servers, analysis.Integrated{})
+	ctrl, err := New(net.Servers, analysis.ServiceCurve{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(net.Servers, analysis.Integrated{})
+	eng, err := NewEngine(net.Servers, analysis.ServiceCurve{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.ForceFull()
 	if eng.Incremental() {
-		t.Fatal("ForceFull left the incremental path on")
+		t.Fatal("ServiceCurve engine reports an incremental path")
 	}
 	for i, cand := range net.Connections {
 		wantD, _ := ctrl.Admit(cand)
 		gotD, _ := eng.Admit(bg, cand)
-		requireSameDecision(t, fmt.Sprintf("forced-full/conn%d", i), wantD, gotD)
+		requireSameDecision(t, fmt.Sprintf("full/conn%d", i), wantD, gotD)
 	}
 	st := eng.Stats()
 	if st.IncrementalTests != 0 || st.FullTests == 0 {
-		t.Fatalf("forced-full engine ran incremental tests: %+v", st)
+		t.Fatalf("ServiceCurve engine ran incremental tests: %+v", st)
 	}
 }
 

@@ -147,18 +147,11 @@ func (se *ShardedEngine) Shard(i int) *Engine { return se.shards[i] }
 // Analyzer returns the analyzer admission tests run.
 func (se *ShardedEngine) Analyzer() analysis.Analyzer { return se.analyzer }
 
-// Incremental reports whether the incremental path is active.
+// Incremental reports whether the analyzer implements analysis.Incremental.
 func (se *ShardedEngine) Incremental() bool { return se.shards[0].Incremental() }
 
 // Servers returns a copy of the fabric.
 func (se *ShardedEngine) Servers() []server.Server { return se.shards[0].Servers() }
-
-// ForceFull disables the incremental path on every shard.
-func (se *ShardedEngine) ForceFull() {
-	for _, sh := range se.shards {
-		sh.ForceFull()
-	}
-}
 
 // ShardStat is a point-in-time summary of one shard.
 type ShardStat struct {

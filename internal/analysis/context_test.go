@@ -25,7 +25,7 @@ func contextAnalyzers(net *topo.Network) map[string]struct {
 	}{
 		"decomposed":    {Decomposed{}, net},
 		"integrated":    {Integrated{}, net},
-		"integrated-L3": {Integrated{ChainLength: 3, DeconvPropagation: true}, net},
+		"integrated-L3": {Integrated{ChainLength: 3}, net},
 		"integratedsp":  {IntegratedSP{}, spTandem(4, 0.6)},
 	}
 }
@@ -73,7 +73,7 @@ func TestDecomposedDominatesIntegrated(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: decomposed: %v", name, err)
 		}
-		integ, err := Integrated{DeconvPropagation: true}.Analyze(net)
+		integ, err := Integrated{}.Analyze(net)
 		if err != nil {
 			t.Fatalf("%s: integrated: %v", name, err)
 		}

@@ -110,7 +110,7 @@ func TestParallelAnalyzeDeterministic(t *testing.T) {
 			nets map[string]*topo.Network
 		}{
 			{Decomposed{}, fifo},
-			{Integrated{DeconvPropagation: true}, fifo},
+			{Integrated{}, fifo},
 			{IntegratedSP{}, sp},
 			{ServiceCurve{}, fifo},
 		} {
@@ -179,7 +179,7 @@ func forestNet(nGroups, groupLen int) *topo.Network {
 // chains so that many goroutines run per level; meaningful under -race.
 func TestParallelAnalyzeRaceStress(t *testing.T) {
 	net := forestNet(10, 5)
-	a := Integrated{DeconvPropagation: true}
+	a := Integrated{}
 	first, err := a.Analyze(net)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +277,6 @@ func TestDegradationLaw(t *testing.T) {
 	fifo, sp := differentialCorpus(t), spCorpus(t)
 	variants := []variant{
 		{Integrated{}, fifo, true},
-		{Integrated{DeconvPropagation: true}, fifo, true},
 		{IntegratedSP{}, sp, true},
 		{Integrated{ChainLength: 3}, fifo, false},
 		{Integrated{ChainLength: 4}, fifo, false},

@@ -53,14 +53,6 @@ type Integrated struct {
 	// values trade analysis time for tighter bounds; 1 degenerates to
 	// plain decomposition.
 	ChainLength int
-	// DeconvPropagation refines the envelope a connection carries out of
-	// a multi-server run: in addition to the paper's burstiness shift
-	// b(I + d_run), the connection's own per-flow residual service curve
-	// over the run is deconvolved out of its entry envelope, and the
-	// pointwise minimum of the two (both valid envelopes) propagates.
-	// An ablation knob for the propagation rule; costs one residual
-	// convolution and deconvolution per multi-hop connection per chain.
-	DeconvPropagation bool
 }
 
 // Name implements Analyzer.
@@ -102,7 +94,7 @@ func (a Integrated) core() chainCore {
 				srv := net.Servers[s]
 				svc[i] = hopService{beta: minplus.Rate(srv.Capacity), lat: srv.Latency}
 			}
-			if !analyzeChain(ctx, sc, net, idx, chain, p, chainPass{svc: svc, deconv: a.DeconvPropagation}) {
+			if !analyzeChain(ctx, sc, net, idx, chain, p, chainPass{svc: svc}) {
 				return false
 			}
 			for i, s := range chain {
@@ -441,9 +433,6 @@ type chainPass struct {
 	// byClass restricts the pass to the connections of priority class.
 	byClass bool
 	class   int
-	// deconv also deconvolves each multi-hop connection's own residual
-	// service out of its entry envelope (Integrated.DeconvPropagation).
-	deconv bool
 }
 
 // newRun hands out a reset run header from the grow-only pool. Headers are
@@ -674,7 +663,7 @@ func analyzeChain(ctx context.Context, sc *chainScratch, net *topo.Network, idx 
 		}
 		thetaStart := time.Now()
 		bounds = &sc.ib
-		bounds.init(ctx, tm, bg, ar, net, chain, svc, runs, ra, envAt, base, local)
+		bounds.init(ctx, tm, bg, ar, net, chain, svc, ra, local)
 		// Record the DP prefix bounds as the next iteration's shifts. The
 		// shift vector is identical for every member of a run, so one
 		// arena-backed vector per run is shared by all its slots.
@@ -697,7 +686,7 @@ func analyzeChain(ctx context.Context, sc *chainScratch, net *topo.Network, idx 
 			tm.observe(&tm.Theta, thetaStart)
 		}
 	}
-	for ri, r := range runs {
+	for _, r := range runs {
 		if canceled(ctx) {
 			return false
 		}
@@ -711,20 +700,9 @@ func analyzeChain(ctx context.Context, sc *chainScratch, net *topo.Network, idx 
 			tm.observe(&tm.Theta, thetaStart)
 		}
 		propStart := time.Now()
-		var excl *runExclSums
-		if pass.deconv && r.hi > r.lo {
-			excl = newRunExclSums(ar, bounds, ri)
-		}
-		for mi, c := range r.conns {
-			entry := p.env[c]
+		for _, c := range r.conns {
 			if !p.advance(c, servers, d, len(servers)) {
 				return false
-			}
-			if excl != nil {
-				refined := deconvOutput(ar, svc, r, mi, entry, excl)
-				if refined != nil {
-					p.env[c] = minplus.Min(p.env[c], *refined)
-				}
 			}
 		}
 		if tm != nil {
@@ -732,93 +710,6 @@ func analyzeChain(ctx context.Context, sc *chainScratch, net *topo.Network, idx 
 		}
 	}
 	return true
-}
-
-// runExclSums supports leave-one-out cross aggregates for a run: at every
-// position of the run's interval, the sum of all other runs' partials
-// plus prefix/suffix sums over the run's own members, so excluding one
-// member is a 3-way sum instead of a fold over all other connections.
-type runExclSums struct {
-	ar *minplus.Arena // owning chain's arena; all sums are chain-local
-	r  *run
-	// others[i-lo] sums the partials of every other run present at i.
-	others []minplus.Curve
-	// pre[i-lo][j] sums members 0..j-1 at position i; suf[i-lo][j] sums
-	// members j+1.. at position i.
-	pre, suf [][]minplus.Curve
-}
-
-func newRunExclSums(ar *minplus.Arena, ib *intervalBounds, ri int) *runExclSums {
-	r := ib.runs[ri]
-	n := r.hi - r.lo + 1
-	m := len(r.conns)
-	ex := &runExclSums{
-		ar:     ar,
-		r:      r,
-		others: make([]minplus.Curve, n),
-		pre:    make([][]minplus.Curve, n),
-		suf:    make([][]minplus.Curve, n),
-	}
-	b := ib.base[ri]
-	for i := r.lo; i <= r.hi; i++ {
-		rel := i - r.lo
-		curves := make([]minplus.Curve, 0, len(ib.runs))
-		for rj, o := range ib.runs {
-			if rj != ri && o.lo <= i && i <= o.hi {
-				curves = append(curves, ib.ra.partial[i][rj])
-			}
-		}
-		ex.others[rel] = ar.SumNSlice(curves)
-		pre := make([]minplus.Curve, m+1)
-		suf := make([]minplus.Curve, m+1)
-		pre[0] = minplus.Zero()
-		for j := 0; j < m; j++ {
-			pre[j+1] = ar.Add(pre[j], ib.envAt[i][b+j])
-		}
-		suf[m] = minplus.Zero()
-		for j := m - 1; j >= 0; j-- {
-			suf[j] = ar.Add(suf[j+1], ib.envAt[i][b+j])
-		}
-		ex.pre[rel] = pre
-		ex.suf[rel] = suf
-	}
-	return ex
-}
-
-// crossWithout returns the aggregate of every connection at run position i
-// except member mi.
-func (ex *runExclSums) crossWithout(i, mi int) minplus.Curve {
-	rel := i - ex.r.lo
-	return ex.ar.SumN(ex.others[rel], ex.pre[rel][mi], ex.suf[rel][mi+1])
-}
-
-// deconvOutput computes the per-flow deconvolution envelope of run member
-// mi leaving its run: the member alone receives the theta = 0 residual
-// against ALL other traffic at each run server (a valid per-flow service
-// curve), their convolution is a valid end-to-end service curve for it
-// over the run, and the deconvolution of its entry envelope out of it is
-// a valid output envelope. Returns nil when the residual leaves the
-// member no guaranteed rate. The residual convolution is chain-arena
-// scratch; the returned deconvolution is heap-allocated because the
-// caller folds it into the propagation, which outlives the chain.
-func deconvOutput(ar *minplus.Arena, svc []hopService, r *run, mi int, entry minplus.Curve, ex *runExclSums) *minplus.Curve {
-	beta := minplus.Curve{}
-	for i := r.lo; i <= r.hi; i++ {
-		res := residual(ar, svc[i].beta, ex.crossWithout(i, mi), 0)
-		if i == r.lo {
-			beta = res
-		} else {
-			beta = ar.ConvolveGated(beta, res)
-		}
-	}
-	if beta.FinalSlope() <= entry.FinalSlope() {
-		return nil // no spare rate: deconvolution would diverge
-	}
-	out, err := minplus.Deconvolve(entry, beta)
-	if err != nil {
-		return nil
-	}
-	return &out
 }
 
 // intervalBounds lazily computes and memoizes the direct bound B[i][j] and
@@ -835,18 +726,15 @@ type intervalBounds struct {
 	net    *topo.Network
 	chain  []int
 	svc    []hopService
-	runs   []*run
 	ra     *runAggregates
-	envAt  [][]minplus.Curve
-	base   []int
 	local  []float64
 	direct []float64
 	opt    []float64
 }
 
-func (ib *intervalBounds) init(ctx context.Context, tm *Timings, bg *budget, ar *minplus.Arena, net *topo.Network, chain []int, svc []hopService, runs []*run, ra *runAggregates, envAt [][]minplus.Curve, base []int, local []float64) {
+func (ib *intervalBounds) init(ctx context.Context, tm *Timings, bg *budget, ar *minplus.Arena, net *topo.Network, chain []int, svc []hopService, ra *runAggregates, local []float64) {
 	ib.ctx, ib.tm, ib.bg, ib.ar, ib.net, ib.chain, ib.svc = ctx, tm, bg, ar, net, chain, svc
-	ib.runs, ib.ra, ib.envAt, ib.base, ib.local = runs, ra, envAt, base, local
+	ib.ra, ib.local = ra, local
 	n := len(chain) * len(chain)
 	ib.direct = resize(ib.direct, n)
 	ib.opt = resize(ib.opt, n)

@@ -319,51 +319,3 @@ func TestIntegratedDeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestDeconvPropagationNeverWorse(t *testing.T) {
-	for _, n := range []int{4, 6, 8} {
-		for _, u := range []float64{0.3, 0.6, 0.9} {
-			net, err := topo.PaperTandem(n, u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base, err := (Integrated{}).Analyze(net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := (Integrated{DeconvPropagation: true}).Analyze(net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range net.Connections {
-				if ref.Bound(i) > base.Bound(i)+1e-9 {
-					t.Errorf("n=%d U=%g conn %d: deconv propagation %g worse than shift %g",
-						n, u, i, ref.Bound(i), base.Bound(i))
-				}
-			}
-		}
-	}
-}
-
-func TestDeconvPropagationMatchesShiftOnPaperWorkload(t *testing.T) {
-	// Ablation finding: on the paper's tandem the per-flow deconvolution
-	// refinement never beats the b(I + d) shift rule — the blind per-flow
-	// residual is weaker than the FIFO-aggregate treatment the run bound
-	// already used, so the shift envelope is the binding one. This
-	// validates the paper's (and Cruz's) choice of propagation rule; the
-	// knob stays available for other workloads.
-	net, err := topo.PaperTandem(8, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, _ := (Integrated{}).Analyze(net)
-	ref, _ := (Integrated{DeconvPropagation: true}).Analyze(net)
-	for i := range net.Connections {
-		if math.Abs(ref.Bound(i)-base.Bound(i)) > 1e-9 {
-			t.Logf("conn %d differs: %g vs %g (refinement active)", i, ref.Bound(i), base.Bound(i))
-		}
-		if ref.Bound(i) > base.Bound(i)+1e-9 {
-			t.Errorf("conn %d: refinement made things worse: %g > %g", i, ref.Bound(i), base.Bound(i))
-		}
-	}
-}

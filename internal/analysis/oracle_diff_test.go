@@ -17,19 +17,13 @@ import (
 	"delaycalc/internal/topo"
 )
 
-// config is one analyzer configuration of the corpus differential: chains of
-// at most chainLen servers, 0 standing for Decomposed.
-type config struct {
-	chainLen int
-	deconv   bool
-}
-
 // corpusRun is one network of the differential corpus as the engine and as
-// the oracle analyze it, in all nine configurations.
+// the oracle analyze it, in all five configurations, keyed by the longest
+// chain: Integrated's ChainLength 1-4, and 0 for Decomposed.
 type corpusRun struct {
 	name           string
 	net            *topo.Network
-	engine, oracle map[config]*analysis.Result
+	engine, oracle map[int]*analysis.Result
 }
 
 var (
@@ -41,22 +35,18 @@ var (
 // in network name order.
 func differentialRuns(t *testing.T) []corpusRun {
 	corpusOnce.Do(func() {
-		cfgs := []config{{}}
-		for chainLen := 1; chainLen <= 4; chainLen++ {
-			cfgs = append(cfgs, config{chainLen, false}, config{chainLen, true})
-		}
 		for name, net := range analysis.DifferentialCorpus(t) {
-			run := corpusRun{name, net, map[config]*analysis.Result{}, map[config]*analysis.Result{}}
-			for _, cfg := range cfgs {
+			run := corpusRun{name, net, map[int]*analysis.Result{}, map[int]*analysis.Result{}}
+			for chainLen := 0; chainLen <= 4; chainLen++ {
 				var a analysis.Analyzer = analysis.Decomposed{}
-				run.oracle[cfg] = oracleDecomposed(net)
-				if cfg.chainLen > 0 {
-					a = analysis.Integrated{ChainLength: cfg.chainLen, DeconvPropagation: cfg.deconv}
-					run.oracle[cfg] = oracleIntegrated(net, cfg.chainLen, cfg.deconv)
+				run.oracle[chainLen] = oracleDecomposed(net)
+				if chainLen > 0 {
+					a = analysis.Integrated{ChainLength: chainLen}
+					run.oracle[chainLen] = oracleIntegrated(net, chainLen)
 				}
 				var err error
-				if run.engine[cfg], err = a.Analyze(net); err != nil {
-					t.Fatalf("%s/%+v: %v", name, cfg, err)
+				if run.engine[chainLen], err = a.Analyze(net); err != nil {
+					t.Fatalf("%s/%+v: %v", name, a, err)
 				}
 			}
 			corpusRuns = append(corpusRuns, run)
@@ -66,13 +56,13 @@ func differentialRuns(t *testing.T) []corpusRun {
 	return corpusRuns
 }
 
-// TestCurveEngineMatchesReference holds Decomposed and every ChainLength /
-// DeconvPropagation configuration of Integrated to the oracle on the
-// randomized corpus: 30 networks, 9 configurations each.
+// TestCurveEngineMatchesReference holds Decomposed and every ChainLength
+// configuration of Integrated to the oracle on the randomized corpus: 30
+// networks, 5 configurations each.
 func TestCurveEngineMatchesReference(t *testing.T) {
 	for _, run := range differentialRuns(t) {
-		for cfg, got := range run.engine {
-			analysis.CheckResultsClose(t, fmt.Sprintf("%s/%+v", run.name, cfg), got, run.oracle[cfg])
+		for chainLen, got := range run.engine {
+			analysis.CheckResultsClose(t, fmt.Sprintf("%s/chains of %d", run.name, chainLen), got, run.oracle[chainLen])
 		}
 	}
 }
@@ -85,7 +75,7 @@ func TestCurveEngineMatchesReference(t *testing.T) {
 func TestCurveEngineAllocs(t *testing.T) {
 	net := analysis.BenchTandemNet(64, 400)
 	res, allocs := analysis.AnalyzeAllocs(t, analysis.Integrated{}, net)
-	analysis.CheckResultsClose(t, "tandem64x400", res, oracleIntegrated(net, 2, false))
+	analysis.CheckResultsClose(t, "tandem64x400", res, oracleIntegrated(net, 2))
 	t.Logf("%.0f allocs/pass", allocs)
 	// Measured 409 on go1.24; the 10% margin absorbs runtime differences
 	// between Go releases, not new per-connection heap traffic (400
@@ -107,13 +97,13 @@ func TestFabricAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	analysis.CheckResultsClose(t, "fat-tree k=8", res, oracleIntegrated(small, 2, false))
+	analysis.CheckResultsClose(t, "fat-tree k=8", res, oracleIntegrated(small, 2))
 	if testing.Short() {
 		t.Skip("k=16 runs the oracle on 4,096 servers")
 	}
 	net := analysis.FabricNet(t, 16, 100)
 	res, allocs := analysis.AnalyzeAllocs(t, analysis.Integrated{}, net)
-	analysis.CheckResultsClose(t, "fat-tree k=16", res, oracleIntegrated(net, 2, false))
+	analysis.CheckResultsClose(t, "fat-tree k=16", res, oracleIntegrated(net, 2))
 	t.Logf("%.0f allocs/pass", allocs)
 	// Measured 11747 on go1.24 (12,800 flows: under one per flow); the
 	// ceiling leaves 10%.
@@ -135,7 +125,7 @@ func TestOracleMatchesClosedForms(t *testing.T) {
 			if float64(k)*rho >= 1 {
 				want = math.Inf(1)
 			}
-			for algo, res := range map[string]*analysis.Result{"decomposed": oracleDecomposed(net), "integrated": oracleIntegrated(net, 2, true)} {
+			for algo, res := range map[string]*analysis.Result{"decomposed": oracleDecomposed(net), "integrated": oracleIntegrated(net, 2)} {
 				if got := res.Bounds[0]; got != want && !near(got, want) {
 					t.Errorf("%d fresh sources of rate %g, %s: oracle %v, closed form %v", k, rho, algo, got, want)
 				}
@@ -173,7 +163,7 @@ func TestOracleHoldsAgainstSimulator(t *testing.T) {
 				t.Fatal(err)
 			}
 			for algo, res := range map[string]*analysis.Result{
-				"decomposed": oracleDecomposed(net), "pairs": oracleIntegrated(net, 2, false), "whole tandem": oracleIntegrated(net, n, true),
+				"decomposed": oracleDecomposed(net), "pairs": oracleIntegrated(net, 2), "whole tandem": oracleIntegrated(net, n),
 			} {
 				for c := range net.Connections {
 					if seen, slack := run.Stats[c].MaxDelay, sim.QuantizationSlack(net, c, packet); seen > res.Bounds[c]+slack {
@@ -219,8 +209,8 @@ func TestLongChainLedger(t *testing.T) {
 
 	var engine, oracle []entry
 	engineDropped, oracleDropped := map[int]int{}, map[int]int{}
-	tally := func(run corpusRun, chainLen int, results map[config]*analysis.Result, above *[]entry, short map[int]int) {
-		res, dec := results[config{chainLen, false}], results[config{}]
+	tally := func(run corpusRun, chainLen int, results map[int]*analysis.Result, above *[]entry, short map[int]int) {
+		res, dec := results[chainLen], results[0]
 		for c, conn := range run.net.Connections {
 			if excess := res.Bounds[c] - dec.Bounds[c]; excess > 1e-9 {
 				*above = append(*above, entry{run.name, chainLen, c, excess})

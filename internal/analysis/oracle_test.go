@@ -13,8 +13,8 @@ package analysis_test
 // theta vector rebuilds its residuals and convolves them generically, pairs
 // are enumerated exhaustively — no memo, no arena, no topo.Graph, no
 // goroutine. FIFO servers only: Decomposed, and Integrated at any chain
-// length with or without DeconvPropagation. Nothing is rescaled: the corpora
-// keep capacities at 1, where the absolute tolerances of minplus belong.
+// length. Nothing is rescaled: the corpora keep capacities at 1, where the
+// absolute tolerances of minplus belong.
 
 import (
 	"math"
@@ -29,32 +29,31 @@ import (
 // oracleDecomposed is Cruz's decomposition: the chain analysis below on
 // chains of one server.
 func oracleDecomposed(net *topo.Network) *analysis.Result {
-	return oracleAnalyze("Decomposed", net, 1, false)
+	return oracleAnalyze("Decomposed", net, 1)
 }
 
 // oracleIntegrated is Algorithm Integrated on chains of at most chainLen
 // servers (the paper: 2).
-func oracleIntegrated(net *topo.Network, chainLen int, deconv bool) *analysis.Result {
-	return oracleAnalyze("Integrated", net, chainLen, deconv)
+func oracleIntegrated(net *topo.Network, chainLen int) *analysis.Result {
+	return oracleAnalyze("Integrated", net, chainLen)
 }
 
 // oracle is the state of one run.
 type oracle struct {
-	net    *topo.Network
-	deconv bool
-	at     [][]int         // server -> the connections crossing it, ascending
-	env    []minplus.Curve // connection -> its envelope entering its next hop
-	next   []int           // connection -> index into its Path of that hop
-	res    *analysis.Result
+	net  *topo.Network
+	at   [][]int         // server -> the connections crossing it, ascending
+	env  []minplus.Curve // connection -> its envelope entering its next hop
+	next []int           // connection -> index into its Path of that hop
+	res  *analysis.Result
 }
 
-func oracleAnalyze(algo string, net *topo.Network, chainLen int, deconv bool) *analysis.Result {
+func oracleAnalyze(algo string, net *topo.Network, chainLen int) *analysis.Result {
 	nc, ns := len(net.Connections), len(net.Servers)
 	unbounded := &analysis.Result{Algorithm: algo, Bounds: make([]float64, nc), Stages: make([][]analysis.Stage, nc)}
 	for c := range unbounded.Bounds {
 		unbounded.Bounds[c] = math.Inf(1)
 	}
-	o := &oracle{net: net, deconv: deconv, at: make([][]int, ns), env: make([]minplus.Curve, nc), next: make([]int, nc),
+	o := &oracle{net: net, at: make([][]int, ns), env: make([]minplus.Curve, nc), next: make([]int, nc),
 		res: &analysis.Result{Algorithm: algo, Bounds: make([]float64, nc), Stages: make([][]analysis.Stage, nc), Backlogs: make([]float64, ns)}}
 	load := make([]float64, ns)
 	for c, conn := range net.Connections {
@@ -321,25 +320,8 @@ func (o *oracle) analyzeChain(chain []int) bool {
 		}
 	}
 	for c, r := range run {
-		d, entry := D[r.lo][r.hi], o.env[c]
-		o.env[c] = minplus.ShiftLeft(entry, d)
-		if o.deconv && r.hi > r.lo {
-			// The connection alone, against everything else at each server.
-			var beta minplus.Curve
-			for i := r.lo; i <= r.hi; i++ {
-				res := oracleResidual(rate(i), sumOf(envAt[i], func(x int) bool { return x != c }), 0)
-				if i == r.lo {
-					beta = res
-				} else {
-					beta = minplus.Convolve(beta, res)
-				}
-			}
-			if beta.FinalSlope() > entry.FinalSlope() {
-				if out, err := minplus.Deconvolve(entry, beta); err == nil {
-					o.env[c] = minplus.Min(o.env[c], out)
-				}
-			}
-		}
+		d := D[r.lo][r.hi]
+		o.env[c] = minplus.ShiftLeft(o.env[c], d)
 		o.res.Bounds[c] += d
 		o.next[c] += r.hi - r.lo + 1
 		o.res.Stages[c] = append(o.res.Stages[c], analysis.Stage{Servers: append([]int(nil), chain[r.lo:r.hi+1]...), Delay: d})

@@ -179,7 +179,9 @@ func TestAdmitRejectionCarriesCodeAndViolations(t *testing.T) {
 }
 
 // TestEngineMetricsExposed checks the new admission-engine series on the
-// canonical metrics route.
+// canonical metrics route. The incremental gauge is the analyzer's
+// capability: 1 for integrated here, 0 for servicecurve, which has no
+// incremental path.
 func TestEngineMetricsExposed(t *testing.T) {
 	srv := newTestServer(t, nil)
 	do(t, srv, "POST", "/v2/networks/default/connections", admitBody)
@@ -199,6 +201,26 @@ func TestEngineMetricsExposed(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q\n%s", want, body)
+		}
+	}
+
+	state, err := NewState(testFabric(), analysis.ServiceCurve{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := NewServer(Config{State: state})
+	if err != nil {
+		t.Fatal(err)
+	}
+	do(t, sc, "POST", "/v2/networks/default/connections", admitBody)
+	body = do(t, sc, "GET", "/v2/networks/default/metrics", "").Body.String()
+	for _, want := range []string{
+		`delayd_admission_incremental_enabled 0`,
+		`delayd_admission_tests_total{mode="incremental"} 0`,
+		`delayd_admission_tests_total{mode="full"} 1`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("servicecurve metrics missing %q\n%s", want, body)
 		}
 	}
 }

@@ -65,11 +65,6 @@ func (s *State) Engine() *admission.ShardedEngine { return s.eng }
 // Shards returns the engine's shard count.
 func (s *State) Shards() int { return s.eng.Shards() }
 
-// ForceFull disables the incremental analysis path; every admission test
-// re-analyzes the whole trial network. Intended for startup configuration
-// (delayd -incremental=false).
-func (s *State) ForceFull() { s.eng.ForceFull() }
-
 // Servers returns a copy of the fabric the state admits against.
 func (s *State) Servers() []server.Server {
 	cp := make([]server.Server, len(s.servers))
