@@ -21,7 +21,7 @@ help:
 	@echo "  cover          test suite with coverage"
 	@echo "  figures        regenerate paper figures and CSVs"
 	@echo "  falsify        adversarial bound falsification, full matrix -> FALSIFY_report.json"
-	@echo "  falsify-smoke  CI-budget falsification over 4 scenarios (fails on contradiction)"
+	@echo "  falsify-smoke  CI-budget falsification over 6 scenarios (fails on contradiction)"
 	@echo "  fuzz           fuzz min-plus algebra, netspec decode, incremental admission"
 	@echo "  run-delayd     start the admission daemon on the paper tandem"
 	@echo "  clean          remove generated, untracked artifacts"
@@ -93,12 +93,12 @@ cover:
 falsify:
 	$(GO) run ./cmd/falsify -seed 1 -out FALSIFY_report.json
 
-# Deterministic CI-budget falsification smoke: four scenarios, small
-# iteration budget, both shipped FIFO analyzers; any contradiction fails
-# the build.
+# Deterministic CI-budget falsification smoke: six scenarios, small
+# iteration budget (the greedy and the staggered start), both shipped FIFO
+# analyzers; any contradiction fails the build.
 falsify-smoke:
 	$(GO) run ./cmd/falsify -seed 1 -iters 12 -restarts 2 \
-		-scenarios tandem2-u80,parkinglot4,star4,line4,fattree2 -analyzers decomposed,integrated
+		-scenarios tandem2-u80,parkinglot4,star4,line4,fattree2,burstycross2 -analyzers decomposed,integrated
 
 # Regenerate every paper figure and extension experiment (CSV into results/).
 figures:

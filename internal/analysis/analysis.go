@@ -16,9 +16,11 @@
 // pass, plus IntegratedSP — the integrated analysis per priority class:
 // the same chain engine, driver and incremental core as Integrated, run
 // once per class against the leftover of the more urgent ones),
-// guaranteed-rate servers (GuaranteedRateNetworkCurve, where the
-// service-curve method is the right tool), and EDF servers
-// (schedulability and uniform-lateness bounds).
+// guaranteed-rate servers (per-connection rate-latency classes in the
+// decomposed pass, and GuaranteedRateNetworkCurve, where the service-curve
+// method is the right tool), and EDF servers (uniform-lateness bounds).
+// One residual (residual.go) is the only place cross traffic is subtracted
+// from a service curve.
 //
 // All analyzers consume a topo.Network and produce per-connection
 // end-to-end delay bounds plus a per-stage breakdown; Decomposed,
@@ -226,13 +228,6 @@ func (p *propagation) recordBacklog(s int, agg minplus.Curve, capacity float64) 
 		b = 0
 	}
 	p.backlog[s] = b
-}
-
-// fifoLocalDelay returns the worst-case delay of a FIFO server with
-// capacity c and fixed latency lat whose aggregate input is bounded by g.
-func fifoLocalDelay(g minplus.Curve, capacity, lat float64) float64 {
-	d := minplus.HorizontalDeviation(g, minplus.Rate(capacity))
-	return d + lat
 }
 
 // analyzable verifies the preconditions shared by all analyzers and

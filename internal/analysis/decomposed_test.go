@@ -1,9 +1,12 @@
 package analysis
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"testing"
 
+	"delaycalc/internal/minplus"
 	"delaycalc/internal/server"
 	"delaycalc/internal/topo"
 	"delaycalc/internal/traffic"
@@ -235,5 +238,81 @@ func TestDecomposedInvalidNetwork(t *testing.T) {
 	net := &topo.Network{} // no servers
 	if _, err := (Decomposed{}).Analyze(net); err == nil {
 		t.Fatal("expected validation error")
+	}
+}
+
+// TestDecomposedStaticPriorityChargesInteriorBurst pins the per-class rule
+// on a more urgent class whose envelope is a staircase: a unit burst at 0,
+// another at 2, slope 0.3 after. The leftover [t - higher(t)]^+ jumps down
+// at 2, where the second burst lands; its monotone closure is zero until 2
+// and 0.7(t-2) after, so the low class's unit burst clears at
+// 2 + 1/0.7 ~ 3.43 — the same bound IntegratedSP reads off its
+// rate-latency minorant (rate 0.7, latency the busy period 2). A leftover
+// whose jump is flipped upward forgets the second burst (bound 2).
+func TestDecomposedStaticPriorityChargesInteriorBurst(t *testing.T) {
+	stair := minplus.New([]minplus.Point{{X: 0, Y: 0}, {X: 0, Y: 1}, {X: 2, Y: 1}, {X: 2, Y: 2}}, 0.3)
+	net := &topo.Network{
+		Servers: []server.Server{{Capacity: 1, Discipline: server.StaticPriority}},
+		Connections: []topo.Connection{
+			{Name: "hi", Bucket: traffic.TokenBucket{Sigma: 2, Rho: 0.3}, Envelope: &stair, Path: []int{0}, Priority: 0},
+			{Name: "lo", Bucket: traffic.TokenBucket{Sigma: 1, Rho: 0.2}, Path: []int{0}, Priority: 1},
+		},
+	}
+	dec, err := (Decomposed{}).Analyze(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isp, err := (IntegratedSP{}).Analyze(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 2 + 1/0.7
+	if !boundsClose(dec.Bound(1), want) || !boundsClose(isp.Bound(1), want) {
+		t.Errorf("low class: Decomposed %v, IntegratedSP %v, want %v", dec.Bound(1), isp.Bound(1), want)
+	}
+}
+
+// TestDecomposedIncrementalMatchesFullPerDiscipline is the
+// incremental-equals-full differential for every discipline the per-class
+// loop serves besides FIFO (covered by the random corpora): on the
+// benchmark's tandems of static-priority, EDF and guaranteed-rate servers,
+// extending a baseline by the last connection and shrinking the full one by
+// any connection are bit-identical to analyzing the result from scratch.
+func TestDecomposedIncrementalMatchesFullPerDiscipline(t *testing.T) {
+	ctx := context.Background()
+	for _, d := range []server.Discipline{server.StaticPriority, server.EDF, server.GuaranteedRate} {
+		net, err := disciplineTandem(6, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := len(net.Connections) - 1
+		base, err := (Decomposed{}).NewBaseline(&topo.Network{Servers: net.Servers, Connections: net.Connections[:last]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext, err := base.ExtendContext(ctx, net.Connections[last])
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := (Decomposed{}).Analyze(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, fmt.Sprintf("%v/extend", d), full, ext.Result())
+		if ext.Stats.ReplayedUnits == 0 {
+			t.Errorf("%v: extending by a one-hop connection replayed no unit", d)
+		}
+		whole := ext.Promote()
+		for remove := range net.Connections {
+			shrunk, err := whole.ShrinkContext(ctx, remove)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := (Decomposed{}).Analyze(&topo.Network{Servers: net.Servers, Connections: removeAt(net.Connections, remove)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, fmt.Sprintf("%v/remove%d", d, remove), want, shrunk.Result())
+		}
 	}
 }

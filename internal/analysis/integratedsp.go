@@ -18,9 +18,9 @@ import (
 //
 //  1. At an SP server, priority class p receives the leftover service
 //     curve L(t) = [C*t - G_higher(t)]^+ (exact for preemptive-priority
-//     fluid; see staticprio.go), of which a rate-latency minorant
-//     beta_{R,T} with R = C - rate_higher and T the last zero of L is a
-//     valid (slightly weaker) service curve.
+//     fluid; Decomposed's per-class loop serves it), of which a
+//     rate-latency minorant beta_{R,T} with R = C - rate_higher and T the
+//     last zero of L is a valid (slightly weaker) service curve.
 //
 //  2. Within its class the server is FIFO, so the theta-parameterized
 //     FIFO residual family (residual.go) applies against same-class cross

@@ -7,10 +7,11 @@ import (
 	"delaycalc/internal/minplus"
 )
 
-// This file holds the one residual service curve of the chain analyses and
-// its theta candidates. A FIFO multiplexor that offers the aggregate it
-// serves the service curve beta offers a flow (or sub-aggregate) of that
-// aggregate, whose competing traffic is bounded by alphaCross, the curve
+// This file holds the one residual service curve of the package — the only
+// place cross traffic is subtracted from a service curve — and its theta
+// candidates. A FIFO multiplexor that offers the aggregate it serves the
+// service curve beta offers a flow (or sub-aggregate) of that aggregate,
+// whose competing traffic is bounded by alphaCross, the curve
 //
 //	beta_theta(t) = [beta(t) - alphaCross(t - theta)]^+  for t > theta,  0 otherwise,
 //
@@ -20,9 +21,18 @@ import (
 // over a finite candidate set of thetas is always safe. Who passes what:
 // Integrated serves at the line rate, beta = Rate(C); IntegratedSP serves
 // each class, FIFO within itself, the rate-latency leftover of the more
-// urgent classes (spRateLatencyGuarantee). FIFO and static priority are the
-// Delta = 0 and Delta = +-inf rows of one residual (Ghiassi-Farrokhfal /
-// Liebeherr / Burchard, PAPERS.md); the finite-Delta rows are ROADMAP item 4.
+// urgent classes (spRateLatencyGuarantee); at theta = 0 it is ServiceCurve's
+// blind leftover against all other connections and Decomposed's
+// static-priority leftover against the more urgent classes, which is exact
+// for a preemptive server. FIFO and static priority are the Delta = 0 and
+// Delta = +-inf rows of one residual (Ghiassi-Farrokhfal / Liebeherr /
+// Burchard, PAPERS.md); the finite-Delta rows are ROADMAP item 7.
+//
+// The delayed cross burst is a downward jump of the difference at theta.
+// minplus builds the difference in curve order, value before right limit,
+// so the jump stays downward and the closure below charges the burst; a
+// difference whose points were sorted by value would jump up instead, and
+// for theta >= sigma/C the bound would forget the burst.
 
 // residual evaluates the family above with the intermediate and result
 // curves drawn from the arena (heap when ar is nil). The hot analysis paths

@@ -54,23 +54,76 @@ func (ServiceCurve) Analyze(net *topo.Network) (*Result, error) {
 	if b.unstable {
 		return b.res, nil
 	}
-	net = b.norm
-	res := &Result{Algorithm: "ServiceCurve"}
-	res.Bounds = make([]float64, len(net.Connections))
-	res.Stages = make([][]Stage, len(net.Connections))
 	// Buffer bounds are discipline-independent for work-conserving
 	// servers; reuse the ones the propagation computed.
-	res.Backlogs = b.res.Backlogs
-	for i, conn := range net.Connections {
-		betaNet, err := networkServiceCurve(b, i)
-		if err != nil {
+	return networkCurveBounds(b.norm, "ServiceCurve", b.res.Backlogs, b.scale, b.leftover)
+}
+
+// GuaranteedRateNetworkCurve implements the service-curve analysis in the
+// setting where it is known to work well (the paper's Section 1.2):
+// every server on the path offers the connection a rate-latency curve
+// beta_{R,T} — R the connection's reserved rate, T the server's scheduling
+// latency — and the end-to-end ("network") service curve is their min-plus
+// convolution, so the burst penalty is paid only once. Analyze returns the
+// delay bounds obtained from the horizontal deviation between each
+// connection's source envelope and its network service curve. It fails
+// when a connection has no reservation or a server is oversubscribed,
+// mirroring the admission test a real fair-queueing scheduler performs.
+type GuaranteedRateNetworkCurve struct{}
+
+// Name implements Analyzer.
+func (GuaranteedRateNetworkCurve) Name() string { return "GuaranteedRate/NetworkServiceCurve" }
+
+// Analyze implements Analyzer.
+func (GuaranteedRateNetworkCurve) Analyze(net *topo.Network) (*Result, error) {
+	net, scale, g, err := analyzable(net)
+	if err != nil {
+		return nil, err
+	}
+	dec := fresh(decomposedCore{}, net, scale, g, false)
+	for s, conns := range dec.idx {
+		if err := checkReservations(net, s, conns); err != nil {
 			return nil, err
+		}
+	}
+	// Buffer bounds come from one decomposed run, which is also valid for
+	// guaranteed-rate servers; an unstable or failed run leaves them unset.
+	// They stay normalized until the one denormalization below.
+	var backlogs []float64
+	if _, derr := dec.run(context.Background(), nil, nil, -1); derr == nil {
+		backlogs = dec.res.Backlogs
+	}
+	return networkCurveBounds(net, "GuaranteedRate/NetworkServiceCurve", backlogs, scale, func(i, s int) minplus.Curve {
+		return minplus.RateLatency(net.Connections[i].Rate, net.Servers[s].Latency)
+	})
+}
+
+// networkCurveBounds is the per-connection loop both service-curve analyses
+// share: convolve the curves hop(i, s) offers connection i at each server s
+// of its route into its network service curve, deviate the source envelope
+// from it, and record one stage for the whole route. backlogs are in the
+// normalized units of net, the view analyzable made at scale.
+func networkCurveBounds(net *topo.Network, algo string, backlogs []float64, scale float64, hop func(i, s int) minplus.Curve) (*Result, error) {
+	res := &Result{Algorithm: algo, Backlogs: backlogs}
+	res.Bounds = make([]float64, len(net.Connections))
+	res.Stages = make([][]Stage, len(net.Connections))
+	for i, conn := range net.Connections {
+		var betaNet minplus.Curve
+		for h, s := range conn.Path {
+			if beta := hop(i, s); h == 0 {
+				betaNet = beta
+			} else {
+				betaNet = minplus.Convolve(betaNet, beta)
+			}
+		}
+		if betaNet.FinalSlope() <= 0 {
+			return nil, fmt.Errorf("analysis: connection %d starved on its path (leftover service rate %g)", i, betaNet.FinalSlope())
 		}
 		d := minplus.HorizontalDeviation(conn.SourceEnvelope(), betaNet)
 		res.Bounds[i] = d
 		res.Stages[i] = []Stage{{Servers: append([]int(nil), conn.Path...), Delay: d}}
 	}
-	return denormalizeBacklogs(res, b.scale), nil
+	return denormalizeBacklogs(res, scale), nil
 }
 
 // entryEnv is connection c's envelope entering server s of its route, read
@@ -88,32 +141,12 @@ func (b *Baseline) entryEnv(c, s int) minplus.Curve {
 	return post[k].env
 }
 
-// networkServiceCurve convolves the leftover service curves offered to
-// connection i along its path, over the traced Decomposed run b.
-func networkServiceCurve(b *Baseline, i int) (minplus.Curve, error) {
-	conn := b.norm.Connections[i]
-	var betaNet minplus.Curve
-	for hop, s := range conn.Path {
-		beta := leftoverServiceCurve(b, s, i)
-		if hop == 0 {
-			betaNet = beta
-		} else {
-			betaNet = minplus.Convolve(betaNet, beta)
-		}
-	}
-	if betaNet.FinalSlope() <= 0 {
-		return minplus.Curve{}, fmt.Errorf("analysis: connection %d starved on its path (leftover service rate %g)", i, betaNet.FinalSlope())
-	}
-	return betaNet, nil
-}
-
-// leftoverServiceCurve computes [C*t - G_cross(t)]^+ for connection i at
-// server s, delayed by the server's fixed latency. The cross envelopes are
-// the decomposition-propagated ones at their respective hops. If the raw
-// leftover dips (possible for non-concave cross envelopes) it is replaced
-// by its monotone closure, which is a smaller and therefore still valid
-// service curve.
-func leftoverServiceCurve(b *Baseline, s, i int) minplus.Curve {
+// leftover is ServiceCurve's curve for connection i at server s, over the
+// traced Decomposed run b: the residual at theta = 0 of the line rate
+// against the entry envelopes of every other connection there — the blind
+// leftover [C*t - G_cross(t)]^+, replaced by its monotone closure if it
+// dips — delayed by the server's fixed latency.
+func (b *Baseline) leftover(i, s int) minplus.Curve {
 	srv := b.norm.Servers[s]
 	cross := minplus.Zero()
 	for _, o := range b.idx[s] {
@@ -121,12 +154,5 @@ func leftoverServiceCurve(b *Baseline, s, i int) minplus.Curve {
 			cross = minplus.Add(cross, b.entryEnv(o, s))
 		}
 	}
-	raw := minplus.PositivePart(minplus.Sub(minplus.Rate(srv.Capacity), cross))
-	if !raw.IsNonDecreasing() {
-		raw = minplus.MonotoneClosure(raw)
-	}
-	if srv.Latency > 0 {
-		raw = minplus.Delay(raw, srv.Latency)
-	}
-	return raw
+	return minplus.Delay(residual(nil, minplus.Rate(srv.Capacity), cross, 0), srv.Latency)
 }

@@ -3,11 +3,13 @@ package falsify
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 	"time"
 
 	"delaycalc/internal/analysis"
+	"delaycalc/internal/sim"
 )
 
 func smallMatrix(t *testing.T, names string) []Scenario {
@@ -98,7 +100,7 @@ func TestSearchDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestSoundBoundsSurviveAndAreLoose(t *testing.T) {
-	matrix := smallMatrix(t, "parkinglot,tandem2")
+	matrix := smallMatrix(t, "parkinglot,tandem2,burstycross2")
 	analyzers := []analysis.Analyzer{analysis.Decomposed{}, analysis.Integrated{}}
 	rep, err := Search(context.Background(), matrix, analyzers, smallOptions(3))
 	if err != nil {
@@ -129,6 +131,25 @@ func TestSoundBoundsSurviveAndAreLoose(t *testing.T) {
 	for i := 1; i < len(rep.Results); i++ {
 		if rep.Results[i].Tightness < rep.Results[i-1].Tightness {
 			t.Fatalf("results not ranked: %g before %g", rep.Results[i-1].Tightness, rep.Results[i].Tightness)
+		}
+	}
+}
+
+// TestStaggeredStartTimesBurstsToTheTaggedRoute pins the second start on
+// burstycross2: the two-hop connection is tagged, the first cross source
+// starts with it, and the second is released after the tagged connection's
+// Decomposed first-hop delay, the 6 units its own and X1's bursts take to
+// clear the first server.
+func TestStaggeredStartTimesBurstsToTheTaggedRoute(t *testing.T) {
+	sc := smallMatrix(t, "burstycross2")[0]
+	got := staggeredStart(sc)
+	want := []sim.SourceControl{{}, {}, {Phase: 6}}
+	if len(got) != len(want) {
+		t.Fatalf("%d controls for %d connections", len(got), len(want))
+	}
+	for i := range want {
+		if math.Abs(got[i].Phase-want[i].Phase) > 1e-9 || got[i].BurstDelay != 0 || got[i].Pace {
+			t.Errorf("control %d (%s) = %+v, want %+v", i, sc.Net.Connections[i].Name, got[i], want[i])
 		}
 	}
 }

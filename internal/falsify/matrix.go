@@ -23,8 +23,9 @@ type Scenario struct {
 
 // DefaultMatrix builds the standing scenario matrix from the topo
 // builders: paper tandems across size and load, the parking-lot and
-// sink-tree stress shapes, random feedforward meshes, and routed fabric
-// networks (star hub contention, bidirectional line). Every scenario is
+// sink-tree stress shapes, random feedforward meshes, routed fabric
+// networks (star hub contention, bidirectional line), and a pair whose
+// cross bursts dwarf the through traffic's. Every scenario is
 // stable and FIFO, so the Decomposed and Integrated bounds apply and must
 // hold.
 func DefaultMatrix() ([]Scenario, error) {
@@ -93,6 +94,24 @@ func DefaultMatrix() ([]Scenario, error) {
 		// across two aggregation and four core choices.
 		net, err := topo.Clos(4, 0.6)
 		if err := add("clos4", net, err, 8); err != nil {
+			return nil, err
+		}
+	}
+	{
+		// A unit-rate FIFO pair crossed by one large uncapped burst at each
+		// server: the through connection's worst case needs the second
+		// burst released when its own first-hop delay has passed, the
+		// opening move of the staggered start.
+		fifo := server.Server{Capacity: 1, Discipline: server.FIFO}
+		net := &topo.Network{
+			Servers: []server.Server{fifo, fifo},
+			Connections: []topo.Connection{
+				{Name: "A", Bucket: traffic.TokenBucket{Sigma: 1, Rho: 0.1}, Path: []int{0, 1}},
+				{Name: "X1", Bucket: traffic.TokenBucket{Sigma: 5, Rho: 0.1}, Path: []int{0}},
+				{Name: "X2", Bucket: traffic.TokenBucket{Sigma: 5, Rho: 0.1}, Path: []int{1}},
+			},
+		}
+		if err := add("burstycross2", net, nil, 8); err != nil {
 			return nil, err
 		}
 	}

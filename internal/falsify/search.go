@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 
 	"delaycalc/internal/analysis"
@@ -22,7 +23,8 @@ type Options struct {
 	Seed int64
 	// Restarts is the number of hill-climbing starts per pair; the first
 	// start is always the all-greedy zero-phase baseline (the pattern
-	// the analysis is built around), the rest are random adversaries.
+	// the analysis is built around), the second the staggered start
+	// (staggeredStart), the rest are random adversaries.
 	Restarts int
 	// Iterations is the number of greedy mutation steps per restart.
 	Iterations int
@@ -233,9 +235,13 @@ func searchUnit(ctx context.Context, sc Scenario, an analysis.Analyzer, opts Opt
 restarts:
 	for r := 0; r < opts.Restarts && contra == nil; r++ {
 		var cur TrialParams
-		if r == 0 {
+		switch r {
+		case 0:
 			cur = cloneParams(zero)
-		} else {
+		case 1:
+			cur = zero
+			cur.Adversary.Controls = staggeredStart(sc)
+		default:
 			advSeed := rng.Int63()
 			cur = TrialParams{
 				PacketSize: opts.PacketSizes[rng.Intn(len(opts.PacketSizes))],
@@ -293,6 +299,44 @@ restarts:
 		res.PerConn = nil
 	}
 	return res, contra, nil
+}
+
+// staggeredStart is the second, deterministic start: it tags the longest
+// route (the first one on a tie) and releases every other source when the
+// tagged traffic's worst case reaches the first server the two share — at
+// the sum of the tagged connection's Decomposed stage delays before that
+// server — so each cross burst lands on the tagged connection's most
+// delayed bits instead of leaving before they arrive. Sources that share no
+// server with the tagged route, and every source when the Decomposed bound
+// is not finite, start greedy; phases are clamped to the scenario's spread.
+func staggeredStart(sc Scenario) []sim.SourceControl {
+	conns := sc.Net.Connections
+	ctl := make([]sim.SourceControl, len(conns))
+	tag := 0
+	for i, c := range conns {
+		if len(c.Path) > len(conns[tag].Path) {
+			tag = i
+		}
+	}
+	res, err := analysis.Decomposed{}.Analyze(sc.Net)
+	if err != nil || math.IsInf(res.Bounds[tag], 1) {
+		return ctl
+	}
+	stages := res.Stages[tag] // one per hop of the tagged route
+	for i, c := range conns {
+		if i == tag {
+			continue
+		}
+		at := 0.0
+		for h, s := range conns[tag].Path {
+			if slices.Contains(c.Path, s) {
+				ctl[i].Phase = clamp(at, 0, sc.Spread)
+				break
+			}
+			at += stages[h].Delay
+		}
+	}
+	return ctl
 }
 
 // cloneParams deep-copies trial parameters so hill-climbing mutations

@@ -8,9 +8,9 @@
 // convention used throughout deterministic network calculus (arrival
 // functions count traffic in the half-open interval [0, t)).
 //
-// A vertical jump is represented by two breakpoints sharing the same X with
-// increasing Y; the first carries the value at X, the second the right
-// limit.
+// A vertical jump is represented by two breakpoints sharing the same X; the
+// first carries the value at X, the second the right limit. Jumps are upward
+// on non-decreasing curves; a difference such as Sub can also jump down.
 //
 // All operations in this package are exact for piecewise-linear inputs: the
 // breakpoints of results such as min-plus convolutions, compositions and
@@ -63,17 +63,19 @@ func New(pts []Point, finalSlope float64) Curve {
 	}
 	cp := make([]Point, len(pts))
 	copy(cp, pts)
+	sortPoints(cp)
 	return newFromOwned(cp, finalSlope)
 }
 
-// newFromOwned builds a curve taking ownership of pts (no defensive copy).
-// Validation and normalization match New exactly; internal operations use
-// it to construct results directly into arena-allocated buffers.
+// newFromOwned builds a curve taking ownership of pts (no defensive copy),
+// which must already be in curve order: by X, and at a shared X the value
+// before the right limit, whichever is larger. Validation and normalization
+// match New; internal operations use it to construct results directly into
+// arena-allocated buffers.
 func newFromOwned(pts []Point, finalSlope float64) Curve {
 	if len(pts) == 0 {
 		panic("minplus: New called with no breakpoints")
 	}
-	sortPoints(pts)
 	for _, p := range pts {
 		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
 			panic(fmt.Sprintf("minplus: non-finite breakpoint %+v", p))
@@ -100,12 +102,14 @@ func pointLess(a, b Point) bool {
 	return a.Y < b.Y
 }
 
-// sortPoints sorts breakpoints by (X, Y) in place without the reflection
-// swapper that sort.Slice allocates. Nearly every construction site feeds
-// already-ordered points, so the sorted check makes the common case a
-// single linear scan; the insertion-sort fallback is only reached by
-// evaluator reconstructions with downward jumps or unordered candidates,
-// whose point counts are small.
+// sortPoints sorts New's caller-supplied breakpoints by (X, Y) in place
+// without the reflection swapper that sort.Slice allocates; the sorted check
+// makes already-ordered input a single linear scan. A caller's jump is read
+// as upward, so a curve with a downward jump cannot be spelled through New.
+// Internal constructions (evaluator reconstructions, shifts, gates) never
+// come here: they emit their points in curve order, value before right
+// limit, so a downward jump — a cross burst subtracted from a service
+// curve — survives instead of being flipped into an upward one.
 func sortPoints(pts []Point) {
 	sorted := true
 	for i := 1; i < len(pts); i++ {

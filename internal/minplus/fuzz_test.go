@@ -34,12 +34,17 @@ func FuzzAlgebra(f *testing.F) {
 	f.Add([]byte{8, 1, 1, 2, 2, 0, 4}, []byte{4, 2, 0, 0, 3, 3, 1})
 	f.Add([]byte{0, 0, 0}, []byte{31, 15, 15})
 	f.Add([]byte{1, 0, 15, 15, 0}, []byte{2, 8, 8})
+	// Rate(1) minus a staircase (unit jumps at 0 and 2, slope 1/4): the
+	// difference jumps down, which a reconstruction must not flip.
+	f.Add([]byte{8, 0, 0}, []byte{2, 0, 4, 8, 0, 0, 4})
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		fc, gc := fuzzCurve(a), fuzzCurve(b)
 		if fc == nil || gc == nil {
 			return
 		}
 		fcur, gcur := *fc, *gc
+		checkSub(t, fcur, gcur)
+		checkSub(t, gcur, fcur)
 		sum := Add(fcur, gcur)
 		mn := Min(fcur, gcur)
 		mx := Max(fcur, gcur)
@@ -85,4 +90,24 @@ func FuzzAlgebra(f *testing.F) {
 			t.Fatalf("SupDiff(min) %g > SupDiff(f) %g", dm, df)
 		}
 	})
+}
+
+// checkSub holds Sub(f, g) to the operands' differences, value and right
+// limit, at every operand breakpoint and on a grid past both.
+func checkSub(t *testing.T, f, g Curve) {
+	t.Helper()
+	d := Sub(f, g)
+	hi := f.LastX() + g.LastX() + 2
+	xs := mergeXs(f.xBreaks(), g.xBreaks())
+	for i := 0; i <= 16; i++ {
+		xs = append(xs, hi*float64(i)/16)
+	}
+	for _, x := range xs {
+		if got, want := d.Eval(x), f.Eval(x)-g.Eval(x); math.Abs(got-want) > 1e-6 {
+			t.Fatalf("Sub(f, g)(%g) = %g, want %g (f=%v g=%v)", x, got, want, f, g)
+		}
+		if got, want := d.EvalRight(x), f.EvalRight(x)-g.EvalRight(x); math.Abs(got-want) > 1e-6 {
+			t.Fatalf("Sub(f, g)(%g+) = %g, want %g (f=%v g=%v)", x, got, want, f, g)
+		}
+	}
 }
