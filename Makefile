@@ -22,7 +22,7 @@ help:
 	@echo "  figures        regenerate paper figures and CSVs"
 	@echo "  falsify        adversarial bound falsification, full matrix -> FALSIFY_report.json"
 	@echo "  falsify-smoke  CI-budget falsification over 6 scenarios (fails on contradiction)"
-	@echo "  fuzz           fuzz min-plus algebra, netspec decode, incremental admission"
+	@echo "  fuzz           fuzz min-plus algebra (residual kernel arm included), netspec decode, incremental admission"
 	@echo "  run-delayd     start the admission daemon on the paper tandem"
 	@echo "  clean          remove generated, untracked artifacts"
 

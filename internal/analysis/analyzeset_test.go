@@ -106,8 +106,13 @@ func boundsDigest(bounds []float64) string {
 // its cross traffic from the pooled propagation's recycled buffers, so on a
 // route of four or more hops a recorded entry envelope was overwritten by a
 // later hop's (125 of 129 bounds looser, up to 6.0e6 against 14.0); it
-// reads a traced run's unit traces now. ANALYZESET_WRITE=<file> rewrites
-// the golden file.
+// reads a traced run's unit traces now. Its digest moved once more when
+// the residual became one pass (minplus.Arena.Residual): bound 39 of 129
+// is one ulp looser, 0x1.25b8608f4bee4p+09 -> 0x1.25b8608f4bee5p+09
+// (1.9e-16 relative), because the leftover's right limit at theta = 0 is
+// now read from the point arrays where the composition extrapolated it
+// from a midpoint. Every other item kept its digest. ANALYZESET_WRITE=<file>
+// writes every line afresh; keep rf_int4's from the golden file.
 func TestAnalyzeSetMatchesParent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analyses the full-size benchmark set")

@@ -100,7 +100,7 @@ func decomposedServerStep(net *topo.Network, s int, conns []int, p *propagation,
 		switch srv.Discipline {
 		case server.StaticPriority:
 			beta = residual(ar, beta, higher, 0)
-			higher = ar.Add(higher, classAgg)
+			higher = ar.SumN(higher, classAgg)
 		case server.GuaranteedRate:
 			beta, lat = minplus.RateLatency(net.Connections[members[0]].Rate, srv.Latency), 0
 		}

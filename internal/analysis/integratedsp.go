@@ -98,7 +98,7 @@ func analyzeSPChain(ctx context.Context, net *topo.Network, idx [][]int, chain [
 			return false
 		}
 		for i := range chain {
-			higher[i] = sc.ar.Add(higher[i], sc.agg[i])
+			higher[i] = sc.ar.SumN(higher[i], sc.agg[i])
 		}
 	}
 	// Whole-server backlog bounds: after the last class, higher is the

@@ -28,22 +28,21 @@ import (
 // Delta = +-inf rows of one residual (Ghiassi-Farrokhfal / Liebeherr /
 // Burchard, PAPERS.md); the finite-Delta rows are ROADMAP item 7.
 //
-// The delayed cross burst is a downward jump of the difference at theta.
-// minplus builds the difference in curve order, value before right limit,
-// so the jump stays downward and the closure below charges the burst; a
-// difference whose points were sorted by value would jump up instead, and
-// for theta >= sigma/C the bound would forget the burst.
+// minplus.Arena.Residual builds a member in one forward sweep over beta's
+// breakpoints past theta and alphaCross's shifted by theta, clipping the
+// difference at 0, and one reverse scan for its monotone closure
+// inf_{s >= t}, gate included. The closure at t > theta reads only values
+// at s >= t, so closing after the gate is exact, and the kernel takes any
+// non-decreasing beta and alphaCross: no concavity test, no fallback. The
+// delayed cross burst is a downward jump of the difference at theta; the
+// sweep reads it as value then right limit off the point arrays, and the
+// closure charges it, so for theta >= sigma/C the bound keeps the burst.
 
-// residual evaluates the family above with the intermediate and result
-// curves drawn from the arena (heap when ar is nil). The hot analysis paths
-// build residual families per theta candidate; keeping them arena-backed
-// keeps the steady-state search allocation-free.
+// residual is that kernel, drawn from the arena (heap when ar is nil). The
+// hot analysis paths build residual families per theta candidate; keeping
+// them arena-backed keeps the steady-state search allocation-free.
 func residual(ar *minplus.Arena, beta, alphaCross minplus.Curve, theta float64) minplus.Curve {
-	raw := ar.PositivePart(ar.Sub(beta, ar.Delay(alphaCross, theta)))
-	if !raw.IsNonDecreasing() {
-		raw = ar.MonotoneClosure(raw)
-	}
-	return ar.ZeroUntil(raw, theta)
+	return ar.Residual(beta, alphaCross, theta)
 }
 
 // thetaCandidatesArena proposes a finite set of theta parameters for the

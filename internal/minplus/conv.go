@@ -1,6 +1,9 @@
 package minplus
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Convolve returns the min-plus convolution
 //
@@ -52,12 +55,13 @@ func convolve(ar *Arena, f, g Curve) Curve {
 	}
 	addPivots(f, g)
 	addPivots(g, f)
-	return reduceEnvelope(ar, branches, (*Arena).Min)
+	return reduceEnvelope(ar, branches, math.Min, minTail)
 }
 
-// reduceEnvelope folds curves with op using a balanced reduction to keep
-// intermediate breakpoint counts low.
-func reduceEnvelope(ar *Arena, curves []Curve, op func(*Arena, Curve, Curve) Curve) Curve {
+// reduceEnvelope folds curves with the pointwise op (min or max, with its
+// tail rule) using a balanced reduction to keep intermediate breakpoint
+// counts low.
+func reduceEnvelope(ar *Arena, curves []Curve, op func(a, b float64) float64, tail func(f, g Curve, farT float64) float64) Curve {
 	if len(curves) == 0 {
 		return Zero()
 	}
@@ -65,7 +69,7 @@ func reduceEnvelope(ar *Arena, curves []Curve, op func(*Arena, Curve, Curve) Cur
 		next := curves[:0]
 		for i := 0; i < len(curves); i += 2 {
 			if i+1 < len(curves) {
-				next = append(next, op(ar, curves[i], curves[i+1]))
+				next = append(next, pointwise(ar, curves[i], curves[i+1], op, tail))
 			} else {
 				next = append(next, curves[i])
 			}
@@ -128,7 +132,7 @@ func deconvolve(ar *Arena, f, g Curve) (Curve, error) {
 			branches = append(branches, pointwise(ar, constant(ar, r), refl, opSub, subTail))
 		}
 	}
-	return reduceEnvelope(ar, branches, (*Arena).Max), nil
+	return reduceEnvelope(ar, branches, math.Max, maxTail), nil
 }
 
 // reflectAround builds h(t) = g(max(x - t, 0)) as a left-continuous curve:

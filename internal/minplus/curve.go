@@ -374,11 +374,8 @@ func (c Curve) lastOfRun(i int) int {
 }
 
 // xBreaks returns the distinct breakpoint X coordinates.
-func (c Curve) xBreaks() []float64 { return c.xBreaksArena(nil) }
-
-// xBreaksArena is xBreaks with the output drawn from an arena.
-func (c Curve) xBreaksArena(ar *Arena) []float64 {
-	xs := ar.floats(len(c.pts))
+func (c Curve) xBreaks() []float64 {
+	xs := make([]float64, 0, len(c.pts))
 	for i, p := range c.pts {
 		if i > 0 && almostEqual(p.X, c.pts[i-1].X) {
 			continue

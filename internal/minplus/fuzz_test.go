@@ -26,10 +26,11 @@ func fuzzCurve(data []byte) *Curve {
 }
 
 // FuzzAlgebra checks structural invariants of the core operations on
-// arbitrary generated curves: no panics, monotonicity preservation, and
-// the defining inequalities of min/convolution. The seed corpus runs in
-// the normal test suite; `go test -fuzz FuzzAlgebra ./internal/minplus`
-// explores further.
+// arbitrary generated curves: no panics, monotonicity preservation, the
+// defining inequalities of min/convolution, and the residual service
+// curve's (checkResidual) at theta 0 and at a theta drawn from the input.
+// The seed corpus runs in the normal test suite; `go test -fuzz
+// FuzzAlgebra ./internal/minplus` explores further.
 func FuzzAlgebra(f *testing.F) {
 	f.Add([]byte{8, 1, 1, 2, 2, 0, 4}, []byte{4, 2, 0, 0, 3, 3, 1})
 	f.Add([]byte{0, 0, 0}, []byte{31, 15, 15})
@@ -45,6 +46,11 @@ func FuzzAlgebra(f *testing.F) {
 		fcur, gcur := *fc, *gc
 		checkSub(t, fcur, gcur)
 		checkSub(t, gcur, fcur)
+		theta := float64(a[len(a)-1]%32) / 4
+		for _, th := range []float64{0, theta} {
+			checkResidual(t, fcur, gcur, th)
+			checkResidual(t, gcur, fcur, th)
+		}
 		sum := Add(fcur, gcur)
 		mn := Min(fcur, gcur)
 		mx := Max(fcur, gcur)
@@ -108,6 +114,38 @@ func checkSub(t *testing.T, f, g Curve) {
 		}
 		if got, want := d.EvalRight(x), f.EvalRight(x)-g.EvalRight(x); math.Abs(got-want) > 1e-6 {
 			t.Fatalf("Sub(f, g)(%g+) = %g, want %g (f=%v g=%v)", x, got, want, f, g)
+		}
+	}
+}
+
+// checkResidual holds Arena.Residual(beta, cross, theta) to its definition:
+// non-decreasing, zero on [0, theta], and past theta never above the
+// clipped difference [beta(t) - cross(t - theta)]^+, value and right
+// limit, at every operand breakpoint and on a grid.
+func checkResidual(t *testing.T, beta, cross Curve, theta float64) {
+	t.Helper()
+	r := NewArena().Residual(beta, cross, theta)
+	if !r.IsNonDecreasing() {
+		t.Fatalf("Residual(theta=%g) not monotone: %v (beta=%v cross=%v)", theta, r, beta, cross)
+	}
+	d := Delay(cross, theta)
+	hi := theta + beta.LastX() + cross.LastX() + 2
+	xs := mergeXs(beta.xBreaks(), d.xBreaks())
+	for i := 0; i <= 16; i++ {
+		xs = append(xs, hi*float64(i)/16)
+	}
+	for _, x := range xs {
+		if x <= theta {
+			if got := r.Eval(x); got != 0 {
+				t.Fatalf("Residual(theta=%g)(%g) = %g, want 0 up to theta (beta=%v cross=%v)", theta, x, got, beta, cross)
+			}
+			continue
+		}
+		if got, bound := r.Eval(x), max(beta.Eval(x)-d.Eval(x), 0); got > bound+1e-6 {
+			t.Fatalf("Residual(theta=%g)(%g) = %g above the clipped difference %g (beta=%v cross=%v)", theta, x, got, bound, beta, cross)
+		}
+		if got, bound := r.EvalRight(x), max(beta.EvalRight(x)-d.EvalRight(x), 0); got > bound+1e-6 {
+			t.Fatalf("Residual(theta=%g)(%g+) = %g above the clipped difference %g (beta=%v cross=%v)", theta, x, got, bound, beta, cross)
 		}
 	}
 }

@@ -92,9 +92,6 @@ func opSub(a, b float64) float64 { return a - b }
 // Add returns f + g.
 func Add(f, g Curve) Curve { return pointwise(nil, f, g, opAdd, addTail) }
 
-// Add returns f + g built in the arena.
-func (a *Arena) Add(f, g Curve) Curve { return pointwise(a, f, g, opAdd, addTail) }
-
 // Sum adds any number of curves; Sum() is the zero curve. It delegates to
 // SumN, the single-pass k-way merge.
 func Sum(curves ...Curve) Curve {
@@ -104,27 +101,15 @@ func Sum(curves ...Curve) Curve {
 // Min returns the pointwise minimum of f and g.
 func Min(f, g Curve) Curve { return pointwise(nil, f, g, math.Min, minTail) }
 
-// Min returns the pointwise minimum of f and g built in the arena.
-func (a *Arena) Min(f, g Curve) Curve { return pointwise(a, f, g, math.Min, minTail) }
-
 // Max returns the pointwise maximum of f and g.
 func Max(f, g Curve) Curve { return pointwise(nil, f, g, math.Max, maxTail) }
-
-// Max returns the pointwise maximum of f and g built in the arena.
-func (a *Arena) Max(f, g Curve) Curve { return pointwise(a, f, g, math.Max, maxTail) }
 
 // PositivePart returns max(f, 0), written [f]^+ in network calculus.
 func PositivePart(f Curve) Curve { return Max(f, Zero()) }
 
-// PositivePart returns max(f, 0) built in the arena.
-func (a *Arena) PositivePart(f Curve) Curve { return a.Max(f, Zero()) }
-
 // Sub returns f - g. The result need not be monotone; it is intended for
 // deviation computations and plotting.
 func Sub(f, g Curve) Curve { return pointwise(nil, f, g, opSub, subTail) }
-
-// Sub returns f - g built in the arena.
-func (a *Arena) Sub(f, g Curve) Curve { return pointwise(a, f, g, opSub, subTail) }
 
 // MonotoneClosure returns the greatest non-decreasing curve that nowhere
 // exceeds f:
@@ -135,12 +120,7 @@ func (a *Arena) Sub(f, g Curve) Curve { return pointwise(a, f, g, opSub, subTail
 // curve is always a valid (if weaker) guarantee, so the closure is sound.
 // The curve's final slope must be non-negative, otherwise the infimum is
 // -Inf everywhere and MonotoneClosure panics.
-func MonotoneClosure(f Curve) Curve { return monotoneClosure(nil, f) }
-
-// MonotoneClosure is the arena variant of the package-level function.
-func (a *Arena) MonotoneClosure(f Curve) Curve { return monotoneClosure(a, f) }
-
-func monotoneClosure(ar *Arena, f Curve) Curve {
+func MonotoneClosure(f Curve) Curve {
 	f.mustValid()
 	if f.slope < -Eps {
 		panic("minplus: MonotoneClosure of a curve decreasing to -Inf")
@@ -148,9 +128,9 @@ func monotoneClosure(ar *Arena, f Curve) Curve {
 	if f.IsNonDecreasing() {
 		return f
 	}
-	xs := f.xBreaksArena(ar)
+	xs := f.xBreaks()
 	// M[i] = inf of f over [xs[i], inf).
-	m := ar.floats(len(xs))[:len(xs)]
+	m := make([]float64, len(xs))
 	tail := f.EvalRight(xs[len(xs)-1]) // min of the affine tail (slope >= 0)
 	run := tail
 	// Segment interiors are linear, so every local minimum is attained at
@@ -165,7 +145,7 @@ func monotoneClosure(ar *Arena, f Curve) Curve {
 	// interval after it. On the tail S follows f itself (the tail infimum
 	// is its right limit at the last breakpoint, since slope >= 0) so that
 	// Min(f, S) leaves the tail untouched.
-	pts := ar.points(2 * len(xs))
+	pts := make([]Point, 0, 2*len(xs))
 	for i, x := range xs {
 		pts = append(pts, Point{x, m[i]})
 		if i+1 < len(xs) {
@@ -178,5 +158,5 @@ func monotoneClosure(ar *Arena, f Curve) Curve {
 	}
 	s := Curve{pts: pts, slope: f.slope}
 	s.normalize()
-	return pointwise(ar, f, s, math.Min, minTail)
+	return Min(f, s)
 }
