@@ -139,24 +139,23 @@ func newPropagation(net *topo.Network) *propagation {
 		stage:   make([][]Stage, len(net.Connections)),
 		backlog: make([]float64, len(net.Servers)),
 	}
-	// A connection accrues at most one stage per hop, and each shift can
-	// add at most two breakpoints to its envelope: one flat slab backs
-	// every stage list and the shift pool, fixed-capacity sub-sliced so
-	// concurrent chains append into disjoint ranges.
+	// A connection accrues at most one stage per hop: one flat slab backs
+	// every stage list, fixed-capacity sub-sliced so concurrent chains
+	// append into disjoint ranges. Each envelope shifts in a slot of the
+	// shift pool sized to its source envelope, since a shift never
+	// lengthens a curve (minplus.ShiftPool.ShiftLeft).
 	totalHops := 0
 	for _, c := range net.Connections {
 		totalHops += len(c.Path)
 	}
 	stageSlab := make([]Stage, 0, totalHops)
-	hints := make([]int, len(net.Connections))
 	for i, c := range net.Connections {
 		p.env[i] = c.SourceEnvelope()
 		n := len(stageSlab)
 		stageSlab = stageSlab[:n+len(c.Path)]
 		p.stage[i] = stageSlab[n : n : n+len(c.Path)]
-		hints[i] = p.env[i].NumPoints() + 2*len(c.Path) + 2
 	}
-	p.shift = minplus.NewShiftPool(hints)
+	p.shift = minplus.NewShiftPool(p.env)
 	return p
 }
 

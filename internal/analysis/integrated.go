@@ -148,16 +148,20 @@ func unitEdges(g *topo.Graph, subnets []unitSpec, owner []int) func(u int, visit
 
 // partition greedily grows chains of consecutive servers (in topological
 // order), extending each chain toward the successor carrying the largest
-// through rate, subject to the extension not creating a cycle among
-// subnetworks and not containing a reversed traversal. Servers that cannot
-// be grouped become singletons, exactly as the paper's Step 1 allows.
+// through rate, subject to every route edge between two servers of the
+// chain joining neighbours (no reversed traversal, no skipped position) and
+// to the extension not creating a cycle among subnetworks. Servers that
+// cannot be grouped become singletons, exactly as the paper's Step 1
+// allows. Together the two rules make every route's crossing of a chain one
+// interval of consecutive positions, each visited in order: a route that
+// left the chain and came back would close a cycle, and one that jumped a
+// position would leave the hop in between unanalysed.
 //
 // The validity check is incremental: the committed partition is known
 // acyclic (inductively), so extending a chain by one server creates a
-// cycle iff the merged unit can reach itself through at least one outside
-// unit — a local reachability probe over the contracted unit graph
-// (partitioner.createsCycle) instead of the full clone-and-toposort the
-// previous implementation ran per candidate.
+// cycle iff the chain reaches the newcomer through at least one outside
+// unit — a two-sided probe over the contracted unit graph
+// (partitioner.createsCycle) instead of a clone-and-toposort per candidate.
 func partition(g *topo.Graph, maxLen int) []unitSpec {
 	pt := newPartitioner(g)
 	for _, u := range g.Order() {
@@ -196,11 +200,11 @@ func bestSuccessor(succ []topo.Edge, owner []int) int {
 }
 
 // partitioner maintains the state of a growing partition — server
-// ownership over the route graph's successor relation — so that each
-// extension's validity check is a local graph probe. The committed
-// partition (completed chains, the currently growing chain, and implicit
-// singletons for unassigned servers) is acyclic as an invariant: it
-// starts as the server DAG itself, and every accepted extension is
+// ownership over the route graph's successor and predecessor relations —
+// so that each extension's validity check is a local graph probe. The
+// committed partition (completed chains, the currently growing chain, and
+// implicit singletons for unassigned servers) is acyclic as an invariant:
+// it starts as the server DAG itself, and every accepted extension is
 // checked to preserve acyclicity.
 type partitioner struct {
 	g     *topo.Graph
@@ -210,24 +214,61 @@ type partitioner struct {
 	// id's members start at start[id] and run to the next unit's start.
 	flat  []int
 	start []int
+	// pred[predStart[s]:predStart[s+1]] are the servers with a route edge
+	// into s, in ascending order: the route graph transposed, once.
+	pred      []int
+	predStart []int
 
-	// Epoch-stamped DFS marks and stack, reused across probes without
-	// clearing (the stack grows to its high-water mark once).
+	// Stamped marks of the contracted nodes the probes reach (unit ids in
+	// unitMark, singleton servers in serverMark) and the probes' two
+	// stacks, reused across probes without clearing: probe k stamps what
+	// its forward side reaches 2k and what its backward side 2k+1.
 	unitMark   []int
 	serverMark []int
 	epoch      int
-	stack      []int
+	stack      [2][]int // [forward], [backward]
+
+	// The probe in progress: the unit and the server it would take in.
+	unit, next int
 }
+
+// The two sides of a cycle probe.
+const (
+	forward  = 0
+	backward = 1
+)
 
 func newPartitioner(g *topo.Graph) *partitioner {
 	n := g.Servers()
 	owner := make([]int, n)
-	for i := range owner {
-		owner[i] = -1
+	predStart := make([]int, n+1)
+	for u := range owner {
+		owner[u] = -1
+		for _, e := range g.Succ(u) {
+			predStart[e.To+1]++
+		}
 	}
+	for s := 1; s <= n; s++ {
+		predStart[s] += predStart[s-1]
+	}
+	// Filling rows in ascending u with a cursor per row keeps every row
+	// sorted; the cursors end where the next row starts, so predStart is
+	// shifted back by one slot afterwards.
+	pred := make([]int, predStart[n])
+	for u := range owner {
+		for _, e := range g.Succ(u) {
+			pred[predStart[e.To]] = u
+			predStart[e.To]++
+		}
+	}
+	copy(predStart[1:], predStart[:n])
+	predStart[0] = 0
 	return &partitioner{g: g, owner: owner, flat: make([]int, 0, n), start: make([]int, 0, n),
-		unitMark: make([]int, 0, n), serverMark: make([]int, n)}
+		pred: pred, predStart: predStart, unitMark: make([]int, 0, n), serverMark: make([]int, n)}
 }
+
+// preds returns the servers with a route edge into s.
+func (pt *partitioner) preds(s int) []int { return pt.pred[pt.predStart[s]:pt.predStart[s+1]] }
 
 // members returns unit id's servers in chain order.
 func (pt *partitioner) members(id int) []int {
@@ -253,78 +294,118 @@ func (pt *partitioner) assign(id, s int) {
 	pt.flat = append(pt.flat, s)
 }
 
-// extensionValid checks that extending unit by next keeps the partition
-// free of reversed intra-chain traversals and acyclic. A reversed
-// traversal is a route edge with both endpoints in the chain and its head
-// earlier than its tail; the chain passed this check at every earlier
-// extension, so only an edge out of next back into the chain can add one.
-// With the pre-extension partition acyclic, the extended one has a cycle
-// iff the merged unit lies on one, iff the merged unit reaches itself.
+// extensionValid checks that extending unit by next keeps every route edge
+// inside the chain between neighbours and the partition acyclic. The chain
+// passed this check at every earlier extension, so only an edge between
+// next and the chain can break the first rule: one out of next back into
+// the chain (a reversed traversal), or one into next from a member other
+// than the tail (a route skipping the tail's position, whose hop in between
+// no run would analyse).
 func (pt *partitioner) extensionValid(unit, next int) bool {
 	for _, e := range pt.g.Succ(next) {
 		if pt.owner[e.To] == unit {
 			return false
 		}
 	}
+	chain := pt.members(unit)
+	tail := chain[len(chain)-1]
+	for _, s := range pt.preds(next) {
+		if s != tail && pt.owner[s] == unit {
+			return false
+		}
+	}
 	return !pt.createsCycle(unit, next)
 }
 
-// createsCycle reports whether merging server `next` (currently an
-// implicit singleton) into `unit` closes a cycle in the contracted unit
-// graph: it walks the units reachable from the merged set's external
-// successors and checks whether any walk re-enters the merged set.
+// createsCycle reports whether merging server next (an implicit singleton
+// the tail has an edge to) into unit closes a cycle in the contracted unit
+// graph. With the committed partition acyclic, the only cycle the merge can
+// close runs from unit through at least one outside node to next: one from
+// next back to unit, or from either to itself, would already be a cycle with
+// the edge unit -> next. So the probe searches from both ends at once — a
+// forward side from unit's outside successors, a backward side from next's
+// outside predecessors — always expanding the side with less left to
+// expand, and stops when the sides meet (a cycle) or either runs dry (none).
+// A side that runs dry has reached everything it can, so the probe costs
+// about twice the smaller of the two closures rather than the whole
+// downstream of unit.
 func (pt *partitioner) createsCycle(unit, next int) bool {
 	pt.epoch++
-	inMerged := func(s int) bool { return pt.owner[s] == unit || s == next }
-	// Stack of contracted nodes: unit ids as-is, singleton servers
-	// bit-complemented.
-	stack := pt.stack[:0]
-	defer func() { pt.stack = stack[:0] }()
-	push := func(t int) {
-		if u := pt.owner[t]; u >= 0 {
-			if pt.unitMark[u] != pt.epoch {
-				pt.unitMark[u] = pt.epoch
-				stack = append(stack, u)
-			}
-		} else if pt.serverMark[t] != pt.epoch {
-			pt.serverMark[t] = pt.epoch
-			stack = append(stack, ^t)
-		}
-	}
-	// Seed with the merged set's external successors; edges inside the
-	// merged set (including tail -> next, the edge being contracted) are
-	// not cycles.
-	seed := func(s int) {
-		for _, e := range pt.g.Succ(s) {
-			if !inMerged(e.To) {
-				push(e.To)
-			}
-		}
-	}
+	pt.unit, pt.next = unit, next
+	pt.stack[forward], pt.stack[backward] = pt.stack[forward][:0], pt.stack[backward][:0]
+	// Edges inside the merged set, tail -> next among them, are not cycles.
 	for _, s := range pt.members(unit) {
-		seed(s)
-	}
-	seed(next)
-	probe := func(s int) bool {
 		for _, e := range pt.g.Succ(s) {
-			if inMerged(e.To) {
+			if !pt.inMerged(e.To) && pt.reach(forward, e.To) {
 				return true
 			}
-			push(e.To)
 		}
-		return false
 	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n >= 0 {
-			for _, s := range pt.members(n) {
-				if probe(s) {
+	for _, s := range pt.preds(next) {
+		if !pt.inMerged(s) && pt.reach(backward, s) {
+			return true
+		}
+	}
+	for len(pt.stack[forward]) > 0 && len(pt.stack[backward]) > 0 {
+		side := forward
+		if len(pt.stack[backward]) < len(pt.stack[forward]) {
+			side = backward
+		}
+		if pt.expand(side) {
+			return true
+		}
+	}
+	return false
+}
+
+// inMerged reports whether server s belongs to the probe's merged set.
+func (pt *partitioner) inMerged(s int) bool { return s == pt.next || pt.owner[s] == pt.unit }
+
+// reach marks server t's contracted node as reached by side, queueing it
+// the first time, and reports whether the other side reached it already:
+// then a path from unit to next runs through it.
+func (pt *partitioner) reach(side, t int) bool {
+	mark, node := &pt.serverMark[t], ^t // stacks hold singletons bit-complemented
+	if u := pt.owner[t]; u >= 0 {
+		mark, node = &pt.unitMark[u], u
+	}
+	own := 2*pt.epoch + side
+	switch *mark {
+	case own:
+		return false
+	case own ^ 1:
+		return true
+	}
+	*mark = own
+	pt.stack[side] = append(pt.stack[side], node)
+	return false
+}
+
+// expand pops one node of side and follows every route edge out of
+// (forward) or into (backward) its servers; landing in the merged set or
+// where the other side has been closes the cycle.
+func (pt *partitioner) expand(side int) bool {
+	st := pt.stack[side]
+	n := st[len(st)-1]
+	pt.stack[side] = st[:len(st)-1]
+	single := [1]int{^n}
+	servers := single[:]
+	if n >= 0 {
+		servers = pt.members(n)
+	}
+	for _, s := range servers {
+		if side == forward {
+			for _, e := range pt.g.Succ(s) {
+				if pt.inMerged(e.To) || pt.reach(side, e.To) {
 					return true
 				}
 			}
-		} else if probe(^n) {
-			return true
+			continue
+		}
+		for _, t := range pt.preds(s) {
+			if pt.inMerged(t) || pt.reach(side, t) {
+				return true
+			}
 		}
 	}
 	return false
@@ -484,29 +565,13 @@ func (sc *chainScratch) newRun(lo, hi int) *run {
 func analyzeChain(ctx context.Context, sc *chainScratch, net *topo.Network, idx [][]int, chain []int, p *propagation, pass chainPass) bool {
 	ar, svc := sc.ar, pass.svc
 	tm, bg := timingsFrom(ctx), budgetFrom(ctx)
-	// Chains hold at most ChainLength servers, so position lookup is a
-	// linear scan instead of a per-chain map.
-	posOf := func(s int) int {
-		for i, cs := range chain {
-			if cs == s {
-				return i
-			}
-		}
-		return -1
-	}
-	// Group connections into runs. A connection is normally grouped
-	// exactly at the chain server its next unprocessed hop points to: the
-	// partition's acyclicity makes its chain crossing one contiguous path
-	// segment with strictly increasing chain positions, so the entry
-	// server is the first chain server it appears at and later servers of
-	// the crossing never match — no seen-set is needed. The exception is
-	// a connection whose next hop lies outside this chain (its previous
-	// run was cut short by a chain-position gap, leaving p.next pointing
-	// into an already-analyzed chain): the historical map-based grouping
-	// defaulted those to position 0 at the connection's first chain
-	// server, and that behavior is replicated verbatim — the test oracle
-	// groups the same way, and TestLongChainLedger keeps the books of what
-	// it costs (ROADMAP item 5).
+	// Group connections into runs. The partition makes every route's
+	// crossing of a chain one interval of consecutive positions (see
+	// partition), and the chains before this one have advanced each
+	// connection to its first server here, so a connection is grouped at
+	// the chain server its next unprocessed hop points to and at no later
+	// one — no seen-set is needed — and its run reaches exactly as far as
+	// its route stays in the chain.
 	sc.nHdrs = 0
 	runs := sc.runs[:0]
 	for i, s := range chain {
@@ -516,43 +581,22 @@ func analyzeChain(ctx context.Context, sc *chainScratch, net *topo.Network, idx 
 			}
 			path := net.Connections[c].Path
 			h := p.next[c]
-			lo := posOf(path[h])
-			if lo != i {
-				if lo >= 0 {
-					continue // grouped at its entry server, not here
-				}
-				// Next hop outside the chain: group at the first chain
-				// server on the path, at default position 0.
-				first := true
-				for j := 0; j < i && first; j++ {
-					for _, q := range path {
-						if q == chain[j] {
-							first = false
-							break
-						}
-					}
-				}
-				if !first {
-					continue
-				}
-				lo = 0
+			if path[h] != s {
+				continue // grouped at its entry server, not here
 			}
-			hi := lo
-			for k := h + 1; k < len(path); k++ {
-				if q := posOf(path[k]); q != hi+1 {
-					break
-				}
+			hi := i
+			for k := h + 1; k < len(path) && hi+1 < len(chain) && path[k] == chain[hi+1]; k++ {
 				hi++
 			}
 			var r *run
 			for _, q := range runs {
-				if q.lo == lo && q.hi == hi {
+				if q.lo == i && q.hi == hi {
 					r = q
 					break
 				}
 			}
 			if r == nil {
-				r = sc.newRun(lo, hi)
+				r = sc.newRun(i, hi)
 				runs = append(runs, r)
 			}
 			r.conns = append(r.conns, c)

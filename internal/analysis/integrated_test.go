@@ -130,6 +130,93 @@ func TestIntegratedPairingOnTandem(t *testing.T) {
 	}
 }
 
+// TestCycleProbeMatchesToposort pins the partitioner's two-sided cycle
+// probe to the plain definition at every extension partition considers:
+// merging next into the unit closes a cycle iff the contracted unit graph
+// of the partition with the merge — every server in its unit, the unowned
+// ones alone — has no topological order. The networks are random meshes,
+// fat-trees (where about half of the probes find a cycle) and the paper's
+// tandem, at chain lengths 2 to 4.
+func TestCycleProbeMatchesToposort(t *testing.T) {
+	var nets []*topo.Network
+	for seed := int64(1); seed <= 12; seed++ {
+		net, err := topo.RandomFeedforward(16, 40, 0.6, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, net)
+	}
+	for _, k := range []int{2, 4} {
+		net, err := topo.FatTree(k, 3, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, net)
+	}
+	tandem, err := topo.PaperTandem(8, 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets = append(nets, tandem)
+	acyclicWith := func(pt *partitioner, g *topo.Graph, unit, next int) bool {
+		node := make([]int, g.Servers()) // server -> contracted node
+		for s := range node {
+			node[s] = len(pt.start) + s
+			if u := pt.owner[s]; u >= 0 {
+				node[s] = u
+			}
+		}
+		node[next] = unit
+		return topo.MinFirstOrder(len(pt.start)+g.Servers(), func(v int, visit func(int)) {
+			for s := range node {
+				if node[s] != v {
+					continue
+				}
+				for _, e := range g.Succ(s) {
+					if w := node[e.To]; w != v {
+						visit(w)
+					}
+				}
+			}
+		}) != nil
+	}
+	probes, cycles := 0, 0
+	for i, net := range nets {
+		g := topo.NewGraph(net)
+		for maxLen := 2; maxLen <= 4; maxLen++ {
+			pt := newPartitioner(g)
+			for _, u := range g.Order() {
+				if pt.owner[u] >= 0 {
+					continue
+				}
+				unit := pt.newUnit(u)
+				for chain := pt.members(unit); len(chain) < maxLen; chain = pt.members(unit) {
+					next := bestSuccessor(g.Succ(chain[len(chain)-1]), pt.owner)
+					if next < 0 {
+						break
+					}
+					probes++
+					got, want := pt.createsCycle(unit, next), !acyclicWith(pt, g, unit, next)
+					if got != want {
+						t.Fatalf("network %d, chains of %d: merging %d into %v: probe says cycle %v, toposort %v", i, maxLen, next, chain, got, want)
+					}
+					if got {
+						cycles++
+					}
+					if !pt.extensionValid(unit, next) {
+						break
+					}
+					pt.assign(unit, next)
+				}
+			}
+		}
+	}
+	t.Logf("%d probes, %d of them closing a cycle", probes, cycles)
+	if cycles == 0 || cycles == probes {
+		t.Errorf("%d of %d probes close a cycle: the corpus does not exercise both answers", cycles, probes)
+	}
+}
+
 func TestIntegratedChainLengths(t *testing.T) {
 	// Every chain length yields a valid bound no worse than decomposition
 	// (each interval bound is clamped by its local-delay sum, and the

@@ -156,7 +156,10 @@ func TestOracleMatchesClosedForms(t *testing.T) {
 // per server) with its second cross burst released when A's first-hop
 // delay has passed — the trial on which a residual that dropped the delayed
 // cross burst bounded A at 10.0 and the simulator delivered at 10.91.
-// The shipped Integrated analysis is held to the same simulations.
+// The shipped Integrated analysis is held to the same simulations. Every
+// network of the differential corpus is simulated too, and held to the
+// engine's and the oracle's chains of three and four: the configuration
+// whose skipped hops the greedy simulation once exceeded (TestLongChainLedger).
 func TestOracleHoldsAgainstSimulator(t *testing.T) {
 	type input struct {
 		name   string
@@ -194,84 +197,63 @@ func TestOracleHoldsAgainstSimulator(t *testing.T) {
 			"decomposed": oracleDecomposed(in.net), "pairs": oracleIntegrated(in.net, 2),
 			"whole tandem": oracleIntegrated(in.net, in.chains), "Integrated": engine,
 		} {
-			for c := range in.net.Connections {
-				if seen, slack := run.Stats[c].MaxDelay, sim.QuantizationSlack(in.net, c, in.cfg.PacketSize); seen > res.Bounds[c]+slack {
-					t.Errorf("%s %s conn %d: simulated %v exceeds the bound %v (+slack %v)", in.name, algo, c, seen, res.Bounds[c], slack)
-				}
-			}
+			holds(t, in.name+" "+algo, in.net, run, in.cfg.PacketSize, res)
+		}
+	}
+	for _, cr := range differentialRuns(t) {
+		cfg := sim.Config{PacketSize: 0.02, Horizon: sim.WorstCaseHorizon(cr.net)}
+		run, err := sim.Run(cr.net, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, chainLen := range []int{3, 4} {
+			holds(t, fmt.Sprintf("%s chains of %d: Integrated", cr.name, chainLen), cr.net, run, cfg.PacketSize, cr.engine[chainLen])
+			holds(t, fmt.Sprintf("%s chains of %d: the oracle", cr.name, chainLen), cr.net, run, cfg.PacketSize, cr.oracle[chainLen])
 		}
 	}
 }
 
-// TestLongChainLedger keeps the books of ROADMAP item 5's open finding, "the
-// FIFO twin": from three servers a chain on, Integrated can exceed Decomposed.
-// Each entry is one such bound on the differential corpus, and the oracle
-// exceeds on exactly the same ones by the same amount — the slack is the
-// algorithm's, not an optimisation's. Where it comes from: a chain of three
-// or more can hold two servers of a route without the one between them (the
-// route 0 -> 2 past a chain 0, 1, 2); the connection's run stops at the gap,
-// the hop after it is never analyzed — not charged to the connection, not
-// counted in that server's aggregate — and the next chain on the route finds
-// a next hop that is not its own and groups the connection at its position 0,
-// a server the connection may never visit, whose other traffic then pays for
-// it. dropped counts, per chain length, the connections whose stages are not
-// their route. Those bounds, and their bystanders' at the skipped server,
-// are not sound: when this ledger was opened the greedy packet simulation
-// exceeded 2 bounds of the corpus at chains of three and 11 at four, none at
-// pairs — long chains stay an experiment. Item 5's fix shows up here as both
-// lists shrinking to nothing; single servers and pairs, what every serving
-// path runs, must stay at none.
-func TestLongChainLedger(t *testing.T) {
-	type entry struct {
-		network        string
-		chainLen, conn int
-		excess         float64 // Integrated's bound minus Decomposed's
-	}
-	ledger := []entry{
-		{"ff6x9-seed12", 4, 7, 0.31222538147},
-		{"ff6x9-seed13", 3, 4, 0.867776816609},
-		{"ff6x9-seed13", 4, 4, 0.867776816609},
-		{"ff6x9-seed22", 4, 5, 0.694222222222},
-	}
-	dropped := map[int]int{1: 0, 2: 0, 3: 10, 4: 21}
-
-	var engine, oracle []entry
-	engineDropped, oracleDropped := map[int]int{}, map[int]int{}
-	tally := func(run corpusRun, chainLen int, results map[int]*analysis.Result, above *[]entry, short map[int]int) {
-		res, dec := results[chainLen], results[0]
-		for c, conn := range run.net.Connections {
-			if excess := res.Bounds[c] - dec.Bounds[c]; excess > 1e-9 {
-				*above = append(*above, entry{run.name, chainLen, c, excess})
-			}
-			var crossed []int
-			for _, st := range res.Stages[c] {
-				crossed = append(crossed, st.Servers...)
-			}
-			if !slices.Equal(crossed, conn.Path) {
-				short[chainLen]++
-			}
+// holds reports every connection of a simulation run whose largest delay
+// exceeds its bound in res by more than the packet quantization slack.
+func holds(t *testing.T, label string, net *topo.Network, run *sim.Result, packet float64, res *analysis.Result) {
+	t.Helper()
+	for c := range net.Connections {
+		if seen, slack := run.Stats[c].MaxDelay, sim.QuantizationSlack(net, c, packet); seen > res.Bounds[c]+slack {
+			t.Errorf("%s conn %d: simulated %v exceeds the bound %v (+slack %v)", label, c, seen, res.Bounds[c], slack)
 		}
 	}
+}
+
+// TestLongChainLedger closes the books of the long-chain finding: from three
+// servers a chain on, Integrated once exceeded Decomposed on four bounds of
+// the differential corpus, and 10 / 21 connections at chains of three / four
+// had stages that were not their route. A chain could hold two servers of a
+// route without the one between them (the route 0 -> 2 past a chain 0, 1,
+// 2): the run stopped at the gap, the hop after it was never analyzed, and
+// the next chain on the route grouped the connection at a server it might
+// never visit — bounds the greedy packet simulation exceeded. The partition
+// now refuses an extension that a route would skip, so at every chain
+// length, for the engine and the oracle alike, no bound is above
+// Decomposed's and every connection's stages cover exactly its route, each
+// server once and in order.
+func TestLongChainLedger(t *testing.T) {
 	for _, run := range differentialRuns(t) {
 		for chainLen := 1; chainLen <= 4; chainLen++ {
-			tally(run, chainLen, run.engine, &engine, engineDropped)
-			tally(run, chainLen, run.oracle, &oracle, oracleDropped)
-		}
-	}
-	for who, got := range map[string][]entry{"Integrated": engine, "the oracle": oracle} {
-		if len(got) != len(ledger) {
-			t.Errorf("%s exceeds Decomposed on %d bounds, the ledger has %d: %v", who, len(got), len(ledger), got)
-			continue
-		}
-		for i, e := range got {
-			if w := ledger[i]; e.network != w.network || e.chainLen != w.chainLen || e.conn != w.conn || math.Abs(e.excess-w.excess) > 1e-9 {
-				t.Errorf("%s: entry %d is %v, the ledger has %v", who, i, e, w)
+			for who, results := range map[string]map[int]*analysis.Result{"Integrated": run.engine, "the oracle": run.oracle} {
+				res, dec := results[chainLen], results[0]
+				for c, conn := range run.net.Connections {
+					if excess := res.Bounds[c] - dec.Bounds[c]; excess > 1e-9 {
+						t.Errorf("%s, chains of %d, %s: conn %d bound %v exceeds Decomposed's %v", run.name, chainLen, who, c, res.Bounds[c], dec.Bounds[c])
+					}
+					var crossed []int
+					for _, st := range res.Stages[c] {
+						crossed = append(crossed, st.Servers...)
+					}
+					if !slices.Equal(crossed, conn.Path) {
+						t.Errorf("%s, chains of %d, %s: conn %d crosses %v, its route is %v", run.name, chainLen, who, c, crossed, conn.Path)
+					}
+				}
 			}
-		}
-	}
-	for chainLen, want := range dropped {
-		if e, o := engineDropped[chainLen], oracleDropped[chainLen]; e != want || o != want {
-			t.Errorf("chains of %d: %d routes not covered by Integrated's stages, %d by the oracle's, the ledger has %d", chainLen, e, o, want)
 		}
 	}
 }

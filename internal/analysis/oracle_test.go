@@ -108,8 +108,9 @@ func minFirstOrder(succ []map[int]bool) []int {
 // section 4.4): walk the servers in topological order; a server no chain
 // owns opens one, which grows from its tail toward the unowned successor
 // carrying the largest through rate (summed in ascending connection order,
-// ties to the smaller index) for as long as no route leads from the
-// newcomer back into the chain and the chain graph stays acyclic.
+// ties to the smaller index) for as long as every route edge between two of
+// its servers joins neighbours, first to second, and the chain graph stays
+// acyclic.
 func (o *oracle) chains(maxLen int) [][]int {
 	succ := make([]map[int]bool, len(o.net.Servers))
 	for s := range succ {
@@ -146,7 +147,7 @@ func (o *oracle) chains(maxLen int) [][]int {
 				}
 			}
 			longer := append(chain[:len(chain):len(chain)], pick)
-			if pick < 0 || reversed(longer, succ) || reenters(longer, succ, owner, chains) {
+			if pick < 0 || !neighbourly(longer, succ) || reenters(longer, succ, owner, chains) {
 				break
 			}
 			chain = longer
@@ -172,17 +173,17 @@ func (o *oracle) chains(maxLen int) [][]int {
 	return ordered
 }
 
-// reversed reports whether some route visits two servers of the chain
-// against the chain's order.
-func reversed(chain []int, succ []map[int]bool) bool {
+// neighbourly reports whether every route edge between two servers of the
+// chain goes from one position to the next.
+func neighbourly(chain []int, succ []map[int]bool) bool {
 	for i, u := range chain {
-		for _, v := range chain[:i] {
-			if succ[u][v] {
-				return true
+		for j, v := range chain {
+			if succ[u][v] && j != i+1 {
+				return false
 			}
 		}
 	}
-	return false
+	return true
 }
 
 // reenters reports whether a walk leaving the chain comes back to it — a
@@ -244,11 +245,6 @@ func (o *oracle) analyzeChain(chain []int) bool {
 	for i, s := range chain {
 		pos[s] = i
 	}
-	// A connection whose next hop is not in this chain — an earlier chain
-	// skipped it between two of its positions and left the hop unanalyzed
-	// (possible from three servers on) — reads position 0 from the map. That
-	// is the grouping the algorithm has always had and ROADMAP item 5's open
-	// finding; TestLongChainLedger lists what it costs.
 	run := map[int]interval{}
 	for _, s := range chain {
 		for _, c := range o.at[s] {
@@ -256,7 +252,10 @@ func (o *oracle) analyzeChain(chain []int) bool {
 				continue
 			}
 			path := o.net.Connections[c].Path
-			lo := pos[path[o.next[c]]]
+			lo, in := pos[path[o.next[c]]]
+			if !in {
+				panic("oracle: a connection's next hop is not in the chain that crosses it")
+			}
 			hi := lo
 			for h := o.next[c] + 1; h < len(path); h++ {
 				if p, in := pos[path[h]]; !in || p != hi+1 {

@@ -99,9 +99,12 @@ func TestSearchDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestSoundBoundsSurviveAndAreLoose attacks Decomposed, Integrated's pairs
+// and its chains of four; the randomized mesh has routes that a chain of
+// four could once skip a position of.
 func TestSoundBoundsSurviveAndAreLoose(t *testing.T) {
-	matrix := smallMatrix(t, "parkinglot,tandem2,burstycross2")
-	analyzers := []analysis.Analyzer{analysis.Decomposed{}, analysis.Integrated{}}
+	matrix := smallMatrix(t, "parkinglot,tandem2,burstycross2,randff-s1")
+	analyzers := []analysis.Analyzer{analysis.Decomposed{}, analysis.Integrated{}, analysis.Integrated{ChainLength: 4}}
 	rep, err := Search(context.Background(), matrix, analyzers, smallOptions(3))
 	if err != nil {
 		t.Fatal(err)

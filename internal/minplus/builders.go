@@ -151,8 +151,10 @@ func shiftLeft(ar *Arena, f Curve, d float64) Curve {
 	return shiftLeftInto(ar.points(len(f.pts)+2), f, d)
 }
 
-// shiftLeftInto writes the shifted curve into pts, an empty buffer with
-// capacity for len(f.pts)+2 points.
+// shiftLeftInto writes the shifted curve into pts, an empty buffer of any
+// capacity: a result longer than cap(pts) reallocates on append. The
+// result has at most len(f.pts)+1 points, and at most len(f.pts) unless d is
+// within tolerance of 0 (ShiftPool.ShiftLeft relies on that bound).
 func shiftLeftInto(pts []Point, f Curve, d float64) Curve {
 	pts = append(pts, Point{0, f.Eval(d)})
 	if r := f.EvalRight(d); !almostEqual(r, pts[0].Y) {

@@ -8,33 +8,28 @@ package minplus
 // buffers carved from one backing slab and alternates between them: a
 // shift writes into the buffer not backing its input, so the input — which
 // may alias the slot's other buffer or be a shared interned curve — is
-// never clobbered. A shift that outgrows the slot's capacity spills that
-// result to the heap; the slot buffers are full-sliced, so an overflow can
-// never run into a neighbouring slot.
+// never clobbered. A shift that outgrows the slot's buffer spills that
+// result to the heap: the buffers are handed out full-sliced, so the append
+// that overflows one reallocates instead of running into a neighbouring
+// slot.
 //
 // Distinct slots may be used concurrently (they write disjoint slab
 // ranges); a single slot must not.
 type ShiftPool struct {
-	a, b [][]Point
+	slab []Point
+	// Slot i owns slab[off[i]:off[i+1]], its two buffers the two halves.
+	off []int
 }
 
-// NewShiftPool sizes a pool of len(hints) slots, hints[i] being slot i's
-// per-buffer point capacity, with all slots carved from one slab.
-func NewShiftPool(hints []int) *ShiftPool {
-	total := 0
-	for _, h := range hints {
-		total += h
+// NewShiftPool sizes a pool of one slot per curve of first, the curve that
+// slot's shifts start from: each buffer holds as many points as the curve
+// (see ShiftLeft), and all slots are carved from one slab.
+func NewShiftPool(first []Curve) *ShiftPool {
+	off := make([]int, len(first)+1)
+	for i, f := range first {
+		off[i+1] = off[i] + 2*len(f.pts)
 	}
-	slab := make([]Point, 2*total)
-	sp := &ShiftPool{a: make([][]Point, len(hints)), b: make([][]Point, len(hints))}
-	off := 0
-	for i, h := range hints {
-		sp.a[i] = slab[off : off : off+h]
-		off += h
-		sp.b[i] = slab[off : off : off+h]
-		off += h
-	}
-	return sp
+	return &ShiftPool{slab: make([]Point, off[len(first)]), off: off}
 }
 
 // sameBase reports whether two slices share a backing array, by first
@@ -46,6 +41,14 @@ func sameBase(a, b []Point) bool {
 // ShiftLeft is ShiftLeft(f, d) with the result stored in slot's spare
 // buffer. The returned curve is valid until the slot's next-next shift
 // (double buffering keeps the immediately preceding result intact).
+//
+// A shift by d > 0 writes the value at d, the right limit there when it
+// differs, and f's breakpoints past d — never f's first, at 0. The two
+// values differ only where f has a breakpoint at d (within tolerance),
+// which is then not past d either, so unless that breakpoint is f's first
+// — d within tolerance of 0 — the result has at most len(f) points: shifts
+// do not lengthen a curve, and a slot sized to its first curve spills only
+// in that corner.
 func (sp *ShiftPool) ShiftLeft(slot int, f Curve, d float64) Curve {
 	f.mustValid()
 	if d < 0 {
@@ -54,12 +57,11 @@ func (sp *ShiftPool) ShiftLeft(slot int, f Curve, d float64) Curve {
 	if d == 0 {
 		return f
 	}
-	dst := sp.a[slot]
+	lo, hi := sp.off[slot], sp.off[slot+1]
+	mid := (lo + hi) / 2
+	dst := sp.slab[lo:lo:mid]
 	if sameBase(dst, f.pts) {
-		dst = sp.b[slot]
-	}
-	if cap(dst) < len(f.pts)+2 {
-		dst = make([]Point, 0, len(f.pts)+2)
+		dst = sp.slab[mid:mid:hi]
 	}
 	return shiftLeftInto(dst, f, d)
 }

@@ -29,48 +29,72 @@ type Graph struct {
 }
 
 // NewGraph builds the route graph of n, whose connections must each be
-// valid against n.Servers, in a single pass: one stable counting sort lays
-// the hops out by From in ascending connection order, and each hop is then
-// folded into its row's edge for To — so every edge's rate is summed in
-// ascending connection order without grouping the hops by To first.
+// valid against n.Servers, in time linear in servers plus hops: a stable
+// counting sort lays the hops out by To in ascending connection order, one
+// pass over that layout counts each row's distinct edges, and a second
+// folds every hop into its row. Taking the hops in To order appends each
+// row's edges in ascending To order and brings the hops of one edge
+// together in ascending connection order, so every edge's rate is the left
+// fold Edge.Rate promises without a search or an insertion.
 func NewGraph(n *Network) *Graph {
 	type hop struct {
-		to  int
-		rho float64
+		from int
+		rho  float64
 	}
 	ns := len(n.Servers)
-	end := make([]int, ns+1) // end[u]: past the last hop out of u, once the hops are laid out
+	toStart := make([]int, ns+1) // hops into v: byTo[toStart[v]:toStart[v+1]]
 	for _, c := range n.Connections {
-		for i := 0; i+1 < len(c.Path); i++ {
-			end[c.Path[i]+1]++
+		for i := 1; i < len(c.Path); i++ {
+			toStart[c.Path[i]+1]++
+		}
+	}
+	for v := 1; v <= ns; v++ {
+		toStart[v] += toStart[v-1]
+	}
+	byTo := make([]hop, toStart[ns])
+	cur := make([]int, ns)
+	copy(cur, toStart)
+	for _, c := range n.Connections {
+		for i := 1; i < len(c.Path); i++ {
+			v := c.Path[i]
+			byTo[cur[v]] = hop{c.Path[i-1], c.Bucket.Rho}
+			cur[v]++
+		}
+	}
+	// cur now remembers, per row, the last To counted: rows receive their
+	// edges in ascending To, so a repeat is always the row's latest edge.
+	rowStart := make([]int, ns+1)
+	for u := range cur {
+		cur[u] = -1
+	}
+	for v := 0; v < ns; v++ {
+		for _, h := range byTo[toStart[v]:toStart[v+1]] {
+			if cur[h.from] != v {
+				cur[h.from] = v
+				rowStart[h.from+1]++
+			}
 		}
 	}
 	for u := 1; u <= ns; u++ {
-		end[u] += end[u-1]
+		rowStart[u] += rowStart[u-1]
 	}
-	hops := make([]hop, end[ns])
-	for _, c := range n.Connections {
-		for i := 0; i+1 < len(c.Path); i++ {
-			u := c.Path[i]
-			hops[end[u]] = hop{c.Path[i+1], c.Bucket.Rho}
-			end[u]++
+	flat := make([]Edge, rowStart[ns])
+	copy(cur, rowStart) // now each row's fill cursor
+	for v := 0; v < ns; v++ {
+		for _, h := range byTo[toStart[v]:toStart[v+1]] {
+			u := h.from
+			if last := cur[u] - 1; last >= rowStart[u] && flat[last].To == v {
+				flat[last].Users++
+				flat[last].Rate += h.rho
+				continue
+			}
+			flat[cur[u]] = Edge{To: v, Users: 1, Rate: h.rho}
+			cur[u]++
 		}
-	}
-	// flat moves as it grows, so the rows are cut from it afterwards; once
-	// u's hops are folded, end[u] is free to hold where u's row ends.
-	var flat []Edge
-	i := 0
-	for u := 0; u < ns; u++ {
-		start := len(flat)
-		for ; i < end[u]; i++ {
-			flat = foldHop(flat, start, hops[i].to, hops[i].rho)
-		}
-		end[u] = len(flat)
 	}
 	g := &Graph{succ: make([][]Edge, ns)}
-	for u, start := 0, 0; u < ns; u++ {
-		g.succ[u] = flat[start:end[u]:end[u]]
-		start = end[u]
+	for u := range g.succ {
+		g.succ[u] = flat[rowStart[u]:rowStart[u+1]:rowStart[u+1]]
 	}
 	g.order = g.topologicalOrder()
 	return g

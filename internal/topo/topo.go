@@ -8,6 +8,7 @@ package topo
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -78,15 +79,15 @@ func (c Connection) Validate(nServers int) error {
 	if len(c.Path) == 0 {
 		return fmt.Errorf("connection %q: empty path", c.Name)
 	}
-	seen := make(map[int]bool, len(c.Path))
-	for _, s := range c.Path {
+	for i, s := range c.Path {
 		if s < 0 || s >= nServers {
 			return fmt.Errorf("connection %q: path references server %d of %d", c.Name, s, nServers)
 		}
-		if seen[s] {
+		// A route visits each server at most once, so it is short enough
+		// that comparing each hop with the hops before it beats any set.
+		if slices.Contains(c.Path[:i], s) {
 			return fmt.Errorf("connection %q: path visits server %d twice", c.Name, s)
 		}
-		seen[s] = true
 	}
 	if c.Rate < 0 {
 		return fmt.Errorf("connection %q: negative reserved rate %g", c.Name, c.Rate)
