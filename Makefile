@@ -22,7 +22,7 @@ help:
 	@echo "  figures        regenerate paper figures and CSVs"
 	@echo "  falsify        adversarial bound falsification, full matrix -> FALSIFY_report.json"
 	@echo "  falsify-smoke  CI-budget falsification over 6 scenarios (fails on contradiction)"
-	@echo "  fuzz           fuzz min-plus algebra (residual kernel arm included), netspec decode, incremental admission"
+	@echo "  fuzz           fuzz min-plus algebra (residual kernel arm included), netspec decode, incremental admission, reply writer"
 	@echo "  run-delayd     start the admission daemon on the paper tandem"
 	@echo "  clean          remove generated, untracked artifacts"
 
@@ -113,6 +113,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzAlgebra -fuzztime=30s ./internal/minplus
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/netspec
 	$(GO) test -fuzz=FuzzIncrementalEquivalence -fuzztime=30s ./internal/admission
+	$(GO) test -fuzz=FuzzReplyBytes -fuzztime=30s ./internal/service
 
 # Removes only what the targets above generate and git does not track;
 # results/*.csv and results/figures.txt are committed (README cites them).

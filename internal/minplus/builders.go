@@ -12,9 +12,6 @@ var zeroCurve = Curve{pts: []Point{{0, 0}}, slope: 0}
 // Zero returns the identically-zero curve.
 func Zero() Curve { return zeroCurve }
 
-// Constant returns the constant curve f(t) = v.
-func Constant(v float64) Curve { return constant(nil, v) }
-
 func constant(ar *Arena, v float64) Curve {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		panic(fmt.Sprintf("minplus: non-finite breakpoint %+v", Point{0, v}))
@@ -44,11 +41,6 @@ func Rate(c float64) Curve {
 		return Affine(c, 0)
 	})
 }
-
-// Identity returns f(t) = t.
-func Identity() Curve { return identityCurve }
-
-var identityCurve = Curve{pts: []Point{{0, 0}}, slope: 1}
 
 // TokenBucket returns the arrival curve of a (sigma, rho) token bucket:
 // f(0) = 0 and f(t) = sigma + rho*t for t > 0. The burst appears as a jump
@@ -97,17 +89,6 @@ func RateLatency(r, t float64) Curve {
 		}
 		return New([]Point{{0, 0}, {t, 0}}, r)
 	})
-}
-
-// Step returns the curve that is 0 for t <= at and h afterwards.
-func Step(h, at float64) Curve {
-	if at < 0 {
-		panic("minplus: Step at negative time")
-	}
-	if at == 0 {
-		return TokenBucket(h, 0)
-	}
-	return New([]Point{{0, 0}, {at, 0}, {at, h}}, 0)
 }
 
 // Delay returns the curve shifted right by d: h(t) = f(t-d) for t > d and
@@ -169,9 +150,6 @@ func shiftLeftInto(pts []Point, f Curve, d float64) Curve {
 }
 
 // VShift returns f + v (vertical shift by a constant, possibly negative).
-func VShift(f Curve, v float64) Curve { return vshift(nil, f, v) }
-
-// VShift is the arena variant of the package-level VShift.
 func (a *Arena) VShift(f Curve, v float64) Curve { return vshift(a, f, v) }
 
 func vshift(ar *Arena, f Curve, v float64) Curve {
@@ -194,19 +172,6 @@ func ScaleY(f Curve, k float64) Curve {
 		pts[i] = Point{p.X, k * p.Y}
 	}
 	return newFromOwned(pts, k*f.slope)
-}
-
-// ScaleX returns h(t) = f(t/k), stretching the time axis by k > 0.
-func ScaleX(f Curve, k float64) Curve {
-	f.mustValid()
-	if k <= 0 {
-		panic("minplus: ScaleX with non-positive factor")
-	}
-	pts := make([]Point, len(f.pts))
-	for i, p := range f.pts {
-		pts[i] = Point{k * p.X, p.Y}
-	}
-	return newFromOwned(pts, f.slope/k)
 }
 
 // ZeroUntil returns the curve that is identically zero on [0, at] and

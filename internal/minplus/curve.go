@@ -322,49 +322,6 @@ func (c Curve) IsContinuous() bool {
 	return true
 }
 
-// IsConcave reports whether the curve is concave on (0, inf), i.e. segment
-// slopes are non-increasing and there are no upward jumps after x=0. A jump
-// at x=0 (as in a pure token bucket) does not break concavity on (0, inf).
-func (c Curve) IsConcave() bool {
-	c.mustValid()
-	prev := math.Inf(1)
-	for i := 0; i < len(c.pts); i++ {
-		if i > 0 && almostEqual(c.pts[i].X, c.pts[i-1].X) {
-			if c.pts[i-1].X > Eps {
-				return false // interior jump
-			}
-			continue
-		}
-		if last := c.lastOfRun(i); last != i {
-			continue
-		}
-		s := c.segSlope(i)
-		if s > prev+Eps {
-			return false
-		}
-		prev = s
-	}
-	return true
-}
-
-// IsConvex reports whether the curve is convex: segment slopes are
-// non-decreasing and there are no jumps.
-func (c Curve) IsConvex() bool {
-	c.mustValid()
-	if !c.IsContinuous() {
-		return false
-	}
-	prev := math.Inf(-1)
-	for i := 0; i < len(c.pts); i++ {
-		s := c.segSlope(i)
-		if s < prev-Eps {
-			return false
-		}
-		prev = s
-	}
-	return true
-}
-
 // lastOfRun returns the index of the last point sharing pts[i].X.
 func (c Curve) lastOfRun(i int) int {
 	for i+1 < len(c.pts) && almostEqual(c.pts[i+1].X, c.pts[i].X) {

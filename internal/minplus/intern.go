@@ -1,10 +1,6 @@
 package minplus
 
-import (
-	"encoding/binary"
-	"math"
-	"sync"
-)
+import "sync"
 
 // Curve interning. The analysis layer rebuilds the same handful of
 // token-bucket / rate-latency / rate envelopes constantly — once per
@@ -57,88 +53,4 @@ func internCurve(k internKey, build func() Curve) Curve {
 	internTab[k] = c
 	internMu.Unlock()
 	return c
-}
-
-// Digest returns a canonical 64-bit digest of the curve: FNV-1a over the
-// breakpoint coordinates and the final slope. Equal representations have
-// equal digests; it is the key used by Intern and a cheap identity for
-// cache layers above this package.
-func (c Curve) Digest() uint64 {
-	c.mustValid()
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	var buf [8]byte
-	mix := func(v float64) {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		for _, b := range buf {
-			h ^= uint64(b)
-			h *= prime64
-		}
-	}
-	for _, p := range c.pts {
-		mix(p.X)
-		mix(p.Y)
-	}
-	mix(c.slope)
-	return h
-}
-
-var (
-	digestMu  sync.RWMutex
-	digestTab map[uint64]Curve
-)
-
-// Intern returns a canonical shared instance of c: the first curve
-// interned with a given digest wins and later structurally-identical
-// curves are replaced by it, so repeated envelopes collapse to one
-// backing array. Curves whose digest collides with a structurally
-// different entry are returned unchanged. The caller must treat the
-// result as immutable (true of every curve in this package) and must not
-// intern arena-backed curves without Clone-ing them first.
-func Intern(c Curve) Curve {
-	d := c.Digest()
-	digestMu.RLock()
-	cached, ok := digestTab[d]
-	digestMu.RUnlock()
-	if ok {
-		if sameRepr(cached, c) {
-			return cached
-		}
-		return c
-	}
-	digestMu.Lock()
-	if digestTab == nil {
-		digestTab = make(map[uint64]Curve, 256)
-	} else if len(digestTab) >= internMax {
-		clear(digestTab)
-	}
-	digestTab[d] = c
-	digestMu.Unlock()
-	return c
-}
-
-// sameRepr reports whether two curves have bit-identical representations.
-func sameRepr(a, b Curve) bool {
-	if a.slope != b.slope || len(a.pts) != len(b.pts) {
-		return false
-	}
-	for i := range a.pts {
-		if a.pts[i] != b.pts[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// internReset clears both intern tables (test hook).
-func internReset() {
-	internMu.Lock()
-	internTab = nil
-	internMu.Unlock()
-	digestMu.Lock()
-	digestTab = nil
-	digestMu.Unlock()
 }

@@ -60,7 +60,7 @@ func (s *Server) handleAdmit(nw *Network, w http.ResponseWriter, r *http.Request
 	if degraded {
 		resp.BoundSource = degradedSource
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeReply(w, http.StatusOK, &resp)
 }
 
 func (s *Server) handleBatch(nw *Network, w http.ResponseWriter, r *http.Request) {
@@ -169,7 +169,7 @@ func (s *Server) handleBatch(nw *Network, w http.ResponseWriter, r *http.Request
 		resp.Results = append(resp.Results, item)
 	}
 	resp.Count = nw.state.Count()
-	writeJSON(w, http.StatusOK, resp)
+	writeReply(w, http.StatusOK, &resp)
 }
 
 // releaseMode names how the engine absorbed a release in API responses.
@@ -287,7 +287,7 @@ func (s *Server) handleList(nw *Network, w http.ResponseWriter, r *http.Request)
 	if resp.Connections == nil {
 		resp.Connections = []netspec.ConnectionSpec{}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeReply(w, http.StatusOK, &resp)
 }
 
 func (s *Server) handleRemove(nw *Network, w http.ResponseWriter, r *http.Request) {
@@ -308,7 +308,7 @@ func (s *Server) handleRemove(nw *Network, w http.ResponseWriter, r *http.Reques
 		writeError(w, http.StatusNotFound, CodeNotFound, fmt.Sprintf("no admitted connection named %q", name))
 		return
 	}
-	writeJSON(w, http.StatusOK, RemoveResponse{Removed: name, Count: nw.state.Count(), Mode: releaseMode(results[0].Release)})
+	writeReply(w, http.StatusOK, &RemoveResponse{Removed: name, Count: nw.state.Count(), Mode: releaseMode(results[0].Release)})
 }
 
 func (s *Server) handleStats(nw *Network, w http.ResponseWriter, r *http.Request) {
@@ -350,7 +350,7 @@ func (s *Server) handleStats(nw *Network, w http.ResponseWriter, r *http.Request
 			Releases: StatsCounter{Incremental: sh.IncrementalReleases, Full: sh.CompactedReleases},
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeReply(w, http.StatusOK, &resp)
 }
 
 func (s *Server) handleNetworks(_ *Network, w http.ResponseWriter, r *http.Request) {
@@ -370,7 +370,7 @@ func (s *Server) handleNetworks(_ *Network, w http.ResponseWriter, r *http.Reque
 			SnapshotVersion: version,
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeReply(w, http.StatusOK, &resp)
 }
 
 func (s *Server) handleAnalyze(nw *Network, w http.ResponseWriter, r *http.Request) {
@@ -448,7 +448,7 @@ func writeAnalyzeResponse(w http.ResponseWriter, res *analysis.Result, digest st
 	if degraded {
 		resp.BoundSource = degradedSource
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeReply(w, http.StatusOK, &resp)
 }
 
 func (s *Server) handleMetrics(nw *Network, w http.ResponseWriter, r *http.Request) {
@@ -461,5 +461,5 @@ func (s *Server) handleMetrics(nw *Network, w http.ResponseWriter, r *http.Reque
 }
 
 func (s *Server) handleHealthz(_ *Network, w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	writeBody(w, http.StatusOK, healthzBody)
 }

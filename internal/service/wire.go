@@ -14,8 +14,8 @@ import (
 )
 
 // Wire types: the JSON request and response bodies of every endpoint, the
-// error envelope and its stable codes, and the strict body decoding and
-// encoding conventions they share.
+// error envelope and its stable codes, and the strict request decoding
+// they share. reply.go writes the responses.
 
 // Stable machine-readable error codes carried by every non-2xx reply's
 // envelope. The admission codes are shared with package admission so a
@@ -57,16 +57,8 @@ type errorResponse struct {
 	Error ErrorDetail `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
 func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, errorResponse{Error: ErrorDetail{Code: code, Message: msg}})
+	writeReply(w, status, &errorResponse{Error: ErrorDetail{Code: code, Message: msg}})
 }
 
 // decodeBody decodes a JSON request body strictly, mapping the failure
@@ -103,9 +95,8 @@ func (b Bound) MarshalJSON() ([]byte, error) {
 }
 
 // Bounds marshals a vector of bounds like a []Bound, byte for byte, in one
-// MarshalJSON call: a reply carrying one bound per admitted connection
-// otherwise pays encoding/json's per-element marshaler round trip hundreds
-// of times. A nil vector renders as [].
+// MarshalJSON call, for callers that encode replies with encoding/json
+// (the daemon writes its own, reply.go). A nil vector renders as [].
 type Bounds []float64
 
 // MarshalJSON implements json.Marshaler.

@@ -3,6 +3,8 @@ package traffic
 import (
 	"math"
 	"testing"
+
+	"delaycalc/internal/minplus"
 )
 
 func gopTrace() Trace {
@@ -87,9 +89,34 @@ func TestEnvelopeDominatesPeriodicWindows(t *testing.T) {
 			t.Errorf("k=%d frames: envelope(%g) = %g below exact %g", k, width, got, exact)
 		}
 	}
-	if !env.IsConcave() {
+	if !concave(env) {
 		t.Error("envelope should be concave")
 	}
+}
+
+// concave reports whether c is concave on (0, inf): no jump after the
+// origin and segment slopes, the final one included, non-increasing.
+func concave(c minplus.Curve) bool {
+	pts := c.Points()
+	prev := math.Inf(1)
+	for i := 1; i <= len(pts); i++ {
+		s := c.FinalSlope()
+		if i < len(pts) {
+			dx := pts[i].X - pts[i-1].X
+			if dx <= minplus.Eps {
+				if pts[i-1].X > minplus.Eps {
+					return false
+				}
+				continue
+			}
+			s = (pts[i].Y - pts[i-1].Y) / dx
+		}
+		if s > prev+minplus.Eps {
+			return false
+		}
+		prev = s
+	}
+	return true
 }
 
 func TestEnvelopeTailIsMeanRate(t *testing.T) {
