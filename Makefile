@@ -94,11 +94,12 @@ falsify:
 	$(GO) run ./cmd/falsify -seed 1 -out FALSIFY_report.json
 
 # Deterministic CI-budget falsification smoke: six scenarios, small
-# iteration budget (the greedy and the staggered start), both shipped FIFO
-# analyzers; any contradiction fails the build.
+# iteration budget (the greedy and the staggered start), the paper's three
+# algorithms (Decomposed, Service Curve, Integrated); any contradiction
+# fails the build.
 falsify-smoke:
 	$(GO) run ./cmd/falsify -seed 1 -iters 12 -restarts 2 \
-		-scenarios tandem2-u80,parkinglot4,star4,line4,fattree2,burstycross2 -analyzers decomposed,integrated
+		-scenarios tandem2-u80,parkinglot4,star4,line4,fattree2,burstycross2 -analyzers decomposed,servicecurve,integrated
 
 # Regenerate every paper figure and extension experiment (CSV into results/).
 figures:

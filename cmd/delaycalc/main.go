@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"delaycalc/internal/cliutil"
+	"delaycalc/internal/service"
 )
 
 func main() {
@@ -38,7 +39,7 @@ func main() {
 		fmt.Print(net.DOT())
 		return
 	}
-	a, err := cliutil.PickAnalyzer(*algo)
+	a, err := service.PickAnalyzer(*algo)
 	if err != nil {
 		fatal(err)
 	}

@@ -277,17 +277,23 @@ func normalizeNetwork(net *topo.Network) (*topo.Network, float64) {
 		out.Servers[i].Capacity /= scale
 	}
 	for i := range out.Connections {
-		c := &out.Connections[i]
-		c.Bucket.Sigma /= scale
-		c.Bucket.Rho /= scale
-		c.AccessRate /= scale
-		c.Rate /= scale
-		if c.Envelope != nil {
-			scaled := minplus.ScaleY(*c.Envelope, 1/scale)
-			c.Envelope = &scaled
-		}
+		normalizeConnection(&out.Connections[i], scale)
 	}
 	return out, scale
+}
+
+// normalizeConnection rescales one connection's bit-valued parameters by
+// scale: normalizeNetwork's rule for every connection, and Extend's for a
+// candidate, so incremental and full analyses see bit-identical inputs.
+func normalizeConnection(c *topo.Connection, scale float64) {
+	c.Bucket.Sigma /= scale
+	c.Bucket.Rho /= scale
+	c.AccessRate /= scale
+	c.Rate /= scale
+	if c.Envelope != nil {
+		scaled := minplus.ScaleY(*c.Envelope, 1/scale)
+		c.Envelope = &scaled
+	}
 }
 
 // denormalizeBacklogs converts a result's backlog bounds back to the

@@ -48,10 +48,10 @@ func (Decomposed) AnalyzeContext(ctx context.Context, net *topo.Network) (*Resul
 // server's crossing connections (ConnectionIndex order); every curve is
 // drawn from the arena and consumed before the caller resets it.
 //
-// EDF keeps its lateness rule (edf.go). Every other discipline is one
-// per-class loop: a class is FIFO within itself, so its members share the
-// delay h(class aggregate, offered) + latency. The discipline decides only
-// how the connections group into classes and what each class is offered:
+// Every discipline is one per-class loop: a class is FIFO within itself, so
+// its members share the delay h(class aggregate, offered) + latency. The
+// discipline decides only how the connections group into classes, what each
+// class's aggregate is and what it is offered:
 //
 //   - FIFO: one class, offered the line rate;
 //   - static priority: one class per priority, most urgent first, each
@@ -59,7 +59,15 @@ func (Decomposed) AnalyzeContext(ctx context.Context, net *topo.Network) (*Resul
 //     for a preemptive fluid server (Cruz; the authors' RTSS'97 basis of the
 //     paper's announced static-priority extension);
 //   - guaranteed rate: one class per connection, offered its rate-latency
-//     curve beta_{R,T} (the latency is inside the curve, not added).
+//     curve beta_{R,T} (the latency is inside the curve, not added);
+//   - EDF: one class whose aggregate is shifted by deadlines,
+//     W(tau) = sum_j alpha_j(tau - D_j) with D_j the local deadline
+//     (localDeadline), offered the line rate. Fluid EDF serves work in
+//     deadline order, so within a busy period starting at 0 all work with
+//     deadline at most tau has arrived by W(tau) and completes by W(tau)/C:
+//     every bit is late by at most h(W, C*t) = max(0, sup_tau (W(tau) -
+//     C*tau)/C), the classical uniform lateness (zero exactly when the EDF
+//     schedulability test holds), and each member adds its own D_j to it.
 func decomposedServerStep(net *topo.Network, s int, conns []int, p *propagation, ar *minplus.Arena) (ok bool, err error) {
 	srv := net.Servers[s]
 	if len(conns) == 0 {
@@ -81,7 +89,6 @@ func decomposedServerStep(net *topo.Network, s int, conns []int, p *propagation,
 			return false, err
 		}
 	case server.EDF:
-		return edfServerStep(net, s, conns, p, ar)
 	default:
 		return false, fmt.Errorf("analysis: unsupported discipline %v at server %d", srv.Discipline, s)
 	}
@@ -103,10 +110,18 @@ func decomposedServerStep(net *topo.Network, s int, conns []int, p *propagation,
 			higher = ar.SumN(higher, classAgg)
 		case server.GuaranteedRate:
 			beta, lat = minplus.RateLatency(net.Connections[members[0]].Rate, srv.Latency), 0
+		case server.EDF:
+			if classAgg, err = deadlineSum(net, members, p, ar); err != nil {
+				return false, err
+			}
 		}
-		d := minplus.HorizontalDeviation(classAgg, beta) + lat
+		h := minplus.HorizontalDeviation(classAgg, beta)
 		for _, c := range members {
-			if !p.advance(c, []int{s}, d, 1) {
+			local := 0.0 // EDF: the connection's local deadline
+			if srv.Discipline == server.EDF {
+				local, _ = localDeadline(net, c) // its error returned by deadlineSum
+			}
+			if !p.advance(c, []int{s}, local+h+lat, 1) {
 				return false, nil
 			}
 		}
@@ -121,6 +136,33 @@ func (p *propagation) envSum(ar *minplus.Arena, conns []int) minplus.Curve {
 		envs = append(envs, p.env[c])
 	}
 	return ar.SumNSlice(envs)
+}
+
+// deadlineSum is EDF's class aggregate sum_j alpha_j(tau - D_j) over conns,
+// built in the arena. Each shifted term is zero for tau <= D_j: propagated
+// envelopes can have a positive value at 0, which a plain Delay would
+// extend leftwards.
+func deadlineSum(net *topo.Network, conns []int, p *propagation, ar *minplus.Arena) (minplus.Curve, error) {
+	shifted := ar.Curves(len(conns))
+	for _, c := range conns {
+		d, err := localDeadline(net, c)
+		if err != nil {
+			return minplus.Curve{}, err
+		}
+		shifted = append(shifted, ar.ZeroUntil(ar.Delay(p.env[c], d), d))
+	}
+	return ar.SumNSlice(shifted), nil
+}
+
+// localDeadline returns connection c's per-hop relative deadline: its
+// end-to-end deadline split evenly over its hops. EDF servers require a
+// positive end-to-end deadline.
+func localDeadline(net *topo.Network, c int) (float64, error) {
+	conn := net.Connections[c]
+	if conn.Deadline <= 0 {
+		return 0, fmt.Errorf("analysis: connection %d needs a positive deadline for EDF scheduling", c)
+	}
+	return conn.Deadline / float64(len(conn.Path)), nil
 }
 
 // sameClass reports whether connections a and b share a class at a server

@@ -2,8 +2,10 @@ package analysis
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"delaycalc/internal/minplus"
 	"delaycalc/internal/server"
 	"delaycalc/internal/topo"
 	"delaycalc/internal/traffic"
@@ -80,6 +82,22 @@ func TestEDFRequiresDeadline(t *testing.T) {
 	}
 }
 
+func TestEDFOverloadIsUnbounded(t *testing.T) {
+	// Like every other discipline, an overloaded EDF server degrades the
+	// analysis to +Inf bounds rather than failing it.
+	net := edfNet(10, 20)
+	net.Connections[0].Bucket.Rho = 0.9
+	res, err := (Decomposed{}).Analyze(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range net.Connections {
+		if !math.IsInf(res.Bound(i), 1) {
+			t.Errorf("conn %d: bound %g on an overloaded EDF server, want +Inf", i, res.Bound(i))
+		}
+	}
+}
+
 func TestLocalDeadlineSplitsEvenly(t *testing.T) {
 	net := &topo.Network{
 		Servers: []server.Server{
@@ -126,5 +144,69 @@ func TestEDFTandemDominatesDeadlinesWhenFeasible(t *testing.T) {
 		if math.IsInf(res.Bound(i), 1) || res.Bound(i) <= 0 {
 			t.Errorf("conn %d: bad EDF bound %g", i, res.Bound(i))
 		}
+	}
+}
+
+// TestEDFDelaysMatchUniformLateness holds the EDF class of Decomposed's
+// per-class rule, D_j + h(W, Rate(C)) + latency, to D_j + L + latency with
+// the classical uniform lateness L = max(0, sup_tau (W(tau) - C*tau)/C) as
+// the reference, on random single EDF servers: bit for bit at unit
+// capacity, within 1e-12 relative at the others (0.6 and 1.7 are analysed
+// as given, 4 and 25 after normalizeNetwork rescales them to 1).
+func TestEDFDelaysMatchUniformLateness(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	capacities := []float64{1, 1, 1, 0.6, 1.7, 4, 25}
+	late := 0
+	for trial := 0; trial < 400; trial++ {
+		capacity := capacities[trial%len(capacities)]
+		latency := 0.0
+		if rng.Intn(2) == 0 {
+			latency = 0.5 * rng.Float64()
+		}
+		net := &topo.Network{Servers: []server.Server{{Capacity: capacity, Latency: latency, Discipline: server.EDF}}}
+		n := 1 + rng.Intn(6)
+		load := 0.95 * rng.Float64() * capacity
+		for j := 0; j < n; j++ {
+			conn := topo.Connection{
+				Bucket:   traffic.TokenBucket{Sigma: capacity * (0.05 + 3*rng.Float64()), Rho: load / float64(n)},
+				Path:     []int{0},
+				Deadline: 0.05 + 10*rng.Float64(),
+			}
+			switch rng.Intn(4) {
+			case 0, 1:
+				conn.AccessRate = conn.Bucket.Rho + capacity*(0.1+2*rng.Float64())
+			case 2:
+				// Positive at 0, like an envelope propagated past a hop:
+				// its deadline shift must stay zero up to D_j.
+				env := minplus.Affine(conn.Bucket.Rho, conn.Bucket.Sigma)
+				conn.Envelope = &env
+			}
+			net.Connections = append(net.Connections, conn)
+		}
+		res, err := (Decomposed{}).Analyze(net)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		shifted := make([]minplus.Curve, n)
+		for j, conn := range net.Connections {
+			shifted[j] = minplus.ZeroUntil(minplus.Delay(conn.SourceEnvelope(), conn.Deadline), conn.Deadline)
+		}
+		lateness := math.Max(0, minplus.SupDiff(minplus.SumN(shifted...), minplus.Rate(capacity))/capacity)
+		if lateness > 0 {
+			late++
+		}
+		for j, conn := range net.Connections {
+			want, got := conn.Deadline+lateness+latency, res.Bound(j)
+			if capacity == 1 && got != want {
+				t.Errorf("trial %d conn %d: bound %v, want %v bit for bit", trial, j, got, want)
+			}
+			if math.Abs(got-want) > 1e-12*want {
+				t.Errorf("trial %d (C=%g) conn %d: bound %v, want %v within 1e-12", trial, capacity, j, got, want)
+			}
+		}
+	}
+	t.Logf("%d of 400 servers late", late)
+	if late < 40 || late > 360 {
+		t.Errorf("%d of 400 servers were late: the draw does not exercise both regimes", late)
 	}
 }

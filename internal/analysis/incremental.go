@@ -587,20 +587,6 @@ func exportResult(r *Result, scale float64) *Result {
 	return denormalizeBacklogs(out, scale)
 }
 
-// normalizeConnection rescales one connection's bit-valued parameters,
-// using exactly the operations normalizeNetwork applies, so incremental
-// and full analyses see bit-identical inputs.
-func normalizeConnection(c *topo.Connection, scale float64) {
-	c.Bucket.Sigma /= scale
-	c.Bucket.Rho /= scale
-	c.AccessRate /= scale
-	c.Rate /= scale
-	if c.Envelope != nil {
-		scaled := minplus.ScaleY(*c.Envelope, 1/scale)
-		c.Envelope = &scaled
-	}
-}
-
 // ExtendStats describes how much work an Extend call avoided.
 type ExtendStats struct {
 	// Affected counts the existing connections whose bounds had to be

@@ -359,7 +359,7 @@ func TestOutputAndArrivalTimeFunctions(t *testing.T) {
 	// Single token bucket through a unit server: W = min(t, G) and
 	// H(t) = G^{-1}(W(t)) <= t.
 	g := minplus.TokenBucketCapped(2, 0.5, 2) // enters at up to rate 2
-	w := OutputFunction(g, 1)
+	w := outputFunction(g, 1)
 	for _, x := range []float64{0.5, 1, 2, 5, 10} {
 		if w.Eval(x) > g.Eval(x)+1e-9 {
 			t.Errorf("output exceeds input at %g: %g > %g", x, w.Eval(x), g.Eval(x))
@@ -368,13 +368,13 @@ func TestOutputAndArrivalTimeFunctions(t *testing.T) {
 			t.Errorf("output exceeds capacity at %g: %g", x, w.Eval(x))
 		}
 	}
-	h := ArrivalTimeFunction(g, w)
+	h := arrivalTimeFunction(g, w)
 	for _, x := range []float64{0.5, 1, 2, 5, 10} {
 		if h.Eval(x) > x+1e-9 {
 			t.Errorf("H(%g) = %g > t (bits cannot arrive after they leave)", x, h.Eval(x))
 		}
 	}
-	d := DepartureTimeFunction(g, w)
+	d := departureTimeFunction(g, w)
 	for _, x := range []float64{0.5, 1, 2, 5} {
 		if d.Eval(x) < x-1e-9 {
 			t.Errorf("D(%g) = %g < t (bits cannot leave before they arrive)", x, d.Eval(x))

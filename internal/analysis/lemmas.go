@@ -7,8 +7,8 @@ import (
 // This file implements the paper's Section 2 machinery (Lemmas 1-4) on the
 // all-greedy fluid scenario: every source emits exactly its constraint
 // function from time 0 and both servers are busy from time 0. The
-// functions are exact for that scenario and are exported for inspection,
-// tests and the experiment harness.
+// functions are exact for that scenario; GreedyPairEstimate, which
+// composes them, is exported for the experiment harness.
 //
 // GreedyPairEstimate — the literal evaluation of Lemma 4 on the greedy
 // scenario — is a tight ESTIMATE of the two-server through delay but NOT a
@@ -20,23 +20,23 @@ import (
 // fixes). The Integrated analyzer therefore uses the sound residual-curve
 // bound; the estimate remains available to quantify the gap.
 
-// OutputFunction returns W(t) = (lambda_C (x) G)(t), the cumulative output
+// outputFunction returns W(t) = (lambda_C (x) G)(t), the cumulative output
 // of a work-conserving constant-rate server with capacity c whose
 // cumulative input is G (the paper's Lemma 1).
-func OutputFunction(g minplus.Curve, c float64) minplus.Curve {
+func outputFunction(g minplus.Curve, c float64) minplus.Curve {
 	return minplus.Convolve(minplus.Rate(c), g)
 }
 
-// ArrivalTimeFunction returns H(t) = G^{-1}(W(t)), the arrival time of the
+// arrivalTimeFunction returns H(t) = G^{-1}(W(t)), the arrival time of the
 // W(t)-th bit (the paper's Lemma 2): the composition of the lower
 // pseudo-inverse of the input function with the output function.
-func ArrivalTimeFunction(g, w minplus.Curve) minplus.Curve {
+func arrivalTimeFunction(g, w minplus.Curve) minplus.Curve {
 	return minplus.Compose(minplus.LowerInverse(g), w)
 }
 
-// DepartureTimeFunction returns D(t) = W^{-1}(G(t)), the departure time of
+// departureTimeFunction returns D(t) = W^{-1}(G(t)), the departure time of
 // the G(t)-th arriving bit (the paper's Lemma 3).
-func DepartureTimeFunction(g, w minplus.Curve) minplus.Curve {
+func departureTimeFunction(g, w minplus.Curve) minplus.Curve {
 	return minplus.Compose(minplus.LowerInverse(w), g)
 }
 
@@ -51,14 +51,14 @@ func DepartureTimeFunction(g, w minplus.Curve) minplus.Curve {
 // not a bound.
 func GreedyPairEstimate(f12, f1, f2 minplus.Curve, c1, c2 float64) float64 {
 	g1 := minplus.Add(f12, f1)
-	w1 := OutputFunction(g1, c1)
-	h1 := ArrivalTimeFunction(g1, w1)
+	w1 := outputFunction(g1, c1)
+	h1 := arrivalTimeFunction(g1, w1)
 	// S12 bits out of server 1 by time t: FIFO preserves arrival order,
 	// so they are the S12 arrivals by H1(t), capped by the total output.
 	out12 := minplus.Min(w1, minplus.Compose(f12, h1))
 	g2 := minplus.Add(out12, f2)
-	w2 := OutputFunction(g2, c2)
-	depart := DepartureTimeFunction(g2, w2)
+	w2 := outputFunction(g2, c2)
+	depart := departureTimeFunction(g2, w2)
 	d := minplus.SupDiff(depart, h1)
 	if d < 0 {
 		d = 0

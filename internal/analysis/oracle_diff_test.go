@@ -114,7 +114,7 @@ func TestFabricAllocs(t *testing.T) {
 }
 
 // TestOracleMatchesClosedForms anchors the oracle on delays derived by hand,
-// without the curve algebra (closedform.go): k fresh sources at one server —
+// without the curve algebra (closedform_test.go): k fresh sources at one server —
 // unbounded when they overload it — and the first two hops of the paper's
 // tandem.
 func TestOracleMatchesClosedForms(t *testing.T) {

@@ -1,15 +1,14 @@
 // Package cliutil holds the small helpers shared by the command-line
-// tools: loading a network from a spec file or a builder flag, and
-// resolving analyzer names.
+// tools: loading a network from a spec file or a builder flag. Analyzer
+// names resolve through service.PickAnalyzer, the one registry the CLIs
+// share with the delayd daemon.
 package cliutil
 
 import (
 	"fmt"
 	"os"
 
-	"delaycalc/internal/analysis"
 	"delaycalc/internal/netspec"
-	"delaycalc/internal/service"
 	"delaycalc/internal/topo"
 )
 
@@ -30,11 +29,4 @@ func LoadNetwork(specPath string, tandem int, load float64) (*topo.Network, erro
 	default:
 		return nil, fmt.Errorf("provide -spec FILE or -tandem N (see -h)")
 	}
-}
-
-// PickAnalyzer resolves a user-facing algorithm name. It delegates to the
-// service registry so that the CLIs and the delayd daemon accept exactly
-// the same names.
-func PickAnalyzer(name string) (analysis.Analyzer, error) {
-	return service.PickAnalyzer(name)
 }

@@ -43,33 +43,3 @@ func TestLoadNetworkErrors(t *testing.T) {
 		t.Error("expected error for missing file")
 	}
 }
-
-func TestPickAnalyzer(t *testing.T) {
-	cases := map[string]string{
-		"integrated":   "Integrated",
-		"INT":          "Integrated",
-		"decomposed":   "Decomposed",
-		"dec":          "Decomposed",
-		"servicecurve": "ServiceCurve",
-		"sc":           "ServiceCurve",
-		"gr":           "GuaranteedRate/NetworkServiceCurve",
-		"integratedsp": "IntegratedSP",
-		" Integrated ": "Integrated",
-	}
-	for in, want := range cases {
-		a, err := PickAnalyzer(in)
-		if err != nil {
-			t.Errorf("PickAnalyzer(%q): %v", in, err)
-			continue
-		}
-		if a.Name() != want {
-			t.Errorf("PickAnalyzer(%q) = %s, want %s", in, a.Name(), want)
-		}
-	}
-	if _, err := PickAnalyzer("fifo"); err == nil {
-		t.Error("expected error for unknown analyzer name")
-	}
-	if _, err := PickAnalyzer(""); err == nil {
-		t.Error("expected error for unknown analyzer name")
-	}
-}

@@ -79,10 +79,6 @@ func (s *slab[T]) allocBlock(n, block int) []T {
 
 func (s *slab[T]) reset() { s.bi, s.off = 0, 0 }
 
-// NewArena returns an empty arena. Prefer GetArena in hot paths so slabs
-// are recycled through the package pool.
-func NewArena() *Arena { return &Arena{} }
-
 // Reset rewinds the arena: every buffer previously handed out is invalid
 // and the slabs are reused by subsequent allocations. Memory is retained
 // at the high-water mark.

@@ -4,6 +4,9 @@ import "math"
 
 // Curve builders and shape predicates only the tests use.
 
+// NewArena returns an empty arena, outside the package pool (GetArena).
+func NewArena() *Arena { return &Arena{} }
+
 // Constant returns the constant curve f(t) = v.
 func Constant(v float64) Curve { return constant(nil, v) }
 

@@ -4,11 +4,7 @@
 // servers are supported as the extensions the paper announces.
 package server
 
-import (
-	"fmt"
-
-	"delaycalc/internal/minplus"
-)
+import "fmt"
 
 // Discipline identifies the scheduling policy of a server.
 type Discipline int
@@ -74,10 +70,4 @@ func (s Server) Validate() error {
 		return fmt.Errorf("server %q: unknown discipline %d", s.Name, int(s.Discipline))
 	}
 	return nil
-}
-
-// ServiceLine returns the raw service curve of the transmission line:
-// Capacity * t, delayed by the fixed latency.
-func (s Server) ServiceLine() minplus.Curve {
-	return minplus.Delay(minplus.Rate(s.Capacity), s.Latency)
 }

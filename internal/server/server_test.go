@@ -3,7 +3,15 @@ package server
 import (
 	"math"
 	"testing"
+
+	"delaycalc/internal/minplus"
 )
+
+// ServiceLine returns the raw service curve of the transmission line:
+// Capacity * t, delayed by the fixed latency.
+func (s Server) ServiceLine() minplus.Curve {
+	return minplus.Delay(minplus.Rate(s.Capacity), s.Latency)
+}
 
 func TestDisciplineString(t *testing.T) {
 	cases := map[Discipline]string{

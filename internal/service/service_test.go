@@ -474,11 +474,30 @@ func TestPickAnalyzerRegistry(t *testing.T) {
 			t.Errorf("canonical name %q not resolvable: %v", name, err)
 		}
 	}
-	if _, err := PickAnalyzer("nope"); err == nil {
-		t.Error("unknown name must error")
+	cases := map[string]string{
+		"integrated":   "Integrated",
+		"INT":          "Integrated",
+		"decomposed":   "Decomposed",
+		"dec":          "Decomposed",
+		"servicecurve": "ServiceCurve",
+		"sc":           "ServiceCurve",
+		"gr":           "GuaranteedRate/NetworkServiceCurve",
+		"integratedsp": "IntegratedSP",
+		" Integrated ": "Integrated",
 	}
-	a, err := PickAnalyzer(" Integrated ")
-	if err != nil || a.Name() != "Integrated" {
-		t.Errorf("case/space-insensitive lookup failed: %v %v", a, err)
+	for in, want := range cases {
+		a, err := PickAnalyzer(in)
+		if err != nil {
+			t.Errorf("PickAnalyzer(%q): %v", in, err)
+			continue
+		}
+		if a.Name() != want {
+			t.Errorf("PickAnalyzer(%q) = %s, want %s", in, a.Name(), want)
+		}
+	}
+	for _, unknown := range []string{"nope", "fifo", ""} {
+		if _, err := PickAnalyzer(unknown); err == nil {
+			t.Errorf("PickAnalyzer(%q): unknown name must error", unknown)
+		}
 	}
 }

@@ -66,15 +66,6 @@ func (s ConnStats) Mean() float64 {
 	return s.SumDelay / float64(s.Packets)
 }
 
-// Jitter returns the worst-case delay variation (max minus min delay),
-// the quantity playout buffers must absorb.
-func (s ConnStats) Jitter() float64 {
-	if s.Packets == 0 {
-		return 0
-	}
-	return s.MaxDelay - s.MinDelay
-}
-
 // Percentile returns the p-quantile (0 < p <= 1) of the recorded delay
 // samples, or NaN when sampling was not enabled.
 func (s ConnStats) Percentile(p float64) float64 {

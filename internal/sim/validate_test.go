@@ -358,6 +358,15 @@ func TestBacklogSingleServerTight(t *testing.T) {
 	}
 }
 
+// Jitter returns the worst-case delay variation (max minus min delay),
+// the quantity playout buffers must absorb.
+func (s ConnStats) Jitter() float64 {
+	if s.Packets == 0 {
+		return 0
+	}
+	return s.MaxDelay - s.MinDelay
+}
+
 func TestStatsJitterAndPercentiles(t *testing.T) {
 	net, _ := topo.PaperTandem(2, 0.8)
 	res, err := Run(net, Config{PacketSize: 0.05, Horizon: 40, KeepSamples: true})
