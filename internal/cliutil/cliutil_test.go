@@ -1,9 +1,12 @@
 package cliutil
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"delaycalc/internal/service"
 )
 
 func TestLoadNetworkTandem(t *testing.T) {
@@ -41,5 +44,60 @@ func TestLoadNetworkErrors(t *testing.T) {
 	}
 	if _, err := LoadNetwork(filepath.Join(t.TempDir(), "missing.json"), 0, 0); err == nil {
 		t.Error("expected error for missing file")
+	}
+}
+
+// TestPickAnalyzer runs the command-line path end to end: every name the
+// CLIs accept resolves through the service registry and analyzes the
+// network LoadNetwork built (the SP analyzer refuses it as FIFO), and
+// unknown names are refused.
+func TestPickAnalyzer(t *testing.T) {
+	net, err := LoadNetwork("", 3, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]string{
+		"integrated":   "Integrated",
+		"INT":          "Integrated",
+		"decomposed":   "Decomposed",
+		"dec":          "Decomposed",
+		"servicecurve": "ServiceCurve",
+		"sc":           "ServiceCurve",
+		"gr":           "GuaranteedRate/NetworkServiceCurve",
+		"integratedsp": "IntegratedSP",
+		" Integrated ": "Integrated",
+	}
+	for in, want := range cases {
+		a, err := service.PickAnalyzer(in)
+		if err != nil {
+			t.Errorf("PickAnalyzer(%q): %v", in, err)
+			continue
+		}
+		if a.Name() != want {
+			t.Errorf("PickAnalyzer(%q) = %s, want %s", in, a.Name(), want)
+		}
+		res, err := a.Analyze(net)
+		if want == "IntegratedSP" {
+			// The paper tandem is FIFO; the SP analyzer must refuse it.
+			if err == nil {
+				t.Errorf("%s accepted the FIFO tandem", want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s on the 3-switch tandem: %v", want, err)
+			continue
+		}
+		for i, b := range res.Bounds {
+			if !(b > 0) || math.IsInf(b, 1) {
+				t.Errorf("%s: connection %d bound %v, want finite and positive", want, i, b)
+			}
+		}
+	}
+	if _, err := service.PickAnalyzer("fifo"); err == nil {
+		t.Error("expected error for unknown analyzer name")
+	}
+	if _, err := service.PickAnalyzer(""); err == nil {
+		t.Error("expected error for unknown analyzer name")
 	}
 }
