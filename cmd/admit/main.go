@@ -9,10 +9,9 @@
 //	      [-timeout 0] [-shards 1]
 //
 // The greedy fill runs through the same admission engine the delayd daemon
-// serves (docs/INCREMENTAL.md): under Decomposed and Integrated each
-// admission extends the previous analysis baseline instead of re-analyzing
-// the whole network; ServiceCurve, which has no incremental path,
-// re-analyzes per test. The last column counts the incremental tests.
+// serves (docs/INCREMENTAL.md): under every analyzer each admission
+// extends the previous analysis baseline instead of re-analyzing the whole
+// network. The last column counts the incremental tests.
 package main
 
 import (

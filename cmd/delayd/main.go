@@ -35,11 +35,9 @@
 // immutable promoted snapshot (a lock-free replica read) and carry its
 // version in the X-Snapshot-Version header.
 //
-// Admission tests run against immutable snapshots outside any lock; on an
-// analyzer that supports it (integrated, decomposed, integratedsp) each test
-// re-analyzes only the candidate's interference closure and splices cached
-// bounds for the rest — see docs/INCREMENTAL.md. The others re-analyze the
-// whole trial network per test.
+// Admission tests run against immutable snapshots outside any lock; under
+// every -algo each test re-analyzes only the candidate's interference
+// closure and splices cached bounds for the rest — see docs/INCREMENTAL.md.
 //
 // Each request runs under two clocks: -timeout is the hard deadline (a
 // request that reaches it is shed with 503 + Retry-After and its analysis

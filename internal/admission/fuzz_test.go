@@ -3,6 +3,7 @@ package admission
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"delaycalc/internal/analysis"
@@ -13,9 +14,11 @@ import (
 // invariant: over fuzzer-chosen random feedforward networks and deadline
 // mixes, replaying the same admission sequence through the full-analysis
 // Controller and the incremental Engine must produce bit-identical
-// decisions at every step. shape packs the network dimensions so the two
-// int64 inputs stay trivially mutable; out-of-range values are folded into
-// the valid domain rather than rejected, keeping every input productive.
+// decisions at every step, under Integrated, Decomposed and ServiceCurve,
+// and under the guaranteed-rate network curve on a guaranteed-rate copy.
+// shape packs the network dimensions so the two int64 inputs stay
+// trivially mutable; out-of-range values are folded into the valid domain
+// rather than rejected, keeping every input productive.
 func FuzzIncrementalEquivalence(f *testing.F) {
 	f.Add(int64(0), int64(0))
 	f.Add(int64(1), int64(387))
@@ -44,8 +47,13 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 				net.Connections[i].Deadline = 200
 			}
 		}
-		for _, analyzer := range []analysis.Analyzer{analysis.Integrated{}, analysis.Decomposed{}} {
+		for _, analyzer := range []analysis.Analyzer{analysis.Integrated{}, analysis.Decomposed{}, analysis.ServiceCurve{}} {
 			driveDifferential(t, fmt.Sprintf("fuzz/%s", analyzer.Name()), analyzer, net)
 		}
+		// The guaranteed-rate network curve on a copy whose servers are all
+		// guaranteed-rate and whose connections reserve their rates.
+		gr := &topo.Network{Servers: slices.Clone(net.Servers), Connections: slices.Clone(net.Connections)}
+		grify(gr)
+		driveDifferential(t, "fuzz/GuaranteedRate", analysis.GuaranteedRateNetworkCurve{}, gr)
 	})
 }

@@ -90,22 +90,45 @@ func spify(net *topo.Network, withLatency bool) {
 	}
 }
 
+// grify turns a FIFO network into a guaranteed-rate one for
+// analysis.GuaranteedRateNetworkCurve: every server guaranteed-rate with a
+// latency, every connection reserving its sustained rate, so the
+// reservations fit wherever the network is stable.
+func grify(net *topo.Network) {
+	for s := range net.Servers {
+		net.Servers[s].Discipline = server.GuaranteedRate
+		net.Servers[s].Latency = 0.05 * float64(1+s%3)
+	}
+	for c := range net.Connections {
+		net.Connections[c].Rate = net.Connections[c].Bucket.Rho
+	}
+}
+
 // corpusNet is one network of the 26-seed differential corpus, made
-// static-priority (odd seeds with latencies) for analysis.IntegratedSP.
+// static-priority (odd seeds with latencies) for analysis.IntegratedSP and
+// guaranteed-rate for analysis.GuaranteedRateNetworkCurve.
 func corpusNet(t *testing.T, analyzer analysis.Analyzer, nServers, nConns int, util float64, seed int64) *topo.Network {
 	t.Helper()
 	net, err := topo.RandomFeedforward(nServers, nConns, util, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if analyzer == (analysis.IntegratedSP{}) {
+	switch analyzer {
+	case analysis.IntegratedSP{}:
 		spify(net, seed%2 == 1)
+	case analysis.GuaranteedRateNetworkCurve{}:
+		grify(net)
 	}
 	return net
 }
 
-// incrementalAnalyzers are the analyzers the engine accelerates.
-var incrementalAnalyzers = []analysis.Analyzer{analysis.Integrated{}, analysis.Decomposed{}, analysis.IntegratedSP{}}
+// incrementalAnalyzers are the analyzers the engine accelerates: all five.
+var incrementalAnalyzers = []analysis.Analyzer{analysis.Integrated{}, analysis.Decomposed{}, analysis.IntegratedSP{},
+	analysis.ServiceCurve{}, analysis.GuaranteedRateNetworkCurve{}}
+
+// fullOnly hides every method of an analyzer but Name and Analyze: an
+// analyzer from outside the package, which the engine can only run in full.
+type fullOnly struct{ analysis.Analyzer }
 
 // TestEngineMatchesControllerOnRandomNetworks is the differential
 // acceptance test: on 50+ randomized feedforward networks with a mix of
@@ -136,8 +159,9 @@ func TestEngineMatchesControllerOnRandomNetworks(t *testing.T) {
 
 // TestEngineMatchesControllerFullPath pins the full path — what a cross-shard
 // union test, an expired budget and a failed baseline also run — on an
-// analyzer without an incremental one: the engine is still exactly the
-// controller, and every test it runs is a full one.
+// analyzer without an incremental one (ServiceCurve behind fullOnly): the
+// engine is still exactly the controller, and every test it runs is a full
+// one.
 func TestEngineMatchesControllerFullPath(t *testing.T) {
 	net, err := topo.RandomFeedforward(5, 8, 0.5, 11)
 	if err != nil {
@@ -150,7 +174,7 @@ func TestEngineMatchesControllerFullPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(net.Servers, analysis.ServiceCurve{})
+	eng, err := NewEngine(net.Servers, fullOnly{analysis.ServiceCurve{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,6 @@
 package analysis
 
-import (
-	"context"
-	"sync"
-	"sync/atomic"
-
-	"delaycalc/internal/minplus"
-)
+import "delaycalc/internal/minplus"
 
 // runAggregates is the per-iteration aggregate cache of one chain: for
 // every chain position, the partial sum of each run's member envelopes at
@@ -95,56 +89,4 @@ func (ra *runAggregates) crossAt(at, lo, hi int) minplus.Curve {
 	}
 	ra.scratch = curves[:0]
 	return ra.ar.SumNSlice(curves)
-}
-
-// parallelValuesArena evaluates f(0..n-1) across the available cores into
-// a slice. Each slot is written by exactly one worker and f is pure, so
-// the result is identical to a sequential evaluation regardless of
-// scheduling. Workers check ctx between evaluations and stop early once
-// it is done, leaving the remaining slots zero; callers must discard the
-// slice after cancellation (they surface ctx.Err() instead). Each worker
-// draws one curve arena from the pool, resets it between evaluations, and
-// releases it when done, so per-candidate curve scratch never reaches the
-// garbage collector. f must not retain arena-backed curves past its
-// return.
-func parallelValuesArena(ctx context.Context, n int, f func(*minplus.Arena, int) float64) []float64 {
-	vals := make([]float64, n)
-	workers := maxParallelWorkers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		ar := minplus.GetArena()
-		defer ar.Release()
-		for i := 0; i < n; i++ {
-			if canceled(ctx) {
-				break
-			}
-			ar.Reset()
-			vals[i] = f(ar, i)
-		}
-		return vals
-	}
-	var (
-		next int64 = -1
-		wg   sync.WaitGroup
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			ar := minplus.GetArena()
-			defer ar.Release()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n || canceled(ctx) {
-					return
-				}
-				ar.Reset()
-				vals[i] = f(ar, i)
-			}
-		}()
-	}
-	wg.Wait()
-	return vals
 }

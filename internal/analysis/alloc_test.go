@@ -207,7 +207,7 @@ func TestExtendAllocsIndependentOfNetworkSize(t *testing.T) {
 		cand := conn("cand", 4, 5)
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		return testing.AllocsPerRun(5, func() {
-			ext, err := bl.Extend(cand)
+			ext, err := bl.ExtendContext(context.Background(), cand)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,15 +23,19 @@
 // from a service curve.
 //
 // All analyzers consume a topo.Network and produce per-connection
-// end-to-end delay bounds plus a per-stage breakdown; Decomposed,
-// Integrated and IntegratedSP run on one driver (Baseline.run).
+// end-to-end delay bounds plus a per-stage breakdown. All five run on one
+// driver (Baseline.run), so every one of them is cancellable and
+// incremental: the two network-curve analyses are its decomposed run plus
+// a finish over the completed run.
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"delaycalc/internal/minplus"
 	"delaycalc/internal/server"
@@ -283,8 +287,9 @@ func normalizeNetwork(net *topo.Network) (*topo.Network, float64) {
 }
 
 // normalizeConnection rescales one connection's bit-valued parameters by
-// scale: normalizeNetwork's rule for every connection, and Extend's for a
-// candidate, so incremental and full analyses see bit-identical inputs.
+// scale: normalizeNetwork's rule for every connection, and ExtendContext's
+// for a candidate, so incremental and full analyses see bit-identical
+// inputs.
 func normalizeConnection(c *topo.Connection, scale float64) {
 	c.Bucket.Sigma /= scale
 	c.Bucket.Rho /= scale
@@ -307,6 +312,56 @@ func denormalizeBacklogs(r *Result, scale float64) *Result {
 	return r
 }
 
-// maxParallelWorkers bounds the fan-out of the intra-analysis worker
-// pools (analyzeLevel's units, parallelValuesArena's scan candidates).
-func maxParallelWorkers() int { return runtime.GOMAXPROCS(0) }
+// fanOut calls f(ar, i) for every i in [0, n) and returns the error of the
+// smallest i that failed, nil when none did: the one worker pool of the
+// package, behind a level's dirty units (Baseline.run) and a scan's theta
+// candidates (thetaSearch). With two or more items and more than one core
+// the calls run concurrently on up to GOMAXPROCS workers, the calling
+// goroutine one of them, taking indices off one counter, so f must write
+// only what index i owns. Each worker draws one arena from the pool, resets
+// it before every call and releases it when done, so f must not retain
+// arena-backed curves past its return. A worker stops at its first failure
+// and once ctx is done, leaving later indices uncalled: callers consult
+// ctx.Err() before reading anything.
+func fanOut(ctx context.Context, n int, f func(ar *minplus.Arena, i int) error) error {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		ar := minplus.GetArena()
+		defer ar.Release()
+		for i := 0; i < n && !canceled(ctx); i++ {
+			ar.Reset()
+			if err := f(ar, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errs := make([]error, n)
+	var next atomic.Int64
+	work := func() {
+		ar := minplus.GetArena()
+		defer ar.Release()
+		for i := int(next.Add(1)) - 1; i < n && !canceled(ctx); i = int(next.Add(1)) - 1 {
+			ar.Reset()
+			if errs[i] = f(ar, i); errs[i] != nil {
+				return
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for range workers - 1 {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}

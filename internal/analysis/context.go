@@ -24,9 +24,9 @@ type ContextAnalyzer interface {
 }
 
 // AnalyzeWithContext runs an analyzer under a context: cancellation-aware
-// analyzers get the context plumbed through; for the rest the context is
-// checked once up front (their analyses are cheap enough that cooperative
-// checkpoints buy nothing) and the plain Analyze runs to completion.
+// analyzers — every one of this package — get the context plumbed through;
+// for one from outside it the context is checked once up front and the
+// plain Analyze runs to completion.
 func AnalyzeWithContext(ctx context.Context, a Analyzer, net *topo.Network) (*Result, error) {
 	if ca, ok := a.(ContextAnalyzer); ok {
 		return ca.AnalyzeContext(ctx, net)

@@ -135,8 +135,9 @@ func TestAnalyzeContextCancelled(t *testing.T) {
 }
 
 // TestExtendContextMatchesExtend pins the incremental path: extending a
-// baseline under an uncancelled context is identical to the plain Extend,
-// and a cancelled extension reports the context error.
+// baseline under an uncancelled context is identical to the full analysis
+// of the trial network, and a cancelled extension reports the context
+// error.
 func TestExtendContextMatchesExtend(t *testing.T) {
 	net, err := topo.PaperTandem(4, 0.5)
 	if err != nil {
@@ -148,7 +149,7 @@ func TestExtendContextMatchesExtend(t *testing.T) {
 	}
 	cand := net.Connections[0]
 	cand.Name = "extend-probe"
-	plain, err := base.Extend(cand)
+	full, err := Integrated{}.Analyze(&topo.Network{Servers: net.Servers, Connections: append(append([]topo.Connection(nil), net.Connections...), cand)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,12 +157,7 @@ func TestExtendContextMatchesExtend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, cr := plain.Result(), ctxed.Result()
-	for i := range pr.Bounds {
-		if pr.Bounds[i] != cr.Bounds[i] {
-			t.Errorf("conn %d ExtendContext bound %v != Extend %v", i, cr.Bounds[i], pr.Bounds[i])
-		}
-	}
+	requireSameResult(t, "extend", full, ctxed.Result())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := base.ExtendContext(ctx, cand); !errors.Is(err, context.Canceled) {

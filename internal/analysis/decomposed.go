@@ -38,15 +38,20 @@ func (d Decomposed) Analyze(net *topo.Network) (*Result, error) {
 // before every server and returns its error once it is done; an
 // uncancelled run is bit-identical to Analyze.
 func (Decomposed) AnalyzeContext(ctx context.Context, net *topo.Network) (*Result, error) {
-	return analyzeOnce(ctx, decomposedCore{}, net)
+	return analyzeOnce(ctx, decomposedCore, net)
 }
 
-// decomposedServerStep analyzes a single server: it records the server's
-// backlog bound and advances every crossing connection by its local delay:
-// decomposedCore's unit computation. ok=false means a local delay was
-// unbounded and the whole analysis degrades to +Inf. conns must be the
-// server's crossing connections (ConnectionIndex order); every curve is
-// drawn from the arena and consumed before the caller resets it.
+// decomposedCore is the decomposition on the one driver: one unit per
+// server, in topological order, on networks of any discipline.
+var decomposedCore = core{name: "Decomposed", maxLen: 1, step: decomposedServerStep}
+
+// decomposedServerStep analyzes the unit's single server: it records the
+// server's backlog bound and advances every crossing connection by its
+// local delay. It is the step of every core with one-server units. ok=false
+// means a local delay was unbounded and the whole analysis degrades to
+// +Inf. One server is the unit of cancellation granularity: the driver
+// checks the context before every unit. Every curve is drawn from the arena
+// and consumed before the driver resets it.
 //
 // Every discipline is one per-class loop: a class is FIFO within itself, so
 // its members share the delay h(class aggregate, offered) + latency. The
@@ -68,8 +73,9 @@ func (Decomposed) AnalyzeContext(ctx context.Context, net *topo.Network) (*Resul
 //     every bit is late by at most h(W, C*t) = max(0, sup_tau (W(tau) -
 //     C*tau)/C), the classical uniform lateness (zero exactly when the EDF
 //     schedulability test holds), and each member adds its own D_j to it.
-func decomposedServerStep(net *topo.Network, s int, conns []int, p *propagation, ar *minplus.Arena) (ok bool, err error) {
-	srv := net.Servers[s]
+func decomposedServerStep(_ context.Context, net *topo.Network, idx [][]int, unit []int, p *propagation, ar *minplus.Arena) (ok bool, err error) {
+	s := unit[0]
+	srv, conns := net.Servers[s], idx[s]
 	if len(conns) == 0 {
 		return true, nil
 	}

@@ -88,8 +88,8 @@ func differentialCorpus(t *testing.T) map[string]*topo.Network {
 // core count. Analyze and a Baseline build are the same driver on both
 // sides of its one branch (pooled propagation, nothing recorded, against
 // traced and recorded), so on one core and on two they must agree bit for
-// bit for every stepCore analyzer, and every result, ServiceCurve's
-// included, must be the same on both core counts.
+// bit for every analyzer, and every result must be the same on both core
+// counts.
 func TestParallelAnalyzeDeterministic(t *testing.T) {
 	fifo := differentialCorpus(t)
 	for seed := int64(100); seed < 126; seed++ {
@@ -101,6 +101,10 @@ func TestParallelAnalyzeDeterministic(t *testing.T) {
 	}
 	fifo["forest"] = forestNet(8, 5)
 	sp := spRandomCorpus(t)
+	gr := map[string]*topo.Network{}
+	for name, net := range fifo {
+		gr[name] = grified(net)
+	}
 	oneCore := map[string]*Result{}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2} {
@@ -113,6 +117,7 @@ func TestParallelAnalyzeDeterministic(t *testing.T) {
 			{Integrated{}, fifo},
 			{IntegratedSP{}, sp},
 			{ServiceCurve{}, fifo},
+			{GuaranteedRateNetworkCurve{}, gr},
 		} {
 			for name, net := range tc.nets {
 				key := fmt.Sprintf("%s%+v/%s", tc.a.Name(), tc.a, name)
@@ -323,7 +328,7 @@ func TestDegradationLaw(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: baseline: %v", label, err)
 			}
-			ext, err := base.Extend(net.Connections[last])
+			ext, err := base.ExtendContext(context.Background(), net.Connections[last])
 			if err != nil {
 				t.Fatalf("%s: extend: %v", label, err)
 			}

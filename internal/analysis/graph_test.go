@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -92,7 +93,7 @@ func TestGraphDerivationMatchesScratch(t *testing.T) {
 			admit := func(label string, path ...int) {
 				t.Helper()
 				seq++
-				ext, err := bl.Extend(topo.Connection{
+				ext, err := bl.ExtendContext(context.Background(), topo.Connection{
 					Name:       fmt.Sprintf("x%d", seq),
 					Bucket:     traffic.TokenBucket{Sigma: 0.5, Rho: 1e-5 * (0.1 + rng.Float64())},
 					AccessRate: 1,
@@ -106,7 +107,7 @@ func TestGraphDerivationMatchesScratch(t *testing.T) {
 			}
 			release := func(label string, i int) {
 				t.Helper()
-				ext, err := bl.Shrink(i)
+				ext, err := bl.ShrinkContext(context.Background(), i)
 				if err != nil {
 					t.Fatalf("%s: shrink %d: %v", label, i, err)
 				}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -56,7 +57,7 @@ func extendAndCompare(t *testing.T, label string, a Incremental, net *topo.Netwo
 	if err != nil {
 		t.Fatalf("%s: baseline: %v", label, err)
 	}
-	ext, err := bl.Extend(cand)
+	ext, err := bl.ExtendContext(context.Background(), cand)
 	if err != nil {
 		t.Fatalf("%s: extend: %v", label, err)
 	}
@@ -183,7 +184,7 @@ func TestPromoteChains(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k := 4; k < len(net.Connections); k++ {
-			ext, err := bl.Extend(net.Connections[k])
+			ext, err := bl.ExtendContext(context.Background(), net.Connections[k])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,7 +212,7 @@ func TestExtendUnstableTrial(t *testing.T) {
 		Bucket: traffic.TokenBucket{Sigma: 1, Rho: net.Servers[0].Capacity},
 		Path:   []int{0},
 	}
-	ext, err := bl.Extend(hog)
+	ext, err := bl.ExtendContext(context.Background(), hog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,10 +254,10 @@ func TestConcurrentExtendsShareBaseline(t *testing.T) {
 				cand := net.Connections[w]
 				cand.Name = fmt.Sprintf("again%d", w)
 				trial := &topo.Network{Servers: net.Servers, Connections: append(append([]topo.Connection(nil), net.Connections...), cand)}
-				ext, err := bl.Extend(cand)
+				ext, err := bl.ExtendContext(context.Background(), cand)
 				if w%2 == 1 {
 					trial = &topo.Network{Servers: net.Servers, Connections: removeAt(net.Connections, w)}
-					ext, err = bl.Shrink(w)
+					ext, err = bl.ShrinkContext(context.Background(), w)
 				}
 				if err != nil {
 					t.Error(err)

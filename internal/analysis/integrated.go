@@ -80,42 +80,33 @@ func (a Integrated) AnalyzeContext(ctx context.Context, net *topo.Network) (*Res
 	return analyzeOnce(ctx, a.core(), net)
 }
 
-// core is the FIFO chain analysis: every position serves at its line rate
-// with the server's latency added outside the deviation, and every
-// connection of the chain takes part in the one pass.
-func (a Integrated) core() chainCore {
-	return chainCore{algo: "Integrated", serves: "FIFO", discipline: server.FIFO,
-		maxLen: a.chainLength(),
-		chain: func(ctx context.Context, net *topo.Network, idx [][]int, chain []int, p *propagation) bool {
-			sc := getChainScratch()
-			defer sc.release()
-			svc := sc.service(len(chain))
-			for i, s := range chain {
-				srv := net.Servers[s]
-				svc[i] = hopService{beta: minplus.Rate(srv.Capacity), lat: srv.Latency}
-			}
-			if !analyzeChain(ctx, sc, net, idx, chain, p, chainPass{svc: svc}) {
-				return false
-			}
-			for i, s := range chain {
-				p.recordBacklog(s, sc.agg[i], net.Servers[s].Capacity)
-			}
-			return true
-		}}
+// core is the FIFO chain analysis on the one driver: chains of at most
+// ChainLength servers, every position serving at its line rate with the
+// server's latency added outside the deviation, and every connection of
+// the chain taking part in the one pass.
+func (a Integrated) core() core {
+	return core{name: "Integrated", check: serves("Integrated", "FIFO", server.FIFO),
+		maxLen: a.chainLength(), step: analyzeFIFOChain}
 }
 
-// chainCore is a chain analysis — Integrated on FIFO servers, IntegratedSP
-// on static-priority ones — as a stepCore of the one driver: partition into
-// chains of at most maxLen servers, order them, and run chain on each.
-type chainCore struct {
-	algo       string
-	serves     string // discipline, as the check's error words it
-	discipline server.Discipline
-	maxLen     int
-	// chain advances the propagation across one chain. It reports false
-	// when a bound is unbounded (the whole analysis degrades to +Inf) or
-	// the context was cancelled; callers consult ctx.Err() to tell.
-	chain func(ctx context.Context, net *topo.Network, idx [][]int, chain []int, p *propagation) bool
+// analyzeFIFOChain is Integrated's step: one analyzeChain pass over the
+// chain. It reports false when a bound is unbounded or the context was
+// cancelled; the driver consults ctx.Err() to tell.
+func analyzeFIFOChain(ctx context.Context, net *topo.Network, idx [][]int, chain []int, p *propagation, ar *minplus.Arena) (bool, error) {
+	sc := getChainScratch(ar)
+	defer sc.release()
+	svc := sc.service(len(chain))
+	for i, s := range chain {
+		srv := net.Servers[s]
+		svc[i] = hopService{beta: minplus.Rate(srv.Capacity), lat: srv.Latency}
+	}
+	if !analyzeChain(ctx, sc, net, idx, chain, p, chainPass{svc: svc}) {
+		return false, nil
+	}
+	for i, s := range chain {
+		p.recordBacklog(s, sc.agg[i], net.Servers[s].Capacity)
+	}
+	return true, nil
 }
 
 // subnetOwner maps every server to the index of its subnetwork. The
@@ -454,9 +445,9 @@ func resize[T any](s []T, n int) []T {
 // at indices the current chain provably wrote, so stale contents never
 // leak between chains.
 type chainScratch struct {
-	// ar backs every intra-chain curve; it is drawn with the scratch and
-	// released with it, so what a pass leaves here (agg) stays readable by
-	// the caller between passes over the same chain.
+	// ar backs every intra-chain curve: the driver's worker arena, which
+	// stays the chain's until the step returns, so what a pass leaves here
+	// (agg) stays readable by the caller between passes over the same chain.
 	ar      *minplus.Arena
 	svc     []hopService    // the caller's per-position service description
 	agg     []minplus.Curve // out: the last pass's aggregate per position
@@ -477,14 +468,15 @@ type chainScratch struct {
 
 var chainScratchPool = sync.Pool{New: func() any { return new(chainScratch) }}
 
-func getChainScratch() *chainScratch {
+// getChainScratch draws a chain's scratch from the pool, its curves to
+// come from ar.
+func getChainScratch(ar *minplus.Arena) *chainScratch {
 	sc := chainScratchPool.Get().(*chainScratch)
-	sc.ar = minplus.GetArena()
+	sc.ar = ar
 	return sc
 }
 
 func (sc *chainScratch) release() {
-	sc.ar.Release()
 	sc.ar = nil
 	chainScratchPool.Put(sc)
 }

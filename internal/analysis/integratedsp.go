@@ -49,20 +49,22 @@ func (a IntegratedSP) Analyze(net *topo.Network) (*Result, error) {
 // AnalyzeContext implements ContextAnalyzer, with Integrated's cancellation
 // checkpoints plus one between classes. An uncancelled run is bit-identical
 // to Analyze.
-func (a IntegratedSP) AnalyzeContext(ctx context.Context, net *topo.Network) (*Result, error) {
-	return analyzeOnce(ctx, a.core(), net)
+func (IntegratedSP) AnalyzeContext(ctx context.Context, net *topo.Network) (*Result, error) {
+	return analyzeOnce(ctx, integratedSPCore, net)
 }
 
-func (IntegratedSP) core() chainCore {
-	return chainCore{algo: "IntegratedSP", serves: "static-priority", discipline: server.StaticPriority,
-		maxLen: 2, chain: analyzeSPChain}
-}
+// integratedSPCore is the chain analysis of static-priority networks, on
+// the pairs of the paper.
+var integratedSPCore = core{name: "IntegratedSP", check: serves("IntegratedSP", "static-priority", server.StaticPriority),
+	maxLen: 2, step: analyzeSPChain}
 
-// analyzeSPChain handles one chain of static-priority servers: one
-// analyzeChain pass per class present, in priority order, each served the
-// rate-latency leftover after all more-urgent classes.
-func analyzeSPChain(ctx context.Context, net *topo.Network, idx [][]int, chain []int, p *propagation) bool {
-	sc := getChainScratch()
+// analyzeSPChain is IntegratedSP's step, one chain of static-priority
+// servers: one analyzeChain pass per class present, in priority order, each
+// served the rate-latency leftover after all more-urgent classes. Like
+// Integrated's, it reports false when a bound is unbounded or the context
+// was cancelled.
+func analyzeSPChain(ctx context.Context, net *topo.Network, idx [][]int, chain []int, p *propagation, ar *minplus.Arena) (bool, error) {
+	sc := getChainScratch(ar)
 	defer sc.release()
 	classes := sc.classes[:0]
 	for _, s := range chain {
@@ -84,18 +86,18 @@ func analyzeSPChain(ctx context.Context, net *topo.Network, idx [][]int, chain [
 	svc := sc.service(len(chain))
 	for _, class := range classes {
 		if canceled(ctx) {
-			return false
+			return false, nil
 		}
 		for i, s := range chain {
 			srv := net.Servers[s]
 			beta, ok := spRateLatencyGuarantee(srv.Capacity, higher[i], srv.Latency)
 			if !ok {
-				return false
+				return false, nil
 			}
 			svc[i] = hopService{beta: beta}
 		}
 		if !analyzeChain(ctx, sc, net, idx, chain, p, chainPass{svc: svc, byClass: true, class: class}) {
-			return false
+			return false, nil
 		}
 		for i := range chain {
 			higher[i] = sc.ar.SumN(higher[i], sc.agg[i])
@@ -106,7 +108,7 @@ func analyzeSPChain(ctx context.Context, net *topo.Network, idx [][]int, chain [
 	for i, s := range chain {
 		p.recordBacklog(s, higher[i], net.Servers[s].Capacity)
 	}
-	return true
+	return true, nil
 }
 
 // spRateLatencyGuarantee returns a rate-latency minorant of the preemptive

@@ -40,7 +40,7 @@ func TestShrinkMatchesFullAnalysis(t *testing.T) {
 			}
 			for remove := 0; remove < len(net.Connections); remove++ {
 				label := fmt.Sprintf("%s/%s/remove%d", inc.Name(), name, remove)
-				ext, err := base.Shrink(remove)
+				ext, err := base.ShrinkContext(context.Background(), remove)
 				if err != nil {
 					t.Fatalf("%s: shrink: %v", label, err)
 				}
@@ -57,7 +57,7 @@ func TestShrinkMatchesFullAnalysis(t *testing.T) {
 				// The promoted baseline must extend bit-identically too:
 				// re-admitting the released connection has to match a full
 				// analysis of the re-extended network.
-				reext, err := ext.Promote().Extend(net.Connections[remove])
+				reext, err := ext.Promote().ExtendContext(context.Background(), net.Connections[remove])
 				if err != nil {
 					t.Fatalf("%s: re-extend: %v", label, err)
 				}
@@ -99,7 +99,7 @@ func TestShrinkScopesWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := base.Shrink(0)
+	ext, err := base.ShrinkContext(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestShrinkRecomputesALevelConcurrently(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ext, err := base.Shrink(2)
+		ext, err := base.ShrinkContext(context.Background(), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,10 +182,10 @@ func TestShrinkErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := base.Shrink(-1); err == nil {
+	if _, err := base.ShrinkContext(context.Background(), -1); err == nil {
 		t.Error("negative index accepted")
 	}
-	if _, err := base.Shrink(len(net.Connections)); err == nil {
+	if _, err := base.ShrinkContext(context.Background(), len(net.Connections)); err == nil {
 		t.Error("out-of-range index accepted")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -207,14 +207,14 @@ func TestShrinkToEmpty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ext, err := base.Shrink(0)
+		ext, err := base.ShrinkContext(context.Background(), 0)
 		if err != nil {
 			t.Fatalf("%s: shrink to empty: %v", inc.Name(), err)
 		}
 		if got := len(ext.Result().Bounds); got != 0 {
 			t.Fatalf("%s: %d bounds on the empty network", inc.Name(), got)
 		}
-		reext, err := ext.Promote().Extend(net.Connections[0])
+		reext, err := ext.Promote().ExtendContext(context.Background(), net.Connections[0])
 		if err != nil {
 			t.Fatalf("%s: extend from empty: %v", inc.Name(), err)
 		}

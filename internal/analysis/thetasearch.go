@@ -86,8 +86,8 @@ import (
 //     does not rise immediately, convolves generically (k=2: a sequential
 //     sweep; k>2: the fixed prefix and suffix of the scanned coordinate
 //     convolved once per scan); only the coordinate-descent scans fan out
-//     across cores (parallelValuesArena), their reduction sequential,
-//     replicating the serial argmin.
+//     across cores (fanOut), their reduction sequential, replicating the
+//     serial argmin.
 type thetaSearch struct {
 	// ctx carries the cancellation signal and bg the soft budget into the
 	// search, which stops between candidates once either is done. A
@@ -309,17 +309,18 @@ func (ts *thetaSearch) coordinateDescent(scan scanFunc) float64 {
 				return best
 			}
 			eval := scan(idx, i, best)
-			// evalCand runs concurrently: it only reads seen (no concurrent
-			// writes happen during the fan-out), and a memo miss recomputes
-			// the pure evaluation — the identical value the serial code
-			// would have cached.
-			evalCand := func(wa *minplus.Arena, ci int) float64 {
+			// The fan-out only reads seen (no concurrent writes happen
+			// during it), and a memo miss recomputes the pure evaluation —
+			// the identical value the serial code would have cached.
+			vals := make([]float64, len(ts.cands[i]))
+			fanOut(ts.ctx, len(vals), func(wa *minplus.Arena, ci int) error {
 				if d, ok := seen.get(idx, i, ci); ok {
-					return d
+					vals[ci] = d
+				} else {
+					vals[ci] = eval(wa, ci)
 				}
-				return eval(wa, ci)
-			}
-			vals := parallelValuesArena(ts.ctx, len(ts.cands[i]), evalCand)
+				return nil
+			})
 			// Persist the scan's evaluations into the memo sequentially.
 			for ci, d := range vals {
 				seen.put(idx, i, ci, d)

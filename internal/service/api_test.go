@@ -178,10 +178,14 @@ func TestAdmitRejectionCarriesCodeAndViolations(t *testing.T) {
 	}
 }
 
+// fullOnly hides every method of an analyzer but Name and Analyze: an
+// analyzer from outside the package, which the engine can only run in full.
+type fullOnly struct{ analysis.Analyzer }
+
 // TestEngineMetricsExposed checks the new admission-engine series on the
 // canonical metrics route. The incremental gauge is the analyzer's
-// capability: 1 for integrated here, 0 for servicecurve, which has no
-// incremental path.
+// capability: 1 for integrated here, 0 for an analyzer from outside the
+// package (fullOnly), which the engine can only run in full.
 func TestEngineMetricsExposed(t *testing.T) {
 	srv := newTestServer(t, nil)
 	do(t, srv, "POST", "/v2/networks/default/connections", admitBody)
@@ -204,7 +208,7 @@ func TestEngineMetricsExposed(t *testing.T) {
 		}
 	}
 
-	state, err := NewState(testFabric(), analysis.ServiceCurve{})
+	state, err := NewState(testFabric(), fullOnly{analysis.ServiceCurve{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +224,7 @@ func TestEngineMetricsExposed(t *testing.T) {
 		`delayd_admission_tests_total{mode="full"} 1`,
 	} {
 		if !strings.Contains(body, want) {
-			t.Errorf("servicecurve metrics missing %q\n%s", want, body)
+			t.Errorf("full-path metrics missing %q\n%s", want, body)
 		}
 	}
 }
