@@ -6,7 +6,7 @@
 // Usage:
 //
 //	admit [-servers 4] [-deadline 14] [-sigma 1] [-rho 0.02] [-limit 200]
-//	      [-timeout 0] [-shards 1]
+//	      [-timeout 0]
 //
 // The greedy fill runs through the same admission engine the delayd daemon
 // serves (docs/INCREMENTAL.md): under every analyzer each admission
@@ -40,7 +40,6 @@ func main() {
 		rho      = flag.Float64("rho", 0.02, "token rate")
 		limit    = flag.Int("limit", 200, "admission attempts")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget per analyzer's greedy fill (0 = unlimited)")
-		shards   = flag.Int("shards", 1, "engine shards (a tandem is one component, so >1 only helps on disjoint fabrics)")
 	)
 	flag.Parse()
 
@@ -64,7 +63,7 @@ func main() {
 	// service.State is the same admission code path the delayd daemon
 	// serves, so CLI numbers and server decisions cannot diverge.
 	for _, a := range []analysis.Analyzer{analysis.Decomposed{}, analysis.ServiceCurve{}, analysis.Integrated{}} {
-		state, err := service.NewStateShards(servers, a, *shards)
+		state, err := service.NewState(servers, a)
 		if err != nil {
 			fatal(err)
 		}

@@ -24,7 +24,7 @@ func main() {
 		specPath = flag.String("spec", "", "path to a JSON network spec")
 		tandem   = flag.Int("tandem", 0, "build the paper's tandem with this many switches instead of reading a spec")
 		load     = flag.Float64("load", 0.8, "interior-link utilization for -tandem")
-		algo     = flag.String("algo", "integrated", "analysis algorithm: integrated, decomposed, servicecurve, gr, integratedsp")
+		algo     = flag.String("algo", "integrated", "analysis algorithm: integrated (FIFO or static priority), decomposed, servicecurve, gr")
 		stages   = flag.Bool("stages", false, "print the per-subnetwork delay breakdown")
 		backlogs = flag.Bool("backlogs", false, "print per-server buffer bounds")
 		dot      = flag.Bool("dot", false, "emit the route graph in Graphviz DOT format and exit")

@@ -90,7 +90,7 @@ func main() {
 		specPath = flag.String("spec", "", "netspec JSON file defining the fabric (and optional pre-admitted connections)")
 		tandem   = flag.Int("tandem", 0, "build the paper's n-server tandem fabric instead of -spec")
 		load     = flag.Float64("load", 0.5, "tandem builder load (only with -tandem)")
-		algo     = flag.String("algo", "integrated", "admission-test analyzer (integrated, decomposed, servicecurve, gr, integratedsp)")
+		algo     = flag.String("algo", "integrated", "admission-test analyzer (integrated, decomposed, servicecurve, gr; integrated serves FIFO and static-priority fabrics)")
 		cacheSz  = flag.Int("cache", service.DefaultCacheSize, "analyze-cache capacity (0 disables caching)")
 		timeout  = flag.Duration("timeout", service.DefaultRequestTimeout, "per-request hard deadline (shed with 503 when passed)")
 		analyzeT = flag.Duration("analyze-timeout", service.DefaultAnalyzeTimeout, "soft analysis budget: past it an analysis finishes on decomposed ceilings, degraded (negative disables degradation)")

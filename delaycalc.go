@@ -89,7 +89,8 @@ func NewDecomposed() Analyzer { return analysis.Decomposed{} }
 func NewServiceCurve() Analyzer { return analysis.ServiceCurve{} }
 
 // NewIntegrated returns the paper's Algorithm Integrated: two-server
-// subnetworks analyzed jointly.
+// subnetworks analyzed jointly, on FIFO networks and, per priority class,
+// on static-priority ones.
 func NewIntegrated() Analyzer { return analysis.Integrated{} }
 
 // NewIntegratedChains returns the Integrated analyzer with subnetworks of
@@ -105,11 +106,9 @@ func NewIntegratedChains(maxServers int) Analyzer {
 // is tight.
 func NewGuaranteedRateNetworkCurve() Analyzer { return analysis.GuaranteedRateNetworkCurve{} }
 
-// NewIntegratedSP returns the integrated analyzer for static-priority
-// networks — the extension the paper's conclusion announces: per priority
-// class, chains of consecutive servers are analyzed jointly against the
-// leftover after more urgent classes.
-func NewIntegratedSP() Analyzer { return analysis.IntegratedSP{} }
+// NewIntegratedSP is NewIntegrated, which analyzes static-priority networks
+// too — the extension the paper's conclusion announces.
+func NewIntegratedSP() Analyzer { return NewIntegrated() }
 
 // Physical topology modeling.
 type (

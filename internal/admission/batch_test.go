@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"delaycalc/internal/analysis"
+	"delaycalc/internal/server"
 	"delaycalc/internal/topo"
 )
 
@@ -148,16 +149,16 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 		seeds = 6
 	}
 	for _, tc := range []struct {
-		name     string
-		analyzer analysis.Analyzer
+		name string
+		corpusCase
 	}{
-		{"integrated", analysis.Integrated{}},
-		{"decomposed", analysis.Decomposed{}},
-		{"integratedsp", analysis.IntegratedSP{}},
+		{"integrated", corpusCase{analysis.Integrated{}, server.FIFO}},
+		{"decomposed", corpusCase{analysis.Decomposed{}, server.FIFO}},
+		{"integratedsp", corpusCase{analysis.Integrated{}, server.StaticPriority}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(0); seed < seeds; seed++ {
-				net := corpusNet(t, tc.analyzer, 6, 6, 0.5, seed)
+				net := corpusNet(t, tc.disc, 6, 6, 0.5, seed)
 				rng := rand.New(rand.NewSource(seed * 17))
 				for i := range net.Connections {
 					if rng.Intn(4) == 0 {

@@ -15,7 +15,9 @@ import (
 // mixes, replaying the same admission sequence through the full-analysis
 // Controller and the incremental Engine must produce bit-identical
 // decisions at every step, under Integrated, Decomposed and ServiceCurve,
-// and under the guaranteed-rate network curve on a guaranteed-rate copy.
+// under Integrated on a static-priority copy (server latencies on odd
+// seeds), and under the guaranteed-rate network curve on a guaranteed-rate
+// copy.
 // shape packs the network dimensions so the two int64 inputs stay
 // trivially mutable; out-of-range values are folded into the valid domain
 // rather than rejected, keeping every input productive.
@@ -55,5 +57,9 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 		gr := &topo.Network{Servers: slices.Clone(net.Servers), Connections: slices.Clone(net.Connections)}
 		grify(gr)
 		driveDifferential(t, "fuzz/GuaranteedRate", analysis.GuaranteedRateNetworkCurve{}, gr)
+		// Integrated's static-priority chains on a copy with classes 0-2.
+		sp := &topo.Network{Servers: slices.Clone(net.Servers), Connections: slices.Clone(net.Connections)}
+		spify(sp, seed%2 == 1)
+		driveDifferential(t, "fuzz/StaticPriority", analysis.Integrated{}, sp)
 	})
 }

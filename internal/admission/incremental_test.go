@@ -76,8 +76,9 @@ func driveDifferential(t *testing.T, label string, analyzer analysis.Analyzer, n
 }
 
 // spify turns a FIFO network into a static-priority one, classes 0-2 dealt
-// round-robin over the connections (the corpus analysis.IntegratedSP is
-// pinned on); withLatency also gives every server a fixed latency.
+// round-robin over the connections (the corpus analysis.Integrated's
+// static-priority chains are pinned on); withLatency also gives every
+// server a fixed latency.
 func spify(net *topo.Network, withLatency bool) {
 	for s := range net.Servers {
 		net.Servers[s].Discipline = server.StaticPriority
@@ -104,27 +105,38 @@ func grify(net *topo.Network) {
 	}
 }
 
-// corpusNet is one network of the 26-seed differential corpus, made
-// static-priority (odd seeds with latencies) for analysis.IntegratedSP and
-// guaranteed-rate for analysis.GuaranteedRateNetworkCurve.
-func corpusNet(t *testing.T, analyzer analysis.Analyzer, nServers, nConns int, util float64, seed int64) *topo.Network {
+// corpusNet is one network of the 26-seed differential corpus, of
+// discipline d: static-priority (odd seeds with latencies) for
+// analysis.Integrated's static-priority chains, guaranteed-rate for
+// analysis.GuaranteedRateNetworkCurve.
+func corpusNet(t *testing.T, d server.Discipline, nServers, nConns int, util float64, seed int64) *topo.Network {
 	t.Helper()
 	net, err := topo.RandomFeedforward(nServers, nConns, util, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	switch analyzer {
-	case analysis.IntegratedSP{}:
+	switch d {
+	case server.StaticPriority:
 		spify(net, seed%2 == 1)
-	case analysis.GuaranteedRateNetworkCurve{}:
+	case server.GuaranteedRate:
 		grify(net)
 	}
 	return net
 }
 
-// incrementalAnalyzers are the analyzers the engine accelerates: all five.
-var incrementalAnalyzers = []analysis.Analyzer{analysis.Integrated{}, analysis.Decomposed{}, analysis.IntegratedSP{},
-	analysis.ServiceCurve{}, analysis.GuaranteedRateNetworkCurve{}}
+// corpusCase is an analyzer and the discipline of the corpus it runs on.
+type corpusCase struct {
+	analyzer analysis.Analyzer
+	disc     server.Discipline
+}
+
+func (c corpusCase) String() string { return c.analyzer.Name() + "/" + c.disc.String() }
+
+// incrementalAnalyzers are the analyzers the engine accelerates, all four,
+// Integrated on FIFO and on static-priority networks.
+var incrementalAnalyzers = []corpusCase{{analysis.Integrated{}, server.FIFO}, {analysis.Decomposed{}, server.FIFO},
+	{analysis.Integrated{}, server.StaticPriority}, {analysis.ServiceCurve{}, server.FIFO},
+	{analysis.GuaranteedRateNetworkCurve{}, server.GuaranteedRate}}
 
 // fullOnly hides every method of an analyzer but Name and Analyze: an
 // analyzer from outside the package, which the engine can only run in full.
@@ -136,9 +148,9 @@ type fullOnly struct{ analysis.Analyzer }
 // to the controller's at every admission step, for every incremental
 // analyzer, without one full analysis.
 func TestEngineMatchesControllerOnRandomNetworks(t *testing.T) {
-	for _, analyzer := range incrementalAnalyzers {
+	for _, tc := range incrementalAnalyzers {
 		for seed := int64(0); seed < 26; seed++ {
-			net := corpusNet(t, analyzer, 6, 9, 0.6, seed)
+			net := corpusNet(t, tc.disc, 6, 9, 0.6, seed)
 			// Deadline mix drawn from the same seed: loose (always fits),
 			// tight (often violated), and one absent (spec error path).
 			rng := rand.New(rand.NewSource(seed * 31))
@@ -152,7 +164,7 @@ func TestEngineMatchesControllerOnRandomNetworks(t *testing.T) {
 					net.Connections[i].Deadline = 100
 				}
 			}
-			driveDifferential(t, fmt.Sprintf("%s/seed%d", analyzer.Name(), seed), analyzer, net)
+			driveDifferential(t, fmt.Sprintf("%v/seed%d", tc, seed), tc.analyzer, net)
 		}
 	}
 }

@@ -128,8 +128,9 @@ func NewShardedEngine(servers []server.Server, analyzer analysis.Analyzer, shard
 
 // single returns the sole shard when sharding is off, else nil. A 1-shard
 // ShardedEngine IS that Engine: ApplyBatch and TestBatch bypass the router
-// entirely, so its behavior — including duplicate-name tolerance (which is
-// why ReadView must not deduplicate it) and operation ordering — is
+// entirely, so its behavior — including operation ordering, and rejecting
+// the admit of a live name as invalid_spec through the network's
+// duplicate-name check where the router says "already admitted" — is
 // exactly Engine's.
 func (se *ShardedEngine) single() *Engine {
 	if len(se.shards) == 1 {

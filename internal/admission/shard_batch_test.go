@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"delaycalc/internal/analysis"
+	"delaycalc/internal/server"
 	"delaycalc/internal/topo"
 )
 
@@ -34,10 +35,9 @@ func TestShardedApplyBatchMatchesSequential(t *testing.T) {
 		for i := range net.Connections {
 			net.Connections[i].Deadline = 1000
 		}
-		// Odd seeds run the static-priority core on the same blocks.
-		var analyzer analysis.Analyzer = analysis.Integrated{}
+		// Odd seeds run static-priority chains on the same blocks.
+		analyzer := analysis.Integrated{}
 		if seed%2 == 1 {
-			analyzer = analysis.IntegratedSP{}
 			spify(net, seed%4 == 1)
 		}
 		seqSE, err := NewShardedEngine(net.Servers, analyzer, 4)
@@ -100,19 +100,19 @@ func TestShardedApplyBatchMatchesSequential(t *testing.T) {
 		}
 	}
 
-	for _, analyzer := range incrementalAnalyzers {
+	for _, tc := range incrementalAnalyzers {
 		var merges uint64
 		for seed := int64(0); seed < seeds; seed++ {
-			net := corpusNet(t, analyzer, 6, 9, 0.6, seed)
+			net := corpusNet(t, tc.disc, 6, 9, 0.6, seed)
 			for _, shards := range []int{2, 4} {
-				label := fmt.Sprintf("reuse/%s/seed%d/shards%d", analyzer.Name(), seed, shards)
-				merges += driveReuseDifferential(t, label, analyzer, net, shards, seed)
+				label := fmt.Sprintf("reuse/%v/seed%d/shards%d", tc, seed, shards)
+				merges += driveReuseDifferential(t, label, tc.analyzer, net, shards, seed)
 			}
 		}
 		// Component merges inside multi-op envelopes must not silently drop
 		// out of this test: they are what the barrier exists for.
 		if merges == 0 {
-			t.Fatalf("reuse/%s: the corpus never merged two shards' components", analyzer.Name())
+			t.Fatalf("reuse/%v: the corpus never merged two shards' components", tc)
 		}
 	}
 }
@@ -164,10 +164,11 @@ func requireRouterMatchesShards(t *testing.T, label string, se *ShardedEngine) {
 // driveReuseDifferential replays a schedule that reuses names — re-admit
 // of a live name, release then re-admit, double and ghost releases — over
 // routes that merge components, as random-size envelopes through a sharded
-// engine, against a plain Engine fed the same ops one at a time. The Engine
-// tolerates duplicate names and a multi-shard engine rejects them by
-// contract, so the oracle skips the admit of a live name and the sharded
-// side must reject it as invalid. Returns the component merges seen.
+// engine, against a plain Engine fed the same ops one at a time. Both
+// reject the admit of a live name as invalid_spec, the Engine through the
+// network's duplicate-name check and the router as already admitted, with
+// different messages, so the oracle skips that admit and the sharded side
+// must reject it as invalid. Returns the component merges seen.
 func driveReuseDifferential(t *testing.T, label string, analyzer analysis.Analyzer, net *topo.Network, shards int, seed int64) uint64 {
 	t.Helper()
 	eng, err := NewEngine(net.Servers, analyzer)
@@ -243,7 +244,8 @@ func driveReuseDifferential(t *testing.T, label string, analyzer analysis.Analyz
 // so which releases shrank, what they scoped and how many baselines were
 // materialised depend on the schedule alone.
 func TestReleaseAccountingDeterministic(t *testing.T) {
-	for _, analyzer := range []analysis.Analyzer{analysis.Integrated{}, analysis.IntegratedSP{}} {
+	analyzer := analysis.Integrated{}
+	for _, d := range []server.Discipline{server.FIFO, server.StaticPriority} {
 		net, err := topo.DisjointBlocks(4, 3, 0.5)
 		if err != nil {
 			t.Fatal(err)
@@ -251,7 +253,7 @@ func TestReleaseAccountingDeterministic(t *testing.T) {
 		for i := range net.Connections {
 			net.Connections[i].Deadline = 1000
 		}
-		if analyzer == (analysis.IntegratedSP{}) {
+		if d == server.StaticPriority {
 			spify(net, true)
 		}
 		ops := randomOps(net, 7, 4*len(net.Connections))
@@ -264,7 +266,7 @@ func TestReleaseAccountingDeterministic(t *testing.T) {
 			for start := 0; start < len(ops); {
 				end := min(start+1+rng.Intn(6), len(ops))
 				if _, err := se.ApplyBatch(bg, ops[start:end]); err != nil {
-					t.Fatalf("%s, %d shards: ApplyBatch: %v", analyzer.Name(), shards, err)
+					t.Fatalf("%s, %d shards: ApplyBatch: %v", d, shards, err)
 				}
 				start = end
 			}
@@ -274,17 +276,17 @@ func TestReleaseAccountingDeterministic(t *testing.T) {
 				drain = append(drain, Op{Kind: OpRelease, Name: c.Name})
 			}
 			if _, err := se.ApplyBatch(bg, drain); err != nil || se.Count() != 0 {
-				t.Fatalf("%s, %d shards: drain left %d connections: %v", analyzer.Name(), shards, se.Count(), err)
+				t.Fatalf("%s, %d shards: drain left %d connections: %v", d, shards, se.Count(), err)
 			}
 			return se.Stats()
 		}
 		for _, shards := range []int{1, 4} {
 			first, second := replay(shards), replay(shards)
 			if !reflect.DeepEqual(first, second) {
-				t.Fatalf("%s, %d shards: the same schedule counted differently:\n  %+v\n  %+v", analyzer.Name(), shards, first, second)
+				t.Fatalf("%s, %d shards: the same schedule counted differently:\n  %+v\n  %+v", d, shards, first, second)
 			}
 			if first.FullTests != 0 || first.IncrementalReleases == 0 || first.CompactedReleases == 0 || first.AffectedCount == 0 {
-				t.Fatalf("%s, %d shards: schedule must stay incremental and exercise both release modes: %+v", analyzer.Name(), shards, first)
+				t.Fatalf("%s, %d shards: schedule must stay incremental and exercise both release modes: %+v", d, shards, first)
 			}
 		}
 	}

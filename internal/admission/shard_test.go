@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -92,9 +93,9 @@ func driveShardDifferential(t *testing.T, label string, analyzer analysis.Analyz
 // suite, at 1, 2, and 4 shards. Candidates routinely merge components, so
 // the cross-shard path is exercised throughout.
 func TestShardedMatchesEngineOnRandomNetworks(t *testing.T) {
-	for _, analyzer := range incrementalAnalyzers {
+	for _, tc := range incrementalAnalyzers {
 		for seed := int64(0); seed < 26; seed++ {
-			net := corpusNet(t, analyzer, 6, 9, 0.6, seed)
+			net := corpusNet(t, tc.disc, 6, 9, 0.6, seed)
 			rng := rand.New(rand.NewSource(seed * 31))
 			for i := range net.Connections {
 				switch rng.Intn(4) {
@@ -107,8 +108,8 @@ func TestShardedMatchesEngineOnRandomNetworks(t *testing.T) {
 				}
 			}
 			for _, shards := range []int{1, 2, 4} {
-				label := fmt.Sprintf("%s/seed%d/shards%d", analyzer.Name(), seed, shards)
-				driveShardDifferential(t, label, analyzer, net, shards)
+				label := fmt.Sprintf("%v/seed%d/shards%d", tc, seed, shards)
+				driveShardDifferential(t, label, tc.analyzer, net, shards)
 			}
 		}
 	}
@@ -252,26 +253,35 @@ func TestShardedCrossShardMergeAndRebalance(t *testing.T) {
 // TestShardedDuplicateNameRejected pins the multi-shard uniqueness
 // contract: routing resolves connections by name, so a second admission
 // under an existing name is a stable invalid_spec rejection.
+// TestShardedDuplicateNameRejected pins that a repeated admit of a live
+// name is refused as invalid_spec with the count unchanged, with one shard
+// (the Engine's duplicate connection name) and with two (the router's
+// "already admitted").
 func TestShardedDuplicateNameRejected(t *testing.T) {
 	net, err := topo.DisjointBlocks(2, 2, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	se, err := NewShardedEngine(net.Servers, analysis.Integrated{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cand := net.Connections[0]
-	cand.Deadline = 1000
-	if d, err := se.Admit(bg, cand); err != nil || !d.Admitted {
-		t.Fatalf("first admit: %+v err=%v", d, err)
-	}
-	d, err := se.Admit(bg, cand)
-	if err == nil || d.Admitted || d.Code != CodeInvalidSpec {
-		t.Fatalf("duplicate admit: %+v err=%v, want invalid_spec rejection", d, err)
-	}
-	if se.Count() != 1 {
-		t.Fatalf("count %d after duplicate rejection", se.Count())
+	for _, tc := range []struct {
+		shards int
+		msg    string
+	}{{1, "duplicate connection name"}, {2, "already admitted"}} {
+		se, err := NewShardedEngine(net.Servers, analysis.Integrated{}, tc.shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cand := net.Connections[0]
+		cand.Deadline = 1000
+		if d, err := se.Admit(bg, cand); err != nil || !d.Admitted {
+			t.Fatalf("%d shards: first admit: %+v err=%v", tc.shards, d, err)
+		}
+		d, err := se.Admit(bg, cand)
+		if err == nil || d.Admitted || d.Code != CodeInvalidSpec || !strings.Contains(err.Error(), tc.msg) {
+			t.Fatalf("%d shards: duplicate admit: %+v err=%v, want invalid_spec rejection naming %q", tc.shards, d, err, tc.msg)
+		}
+		if se.Count() != 1 {
+			t.Fatalf("%d shards: count %d after duplicate rejection", tc.shards, se.Count())
+		}
 	}
 }
 

@@ -13,17 +13,17 @@
 //
 // Extensions the paper announces as ongoing work are also provided:
 // static-priority servers (per-class leftover analysis in the decomposed
-// pass, plus IntegratedSP — the integrated analysis per priority class:
-// the same chain engine, driver and incremental core as Integrated, run
-// once per class against the leftover of the more urgent ones),
-// guaranteed-rate servers (per-connection rate-latency classes in the
-// decomposed pass, and GuaranteedRateNetworkCurve, where the service-curve
-// method is the right tool), and EDF servers (uniform-lateness bounds).
+// pass, and in Integrated's chain step, which makes one pass per priority
+// class against the leftover of the more urgent ones where a FIFO chain
+// makes one pass), guaranteed-rate servers (per-connection rate-latency
+// classes in the decomposed pass, and GuaranteedRateNetworkCurve, where
+// the service-curve method is the right tool), and EDF servers
+// (uniform-lateness bounds).
 // One residual (residual.go) is the only place cross traffic is subtracted
 // from a service curve.
 //
 // All analyzers consume a topo.Network and produce per-connection
-// end-to-end delay bounds plus a per-stage breakdown. All five run on one
+// end-to-end delay bounds plus a per-stage breakdown. All four run on one
 // driver (Baseline.run), so every one of them is cancellable and
 // incremental: the two network-curve analyses are its decomposed run plus
 // a finish over the completed run.

@@ -52,7 +52,7 @@ func analyzeSet(t testing.TB) ([]analyzeSetItem, map[string]*topo.Network) {
 		{"pt64_sc", "pt64", ServiceCurve{}},
 		{"rf_int", "rf", Integrated{}},
 		{"rf_int4", "rf", Integrated{ChainLength: 4}},
-		{"sp64_isp", "sp64", IntegratedSP{}},
+		{"sp64_isp", "sp64", Integrated{}},
 		{"sp64_dec", "sp64", Decomposed{}},
 		{"edf64_dec", "edf64", Decomposed{}},
 		{"gr64_gr", "gr64", GuaranteedRateNetworkCurve{}},

@@ -13,8 +13,8 @@ import (
 )
 
 // contextAnalyzers pairs each ContextAnalyzer with a network it applies
-// to: the FIFO analyzers run over net, IntegratedSP over a static-priority
-// tandem of its own.
+// to: every analyzer runs over net, and Integrated also over a
+// static-priority tandem of its own.
 func contextAnalyzers(net *topo.Network) map[string]struct {
 	a   ContextAnalyzer
 	net *topo.Network
@@ -26,7 +26,7 @@ func contextAnalyzers(net *topo.Network) map[string]struct {
 		"decomposed":    {Decomposed{}, net},
 		"integrated":    {Integrated{}, net},
 		"integrated-L3": {Integrated{ChainLength: 3}, net},
-		"integratedsp":  {IntegratedSP{}, spTandem(4, 0.6)},
+		"integrated-sp": {Integrated{}, spTandem(4, 0.6)},
 	}
 }
 

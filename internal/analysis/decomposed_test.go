@@ -246,7 +246,7 @@ func TestDecomposedInvalidNetwork(t *testing.T) {
 // another at 2, slope 0.3 after. The leftover [t - higher(t)]^+ jumps down
 // at 2, where the second burst lands; its monotone closure is zero until 2
 // and 0.7(t-2) after, so the low class's unit burst clears at
-// 2 + 1/0.7 ~ 3.43 — the same bound IntegratedSP reads off its
+// 2 + 1/0.7 ~ 3.43 — the same bound Integrated reads off its
 // rate-latency minorant (rate 0.7, latency the busy period 2). A leftover
 // whose jump is flipped upward forgets the second burst (bound 2).
 func TestDecomposedStaticPriorityChargesInteriorBurst(t *testing.T) {
@@ -262,13 +262,13 @@ func TestDecomposedStaticPriorityChargesInteriorBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	isp, err := (IntegratedSP{}).Analyze(net)
+	isp, err := (Integrated{}).Analyze(net)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := 2 + 1/0.7
 	if !boundsClose(dec.Bound(1), want) || !boundsClose(isp.Bound(1), want) {
-		t.Errorf("low class: Decomposed %v, IntegratedSP %v, want %v", dec.Bound(1), isp.Bound(1), want)
+		t.Errorf("low class: Decomposed %v, Integrated %v, want %v", dec.Bound(1), isp.Bound(1), want)
 	}
 }
 

@@ -115,7 +115,7 @@ func TestParallelAnalyzeDeterministic(t *testing.T) {
 		}{
 			{Decomposed{}, fifo},
 			{Integrated{}, fifo},
-			{IntegratedSP{}, sp},
+			{Integrated{}, sp},
 			{ServiceCurve{}, fifo},
 			{GuaranteedRateNetworkCurve{}, gr},
 		} {
@@ -282,7 +282,7 @@ func TestDegradationLaw(t *testing.T) {
 	fifo, sp := differentialCorpus(t), spCorpus(t)
 	variants := []variant{
 		{Integrated{}, fifo, true},
-		{IntegratedSP{}, sp, true},
+		{Integrated{}, sp, true},
 		{Integrated{ChainLength: 3}, fifo, false},
 		{Integrated{ChainLength: 4}, fifo, false},
 	}

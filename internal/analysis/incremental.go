@@ -16,7 +16,7 @@ import (
 // re-analysis it serves: a Baseline records, for a fully analyzed network,
 // the propagation state after every analysis unit (one server for
 // Decomposed, ServiceCurve and the guaranteed-rate network curve, one chain
-// for Integrated and IntegratedSP), and ExtendContext re-analyzes the
+// for Integrated, FIFO or static priority), and ExtendContext re-analyzes the
 // network with one extra connection by recomputing only the units the
 // candidate can influence and replaying the recorded state for every other
 // unit (ShrinkContext likewise with one connection fewer). A plain Analyze
@@ -49,8 +49,8 @@ type Incremental interface {
 }
 
 // Compile-time check: every analyzer of the package runs on the driver,
-// so the admission engine accelerates all five.
-var _ = []Incremental{Decomposed{}, Integrated{}, IntegratedSP{}, ServiceCurve{}, GuaranteedRateNetworkCurve{}}
+// so the admission engine accelerates all four.
+var _ = []Incremental{Decomposed{}, Integrated{}, ServiceCurve{}, GuaranteedRateNetworkCurve{}}
 
 // core is what the one driver (Baseline.run) runs for an analyzer: an
 // ordered partition of the network into units, the computation that
@@ -284,12 +284,6 @@ func (Decomposed) NewBaseline(net *topo.Network) (*Baseline, error) {
 // NewBaseline implements Incremental for the integrated analysis.
 func (a Integrated) NewBaseline(net *topo.Network) (*Baseline, error) {
 	return newBaseline(a.core(), net)
-}
-
-// NewBaseline implements Incremental for the static-priority integrated
-// analysis.
-func (IntegratedSP) NewBaseline(net *topo.Network) (*Baseline, error) {
-	return newBaseline(integratedSPCore, net)
 }
 
 // copyNetwork clones the network's top-level slices so the baseline owns

@@ -84,12 +84,12 @@ func TestExtendMatchesFullOnRandomNetworks(t *testing.T) {
 	}
 	replayed, recomputed := 0, 0
 	for name, net := range spRandomCorpus(t) {
-		ext := extendAndCompare(t, "IntegratedSP/"+name, IntegratedSP{}, net)
+		ext := extendAndCompare(t, "Integrated/"+name, Integrated{}, net)
 		replayed += ext.Stats.ReplayedUnits
 		recomputed += ext.Stats.RecomputedUnits
 	}
 	if replayed == 0 || recomputed == 0 {
-		t.Errorf("IntegratedSP extensions replayed %d units and recomputed %d, want both", replayed, recomputed)
+		t.Errorf("static-priority extensions replayed %d units and recomputed %d, want both", replayed, recomputed)
 	}
 }
 
@@ -237,11 +237,11 @@ func TestConcurrentExtendsShareBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := spRandomCorpus(t)["spff12x30-seed11"]
-	for _, a := range []Incremental{Decomposed{}, Integrated{}, IntegratedSP{}} {
-		net := fifo
-		if a == (IntegratedSP{}) {
-			net = sp
-		}
+	for _, tc := range []struct {
+		a   Incremental
+		net *topo.Network
+	}{{Decomposed{}, fifo}, {Integrated{}, fifo}, {Integrated{}, sp}} {
+		a, net := tc.a, tc.net
 		bl, err := a.NewBaseline(net)
 		if err != nil {
 			t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -47,6 +48,14 @@ import (
 // ordered chains are cut into dependency levels and the chains of a level
 // are analyzed concurrently, the same for a whole-network pass, a baseline
 // build and an incremental trial.
+//
+// The same analysis serves static-priority networks — the extension the
+// paper's conclusion announces as ongoing work. FIFO and static priority
+// are the Delta = 0 and Delta = +-inf rows of one residual
+// (Ghiassi-Farrokhfal / Liebeherr / Burchard), so a chain of either is one
+// per-class loop (integratedChainStep): FIFO has one class, every
+// connection, and static priority one per priority, FIFO within itself.
+// A network must be all FIFO or all static priority.
 type Integrated struct {
 	// ChainLength is the maximum number of consecutive servers grouped
 	// into one subnetwork. 0 and 2 reproduce the paper (pairs); larger
@@ -54,6 +63,10 @@ type Integrated struct {
 	// plain decomposition.
 	ChainLength int
 }
+
+// IntegratedSP is Integrated, which analyzes static-priority networks too.
+// The name stays for the benchmark harness, which still spells it.
+type IntegratedSP = Integrated
 
 // Name implements Analyzer.
 func (a Integrated) Name() string { return "Integrated" }
@@ -72,41 +85,123 @@ func (a Integrated) Analyze(net *topo.Network) (*Result, error) {
 }
 
 // AnalyzeContext implements ContextAnalyzer: the same analysis as Analyze
-// with cooperative cancellation checkpoints between chains, between chain
-// positions, and inside the theta-search candidate fan-out. An uncancelled
-// run is bit-identical to Analyze; once the context is done the partial
-// state is discarded and the context's error is returned.
+// with cooperative cancellation checkpoints between chains, between
+// classes, between chain positions, and inside the theta-search candidate
+// fan-out. An uncancelled run is bit-identical to Analyze; once the
+// context is done the partial state is discarded and the context's error
+// is returned.
 func (a Integrated) AnalyzeContext(ctx context.Context, net *topo.Network) (*Result, error) {
 	return analyzeOnce(ctx, a.core(), net)
 }
 
-// core is the FIFO chain analysis on the one driver: chains of at most
-// ChainLength servers, every position serving at its line rate with the
-// server's latency added outside the deviation, and every connection of
-// the chain taking part in the one pass.
+// core is the chain analysis on the one driver: chains of at most
+// ChainLength servers, all FIFO or all static priority.
 func (a Integrated) core() core {
-	return core{name: "Integrated", check: serves("Integrated", "FIFO", server.FIFO),
-		maxLen: a.chainLength(), step: analyzeFIFOChain}
+	return core{name: "Integrated", check: fifoOrSP, maxLen: a.chainLength(), step: integratedChainStep}
 }
 
-// analyzeFIFOChain is Integrated's step: one analyzeChain pass over the
-// chain. It reports false when a bound is unbounded or the context was
-// cancelled; the driver consults ctx.Err() to tell.
-func analyzeFIFOChain(ctx context.Context, net *topo.Network, idx [][]int, chain []int, p *propagation, ar *minplus.Arena) (bool, error) {
+// fifoOrSP is Integrated's check: server s is FIFO or static priority, like
+// server 0, so every chain is of one discipline.
+func fifoOrSP(net *topo.Network, _ [][]int, s int) error {
+	d := net.Servers[s].Discipline
+	if d != server.FIFO && d != server.StaticPriority {
+		return fmt.Errorf("analysis: Integrated applies to FIFO or static-priority networks; server %d is %v", s, d)
+	}
+	if first := net.Servers[0].Discipline; d != first {
+		return fmt.Errorf("analysis: Integrated applies to networks of one discipline; server %d is %v, server 0 is %v", s, d, first)
+	}
+	return nil
+}
+
+// integratedChainStep is Integrated's step, one chain: one analyzeChain
+// pass per class, shaped like decomposedServerStep's per-class loop.
+//
+//   - FIFO: one pass over every connection, each position offering
+//     Rate(C) with the server's latency added outside the deviation.
+//   - Static priority: one pass per priority present, most urgent first,
+//     each position offering the class the rate-latency minorant of the
+//     leftover [C*t - G_higher(t)]^+ after the classes already passed
+//     (spRateLatencyGuarantee, latency inside the curve). Within its class
+//     the server is FIFO, so the residual family (residual.go) applies
+//     against same-class cross traffic on top of that guarantee.
+//
+// It reports false when a bound is unbounded or the context was cancelled;
+// the driver consults ctx.Err() to tell.
+func integratedChainStep(ctx context.Context, net *topo.Network, idx [][]int, chain []int, p *propagation, ar *minplus.Arena) (bool, error) {
 	sc := getChainScratch(ar)
 	defer sc.release()
+	sp := net.Servers[chain[0]].Discipline == server.StaticPriority
+	classes := sc.classes[:0]
+	// higher[i] accumulates, per chain position, the envelopes of the
+	// static-priority classes already passed (at their position-local
+	// deformation); after the last class it is the total aggregate.
+	var higher []minplus.Curve
+	if sp {
+		for _, s := range chain {
+			for _, c := range idx[s] {
+				classes = append(classes, net.Connections[c].Priority)
+			}
+		}
+		slices.Sort(classes)
+		classes = slices.Compact(classes)
+		higher = ar.Curves(len(chain))[:len(chain)]
+		for i := range higher {
+			higher[i] = minplus.Zero()
+		}
+	} else {
+		classes = append(classes, 0) // one class, every connection
+	}
+	sc.classes = classes
 	svc := sc.service(len(chain))
-	for i, s := range chain {
-		srv := net.Servers[s]
-		svc[i] = hopService{beta: minplus.Rate(srv.Capacity), lat: srv.Latency}
+	for _, class := range classes {
+		if canceled(ctx) {
+			return false, nil
+		}
+		for i, s := range chain {
+			srv := net.Servers[s]
+			if !sp {
+				svc[i] = hopService{beta: minplus.Rate(srv.Capacity), lat: srv.Latency}
+				continue
+			}
+			beta, ok := spRateLatencyGuarantee(srv.Capacity, higher[i], srv.Latency)
+			if !ok {
+				return false, nil
+			}
+			svc[i] = hopService{beta: beta}
+		}
+		if !analyzeChain(ctx, sc, net, idx, chain, p, chainPass{svc: svc, byClass: sp, class: class}) {
+			return false, nil
+		}
+		for i := range higher {
+			higher[i] = ar.SumN(higher[i], sc.agg[i])
+		}
 	}
-	if !analyzeChain(ctx, sc, net, idx, chain, p, chainPass{svc: svc}) {
-		return false, nil
+	backlog := sc.agg
+	if sp {
+		backlog = higher
 	}
 	for i, s := range chain {
-		p.recordBacklog(s, sc.agg[i], net.Servers[s].Capacity)
+		p.recordBacklog(s, backlog[i], net.Servers[s].Capacity)
 	}
 	return true, nil
+}
+
+// spRateLatencyGuarantee returns a rate-latency minorant of the preemptive
+// leftover [C*t - higher(t)]^+: rate R = C - rate(higher), latency T = the
+// last time the leftover is zero (the higher classes' maximal busy
+// period), shifted by the server's fixed latency. A minorant of a valid
+// service curve is valid. ok is false when the higher classes saturate the
+// server or their busy period is unbounded: the class has no finite bound.
+func spRateLatencyGuarantee(capacity float64, higher minplus.Curve, lat float64) (beta minplus.Curve, ok bool) {
+	rate := capacity - higher.FinalSlope()
+	if rate <= 0 {
+		return minplus.Curve{}, false
+	}
+	t := minplus.MaxBusyPeriod(higher, capacity)
+	if math.IsInf(t, 1) {
+		return minplus.Curve{}, false
+	}
+	return minplus.RateLatency(rate, t+lat), true
 }
 
 // subnetOwner maps every server to the index of its subnetwork. The
@@ -451,7 +546,7 @@ type chainScratch struct {
 	ar      *minplus.Arena
 	svc     []hopService    // the caller's per-position service description
 	agg     []minplus.Curve // out: the last pass's aggregate per position
-	classes []int           // IntegratedSP's priority classes of the chain
+	classes []int           // the chain's classes: priorities, or one for FIFO
 	hdrs    []*run          // grow-only header pool; member slices keep capacity
 	nHdrs   int
 	runs    []*run

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"delaycalc/internal/minplus"
@@ -279,15 +280,40 @@ func TestIntegratedStagesConsistent(t *testing.T) {
 	}
 }
 
+// TestIntegratedRejectsNonFIFO pins Integrated's discipline rule: a network
+// all FIFO or all static priority is analyzed; EDF and guaranteed-rate
+// servers, and a FIFO server beside a static-priority one, are refused
+// with the server named, by Analyze and NewBaseline alike.
 func TestIntegratedRejectsNonFIFO(t *testing.T) {
-	net := &topo.Network{
-		Servers: []server.Server{{Capacity: 1, Discipline: server.StaticPriority}},
-		Connections: []topo.Connection{
-			{Bucket: traffic.TokenBucket{Sigma: 1, Rho: 0.2}, Path: []int{0}},
-		},
+	conns := []topo.Connection{
+		{Name: "a", Bucket: traffic.TokenBucket{Sigma: 1, Rho: 0.2}, Path: []int{0, 1}},
 	}
-	if _, err := (Integrated{}).Analyze(net); err == nil {
-		t.Fatal("expected discipline error")
+	for _, tc := range []struct {
+		disc [2]server.Discipline
+		want string // "" accepts
+	}{
+		{[2]server.Discipline{server.FIFO, server.FIFO}, ""},
+		{[2]server.Discipline{server.StaticPriority, server.StaticPriority}, ""},
+		{[2]server.Discipline{server.EDF, server.EDF}, "server 0 is EDF"},
+		{[2]server.Discipline{server.GuaranteedRate, server.GuaranteedRate}, "server 0 is GuaranteedRate"},
+		{[2]server.Discipline{server.FIFO, server.StaticPriority}, "server 1 is StaticPriority, server 0 is FIFO"},
+		{[2]server.Discipline{server.StaticPriority, server.FIFO}, "server 1 is FIFO, server 0 is StaticPriority"},
+		{[2]server.Discipline{server.FIFO, server.EDF}, "server 1 is EDF"},
+	} {
+		net := &topo.Network{
+			Servers:     []server.Server{{Capacity: 1, Discipline: tc.disc[0]}, {Capacity: 1, Discipline: tc.disc[1]}},
+			Connections: conns,
+		}
+		_, err := (Integrated{}).Analyze(net)
+		_, berr := (Integrated{}).NewBaseline(net)
+		for _, e := range []error{err, berr} {
+			switch {
+			case tc.want == "" && e != nil:
+				t.Errorf("%v: %v", tc.disc, e)
+			case tc.want != "" && (e == nil || !strings.Contains(e.Error(), tc.want)):
+				t.Errorf("%v: error %v, want one naming %q", tc.disc, e, tc.want)
+			}
+		}
 	}
 }
 

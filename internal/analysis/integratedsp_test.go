@@ -10,7 +10,6 @@ import (
 
 	"delaycalc/internal/server"
 	"delaycalc/internal/topo"
-	"delaycalc/internal/traffic"
 )
 
 func spTandem(n int, load float64) *topo.Network {
@@ -32,7 +31,7 @@ func TestIntegratedSPNeverWorseThanDecomposed(t *testing.T) {
 	for _, n := range []int{2, 4, 6} {
 		for _, u := range []float64{0.3, 0.6, 0.9} {
 			net := spTandem(n, u)
-			ri, err := (IntegratedSP{}).Analyze(net)
+			ri, err := (Integrated{}).Analyze(net)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +54,7 @@ func TestIntegratedSPNeverWorseThanDecomposed(t *testing.T) {
 
 func TestIntegratedSPImprovesLowPriorityThroughTraffic(t *testing.T) {
 	net := spTandem(6, 0.7)
-	ri, err := (IntegratedSP{}).Analyze(net)
+	ri, err := (Integrated{}).Analyze(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +79,7 @@ func TestIntegratedSPMatchesFIFOWhenOneClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsp, err := (IntegratedSP{}).Analyze(net)
+	rsp, err := (Integrated{}).Analyze(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,15 +101,32 @@ func TestIntegratedSPMatchesFIFOWhenOneClass(t *testing.T) {
 	}
 }
 
+// TestIntegratedSPRejectsNonSP pins that the IntegratedSP name is
+// Integrated: it analyzes a FIFO network as Integrated does, reports the
+// algorithm as Integrated on a static-priority one, and refuses a FIFO
+// server in a static-priority network, naming it.
 func TestIntegratedSPRejectsNonSP(t *testing.T) {
-	net := &topo.Network{
-		Servers: []server.Server{{Capacity: 1, Discipline: server.FIFO}},
-		Connections: []topo.Connection{
-			{Bucket: traffic.TokenBucket{Sigma: 1, Rho: 0.2}, Path: []int{0}},
-		},
+	fifo := singleServerNet(2, 1, 0.2, 1)
+	got, err := (IntegratedSP{}).Analyze(fifo)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := (IntegratedSP{}).Analyze(net); err == nil {
-		t.Fatal("expected discipline error")
+	want, err := (Integrated{}).Analyze(fifo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "fifo", want, got)
+	sp, err := (IntegratedSP{}).Analyze(spTandem(2, 0.6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.Algorithm != "Integrated" {
+		t.Errorf("static priority: Algorithm %q, want Integrated", sp.Algorithm)
+	}
+	mixed := spTandem(3, 0.6)
+	mixed.Servers[2].Discipline = server.FIFO
+	if _, err := (IntegratedSP{}).Analyze(mixed); err == nil || !strings.Contains(err.Error(), "server 2 is FIFO") {
+		t.Errorf("mixed network: error %v, want one naming server 2", err)
 	}
 }
 
@@ -119,7 +135,7 @@ func TestIntegratedSPUnstable(t *testing.T) {
 	for i := range net.Connections {
 		net.Connections[i].Bucket.Rho = 0.3 // 4 connections per link: 120% load
 	}
-	res, err := (IntegratedSP{}).Analyze(net)
+	res, err := (Integrated{}).Analyze(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +154,7 @@ func TestIntegratedSPUrgentClassTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (IntegratedSP{}).Analyze(net)
+	res, err := (Integrated{}).Analyze(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +195,7 @@ func spRandomCorpus(t testing.TB) map[string]*topo.Network {
 	return nets
 }
 
-// spCorpus is the 43 static-priority networks IntegratedSP is pinned on:
+// spCorpus is the 43 static-priority networks Integrated is pinned on:
 // 15 two-class tandems, the benchmark's sp64, a one-class tandem and
 // spRandomCorpus.
 func spCorpus(t testing.TB) map[string]*topo.Network {
@@ -231,7 +247,7 @@ func TestIntegratedSPMatchesParentEngine(t *testing.T) {
 			if nets[name] == nil {
 				t.Fatalf("golden network %q not in the corpus", name)
 			}
-			if res, err = (IntegratedSP{}).Analyze(nets[name]); err != nil {
+			if res, err = (Integrated{}).Analyze(nets[name]); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			results[name] = res
@@ -264,10 +280,10 @@ func TestIntegratedSPMatchesParentEngine(t *testing.T) {
 // separate SP analysis this replaced built maps and heap curves per class
 // and chain (25,097 allocations per pass).
 func TestIntegratedSPAllocs(t *testing.T) {
-	_, allocs := analyzeAllocs(t, IntegratedSP{}, spCorpus(t)["sp64"])
+	_, allocs := analyzeAllocs(t, Integrated{}, spCorpus(t)["sp64"])
 	t.Logf("%.0f allocs/pass", allocs)
 	// Measured 831 on go1.24.
 	if allocs > 1000 && !raceBuild() {
-		t.Errorf("IntegratedSP.Analyze allocates %.0f times per pass on sp64, ceiling is 1000", allocs)
+		t.Errorf("Integrated.Analyze allocates %.0f times per pass on sp64, ceiling is 1000", allocs)
 	}
 }

@@ -413,9 +413,8 @@ func oracleResidual(beta, cross minplus.Curve, theta float64) minplus.Curve {
 }
 
 // oracleThetas is the finite set of thetas the search ranges over at one
-// server: 0, every breakpoint of the cross traffic as a time and as an
-// amount served at full capacity, its burst likewise, and eighths of the
-// server's local delay.
+// server: 0, every breakpoint of the cross traffic as an amount served at
+// full capacity, and eighths of the server's local delay.
 func oracleThetas(capacity float64, cross minplus.Curve, local float64) []float64 {
 	set := map[float64]bool{0: true}
 	add := func(v float64) {
@@ -424,10 +423,8 @@ func oracleThetas(capacity float64, cross minplus.Curve, local float64) []float6
 		}
 	}
 	for _, p := range cross.Points() {
-		add(p.X)
 		add(p.Y / capacity)
 	}
-	add(cross.EvalRight(0) / capacity)
 	for e := 1; e <= 8; e++ {
 		add(local * float64(e) / 8)
 	}

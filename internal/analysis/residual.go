@@ -19,12 +19,12 @@ import (
 // Le Boudec & Thiran). Small theta emphasizes rate, large theta emphasizes
 // latency; every member of the family yields a sound bound, so optimizing
 // over a finite candidate set of thetas is always safe. Who passes what:
-// Integrated serves at the line rate, beta = Rate(C); IntegratedSP serves
-// each class, FIFO within itself, the rate-latency leftover of the more
-// urgent classes (spRateLatencyGuarantee); at theta = 0 it is ServiceCurve's
-// blind leftover against all other connections and Decomposed's
-// static-priority leftover against the more urgent classes, which is exact
-// for a preemptive server. FIFO and static priority are the Delta = 0 and
+// Integrated serves a FIFO chain at the line rate, beta = Rate(C), and each
+// class of a static-priority chain, FIFO within itself, the rate-latency
+// leftover of the more urgent classes (spRateLatencyGuarantee); at
+// theta = 0 it is ServiceCurve's blind leftover against all other
+// connections and Decomposed's static-priority leftover against the more
+// urgent classes, which is exact for a preemptive server. FIFO and static priority are the Delta = 0 and
 // Delta = +-inf rows of one residual (Ghiassi-Farrokhfal / Liebeherr /
 // Burchard, PAPERS.md); the finite-Delta rows are ROADMAP item 7.
 //
@@ -47,12 +47,17 @@ func residual(ar *minplus.Arena, beta, alphaCross minplus.Curve, theta float64) 
 
 // thetaCandidatesArena proposes a finite set of theta parameters for the
 // residual family at a server of the given capacity with the given cross
-// envelope: structural values derived from the cross curve's breakpoints
-// (where the optimum of piecewise-linear problems lives) plus eight
-// even steps up to the server's local delay. The result is sorted and
-// exact-duplicate-free, drawn from the arena (heap when ar is nil).
+// envelope: 0, the time the server takes at full capacity to clear each
+// breakpoint's amount of cross traffic (the knees where the optimum of
+// piecewise-linear problems lives), plus eight even steps up to the
+// server's local delay. The burst-clearing time is, up to rounding, the
+// y/C of the last breakpoint at 0, and the breakpoints' times decide no
+// bound of the benchmark set or the golden corpora, so neither is a
+// candidate. The
+// result is sorted and exact-duplicate-free, drawn from the arena (heap
+// when ar is nil).
 func thetaCandidatesArena(ar *minplus.Arena, capacity float64, cross minplus.Curve, scale float64) []float64 {
-	out := ar.Floats(2*cross.NumPoints() + 10)
+	out := ar.Floats(cross.NumPoints() + 9)
 	out = append(out, 0)
 	add := func(v float64) {
 		if v > 0 && !math.IsInf(v, 0) && !math.IsNaN(v) {
@@ -60,12 +65,8 @@ func thetaCandidatesArena(ar *minplus.Arena, capacity float64, cross minplus.Cur
 		}
 	}
 	for i := 0; i < cross.NumPoints(); i++ {
-		p := cross.PointAt(i)
-		add(p.X)
-		add(p.Y / capacity)
+		add(cross.PointAt(i).Y / capacity)
 	}
-	// Burst-clearing time of the cross traffic at full capacity.
-	add(cross.EvalRight(0) / capacity)
 	if scale > 0 {
 		for k := 1; k <= 8; k++ {
 			add(scale * float64(k) / 8)

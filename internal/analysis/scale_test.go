@@ -58,7 +58,7 @@ func TestScaleLaw(t *testing.T) {
 	}{
 		{"paper-tandem", pt, fifo},
 		{"random-ff", rf, fifo},
-		{"sp-tandem", sp, []Analyzer{Decomposed{}, IntegratedSP{}}},
+		{"sp-tandem", sp, []Analyzer{Decomposed{}, Integrated{}}},
 		{"gr-tandem", gr, []Analyzer{Decomposed{}, GuaranteedRateNetworkCurve{}}},
 	} {
 		big := scaleNetwork(tc.net, k)

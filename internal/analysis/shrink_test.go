@@ -32,7 +32,11 @@ func TestShrinkMatchesFullAnalysis(t *testing.T) {
 		name := fmt.Sprintf("spff12x30-seed%d", seed)
 		sp[name] = spAll[name]
 	}
-	for inc, corpus := range map[Incremental]map[string]*topo.Network{Decomposed{}: fifo, Integrated{}: fifo, IntegratedSP{}: sp} {
+	for _, tc := range []struct {
+		inc    Incremental
+		corpus map[string]*topo.Network
+	}{{Decomposed{}, fifo}, {Integrated{}, fifo}, {Integrated{}, sp}} {
+		inc, corpus := tc.inc, tc.corpus
 		for name, net := range corpus {
 			base, err := inc.NewBaseline(net)
 			if err != nil {

@@ -13,8 +13,8 @@ import (
 // between an aggregate envelope and the convolution of k per-position
 // residual service curves. Every pass of analyzeChain searches through it;
 // the residual is injected, and is always the one family of residual.go
-// over the pass's per-position service curve (the line rate for Integrated,
-// a class's rate-latency leftover for IntegratedSP). It replaces the naive
+// over the pass's per-position service curve (the line rate on a FIFO
+// chain, a class's rate-latency leftover on a static-priority one). It replaces the naive
 // enumeration that rebuilt every residual and redid the full convolution
 // for every candidate vector:
 //

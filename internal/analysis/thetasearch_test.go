@@ -29,7 +29,7 @@ func randomPairScenario(rng *rand.Rand) pairScenario { return randomScenario(rng
 
 // randomScenario draws a stable k-server scenario: token-bucket or
 // multi-segment concave cross traffic, constant-rate (Integrated) or
-// rate-latency (IntegratedSP) service, with or without server latency.
+// rate-latency (static-priority Integrated) service, with or without server latency.
 func randomScenario(rng *rand.Rand, k int) pairScenario {
 	sc := pairScenario{beta: make([]minplus.Curve, k), cross: make([]minplus.Curve, k), cands: make([][]float64, k)}
 	aggRho := 0.05 + 0.25*rng.Float64()

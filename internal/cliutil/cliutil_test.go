@@ -49,7 +49,7 @@ func TestLoadNetworkErrors(t *testing.T) {
 
 // TestPickAnalyzer runs the command-line path end to end: every name the
 // CLIs accept resolves through the service registry and analyzes the
-// network LoadNetwork built (the SP analyzer refuses it as FIFO), and
+// network LoadNetwork built (integratedsp, a name of Integrated, too), and
 // unknown names are refused.
 func TestPickAnalyzer(t *testing.T) {
 	net, err := LoadNetwork("", 3, 0.5)
@@ -64,7 +64,7 @@ func TestPickAnalyzer(t *testing.T) {
 		"servicecurve": "ServiceCurve",
 		"sc":           "ServiceCurve",
 		"gr":           "GuaranteedRate/NetworkServiceCurve",
-		"integratedsp": "IntegratedSP",
+		"integratedsp": "Integrated",
 		" Integrated ": "Integrated",
 	}
 	for in, want := range cases {
@@ -77,13 +77,6 @@ func TestPickAnalyzer(t *testing.T) {
 			t.Errorf("PickAnalyzer(%q) = %s, want %s", in, a.Name(), want)
 		}
 		res, err := a.Analyze(net)
-		if want == "IntegratedSP" {
-			// The paper tandem is FIFO; the SP analyzer must refuse it.
-			if err == nil {
-				t.Errorf("%s accepted the FIFO tandem", want)
-			}
-			continue
-		}
 		if err != nil {
 			t.Errorf("%s on the 3-switch tandem: %v", want, err)
 			continue

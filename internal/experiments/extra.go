@@ -246,7 +246,7 @@ func StaticPriorityExperiment(n int, loads []float64) ([]textplot.Series, error)
 		if err != nil {
 			return nil, err
 		}
-		rsi, err := (analysis.IntegratedSP{}).Analyze(net)
+		rsi, err := (analysis.Integrated{}).Analyze(net)
 		if err != nil {
 			return nil, err
 		}

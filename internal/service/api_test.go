@@ -249,7 +249,7 @@ func TestSPAnalyzeFillsStageTimings(t *testing.T) {
 	for _, stage := range []string{"aggregate", "theta"} {
 		series := fmt.Sprintf("delayd_analysis_stage_seconds_sum{stage=%q}", stage)
 		if sum := sample(series); sum <= 0 {
-			t.Errorf("%s = %v after an IntegratedSP analyze, want > 0", series, sum)
+			t.Errorf("%s = %v after a static-priority analyze, want > 0", series, sum)
 		}
 	}
 	// The run's two-server searches report their pair counts: some pair

@@ -121,8 +121,9 @@ func TestAnalyzeTimeoutOverride(t *testing.T) {
 // TestAdmitDegradesToDecomposed forces the admission test onto the
 // degraded path and checks the decision still commits: the decomposed
 // bound dominates the integrated one, so an admission it grants is safe.
-// Both chain analyzers are incremental primaries; a static-priority tenant
-// degrades to the decomposed static-priority bound.
+// Integrated is the incremental primary on a FIFO and on a static-priority
+// fabric; a static-priority tenant degrades to the decomposed
+// static-priority bound.
 func TestAdmitDegradesToDecomposed(t *testing.T) {
 	spFabric := testFabric()
 	for i := range spFabric {
@@ -131,8 +132,8 @@ func TestAdmitDegradesToDecomposed(t *testing.T) {
 	for _, tc := range []struct {
 		analyzer analysis.Analyzer
 		fabric   []server.Server
-	}{{analysis.Integrated{}, testFabric()}, {analysis.IntegratedSP{}, spFabric}} {
-		name := tc.analyzer.Name()
+	}{{analysis.Integrated{}, testFabric()}, {analysis.Integrated{}, spFabric}} {
+		name := tc.analyzer.Name() + "/" + tc.fabric[0].Discipline.String()
 		state, err := NewState(tc.fabric, tc.analyzer)
 		if err != nil {
 			t.Fatal(err)

@@ -91,23 +91,9 @@ func (m *Metrics) RequestFinished(endpoint string, code int, seconds float64) {
 	h.observe(seconds)
 }
 
-// InFlight returns the current in-flight request count.
-func (m *Metrics) InFlight() int64 { return atomic.LoadInt64(&m.inFlight) }
-
-// RequestCount returns the total count recorded for an endpoint and code.
-func (m *Metrics) RequestCount(endpoint string, code int) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.requests[endpoint][code]
-}
-
 // QueueEntered / QueueLeft track the analysis-slot wait queue.
 func (m *Metrics) QueueEntered() { atomic.AddInt64(&m.queued, 1) }
 func (m *Metrics) QueueLeft()    { atomic.AddInt64(&m.queued, -1) }
-
-// QueueDepth returns the number of requests currently waiting for an
-// analysis slot.
-func (m *Metrics) QueueDepth() int64 { return atomic.LoadInt64(&m.queued) }
 
 // DegradedServed counts one request finished on decomposed ceilings.
 func (m *Metrics) DegradedServed() { atomic.AddUint64(&m.degraded, 1) }
@@ -118,9 +104,6 @@ func (m *Metrics) Degraded() uint64 { return atomic.LoadUint64(&m.degraded) }
 // RequestShed counts one request rejected with 503 (hard deadline passed
 // before an analysis slot or result was available).
 func (m *Metrics) RequestShed() { atomic.AddUint64(&m.shed, 1) }
-
-// Shed returns the cumulative shed-request count.
-func (m *Metrics) Shed() uint64 { return atomic.LoadUint64(&m.shed) }
 
 // observeThetaPairs adds one analysis run's theta-pair counts
 // (analysis.Timings.ThetaPairs / ThetaEvaluated).

@@ -10,6 +10,8 @@ import (
 
 // analyzerAliases maps every accepted user-facing name to its analyzer.
 // The canonical names (first per analyzer) are what AnalyzerNames lists.
+// integratedsp and sp are older names of Integrated, which analyzes
+// static-priority networks too.
 var analyzerAliases = map[string]analysis.Analyzer{
 	"integrated":     analysis.Integrated{},
 	"int":            analysis.Integrated{},
@@ -19,13 +21,13 @@ var analyzerAliases = map[string]analysis.Analyzer{
 	"sc":             analysis.ServiceCurve{},
 	"gr":             analysis.GuaranteedRateNetworkCurve{},
 	"guaranteedrate": analysis.GuaranteedRateNetworkCurve{},
-	"integratedsp":   analysis.IntegratedSP{},
-	"sp":             analysis.IntegratedSP{},
+	"integratedsp":   analysis.Integrated{},
+	"sp":             analysis.Integrated{},
 }
 
 // canonicalNames lists the analyzer names advertised to users; aliases
 // resolve but are not listed.
-var canonicalNames = []string{"integrated", "decomposed", "servicecurve", "gr", "integratedsp"}
+var canonicalNames = []string{"integrated", "decomposed", "servicecurve", "gr"}
 
 // PickAnalyzer resolves a user-facing algorithm name (case-insensitive,
 // aliases accepted). It is the single registry shared by the daemon and

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -469,6 +470,9 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestPickAnalyzerRegistry(t *testing.T) {
+	if got, want := AnalyzerNames(), []string{"decomposed", "gr", "integrated", "servicecurve"}; !slices.Equal(got, want) {
+		t.Errorf("AnalyzerNames() = %v, want %v", got, want)
+	}
 	for _, name := range AnalyzerNames() {
 		if _, err := PickAnalyzer(name); err != nil {
 			t.Errorf("canonical name %q not resolvable: %v", name, err)
@@ -482,7 +486,8 @@ func TestPickAnalyzerRegistry(t *testing.T) {
 		"servicecurve": "ServiceCurve",
 		"sc":           "ServiceCurve",
 		"gr":           "GuaranteedRate/NetworkServiceCurve",
-		"integratedsp": "IntegratedSP",
+		"integratedsp": "Integrated",
+		"sp":           "Integrated",
 		" Integrated ": "Integrated",
 	}
 	for in, want := range cases {
