@@ -245,8 +245,7 @@ func run(logger *slog.Logger, addr, specPath string, tandem int, load float64, a
 
 	errc := make(chan error, 1)
 	go func() {
-		logger.Info("delayd listening", "addr", addr, "algo", algo,
-			"incremental", state.Engine().Incremental(), "shards", state.Shards(),
+		logger.Info("delayd listening", "addr", addr, "algo", algo, "shards", state.Shards(),
 			"networks", reg.Len(), "servers", nServers, "admitted", state.Count())
 		errc <- srv.ListenAndServe()
 	}()

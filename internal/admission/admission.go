@@ -8,14 +8,15 @@
 //
 // The package has two engine types and one oracle:
 //
-//   - Engine is the goroutine-safe, incremental controller over versioned
-//     immutable snapshots. ApplyBatch (live) and TestBatch (dry run) are
-//     its only write and test entry points: a single admit, release or
-//     test is an envelope of one.
 //   - ShardedEngine partitions the fabric into independent components, one
-//     Engine per shard, behind the same two entry points (plus
-//     envelope-of-one conveniences); with one shard it is that Engine. It
-//     is what service.State, the delayd daemon and the CLIs run.
+//     Engine per shard, at any shard count, one included. ApplyBatch (live)
+//     and TestBatch (dry run) are its only write and test entry points: a
+//     single admit, release or test is an envelope of one. It is what
+//     service.State, the delayd daemon and the CLIs run.
+//   - Engine is one shard: the goroutine-safe, incremental controller over
+//     versioned immutable snapshots. Every analyzer has a baseline, so a
+//     test extends one; the full analysis is its one fallback, taken when
+//     no baseline can be had.
 //   - Controller is the deliberately naive reference: every test is a full
 //     re-analysis of the trial network. The differential tests pin both
 //     engines' decisions and bounds to it, and the public
@@ -23,9 +24,13 @@
 //     goroutine-safe: Admit, Remove, and FillGreedy mutate the admitted
 //     set, and Admitted, Count, Test, and Utilization read it, all without
 //     synchronization.
+//
+// All three apply one precheck before they analyze: a candidate needs a
+// deadline to be tested against and a name to be released by.
 package admission
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -151,12 +156,26 @@ func evaluate(trial *topo.Network, res *analysis.Result) Decision {
 	return d
 }
 
-// Test checks whether the candidate could be admitted without mutating the
-// controller.
-func (c *Controller) Test(cand topo.Connection) (Decision, error) {
+// precheck is the rule every admission test applies before it analyzes: a
+// candidate needs a deadline to be tested against and a name to be
+// released by. It refuses one without either as CodeInvalidSpec.
+func precheck(cand topo.Connection) (Decision, error) {
 	if cand.Deadline <= 0 {
 		return Decision{Code: CodeInvalidSpec, Reason: "candidate has no deadline"},
 			fmt.Errorf("admission: candidate %q has no deadline", cand.Name)
+	}
+	if cand.Name == "" {
+		return Decision{Code: CodeInvalidSpec, Reason: "candidate has no name"},
+			errors.New("admission: candidate has no name")
+	}
+	return Decision{}, nil
+}
+
+// Test checks whether the candidate could be admitted without mutating the
+// controller.
+func (c *Controller) Test(cand topo.Connection) (Decision, error) {
+	if d, err := precheck(cand); err != nil {
+		return d, err
 	}
 	trial := c.network(cand)
 	if err := trial.Validate(); err != nil {

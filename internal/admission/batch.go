@@ -218,7 +218,7 @@ func (st *batchState) ensureBaseline(e *Engine, snap *Snapshot) (*analysis.Basel
 			Servers:     e.servers,
 			Connections: append([]topo.Connection(nil), st.admitted...),
 		}
-		base, err = e.inc.NewBaseline(net)
+		base, err = e.analyzer.NewBaseline(net)
 		if err == nil {
 			e.epoch.Add(1)
 		}
@@ -257,17 +257,15 @@ func (st *batchState) admit(cand topo.Connection, ext *analysis.Extension) {
 // A nil snap (the cross-shard union test, which has none) forces one full
 // analysis; so does an expired soft budget with no working baseline.
 func (e *Engine) admitStep(ctx context.Context, snap *Snapshot, st *batchState, cand topo.Connection) (Decision, *analysis.Extension, error) {
-	if cand.Deadline <= 0 {
-		return Decision{Code: CodeInvalidSpec, Reason: "candidate has no deadline"}, nil,
-			fmt.Errorf("admission: candidate %q has no deadline", cand.Name)
+	if d, err := precheck(cand); err != nil {
+		return d, nil, err
 	}
 	trial := &topo.Network{Servers: e.servers, Connections: make([]topo.Connection, 0, len(st.admitted)+1)}
 	trial.Connections = append(append(trial.Connections, st.admitted...), cand)
 	// st.base, when present, is the baseline over exactly st.admitted — that
 	// set was validated when it was committed, so its checker validates the
 	// candidate in O(candidate); a nil working baseline (cold start, after a
-	// release that dropped it, a non-incremental analyzer) degrades to the
-	// identical full validation.
+	// release that dropped it) degrades to the identical full validation.
 	if err := st.base.ValidateExtend(trial); err != nil {
 		return Decision{Code: CodeInvalidSpec, Reason: err.Error()}, nil, err
 	}
@@ -277,7 +275,7 @@ func (e *Engine) admitStep(ctx context.Context, snap *Snapshot, st *batchState, 
 	if snap != nil {
 		affected, _ := AffectedSet(len(e.servers), st.admitted, cand)
 		e.observeAffected(len(affected))
-		if e.inc != nil && (st.base != nil || !analysis.Expired(ctx)) {
+		if st.base != nil || !analysis.Expired(ctx) {
 			if base, err := st.ensureBaseline(e, snap); err == nil {
 				ext, err := base.ExtendContext(ctx, cand)
 				if err == nil {
@@ -298,7 +296,7 @@ func (e *Engine) admitStep(ctx context.Context, snap *Snapshot, st *batchState, 
 		}
 	}
 	e.fullTests.Add(1)
-	res, err := analysis.AnalyzeWithContext(ctx, e.analyzer, trial)
+	res, err := e.analyzer.AnalyzeContext(ctx, trial)
 	if err != nil {
 		if IsCanceled(err) {
 			return Decision{}, nil, err
@@ -374,25 +372,6 @@ func (e *Engine) commitBatch(snap *Snapshot, st *batchState) bool {
 	e.snap.Store(next)
 	e.batchComs.Add(1)
 	return true
-}
-
-// TestBatch is the dry-run counterpart of ApplyBatch and the engine's only
-// test entry point: it evaluates every candidate against ONE pinned
-// snapshot — never the moving live head — so the report is internally
-// consistent even while concurrent admissions commit. Candidates are judged
-// against the current admitted set alone (a dry-run envelope does not
-// accumulate its own hypothetical admissions). Nothing is ever committed.
-func (e *Engine) TestBatch(ctx context.Context, cands []topo.Connection) ([]OpResult, error) {
-	snap := e.Snapshot()
-	out := make([]OpResult, len(cands))
-	for i, cand := range cands {
-		d, err := snap.test(ctx, cand)
-		if IsCanceled(err) {
-			return nil, err
-		}
-		out[i] = OpResult{Decision: d, Err: err}
-	}
-	return out, nil
 }
 
 // test dry-runs one candidate against this pinned snapshot.

@@ -99,7 +99,7 @@ func driveChurn(t *testing.T, label string, analyzer analysis.Analyzer, net *top
 			if !ok {
 				t.Fatalf("%s/step%d: release %q failed", label, step, name)
 			}
-			if info.Affected < 0 && eng.Incremental() && eng.Count() > 0 {
+			if info.Affected < 0 && eng.Count() > 0 {
 				// A cold snapshot (no baseline yet) legitimately reports -1;
 				// anything else must have scoped the closure.
 				_ = info

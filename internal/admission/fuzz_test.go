@@ -1,7 +1,6 @@
 package admission
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -17,7 +16,10 @@ import (
 // decisions at every step, under Integrated, Decomposed and ServiceCurve,
 // under Integrated on a static-priority copy (server latencies on odd
 // seeds), and under the guaranteed-rate network curve on a guaranteed-rate
-// copy.
+// copy. Each sequence is replayed through a two-shard ShardedEngine too,
+// whose router serves every shard count: its outcomes must equal the
+// Engine's.
+//
 // shape packs the network dimensions so the two int64 inputs stay
 // trivially mutable; out-of-range values are folded into the valid domain
 // rather than rejected, keeping every input productive.
@@ -49,17 +51,26 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 				net.Connections[i].Deadline = 200
 			}
 		}
-		for _, analyzer := range []analysis.Analyzer{analysis.Integrated{}, analysis.Decomposed{}, analysis.ServiceCurve{}} {
-			driveDifferential(t, fmt.Sprintf("fuzz/%s", analyzer.Name()), analyzer, net)
-		}
-		// The guaranteed-rate network curve on a copy whose servers are all
-		// guaranteed-rate and whose connections reserve their rates.
+		// The guaranteed-rate network curve runs on a copy whose servers are
+		// all guaranteed-rate and whose connections reserve their rates,
+		// Integrated's static-priority chains on a copy with classes 0-2.
 		gr := &topo.Network{Servers: slices.Clone(net.Servers), Connections: slices.Clone(net.Connections)}
 		grify(gr)
-		driveDifferential(t, "fuzz/GuaranteedRate", analysis.GuaranteedRateNetworkCurve{}, gr)
-		// Integrated's static-priority chains on a copy with classes 0-2.
 		sp := &topo.Network{Servers: slices.Clone(net.Servers), Connections: slices.Clone(net.Connections)}
 		spify(sp, seed%2 == 1)
-		driveDifferential(t, "fuzz/StaticPriority", analysis.Integrated{}, sp)
+		for _, tc := range []struct {
+			label    string
+			analyzer analysis.Analyzer
+			net      *topo.Network
+		}{
+			{"Integrated", analysis.Integrated{}, net},
+			{"Decomposed", analysis.Decomposed{}, net},
+			{"ServiceCurve", analysis.ServiceCurve{}, net},
+			{"GuaranteedRate", analysis.GuaranteedRateNetworkCurve{}, gr},
+			{"StaticPriority", analysis.Integrated{}, sp},
+		} {
+			driveDifferential(t, "fuzz/"+tc.label, tc.analyzer, tc.net)
+			driveShardDifferential(t, "fuzz/sharded/"+tc.label, tc.analyzer, tc.net, 2)
+		}
 	})
 }

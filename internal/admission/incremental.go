@@ -3,10 +3,10 @@
 // Engine replaces the serialize-everything pattern (a mutex around
 // Controller for the whole analysis) with versioned immutable snapshots:
 // an envelope analyzes a snapshot outside any lock and commits with a
-// version check, retrying on conflict (ApplyBatch and TestBatch in
-// batch.go are the only write and test entry points). On analyzers that
-// implement analysis.Incremental (Integrated, Decomposed), each snapshot
-// carries a lazily built analysis baseline, so a test re-analyzes only the
+// version check, retrying on conflict (ApplyBatch in batch.go is the only
+// write entry point, a pinned snapshot's test the only dry run). Each
+// snapshot carries
+// a lazily built analysis baseline, so a test re-analyzes only the
 // candidate's downstream interference closure and an admission promotes
 // the extended baseline at no extra cost. Decisions and bounds are
 // bit-identical to Controller's full re-analysis.
@@ -154,8 +154,7 @@ func AffectedBucketBounds() []float64 {
 type Engine struct {
 	servers     []server.Server
 	analyzer    analysis.Analyzer
-	inc         analysis.Incremental // nil when the analyzer is not incremental
-	mu          sync.Mutex           // serializes snapshot swaps only
+	mu          sync.Mutex // serializes snapshot swaps only
 	snap        atomic.Pointer[Snapshot]
 	incTests    atomic.Uint64
 	fullTests   atomic.Uint64
@@ -171,9 +170,7 @@ type Engine struct {
 	affSum      atomic.Uint64
 }
 
-// NewEngine builds an engine over the given fabric. The analyzer's
-// incremental path is used automatically when it implements
-// analysis.Incremental.
+// NewEngine builds an engine over the given fabric.
 func NewEngine(servers []server.Server, analyzer analysis.Analyzer) (*Engine, error) {
 	if len(servers) == 0 {
 		return nil, fmt.Errorf("admission: no servers")
@@ -193,25 +190,8 @@ func NewEngine(servers []server.Server, analyzer analysis.Analyzer) (*Engine, er
 		analyzer:  analyzer,
 		affBucket: make([]atomic.Uint64, len(affectedBuckets)+1),
 	}
-	if inc, ok := analyzer.(analysis.Incremental); ok {
-		e.inc = inc
-	}
 	e.snap.Store(&Snapshot{eng: e})
 	return e, nil
-}
-
-// Analyzer returns the analyzer admission tests run.
-func (e *Engine) Analyzer() analysis.Analyzer { return e.analyzer }
-
-// Incremental reports whether the analyzer implements analysis.Incremental,
-// so that admission tests extend a baseline instead of re-analyzing.
-func (e *Engine) Incremental() bool { return e.inc != nil }
-
-// Servers returns a copy of the fabric.
-func (e *Engine) Servers() []server.Server {
-	cp := make([]server.Server, len(e.servers))
-	copy(cp, e.servers)
-	return cp
 }
 
 // Stats copies the engine's counters.
@@ -286,9 +266,6 @@ func (s *Snapshot) network() *topo.Network {
 	return &topo.Network{Servers: s.eng.servers, Connections: append([]topo.Connection(nil), s.admitted...)}
 }
 
-// Utilization returns the per-server utilization of the admitted set.
-func (s *Snapshot) Utilization() []float64 { return s.network().Utilization() }
-
 // baseline returns the snapshot's analysis baseline, building it (one full
 // analysis of the admitted set) at most once.
 func (s *Snapshot) baseline() (*analysis.Baseline, error) {
@@ -296,7 +273,7 @@ func (s *Snapshot) baseline() (*analysis.Baseline, error) {
 		return s.promoted, nil
 	}
 	s.baseOnce.Do(func() {
-		s.base, s.baseErr = s.eng.inc.NewBaseline(s.network())
+		s.base, s.baseErr = s.eng.analyzer.NewBaseline(s.network())
 		if s.baseErr == nil {
 			s.eng.epoch.Add(1)
 			s.baseReady.Store(true)
@@ -335,25 +312,15 @@ func (e *Engine) replaceAdmitted(conns []topo.Connection) {
 // WarmBaseline synchronously materializes the current snapshot's analysis
 // baseline so the next admission test runs incrementally at full speed. It
 // is a no-op when a baseline is already warm (e.g. after an incremental
-// release) or when the analyzer is not incremental. Daemons call it after
-// startup pre-admission; benchmarks use it to charge a release that dropped
-// the baseline with the rebuild it forces.
+// release). Daemons call it after startup pre-admission; benchmarks use it
+// to charge a release that dropped the baseline with the rebuild it forces.
 func (e *Engine) WarmBaseline() error {
-	if e.inc == nil {
-		return nil
-	}
 	_, err := e.Snapshot().baseline()
 	return err
 }
 
-// Count returns the number of admitted connections.
-func (e *Engine) Count() int { return e.Snapshot().Count() }
-
 // Admitted returns a copy of the currently admitted connections.
 func (e *Engine) Admitted() []topo.Connection { return e.Snapshot().Admitted() }
-
-// Utilization returns the per-server utilization of the admitted set.
-func (e *Engine) Utilization() []float64 { return e.Snapshot().Utilization() }
 
 // MaxBound returns the largest finite bound of a decision's Bounds, +Inf
 // when any bound is unbounded, and NaN when the test never analyzed.

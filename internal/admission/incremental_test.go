@@ -1,6 +1,7 @@
 package admission
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -70,8 +71,8 @@ func driveDifferential(t *testing.T, label string, analyzer analysis.Analyzer, n
 			t.Fatalf("%s: count diverged: controller %d, engine %d", step, ctrl.Count(), eng.Count())
 		}
 	}
-	if st := eng.Stats(); !eng.Incremental() || st.FullTests != 0 {
-		t.Fatalf("%s: engine left the incremental path (Incremental() = %v): %+v", label, eng.Incremental(), st)
+	if st := eng.Stats(); st.FullTests != 0 {
+		t.Fatalf("%s: engine left the incremental path: %+v", label, st)
 	}
 }
 
@@ -138,9 +139,13 @@ var incrementalAnalyzers = []corpusCase{{analysis.Integrated{}, server.FIFO}, {a
 	{analysis.Integrated{}, server.StaticPriority}, {analysis.ServiceCurve{}, server.FIFO},
 	{analysis.GuaranteedRateNetworkCurve{}, server.GuaranteedRate}}
 
-// fullOnly hides every method of an analyzer but Name and Analyze: an
-// analyzer from outside the package, which the engine can only run in full.
+// fullOnly is an analyzer whose baseline build fails, which drives the
+// engine's one fallback, the full path.
 type fullOnly struct{ analysis.Analyzer }
+
+func (fullOnly) NewBaseline(*topo.Network) (*analysis.Baseline, error) {
+	return nil, errors.New("fullOnly: no baseline")
+}
 
 // TestEngineMatchesControllerOnRandomNetworks is the differential
 // acceptance test: on 50+ randomized feedforward networks with a mix of
@@ -170,10 +175,9 @@ func TestEngineMatchesControllerOnRandomNetworks(t *testing.T) {
 }
 
 // TestEngineMatchesControllerFullPath pins the full path — what a cross-shard
-// union test, an expired budget and a failed baseline also run — on an
-// analyzer without an incremental one (ServiceCurve behind fullOnly): the
-// engine is still exactly the controller, and every test it runs is a full
-// one.
+// union test and an expired budget also run — on an analyzer whose baseline
+// build fails (ServiceCurve behind fullOnly): every decision equals the
+// controller's, and every test counts as a full one.
 func TestEngineMatchesControllerFullPath(t *testing.T) {
 	net, err := topo.RandomFeedforward(5, 8, 0.5, 11)
 	if err != nil {
@@ -189,9 +193,6 @@ func TestEngineMatchesControllerFullPath(t *testing.T) {
 	eng, err := NewEngine(net.Servers, fullOnly{analysis.ServiceCurve{}})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if eng.Incremental() {
-		t.Fatal("ServiceCurve engine reports an incremental path")
 	}
 	for i, cand := range net.Connections {
 		wantD, _ := ctrl.Admit(cand)

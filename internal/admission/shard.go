@@ -23,7 +23,8 @@
 //     components.
 //   - The router learns of a mutation only after the shard committed it
 //     (reconcile, shard_batch.go): an admit is a claim until then, a
-//     release keeps its record and its servers until then.
+//     release keeps its record and its servers, and holds its name against
+//     admits, until then.
 //
 // An envelope is planned against the router under the shared lock; one
 // holding a barrier (an admit whose route spans shards or whose name the
@@ -36,8 +37,9 @@
 // a component to an empty shard the same way. Both observe no in-flight
 // shard-local operation.
 //
-// Unlike Engine, a multi-shard engine requires admitted connection names
-// to be unique: routing and release resolve connections by name.
+// Every shard count, one included, takes this path, and routing and release
+// resolve connections by name: a candidate needs one (precheck), and a
+// second admit of a live name is refused as "already admitted".
 package admission
 
 import (
@@ -56,10 +58,10 @@ import (
 
 // ShardedEngine is a goroutine-safe admission controller that partitions
 // the fabric into independent components and serves each from its own
-// Engine shard. With one shard it is a transparent wrapper around Engine
-// (same decisions, same counters, no routing overhead). ApplyBatch and
-// TestBatch (shard_batch.go) are its only write and test paths; Admit,
-// Release, Test and FillGreedy are envelope-of-one conveniences over them.
+// Engine shard; one shard plans, routes and reconciles exactly as many
+// do. ApplyBatch and TestBatch (shard_batch.go) are its only write and test
+// paths; Admit, Release, Test and FillGreedy are envelope-of-one
+// conveniences over them.
 type ShardedEngine struct {
 	servers  []server.Server
 	analyzer analysis.Analyzer
@@ -87,7 +89,12 @@ type shardRouter struct {
 	// pending names claimed by in-flight admissions, so two concurrent
 	// admits of one name cannot both commit.
 	pending map[string]bool
-	seq     uint64 // global commit order stamp
+	// releasing counts, per name, the releases planned against its record
+	// and not yet reconciled. While one is, no admit may claim the name:
+	// the release would remove that new incarnation instead of the one it
+	// resolved, and leave the new record without a connection.
+	releasing map[string]int
+	seq       uint64 // global commit order stamp
 }
 
 // routedConn is the router's record of one committed connection.
@@ -114,29 +121,17 @@ func NewShardedEngine(servers []server.Server, analyzer analysis.Analyzer, shard
 	}
 	se.servers = se.shards[0].servers
 	se.router = shardRouter{
-		owner:   make([]int, len(se.servers)),
-		refs:    make([]int, len(se.servers)),
-		load:    make([]int, shards),
-		conns:   make(map[string]*routedConn),
-		pending: make(map[string]bool),
+		owner:     make([]int, len(se.servers)),
+		refs:      make([]int, len(se.servers)),
+		load:      make([]int, shards),
+		conns:     make(map[string]*routedConn),
+		pending:   make(map[string]bool),
+		releasing: make(map[string]int),
 	}
 	for i := range se.router.owner {
 		se.router.owner[i] = -1
 	}
 	return se, nil
-}
-
-// single returns the sole shard when sharding is off, else nil. A 1-shard
-// ShardedEngine IS that Engine: ApplyBatch and TestBatch bypass the router
-// entirely, so its behavior — including operation ordering, and rejecting
-// the admit of a live name as invalid_spec through the network's
-// duplicate-name check where the router says "already admitted" — is
-// exactly Engine's.
-func (se *ShardedEngine) single() *Engine {
-	if len(se.shards) == 1 {
-		return se.shards[0]
-	}
-	return nil
 }
 
 // Shards returns the number of engine shards.
@@ -147,12 +142,6 @@ func (se *ShardedEngine) Shard(i int) *Engine { return se.shards[i] }
 
 // Analyzer returns the analyzer admission tests run.
 func (se *ShardedEngine) Analyzer() analysis.Analyzer { return se.analyzer }
-
-// Incremental reports whether the analyzer implements analysis.Incremental.
-func (se *ShardedEngine) Incremental() bool { return se.shards[0].Incremental() }
-
-// Servers returns a copy of the fabric.
-func (se *ShardedEngine) Servers() []server.Server { return se.shards[0].Servers() }
 
 // ShardStat is a point-in-time summary of one shard.
 type ShardStat struct {
@@ -224,10 +213,6 @@ func (se *ShardedEngine) SnapshotVersion() uint64 {
 // transiently appear in two shards (deduplicated here by name) or in
 // none; readers get eventual consistency, never a torn connection.
 func (se *ShardedEngine) ReadView() ([]topo.Connection, uint64) {
-	if eng := se.single(); eng != nil {
-		s := eng.Snapshot()
-		return s.Admitted(), s.Version()
-	}
 	var conns []topo.Connection
 	var version uint64
 	seen := make(map[string]bool)
@@ -377,7 +362,7 @@ func (r *shardRouter) move(rc *routedConn, to int) {
 func (r *shardRouter) claim(cand topo.Connection) (shard int, owners []int, dup bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.conns[cand.Name] != nil || r.pending[cand.Name] {
+	if r.conns[cand.Name] != nil || r.pending[cand.Name] || r.releasing[cand.Name] > 0 {
 		return 0, nil, true
 	}
 	shard, owners = r.route(cand.Path)
@@ -405,34 +390,42 @@ func (r *shardRouter) confirm(cand topo.Connection, shard int) {
 	r.record(cand, shard)
 }
 
-// shardOf resolves a committed connection's shard by name.
-func (r *shardRouter) shardOf(name string) (int, bool) {
+// claimRelease resolves a committed connection's shard by name for a
+// release and holds the name against admits until the release reconciles.
+func (r *shardRouter) claimRelease(name string) (int, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rc := r.conns[name]
 	if rc == nil {
 		return 0, false
 	}
+	r.releasing[name]++
 	return rc.shard, true
 }
 
-// release drops the routing record of a connection whose release
-// committed, giving its route back; a concurrent release of the same name
-// may have dropped it already.
-func (r *shardRouter) release(name string) {
+// release hands back a release's claim, when it holds one, and drops the
+// routing record of the connection it removed, when it committed, giving
+// its route back; a concurrent release of the same name may have dropped
+// it already.
+func (r *shardRouter) release(name string, claimed, released bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if rc := r.conns[name]; rc != nil {
+	if claimed {
+		if r.releasing[name]--; r.releasing[name] == 0 {
+			delete(r.releasing, name)
+		}
+	}
+	if rc := r.conns[name]; released && rc != nil {
 		delete(r.conns, name)
 		r.unpin(rc.path, rc.shard)
 	}
 }
 
-// validRoute reports whether every hop is an in-range server index; the
-// router only tracks valid routes, invalid candidates go straight to shard
-// 0 for the canonical rejection.
+// validRoute reports whether the candidate passes precheck and every hop
+// is an in-range server index; the router only tracks valid candidates,
+// invalid ones go straight to shard 0 for the canonical rejection.
 func (se *ShardedEngine) validRoute(cand topo.Connection) bool {
-	if cand.Deadline <= 0 || len(cand.Path) == 0 {
+	if _, err := precheck(cand); err != nil || len(cand.Path) == 0 {
 		return false
 	}
 	for _, s := range cand.Path {

@@ -8,7 +8,8 @@
 //     hand the same servers to another shard), a release resolves its
 //     shard by name, and each joins that shard's sub-batch. Nothing is
 //     applied to the router beyond the claims: a release keeps its record
-//     and its servers until it has committed.
+//     and its servers until it has committed, and holds its name against
+//     admits until it reconciles.
 //   - run executes the planned sub-batches in shard order, one engine
 //     sub-batch and at most one commit per shard, and stops at the first
 //     error (a cancellation; that shard committed nothing).
@@ -70,9 +71,6 @@ func dupResult(name string) OpResult {
 // returned BatchResult then carries no Results but counts them in Commits,
 // and only an envelope that reports zero may be re-run.
 func (se *ShardedEngine) ApplyBatch(ctx context.Context, ops []Op) (*BatchResult, error) {
-	if eng := se.single(); eng != nil {
-		return eng.ApplyBatch(ctx, ops)
-	}
 	if err := validateOps(ops); err != nil {
 		return nil, err
 	}
@@ -122,7 +120,7 @@ type envelope struct {
 // plannedOp is one operation of the window, bound to a shard's sub-batch.
 type plannedOp struct {
 	idx, shard int
-	claimed    bool // an admit holding a router claim
+	claimed    bool // holding a router claim: an admit's, or a release's on its name
 }
 
 // add plans operation idx, which acts on name, into the shard's sub-batch.
@@ -148,11 +146,13 @@ func (e *envelope) apply(exclusive bool) (done bool, err error) {
 			// the engine's exact semantics (a rejected admit makes the release
 			// report not-found); an unknown name is left not-found.
 			shard, ok := e.names[op.Name]
+			claimed := false
 			if !ok {
-				shard, ok = r.shardOf(op.Name)
+				shard, ok = r.claimRelease(op.Name)
+				claimed = ok
 			}
 			if ok {
-				e.add(i, shard, false, op.Name)
+				e.add(i, shard, claimed, op.Name)
 			}
 		case OpAdmit:
 			cand := op.Candidate
@@ -242,13 +242,15 @@ func (e *envelope) reconcile() {
 	for _, p := range e.window {
 		op, res := e.ops[p.idx], e.br.Results[p.idx]
 		switch {
+		case op.Kind == OpRelease:
+			r.release(op.Name, p.claimed, res.Released)
+			if res.Released {
+				e.released = append(e.released, p.shard)
+			}
 		case p.claimed && res.Decision.Admitted:
 			r.confirm(op.Candidate, p.shard)
 		case p.claimed:
 			r.unclaim(op.Candidate, p.shard)
-		case res.Released:
-			r.release(op.Name)
-			e.released = append(e.released, p.shard)
 		}
 	}
 	e.window = e.window[:0]
@@ -261,9 +263,6 @@ func (e *envelope) reconcile() {
 // against one consistent global state even while concurrent admissions
 // commit. Nothing is ever committed and the router is never mutated.
 func (se *ShardedEngine) TestBatch(ctx context.Context, cands []topo.Connection) ([]OpResult, error) {
-	if eng := se.single(); eng != nil {
-		return eng.TestBatch(ctx, cands)
-	}
 	se.mu.RLock()
 	defer se.mu.RUnlock()
 	snaps := se.snapshots()

@@ -2,6 +2,7 @@ package admission
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -93,9 +94,6 @@ func TestShardedApplyBatchMatchesSequential(t *testing.T) {
 			}
 		}
 		for _, se := range []*ShardedEngine{seqSE, batchSE} {
-			if !se.Incremental() {
-				t.Fatalf("seed%d: %s shards are not incremental", seed, analyzer.Name())
-			}
 			requireRouterMatchesShards(t, fmt.Sprintf("seed%d", seed), se)
 		}
 	}
@@ -125,8 +123,8 @@ func TestShardedApplyBatchMatchesSequential(t *testing.T) {
 func requireRouterMatchesShards(t *testing.T, label string, se *ShardedEngine) {
 	t.Helper()
 	r := &se.router
-	if len(r.pending) != 0 {
-		t.Fatalf("%s: %d claims outstanding with nothing in flight: %v", label, len(r.pending), r.pending)
+	if len(r.pending) != 0 || len(r.releasing) != 0 {
+		t.Fatalf("%s: claims outstanding with nothing in flight: admits %v, releases %v", label, r.pending, r.releasing)
 	}
 	refs := make([]int, len(r.refs))
 	holder := make([]int, len(r.owner))
@@ -584,25 +582,30 @@ func twoShardSetup(t *testing.T, analyzer analysis.Analyzer) (se *ShardedEngine,
 	return se, net, cands, bridge
 }
 
-// tripwire is a context-oblivious analyzer that fires once it has analyzed
-// a trial containing the named connection: the analysis that trips it
-// completes, the next one runs after the fault — a deterministic "the
-// deadline (cancel) or the soft budget (a flag) expired between two
-// operations". It is the engine's own analyzer, armed after setup.
+// tripwire is the decomposed analysis firing once it has analyzed a trial
+// containing the named connection: the analysis that trips it completes,
+// the next one runs after the fault — a deterministic "the deadline
+// (cancel) or the soft budget (a flag) expired between two operations". Its
+// baseline build fails, so every test is a full analysis. It is the
+// engine's own analyzer, armed after setup.
 type tripwire struct {
+	analysis.Decomposed
 	name string
 	fire func()
 }
 
-func (*tripwire) Name() string { return "tripwire" }
+func (*tripwire) NewBaseline(*topo.Network) (*analysis.Baseline, error) {
+	return nil, errors.New("tripwire: no baseline")
+}
 
-func (tw *tripwire) Analyze(net *topo.Network) (*analysis.Result, error) {
+func (tw *tripwire) AnalyzeContext(ctx context.Context, net *topo.Network) (*analysis.Result, error) {
+	res, err := tw.Decomposed.AnalyzeContext(ctx, net)
 	for _, c := range net.Connections {
 		if c.Name == tw.name {
 			tw.fire()
 		}
 	}
-	return analysis.Decomposed{}.Analyze(net)
+	return res, err
 }
 
 // TestShardedBatchCancelReportsCommits pins what a client of a shed
@@ -896,4 +899,37 @@ func TestShardedBatchSpreadsNewComponents(t *testing.T) {
 			t.Fatalf("router load[%d] = %d after the envelope, want %d", i, l, len(net.Connections)/4)
 		}
 	}
+}
+
+// TestOneShardCountsSubBatches pins what routing one shard like many does
+// to the envelope counters: they count the sub-batches that reach a shard.
+// Releasing and re-admitting one name in an envelope is a barrier, so it
+// runs as two windows, two envelopes and two commits; a release of an
+// unknown name reaches no shard and counts nothing.
+func TestOneShardCountsSubBatches(t *testing.T) {
+	se, err := NewShardedEngine(fabric(2), analysis.Integrated{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := conn("a", 1000, 0, 1)
+	if d, err := se.Admit(bg, a); err != nil || !d.Admitted {
+		t.Fatalf("setup admit: %+v err=%v", d, err)
+	}
+	before := se.Stats()
+	br, err := se.ApplyBatch(bg, []Op{{Kind: OpRelease, Name: "a"}, {Kind: OpAdmit, Candidate: a}})
+	if err != nil || !br.Results[0].Released || !br.Results[1].Decision.Admitted || br.Commits != 2 {
+		t.Fatalf("release then re-admit: %+v err=%v, want both done in 2 commits", br, err)
+	}
+	st := se.Stats()
+	if envs, commits := st.BatchEnvelopes-before.BatchEnvelopes, st.BatchCommits-before.BatchCommits; envs != 2 || commits != 2 {
+		t.Fatalf("barrier envelope counted %d envelopes and %d commits, want 2 and 2", envs, commits)
+	}
+	if _, ok, err := se.Release(bg, "nobody"); ok || err != nil {
+		t.Fatalf("release of an unknown name: ok=%v err=%v", ok, err)
+	}
+	if after := se.Stats(); after.BatchEnvelopes != st.BatchEnvelopes || after.BatchOps != st.BatchOps {
+		t.Fatalf("unknown release counted: envelopes %d -> %d, ops %d -> %d",
+			st.BatchEnvelopes, after.BatchEnvelopes, st.BatchOps, after.BatchOps)
+	}
+	requireRouterMatchesShards(t, "one shard", se)
 }

@@ -250,37 +250,55 @@ func TestShardedCrossShardMergeAndRebalance(t *testing.T) {
 	}
 }
 
-// TestShardedDuplicateNameRejected pins the multi-shard uniqueness
-// contract: routing resolves connections by name, so a second admission
-// under an existing name is a stable invalid_spec rejection.
-// TestShardedDuplicateNameRejected pins that a repeated admit of a live
-// name is refused as invalid_spec with the count unchanged, with one shard
-// (the Engine's duplicate connection name) and with two (the router's
-// "already admitted").
+// TestShardedDuplicateNameRejected pins the name rule on every admission
+// front: an admit reusing a live name and an admit with no name are
+// invalid_spec rejections that leave the count unchanged. One shard routes
+// like two, so both say "already admitted"; the Controller, which has no
+// router, refuses the duplicate through the network's duplicate-name check.
 func TestShardedDuplicateNameRejected(t *testing.T) {
 	net, err := topo.DisjointBlocks(2, 2, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		shards int
-		msg    string
-	}{{1, "duplicate connection name"}, {2, "already admitted"}} {
-		se, err := NewShardedEngine(net.Servers, analysis.Integrated{}, tc.shards)
+	type front struct {
+		name   string
+		admit  func(topo.Connection) (Decision, error)
+		count  func() int
+		dupMsg string
+	}
+	var fronts []front
+	for _, shards := range []int{1, 2} {
+		se, err := NewShardedEngine(net.Servers, analysis.Integrated{}, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
+		admit := func(c topo.Connection) (Decision, error) { return se.Admit(bg, c) }
+		fronts = append(fronts, front{fmt.Sprintf("%d shards", shards), admit, se.Count, "already admitted"})
+	}
+	ctrl, err := New(net.Servers, analysis.Integrated{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fronts = append(fronts, front{"controller", ctrl.Admit, ctrl.Count, "duplicate connection name"})
+	for _, f := range fronts {
 		cand := net.Connections[0]
 		cand.Deadline = 1000
-		if d, err := se.Admit(bg, cand); err != nil || !d.Admitted {
-			t.Fatalf("%d shards: first admit: %+v err=%v", tc.shards, d, err)
+		if d, err := f.admit(cand); err != nil || !d.Admitted {
+			t.Fatalf("%s: first admit: %+v err=%v", f.name, d, err)
 		}
-		d, err := se.Admit(bg, cand)
-		if err == nil || d.Admitted || d.Code != CodeInvalidSpec || !strings.Contains(err.Error(), tc.msg) {
-			t.Fatalf("%d shards: duplicate admit: %+v err=%v, want invalid_spec rejection naming %q", tc.shards, d, err, tc.msg)
-		}
-		if se.Count() != 1 {
-			t.Fatalf("%d shards: count %d after duplicate rejection", tc.shards, se.Count())
+		unnamed := cand
+		unnamed.Name = ""
+		for _, bad := range []struct {
+			cand topo.Connection
+			msg  string
+		}{{cand, f.dupMsg}, {unnamed, "no name"}, {unnamed, "no name"}} {
+			d, err := f.admit(bad.cand)
+			if err == nil || d.Admitted || d.Code != CodeInvalidSpec || !strings.Contains(err.Error(), bad.msg) {
+				t.Fatalf("%s: admit of %q: %+v err=%v, want invalid_spec rejection naming %q", f.name, bad.cand.Name, d, err, bad.msg)
+			}
+			if f.count() != 1 {
+				t.Fatalf("%s: count %d after rejecting %q", f.name, f.count(), bad.cand.Name)
+			}
 		}
 	}
 }
@@ -421,5 +439,47 @@ func TestCrossShardCommitsRebuildLazily(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > goroutines {
 		t.Fatalf("cross-shard commits left goroutines behind: %d at the start, %d now", goroutines, n)
+	}
+}
+
+// TestShardedReleaseReadmitRace is the -race stress for one name released
+// and re-admitted by concurrent envelopes, at one and two shards. A release
+// planned against one incarnation of the name must not remove the next: an
+// admit of the name waits out (is refused during) every planned release,
+// so the router never keeps a record whose connection a stale release
+// removed.
+func TestShardedReleaseReadmitRace(t *testing.T) {
+	x := conn("X", 1000, 0)
+	for _, shards := range []int{1, 2} {
+		for round := 0; round < 100; round++ {
+			se, err := NewShardedEngine(fabric(2), analysis.Decomposed{}, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < 30; i++ {
+						var err error
+						switch (i + g) % 3 {
+						case 0:
+							_, _, err = se.Release(bg, "X")
+						case 1:
+							_, err = se.ApplyBatch(bg, []Op{{Kind: OpAdmit, Candidate: x}})
+						case 2:
+							_, err = se.ApplyBatch(bg, []Op{{Kind: OpRelease, Name: "X"}, {Kind: OpAdmit, Candidate: x}})
+						}
+						if err != nil {
+							t.Errorf("%d shards: %v", shards, err)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			requireRouterMatchesShards(t, fmt.Sprintf("%d shards, round %d", shards, round), se)
+		}
 	}
 }

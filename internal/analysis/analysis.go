@@ -26,7 +26,8 @@
 // end-to-end delay bounds plus a per-stage breakdown. All four run on one
 // driver (Baseline.run), so every one of them is cancellable and
 // incremental: the two network-curve analyses are its decomposed run plus
-// a finish over the completed run.
+// a finish over the completed run. One interface, Analyzer, says so: Name,
+// Analyze, AnalyzeContext and NewBaseline.
 package analysis
 
 import (
@@ -98,11 +99,27 @@ func (r *Result) MaxBound() float64 {
 }
 
 // Analyzer computes end-to-end delay bounds for every connection of a
-// network.
+// network. Every analyzer runs on the one driver (Baseline.run), so each is
+// cancellable and incremental.
 type Analyzer interface {
 	Name() string
+	// Analyze is AnalyzeContext under context.Background().
 	Analyze(net *topo.Network) (*Result, error)
+	// AnalyzeContext behaves exactly like Analyze — an uncancelled run
+	// returns bit-identical results — but observes the context at internal
+	// checkpoints (theta-search candidate fan-out, chain positions, and
+	// before every level and every unit of the driver) and returns the
+	// context's error once it is done. Cancellation latency is therefore
+	// bounded by a single curve operation, not a whole analysis.
+	AnalyzeContext(ctx context.Context, net *topo.Network) (*Result, error)
+	// NewBaseline fully analyzes the network and retains the per-unit
+	// propagation trace a trial replays (Baseline.ExtendContext and
+	// ShrinkContext), bit-identical to a full Analyze of the trial.
+	NewBaseline(net *topo.Network) (*Baseline, error)
 }
+
+// Compile-time check: every analyzer of the package is one.
+var _ = []Analyzer{Decomposed{}, Integrated{}, ServiceCurve{}, GuaranteedRateNetworkCurve{}}
 
 // allInf builds a Result marking every connection unbounded, used when the
 // network fails the stability precondition.

@@ -9,32 +9,10 @@ import (
 	"delaycalc/internal/topo"
 )
 
-// ContextAnalyzer is implemented by analyzers that support cooperative
-// cancellation: AnalyzeContext behaves exactly like Analyze — an
-// uncancelled run returns bit-identical results — but observes the
-// context at internal checkpoints (theta-search candidate fan-out, chain
-// positions, and before every level and every unit of the one driver,
-// Baseline.run) and returns the context's error once it is done. The
-// granularity is one checkpoint per candidate evaluation, chain position
-// or server, so cancellation latency is bounded by a single curve
-// operation, not a whole analysis.
-type ContextAnalyzer interface {
-	Analyzer
-	AnalyzeContext(ctx context.Context, net *topo.Network) (*Result, error)
-}
-
-// AnalyzeWithContext runs an analyzer under a context: cancellation-aware
-// analyzers — every one of this package — get the context plumbed through;
-// for one from outside it the context is checked once up front and the
-// plain Analyze runs to completion.
+// AnalyzeWithContext is a.AnalyzeContext(ctx, net). It stays only because
+// the benchmark module spells it.
 func AnalyzeWithContext(ctx context.Context, a Analyzer, net *topo.Network) (*Result, error) {
-	if ca, ok := a.(ContextAnalyzer); ok {
-		return ca.AnalyzeContext(ctx, net)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, ctxErr(err)
-	}
-	return a.Analyze(net)
+	return a.AnalyzeContext(ctx, net)
 }
 
 // canceled reports whether the context is done. It is the checkpoint

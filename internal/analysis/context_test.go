@@ -12,15 +12,15 @@ import (
 	"delaycalc/internal/topo"
 )
 
-// contextAnalyzers pairs each ContextAnalyzer with a network it applies
+// contextAnalyzers pairs each analyzer with a network it applies
 // to: every analyzer runs over net, and Integrated also over a
 // static-priority tandem of its own.
 func contextAnalyzers(net *topo.Network) map[string]struct {
-	a   ContextAnalyzer
+	a   Analyzer
 	net *topo.Network
 } {
 	return map[string]struct {
-		a   ContextAnalyzer
+		a   Analyzer
 		net *topo.Network
 	}{
 		"decomposed":    {Decomposed{}, net},
@@ -175,7 +175,7 @@ func TestTrialTimesItsPartition(t *testing.T) {
 	cand := net.Connections[0]
 	cand.Name = "partition-probe"
 	for _, tc := range []struct {
-		a       Incremental
+		a       Analyzer
 		derived bool
 	}{{Integrated{}, true}, {Decomposed{}, false}} {
 		base, err := tc.a.NewBaseline(net)

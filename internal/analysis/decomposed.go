@@ -34,7 +34,7 @@ func (d Decomposed) Analyze(net *topo.Network) (*Result, error) {
 	return d.AnalyzeContext(context.Background(), net)
 }
 
-// AnalyzeContext implements ContextAnalyzer: the driver checks the context
+// AnalyzeContext implements Analyzer: the driver checks the context
 // before every server and returns its error once it is done; an
 // uncancelled run is bit-identical to Analyze.
 func (Decomposed) AnalyzeContext(ctx context.Context, net *topo.Network) (*Result, error) {

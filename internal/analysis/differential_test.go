@@ -126,13 +126,11 @@ func TestParallelAnalyzeDeterministic(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				if inc, ok := tc.a.(Incremental); ok {
-					b, err := inc.NewBaseline(net)
-					if err != nil {
-						t.Fatalf("%s: baseline: %v", label, err)
-					}
-					requireSameResult(t, label+": Analyze vs NewBaseline", res, b.Result())
+				b, err := tc.a.NewBaseline(net)
+				if err != nil {
+					t.Fatalf("%s: baseline: %v", label, err)
 				}
+				requireSameResult(t, label+": Analyze vs NewBaseline", res, b.Result())
 				if procs == 1 {
 					oneCore[key] = res
 				} else {
@@ -272,10 +270,7 @@ func (lc *lawCounts) sweepExpiry(t *testing.T, label string, dense bool, exact, 
 // the excess behind.
 func TestDegradationLaw(t *testing.T) {
 	type variant struct {
-		a interface {
-			ContextAnalyzer
-			Incremental
-		}
+		a      Analyzer
 		corpus map[string]*topo.Network
 		upper  bool // bound <= Decomposed is part of the law; swept densely
 	}

@@ -38,19 +38,9 @@ import (
 // closure over the server-sharing graph (lifted to partition units) is how
 // it spreads. See docs/INCREMENTAL.md for the full argument.
 
-// Incremental is implemented by analyzers that support baseline+extend
-// re-analysis. Extension results are bit-identical to a full Analyze of
-// the trial network.
-type Incremental interface {
-	Analyzer
-	// NewBaseline fully analyzes the network and retains the per-unit
-	// propagation trace a trial replays.
-	NewBaseline(net *topo.Network) (*Baseline, error)
-}
-
-// Compile-time check: every analyzer of the package runs on the driver,
-// so the admission engine accelerates all four.
-var _ = []Incremental{Decomposed{}, Integrated{}, ServiceCurve{}, GuaranteedRateNetworkCurve{}}
+// Incremental is the old name of Analyzer, from when only some analyzers
+// had a baseline. It stays only because the benchmark module spells it.
+type Incremental = Analyzer
 
 // core is what the one driver (Baseline.run) runs for an analyzer: an
 // ordered partition of the network into units, the computation that
@@ -276,12 +266,12 @@ type Baseline struct {
 	unstable bool
 }
 
-// NewBaseline implements Incremental for the decomposed analysis.
+// NewBaseline implements Analyzer for the decomposed analysis.
 func (Decomposed) NewBaseline(net *topo.Network) (*Baseline, error) {
 	return newBaseline(decomposedCore, net)
 }
 
-// NewBaseline implements Incremental for the integrated analysis.
+// NewBaseline implements Analyzer for the integrated analysis.
 func (a Integrated) NewBaseline(net *topo.Network) (*Baseline, error) {
 	return newBaseline(a.core(), net)
 }

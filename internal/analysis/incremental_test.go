@@ -45,7 +45,7 @@ func requireSameResult(t *testing.T, label string, full, incr *Result) {
 
 // extendAndCompare splits net into (all but last connection) + candidate,
 // runs baseline+extend, and compares against the full analysis of net.
-func extendAndCompare(t *testing.T, label string, a Incremental, net *topo.Network) *Extension {
+func extendAndCompare(t *testing.T, label string, a Analyzer, net *topo.Network) *Extension {
 	t.Helper()
 	if len(net.Connections) == 0 {
 		t.Fatalf("%s: network has no connections", label)
@@ -70,7 +70,7 @@ func extendAndCompare(t *testing.T, label string, a Incremental, net *topo.Netwo
 }
 
 func TestExtendMatchesFullOnRandomNetworks(t *testing.T) {
-	for _, a := range []Incremental{Decomposed{}, Integrated{}} {
+	for _, a := range []Analyzer{Decomposed{}, Integrated{}} {
 		for seed := int64(0); seed < 12; seed++ {
 			net, err := topo.RandomFeedforward(6, 8, 0.5, seed)
 			if err != nil {
@@ -157,7 +157,7 @@ func TestExtendReplaysUntouchedUnits(t *testing.T) {
 		Deadline:   100,
 	})
 	net := &topo.Network{Servers: servers, Connections: conns}
-	for _, a := range []Incremental{Decomposed{}, Integrated{}} {
+	for _, a := range []Analyzer{Decomposed{}, Integrated{}} {
 		ext := extendAndCompare(t, "tail/"+a.Name(), a, net)
 		if ext.Stats.ReplayedUnits == 0 {
 			t.Errorf("%s: tail candidate should replay upstream units, stats %+v", a.Name(), ext.Stats)
@@ -178,7 +178,7 @@ func TestPromoteChains(t *testing.T) {
 	for i := range net.Connections {
 		net.Connections[i].Deadline = 100
 	}
-	for _, a := range []Incremental{Decomposed{}, Integrated{}} {
+	for _, a := range []Analyzer{Decomposed{}, Integrated{}} {
 		bl, err := a.NewBaseline(&topo.Network{Servers: net.Servers, Connections: net.Connections[:4]})
 		if err != nil {
 			t.Fatal(err)
@@ -238,7 +238,7 @@ func TestConcurrentExtendsShareBaseline(t *testing.T) {
 	}
 	sp := spRandomCorpus(t)["spff12x30-seed11"]
 	for _, tc := range []struct {
-		a   Incremental
+		a   Analyzer
 		net *topo.Network
 	}{{Decomposed{}, fifo}, {Integrated{}, fifo}, {Integrated{}, sp}} {
 		a, net := tc.a, tc.net

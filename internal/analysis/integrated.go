@@ -84,7 +84,7 @@ func (a Integrated) Analyze(net *topo.Network) (*Result, error) {
 	return a.AnalyzeContext(context.Background(), net)
 }
 
-// AnalyzeContext implements ContextAnalyzer: the same analysis as Analyze
+// AnalyzeContext implements Analyzer: the same analysis as Analyze
 // with cooperative cancellation checkpoints between chains, between
 // classes, between chain positions, and inside the theta-search candidate
 // fan-out. An uncancelled run is bit-identical to Analyze; once the

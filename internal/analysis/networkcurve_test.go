@@ -62,10 +62,6 @@ func TestNetworkCurvesIncrementalMatchFull(t *testing.T) {
 	ctx := context.Background()
 	replayed := map[string]int{}
 	for _, a := range []Analyzer{ServiceCurve{}, GuaranteedRateNetworkCurve{}} {
-		inc, ok := a.(Incremental)
-		if !ok {
-			t.Fatalf("%s has no baseline", a.Name())
-		}
 		for seed := int64(0); seed < 8; seed++ {
 			net, err := topo.RandomFeedforward(7, 14, 0.5, seed)
 			if err != nil {
@@ -78,7 +74,7 @@ func TestNetworkCurvesIncrementalMatchFull(t *testing.T) {
 			hog.Name, hog.Bucket, hog.Rate = "hog", traffic.TokenBucket{Sigma: 1, Rho: 0.9}, 0.01
 			pool := net.Connections[7:]
 			cur := &topo.Network{Servers: net.Servers, Connections: append([]topo.Connection(nil), net.Connections[:7]...)}
-			bl, err := inc.NewBaseline(cur)
+			bl, err := a.NewBaseline(cur)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,7 +173,7 @@ func TestNetworkCurvesHonourCancellation(t *testing.T) {
 		}
 		for _, after := range []int64{4, units + 1} {
 			ctx := newPollCancel(after)
-			res, err := AnalyzeWithContext(ctx, tc.a, tc.net)
+			res, err := tc.a.AnalyzeContext(ctx, tc.net)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s: cancelled after %d polls (unit loop %d), got result %v and error %v; want the context error", tc.a.Name(), after, units, res != nil, err)
 			}

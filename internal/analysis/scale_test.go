@@ -64,26 +64,24 @@ func TestScaleLaw(t *testing.T) {
 		big := scaleNetwork(tc.net, k)
 		for _, a := range tc.analyzers {
 			runs := map[string]func(*topo.Network) (*Result, error){"analyze": a.Analyze}
-			if inc, ok := a.(Incremental); ok {
-				runs["baseline"] = func(net *topo.Network) (*Result, error) {
-					b, err := inc.NewBaseline(net)
-					if err != nil {
-						return nil, err
-					}
-					return b.Result(), nil
+			runs["baseline"] = func(net *topo.Network) (*Result, error) {
+				b, err := a.NewBaseline(net)
+				if err != nil {
+					return nil, err
 				}
-				runs["extend"] = func(net *topo.Network) (*Result, error) {
-					last := len(net.Connections) - 1
-					b, err := inc.NewBaseline(&topo.Network{Servers: net.Servers, Connections: net.Connections[:last]})
-					if err != nil {
-						return nil, err
-					}
-					ext, err := b.ExtendContext(context.Background(), net.Connections[last])
-					if err != nil {
-						return nil, err
-					}
-					return ext.Result(), nil
+				return b.Result(), nil
+			}
+			runs["extend"] = func(net *topo.Network) (*Result, error) {
+				last := len(net.Connections) - 1
+				b, err := a.NewBaseline(&topo.Network{Servers: net.Servers, Connections: net.Connections[:last]})
+				if err != nil {
+					return nil, err
 				}
+				ext, err := b.ExtendContext(context.Background(), net.Connections[last])
+				if err != nil {
+					return nil, err
+				}
+				return ext.Result(), nil
 			}
 			for how, run := range runs {
 				label := fmt.Sprintf("%s/%+v/%s", tc.name, a, how)

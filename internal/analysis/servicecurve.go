@@ -41,13 +41,13 @@ func (a ServiceCurve) Analyze(net *topo.Network) (*Result, error) {
 	return a.AnalyzeContext(context.Background(), net)
 }
 
-// AnalyzeContext implements ContextAnalyzer with the decomposed run's
+// AnalyzeContext implements Analyzer with the decomposed run's
 // checkpoints, one per server.
 func (ServiceCurve) AnalyzeContext(ctx context.Context, net *topo.Network) (*Result, error) {
 	return analyzeOnce(ctx, serviceCurveCore, net)
 }
 
-// NewBaseline implements Incremental: a trial replays the decomposed
+// NewBaseline implements Analyzer: a trial replays the decomposed
 // run's clean units, and its finish recomputes every network curve.
 func (ServiceCurve) NewBaseline(net *topo.Network) (*Baseline, error) {
 	return newBaseline(serviceCurveCore, net)
@@ -135,13 +135,13 @@ func (a GuaranteedRateNetworkCurve) Analyze(net *topo.Network) (*Result, error) 
 	return a.AnalyzeContext(context.Background(), net)
 }
 
-// AnalyzeContext implements ContextAnalyzer with the decomposed run's
+// AnalyzeContext implements Analyzer with the decomposed run's
 // checkpoints, one per server.
 func (GuaranteedRateNetworkCurve) AnalyzeContext(ctx context.Context, net *topo.Network) (*Result, error) {
 	return analyzeOnce(ctx, grCore, net)
 }
 
-// NewBaseline implements Incremental.
+// NewBaseline implements Analyzer.
 func (GuaranteedRateNetworkCurve) NewBaseline(net *topo.Network) (*Baseline, error) {
 	return newBaseline(grCore, net)
 }

@@ -33,7 +33,7 @@ func TestShrinkMatchesFullAnalysis(t *testing.T) {
 		sp[name] = spAll[name]
 	}
 	for _, tc := range []struct {
-		inc    Incremental
+		inc    Analyzer
 		corpus map[string]*topo.Network
 	}{{Decomposed{}, fifo}, {Integrated{}, fifo}, {Integrated{}, sp}} {
 		inc, corpus := tc.inc, tc.corpus
@@ -138,7 +138,7 @@ func TestShrinkRecomputesALevelConcurrently(t *testing.T) {
 	}}
 	shrunk := &topo.Network{Servers: servers, Connections: net.Connections[:2]}
 	for _, tc := range []struct {
-		a Incremental
+		a Analyzer
 		// The trial's levels, each unit named by its first server, and its
 		// one replayed unit (s0, upstream of everything released) if any.
 		levels   string
@@ -206,7 +206,7 @@ func TestShrinkToEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, inc := range []Incremental{Decomposed{}, Integrated{}} {
+	for _, inc := range []Analyzer{Decomposed{}, Integrated{}} {
 		base, err := inc.NewBaseline(net)
 		if err != nil {
 			t.Fatal(err)

@@ -65,7 +65,7 @@ func (o Options) withDefaults() Options {
 // Search runs the falsification matrix: every scenario against every
 // analyzer, in parallel across pairs, each pair a deterministic
 // hill-climbing search. Cancellation and deadlines are honored between
-// trials and inside the analyzers (via analysis.ContextAnalyzer), so the
+// trials and inside the analyzers (Analyzer.AnalyzeContext), so the
 // run degrades to a truncated — still valid, still deterministic for a
 // fixed budget — report under CI time limits rather than overshooting.
 func Search(ctx context.Context, scenarios []Scenario, analyzers []analysis.Analyzer, opts Options) (*Report, error) {
@@ -138,7 +138,7 @@ type trialOutcome struct {
 // pair and returns its result plus at most one contradiction.
 func searchUnit(ctx context.Context, sc Scenario, an analysis.Analyzer, opts Options) (*Result, *Contradiction, error) {
 	res := &Result{Scenario: sc.Name, Analyzer: an.Name(), Conn: -1}
-	ares, err := analysis.AnalyzeWithContext(ctx, an, sc.Net)
+	ares, err := an.AnalyzeContext(ctx, sc.Net)
 	if err != nil {
 		if ctx.Err() != nil {
 			res.Truncated = true

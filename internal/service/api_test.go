@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -10,6 +11,7 @@ import (
 
 	"delaycalc/internal/analysis"
 	"delaycalc/internal/server"
+	"delaycalc/internal/topo"
 )
 
 // TestRetiredSpellings pins the removal of the deprecated surface: every
@@ -92,6 +94,9 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 			http.StatusBadRequest, CodeInvalidSpec},
 		{"no deadline", "POST", "/v2/networks/default/connections",
 			`{"connection": {"name": "x", "sigma": 1, "rho": 0.1, "path": ["s0"]}}`,
+			http.StatusBadRequest, CodeInvalidSpec},
+		{"no name", "POST", "/v2/networks/default/connections",
+			`{"connection": {"sigma": 1, "rho": 0.1, "path": ["s0"], "deadline": 5}}`,
 			http.StatusBadRequest, CodeInvalidSpec},
 		{"unknown analyzer", "POST", "/v2/networks/default/analyze",
 			strings.Replace(analyzeBody, `"integrated"`, `"quantum"`, 1),
@@ -178,14 +183,18 @@ func TestAdmitRejectionCarriesCodeAndViolations(t *testing.T) {
 	}
 }
 
-// fullOnly hides every method of an analyzer but Name and Analyze: an
-// analyzer from outside the package, which the engine can only run in full.
+// fullOnly is an analyzer whose baseline build fails, which drives the
+// engine's one fallback, the full path.
 type fullOnly struct{ analysis.Analyzer }
 
+func (fullOnly) NewBaseline(*topo.Network) (*analysis.Baseline, error) {
+	return nil, errors.New("fullOnly: no baseline")
+}
+
 // TestEngineMetricsExposed checks the new admission-engine series on the
-// canonical metrics route. The incremental gauge is the analyzer's
-// capability: 1 for integrated here, 0 for an analyzer from outside the
-// package (fullOnly), which the engine can only run in full.
+// canonical metrics route. The incremental gauge is always 1, since every
+// analyzer is incremental; the test counters tell which path ran, and an
+// analyzer whose baseline build fails (fullOnly) runs every test in full.
 func TestEngineMetricsExposed(t *testing.T) {
 	srv := newTestServer(t, nil)
 	do(t, srv, "POST", "/v2/networks/default/connections", admitBody)
@@ -219,7 +228,7 @@ func TestEngineMetricsExposed(t *testing.T) {
 	do(t, sc, "POST", "/v2/networks/default/connections", admitBody)
 	body = do(t, sc, "GET", "/v2/networks/default/metrics", "").Body.String()
 	for _, want := range []string{
-		`delayd_admission_incremental_enabled 0`,
+		`delayd_admission_incremental_enabled 1`,
 		`delayd_admission_tests_total{mode="incremental"} 0`,
 		`delayd_admission_tests_total{mode="full"} 1`,
 	} {

@@ -138,9 +138,6 @@ func TestAdmitDegradesToDecomposed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !state.Engine().Incremental() {
-			t.Fatalf("%s: primary path is not incremental", name)
-		}
 		srv, err := NewServer(Config{State: state, AnalyzeTimeout: time.Nanosecond})
 		if err != nil {
 			t.Fatal(err)
@@ -437,10 +434,10 @@ func TestPanickingAnalyzerRecovered(t *testing.T) {
 	}
 }
 
-type panicAnalyzer struct{}
+// panicAnalyzer is the decomposed analysis panicking when it runs.
+type panicAnalyzer struct{ analysis.Decomposed }
 
-func (panicAnalyzer) Name() string { return "panic" }
-func (panicAnalyzer) Analyze(*topo.Network) (*analysis.Result, error) {
+func (panicAnalyzer) AnalyzeContext(context.Context, *topo.Network) (*analysis.Result, error) {
 	panic("injected analyzer panic")
 }
 

@@ -319,7 +319,7 @@ func (s *Server) handleStats(nw *Network, w http.ResponseWriter, r *http.Request
 	setSnapshotVersion(w, version)
 	resp := StatsResponse{
 		Analyzer:          eng.Analyzer().Name(),
-		Incremental:       eng.Incremental(),
+		Incremental:       true,
 		Admitted:          len(conns),
 		SnapshotVersion:   version,
 		Shards:            st.Shards,
@@ -410,7 +410,7 @@ func (s *Server) handleAnalyze(nw *Network, w http.ResponseWriter, r *http.Reque
 	var res *analysis.Result
 	fail := failure{"analysis", http.StatusUnprocessableEntity, CodeInvalidSpec}
 	degradedRes, ok := s.serve(nw, w, r, epAnalyze, req.TimeoutSeconds, fail, func(ctx context.Context) (err error) {
-		res, err = analysis.AnalyzeWithContext(ctx, analyzer, net)
+		res, err = analyzer.AnalyzeContext(ctx, net)
 		return err
 	})
 	if !ok {

@@ -257,11 +257,7 @@ func writeEngineMetrics(w io.Writer, st *State) {
 	stats := st.Engine().Stats()
 	fmt.Fprintln(w, "# HELP delayd_admission_incremental_enabled Whether the admission analyzer has an incremental path (1) or re-analyzes every test in full (0).")
 	fmt.Fprintln(w, "# TYPE delayd_admission_incremental_enabled gauge")
-	enabled := 0.0
-	if st.Engine().Incremental() {
-		enabled = 1
-	}
-	gaugeLine(w, "delayd_admission_incremental_enabled", "", enabled)
+	gaugeLine(w, "delayd_admission_incremental_enabled", "", 1)
 
 	fmt.Fprintln(w, "# HELP delayd_admission_tests_total Admission analyses, by path.")
 	fmt.Fprintln(w, "# TYPE delayd_admission_tests_total counter")

@@ -153,6 +153,8 @@ func TestAdmitBadInput(t *testing.T) {
 		"unknown field":     `{"connection": {"name": "x"}, "bogus": 1}`,
 		"unknown server":    `{"connection": {"name": "x", "sigma": 1, "rho": 0.1, "path": ["nope"], "deadline": 5}}`,
 		"no deadline":       `{"connection": {"name": "x", "sigma": 1, "rho": 0.1, "path": ["s0"]}}`,
+		"no name":           `{"connection": {"sigma": 1, "rho": 0.1, "path": ["s0"], "deadline": 5}}`,
+		"no name, dry run":  `{"connection": {"sigma": 1, "rho": 0.1, "path": ["s0"], "deadline": 5}, "dry_run": true}`,
 		"trailing data":     `{"connection": {"name": "x", "sigma": 1, "rho": 0.1, "path": ["s0"], "deadline": 5}} garbage`,
 		"negative sigma":    `{"connection": {"name": "x", "sigma": -1, "rho": 0.1, "path": ["s0"], "deadline": 5}}`,
 		"path out of range": `{"connection": {"name": "x", "sigma": 1, "rho": 0.1, "path": [9], "deadline": 5}}`,

@@ -21,8 +21,8 @@ import (
 // partitioned into independent server-sharing components, one engine shard
 // per component group, so disjoint workloads commit without contending;
 // every envelope analyzes an immutable snapshot OUTSIDE any lock and
-// commits with a version check (retrying on conflict). With one shard
-// (NewState) the behavior is exactly the single admission.Engine.
+// commits with a version check (retrying on conflict). One shard (NewState)
+// routes exactly as many do.
 //
 // Every write is ApplyBatch and every test is TestBatch — a single admit,
 // release or dry run is an envelope of one; Engine() carries the
@@ -33,8 +33,7 @@ type State struct {
 	index   map[string]int  // server name -> index; immutable after construction
 }
 
-// NewState builds a single-shard admission state over the given fabric —
-// the exact pre-sharding engine behavior.
+// NewState builds a single-shard admission state over the given fabric.
 func NewState(servers []server.Server, analyzer analysis.Analyzer) (*State, error) {
 	return NewStateShards(servers, analyzer, 1)
 }
