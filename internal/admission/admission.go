@@ -122,26 +122,29 @@ type Decision struct {
 	Violations []Violation
 	// Bounds holds the post-admission delay bounds per connection
 	// (admitted connections first, the candidate last) when the test ran.
+	// An engine's decision shares it with the trial's analysis baseline:
+	// read it, do not modify it.
 	Bounds []float64
 }
 
-// evaluate derives the Decision for an analyzed trial network. It is the
-// single decision rule shared by the Controller oracle and the engines'
-// admission step, so the two can never diverge.
-func evaluate(trial *topo.Network, res *analysis.Result) Decision {
-	d := Decision{Bounds: res.Bounds}
-	for i, conn := range trial.Connections {
+// evaluate derives the Decision for the analyzed trial connections conns,
+// whose delay bounds are bounds (same indexing). It is the single decision
+// rule shared by the Controller oracle and the engines' admission step, so
+// the two can never diverge. The Decision keeps bounds as its Bounds.
+func evaluate(conns []topo.Connection, bounds []float64) Decision {
+	d := Decision{Bounds: bounds}
+	for i, conn := range conns {
 		if conn.Deadline <= 0 {
 			continue
 		}
-		if math.IsInf(res.Bound(i), 1) || res.Bound(i) > conn.Deadline {
+		if math.IsInf(bounds[i], 1) || bounds[i] > conn.Deadline {
 			name := conn.Name
 			if name == "" {
 				name = fmt.Sprintf("connection %d", i)
 			}
 			d.Violations = append(d.Violations, Violation{
 				Connection: name,
-				Bound:      res.Bound(i),
+				Bound:      bounds[i],
 				Deadline:   conn.Deadline,
 			})
 		}
@@ -188,7 +191,7 @@ func (c *Controller) Test(cand topo.Connection) (Decision, error) {
 	if err != nil {
 		return Decision{Code: CodeInvalidSpec, Reason: err.Error()}, err
 	}
-	return evaluate(trial, res), nil
+	return evaluate(trial.Connections, res.Bounds), nil
 }
 
 // Admit runs Test and, on success, commits the candidate.

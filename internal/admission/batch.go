@@ -89,9 +89,12 @@ type BatchResult struct {
 // have left them. A dry run evaluates against the same state and never
 // advances it.
 type batchState struct {
-	// admitted starts as a capacity-clipped alias of the snapshot's set and
-	// is never written in place: an admit appends (reallocating off the
-	// snapshot's array the first time), a release installs a fresh slice.
+	// admitted starts as the snapshot's set and is never written or
+	// appended to in place: an operation installs another list. With a
+	// working baseline it holds the same connections as base.Conns(), and an
+	// accepted incremental admit or release installs exactly that list, so
+	// the working state, the snapshot it commits and the baseline share one
+	// copy of the set.
 	admitted []topo.Connection
 	base     *analysis.Baseline
 	// mutated flips on the first successful admit or release; an envelope
@@ -106,8 +109,7 @@ type batchState struct {
 
 // workingState opens an envelope evaluation over the snapshot.
 func (s *Snapshot) workingState() *batchState {
-	n := len(s.admitted)
-	return &batchState{admitted: s.admitted[:n:n], base: s.cachedBaseline()}
+	return &batchState{admitted: s.admitted, base: s.cachedBaseline()}
 }
 
 // validateOps rejects malformed envelopes before anything is evaluated.
@@ -172,12 +174,12 @@ func (e *Engine) evalBatch(ctx context.Context, snap *Snapshot, ops []Op) (*Batc
 	for i, op := range ops {
 		switch op.Kind {
 		case OpAdmit:
-			d, ext, err := e.admitStep(ctx, snap, st, op.Candidate)
+			d, ts, err := e.admitStep(ctx, snap, st, op.Candidate)
 			if IsCanceled(err) {
 				return nil, nil, err
 			}
 			if err == nil && d.Admitted {
-				st.admit(op.Candidate, ext)
+				st.admit(ts)
 			}
 			br.Results[i] = OpResult{Decision: d, Err: err}
 		case OpRelease:
@@ -214,11 +216,8 @@ func (st *batchState) ensureBaseline(e *Engine, snap *Snapshot) (*analysis.Basel
 	if !st.mutated {
 		base, err = snap.baseline()
 	} else {
-		net := &topo.Network{
-			Servers:     e.servers,
-			Connections: append([]topo.Connection(nil), st.admitted...),
-		}
-		base, err = e.analyzer.NewBaseline(net)
+		// NewBaseline takes its own copy of the list.
+		base, err = e.analyzer.NewBaseline(&topo.Network{Servers: e.servers, Connections: st.admitted})
 		if err == nil {
 			e.epoch.Add(1)
 		}
@@ -231,79 +230,108 @@ func (st *batchState) ensureBaseline(e *Engine, snap *Snapshot) (*analysis.Basel
 	return base, nil
 }
 
-// admit advances the working state past an accepted candidate. ext is the
-// incremental extension to promote; nil (a full-path or degraded admit)
-// leaves the would-be set without a baseline, and the next incremental
-// admit rebuilds one over it.
-func (st *batchState) admit(cand topo.Connection, ext *analysis.Extension) {
-	st.admitted = append(st.admitted, cand)
+// trialSet is what an admission test leaves for an accepted candidate's
+// commit: the trial's connection list (the working set, the candidate last)
+// and, from an incremental test whose traces may seed a baseline, the
+// extension over exactly that list.
+type trialSet struct {
+	conns []topo.Connection
+	ext   *analysis.Extension
+}
+
+// admit advances the working state past an accepted candidate to its
+// trial's list. Without an extension to promote (a full-path or degraded
+// admit) the would-be set has no baseline, and the next incremental admit
+// rebuilds one over it.
+func (st *batchState) admit(ts trialSet) {
+	st.admitted = ts.conns
 	st.base = nil
-	if ext != nil {
-		st.base = ext.Promote()
+	if ts.ext != nil {
+		st.base = ts.ext.Promote()
 	}
 	st.mutated = true
 	st.buildFailed = false
 }
 
 // admitStep is THE admission test — the one implementation of precheck ->
-// affected set -> extend -> evaluate, run by ApplyBatch against the
-// accumulating working state and by TestBatch against a pinned snapshot's.
-// It never advances st: the caller applies st.admit on an accepted live
-// candidate. It returns the decision plus, on the incremental path, the
-// extension to promote. A cancellation surfaces as a bare error (never as a
-// CodeInvalidSpec decision, and never by silently falling through to the
-// more expensive full path).
+// validation -> stability -> affected set -> extend -> evaluate, run by
+// ApplyBatch against the accumulating working state and by TestBatch
+// against a pinned snapshot's. It never advances st: the caller applies
+// st.admit on an accepted live candidate. It returns the decision plus the
+// trial's set for that commit. A cancellation surfaces as a bare error (never
+// as a CodeInvalidSpec decision, and never by silently falling through to
+// the more expensive full path).
 //
 // A nil snap (the cross-shard union test, which has none) forces one full
 // analysis; so does an expired soft budget with no working baseline.
-func (e *Engine) admitStep(ctx context.Context, snap *Snapshot, st *batchState, cand topo.Connection) (Decision, *analysis.Extension, error) {
+func (e *Engine) admitStep(ctx context.Context, snap *Snapshot, st *batchState, cand topo.Connection) (Decision, trialSet, error) {
 	if d, err := precheck(cand); err != nil {
-		return d, nil, err
+		return d, trialSet{}, err
 	}
-	trial := &topo.Network{Servers: e.servers, Connections: make([]topo.Connection, 0, len(st.admitted)+1)}
-	trial.Connections = append(append(trial.Connections, st.admitted...), cand)
 	// st.base, when present, is the baseline over exactly st.admitted — that
-	// set was validated when it was committed, so its checker validates the
-	// candidate in O(candidate); a nil working baseline (cold start, after a
-	// release that dropped it) degrades to the identical full validation.
-	if err := st.base.ValidateExtend(trial); err != nil {
-		return Decision{Code: CodeInvalidSpec, Reason: err.Error()}, nil, err
+	// set was validated when it was committed — so it derives the trial and
+	// validates the candidate in O(candidate), and the trial's list is the
+	// one copy of the set the test makes. A nil working baseline (cold start,
+	// after a release that dropped it) builds the trial here and pays the
+	// identical full validation.
+	var (
+		tr  *analysis.Trial
+		net *topo.Network
+		err error
+	)
+	if st.base != nil {
+		if tr, err = st.base.NewTrial(cand); err == nil {
+			net = tr.Network()
+		}
+	} else {
+		net = &topo.Network{Servers: e.servers, Connections: make([]topo.Connection, 0, len(st.admitted)+1)}
+		net.Connections = append(append(net.Connections, st.admitted...), cand)
+		err = net.Validate()
 	}
-	if !trial.Stable() {
-		return Decision{Code: CodeUnstable, Reason: "network would be unstable"}, nil, nil
+	if err != nil {
+		return Decision{Code: CodeInvalidSpec, Reason: err.Error()}, trialSet{}, err
+	}
+	if !net.Stable() {
+		return Decision{Code: CodeUnstable, Reason: "network would be unstable"}, trialSet{}, nil
 	}
 	if snap != nil {
 		affected, _ := AffectedSet(len(e.servers), st.admitted, cand)
 		e.observeAffected(len(affected))
-		if st.base != nil || !analysis.Expired(ctx) {
+		if tr == nil && !analysis.Expired(ctx) {
 			if base, err := st.ensureBaseline(e, snap); err == nil {
-				ext, err := base.ExtendContext(ctx, cand)
-				if err == nil {
-					e.incTests.Add(1)
-					d := evaluate(trial, ext.Result())
-					if analysis.Degraded(ctx) {
-						// Its traces depend on when the budget ran out.
-						ext = nil
-					}
-					return d, ext, nil
-				}
-				if IsCanceled(err) {
-					return Decision{}, nil, err
-				}
+				// Validated above, so this cannot fail.
+				tr, _ = base.NewTrial(cand)
 			}
-			// Baseline or extension failure: fall through to the full path,
-			// which reproduces Controller.Test exactly (including its error).
+		}
+		if tr != nil {
+			ext, err := tr.Run(ctx)
+			if err == nil {
+				e.incTests.Add(1)
+				conns := tr.Network().Connections
+				d := evaluate(conns, ext.Bounds())
+				if analysis.Degraded(ctx) {
+					// Its traces depend on when the budget ran out.
+					ext = nil
+				}
+				return d, trialSet{conns: conns, ext: ext}, nil
+			}
+			if IsCanceled(err) {
+				return Decision{}, trialSet{}, err
+			}
+			// Extension failure: fall through to the full path, which
+			// reproduces Controller.Test exactly (including its error). So
+			// does a baseline that could not be built.
 		}
 	}
 	e.fullTests.Add(1)
-	res, err := e.analyzer.AnalyzeContext(ctx, trial)
+	res, err := e.analyzer.AnalyzeContext(ctx, net)
 	if err != nil {
 		if IsCanceled(err) {
-			return Decision{}, nil, err
+			return Decision{}, trialSet{}, err
 		}
-		return Decision{Code: CodeInvalidSpec, Reason: err.Error()}, nil, err
+		return Decision{Code: CodeInvalidSpec, Reason: err.Error()}, trialSet{}, err
 	}
-	return evaluate(trial, res), nil, nil
+	return evaluate(net.Connections, res.Bounds), trialSet{conns: net.Connections}, nil
 }
 
 // releaseStep removes the named connection from the working state — the
@@ -328,9 +356,6 @@ func (e *Engine) releaseStep(ctx context.Context, st *batchState, name string, s
 	if idx < 0 {
 		return OpResult{}, nil
 	}
-	// Room for one append, so a release-then-admit envelope copies once.
-	survivors := make([]topo.Connection, 0, len(st.admitted))
-	survivors = append(append(survivors, st.admitted[:idx]...), st.admitted[idx+1:]...)
 	info := ReleaseInfo{Affected: -1}
 	var shrunk *analysis.Baseline
 	if shrink && st.base != nil {
@@ -339,18 +364,22 @@ func (e *Engine) releaseStep(ctx context.Context, st *batchState, name string, s
 			return OpResult{}, err
 		}
 		if err == nil && !analysis.Degraded(ctx) {
-			affected, _ := AffectedSet(len(e.servers), survivors, st.admitted[idx])
+			shrunk = ext.Promote()
+			affected, _ := AffectedSet(len(e.servers), shrunk.Conns(), st.admitted[idx])
 			info = ReleaseInfo{Incremental: true, Affected: len(affected)}
 			e.observeAffected(len(affected))
-			shrunk = ext.Promote()
 		}
 	}
 	if shrunk != nil {
+		// The shrunk baseline's list is the survivors.
 		e.incRels.Add(1)
+		st.admitted = shrunk.Conns()
 	} else {
+		// Compaction: the one release that copies the survivors itself.
 		e.compactRels.Add(1)
+		survivors := make([]topo.Connection, 0, len(st.admitted)-1)
+		st.admitted = append(append(survivors, st.admitted[:idx]...), st.admitted[idx+1:]...)
 	}
-	st.admitted = survivors
 	st.base = shrunk
 	st.mutated = true
 	st.buildFailed = false

@@ -335,7 +335,7 @@ func TestIncrementalWork(t *testing.T) {
 	eng := warmEngine(t, net, cand)
 	before := eng.Stats()
 	snap := eng.Snapshot()
-	d, ext, err := eng.admitStep(bg, snap, snap.workingState(), cand)
+	d, ts, err := eng.admitStep(bg, snap, snap.workingState(), cand)
 	if err != nil || !d.Admitted {
 		t.Fatalf("incremental test failed: %+v %v", d, err)
 	}
@@ -343,6 +343,7 @@ func TestIncrementalWork(t *testing.T) {
 	if inc, full := st.IncrementalTests-before.IncrementalTests, st.FullTests-before.FullTests; inc != 1 || full != 0 {
 		t.Fatalf("test took %d incremental and %d full analyses, want 1 and 0", inc, full)
 	}
+	ext := ts.ext
 	if ext == nil {
 		t.Fatal("incremental test returned no extension")
 	}

@@ -261,11 +261,6 @@ func (s *Snapshot) Admitted() []topo.Connection {
 	return out
 }
 
-// network materializes the snapshot's connection set.
-func (s *Snapshot) network() *topo.Network {
-	return &topo.Network{Servers: s.eng.servers, Connections: append([]topo.Connection(nil), s.admitted...)}
-}
-
 // baseline returns the snapshot's analysis baseline, building it (one full
 // analysis of the admitted set) at most once.
 func (s *Snapshot) baseline() (*analysis.Baseline, error) {
@@ -273,7 +268,8 @@ func (s *Snapshot) baseline() (*analysis.Baseline, error) {
 		return s.promoted, nil
 	}
 	s.baseOnce.Do(func() {
-		s.base, s.baseErr = s.eng.analyzer.NewBaseline(s.network())
+		// NewBaseline takes its own copy of the list.
+		s.base, s.baseErr = s.eng.analyzer.NewBaseline(&topo.Network{Servers: s.eng.servers, Connections: s.admitted})
 		if s.baseErr == nil {
 			s.eng.epoch.Add(1)
 			s.baseReady.Store(true)

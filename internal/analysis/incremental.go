@@ -532,18 +532,6 @@ func (b *Baseline) Result() *Result {
 	return exportResult(b.res, b.scale)
 }
 
-// ValidateExtend validates trial — the baseline's network plus exactly one
-// appended candidate, in caller units — returning exactly the error
-// trial.Validate() would produce, in O(candidate) on the fast path. A nil
-// baseline (or one without a checker) degrades to the full validation, so
-// admission-layer prechecks can call it unconditionally.
-func (b *Baseline) ValidateExtend(trial *topo.Network) error {
-	if b == nil {
-		return trial.Validate()
-	}
-	return b.chk.ValidateExtend(trial)
-}
-
 // extendIndex derives the trial's ConnectionIndex from the baseline's: the
 // candidate sits at the last index, so only the rows of the servers on its
 // route change. Touched rows are reallocated (the cached rows are shared
@@ -561,6 +549,11 @@ func (b *Baseline) extendIndex(path []int) [][]int {
 
 // Connections returns how many connections the baseline covers.
 func (b *Baseline) Connections() int { return len(b.orig.Connections) }
+
+// Conns returns the baseline's connections in caller units, without
+// copying them. The list is immutable: the baseline never writes or appends
+// to it, and neither may the caller, which may keep it as long as it likes.
+func (b *Baseline) Conns() []topo.Connection { return b.orig.Connections }
 
 // exportResult copies a normalized-internal result and converts bit-valued
 // bounds back to caller units (delays are scale-invariant).
@@ -595,6 +588,12 @@ type Extension struct {
 // first, the candidate last) in caller units. The slices are copies.
 func (e *Extension) Result() *Result { return e.promoted.Result() }
 
+// Bounds returns the trial network's delay bounds, indexed like Result's,
+// without copying them: delays are scale-invariant, so the promoted
+// baseline's own vector is already in caller units. It must not be
+// modified.
+func (e *Extension) Bounds() []float64 { return e.promoted.res.Bounds }
+
 // Promote returns a Baseline for the extended network, reusing every
 // replayed unit's trace, so committing an admission costs no extra
 // analysis. The promoted baseline is independent of the original.
@@ -605,18 +604,47 @@ func (e *Extension) Promote() *Baseline { return e.promoted }
 // interference closure. The result is bit-identical to the core's full
 // analysis of the trial network. The unit replay loop checks the context
 // between units (and recomputed units observe it internally), returning its
-// error once it is done.
+// error once it is done. It is NewTrial followed by Trial.Run.
 func (b *Baseline) ExtendContext(ctx context.Context, cand topo.Connection) (*Extension, error) {
-	// Trial in caller units, candidate appended last so existing
-	// connection indices are stable.
-	trialOrig := &topo.Network{Servers: b.orig.Servers, Connections: appendOne(b.orig.Connections, cand)}
-	// The baseline's own network was validated when it was built, so only
-	// the candidate needs checking — O(candidate) via the cached checker
-	// instead of re-validating the whole trial network on every admission
-	// test — and so does the core's check, at the servers of its route.
-	if err := b.chk.ValidateExtend(trialOrig); err != nil {
+	tr, err := b.NewTrial(cand)
+	if err != nil {
 		return nil, fmt.Errorf("analysis: %w", err)
 	}
+	return tr.Run(ctx)
+}
+
+// Trial is a baseline's network plus one candidate, derived and validated
+// but not yet analyzed. Its connection list is the only copy of the set a
+// trial makes: the extension's promoted baseline keeps it, so an admission
+// that commits the trial stores no other.
+type Trial struct {
+	from *Baseline
+	net  *topo.Network // caller units, the candidate last
+}
+
+// NewTrial derives the trial network — the baseline's connections with cand
+// appended last, so existing connection indices are stable — and validates
+// it, returning exactly the error the trial's Validate would. The
+// baseline's own network was validated when it was built, so only the
+// candidate needs checking: O(candidate) via the cached checker.
+func (b *Baseline) NewTrial(cand topo.Connection) (*Trial, error) {
+	net := &topo.Network{Servers: b.orig.Servers, Connections: appendOne(b.orig.Connections, cand)}
+	if err := b.chk.ValidateExtend(net); err != nil {
+		return nil, err
+	}
+	return &Trial{from: b, net: net}, nil
+}
+
+// Network returns the trial network in caller units. It is shared with the
+// trial's extension and must not be modified.
+func (tr *Trial) Network() *topo.Network { return tr.net }
+
+// Run analyzes the trial against the baseline it was derived from (see
+// ExtendContext). The core's check runs here, at the servers of the
+// candidate's route.
+func (tr *Trial) Run(ctx context.Context) (*Extension, error) {
+	b, trialOrig := tr.from, tr.net
+	cand := trialOrig.Connections[len(trialOrig.Connections)-1]
 	// Trial in normalized units: the scale depends only on the servers,
 	// which the candidate does not change.
 	trial := trialOrig

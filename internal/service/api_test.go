@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -235,6 +236,44 @@ func TestEngineMetricsExposed(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("full-path metrics missing %q\n%s", want, body)
 		}
+	}
+}
+
+// TestRuntimeMetricsExposed pins the process's allocation readings on the
+// metrics page: every series is there with its type, and the two counters
+// never decrease from one scrape to the next.
+func TestRuntimeMetricsExposed(t *testing.T) {
+	srv := newTestServer(t, nil)
+	scrape := func() map[string]float64 {
+		w := do(t, srv, "GET", "/v2/networks/default/metrics", "")
+		if w.Code != http.StatusOK {
+			t.Fatalf("metrics: %d", w.Code)
+		}
+		body := w.Body.String()
+		out := map[string]float64{}
+		for _, s := range []struct{ name, kind string }{
+			{"delayd_go_gc_cycles_total", "counter"},
+			{"delayd_go_alloc_bytes_total", "counter"},
+			{"delayd_go_heap_live_bytes", "gauge"},
+		} {
+			if typ := "# TYPE " + s.name + " " + s.kind + "\n"; !strings.Contains(body, typ) {
+				t.Errorf("metrics missing %q", typ)
+			}
+			out[s.name] = sampleMetric(t, body, "\n"+s.name)
+		}
+		return out
+	}
+	first := scrape()
+	do(t, srv, "POST", "/v2/networks/default/connections", admitBody)
+	runtime.GC()
+	second := scrape()
+	for _, name := range []string{"delayd_go_gc_cycles_total", "delayd_go_alloc_bytes_total"} {
+		if second[name] < first[name] {
+			t.Errorf("%s fell from %v to %v between two scrapes", name, first[name], second[name])
+		}
+	}
+	if first["delayd_go_alloc_bytes_total"] <= 0 || second["delayd_go_heap_live_bytes"] <= 0 {
+		t.Errorf("runtime readings are empty: %v then %v", first, second)
 	}
 }
 

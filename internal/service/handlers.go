@@ -446,6 +446,7 @@ func (s *Server) handleMetrics(nw *Network, w http.ResponseWriter, r *http.Reque
 	writeCacheMetrics(w, nw.cache)
 	writeAdmissionMetrics(w, nw.state)
 	writeEngineMetrics(w, nw.state)
+	writeRuntimeMetrics(w)
 }
 
 func (s *Server) handleHealthz(_ *Network, w http.ResponseWriter, r *http.Request) {

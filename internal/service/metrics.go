@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	rtmetrics "runtime/metrics"
 	"sort"
 	"strconv"
 	"sync"
@@ -225,6 +226,34 @@ func (m *Metrics) WriteText(w io.Writer) {
 			fmt.Sprintf(`endpoint=%q,le="+Inf"`, ep), float64(h.count))
 		gaugeLine(w, "delayd_request_duration_seconds_sum", fmt.Sprintf("endpoint=%q", ep), h.sum)
 		gaugeLine(w, "delayd_request_duration_seconds_count", fmt.Sprintf("endpoint=%q", ep), float64(h.count))
+	}
+}
+
+// runtimeSeries are the Go runtime's allocation readings /metrics exports,
+// by the runtime/metrics name each is read from.
+var runtimeSeries = []struct{ name, kind, help, sample string }{
+	{"delayd_go_gc_cycles_total", "counter", "Completed garbage-collection cycles of the process.", "/gc/cycles/total:gc-cycles"},
+	{"delayd_go_alloc_bytes_total", "counter", "Bytes the process has allocated on the heap since start.", "/gc/heap/allocs:bytes"},
+	{"delayd_go_heap_live_bytes", "gauge", "Heap bytes the last garbage collection found live.", "/gc/heap/live:bytes"},
+}
+
+// writeRuntimeMetrics renders the process's allocation readings, read
+// through runtime/metrics at scrape time: no stop-the-world, unlike
+// runtime.ReadMemStats. They are process-wide, the same on every network's
+// page.
+func writeRuntimeMetrics(w io.Writer) {
+	samples := make([]rtmetrics.Sample, len(runtimeSeries))
+	for i, s := range runtimeSeries {
+		samples[i].Name = s.sample
+	}
+	rtmetrics.Read(samples)
+	for i, s := range runtimeSeries {
+		v := 0.0
+		if samples[i].Value.Kind() == rtmetrics.KindUint64 {
+			v = float64(samples[i].Value.Uint64())
+		}
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", s.name, s.help, s.name, s.kind)
+		gaugeLine(w, s.name, "", v)
 	}
 }
 
