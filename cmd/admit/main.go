@@ -15,12 +15,9 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"time"
 
@@ -86,55 +83,10 @@ func main() {
 				maxU = u
 			}
 		}
-		stats, err := fetchStats(state)
-		if err != nil {
-			fatal(err)
-		}
+		stats := state.Engine().Stats()
 		fmt.Printf("%-14s %10d %15.1f%% %11d/%d\n", a.Name(), n, 100*maxU,
-			stats.Tests.Incremental, stats.Tests.Incremental+stats.Tests.Full)
+			stats.IncrementalTests, stats.IncrementalTests+stats.FullTests)
 	}
-}
-
-// memResponse is a minimal in-process http.ResponseWriter so the CLI can
-// read counters through the same network-scoped GET stats endpoint the
-// daemon serves instead of reaching into engine internals.
-type memResponse struct {
-	header http.Header
-	status int
-	body   bytes.Buffer
-}
-
-func (m *memResponse) Header() http.Header {
-	if m.header == nil {
-		m.header = make(http.Header)
-	}
-	return m.header
-}
-
-func (m *memResponse) Write(p []byte) (int, error) { return m.body.Write(p) }
-func (m *memResponse) WriteHeader(code int)        { m.status = code }
-
-// fetchStats serves the v2 stats endpoint in-process against the state.
-func fetchStats(state *service.State) (*service.StatsResponse, error) {
-	api, err := service.NewServer(service.Config{State: state})
-	if err != nil {
-		return nil, err
-	}
-	url := "/v2/networks/" + service.DefaultNetworkID + "/stats"
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	rec := &memResponse{status: http.StatusOK}
-	api.ServeHTTP(rec, req)
-	if rec.status != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: status %d: %s", url, rec.status, rec.body.String())
-	}
-	var stats service.StatsResponse
-	if err := json.Unmarshal(rec.body.Bytes(), &stats); err != nil {
-		return nil, fmt.Errorf("GET %s: %w", url, err)
-	}
-	return &stats, nil
 }
 
 // fillContext derives the per-analyzer fill budget; zero means unlimited.

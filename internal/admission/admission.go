@@ -6,26 +6,25 @@
 // admitted connections at the same quality of service — the paper's
 // utilization argument.
 //
-// The package has two engine types and one oracle:
+// The package has one engine and one oracle:
 //
-//   - ShardedEngine partitions the fabric into independent components, one
-//     Engine per shard, at any shard count, one included. ApplyBatch (live)
-//     and TestBatch (dry run) are its only write and test entry points: a
-//     single admit, release or test is an envelope of one. It is what
-//     service.State, the delayd daemon and the CLIs run.
-//   - Engine is one shard: the goroutine-safe, incremental controller over
-//     versioned immutable snapshots. Every analyzer has a baseline, so a
-//     test extends one; the full analysis is its one fallback, taken when
-//     no baseline can be had.
+//   - ShardedEngine partitions the fabric into independent components at
+//     any shard count, one included. Each shard is a goroutine-safe,
+//     incremental controller over versioned immutable snapshots: every
+//     analyzer has a baseline, so a test extends one, and the full analysis
+//     is its one fallback, taken when no baseline can be had. ApplyBatch
+//     (live) and TestBatch (dry run) are the engine's only write and test
+//     entry points: a single admit, release or test is an envelope of one.
+//     It is what service.State, the delayd daemon and the CLIs run.
 //   - Controller is the deliberately naive reference: every test is a full
-//     re-analysis of the trial network. The differential tests pin both
-//     engines' decisions and bounds to it, and the public
+//     re-analysis of the trial network. The differential tests pin the
+//     engine's decisions and bounds to it, and the public
 //     delaycalc.AdmissionController is an alias for it. It is NOT
 //     goroutine-safe: Admit, Remove, and FillGreedy mutate the admitted
 //     set, and Admitted, Count, Test, and Utilization read it, all without
 //     synchronization.
 //
-// All three apply one precheck before they analyze: a candidate needs a
+// Both apply one precheck before they analyze: a candidate needs a
 // deadline to be tested against and a name to be released by.
 package admission
 
@@ -49,6 +48,16 @@ type Controller struct {
 // New creates a controller over the given servers using the given
 // analyzer for the admission test.
 func New(servers []server.Server, analyzer analysis.Analyzer) (*Controller, error) {
+	cp, err := checkFabric(servers, analyzer)
+	if err != nil {
+		return nil, err
+	}
+	return &Controller{servers: cp, analyzer: analyzer}, nil
+}
+
+// checkFabric validates the fabric and analyzer an admission controller or
+// engine is built over, and returns its own copy of the servers.
+func checkFabric(servers []server.Server, analyzer analysis.Analyzer) ([]server.Server, error) {
 	if len(servers) == 0 {
 		return nil, fmt.Errorf("admission: no servers")
 	}
@@ -62,7 +71,7 @@ func New(servers []server.Server, analyzer analysis.Analyzer) (*Controller, erro
 	}
 	cp := make([]server.Server, len(servers))
 	copy(cp, servers)
-	return &Controller{servers: cp, analyzer: analyzer}, nil
+	return cp, nil
 }
 
 // Admitted returns a copy of the currently admitted connections.
@@ -129,7 +138,7 @@ type Decision struct {
 
 // evaluate derives the Decision for the analyzed trial connections conns,
 // whose delay bounds are bounds (same indexing). It is the single decision
-// rule shared by the Controller oracle and the engines' admission step, so
+// rule shared by the Controller oracle and the engine's admission step, so
 // the two can never diverge. The Decision keeps bounds as its Bounds.
 func evaluate(conns []topo.Connection, bounds []float64) Decision {
 	d := Decision{Bounds: bounds}

@@ -1,7 +1,6 @@
 package admission
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -42,9 +41,10 @@ func connsChecksum(conns []topo.Connection) uint64 {
 // evaluated from it and its baseline all alias one connection list, and
 // every trial derived from it shares its prefix. Dry-run readers on pinned
 // snapshots run beside a writer doing admits, releases and envelopes that
-// shrink or compact the baseline, on one Engine and on a 2-shard ShardedEngine. Each reader's
-// pinned list must read the same before and after its test, and its
-// decision must equal Controller's over that list, bounds bit for bit.
+// shrink or compact the baseline, on a one-shard and a two-shard engine.
+// Each reader's pinned list must read the same before and after its test,
+// and its decision must equal Controller's over that list, bounds bit for
+// bit.
 func TestPinnedSnapshotsSurviveWriters(t *testing.T) {
 	net, err := topo.DisjointBlocks(2, 3, 0.3)
 	if err != nil {
@@ -63,10 +63,14 @@ func TestPinnedSnapshotsSurviveWriters(t *testing.T) {
 	}
 	analyzer := analysis.Integrated{}
 
-	type writer interface {
-		ApplyBatch(ctx context.Context, ops []Op) (*BatchResult, error)
-	}
-	run := func(t *testing.T, w writer, pin func(cand topo.Connection) *Snapshot, dry func(cands []topo.Connection) ([]OpResult, error)) {
+	run := func(t *testing.T, w *ShardedEngine) {
+		// pin is the snapshot of the shard TestBatch would route cand to.
+		pin := func(cand topo.Connection) *snapshot {
+			w.router.mu.Lock()
+			shard, _ := w.router.route(cand.Path)
+			w.router.mu.Unlock()
+			return w.shards[shard].snap.Load()
+		}
 		for _, c := range net.Connections {
 			if br, err := w.ApplyBatch(bg, []Op{{Kind: OpAdmit, Candidate: c}}); err != nil || !br.Results[0].Decision.Admitted {
 				t.Fatalf("setup admit %s: err=%v", c.Name, err)
@@ -127,7 +131,7 @@ func TestPinnedSnapshotsSurviveWriters(t *testing.T) {
 					before := connsChecksum(snap.admitted)
 					got, gotErr := snap.test(bg, cand)
 					if after := connsChecksum(snap.admitted); after != before {
-						t.Errorf("reader %d: snapshot v%d's admitted list changed under its test", r, snap.Version())
+						t.Errorf("reader %d: snapshot v%d's admitted list changed under its test", r, snap.version)
 						return
 					}
 					ctrl, err := New(net.Servers, analyzer)
@@ -135,14 +139,14 @@ func TestPinnedSnapshotsSurviveWriters(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					ctrl.admitted = snap.Admitted()
+					ctrl.admitted = append([]topo.Connection(nil), snap.admitted...)
 					want, wantErr := ctrl.Test(cand)
 					if (gotErr == nil) != (wantErr == nil) {
 						t.Errorf("reader %d: error diverged: controller %v, engine %v", r, wantErr, gotErr)
 						return
 					}
 					if !reflect.DeepEqual(want, got) {
-						t.Errorf("reader %d probe %d on v%d: decision diverged:\n  controller %+v\n  engine     %+v", r, i, snap.Version(), want, got)
+						t.Errorf("reader %d probe %d on v%d: decision diverged:\n  controller %+v\n  engine     %+v", r, i, snap.version, want, got)
 						return
 					}
 					probes.Add(1)
@@ -150,10 +154,10 @@ func TestPinnedSnapshotsSurviveWriters(t *testing.T) {
 						admitted.Add(1)
 					}
 					if connsChecksum(snap.admitted) != before {
-						t.Errorf("reader %d: snapshot v%d's admitted list changed after its test", r, snap.Version())
+						t.Errorf("reader %d: snapshot v%d's admitted list changed after its test", r, snap.version)
 						return
 					}
-					if _, err := dry([]topo.Connection{cand}); err != nil {
+					if _, err := w.TestBatch(bg, []topo.Connection{cand}); err != nil {
 						t.Errorf("reader %d: TestBatch: %v", r, err)
 						return
 					}
@@ -164,27 +168,9 @@ func TestPinnedSnapshotsSurviveWriters(t *testing.T) {
 		t.Logf("%d probes, %d admitted", probes.Load(), admitted.Load())
 	}
 
-	t.Run("engine", func(t *testing.T) {
-		eng, err := NewEngine(net.Servers, analyzer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run(t, eng, func(topo.Connection) *Snapshot { return eng.Snapshot() }, func(cands []topo.Connection) ([]OpResult, error) {
-			return eng.TestBatch(bg, cands)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			run(t, newEngine(t, net.Servers, analyzer, shards))
 		})
-	})
-	t.Run("sharded", func(t *testing.T) {
-		se, err := NewShardedEngine(net.Servers, analyzer, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The shard TestBatch would route the candidate to.
-		pin := func(cand topo.Connection) *Snapshot {
-			se.router.mu.Lock()
-			shard, _ := se.router.route(cand.Path)
-			se.router.mu.Unlock()
-			return se.Shard(shard).Snapshot()
-		}
-		run(t, se, pin, func(cands []topo.Connection) ([]OpResult, error) { return se.TestBatch(bg, cands) })
-	})
+	}
 }

@@ -51,7 +51,8 @@ const maxExcessGrowth = 1024
 // on the same candidate must not follow the number of connections admitted
 // elsewhere. The trial's connection list is the one copy of the set an
 // operation makes, and the analysis pays for it; the engine's working state,
-// snapshot and decision alias it.
+// snapshot and decision alias it, and its router and envelope plan cost the
+// same at any population.
 func TestEngineOpBytesIndependentOfNetworkSize(t *testing.T) {
 	fabric, err := topo.DisjointBlocks(2, 3, 0.5)
 	if err != nil {
@@ -76,18 +77,15 @@ func TestEngineOpBytesIndependentOfNetworkSize(t *testing.T) {
 		for i := 0; i < 12; i++ {
 			conns = append(conns, conn(fmt.Sprintf("t%d", i), 3+i%2, 4+i%2))
 		}
-		eng, err := NewEngine(fabric.Servers, analysis.Integrated{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.replaceAdmitted(conns)
+		eng := newEngine(t, fabric.Servers, analysis.Integrated{}, 1)
+		preload(eng, conns)
 		if err := eng.WarmBaseline(); err != nil {
 			t.Fatal(err)
 		}
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		admit, release = math.Inf(1), math.Inf(1)
 		for r := -1; r < 6; r++ { // round -1 warms the pools
-			base := eng.Snapshot().cachedBaseline()
+			base := eng.shards[0].snap.Load().cachedBaseline()
 			extend := allocBytes(func() {
 				if _, err := base.ExtendContext(bg, cand); err != nil {
 					t.Fatal(err)
@@ -98,7 +96,7 @@ func TestEngineOpBytesIndependentOfNetworkSize(t *testing.T) {
 					t.Fatalf("admit at %d standing: %+v err=%v", standing, d, err)
 				}
 			})
-			base = eng.Snapshot().cachedBaseline()
+			base = eng.shards[0].snap.Load().cachedBaseline()
 			if base == nil || base.Connections() != standing+13 {
 				t.Fatal("the admit promoted no baseline over the trial")
 			}

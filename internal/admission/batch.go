@@ -1,17 +1,18 @@
 // The write path: every admit, release and test is an envelope.
 //
-// ApplyBatch evaluates a mixed admit/release envelope against a private
-// working state — precheck, affected-set scoping, unit-trace extension or
-// shrink, decision — and installs all its mutations with ONE
-// version-checked snapshot swap at the end; TestBatch runs the same
-// per-candidate step against a pinned snapshot and commits nothing. A
-// single admit, release or test is an envelope of one. A 50-op envelope
-// pays one commit instead of 50, and concurrent traffic can never observe
-// (or interleave with) a half-applied envelope: readers see the set either
-// entirely before or entirely after it. Decisions are bit-identical to
-// issuing the operations as N envelopes of one against an otherwise idle
-// engine, and to Controller's full re-analysis; the differential tests pin
-// both over random networks and the churn corpus.
+// ShardedEngine.ApplyBatch (shard_batch.go) plans an envelope into per-shard
+// sub-batches; a shard's applyBatch evaluates its sub-batch against a
+// private working state — precheck, affected-set scoping, unit-trace
+// extension or shrink, decision — and installs all its mutations with ONE
+// version-checked snapshot swap at the end. A pinned snapshot's test runs
+// the same per-candidate step and commits nothing. A single admit, release
+// or test is an envelope of one. A 50-op envelope pays one commit per shard
+// instead of 50, and concurrent traffic can never observe (or interleave
+// with) a half-applied sub-batch: readers see a shard's set either entirely
+// before or entirely after it. Decisions are bit-identical to issuing the
+// operations as N envelopes of one against an otherwise idle engine, and to
+// Controller's full re-analysis; the differential tests pin both over
+// random networks and the churn corpus.
 package admission
 
 import (
@@ -73,14 +74,14 @@ type BatchResult struct {
 	Results []OpResult
 	// Commits is the number of snapshot commits the envelope performed:
 	// 0 when no operation mutated the set, otherwise one per shard touched
-	// per window — one window unless a sharded envelope holds a barrier
+	// per window — one window unless the envelope holds a barrier
 	// (shard_batch.go), which commits the window before it and, when it
-	// merges shards, once more itself; 1 for a plain Engine. It is reported
-	// even when ApplyBatch returns a cancellation error: zero then means
-	// nothing was committed anywhere and the envelope may be re-run.
+	// merges shards, once more itself. It is reported even when ApplyBatch
+	// returns a cancellation error: zero then means nothing was committed
+	// anywhere and the envelope may be re-run.
 	Commits int
-	// ShardsTouched is the number of engine shards that committed (a plain
-	// Engine reports 1 when the envelope mutated, 0 otherwise).
+	// ShardsTouched is the number of engine shards that committed (at most
+	// 1 on a one-shard engine, 0 when nothing mutated).
 	ShardsTouched int
 }
 
@@ -107,8 +108,8 @@ type batchState struct {
 	buildFailed bool
 }
 
-// workingState opens an envelope evaluation over the snapshot.
-func (s *Snapshot) workingState() *batchState {
+// workingState opens a sub-batch evaluation over the snapshot.
+func (s *snapshot) workingState() *batchState {
 	return &batchState{admitted: s.admitted, base: s.cachedBaseline()}
 }
 
@@ -124,77 +125,63 @@ func validateOps(ops []Op) error {
 	return nil
 }
 
-// ApplyBatch evaluates a mixed admit/release envelope against the current
-// snapshot and commits all its mutations as one new snapshot version. It
-// is the engine's only write entry point.
+// applyBatch evaluates one shard's sub-batch of a validated envelope
+// against the shard's current snapshot, commits all its mutations as one
+// new snapshot version, and reports the per-operation results and whether
+// it committed.
 //
-// Every operation sees the set as left by its predecessors in the envelope
-// (greedy semantics), and the engine's version advances by at most 1. The
+// Every operation sees the set as left by its predecessors in the sub-batch
+// (greedy semantics), and the shard's version advances by at most 1. The
 // evaluation analyzes outside any lock; a concurrent commit between the
-// snapshot read and the batch commit retries the whole envelope. A
-// cancellation (check IsCanceled) aborts the envelope with nothing
-// committed.
-//
-// A soft budget on ctx (analysis.WithBudget) that runs out cancels nothing:
-// the envelope completes on sound, looser bounds and commits as usual. Two
-// rules keep what it leaves behind exact. A result computed after the budget
-// degraded never seeds a baseline: the next incremental test rebuilds it.
-// An expired budget never starts a baseline build, which could not be cut
-// short: with none at hand the admit is one full analysis under ctx.
-func (e *Engine) ApplyBatch(ctx context.Context, ops []Op) (*BatchResult, error) {
-	if err := validateOps(ops); err != nil {
-		return nil, err
-	}
-	e.batchEnvs.Add(1)
-	e.batchOps.Add(uint64(len(ops)))
+// snapshot read and the commit retries the whole sub-batch. A cancellation
+// (check IsCanceled) aborts it with nothing committed.
+func (sh *shard) applyBatch(ctx context.Context, ops []Op) ([]OpResult, bool, error) {
+	se := sh.se
+	se.batchEnvs.Add(1)
+	se.batchOps.Add(uint64(len(ops)))
 	for {
-		snap := e.Snapshot()
-		br, st, err := e.evalBatch(ctx, snap, ops)
-		if err != nil {
-			return &BatchResult{}, err
+		snap := sh.snap.Load()
+		results, st, err := sh.evalBatch(ctx, snap, ops)
+		if err != nil || !st.mutated {
+			return results, false, err
 		}
-		if !st.mutated {
-			return br, nil
+		if sh.commitBatch(snap, st) {
+			return results, true, nil
 		}
-		if e.commitBatch(snap, st) {
-			br.Commits = 1
-			br.ShardsTouched = 1
-			return br, nil
-		}
-		e.conflicts.Add(1)
+		se.conflicts.Add(1)
 	}
 }
 
 // evalBatch runs every operation against a private working state, never
-// mutating the engine. The returned batchState is what commitBatch
+// mutating the shard. The returned batchState is what commitBatch
 // installs.
-func (e *Engine) evalBatch(ctx context.Context, snap *Snapshot, ops []Op) (*BatchResult, *batchState, error) {
+func (sh *shard) evalBatch(ctx context.Context, snap *snapshot, ops []Op) ([]OpResult, *batchState, error) {
 	st := snap.workingState()
-	br := &BatchResult{Results: make([]OpResult, len(ops))}
+	results := make([]OpResult, len(ops))
 	for i, op := range ops {
 		switch op.Kind {
 		case OpAdmit:
-			d, ts, err := e.admitStep(ctx, snap, st, op.Candidate)
+			d, ts, err := sh.admitStep(ctx, snap, st, op.Candidate)
 			if IsCanceled(err) {
 				return nil, nil, err
 			}
 			if err == nil && d.Admitted {
 				st.admit(ts)
 			}
-			br.Results[i] = OpResult{Decision: d, Err: err}
+			results[i] = OpResult{Decision: d, Err: err}
 		case OpRelease:
 			// Only a release that ends its run shrinks the baseline: inside
 			// a run each shrink would recompute the closure just for the
 			// next release to discard it.
 			shrink := i+1 == len(ops) || ops[i+1].Kind != OpRelease
-			res, err := e.releaseStep(ctx, st, op.Name, shrink)
+			res, err := sh.releaseStep(ctx, st, op.Name, shrink)
 			if err != nil {
 				return nil, nil, err
 			}
-			br.Results[i] = res
+			results[i] = res
 		}
 	}
-	return br, st, nil
+	return results, st, nil
 }
 
 // ensureBaseline returns the working baseline for an incremental admit,
@@ -202,7 +189,7 @@ func (e *Engine) evalBatch(ctx context.Context, snap *Snapshot, ops []Op) (*Batc
 // own lazy build (so the analysis is shared with concurrent tests), after a
 // mutation it builds privately over the working set. Build failures stick
 // until the next mutation.
-func (st *batchState) ensureBaseline(e *Engine, snap *Snapshot) (*analysis.Baseline, error) {
+func (st *batchState) ensureBaseline(sh *shard, snap *snapshot) (*analysis.Baseline, error) {
 	if st.base != nil {
 		return st.base, nil
 	}
@@ -217,9 +204,10 @@ func (st *batchState) ensureBaseline(e *Engine, snap *Snapshot) (*analysis.Basel
 		base, err = snap.baseline()
 	} else {
 		// NewBaseline takes its own copy of the list.
-		base, err = e.analyzer.NewBaseline(&topo.Network{Servers: e.servers, Connections: st.admitted})
+		se := sh.se
+		base, err = se.analyzer.NewBaseline(&topo.Network{Servers: se.servers, Connections: st.admitted})
 		if err == nil {
-			e.epoch.Add(1)
+			se.epoch.Add(1)
 		}
 	}
 	if err != nil {
@@ -255,7 +243,7 @@ func (st *batchState) admit(ts trialSet) {
 
 // admitStep is THE admission test — the one implementation of precheck ->
 // validation -> stability -> affected set -> extend -> evaluate, run by
-// ApplyBatch against the accumulating working state and by TestBatch
+// applyBatch against the accumulating working state and by a dry run
 // against a pinned snapshot's. It never advances st: the caller applies
 // st.admit on an accepted live candidate. It returns the decision plus the
 // trial's set for that commit. A cancellation surfaces as a bare error (never
@@ -264,7 +252,8 @@ func (st *batchState) admit(ts trialSet) {
 //
 // A nil snap (the cross-shard union test, which has none) forces one full
 // analysis; so does an expired soft budget with no working baseline.
-func (e *Engine) admitStep(ctx context.Context, snap *Snapshot, st *batchState, cand topo.Connection) (Decision, trialSet, error) {
+func (sh *shard) admitStep(ctx context.Context, snap *snapshot, st *batchState, cand topo.Connection) (Decision, trialSet, error) {
+	se := sh.se
 	if d, err := precheck(cand); err != nil {
 		return d, trialSet{}, err
 	}
@@ -284,7 +273,7 @@ func (e *Engine) admitStep(ctx context.Context, snap *Snapshot, st *batchState, 
 			net = tr.Network()
 		}
 	} else {
-		net = &topo.Network{Servers: e.servers, Connections: make([]topo.Connection, 0, len(st.admitted)+1)}
+		net = &topo.Network{Servers: se.servers, Connections: make([]topo.Connection, 0, len(st.admitted)+1)}
 		net.Connections = append(append(net.Connections, st.admitted...), cand)
 		err = net.Validate()
 	}
@@ -295,10 +284,10 @@ func (e *Engine) admitStep(ctx context.Context, snap *Snapshot, st *batchState, 
 		return Decision{Code: CodeUnstable, Reason: "network would be unstable"}, trialSet{}, nil
 	}
 	if snap != nil {
-		affected, _ := AffectedSet(len(e.servers), st.admitted, cand)
-		e.observeAffected(len(affected))
+		affected, _ := AffectedSet(len(se.servers), st.admitted, cand)
+		se.observeAffected(len(affected))
 		if tr == nil && !analysis.Expired(ctx) {
-			if base, err := st.ensureBaseline(e, snap); err == nil {
+			if base, err := st.ensureBaseline(sh, snap); err == nil {
 				// Validated above, so this cannot fail.
 				tr, _ = base.NewTrial(cand)
 			}
@@ -306,7 +295,7 @@ func (e *Engine) admitStep(ctx context.Context, snap *Snapshot, st *batchState, 
 		if tr != nil {
 			ext, err := tr.Run(ctx)
 			if err == nil {
-				e.incTests.Add(1)
+				sh.incTests.Add(1)
 				conns := tr.Network().Connections
 				d := evaluate(conns, ext.Bounds())
 				if analysis.Degraded(ctx) {
@@ -323,8 +312,8 @@ func (e *Engine) admitStep(ctx context.Context, snap *Snapshot, st *batchState, 
 			// does a baseline that could not be built.
 		}
 	}
-	e.fullTests.Add(1)
-	res, err := e.analyzer.AnalyzeContext(ctx, net)
+	sh.fullTests.Add(1)
+	res, err := se.analyzer.AnalyzeContext(ctx, net)
 	if err != nil {
 		if IsCanceled(err) {
 			return Decision{}, trialSet{}, err
@@ -345,7 +334,7 @@ func (e *Engine) admitStep(ctx context.Context, snap *Snapshot, st *batchState, 
 // been admitted. Otherwise, or if the shrink ran into the soft budget, the
 // release drops the baseline and the next incremental test rebuilds it
 // (ensureBaseline), so a run of releases pays one rebuild, not a shrink each.
-func (e *Engine) releaseStep(ctx context.Context, st *batchState, name string, shrink bool) (OpResult, error) {
+func (sh *shard) releaseStep(ctx context.Context, st *batchState, name string, shrink bool) (OpResult, error) {
 	idx := -1
 	for i, conn := range st.admitted {
 		if conn.Name == name {
@@ -365,18 +354,18 @@ func (e *Engine) releaseStep(ctx context.Context, st *batchState, name string, s
 		}
 		if err == nil && !analysis.Degraded(ctx) {
 			shrunk = ext.Promote()
-			affected, _ := AffectedSet(len(e.servers), shrunk.Conns(), st.admitted[idx])
+			affected, _ := AffectedSet(len(sh.se.servers), shrunk.Conns(), st.admitted[idx])
 			info = ReleaseInfo{Incremental: true, Affected: len(affected)}
-			e.observeAffected(len(affected))
+			sh.se.observeAffected(len(affected))
 		}
 	}
 	if shrunk != nil {
 		// The shrunk baseline's list is the survivors.
-		e.incRels.Add(1)
+		sh.incRels.Add(1)
 		st.admitted = shrunk.Conns()
 	} else {
 		// Compaction: the one release that copies the survivors itself.
-		e.compactRels.Add(1)
+		sh.compactRels.Add(1)
 		survivors := make([]topo.Connection, 0, len(st.admitted)-1)
 		st.admitted = append(append(survivors, st.admitted[:idx]...), st.admitted[idx+1:]...)
 	}
@@ -387,24 +376,24 @@ func (e *Engine) releaseStep(ctx context.Context, st *batchState, name string, s
 }
 
 // commitBatch installs the working state as the next snapshot version iff
-// snap is still current — the envelope's single epoch-stamped commit.
-func (e *Engine) commitBatch(snap *Snapshot, st *batchState) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.snap.Load() != snap {
+// snap is still current — the sub-batch's single epoch-stamped commit.
+func (sh *shard) commitBatch(snap *snapshot, st *batchState) bool {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.snap.Load() != snap {
 		return false
 	}
-	next := &Snapshot{eng: e, version: snap.version + 1, admitted: st.admitted, promoted: st.base}
+	next := &snapshot{sh: sh, version: snap.version + 1, admitted: st.admitted, promoted: st.base}
 	if st.base != nil {
-		e.epoch.Add(1)
+		sh.se.epoch.Add(1)
 	}
-	e.snap.Store(next)
-	e.batchComs.Add(1)
+	sh.snap.Store(next)
+	sh.se.batchComs.Add(1)
 	return true
 }
 
 // test dry-runs one candidate against this pinned snapshot.
-func (s *Snapshot) test(ctx context.Context, cand topo.Connection) (Decision, error) {
-	d, _, err := s.eng.admitStep(ctx, s, s.workingState(), cand)
+func (s *snapshot) test(ctx context.Context, cand topo.Connection) (Decision, error) {
+	d, _, err := s.sh.admitStep(ctx, s, s.workingState(), cand)
 	return d, err
 }

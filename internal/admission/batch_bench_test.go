@@ -27,10 +27,7 @@ func BenchmarkSequentialAdmits32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		eng, err := NewEngine(net.Servers, analysis.Integrated{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		eng := newEngine(b, net.Servers, analysis.Integrated{}, 1)
 		if err := eng.WarmBaseline(); err != nil {
 			b.Fatal(err)
 		}
@@ -50,10 +47,7 @@ func BenchmarkApplyBatch32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		eng, err := NewEngine(net.Servers, analysis.Integrated{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		eng := newEngine(b, net.Servers, analysis.Integrated{}, 1)
 		if err := eng.WarmBaseline(); err != nil {
 			b.Fatal(err)
 		}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -40,21 +42,22 @@ func randomOps(net *topo.Network, seed int64, n int) []Op {
 }
 
 // driveBatchDifferential replays one op schedule through a sequential
-// engine (N envelopes of one — itself pinned to the Controller oracle by
-// the Engine-vs-Controller corpus) and a batch engine (random-size
-// ApplyBatch envelopes) and asserts per-op bit-identical decisions,
-// identical final state, and the single-commit-per-envelope invariant.
-// Release modes follow the run rule, so they are compared where it makes
-// them comparable: a release inside a run must drop, one that ends its run
+// engine (N envelopes of one), a batch engine (random-size ApplyBatch
+// envelopes), both of the given shard count, and a Controller, and asserts
+// per-op decisions equal to the controller's (see requireSameAt) and the
+// same final set. At one shard it also pins the single-commit-per-envelope
+// invariant and the release modes, which follow the run rule over the
+// shard's sub-batch: a release inside a run must drop, one that ends its run
 // right after an accepted admit must shrink, and every shrink must report
-// the closure the sequential engine scoped.
-func driveBatchDifferential(t *testing.T, label string, analyzer analysis.Analyzer, net *topo.Network, seed int64) {
+// the closure the sequential engine scoped. The sub-batch is the envelope
+// less the releases of names neither held before it nor admitted earlier in
+// it, which reach no shard. At more shards an envelope's runs split over
+// the shards, so those rules hold per shard, not per envelope.
+func driveBatchDifferential(t *testing.T, label string, analyzer analysis.Analyzer, net *topo.Network, seed int64, shards int) {
 	t.Helper()
-	seqEng, err := NewEngine(net.Servers, analyzer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchEng, err := NewEngine(net.Servers, analyzer)
+	seqEng := newEngine(t, net.Servers, analyzer, shards)
+	batchEng := newEngine(t, net.Servers, analyzer, shards)
+	ctrl, err := New(net.Servers, analyzer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +71,19 @@ func driveBatchDifferential(t *testing.T, label string, analyzer analysis.Analyz
 			end = len(ops)
 		}
 		env := ops[start:end]
-		vBefore := batchEng.Snapshot().Version()
+		// planned[k] reports whether op k reaches the shard's sub-batch.
+		known := make(map[string]bool)
+		for _, c := range batchEng.Admitted() {
+			known[c.Name] = true
+		}
+		planned := make([]bool, len(env))
+		for k, op := range env {
+			planned[k] = op.Kind == OpAdmit || known[op.Name]
+			if op.Kind == OpAdmit {
+				known[op.Candidate.Name] = true
+			}
+		}
+		vBefore := batchEng.SnapshotVersion()
 		br, err := batchEng.ApplyBatch(ctx, env)
 		if err != nil {
 			t.Fatalf("%s: ApplyBatch: %v", label, err)
@@ -77,22 +92,28 @@ func driveBatchDifferential(t *testing.T, label string, analyzer analysis.Analyz
 			step := fmt.Sprintf("%s/op%d", label, start+k)
 			switch op.Kind {
 			case OpAdmit:
-				wantD, wantErr := seqEng.Admit(bg, op.Candidate)
+				wantD, wantErr := ctrl.Admit(op.Candidate)
+				seqD, seqErr := seqEng.Admit(bg, op.Candidate)
 				gotR := br.Results[k]
-				if (wantErr == nil) != (gotR.Err == nil) {
-					t.Fatalf("%s: admit error diverged: sequential %v, batch %v", step, wantErr, gotR.Err)
+				if (wantErr == nil) != (seqErr == nil) || (wantErr == nil) != (gotR.Err == nil) {
+					t.Fatalf("%s: admit error diverged: controller %v, sequential %v, batch %v", step, wantErr, seqErr, gotR.Err)
 				}
-				requireSameDecision(t, step, wantD, gotR.Decision)
+				requireSameAt(t, shards, step+"/sequential", wantD, seqD)
+				requireSameAt(t, shards, step+"/batch", wantD, gotR.Decision)
 			case OpRelease:
 				wantInfo, wantOK, _ := seqEng.Release(bg, op.Name)
 				gotR := br.Results[k]
-				if wantOK != gotR.Released {
-					t.Fatalf("%s: release found diverged: sequential %v, batch %v", step, wantOK, gotR.Released)
+				if ctrlOK := ctrl.Remove(op.Name); wantOK != gotR.Released || ctrlOK != wantOK {
+					t.Fatalf("%s: release found diverged: controller %v, sequential %v, batch %v", step, ctrlOK, wantOK, gotR.Released)
 				}
-				if !wantOK {
+				if !wantOK || shards > 1 {
 					continue
 				}
-				endsRun := k+1 == len(env) || env[k+1].Kind != OpRelease
+				next := k + 1
+				for next < len(env) && !planned[next] {
+					next++
+				}
+				endsRun := next == len(env) || env[next].Kind != OpRelease
 				afterAdmit := k > 0 && env[k-1].Kind == OpAdmit && br.Results[k-1].Decision.Admitted
 				switch got := gotR.Release; {
 				case !endsRun && got != (ReleaseInfo{Affected: -1}):
@@ -104,45 +125,64 @@ func driveBatchDifferential(t *testing.T, label string, analyzer analysis.Analyz
 				}
 			}
 		}
-		vAfter := batchEng.Snapshot().Version()
-		if int(vAfter-vBefore) != br.Commits {
-			t.Fatalf("%s: envelope advanced version by %d but reported %d commits", label, vAfter-vBefore, br.Commits)
+		if shards == 1 {
+			if vAfter := batchEng.SnapshotVersion(); int(vAfter-vBefore) != br.Commits {
+				t.Fatalf("%s: envelope advanced version by %d but reported %d commits", label, vAfter-vBefore, br.Commits)
+			}
+			if br.Commits > 1 {
+				t.Fatalf("%s: envelope committed %d times", label, br.Commits)
+			}
 		}
-		if br.Commits > 1 {
-			t.Fatalf("%s: envelope committed %d times", label, br.Commits)
-		}
-		if br.Commits == 1 {
+		if br.Commits > 0 {
 			mutating++
 		}
 		start = end
 	}
-	if got := batchEng.Stats().BatchCommits; got != uint64(mutating) {
-		t.Fatalf("%s: stats report %d batch commits, want %d", label, got, mutating)
+	if shards == 1 {
+		if got := batchEng.Stats().BatchCommits; got != uint64(mutating) {
+			t.Fatalf("%s: stats report %d batch commits, want %d", label, got, mutating)
+		}
+		if seq, batch := seqEng.Stats().FullTests, batchEng.Stats().FullTests; seq != 0 || batch != 0 {
+			t.Fatalf("%s: full analyses on the incremental path: sequential %d, batch %d", label, seq, batch)
+		}
 	}
-	if seq, batch := seqEng.Stats().FullTests, batchEng.Stats().FullTests; seq != 0 || batch != 0 {
-		t.Fatalf("%s: full analyses on the incremental path: sequential %d, batch %d", label, seq, batch)
-	}
-	seqAdmitted, batchAdmitted := seqEng.Admitted(), batchEng.Admitted()
-	if len(seqAdmitted) != len(batchAdmitted) {
-		t.Fatalf("%s: final sets differ: sequential %d, batch %d", label, len(seqAdmitted), len(batchAdmitted))
-	}
-	for i := range seqAdmitted {
-		if seqAdmitted[i].Name != batchAdmitted[i].Name {
-			t.Fatalf("%s: final set order diverged at %d: %q vs %q", label, i, seqAdmitted[i].Name, batchAdmitted[i].Name)
+	want := ctrl.Admitted()
+	for _, eng := range []*ShardedEngine{seqEng, batchEng} {
+		got := eng.Admitted()
+		if shards > 1 {
+			// Shard order, not commit order: compare as sets.
+			sortByName(want)
+			sortByName(got)
+		}
+		if len(want) != len(got) {
+			t.Fatalf("%s: final sets differ: controller %d, engine %d", label, len(want), len(got))
+		}
+		for i := range want {
+			if want[i].Name != got[i].Name {
+				t.Fatalf("%s: final set order diverged at %d: %q vs %q", label, i, want[i].Name, got[i].Name)
+			}
 		}
 	}
 	probe := net.Connections[0]
 	probe.Name = "probe"
 	probe.Deadline = 100
-	wantD, _ := seqEng.Test(bg, probe)
-	gotD, _ := batchEng.Test(bg, probe)
-	requireSameDecision(t, label+"/probe", wantD, gotD)
+	wantD, _ := ctrl.Test(probe)
+	for _, eng := range []*ShardedEngine{seqEng, batchEng} {
+		gotD, _ := eng.Test(bg, probe)
+		requireSameAt(t, shards, label+"/probe", wantD, gotD)
+	}
+}
+
+// sortByName orders connections by name.
+func sortByName(conns []topo.Connection) {
+	slices.SortFunc(conns, func(a, b topo.Connection) int { return strings.Compare(a.Name, b.Name) })
 }
 
 // TestApplyBatchMatchesSequential is the differential acceptance suite for
 // batch pipelining: over the same 26-seed feedforward corpus as the churn
-// suite, random envelopes must decide bit-identically to per-op calls and
-// commit at most once each.
+// suite, random envelopes must decide like per-op calls and the Controller
+// at one and two shards, bit-identically and committing at most once each
+// at one.
 func TestApplyBatchMatchesSequential(t *testing.T) {
 	seeds := int64(26)
 	if testing.Short() {
@@ -167,7 +207,9 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 						net.Connections[i].Deadline = 100
 					}
 				}
-				driveBatchDifferential(t, fmt.Sprintf("seed%d", seed), tc.analyzer, net, seed)
+				for _, shards := range []int{1, 2} {
+					driveBatchDifferential(t, fmt.Sprintf("seed%d/shards%d", seed, shards), tc.analyzer, net, seed, shards)
+				}
 			}
 		})
 	}
@@ -178,10 +220,7 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 // engine stats expose the envelope/op/commit accounting CI gates on.
 func TestApplyBatchSingleCommit(t *testing.T) {
 	net := disjointTandem(t, 16)
-	eng, err := NewEngine(net.Servers, analysis.Integrated{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, net.Servers, analysis.Integrated{}, 1)
 	ops := make([]Op, 0, len(net.Connections)+1)
 	for _, c := range net.Connections {
 		ops = append(ops, Op{Kind: OpAdmit, Candidate: c})
@@ -194,7 +233,7 @@ func TestApplyBatchSingleCommit(t *testing.T) {
 	if br.Commits != 1 || br.ShardsTouched != 1 {
 		t.Fatalf("envelope reported %d commits over %d shards, want 1/1", br.Commits, br.ShardsTouched)
 	}
-	if v := eng.Snapshot().Version(); v != 1 {
+	if v := eng.SnapshotVersion(); v != 1 {
 		t.Fatalf("version %d after one envelope, want 1", v)
 	}
 	if n := eng.Count(); n != len(net.Connections)-1 {
@@ -211,8 +250,8 @@ func TestApplyBatchSingleCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if br.Commits != 0 || eng.Snapshot().Version() != 1 {
-		t.Fatalf("non-mutating envelope committed (commits=%d, version=%d)", br.Commits, eng.Snapshot().Version())
+	if br.Commits != 0 || eng.SnapshotVersion() != 1 {
+		t.Fatalf("non-mutating envelope committed (commits=%d, version=%d)", br.Commits, eng.SnapshotVersion())
 	}
 }
 
@@ -222,10 +261,7 @@ func TestApplyBatchSingleCommit(t *testing.T) {
 // writer flips the set's capacity headroom under the evaluation.
 func TestTestBatchPinnedSnapshot(t *testing.T) {
 	net := disjointTandem(t, 4)
-	eng, err := NewEngine(net.Servers, analysis.Integrated{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, net.Servers, analysis.Integrated{}, 1)
 	// Two equivalent candidates sharing one route: each alone fits, both
 	// together would not. Isolation means a dry envelope reports both
 	// admitted (judged against the current set alone, not accumulated).
@@ -290,7 +326,7 @@ func TestReleaseRunDropsOnce(t *testing.T) {
 	batchEng := warmEngine(t, net, cand)
 	seqEng := warmEngine(t, net, cand)
 	ctrl := fullController(t, net)
-	// Controller.Remove edits its slice in place; the engines alias net's.
+	// Controller.Remove edits its slice in place; net's list is shared.
 	ctrl.admitted = append([]topo.Connection(nil), net.Connections...)
 	var ops []Op
 	for _, c := range net.Connections[:k] {

@@ -66,7 +66,7 @@ func benchNetwork(tb testing.TB) (*topo.Network, topo.Connection) {
 	return net, cand
 }
 
-// shardNetwork builds what one engine shard of a sharded Integrated daemon
+// shardNetwork builds what one shard of a sharded Integrated daemon
 // holds at capacity: the servers of an eight-block fabric with 500
 // connections on contiguous 2- and 3-hop routes of its own two blocks, and
 // a candidate crossing one of them. Its trial dirties one block's chains
@@ -110,15 +110,13 @@ func fullController(tb testing.TB, net *topo.Network) *Controller {
 	return ctrl
 }
 
-// warmEngine returns an Engine preloaded with the benchmark's admitted set
-// and a built baseline, the steady state a long-running daemon sits in.
-func warmEngine(tb testing.TB, net *topo.Network, cand topo.Connection) *Engine {
+// warmEngine returns a one-shard engine preloaded with the benchmark's
+// admitted set and a built baseline, the steady state a long-running daemon
+// sits in.
+func warmEngine(tb testing.TB, net *topo.Network, cand topo.Connection) *ShardedEngine {
 	tb.Helper()
-	eng, err := NewEngine(net.Servers, analysis.Integrated{})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	eng.snap.Store(&Snapshot{eng: eng, admitted: net.Connections})
+	eng := newEngine(tb, net.Servers, analysis.Integrated{}, 1)
+	preload(eng, net.Connections)
 	d, err := eng.Test(bg, cand) // builds the baseline
 	if err != nil {
 		tb.Fatal(err)
@@ -169,7 +167,7 @@ func BenchmarkIncrementalTest(b *testing.B) {
 }
 
 // BenchmarkIncrementalTestShard is the incremental admission test on one
-// Integrated engine shard at 500 connections (see shardNetwork): with
+// Integrated shard at 500 connections (see shardNetwork): with
 // -benchmem, B/op and allocs/op are the bookkeeping of one trial.
 func BenchmarkIncrementalTestShard(b *testing.B) {
 	net, cand := shardNetwork(b)
@@ -202,7 +200,7 @@ func churnVictims(cand topo.Connection, invalidating bool) []topo.Connection {
 
 // churnEngine returns a warm engine holding the benchmark's admitted set
 // plus the victims, ready for release/re-admit cycles.
-func churnEngine(tb testing.TB, net *topo.Network, victims []topo.Connection) *Engine {
+func churnEngine(tb testing.TB, net *topo.Network, victims []topo.Connection) *ShardedEngine {
 	tb.Helper()
 	eng := warmEngine(tb, net, victims[0])
 	readmit(tb, eng, victims)
@@ -210,7 +208,7 @@ func churnEngine(tb testing.TB, net *topo.Network, victims []topo.Connection) *E
 }
 
 // releaseVictims releases the victims as one envelope.
-func releaseVictims(tb testing.TB, eng *Engine, victims []topo.Connection) []OpResult {
+func releaseVictims(tb testing.TB, eng *ShardedEngine, victims []topo.Connection) []OpResult {
 	tb.Helper()
 	ops := make([]Op, len(victims))
 	for i, v := range victims {
@@ -234,7 +232,7 @@ func releaseVictims(tb testing.TB, eng *Engine, victims []topo.Connection) []OpR
 // the warm-up is free; one that dropped the baseline forces a full
 // re-analysis here. The subsequent re-admission costs one extend per victim
 // in both worlds and is restored outside the timer by the callers.
-func releaseAndWarm(tb testing.TB, eng *Engine, victims []topo.Connection) {
+func releaseAndWarm(tb testing.TB, eng *ShardedEngine, victims []topo.Connection) {
 	tb.Helper()
 	releaseVictims(tb, eng, victims)
 	if err := eng.WarmBaseline(); err != nil {
@@ -244,7 +242,7 @@ func releaseAndWarm(tb testing.TB, eng *Engine, victims []topo.Connection) {
 
 // readmit admits the victims one by one: the benchmark state before a
 // measured release.
-func readmit(tb testing.TB, eng *Engine, victims []topo.Connection) {
+func readmit(tb testing.TB, eng *ShardedEngine, victims []topo.Connection) {
 	tb.Helper()
 	for _, v := range victims {
 		d, err := eng.Admit(bg, v)
@@ -292,7 +290,7 @@ func TestReleaseWork(t *testing.T) {
 		st := eng.Stats()
 		inc := st.IncrementalReleases - before.IncrementalReleases
 		dropped := st.CompactedReleases - before.CompactedReleases
-		warm := eng.Snapshot().cachedBaseline() != nil
+		warm := eng.shards[0].snap.Load().cachedBaseline() != nil
 		// An admission promotes one baseline; a cold one builds one first.
 		wantEpochs := uint64(1)
 		if invalidating {
@@ -334,8 +332,9 @@ func TestIncrementalWork(t *testing.T) {
 	net, cand := benchNetwork(t)
 	eng := warmEngine(t, net, cand)
 	before := eng.Stats()
-	snap := eng.Snapshot()
-	d, ts, err := eng.admitStep(bg, snap, snap.workingState(), cand)
+	sh := eng.Shard(0)
+	snap := sh.snap.Load()
+	d, ts, err := sh.admitStep(bg, snap, snap.workingState(), cand)
 	if err != nil || !d.Admitted {
 		t.Fatalf("incremental test failed: %+v %v", d, err)
 	}

@@ -39,9 +39,10 @@ func disjointTandem(tb testing.TB, n int) *topo.Network {
 }
 
 // requireMatchesFreshController checks that a probe admission test on the
-// engine is bit-identical to a fresh Controller replaying the engine's
-// admitted set from scratch — the acceptance bar for incremental removal.
-func requireMatchesFreshController(t *testing.T, step string, eng *Engine, probe topo.Connection) {
+// engine matches a fresh Controller replaying the engine's admitted set from
+// scratch (bit-identical at one shard, see requireSameAt) — the acceptance
+// bar for incremental removal.
+func requireMatchesFreshController(t *testing.T, step string, eng *ShardedEngine, probe topo.Connection) {
 	t.Helper()
 	ctrl, err := New(eng.Servers(), eng.Analyzer())
 	if err != nil {
@@ -60,17 +61,15 @@ func requireMatchesFreshController(t *testing.T, step string, eng *Engine, probe
 	if (wantErr == nil) != (gotErr == nil) {
 		t.Fatalf("%s: probe error diverged: controller %v, engine %v", step, wantErr, gotErr)
 	}
-	requireSameDecision(t, step+"/probe", wantD, gotD)
+	requireSameAt(t, eng.Shards(), step+"/probe", wantD, gotD)
 }
 
-// driveChurn replays one admit→release→re-admit schedule through an Engine
-// and checks it against a fresh Controller after every mutation.
-func driveChurn(t *testing.T, label string, analyzer analysis.Analyzer, net *topo.Network, seed int64) {
+// driveChurn replays one admit→release→re-admit schedule through an engine
+// of the given shard count and checks it against a fresh Controller after
+// every mutation.
+func driveChurn(t *testing.T, label string, analyzer analysis.Analyzer, net *topo.Network, seed int64, shards int) {
 	t.Helper()
-	eng, err := NewEngine(net.Servers, analyzer)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, net.Servers, analyzer, shards)
 	probe := net.Connections[len(net.Connections)-1]
 	probe.Name = "probe"
 	probe.Deadline = 100
@@ -129,7 +128,7 @@ func driveChurn(t *testing.T, label string, analyzer analysis.Analyzer, net *top
 // TestChurnMatchesFreshController is the differential acceptance suite for
 // the release path: over the 26-seed feedforward corpus, every
 // admit→release→re-admit schedule must leave the engine bit-identical to a
-// fresh full re-analysis, for both incremental analyzers.
+// fresh full re-analysis, for two analyzers, at one and two shards.
 func TestChurnMatchesFreshController(t *testing.T) {
 	seeds := int64(26)
 	if testing.Short() {
@@ -149,7 +148,9 @@ func TestChurnMatchesFreshController(t *testing.T) {
 					net.Connections[i].Deadline = 100
 				}
 			}
-			driveChurn(t, fmt.Sprintf("%s/seed%d", analyzer.Name(), seed), analyzer, net, seed)
+			for _, shards := range []int{1, 2} {
+				driveChurn(t, fmt.Sprintf("%s/seed%d/shards%d", analyzer.Name(), seed, shards), analyzer, net, seed, shards)
+			}
 		}
 	}
 }
@@ -160,10 +161,7 @@ func TestChurnMatchesFreshController(t *testing.T) {
 func TestReleaseUsesIncrementalPath(t *testing.T) {
 	// Disjoint 2-hop routes on a tandem: any release has an empty closure.
 	net := disjointTandem(t, 12)
-	eng, err := NewEngine(net.Servers, analysis.Integrated{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, net.Servers, analysis.Integrated{}, 1)
 	for i := range net.Connections {
 		if _, err := eng.Admit(bg, net.Connections[i]); err != nil {
 			t.Fatal(err)
@@ -200,38 +198,39 @@ func TestReleaseUsesIncrementalPath(t *testing.T) {
 // path: the paper tandem's connection 0 traverses every server, so its
 // release has every survivor in its closure and the shrink recomputes the
 // whole network. It must still shrink, and stay bit-identical to a fresh
-// Controller before and after the connection comes back.
+// Controller before and after the connection comes back, at one shard and
+// at two.
 func TestChurnHeadOfTandemRelease(t *testing.T) {
 	for _, analyzer := range []analysis.Analyzer{analysis.Integrated{}, analysis.Decomposed{}} {
-		net, err := topo.PaperTandem(6, 0.6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := NewEngine(net.Servers, analyzer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range net.Connections {
-			net.Connections[i].Deadline = 100
-			if d, err := eng.Admit(bg, net.Connections[i]); err != nil || !d.Admitted {
-				t.Fatalf("%s: admit %s: %+v %v", analyzer.Name(), net.Connections[i].Name, d, err)
+		for _, shards := range []int{1, 2} {
+			label := fmt.Sprintf("%s/shards%d", analyzer.Name(), shards)
+			net, err := topo.PaperTandem(6, 0.6)
+			if err != nil {
+				t.Fatal(err)
 			}
+			eng := newEngine(t, net.Servers, analyzer, shards)
+			for i := range net.Connections {
+				net.Connections[i].Deadline = 100
+				if d, err := eng.Admit(bg, net.Connections[i]); err != nil || !d.Admitted {
+					t.Fatalf("%s: admit %s: %+v %v", label, net.Connections[i].Name, d, err)
+				}
+			}
+			head := net.Connections[0]
+			probe := net.Connections[len(net.Connections)-1]
+			probe.Name = "probe"
+			info, ok, err := eng.Release(bg, head.Name)
+			if err != nil || !ok {
+				t.Fatalf("%s: head release failed: ok=%v err=%v", label, ok, err)
+			}
+			if want := (ReleaseInfo{Incremental: true, Affected: len(net.Connections) - 1}); info != want {
+				t.Fatalf("%s: head release reported %+v, want %+v", label, info, want)
+			}
+			requireMatchesFreshController(t, label+"/released", eng, probe)
+			if d, err := eng.Admit(bg, head); err != nil || !d.Admitted {
+				t.Fatalf("%s: head re-admit: %+v %v", label, d, err)
+			}
+			requireMatchesFreshController(t, label+"/readmitted", eng, probe)
 		}
-		head := net.Connections[0]
-		probe := net.Connections[len(net.Connections)-1]
-		probe.Name = "probe"
-		info, ok, err := eng.Release(bg, head.Name)
-		if err != nil || !ok {
-			t.Fatalf("%s: head release failed: ok=%v err=%v", analyzer.Name(), ok, err)
-		}
-		if want := (ReleaseInfo{Incremental: true, Affected: len(net.Connections) - 1}); info != want {
-			t.Fatalf("%s: head release reported %+v, want %+v", analyzer.Name(), info, want)
-		}
-		requireMatchesFreshController(t, analyzer.Name()+"/released", eng, probe)
-		if d, err := eng.Admit(bg, head); err != nil || !d.Admitted {
-			t.Fatalf("%s: head re-admit: %+v %v", analyzer.Name(), d, err)
-		}
-		requireMatchesFreshController(t, analyzer.Name()+"/readmitted", eng, probe)
 	}
 }
 
@@ -244,10 +243,7 @@ func TestChurnConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(net.Servers, analysis.Integrated{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, net.Servers, analysis.Integrated{}, 1)
 	template := net.Connections[0]
 	template.Deadline = 1000
 
@@ -298,5 +294,5 @@ func TestChurnConcurrent(t *testing.T) {
 	// Churn must not corrupt the version chain: one bump per successful
 	// mutation (admits + releases), monotonic.
 	st := eng.Stats()
-	t.Logf("stats after churn: %+v, version %d, count %d", st, eng.Snapshot().Version(), eng.Count())
+	t.Logf("stats after churn: %+v, version %d, count %d", st, eng.SnapshotVersion(), eng.Count())
 }

@@ -30,10 +30,7 @@ func TestIsCanceled(t *testing.T) {
 // spec) and the engine does NOT fall through to the more expensive full
 // path after an incremental cut-off.
 func TestTestCancelled(t *testing.T) {
-	eng, err := NewEngine(fabric(3), analysis.Integrated{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, fabric(3), analysis.Integrated{}, 1)
 	// Warm the incremental baseline so the cancelled test below takes the
 	// incremental path.
 	if d, err := eng.Admit(bg, conn("warm", 50, 0, 1, 2)); err != nil || !d.Admitted {
@@ -42,7 +39,7 @@ func TestTestCancelled(t *testing.T) {
 	fullBefore := eng.Stats().FullTests
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = eng.Test(ctx, conn("probe", 50, 0, 1))
+	_, err := eng.Test(ctx, conn("probe", 50, 0, 1))
 	if err == nil {
 		t.Fatal("cancelled test returned no error")
 	}
@@ -61,10 +58,7 @@ func TestTestCancelled(t *testing.T) {
 // TestAdmitCancelledCommitsNothing checks the hard invariant of a cut-off
 // envelope: no partial commit, and it says so (Commits == 0).
 func TestAdmitCancelledCommitsNothing(t *testing.T) {
-	eng, err := NewEngine(fabric(2), analysis.Integrated{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, fabric(2), analysis.Integrated{}, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	br, err := eng.ApplyBatch(ctx, []Op{{Kind: OpAdmit, Candidate: conn("v1", 5, 0, 1)}})
@@ -102,13 +96,10 @@ func requireBetween(t *testing.T, label string, got, primary, decomposed []float
 // envelope whose soft budget has run out still commits, once, on bounds
 // between the primary analyzer's and the decomposed ones, and the engine's
 // NEXT test (no budget) sees the committed connection exactly as a fresh
-// engine would — the degraded extension must not be left behind as the
+// Controller does — the degraded extension must not be left behind as the
 // incremental baseline.
 func TestDegradedCommitStaysConsistent(t *testing.T) {
-	eng, err := NewEngine(fabric(2), analysis.Integrated{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, fabric(2), analysis.Integrated{}, 1)
 	// Warm the baseline first, as a degraded request would find it.
 	if d, err := eng.Admit(bg, conn("first", 50, 0, 1)); err != nil || !d.Admitted {
 		t.Fatalf("first admit: %+v, %v", d, err)
@@ -123,7 +114,7 @@ func TestDegradedCommitStaysConsistent(t *testing.T) {
 		t.Fatalf("degraded admit: %+v, %d commits, degraded %v; want admitted, one commit, degraded",
 			d, br.Commits, analysis.Degraded(ctx))
 	}
-	if eng.Snapshot().cachedBaseline() != nil {
+	if eng.shards[0].snap.Load().cachedBaseline() != nil {
 		t.Fatal("degraded admit promoted its extension to the snapshot's baseline")
 	}
 	// The decision's bounds sit between the two analyzers'.
@@ -142,14 +133,14 @@ func TestDegradedCommitStaysConsistent(t *testing.T) {
 	}
 	// A later test through the normal path must judge against BOTH
 	// admitted connections with the primary analyzer, identically to a
-	// fresh engine holding the same set.
-	fresh, err := NewEngine(fabric(2), analysis.Integrated{})
+	// fresh Controller holding the same set.
+	fresh, err := New(fabric(2), analysis.Integrated{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range eng.Admitted() {
-		if d, err := fresh.Admit(bg, c); err != nil || !d.Admitted {
-			t.Fatalf("replaying %q on fresh engine: %+v, %v", c.Name, d, err)
+		if d, err := fresh.Admit(c); err != nil || !d.Admitted {
+			t.Fatalf("replaying %q on a fresh controller: %+v, %v", c.Name, d, err)
 		}
 	}
 	probe := conn("probe", 50, 0, 1)
@@ -157,7 +148,7 @@ func TestDegradedCommitStaysConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.Test(bg, probe)
+	want, err := fresh.Test(probe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +157,7 @@ func TestDegradedCommitStaysConsistent(t *testing.T) {
 
 // trialNetworkForTest rebuilds the engine's current admitted set as a
 // network for reference analysis.
-func trialNetworkForTest(t *testing.T, eng *Engine) *topo.Network {
+func trialNetworkForTest(t *testing.T, eng *ShardedEngine) *topo.Network {
 	t.Helper()
 	net := &topo.Network{Servers: fabric(2), Connections: eng.Admitted()}
 	if err := net.Validate(); err != nil {

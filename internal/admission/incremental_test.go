@@ -39,40 +39,48 @@ func requireSameDecision(t *testing.T, label string, want, got Decision) {
 }
 
 // driveDifferential replays the same admission sequence through a
-// Controller (full re-analysis under the caller's serialization) and an
-// Engine (snapshot + incremental analysis) and asserts identical
-// decisions, errors, and bounds at every step.
-func driveDifferential(t *testing.T, label string, analyzer analysis.Analyzer, net *topo.Network) {
+// Controller (full re-analysis under the caller's serialization) and a
+// ShardedEngine of the given shard count (snapshots + incremental analysis)
+// and asserts identical decisions and errors at every step: identical
+// bounds too at one shard, the candidate's own bound at more, where a
+// shard's trial is the candidate's components only. Candidates routinely
+// merge components, so at more than one shard the cross-shard path runs
+// throughout.
+func driveDifferential(t *testing.T, label string, analyzer analysis.Analyzer, net *topo.Network, shards int) {
 	t.Helper()
 	ctrl, err := New(net.Servers, analyzer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(net.Servers, analyzer)
-	if err != nil {
-		t.Fatal(err)
-	}
+	se := newEngine(t, net.Servers, analyzer, shards)
 	for i, cand := range net.Connections {
-		step := fmt.Sprintf("%s/conn%d", label, i)
+		step := fmt.Sprintf("%s/shards%d/conn%d", label, shards, i)
 		wantD, wantErr := ctrl.Test(cand)
-		gotD, gotErr := eng.Test(bg, cand)
+		gotD, gotErr := se.Test(bg, cand)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s: test error diverged: controller %v, engine %v", step, wantErr, gotErr)
 		}
-		requireSameDecision(t, step+"/test", wantD, gotD)
+		requireSameAt(t, shards, step+"/test", wantD, gotD)
 
 		wantD, wantErr = ctrl.Admit(cand)
-		gotD, gotErr = eng.Admit(bg, cand)
+		gotD, gotErr = se.Admit(bg, cand)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s: admit error diverged: controller %v, engine %v", step, wantErr, gotErr)
 		}
-		requireSameDecision(t, step+"/admit", wantD, gotD)
-		if ctrl.Count() != eng.Count() {
-			t.Fatalf("%s: count diverged: controller %d, engine %d", step, ctrl.Count(), eng.Count())
+		requireSameAt(t, shards, step+"/admit", wantD, gotD)
+		if ctrl.Count() != se.Count() {
+			t.Fatalf("%s: count diverged: controller %d, engine %d", step, ctrl.Count(), se.Count())
 		}
 	}
-	if st := eng.Stats(); st.FullTests != 0 {
+	if shards > 1 {
+		return
+	}
+	// One shard: every admission extended a baseline and committed once.
+	if st := se.Stats(); st.FullTests != 0 {
 		t.Fatalf("%s: engine left the incremental path: %+v", label, st)
+	}
+	if v := se.SnapshotVersion(); v != uint64(ctrl.Count()) {
+		t.Fatalf("%s: snapshot version %d after %d admissions", label, v, ctrl.Count())
 	}
 }
 
@@ -147,29 +155,51 @@ func (fullOnly) NewBaseline(*topo.Network) (*analysis.Baseline, error) {
 	return nil, errors.New("fullOnly: no baseline")
 }
 
+// deadlineCorpusNet is corpus network seed for tc with a deadline mix drawn
+// from the same seed: loose (always fits), tight (often violated), and one
+// absent (spec error path).
+func deadlineCorpusNet(t *testing.T, tc corpusCase, seed int64) *topo.Network {
+	t.Helper()
+	net := corpusNet(t, tc.disc, 6, 9, 0.6, seed)
+	rng := rand.New(rand.NewSource(seed * 31))
+	for i := range net.Connections {
+		switch rng.Intn(4) {
+		case 0:
+			net.Connections[i].Deadline = 1 + 4*rng.Float64()
+		case 1:
+			net.Connections[i].Deadline = 0 // invalid: exercises the error path
+		default:
+			net.Connections[i].Deadline = 100
+		}
+	}
+	return net
+}
+
 // TestEngineMatchesControllerOnRandomNetworks is the differential
-// acceptance test: on 50+ randomized feedforward networks with a mix of
-// loose and tight deadlines, the engine's decisions must be bit-identical
-// to the controller's at every admission step, for every incremental
-// analyzer, without one full analysis.
+// acceptance test: on 26 randomized feedforward networks per analyzer with
+// a mix of loose and tight deadlines, the one-shard engine's decisions must
+// be bit-identical to the controller's at every admission step, for every
+// incremental analyzer, without one full analysis.
 func TestEngineMatchesControllerOnRandomNetworks(t *testing.T) {
 	for _, tc := range incrementalAnalyzers {
 		for seed := int64(0); seed < 26; seed++ {
-			net := corpusNet(t, tc.disc, 6, 9, 0.6, seed)
-			// Deadline mix drawn from the same seed: loose (always fits),
-			// tight (often violated), and one absent (spec error path).
-			rng := rand.New(rand.NewSource(seed * 31))
-			for i := range net.Connections {
-				switch rng.Intn(4) {
-				case 0:
-					net.Connections[i].Deadline = 1 + 4*rng.Float64()
-				case 1:
-					net.Connections[i].Deadline = 0 // invalid: exercises the error path
-				default:
-					net.Connections[i].Deadline = 100
-				}
+			driveDifferential(t, fmt.Sprintf("%v/seed%d", tc, seed), tc.analyzer, deadlineCorpusNet(t, tc, seed), 1)
+		}
+	}
+}
+
+// TestShardedMatchesEngineOnRandomNetworks runs the same corpus at 2 and 4
+// shards: every decision must match the controller's — and so, by
+// TestEngineMatchesControllerOnRandomNetworks, the one-shard engine's — in
+// outcome and candidate bound. Candidates routinely merge components, so
+// the cross-shard path is exercised throughout.
+func TestShardedMatchesEngineOnRandomNetworks(t *testing.T) {
+	for _, tc := range incrementalAnalyzers {
+		for seed := int64(0); seed < 26; seed++ {
+			net := deadlineCorpusNet(t, tc, seed)
+			for _, shards := range []int{2, 4} {
+				driveDifferential(t, fmt.Sprintf("%v/seed%d", tc, seed), tc.analyzer, net, shards)
 			}
-			driveDifferential(t, fmt.Sprintf("%v/seed%d", tc, seed), tc.analyzer, net)
 		}
 	}
 }
@@ -186,22 +216,21 @@ func TestEngineMatchesControllerFullPath(t *testing.T) {
 	for i := range net.Connections {
 		net.Connections[i].Deadline = 50
 	}
-	ctrl, err := New(net.Servers, analysis.ServiceCurve{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(net.Servers, fullOnly{analysis.ServiceCurve{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cand := range net.Connections {
-		wantD, _ := ctrl.Admit(cand)
-		gotD, _ := eng.Admit(bg, cand)
-		requireSameDecision(t, fmt.Sprintf("full/conn%d", i), wantD, gotD)
-	}
-	st := eng.Stats()
-	if st.IncrementalTests != 0 || st.FullTests == 0 {
-		t.Fatalf("ServiceCurve engine ran incremental tests: %+v", st)
+	for _, shards := range []int{1, 2} {
+		ctrl, err := New(net.Servers, analysis.ServiceCurve{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		se := newEngine(t, net.Servers, fullOnly{analysis.ServiceCurve{}}, shards)
+		for i, cand := range net.Connections {
+			wantD, _ := ctrl.Admit(cand)
+			gotD, _ := se.Admit(bg, cand)
+			requireSameAt(t, shards, fmt.Sprintf("full/shards%d/conn%d", shards, i), wantD, gotD)
+		}
+		st := se.Stats()
+		if st.IncrementalTests != 0 || st.FullTests == 0 {
+			t.Fatalf("%d shards: ServiceCurve engine ran incremental tests: %+v", shards, st)
+		}
 	}
 }
 
@@ -212,10 +241,7 @@ func TestEngineUsesIncrementalPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(net.Servers, analysis.Integrated{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, net.Servers, analysis.Integrated{}, 1)
 	for i := range net.Connections {
 		net.Connections[i].Deadline = 100
 		if _, err := eng.Admit(bg, net.Connections[i]); err != nil {
@@ -229,13 +255,14 @@ func TestEngineUsesIncrementalPath(t *testing.T) {
 	if st.AffectedCount != uint64(len(net.Connections)) {
 		t.Fatalf("affected histogram count %d, want %d", st.AffectedCount, len(net.Connections))
 	}
-	if eng.Snapshot().Version() != uint64(len(net.Connections)) {
-		t.Fatalf("version %d after %d commits", eng.Snapshot().Version(), len(net.Connections))
+	if v := eng.SnapshotVersion(); v != uint64(len(net.Connections)) {
+		t.Fatalf("version %d after %d commits", v, len(net.Connections))
 	}
 }
 
-// TestEngineRemoveRebuilds checks that Remove invalidates the baseline and
-// later tests still match a fresh controller over the same admitted set.
+// TestEngineRemoveRebuilds checks that a release and a release of an
+// unknown name leave later tests matching a fresh controller over the same
+// admitted set, at one and two shards.
 func TestEngineRemoveRebuilds(t *testing.T) {
 	net, err := topo.RandomFeedforward(5, 7, 0.4, 9)
 	if err != nil {
@@ -244,34 +271,33 @@ func TestEngineRemoveRebuilds(t *testing.T) {
 	for i := range net.Connections {
 		net.Connections[i].Deadline = 100
 	}
-	eng, err := NewEngine(net.Servers, analysis.Integrated{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range net.Connections[:6] {
-		if _, err := eng.Admit(bg, c); err != nil {
+	for _, shards := range []int{1, 2} {
+		eng := newEngine(t, net.Servers, analysis.Integrated{}, shards)
+		for _, c := range net.Connections[:6] {
+			if _, err := eng.Admit(bg, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, ok, _ := eng.Release(bg, net.Connections[2].Name); !ok {
+			t.Fatal("remove failed")
+		}
+		if _, ok, _ := eng.Release(bg, "no-such-connection"); ok {
+			t.Fatal("removed a connection that does not exist")
+		}
+		ctrl, err := New(net.Servers, analysis.Integrated{})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, ok, _ := eng.Release(bg, net.Connections[2].Name); !ok {
-		t.Fatal("remove failed")
-	}
-	if _, ok, _ := eng.Release(bg, "no-such-connection"); ok {
-		t.Fatal("removed a connection that does not exist")
-	}
-	ctrl, err := New(net.Servers, analysis.Integrated{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range eng.Admitted() {
-		if _, err := ctrl.Admit(c); err != nil {
-			t.Fatal(err)
+		for _, c := range eng.Admitted() {
+			if _, err := ctrl.Admit(c); err != nil {
+				t.Fatal(err)
+			}
 		}
+		cand := net.Connections[6]
+		wantD, _ := ctrl.Test(cand)
+		gotD, _ := eng.Test(bg, cand)
+		requireSameAt(t, shards, fmt.Sprintf("after-remove/shards%d", shards), wantD, gotD)
 	}
-	cand := net.Connections[6]
-	wantD, _ := ctrl.Test(cand)
-	gotD, _ := eng.Test(bg, cand)
-	requireSameDecision(t, "after-remove", wantD, gotD)
 }
 
 // TestEngineConcurrentAdmit hammers Admit from many goroutines; under
@@ -282,10 +308,7 @@ func TestEngineConcurrentAdmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(net.Servers, analysis.Integrated{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, net.Servers, analysis.Integrated{}, 1)
 	template := net.Connections[0]
 	template.Deadline = 1000
 
@@ -321,8 +344,8 @@ func TestEngineConcurrentAdmit(t *testing.T) {
 	if eng.Count() != total {
 		t.Fatalf("count %d, admitted decisions %d", eng.Count(), total)
 	}
-	if eng.Snapshot().Version() != uint64(total) {
-		t.Fatalf("version %d after %d commits", eng.Snapshot().Version(), total)
+	if v := eng.SnapshotVersion(); v != uint64(total) {
+		t.Fatalf("version %d after %d commits", v, total)
 	}
 	// The committed set must still prove every deadline under a full
 	// re-analysis, regardless of commit interleaving.

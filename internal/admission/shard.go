@@ -3,12 +3,12 @@
 // The paper's decomposition only couples connections through shared
 // servers: admissions whose routes live in disjoint server-sharing
 // components are provably independent (the contracted dependency graph
-// never bridges components, see analysis.Components), yet a single Engine
-// serializes them through one snapshot chain — every commit invalidates
-// every concurrent test. ShardedEngine runs one Engine per shard, each
-// with its own versioned snapshot chain, baseline, and commit loop, and
-// routes operations to shards by the candidate's component. Disjoint
-// workloads therefore test and commit fully in parallel.
+// never bridges components, see analysis.Components), yet one snapshot
+// chain would serialize them — every commit invalidating every concurrent
+// test. ShardedEngine therefore keeps one snapshot chain per shard, each
+// with its own baseline and commit loop, and routes operations to shards
+// by the candidate's component. Disjoint workloads test and commit fully in
+// parallel.
 //
 // Sharding invariants:
 //
@@ -33,7 +33,7 @@
 // planned so far, so the router is exact when the operation is routed
 // again. One that still spans shards goes to admitCross, which merges the
 // involved components into one shard with an epoch-stamped commit on every
-// involved engine; rebalance, the release-splits-a-component half, migrates
+// involved shard; rebalance, the release-splits-a-component half, migrates
 // a component to an empty shard the same way. Both observe no in-flight
 // shard-local operation.
 //
@@ -58,14 +58,13 @@ import (
 
 // ShardedEngine is a goroutine-safe admission controller that partitions
 // the fabric into independent components and serves each from its own
-// Engine shard; one shard plans, routes and reconciles exactly as many
-// do. ApplyBatch and TestBatch (shard_batch.go) are its only write and test
-// paths; Admit, Release, Test and FillGreedy are envelope-of-one
-// conveniences over them.
+// shard; one shard plans, routes and reconciles exactly as many do.
+// ApplyBatch and TestBatch (shard_batch.go) are its only write and test
+// paths; FillGreedy is a loop of envelopes of one over ApplyBatch.
 type ShardedEngine struct {
 	servers  []server.Server
 	analyzer analysis.Analyzer
-	shards   []*Engine
+	shards   []*shard
 
 	// mu is the sharding protocol lock: envelopes without a barrier hold it
 	// shared (they may run concurrently with each other), envelopes with one
@@ -74,6 +73,15 @@ type ShardedEngine struct {
 	mu     sync.RWMutex
 	router shardRouter
 
+	// The engine's counters; the per-shard ones live on each shard.
+	epoch        atomic.Uint64
+	conflicts    atomic.Uint64
+	batchEnvs    atomic.Uint64
+	batchOps     atomic.Uint64
+	batchComs    atomic.Uint64
+	affBucket    []atomic.Uint64
+	affCount     atomic.Uint64
+	affSum       atomic.Uint64
 	crossCommits atomic.Uint64
 	rebalances   atomic.Uint64
 }
@@ -106,20 +114,26 @@ type routedConn struct {
 
 // NewShardedEngine builds an engine with the given number of shards over
 // the fabric. Every shard sees the full server list, so server indices —
-// and therefore bounds — are identical to a single Engine's.
+// and therefore bounds — are the same at every shard count.
 func NewShardedEngine(servers []server.Server, analyzer analysis.Analyzer, shards int) (*ShardedEngine, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("admission: shard count %d < 1", shards)
 	}
-	se := &ShardedEngine{analyzer: analyzer}
-	for i := 0; i < shards; i++ {
-		eng, err := NewEngine(servers, analyzer)
-		if err != nil {
-			return nil, err
-		}
-		se.shards = append(se.shards, eng)
+	cp, err := checkFabric(servers, analyzer)
+	if err != nil {
+		return nil, err
 	}
-	se.servers = se.shards[0].servers
+	se := &ShardedEngine{
+		servers:   cp,
+		analyzer:  analyzer,
+		shards:    make([]*shard, shards),
+		affBucket: make([]atomic.Uint64, len(affectedBuckets)+1),
+	}
+	for i := range se.shards {
+		sh := &shard{se: se}
+		sh.snap.Store(&snapshot{sh: sh})
+		se.shards[i] = sh
+	}
 	se.router = shardRouter{
 		owner:     make([]int, len(se.servers)),
 		refs:      make([]int, len(se.servers)),
@@ -137,26 +151,61 @@ func NewShardedEngine(servers []server.Server, analyzer analysis.Analyzer, shard
 // Shards returns the number of engine shards.
 func (se *ShardedEngine) Shards() int { return len(se.shards) }
 
-// Shard exposes one shard's engine for tests and diagnostics.
-func (se *ShardedEngine) Shard(i int) *Engine { return se.shards[i] }
+// Shard exposes one shard for tests and diagnostics; its Admitted method
+// lists what the shard holds.
+func (se *ShardedEngine) Shard(i int) *shard { return se.shards[i] }
 
 // Analyzer returns the analyzer admission tests run.
 func (se *ShardedEngine) Analyzer() analysis.Analyzer { return se.analyzer }
 
-// ShardStat is a point-in-time summary of one shard.
-type ShardStat struct {
-	Admitted            int
-	Version             uint64
-	IncrementalTests    uint64
-	FullTests           uint64
-	IncrementalReleases uint64
-	CompactedReleases   uint64
+func (se *ShardedEngine) observeAffected(n int) {
+	i := 0
+	for ; i < len(affectedBuckets); i++ {
+		if float64(n) <= affectedBuckets[i] {
+			break
+		}
+	}
+	se.affBucket[i].Add(1)
+	se.affCount.Add(1)
+	se.affSum.Add(uint64(n))
 }
 
-// ShardedStats aggregates the per-shard engine counters plus the
-// cross-shard protocol counters.
-type ShardedStats struct {
-	Stats
+// Stats is a point-in-time copy of the engine's counters. The test and
+// release counts are the sums of PerShard's.
+type Stats struct {
+	// IncrementalTests and FullTests count admission analyses by path (a
+	// cross-shard union analysis counts as a full test of the first
+	// involved shard).
+	IncrementalTests uint64
+	FullTests        uint64
+	// IncrementalReleases counts removals that shrank the baseline in
+	// place (scoped unit-trace replay); CompactedReleases counts removals
+	// that dropped it (the next incremental test rebuilds it).
+	IncrementalReleases uint64
+	CompactedReleases   uint64
+	// BaselineEpoch counts baseline materializations: promotions on admit,
+	// shrinks on release, and lazy rebuilds.
+	BaselineEpoch uint64
+	// CommitConflicts counts sub-batch retries forced by a concurrent
+	// commit.
+	CommitConflicts uint64
+	// BatchEnvelopes counts the sub-batches envelopes sent to a shard —
+	// every write, single admits and releases included, since each is an
+	// envelope of one — BatchOps the operations they carried, and
+	// BatchCommits the snapshot commits they installed. A mutating
+	// sub-batch commits exactly once regardless of its size (BatchCommits
+	// <= BatchEnvelopes always; strictly fewer when some sub-batches left
+	// the admitted set untouched, e.g. a rejected single admit), which is
+	// the pipelining invariant CI gates on.
+	BatchEnvelopes uint64
+	BatchOps       uint64
+	BatchCommits   uint64
+	// AffectedBuckets holds, per entry of AffectedBucketBounds, how many
+	// tests had an affected set of at most that many connections (raw,
+	// not cumulative); AffectedCount and AffectedSum summarize them.
+	AffectedBuckets []uint64
+	AffectedCount   uint64
+	AffectedSum     uint64
 	// Shards is the configured shard count.
 	Shards int
 	// CrossShardCommits counts global epoch-stamped commits: component
@@ -170,39 +219,59 @@ type ShardedStats struct {
 	PerShard []ShardStat
 }
 
-// Stats aggregates every shard's counters. The embedded Stats sums
-// field-wise across shards (a cross-shard union analysis counts as a full
-// test of the first involved shard), so a one-shard engine reports exactly
-// Engine.Stats.
-func (se *ShardedEngine) Stats() ShardedStats {
-	agg := ShardedStats{
+// ShardStat is a point-in-time summary of one shard.
+type ShardStat struct {
+	Admitted            int
+	Version             uint64
+	IncrementalTests    uint64
+	FullTests           uint64
+	IncrementalReleases uint64
+	CompactedReleases   uint64
+}
+
+// Stats copies the engine's counters.
+func (se *ShardedEngine) Stats() Stats {
+	st := Stats{
+		BaselineEpoch:     se.epoch.Load(),
+		CommitConflicts:   se.conflicts.Load(),
+		BatchEnvelopes:    se.batchEnvs.Load(),
+		BatchOps:          se.batchOps.Load(),
+		BatchCommits:      se.batchComs.Load(),
+		AffectedBuckets:   make([]uint64, len(se.affBucket)),
+		AffectedCount:     se.affCount.Load(),
+		AffectedSum:       se.affSum.Load(),
 		Shards:            len(se.shards),
 		CrossShardCommits: se.crossCommits.Load() + se.rebalances.Load(),
 		Rebalances:        se.rebalances.Load(),
 	}
-	for _, sh := range se.shards {
-		st := sh.Stats()
-		snap := sh.Snapshot()
-		agg.Stats.add(st)
-		agg.PerShard = append(agg.PerShard, ShardStat{
-			Admitted:            snap.Count(),
-			Version:             snap.Version(),
-			IncrementalTests:    st.IncrementalTests,
-			FullTests:           st.FullTests,
-			IncrementalReleases: st.IncrementalReleases,
-			CompactedReleases:   st.CompactedReleases,
-		})
+	for i := range se.affBucket {
+		st.AffectedBuckets[i] = se.affBucket[i].Load()
 	}
-	return agg
+	for _, sh := range se.shards {
+		snap := sh.snap.Load()
+		ps := ShardStat{
+			Admitted:            len(snap.admitted),
+			Version:             snap.version,
+			IncrementalTests:    sh.incTests.Load(),
+			FullTests:           sh.fullTests.Load(),
+			IncrementalReleases: sh.incRels.Load(),
+			CompactedReleases:   sh.compactRels.Load(),
+		}
+		st.IncrementalTests += ps.IncrementalTests
+		st.FullTests += ps.FullTests
+		st.IncrementalReleases += ps.IncrementalReleases
+		st.CompactedReleases += ps.CompactedReleases
+		st.PerShard = append(st.PerShard, ps)
+	}
+	return st
 }
 
 // SnapshotVersion is the engine's global version: the sum of the shard
-// snapshot versions. It increases with every commit anywhere and equals
-// Engine's snapshot version exactly when running with one shard.
+// snapshot versions. It increases with every commit anywhere.
 func (se *ShardedEngine) SnapshotVersion() uint64 {
 	var v uint64
 	for _, sh := range se.shards {
-		v += sh.Snapshot().Version()
+		v += sh.snap.Load().version
 	}
 	return v
 }
@@ -217,8 +286,8 @@ func (se *ShardedEngine) ReadView() ([]topo.Connection, uint64) {
 	var version uint64
 	seen := make(map[string]bool)
 	for _, sh := range se.shards {
-		s := sh.Snapshot()
-		version += s.Version()
+		s := sh.snap.Load()
+		version += s.version
 		for _, c := range s.admitted {
 			if seen[c.Name] {
 				continue
@@ -231,8 +300,7 @@ func (se *ShardedEngine) ReadView() ([]topo.Connection, uint64) {
 }
 
 // Admitted returns a copy of the currently admitted connections (shard
-// order, each shard in its own commit order; exactly Engine's order with
-// one shard).
+// order, each shard in its own commit order).
 func (se *ShardedEngine) Admitted() []topo.Connection {
 	conns, _ := se.ReadView()
 	return conns
@@ -242,7 +310,7 @@ func (se *ShardedEngine) Admitted() []topo.Connection {
 func (se *ShardedEngine) Count() int {
 	n := 0
 	for _, sh := range se.shards {
-		n += sh.Snapshot().Count()
+		n += len(sh.snap.Load().admitted)
 	}
 	return n
 }
@@ -254,10 +322,14 @@ func (se *ShardedEngine) Utilization() []float64 {
 	return net.Utilization()
 }
 
-// WarmBaseline synchronously materializes every shard's baseline.
+// WarmBaseline synchronously materializes every shard's analysis baseline
+// so the next admission test runs incrementally at full speed. A shard
+// whose baseline is already warm (e.g. after an incremental release) costs
+// nothing. Daemons call it after startup pre-admission; benchmarks use it
+// to charge a release that dropped a baseline with the rebuild it forces.
 func (se *ShardedEngine) WarmBaseline() error {
 	for _, sh := range se.shards {
-		if err := sh.WarmBaseline(); err != nil {
+		if _, err := sh.snap.Load().baseline(); err != nil {
 			return err
 		}
 	}
@@ -444,10 +516,10 @@ type seqConn struct {
 }
 
 // snapshots returns every shard's current snapshot.
-func (se *ShardedEngine) snapshots() []*Snapshot {
-	snaps := make([]*Snapshot, len(se.shards))
+func (se *ShardedEngine) snapshots() []*snapshot {
+	snaps := make([]*snapshot, len(se.shards))
 	for i, sh := range se.shards {
-		snaps[i] = sh.Snapshot()
+		snaps[i] = sh.snap.Load()
 	}
 	return snaps
 }
@@ -458,7 +530,7 @@ func (se *ShardedEngine) snapshots() []*Snapshot {
 // after all confirmed ones, preserving snapshot order (only reachable from
 // the dry-test path; cross-shard commits hold the exclusive lock and see
 // no such gap).
-func (se *ShardedEngine) gatherUnion(owners []int, snaps []*Snapshot) []seqConn {
+func (se *ShardedEngine) gatherUnion(owners []int, snaps []*snapshot) []seqConn {
 	var union []seqConn
 	se.router.mu.Lock()
 	defer se.router.mu.Unlock()
@@ -503,7 +575,7 @@ func (se *ShardedEngine) unionTest(ctx context.Context, owners []int, conns []to
 // admitCross admits a candidate whose route spans the given (two or more)
 // owner shards: it analyzes the union of the involved shards plus the
 // candidate, and on success migrates the candidate's merged component into
-// one winner shard with epoch-stamped commits on every involved engine.
+// one winner shard with epoch-stamped commits on every involved shard.
 // Caller must hold se.mu exclusively with no claim outstanding (no
 // shard-local operation in flight, the envelope's own window reconciled).
 func (se *ShardedEngine) admitCross(ctx context.Context, cand topo.Connection, owners []int) (Decision, error) {
@@ -588,7 +660,7 @@ func (se *ShardedEngine) wantRebalance(from int) bool {
 
 // rebalance migrates the smallest independent component of the source
 // shard to an empty shard under the exclusive lock — the release-splits-
-// a-component half of the cross-shard protocol. Both engines take an
+// a-component half of the cross-shard protocol. Both shards take an
 // epoch-stamped replaceAdmitted commit.
 func (se *ShardedEngine) rebalance(from int) {
 	se.mu.Lock()
@@ -606,7 +678,7 @@ func (se *ShardedEngine) rebalance(from int) {
 	if target < 0 || fromLoad < 2 {
 		return
 	}
-	snap := se.shards[from].Snapshot()
+	snap := se.shards[from].snap.Load()
 	net := &topo.Network{Servers: se.servers, Connections: snap.admitted}
 	view := analysis.Components(net)
 	if view.Count < 2 {
@@ -638,34 +710,6 @@ func (se *ShardedEngine) rebalance(from int) {
 	se.rebalances.Add(1)
 }
 
-// Admit tests and commits one candidate: an ApplyBatch envelope of one.
-func (se *ShardedEngine) Admit(ctx context.Context, cand topo.Connection) (Decision, error) {
-	br, err := se.ApplyBatch(ctx, []Op{{Kind: OpAdmit, Candidate: cand}})
-	if err != nil {
-		return Decision{}, err
-	}
-	return br.Results[0].Decision, br.Results[0].Err
-}
-
-// Release removes one admitted connection by name and reports how: an
-// ApplyBatch envelope of one. ok is false when no such connection exists.
-func (se *ShardedEngine) Release(ctx context.Context, name string) (info ReleaseInfo, ok bool, err error) {
-	br, err := se.ApplyBatch(ctx, []Op{{Kind: OpRelease, Name: name}})
-	if err != nil {
-		return ReleaseInfo{}, false, err
-	}
-	return br.Results[0].Release, br.Results[0].Released, nil
-}
-
-// Test dry-runs one candidate: a TestBatch envelope of one.
-func (se *ShardedEngine) Test(ctx context.Context, cand topo.Connection) (Decision, error) {
-	res, err := se.TestBatch(ctx, []topo.Connection{cand})
-	if err != nil {
-		return Decision{}, err
-	}
-	return res[0].Decision, res[0].Err
-}
-
 // FillGreedy admits numbered copies of the template until the first
 // rejection, like Controller.FillGreedy, returning the count admitted so
 // far along with the context's error when cut off. With the incremental
@@ -676,12 +720,12 @@ func (se *ShardedEngine) FillGreedy(ctx context.Context, template topo.Connectio
 	for n < limit {
 		cand := template
 		cand.Name = fmt.Sprintf("%s#%d", template.Name, se.Count())
-		d, err := se.Admit(ctx, cand)
+		br, err := se.ApplyBatch(ctx, []Op{{Kind: OpAdmit, Candidate: cand}})
 		if err != nil {
 			return n, err
 		}
-		if !d.Admitted {
-			return n, nil
+		if r := br.Results[0]; r.Err != nil || !r.Decision.Admitted {
+			return n, r.Err
 		}
 		n++
 	}

@@ -1,5 +1,6 @@
 // The sharded write path: an envelope is planned into per-shard
-// sub-batches, each committed as one snapshot by Engine.ApplyBatch.
+// sub-batches, each committed as one snapshot by its shard's applyBatch
+// (batch.go).
 //
 // One path serves every envelope, in three steps:
 //
@@ -10,8 +11,8 @@
 //     applied to the router beyond the claims: a release keeps its record
 //     and its servers until it has committed, and holds its name against
 //     admits until it reconciles.
-//   - run executes the planned sub-batches in shard order, one engine
-//     sub-batch and at most one commit per shard, and stops at the first
+//   - run executes the planned sub-batches in shard order, one sub-batch
+//     and at most one commit per shard, and stops at the first
 //     error (a cancellation; that shard committed nothing).
 //   - reconcile always follows, whatever run did: in envelope order an
 //     admitted claim becomes a routing record, every other claim is handed
@@ -62,14 +63,24 @@ func dupResult(name string) OpResult {
 
 // ApplyBatch evaluates a mixed admit/release envelope with one snapshot
 // commit per shard per window (one window unless the envelope holds a
-// barrier, see the file comment); see Engine.ApplyBatch for the
-// single-engine contract, soft budget included: ctx reaches every sub-batch
-// and cross-shard commit, so a budget that runs out mid-envelope degrades the
-// rest of it and cancels nothing. Cancellation never tears a shard (each
-// shard's sub-batch is atomic), but in a multi-shard envelope sub-batches of
-// other shards may already have committed when the error surfaces; the
-// returned BatchResult then carries no Results but counts them in Commits,
-// and only an envelope that reports zero may be re-run.
+// barrier, see the file comment). It is the engine's only write entry
+// point. Every operation sees the set as left by its predecessors in the
+// envelope (greedy semantics); each shard's sub-batch analyzes outside any
+// lock and retries whole when a concurrent commit beats it (batch.go).
+//
+// A soft budget on ctx (analysis.WithBudget) that runs out cancels nothing:
+// ctx reaches every sub-batch and cross-shard commit, so the rest of the
+// envelope completes on sound, looser bounds and commits as usual. Two
+// rules keep what it leaves behind exact. A result computed after the budget
+// degraded never seeds a baseline: the next incremental test rebuilds it.
+// An expired budget never starts a baseline build, which could not be cut
+// short: with none at hand the admit is one full analysis under ctx.
+//
+// A cancellation (check IsCanceled) never tears a shard (each shard's
+// sub-batch is atomic), but in a multi-shard envelope sub-batches of other
+// shards may already have committed when the error surfaces; the returned
+// BatchResult then carries no Results but counts them in Commits, and only
+// an envelope that reports zero may be re-run.
 func (se *ShardedEngine) ApplyBatch(ctx context.Context, ops []Op) (*BatchResult, error) {
 	if err := validateOps(ops); err != nil {
 		return nil, err
@@ -143,7 +154,7 @@ func (e *envelope) apply(exclusive bool) (done bool, err error) {
 		switch op.Kind {
 		case OpRelease:
 			// A name the window already holds stays on that sub-batch, with
-			// the engine's exact semantics (a rejected admit makes the release
+			// the shard's exact semantics (a rejected admit makes the release
 			// report not-found); an unknown name is left not-found.
 			shard, ok := e.names[op.Name]
 			claimed := false
@@ -157,8 +168,8 @@ func (e *envelope) apply(exclusive bool) (done bool, err error) {
 		case OpAdmit:
 			cand := op.Candidate
 			if !se.validRoute(cand) {
-				// Never touches the router; shard 0 reproduces Engine's
-				// canonical rejection and cannot mutate.
+				// Never touches the router; shard 0 gives the canonical
+				// rejection and cannot mutate.
 				e.window = append(e.window, plannedOp{idx: i})
 				continue
 			}
@@ -198,8 +209,8 @@ func (e *envelope) apply(exclusive bool) (done bool, err error) {
 	return true, e.run()
 }
 
-// run executes the window's sub-batches in shard order, one engine
-// sub-batch (at most one commit) per shard, stopping at the first error,
+// run executes the window's sub-batches in shard order, one sub-batch (at
+// most one commit) per shard, stopping at the first error,
 // and always reconciles what ran.
 func (e *envelope) run() error {
 	if len(e.window) == 0 {
@@ -214,18 +225,18 @@ func (e *envelope) run() error {
 		if len(ops) == 0 {
 			continue
 		}
-		res, err := e.se.shards[shard].ApplyBatch(e.ctx, ops)
+		results, committed, err := e.se.shards[shard].applyBatch(e.ctx, ops)
 		if err != nil {
 			return err
 		}
-		if res.Commits > 0 {
-			e.br.Commits += res.Commits
+		if committed {
+			e.br.Commits++
 			e.touched[shard] = true
 		}
 		k := 0
 		for _, p := range e.window {
 			if p.shard == shard {
-				e.br.Results[p.idx] = res.Results[k]
+				e.br.Results[p.idx] = results[k]
 				k++
 			}
 		}

@@ -102,7 +102,7 @@ func TestShardedApplyBatchMatchesSequential(t *testing.T) {
 		var merges uint64
 		for seed := int64(0); seed < seeds; seed++ {
 			net := corpusNet(t, tc.disc, 6, 9, 0.6, seed)
-			for _, shards := range []int{2, 4} {
+			for _, shards := range []int{1, 2, 4} {
 				label := fmt.Sprintf("reuse/%v/seed%d/shards%d", tc, seed, shards)
 				merges += driveReuseDifferential(t, label, tc.analyzer, net, shards, seed)
 			}
@@ -135,7 +135,7 @@ func requireRouterMatchesShards(t *testing.T, label string, se *ShardedEngine) {
 		if r.load[i] != sh.Admitted {
 			t.Fatalf("%s: router load[%d] = %d, shard holds %d", label, i, r.load[i], sh.Admitted)
 		}
-		for _, c := range se.Shard(i).Snapshot().Admitted() {
+		for _, c := range se.shards[i].snap.Load().admitted {
 			if rc := r.conns[c.Name]; rc == nil || rc.shard != i {
 				t.Fatalf("%s: shard %d holds %q, router records %+v", label, i, c.Name, rc)
 			}
@@ -161,22 +161,20 @@ func requireRouterMatchesShards(t *testing.T, label string, se *ShardedEngine) {
 
 // driveReuseDifferential replays a schedule that reuses names — re-admit
 // of a live name, release then re-admit, double and ghost releases — over
-// routes that merge components, as random-size envelopes through a sharded
-// engine, against a plain Engine fed the same ops one at a time. Both
-// reject the admit of a live name as invalid_spec, the Engine through the
-// network's duplicate-name check and the router as already admitted, with
-// different messages, so the oracle skips that admit and the sharded side
-// must reject it as invalid. Returns the component merges seen.
+// routes that merge components, as random-size envelopes through an engine
+// of the given shard count, against a Controller fed the same ops one at a
+// time. Both reject the admit of a live name as invalid_spec, the
+// Controller through the network's duplicate-name check and the router as
+// already admitted, with different messages, so the oracle skips that admit
+// and the engine must reject it as invalid. Returns the component merges
+// seen.
 func driveReuseDifferential(t *testing.T, label string, analyzer analysis.Analyzer, net *topo.Network, shards int, seed int64) uint64 {
 	t.Helper()
-	eng, err := NewEngine(net.Servers, analyzer)
+	ctrl, err := New(net.Servers, analyzer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	se, err := NewShardedEngine(net.Servers, analyzer, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
+	se := newEngine(t, net.Servers, analyzer, shards)
 	rng := rand.New(rand.NewSource(seed*17 + int64(shards)))
 	live := make(map[string]bool)
 	for n := 0; n < 5*len(net.Connections); {
@@ -208,9 +206,8 @@ func driveReuseDifferential(t *testing.T, label string, analyzer analysis.Analyz
 			got := br.Results[k]
 			switch {
 			case op.Kind == OpRelease:
-				_, want, _ := eng.Release(bg, op.Name)
-				if want != got.Released {
-					t.Fatalf("%s: release of %q found diverged: engine %v, sharded %v", step, op.Name, want, got.Released)
+				if want := ctrl.Remove(op.Name); want != got.Released {
+					t.Fatalf("%s: release of %q found diverged: controller %v, engine %v", step, op.Name, want, got.Released)
 				}
 				delete(live, op.Name)
 			case live[op.Candidate.Name]:
@@ -218,16 +215,16 @@ func driveReuseDifferential(t *testing.T, label string, analyzer analysis.Analyz
 					t.Fatalf("%s: admit of live name %q not rejected as invalid: %+v", step, op.Candidate.Name, got)
 				}
 			default:
-				want, wantErr := eng.Admit(bg, op.Candidate)
+				want, wantErr := ctrl.Admit(op.Candidate)
 				if (wantErr == nil) != (got.Err == nil) {
-					t.Fatalf("%s: admit error diverged: engine %v, sharded %v", step, wantErr, got.Err)
+					t.Fatalf("%s: admit error diverged: controller %v, engine %v", step, wantErr, got.Err)
 				}
-				requireSameOutcome(t, step, want, got.Decision)
+				requireSameAt(t, shards, step, want, got.Decision)
 				live[op.Candidate.Name] = want.Admitted
 			}
 		}
-		if eng.Count() != se.Count() {
-			t.Fatalf("%s: count after envelope at op %d: engine %d, sharded %d", label, n, eng.Count(), se.Count())
+		if ctrl.Count() != se.Count() {
+			t.Fatalf("%s: count after envelope at op %d: controller %d, engine %d", label, n, ctrl.Count(), se.Count())
 		}
 		n += len(env)
 	}
@@ -255,7 +252,7 @@ func TestReleaseAccountingDeterministic(t *testing.T) {
 			spify(net, true)
 		}
 		ops := randomOps(net, 7, 4*len(net.Connections))
-		replay := func(shards int) ShardedStats {
+		replay := func(shards int) Stats {
 			se, err := NewShardedEngine(net.Servers, analyzer, shards)
 			if err != nil {
 				t.Fatal(err)
@@ -826,7 +823,7 @@ func TestShardedBatchDegraded(t *testing.T) {
 		t.Fatalf("batch_commits moved by %d, want 2", got)
 	}
 	for i, sh := range se.shards {
-		if sh.Snapshot().cachedBaseline() != nil {
+		if sh.snap.Load().cachedBaseline() != nil {
 			t.Fatalf("shard %d kept a degraded extension as its baseline", i)
 		}
 	}

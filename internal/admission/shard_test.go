@@ -2,7 +2,6 @@ package admission
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -22,7 +21,7 @@ import (
 func requireSameOutcome(t *testing.T, label string, want, got Decision) {
 	t.Helper()
 	if want.Admitted != got.Admitted || want.Code != got.Code || want.Reason != got.Reason {
-		t.Fatalf("%s: decision diverged:\n  engine  %+v\n  sharded %+v", label, want, got)
+		t.Fatalf("%s: decision diverged:\n  want %+v\n  got  %+v", label, want, got)
 	}
 	if len(want.Violations) != len(got.Violations) {
 		t.Fatalf("%s: violations %d vs %d", label, len(want.Violations), len(got.Violations))
@@ -43,83 +42,11 @@ func requireSameOutcome(t *testing.T, label string, want, got Decision) {
 	}
 }
 
-// driveShardDifferential replays one admission sequence through a plain
-// Engine and a ShardedEngine and asserts identical outcomes at every step.
-// At one shard the two must be indistinguishable in every field.
-func driveShardDifferential(t *testing.T, label string, analyzer analysis.Analyzer, net *topo.Network, shards int) {
-	t.Helper()
-	eng, err := NewEngine(net.Servers, analyzer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	se, err := NewShardedEngine(net.Servers, analyzer, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cand := range net.Connections {
-		step := fmt.Sprintf("%s/conn%d", label, i)
-		wantD, wantErr := eng.Test(bg, cand)
-		gotD, gotErr := se.Test(bg, cand)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("%s: test error diverged: engine %v, sharded %v", step, wantErr, gotErr)
-		}
-		if shards == 1 {
-			requireSameDecision(t, step+"/test", wantD, gotD)
-		} else {
-			requireSameOutcome(t, step+"/test", wantD, gotD)
-		}
-
-		wantD, wantErr = eng.Admit(bg, cand)
-		gotD, gotErr = se.Admit(bg, cand)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("%s: admit error diverged: engine %v, sharded %v", step, wantErr, gotErr)
-		}
-		if shards == 1 {
-			requireSameDecision(t, step+"/admit", wantD, gotD)
-		} else {
-			requireSameOutcome(t, step+"/admit", wantD, gotD)
-		}
-		if eng.Count() != se.Count() {
-			t.Fatalf("%s: count diverged: engine %d, sharded %d", step, eng.Count(), se.Count())
-		}
-	}
-	if v := se.SnapshotVersion(); shards == 1 && v != eng.Snapshot().Version() {
-		t.Fatalf("%s: snapshot version %d, engine %d", label, v, eng.Snapshot().Version())
-	}
-}
-
-// TestShardedMatchesEngineOnRandomNetworks is the sharded differential
-// acceptance test over the same 26-seed corpus as the engine/controller
-// suite, at 1, 2, and 4 shards. Candidates routinely merge components, so
-// the cross-shard path is exercised throughout.
-func TestShardedMatchesEngineOnRandomNetworks(t *testing.T) {
-	for _, tc := range incrementalAnalyzers {
-		for seed := int64(0); seed < 26; seed++ {
-			net := corpusNet(t, tc.disc, 6, 9, 0.6, seed)
-			rng := rand.New(rand.NewSource(seed * 31))
-			for i := range net.Connections {
-				switch rng.Intn(4) {
-				case 0:
-					net.Connections[i].Deadline = 1 + 4*rng.Float64()
-				case 1:
-					net.Connections[i].Deadline = 0 // invalid: exercises the error path
-				default:
-					net.Connections[i].Deadline = 100
-				}
-			}
-			for _, shards := range []int{1, 2, 4} {
-				label := fmt.Sprintf("%v/seed%d/shards%d", tc, seed, shards)
-				driveShardDifferential(t, label, tc.analyzer, net, shards)
-			}
-		}
-	}
-}
-
-// TestShardedMatchesEngineOnFabrics extends the differential to the
+// TestEngineMatchesControllerOnFabrics extends the differential to the
 // datacenter builders: a small fat-tree and Clos fabric (connected — every
 // admission lands in one growing component) and a disjoint-block fabric
 // (the sharded fast path).
-func TestShardedMatchesEngineOnFabrics(t *testing.T) {
+func TestEngineMatchesControllerOnFabrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fabric differential skipped in -short")
 	}
@@ -139,9 +66,8 @@ func TestShardedMatchesEngineOnFabrics(t *testing.T) {
 		for i := range net.Connections {
 			net.Connections[i].Deadline = 100
 		}
-		for _, shards := range []int{1, 4} {
-			driveShardDifferential(t, fmt.Sprintf("%s/shards%d", f.name, shards),
-				analysis.Integrated{}, net, shards)
+		for _, shards := range []int{1, 2, 4} {
+			driveDifferential(t, f.name, analysis.Integrated{}, net, shards)
 		}
 	}
 }
@@ -401,12 +327,13 @@ func TestCrossShardCommitsRebuildLazily(t *testing.T) {
 	se, _, cands, bridge := twoShardSetup(t, analysis.Integrated{})
 	requireLazyBuild := func(step string, shard int, test func() (Decision, error)) {
 		t.Helper()
-		before := se.Shard(shard).Stats()
+		before := se.Stats()
 		if d, err := test(); err != nil || !d.Admitted {
 			t.Fatalf("%s: test on shard %d: %+v err=%v", step, shard, d, err)
 		}
-		st := se.Shard(shard).Stats()
-		if inc, full, epochs := st.IncrementalTests-before.IncrementalTests, st.FullTests-before.FullTests,
+		st := se.Stats()
+		sh, was := st.PerShard[shard], before.PerShard[shard]
+		if inc, full, epochs := sh.IncrementalTests-was.IncrementalTests, sh.FullTests-was.FullTests,
 			st.BaselineEpoch-before.BaselineEpoch; inc != 1 || full != 0 || epochs != 1 {
 			t.Fatalf("%s: shard %d ran %d incremental and %d full tests over %d baseline builds, want 1, 0 and 1",
 				step, shard, inc, full, epochs)
@@ -422,8 +349,8 @@ func TestCrossShardCommitsRebuildLazily(t *testing.T) {
 	winner := se.router.owner[bridge.Path[0]]
 	requireLazyBuild("merge", winner, func() (Decision, error) { return se.Test(bg, cands[0]) })
 	// The merge emptied the other shard and owns every server, so the router
-	// sends nothing there; its engine is tested directly.
-	requireLazyBuild("merge", 1-winner, func() (Decision, error) { return se.Shard(1-winner).Test(bg, cands[1]) })
+	// sends nothing there; its snapshot is tested directly.
+	requireLazyBuild("merge", 1-winner, func() (Decision, error) { return se.shards[1-winner].snap.Load().test(bg, cands[1]) })
 
 	if _, ok, err := se.Release(bg, bridge.Name); err != nil || !ok {
 		t.Fatalf("bridge release: ok=%v err=%v", ok, err)
@@ -480,6 +407,115 @@ func TestShardedReleaseReadmitRace(t *testing.T) {
 			}
 			wg.Wait()
 			requireRouterMatchesShards(t, fmt.Sprintf("%d shards, round %d", shards, round), se)
+		}
+	}
+}
+
+// TestShardCountersSumToTotals pins the one Stats the engine reports: after
+// a scripted run of admits, dry runs, envelopes and releases — at 2 and 4
+// shards also a cross-shard merge and the rebalance its release triggers —
+// the per-shard test and release counts sum to the totals, which equal the
+// tests and releases the operations themselves reported, and the per-shard
+// admitted counts and versions sum to the read view and the global version.
+func TestShardCountersSumToTotals(t *testing.T) {
+	net, err := topo.DisjointBlocks(2, 3, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range net.Connections {
+		net.Connections[i].Deadline = 1000
+	}
+	half := len(net.Connections) / 2
+	like := func(b int, name string, deadline float64) topo.Connection {
+		c := net.Connections[b*half]
+		c.Name, c.Deadline = name, deadline
+		return c
+	}
+	bridge := like(0, "bridge", 1000)
+	bridge.Path = []int{0, len(net.Servers) - 1}
+	for _, shards := range []int{1, 2, 4} {
+		label := fmt.Sprintf("%d shards", shards)
+		se := newEngine(t, net.Servers, analysis.Integrated{}, shards)
+		var tests, incReleases, compactReleases uint64
+		apply := func(ops ...Op) {
+			t.Helper()
+			br, err := se.ApplyBatch(bg, ops)
+			if err != nil {
+				t.Fatalf("%s: ApplyBatch: %v", label, err)
+			}
+			if br.Commits == 0 {
+				t.Fatalf("%s: envelope %+v committed nothing", label, ops)
+			}
+			for i, r := range br.Results {
+				switch {
+				case ops[i].Kind == OpAdmit:
+					tests++
+				case r.Release.Incremental:
+					incReleases++
+				case r.Released:
+					compactReleases++
+				}
+			}
+		}
+		admit := func(c topo.Connection) Op { return Op{Kind: OpAdmit, Candidate: c} }
+		release := func(name string) Op { return Op{Kind: OpRelease, Name: name} }
+
+		for _, c := range net.Connections[:half] {
+			apply(admit(c))
+		}
+		apply(admit(net.Connections[half]), admit(net.Connections[half+1]), admit(net.Connections[half+2]))
+		res, err := se.TestBatch(bg, []topo.Connection{like(0, "dry", 1000), like(1, "dry", 1e-3)})
+		if err != nil {
+			t.Fatalf("%s: TestBatch: %v", label, err)
+		}
+		tests += uint64(len(res))
+		// On each block, a lone release shrinks the warm baseline and a run
+		// of two drops it twice.
+		for b := 0; b < 2; b++ {
+			apply(release(net.Connections[b*half].Name), admit(like(b, fmt.Sprintf("x%d", b), 1000)))
+			apply(release(net.Connections[b*half+1].Name), release(net.Connections[b*half+2].Name),
+				admit(like(b, fmt.Sprintf("y%d", b), 1000)))
+		}
+		apply(admit(bridge), admit(like(1, "rejected", 1e-3)))
+		apply(release("bridge"))
+		if shards > 1 {
+			if st := se.Stats(); st.CrossShardCommits != 2 || st.Rebalances != 1 || st.FullTests == 0 {
+				t.Fatalf("%s: the bridge made %d cross-shard commits, %d rebalances and %d full tests; want 2, 1 and a union test",
+					label, st.CrossShardCommits, st.Rebalances, st.FullTests)
+			}
+		}
+
+		st := se.Stats()
+		var sum ShardStat
+		var version uint64
+		for _, ps := range st.PerShard {
+			sum.Admitted += ps.Admitted
+			sum.IncrementalTests += ps.IncrementalTests
+			sum.FullTests += ps.FullTests
+			sum.IncrementalReleases += ps.IncrementalReleases
+			sum.CompactedReleases += ps.CompactedReleases
+			version += ps.Version
+		}
+		conns, v := se.ReadView()
+		want := ShardStat{
+			Admitted:            len(conns),
+			IncrementalTests:    st.IncrementalTests,
+			FullTests:           st.FullTests,
+			IncrementalReleases: st.IncrementalReleases,
+			CompactedReleases:   st.CompactedReleases,
+		}
+		if sum != want || version != v || len(st.PerShard) != shards || st.Shards != shards {
+			t.Fatalf("%s: per-shard sums %+v at version %d over %d shards, totals %+v at version %d", label, sum, version, len(st.PerShard), want, v)
+		}
+		if got := st.IncrementalTests + st.FullTests; got != tests {
+			t.Fatalf("%s: %d tests counted, the operations ran %d", label, got, tests)
+		}
+		if st.IncrementalReleases != incReleases || st.CompactedReleases != compactReleases || incReleases == 0 || compactReleases == 0 {
+			t.Fatalf("%s: releases counted %d incremental and %d compacted, the operations reported %d and %d (want both modes)",
+				label, st.IncrementalReleases, st.CompactedReleases, incReleases, compactReleases)
+		}
+		if st.BatchCommits > st.BatchEnvelopes || st.BatchCommits == 0 {
+			t.Fatalf("%s: batch_commits %d, batch_envelopes %d", label, st.BatchCommits, st.BatchEnvelopes)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package admission
 
 import (
 	"context"
+	"testing"
 
 	"delaycalc/internal/analysis"
 	"delaycalc/internal/server"
@@ -11,53 +12,67 @@ import (
 // bg is the context of every test call that exercises no cancellation.
 var bg = context.Background()
 
-// Envelope-of-one conveniences and accessors on Engine for the in-package
-// tests, mirroring the exported ones on ShardedEngine, which serves every
-// caller outside the package.
+// Envelope-of-one conveniences for the in-package tests: a single admit,
+// release or dry run is an envelope of one through ApplyBatch or TestBatch,
+// the path delayd serves.
 
-func (e *Engine) Admit(ctx context.Context, cand topo.Connection) (Decision, error) {
-	br, err := e.ApplyBatch(ctx, []Op{{Kind: OpAdmit, Candidate: cand}})
+func (se *ShardedEngine) Admit(ctx context.Context, cand topo.Connection) (Decision, error) {
+	br, err := se.ApplyBatch(ctx, []Op{{Kind: OpAdmit, Candidate: cand}})
 	if err != nil {
 		return Decision{}, err
 	}
 	return br.Results[0].Decision, br.Results[0].Err
 }
 
-func (e *Engine) Release(ctx context.Context, name string) (ReleaseInfo, bool, error) {
-	br, err := e.ApplyBatch(ctx, []Op{{Kind: OpRelease, Name: name}})
+func (se *ShardedEngine) Release(ctx context.Context, name string) (ReleaseInfo, bool, error) {
+	br, err := se.ApplyBatch(ctx, []Op{{Kind: OpRelease, Name: name}})
 	if err != nil {
 		return ReleaseInfo{}, false, err
 	}
 	return br.Results[0].Release, br.Results[0].Released, nil
 }
 
-func (e *Engine) Test(ctx context.Context, cand topo.Connection) (Decision, error) {
-	res, err := e.TestBatch(ctx, []topo.Connection{cand})
+func (se *ShardedEngine) Test(ctx context.Context, cand topo.Connection) (Decision, error) {
+	res, err := se.TestBatch(ctx, []topo.Connection{cand})
 	if err != nil {
 		return Decision{}, err
 	}
 	return res[0].Decision, res[0].Err
 }
 
-// TestBatch dry-runs every candidate against ONE pinned snapshot, as each
-// shard of ShardedEngine.TestBatch does. Nothing is ever committed.
-func (e *Engine) TestBatch(ctx context.Context, cands []topo.Connection) ([]OpResult, error) {
-	snap := e.Snapshot()
-	out := make([]OpResult, len(cands))
-	for i, cand := range cands {
-		d, err := snap.test(ctx, cand)
-		if IsCanceled(err) {
-			return nil, err
-		}
-		out[i] = OpResult{Decision: d, Err: err}
-	}
-	return out, nil
+func (se *ShardedEngine) Servers() []server.Server {
+	return append([]server.Server(nil), se.servers...)
 }
 
-func (e *Engine) Count() int { return e.Snapshot().Count() }
+// newEngine builds an engine of the given shard count or fails the test.
+func newEngine(tb testing.TB, servers []server.Server, analyzer analysis.Analyzer, shards int) *ShardedEngine {
+	tb.Helper()
+	se, err := NewShardedEngine(servers, analyzer, shards)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return se
+}
 
-func (e *Engine) Analyzer() analysis.Analyzer { return e.analyzer }
+// preload installs conns as shard 0's committed set without analyzing them,
+// as one envelope admitting them all leaves a one-shard engine, less the
+// baseline, which the next test builds.
+func preload(se *ShardedEngine, conns []topo.Connection) {
+	for _, c := range conns {
+		se.router.pin(c.Path, 0)
+		se.router.record(c, 0)
+	}
+	se.shards[0].replaceAdmitted(conns)
+}
 
-func (e *Engine) Servers() []server.Server { return append([]server.Server(nil), e.servers...) }
-
-func (se *ShardedEngine) Servers() []server.Server { return se.shards[0].Servers() }
+// requireSameAt asserts the engine's decision got matches the controller's
+// want: in every field at one shard, where the shard's trial is the whole
+// network, and in outcome and candidate bound at more (requireSameOutcome).
+func requireSameAt(t *testing.T, shards int, label string, want, got Decision) {
+	t.Helper()
+	if shards == 1 {
+		requireSameDecision(t, label, want, got)
+	} else {
+		requireSameOutcome(t, label, want, got)
+	}
+}

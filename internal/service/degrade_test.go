@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"delaycalc/internal/admission"
 	"delaycalc/internal/analysis"
 	"delaycalc/internal/minplus"
 	"delaycalc/internal/netspec"
@@ -224,9 +225,7 @@ func TestRemoveDegradesWithoutShrinking(t *testing.T) {
 	audio := video
 	audio.Name = "audio"
 	for _, c := range []topo.Connection{video, audio} {
-		if d, err := eng.Admit(context.Background(), c); err != nil || !d.Admitted {
-			t.Fatalf("admit %s: %+v %v", c.Name, d, err)
-		}
+		admitDirect(t, srv.State(), c)
 	}
 	before := eng.Stats()
 	w := do(t, srv, "DELETE", "/v2/networks/default/connections/video", "")
@@ -243,6 +242,16 @@ func TestRemoveDegradesWithoutShrinking(t *testing.T) {
 	if commits, dropped, shrunk := after.BatchCommits-before.BatchCommits, after.CompactedReleases-before.CompactedReleases,
 		after.IncrementalReleases-before.IncrementalReleases; commits != 1 || dropped != 1 || shrunk != 0 {
 		t.Fatalf("degraded DELETE made %d commits, dropped %d and shrank %d baselines, want 1, 1 and 0", commits, dropped, shrunk)
+	}
+}
+
+// admitDirect admits c through the state's write path, below the HTTP
+// layer and its budgets, as an envelope of one.
+func admitDirect(t *testing.T, st *State, c topo.Connection) {
+	t.Helper()
+	br, err := st.ApplyBatch(context.Background(), []admission.Op{{Kind: admission.OpAdmit, Candidate: c}})
+	if err != nil || br.Results[0].Err != nil || !br.Results[0].Decision.Admitted {
+		t.Fatalf("admit %s: %+v %v", c.Name, br, err)
 	}
 }
 
@@ -389,9 +398,7 @@ func TestRemoveIsShed(t *testing.T) {
 	}
 	admitted := func(t *testing.T, srv *Server) {
 		t.Helper()
-		if _, err := srv.State().Engine().Admit(context.Background(), mustConnection(t, admitBody)); err != nil {
-			t.Fatal(err)
-		}
+		admitDirect(t, srv.State(), mustConnection(t, admitBody))
 	}
 	t.Run("deadline passed", func(t *testing.T) {
 		srv := newTestServer(t, func(c *Config) { c.RequestTimeout = time.Nanosecond })

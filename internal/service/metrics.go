@@ -284,7 +284,7 @@ func writeCacheMetrics(w io.Writer, c *Cache) {
 // many existing connections each test's incremental closure touched).
 func writeEngineMetrics(w io.Writer, st *State) {
 	stats := st.Engine().Stats()
-	fmt.Fprintln(w, "# HELP delayd_admission_incremental_enabled Whether the admission analyzer has an incremental path (1) or re-analyzes every test in full (0).")
+	fmt.Fprintln(w, "# HELP delayd_admission_incremental_enabled Always 1: every admission analyzer has a baseline, so every one is incremental (kept for dashboards).")
 	fmt.Fprintln(w, "# TYPE delayd_admission_incremental_enabled gauge")
 	gaugeLine(w, "delayd_admission_incremental_enabled", "", 1)
 

@@ -25,8 +25,7 @@ import (
 // routes exactly as many do.
 //
 // Every write is ApplyBatch and every test is TestBatch — a single admit,
-// release or dry run is an envelope of one; Engine() carries the
-// envelope-of-one conveniences. All accessors return copies.
+// release or dry run is an envelope of one. All accessors return copies.
 type State struct {
 	eng     *admission.ShardedEngine
 	servers []server.Server // immutable after construction
@@ -58,7 +57,7 @@ func NewStateShards(servers []server.Server, analyzer analysis.Analyzer, shards 
 }
 
 // Engine exposes the underlying sharded admission engine (metrics, stats,
-// and the envelope-of-one conveniences Admit/Release/Test/FillGreedy).
+// and FillGreedy).
 func (s *State) Engine() *admission.ShardedEngine { return s.eng }
 
 // Shards returns the engine's shard count.
