@@ -321,8 +321,12 @@ func TestShardedConcurrentMixedOps(t *testing.T) {
 // warmer: a cross-shard admission and a rebalance install their shards'
 // new sets without a baseline and start nothing, so the next shard-local
 // test on every touched shard builds it — exactly once, on the request's
-// own goroutine — and runs incrementally.
+// own goroutine — and runs incrementally. The body runs at GOMAXPROCS 1, so
+// the analyses start no fan-out worker that could still be exiting when the
+// goroutines are counted: the count must not grow at all.
 func TestCrossShardCommitsRebuildLazily(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	goroutines := runtime.NumGoroutine()
 	se, _, cands, bridge := twoShardSetup(t, analysis.Integrated{})
 	requireLazyBuild := func(step string, shard int, test func() (Decision, error)) {

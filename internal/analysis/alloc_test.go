@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"delaycalc/internal/minplus"
+	"delaycalc/internal/server"
 	"delaycalc/internal/topo"
 	"delaycalc/internal/traffic"
 )
@@ -220,5 +221,62 @@ func TestExtendAllocsIndependentOfNetworkSize(t *testing.T) {
 	t.Logf("tail-candidate Extend: %.0f allocs at 150 standing connections, %.0f at 600", small, large)
 	if math.Abs(large-small) > 4 && !raceBuild() {
 		t.Errorf("Extend allocations follow the network size: %.0f at 150 connections, %.0f at 600", small, large)
+	}
+}
+
+// TestExtendAllocsIndependentOfClosureSize is the same pin for the work a
+// trial does inside its closure: a candidate whose interference closure is
+// every admitted connection makes as many heap allocations with 150 of them
+// as with 600, for the chain engine and the decomposition alike. A
+// recomputed unit records its crossing connections into a fixed number of
+// exact-size slabs, and a traced run keeps no per-connection stage list,
+// so the units of the trial, not the connections crossing them, set the
+// count.
+func TestExtendAllocsIndependentOfClosureSize(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1) // one worker: the count does not depend on the core count
+	defer runtime.GOMAXPROCS(prev)
+	servers := make([]server.Server, 4)
+	for i := range servers {
+		servers[i] = server.Server{Name: fmt.Sprintf("s%d", i), Capacity: 1, Discipline: server.FIFO}
+	}
+	conn := func(name string, path ...int) topo.Connection {
+		return topo.Connection{Name: name, Bucket: traffic.TokenBucket{Sigma: 1, Rho: 1e-4}, AccessRate: 1, Path: path}
+	}
+	routes := [][]int{{0, 1, 2, 3}, {0, 1}, {1, 2, 3}, {2, 3}}
+	for _, a := range []Analyzer{Integrated{}, Decomposed{}} {
+		extendAllocs := func(closure int) (float64, ExtendStats) {
+			net := &topo.Network{Servers: servers}
+			for i := 0; i < closure; i++ {
+				net.Connections = append(net.Connections, conn(fmt.Sprintf("c%d", i), routes[i%len(routes)]...))
+			}
+			bl, err := a.NewBaseline(net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cand := conn("cand", 0, 1, 2, 3)
+			var stats ExtendStats
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			allocs := testing.AllocsPerRun(5, func() {
+				ext, err := bl.ExtendContext(context.Background(), cand)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stats = ext.Stats
+			})
+			if stats.Affected != closure || stats.ReplayedUnits != 0 {
+				t.Fatalf("%s: the candidate's closure is every connection, got %+v", a.Name(), stats)
+			}
+			return allocs, stats
+		}
+		small, smallStats := extendAllocs(150)
+		large, largeStats := extendAllocs(600)
+		if smallStats.RecomputedUnits != largeStats.RecomputedUnits {
+			t.Fatalf("%s: %d units at 150 connections, %d at 600", a.Name(), smallStats.RecomputedUnits, largeStats.RecomputedUnits)
+		}
+		t.Logf("%s Extend over %d units: %.0f allocs with 150 connections in the closure, %.0f with 600",
+			a.Name(), smallStats.RecomputedUnits, small, large)
+		if math.Abs(large-small) > 4 && !raceBuild() {
+			t.Errorf("%s: Extend allocations follow the closure size: %.0f at 150 connections, %.0f at 600", a.Name(), small, large)
+		}
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -150,6 +151,10 @@ type propagation struct {
 	// per-slot discipline holds under level parallelism. Nil in a traced
 	// propagation (see newTracedPropagation).
 	shift *minplus.ShiftPool
+	// step holds, in a traced propagation only, each connection's latest
+	// advance: the delay bound and the hop count the unit it crossed last
+	// charged it, which recordUnit reads (env stays empty here).
+	step []connTrace
 }
 
 func newPropagation(net *topo.Network) *propagation {
@@ -181,52 +186,68 @@ func newPropagation(net *topo.Network) *propagation {
 }
 
 // tracedScratch pools the part of a traced propagation that is dead once
-// the run returns: the live envelopes and hop cursors (delays, stages and
-// backlogs become the run's Result).
+// the run returns: the live envelopes, hop cursors and step slots (delays
+// and backlogs become the run's Result). The slots grow with headroom
+// (grow): a scratch drawn by a network one connection larger than its last
+// user's keeps its storage.
 type tracedScratch struct {
 	env  []minplus.Curve
 	next []int
+	step []connTrace
 }
 
 var tracedScratchPool = sync.Pool{New: func() any { return new(tracedScratch) }}
 
 // newTracedPropagation is newPropagation for a run that is kept (a baseline
 // build or trial, or the Decomposed run ServiceCurve reads), which records
-// the state after every unit it computes: without a shift pool or a stage
-// slab, each advance gives the connection a fresh heap envelope and an
-// exact-capacity stage list, so the trace keeps both as they are instead of
-// copying them out of recycled storage — and a trial that replays most
-// units pays for its dirty closure alone. src holds the connections'
-// source envelopes; they are only ever replaced, never written through.
-// sc must not return to its pool before the run is over.
+// the state after every unit it computes (recordUnit). It has no shift pool
+// and no stage lists: each advance shifts the connection's envelope in the
+// stepping worker's arena and notes the step in the connection's slot, and
+// the worker's recordUnit copies what the unit left into the trace before
+// the arena is reset. Stage lists are assembled from the traces only when a
+// result is exported (Baseline.stages). src holds the connections' source
+// envelopes; they are only ever replaced, never written through. sc must
+// not return to its pool before the run is over.
 func newTracedPropagation(net *topo.Network, src []minplus.Curve, sc *tracedScratch) *propagation {
-	sc.env = resize(sc.env, len(src))
+	sc.env = grow(sc.env, len(src))
 	copy(sc.env, src)
-	sc.next = resize(sc.next, len(src))
+	sc.next = grow(sc.next, len(src))
 	clear(sc.next)
+	sc.step = grow(sc.step, len(src))
 	return &propagation{
 		env:     sc.env,
 		delay:   make([]float64, len(net.Connections)),
 		next:    sc.next,
-		stage:   make([][]Stage, len(net.Connections)),
 		backlog: make([]float64, len(net.Servers)),
+		step:    sc.step,
 	}
 }
 
-// advance records that connection c crossed nHops hops with delay bound d.
-// It reports false when d is infinite, in which case no finite envelope can
-// be propagated and the caller must abandon the analysis (the whole result
-// degrades to +Inf, since downstream cross-traffic envelopes would be
-// unknown).
-func (p *propagation) advance(c int, servers []int, d float64, nHops int) bool {
+// grow is resize with append's headroom, for the traced scratch: its users
+// are trials whose networks differ by a connection or two, so the exact
+// length would reallocate every slot on almost every draw. The per-chain
+// scratch keeps resize's exact lengths; headroom there raised
+// analyze-full's live heap by a third.
+func grow[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
+}
+
+// advance records that connection c crossed nHops hops (servers) with delay
+// bound d. It reports false when d is infinite, in which case no finite
+// envelope can be propagated and the caller must abandon the analysis (the
+// whole result degrades to +Inf, since downstream cross-traffic envelopes
+// would be unknown). A traced propagation shifts the envelope in ar, the
+// stepping worker's arena, and keeps no stage: recordUnit copies the
+// envelope out and the step slot says what the stage was.
+func (p *propagation) advance(c int, servers []int, d float64, nHops int, ar *minplus.Arena) bool {
 	if math.IsInf(d, 1) {
 		return false
 	}
 	p.delay[c] += d
 	p.next[c] += nHops
 	if p.shift == nil {
-		p.env[c] = minplus.ShiftLeft(p.env[c], d)
-		p.stage[c] = appendOne(p.stage[c], Stage{Servers: servers, Delay: d})
+		p.env[c] = ar.ShiftLeft(p.env[c], d)
+		p.step[c] = connTrace{conn: c, hops: nHops, delay: d}
 		return true
 	}
 	p.env[c] = p.shift.ShiftLeft(c, p.env[c], d)

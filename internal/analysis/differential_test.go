@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -28,7 +29,8 @@ func boundsClose(a, b float64) bool {
 }
 
 // checkResultsClose fails the test unless two results agree on every bound,
-// stage delay, and backlog up to boundsClose.
+// stage delay, and backlog up to boundsClose, and exactly on the servers
+// every stage covers.
 func checkResultsClose(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if len(got.Bounds) != len(want.Bounds) {
@@ -48,6 +50,10 @@ func checkResultsClose(t *testing.T, label string, got, want *Result) {
 			if !boundsClose(got.Stages[i][j].Delay, want.Stages[i][j].Delay) {
 				t.Errorf("%s: conn %d stage %d delay %v, reference %v",
 					label, i, j, got.Stages[i][j].Delay, want.Stages[i][j].Delay)
+			}
+			if !slices.Equal(got.Stages[i][j].Servers, want.Stages[i][j].Servers) {
+				t.Errorf("%s: conn %d stage %d covers servers %v, reference %v",
+					label, i, j, got.Stages[i][j].Servers, want.Stages[i][j].Servers)
 			}
 		}
 	}

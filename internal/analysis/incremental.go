@@ -108,12 +108,15 @@ type unitSpec struct {
 	servers []int
 }
 
-// crossing appends to buf the indices of the connections with a hop in the
-// unit, in increasing order: the merge of its servers' ConnectionIndex
+// crossing calls yield with the index of every connection with a hop in
+// the unit, in increasing order: the merge of its servers' ConnectionIndex
 // rows, each of which is sorted.
-func (u unitSpec) crossing(idx [][]int, buf []int) []int {
+func (u unitSpec) crossing(idx [][]int, yield func(c int)) {
 	if len(u.servers) == 1 {
-		return append(buf, idx[u.servers[0]]...)
+		for _, c := range idx[u.servers[0]] {
+			yield(c)
+		}
+		return
 	}
 	var posBuf [8]int
 	pos := posBuf[:0]
@@ -128,9 +131,9 @@ func (u unitSpec) crossing(idx [][]int, buf []int) []int {
 			}
 		}
 		if next < 0 {
-			return buf
+			return
 		}
-		buf = append(buf, next)
+		yield(next)
 		for k, s := range u.servers {
 			if pos[k] < len(idx[s]) && idx[s][pos[k]] == next {
 				pos[k]++
@@ -139,13 +142,17 @@ func (u unitSpec) crossing(idx [][]int, buf []int) []int {
 	}
 }
 
-// connTrace is one connection's propagation state immediately after a unit.
+// connTrace is what a unit did to one crossing connection: the delay bound
+// it charged (the connection's stage of the unit), how many hops of the
+// route it covered, and the envelope the connection left it with. A replay
+// adds delay and hops to the connection's running totals, which repeats
+// the recording run's additions in the same order (see Baseline.run), and
+// the stage is rebuilt on export from the route (Baseline.stages).
 type connTrace struct {
-	conn   int
-	env    minplus.Curve
-	delay  float64
-	next   int
-	stages []Stage
+	conn  int
+	hops  int
+	delay float64
+	env   minplus.Curve
 }
 
 // serverBacklog is one unit server's recorded backlog bound.
@@ -154,9 +161,10 @@ type serverBacklog struct {
 	backlog float64
 }
 
-// unitTrace records the post-unit state of every crossing connection and
-// the backlog bounds of the unit's servers. All values are in normalized
-// units and immutable once recorded. Pair slices, not maps: a unit crosses
+// unitTrace records what a unit did to every crossing connection and the
+// backlog bounds of the unit's servers. All values are in normalized units
+// and immutable once recorded; the envelopes of a recomputed unit share one
+// exact-size point slab (recordUnit). Pair slices, not maps: a unit crosses
 // a handful of connections, and the churn-heavy paths (remapShrunkTrace in
 // particular) copy traces wholesale, which a slice does in one allocation
 // with no rehashing. post is in increasing connection order: it doubles as
@@ -195,37 +203,46 @@ func (t *unitTrace) touches(dirty connSet, removed int) bool {
 	return false
 }
 
-// recordUnit snapshots the traced propagation's state after a unit was
-// applied. Envelopes and stage lists are kept as they are: a traced
-// propagation never recycles or appends to either in place (see
-// newTracedPropagation).
-func recordUnit(u unitSpec, conns []int, p *propagation) *unitTrace {
+// recordUnit snapshots the traced propagation's state after the unit u was
+// applied, in the worker that applied it and before that worker's arena is
+// reset: every crossing connection's step slot, and its envelope copied out
+// of the arena into one exact-size point slab the trace owns. p.env is
+// pointed at the copies, which is what later units read.
+func recordUnit(u unitSpec, idx [][]int, p *propagation) *unitTrace {
+	n, pts := 0, 0
+	u.crossing(idx, func(c int) {
+		n++
+		pts += p.env[c].NumPoints()
+	})
 	t := &unitTrace{
 		servers: u.servers,
-		post:    make([]connTrace, 0, len(conns)),
+		post:    make([]connTrace, 0, n),
 		backlog: make([]serverBacklog, 0, len(u.servers)),
 	}
-	for _, c := range conns {
-		t.post = append(t.post, connTrace{conn: c, env: p.env[c], delay: p.delay[c], next: p.next[c], stages: p.stage[c]})
-	}
+	slab := make([]minplus.Point, 0, pts)
+	u.crossing(idx, func(c int) {
+		ct := p.step[c]
+		slab, ct.env = p.env[c].AppendTo(slab)
+		p.env[c] = ct.env
+		t.post = append(t.post, ct)
+	})
 	for _, s := range u.servers {
 		t.backlog = append(t.backlog, serverBacklog{server: s, backlog: p.backlog[s]})
 	}
 	return t
 }
 
-// replayUnit splices the recorded post-unit state into the propagation.
-// The stage slices are aliased, not copied: the one appender
-// (propagation.advance) copies a traced propagation's list on every
-// append, so the immutable trace can never be written through a replayed
-// alias — including by concurrent Extends replaying the same trace.
+// replayUnit applies a recorded unit to the propagation: each crossing
+// connection is charged the unit's delay and hops and takes the recorded
+// envelope, which is shared, never written (a traced advance shifts into
+// the worker's arena, and recordUnit copies into a fresh slab) — so
+// concurrent trials may replay the same trace.
 func replayUnit(t *unitTrace, p *propagation) {
 	for i := range t.post {
 		st := &t.post[i]
 		p.env[st.conn] = st.env
-		p.delay[st.conn] = st.delay
-		p.next[st.conn] = st.next
-		p.stage[st.conn] = st.stages
+		p.delay[st.conn] += st.delay
+		p.next[st.conn] += st.hops
 	}
 	for _, sb := range t.backlog {
 		p.backlog[sb.server] = sb.backlog
@@ -356,8 +373,10 @@ func analyze(ctx context.Context, c core, net *topo.Network, keep bool) (*Baseli
 // Units run one dependency level at a time (levelizeSubnetworks). Units of
 // a level share no connection (one crossing both would order them), so
 // whether one is dirty depends on earlier levels alone; the level's dirty
-// units run concurrently (fanOut), and the connections crossing them turn
-// dirty after the join, since connSet words are shared.
+// units run concurrently (fanOut), each recorded by the worker that stepped
+// it while its envelopes are still in that worker's arena, and the
+// connections crossing them turn dirty after the join, since connSet words
+// are shared.
 //
 // A receiver without source envelopes (see analyze) is a run nobody keeps:
 // it runs on the pooled propagation and records no trace.
@@ -407,13 +426,16 @@ func (b *Baseline) run(ctx context.Context, from *Baseline, path []int, removed 
 	onPath := func(s int) bool { return slices.Contains(path, s) }
 	var (
 		todo  []unitSpec
-		conns []int
 		stats ExtendStats
 	)
 	step := func(ar *minplus.Arena, i int) error {
-		ok, err := b.core.step(ctx, net, b.idx, todo[i].servers, p, ar)
+		u := todo[i]
+		ok, err := b.core.step(ctx, net, b.idx, u.servers, p, ar)
 		if err == nil && !ok {
 			err = errUnbounded
+		}
+		if err == nil && trace != nil {
+			trace[u.servers[0]] = recordUnit(u, b.idx, p)
 		}
 		return err
 	}
@@ -447,13 +469,11 @@ func (b *Baseline) run(ctx context.Context, from *Baseline, path []int, removed 
 			continue
 		}
 		for _, u := range todo {
-			conns = u.crossing(b.idx, conns[:0])
-			for _, c := range conns {
-				if dirty.add(c) {
+			for _, ct := range trace[u.servers[0]].post {
+				if dirty.add(ct.conn) {
 					stats.Affected++
 				}
 			}
-			trace[u.servers[0]] = recordUnit(u, conns, p)
 		}
 	}
 	stats.Affected -= candidate
@@ -529,7 +549,46 @@ func (b *Baseline) traceOf(u unitSpec) *unitTrace {
 // Result returns the baseline's full analysis result in the caller's
 // units. The returned slices are copies.
 func (b *Baseline) Result() *Result {
-	return exportResult(b.res, b.scale)
+	out := exportResult(b.res, b.scale)
+	if out.Stages == nil {
+		out.Stages = b.stages()
+	}
+	return out
+}
+
+// stages assembles the per-stage breakdown a traced run does not keep: for
+// every unit in order, each crossing connection's recorded delay over the
+// next hops of its route. Units run in an order consistent with every
+// route, so each connection's stages come out in route order. Two slabs
+// back the whole result: at most one stage per hop, and every hop in
+// exactly one stage's server list.
+func (b *Baseline) stages() [][]Stage {
+	conns := b.norm.Connections
+	hops := 0
+	for _, c := range conns {
+		hops += len(c.Path)
+	}
+	out := make([][]Stage, len(conns))
+	stageSlab := make([]Stage, hops)
+	serverSlab := make([]int, hops)
+	// Connection i's route is copied to serverSlab at the offset its stage
+	// list starts at in stageSlab; next[i] is its first hop there that no
+	// stage covers yet.
+	next := make([]int, len(conns))
+	off := 0
+	for i, c := range conns {
+		out[i] = stageSlab[off : off : off+len(c.Path)]
+		next[i] = off
+		off += copy(serverSlab[off:], c.Path)
+	}
+	for _, u := range b.units {
+		for _, ct := range b.trace[u.servers[0]].post {
+			lo, hi := next[ct.conn], next[ct.conn]+ct.hops
+			out[ct.conn] = append(out[ct.conn], Stage{Servers: serverSlab[lo:hi:hi], Delay: ct.delay})
+			next[ct.conn] = hi
+		}
+	}
+	return out
 }
 
 // extendIndex derives the trial's ConnectionIndex from the baseline's: the

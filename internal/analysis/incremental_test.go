@@ -3,6 +3,7 @@ package analysis
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,7 +12,8 @@ import (
 	"delaycalc/internal/traffic"
 )
 
-// requireSameResult asserts bit-identical bounds, stage delays and backlogs.
+// requireSameResult asserts bit-identical bounds, stages (delays and the
+// servers each covers) and backlogs.
 func requireSameResult(t *testing.T, label string, full, incr *Result) {
 	t.Helper()
 	if full.Algorithm != incr.Algorithm {
@@ -33,6 +35,9 @@ func requireSameResult(t *testing.T, label string, full, incr *Result) {
 		for j, st := range full.Stages[i] {
 			if st.Delay != incr.Stages[i][j].Delay {
 				t.Errorf("%s: conn %d stage %d: full %v incremental %v", label, i, j, st.Delay, incr.Stages[i][j].Delay)
+			}
+			if !slices.Equal(st.Servers, incr.Stages[i][j].Servers) {
+				t.Errorf("%s: conn %d stage %d: full covers servers %v, incremental %v", label, i, j, st.Servers, incr.Stages[i][j].Servers)
 			}
 		}
 	}

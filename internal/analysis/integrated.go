@@ -645,8 +645,10 @@ func (sc *chainScratch) newRun(lo, hi int) *run {
 // envelope shifts, run partial sums, residuals, theta-search scratch —
 // is drawn from the arena of the caller's scratch and dies with it; only
 // what outlives the chain (the propagation's envelopes and stages) is
-// heap-allocated. Chains of one level run concurrently, so scratch and
-// arena are strictly chain-local, and the theta search's candidate
+// kept elsewhere: in the shift pool and stage slab of an untraced run, in
+// the arena until the driver's recordUnit copies them out of a traced
+// one. Chains of one level run concurrently, so scratch and arena are
+// strictly chain-local, and the theta search's candidate
 // fan-outs use their own per-worker pool arenas. On success sc.agg holds
 // the pass's aggregate envelope at every position.
 func analyzeChain(ctx context.Context, sc *chainScratch, net *topo.Network, idx [][]int, chain []int, p *propagation, pass chainPass) bool {
@@ -832,7 +834,7 @@ func analyzeChain(ctx context.Context, sc *chainScratch, net *topo.Network, idx 
 		}
 		propStart := time.Now()
 		for _, c := range r.conns {
-			if !p.advance(c, servers, d, len(servers)) {
+			if !p.advance(c, servers, d, len(servers), ar) {
 				return false
 			}
 		}

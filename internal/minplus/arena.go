@@ -181,3 +181,15 @@ func (c Curve) Clone() Curve {
 	copy(cp, c.pts)
 	return Curve{pts: cp, slope: c.slope}
 }
+
+// AppendTo is Clone into a caller's buffer: it appends the curve's
+// breakpoints to buf and returns the grown buffer with a copy of the curve
+// backed by the appended points. The copy's breakpoints are
+// capacity-clipped, so later appends to buf never write through it: one
+// exact-size buffer can hold the detached copies of many curves.
+func (c Curve) AppendTo(buf []Point) ([]Point, Curve) {
+	c.mustValid()
+	n := len(buf)
+	buf = append(buf, c.pts...)
+	return buf, Curve{pts: buf[n:len(buf):len(buf)], slope: c.slope}
+}

@@ -348,3 +348,49 @@ func TestAlmostEqualTruthTable(t *testing.T) {
 		check(s, s+Eps)
 	}
 }
+
+// TestAppendToPacksDetachedCopies packs arena-built and heap curves into one
+// exact-size buffer: every copy keeps its curve's breakpoints and final
+// slope bit for bit after the arena is rewound and overwritten, and each is
+// capacity-clipped, so an append to one copy leaves the next one intact.
+func TestAppendToPacksDetachedCopies(t *testing.T) {
+	ar := GetArena()
+	defer ar.Release()
+	srcs := []Curve{
+		ar.ShiftLeft(TokenBucketCapped(1, 0.5, 4), 0.3),
+		TokenBucket(2, 0.1),
+		ar.SumN(TokenBucket(1, 0.2), TokenBucketCapped(0.5, 0.1, 3)),
+	}
+	want := make([]Curve, len(srcs))
+	n := 0
+	for i, c := range srcs {
+		want[i] = c.Clone()
+		n += c.NumPoints()
+	}
+	buf := make([]Point, 0, n)
+	copies := make([]Curve, len(srcs))
+	for i, c := range srcs {
+		buf, copies[i] = c.AppendTo(buf)
+	}
+	if len(buf) != n || cap(buf) != n {
+		t.Fatalf("buffer has length %d and capacity %d, want %d", len(buf), cap(buf), n)
+	}
+	ar.Reset()
+	for range 8 {
+		ar.ShiftLeft(TokenBucketCapped(7, 0.9, 2), 0.05) // overwrite the rewound slabs
+	}
+	_ = append(copies[0].pts, Point{X: 99, Y: 99})
+	for i, c := range copies {
+		if cap(c.pts) != len(c.pts) {
+			t.Errorf("copy %d: capacity %d past its %d points", i, cap(c.pts), len(c.pts))
+		}
+		if c.slope != want[i].slope || len(c.pts) != len(want[i].pts) {
+			t.Fatalf("copy %d = %v, want %v", i, c, want[i])
+		}
+		for k := range c.pts {
+			if c.pts[k] != want[i].pts[k] {
+				t.Errorf("copy %d point %d = %v, want %v", i, k, c.pts[k], want[i].pts[k])
+			}
+		}
+	}
+}
