@@ -238,7 +238,10 @@ func grow[T any](s []T, n int) []T {
 // whole result degrades to +Inf, since downstream cross-traffic envelopes
 // would be unknown). A traced propagation shifts the envelope in ar, the
 // stepping worker's arena, and keeps no stage: recordUnit copies the
-// envelope out and the step slot says what the stage was.
+// envelope out and the step slot says what the stage was. The shift is the
+// arena's shared one: the members of a class or run that entered on one
+// envelope take one delay, so they leave on one curve, which recordUnit
+// copies once.
 func (p *propagation) advance(c int, servers []int, d float64, nHops int, ar *minplus.Arena) bool {
 	if math.IsInf(d, 1) {
 		return false
@@ -246,7 +249,7 @@ func (p *propagation) advance(c int, servers []int, d float64, nHops int, ar *mi
 	p.delay[c] += d
 	p.next[c] += nHops
 	if p.shift == nil {
-		p.env[c] = ar.ShiftLeft(p.env[c], d)
+		p.env[c] = ar.ShiftLeftShared(p.env[c], d)
 		p.step[c] = connTrace{conn: c, hops: nHops, delay: d}
 		return true
 	}

@@ -206,23 +206,37 @@ func (t *unitTrace) touches(dirty connSet, removed int) bool {
 // recordUnit snapshots the traced propagation's state after the unit u was
 // applied, in the worker that applied it and before that worker's arena is
 // reset: every crossing connection's step slot, and its envelope copied out
-// of the arena into one exact-size point slab the trace owns. p.env is
-// pointed at the copies, which is what later units read.
+// of the arena into one exact-size point slab the trace owns. An envelope
+// several connections left the unit on (one storage: the arena's shared
+// shifts) is copied once and they all point at the copy, so the sharing
+// lasts into later units and every replay. p.env is pointed at the copies,
+// which is what later units read.
 func recordUnit(u unitSpec, idx [][]int, p *propagation) *unitTrace {
 	n, pts := 0, 0
+	var copies envCopies
 	u.crossing(idx, func(c int) {
 		n++
-		pts += p.env[c].NumPoints()
+		if _, ok := copies.find(p.env[c]); !ok {
+			copies.add(p.env[c], p.env[c])
+			pts += p.env[c].NumPoints()
+		}
 	})
 	t := &unitTrace{
 		servers: u.servers,
 		post:    make([]connTrace, 0, n),
 		backlog: make([]serverBacklog, 0, len(u.servers)),
 	}
+	// The second pass makes the first pass's decisions: the same envelopes
+	// in the same order through an empty ring.
 	slab := make([]minplus.Point, 0, pts)
+	copies = envCopies{}
 	u.crossing(idx, func(c int) {
 		ct := p.step[c]
-		slab, ct.env = p.env[c].AppendTo(slab)
+		var ok bool
+		if ct.env, ok = copies.find(p.env[c]); !ok {
+			slab, ct.env = p.env[c].AppendTo(slab)
+			copies.add(p.env[c], ct.env)
+		}
 		p.env[c] = ct.env
 		t.post = append(t.post, ct)
 	})
@@ -230,6 +244,32 @@ func recordUnit(u unitSpec, idx [][]int, p *propagation) *unitTrace {
 		t.backlog = append(t.backlog, serverBacklog{server: s, backlog: p.backlog[s]})
 	}
 	return t
+}
+
+// envCopies remembers recordUnit's copies of the latest distinct envelopes
+// a unit left, by storage (minplus.Curve.SameStorage). A unit's connections
+// come in index order, and equal envelopes there are a few curves repeated,
+// so a short ring catches the repeats and bounds a miss's scan; an envelope
+// that falls out of it is only copied again.
+type envCopies struct {
+	src, dst [8]minplus.Curve
+	n        int // envelopes added; the next goes to n % len(src)
+}
+
+// find returns the copy of env, if the ring still holds it.
+func (e *envCopies) find(env minplus.Curve) (minplus.Curve, bool) {
+	for i := range e.src[:min(e.n, len(e.src))] {
+		if e.src[i].SameStorage(env) {
+			return e.dst[i], true
+		}
+	}
+	return minplus.Curve{}, false
+}
+
+// add remembers that dst is the copy of src.
+func (e *envCopies) add(src, dst minplus.Curve) {
+	e.src[e.n%len(e.src)], e.dst[e.n%len(e.src)] = src, dst
+	e.n++
 }
 
 // replayUnit applies a recorded unit to the propagation: each crossing

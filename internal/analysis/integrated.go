@@ -754,15 +754,21 @@ func analyzeChain(ctx context.Context, sc *chainScratch, net *topo.Network, idx 
 		local := resize(sc.local, len(chain))
 		sc.local = local
 		sc.agg = resize(sc.agg, len(chain))
+		// Every member enters its run on its own envelope (the first
+		// prefix shift is 0). The later prefix shifts are one vector per
+		// run, so position by position members on one envelope take one
+		// delay, and the shared shift hands them one curve.
 		for ri, r := range runs {
 			b := base[ri]
 			for j, c := range r.conns {
-				for i := r.lo; i <= r.hi; i++ {
-					if iter > 0 {
-						envAt[i][b+j] = ar.ShiftLeft(p.env[c], prefix[b+j][i-r.lo])
-					} else if i == r.lo {
-						envAt[i][b+j] = p.env[c]
-					}
+				envAt[r.lo][b+j] = p.env[c]
+			}
+			if iter == 0 {
+				continue // deformed by the local delays below
+			}
+			for i := r.lo + 1; i <= r.hi; i++ {
+				for j, c := range r.conns {
+					envAt[i][b+j] = ar.ShiftLeftShared(p.env[c], prefix[b+j][i-r.lo])
 				}
 			}
 		}
@@ -785,7 +791,7 @@ func analyzeChain(ctx context.Context, sc *chainScratch, net *topo.Network, idx 
 					if r.lo <= i && i < r.hi {
 						b := base[ri]
 						for j := range r.conns {
-							envAt[i+1][b+j] = ar.ShiftLeft(envAt[i][b+j], local[i])
+							envAt[i+1][b+j] = ar.ShiftLeftShared(envAt[i][b+j], local[i])
 						}
 					}
 				}

@@ -172,8 +172,8 @@ var grCore = core{name: "GuaranteedRate/NetworkServiceCurve",
 // entryEnv is connection c's envelope entering server s of its route, read
 // off a traced Decomposed run: its source envelope at its first hop, else
 // what the unit of the hop before recorded for it. Every recorded unit
-// keeps its own copies of the envelopes it left (recordUnit), so every hop
-// keeps its own.
+// keeps its own copies of the envelopes it left (recordUnit, one per
+// distinct envelope), so every hop keeps its own.
 func (b *Baseline) entryEnv(c, s int) minplus.Curve {
 	path := b.norm.Connections[c].Path
 	h := slices.Index(path, s)

@@ -1,6 +1,9 @@
 package minplus
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
 // Arena is a bump allocator for the transient buffers behind curve
 // operations: breakpoint slices, abscissa unions, convex segments, sweep
@@ -28,6 +31,28 @@ type Arena struct {
 	cur slab[Cursor]
 	cv  slab[Curve]
 	gc  slab[GatedConvex]
+	u8  slab[uint8]
+	// shifts remembers the latest ShiftLeftShared results since the last
+	// Reset, a ring written at nShifts % len(shifts).
+	shifts  [shiftMemoLen]shiftMemo
+	nShifts int
+}
+
+// shiftMemoLen is how many ShiftLeftShared results an arena remembers. Its
+// callers shift the members of one class or run by one delay, one after
+// the other, and equal envelopes there are a few distinct curves repeated,
+// so a short ring catches the repeats and bounds a miss's scan.
+const shiftMemoLen = 8
+
+// shiftMemo is one remembered shift: the input's storage, length and final
+// slope (bits), which identify the input curve (Curve.SameStorage), the
+// exact delay, and the shifted curve, in the arena.
+type shiftMemo struct {
+	pts   *Point
+	n     int
+	slope uint64
+	d     float64
+	out   Curve
 }
 
 // slab is a grow-only block list handing out exact-capacity sub-slices.
@@ -89,6 +114,35 @@ func (a *Arena) Reset() {
 	a.cur.reset()
 	a.cv.reset()
 	a.gc.reset()
+	a.u8.reset()
+	clear(a.shifts[:min(a.nShifts, shiftMemoLen)])
+	a.nShifts = 0
+}
+
+// ShiftLeftShared is ShiftLeft that hands out one curve for a repeated input
+// and delay: the arena remembers its latest shiftMemoLen results since the
+// last Reset, keyed by the input's storage (see Curve.SameStorage) and the
+// exact delay. A shift is a pure function of the two, so the result is the
+// one ShiftLeft would build, to the bit, and the callers that shift many
+// equal envelopes by one delay keep them on one storage, which SumN and
+// copies downstream recognise. It is meant for the propagation's shifts of
+// many connections, not for a search that shifts one curve by many delays,
+// whose lookups would only miss. A nil arena shifts without remembering.
+func (a *Arena) ShiftLeftShared(f Curve, d float64) Curve {
+	if a == nil || d == 0 {
+		return shiftLeft(a, f, d)
+	}
+	f.mustValid()
+	pts, n, slope := &f.pts[0], len(f.pts), math.Float64bits(f.slope)
+	for i := range a.shifts[:min(a.nShifts, shiftMemoLen)] {
+		if m := &a.shifts[i]; m.pts == pts && m.n == n && m.slope == slope && m.d == d {
+			return m.out
+		}
+	}
+	out := shiftLeft(a, f, d)
+	a.shifts[a.nShifts%shiftMemoLen] = shiftMemo{pts: pts, n: n, slope: slope, d: d, out: out}
+	a.nShifts++
+	return out
 }
 
 var arenaPool = sync.Pool{New: func() any { return &Arena{} }}
@@ -122,6 +176,14 @@ func (a *Arena) floats(n int) []float64 {
 		return make([]float64, 0, n)
 	}
 	return a.f64.alloc(n)
+}
+
+// uint8s returns an empty uint8 buffer with the given capacity.
+func (a *Arena) uint8s(n int) []uint8 {
+	if a == nil {
+		return make([]uint8, 0, n)
+	}
+	return a.u8.alloc(n)
 }
 
 // segs returns an empty SlopeSeg buffer with the given capacity.

@@ -16,6 +16,13 @@
 // breakpoints of results such as min-plus convolutions, compositions and
 // pseudo-inverses are located on arithmetic combinations of the input
 // breakpoints, so no sampling or discretization error is introduced.
+//
+// Curves are immutable: every operation builds its result on fresh storage
+// and never writes through an input. So storage identity implies equality:
+// two curves on the same breakpoint storage, of the same length and final
+// slope, are one curve (Curve.SameStorage), whoever holds them. Kernels use
+// that to compute a repeated operand once (SumN, Arena.ShiftLeftShared),
+// and the analysis to keep one copy of an envelope many connections share.
 package minplus
 
 import (
@@ -183,6 +190,16 @@ func (c *Curve) normalize() {
 		merged = merged[:len(merged)-1]
 	}
 	c.pts = merged
+}
+
+// SameStorage reports whether c and d are one curve: the same breakpoint
+// storage, the same number of points and the same final slope, to the bit.
+// Such curves are equal, since curves are immutable (see the package
+// comment); equal curves on separate storage are not the same. Equal
+// compares by value.
+func (c Curve) SameStorage(d Curve) bool {
+	return len(c.pts) == len(d.pts) && len(c.pts) > 0 && &c.pts[0] == &d.pts[0] &&
+		math.Float64bits(c.slope) == math.Float64bits(d.slope)
 }
 
 // Points returns a copy of the curve's breakpoints.

@@ -81,7 +81,10 @@ func (cu *Cursor) EvalRight(x float64) float64 {
 // breakpoints, against the quadratic pairwise fold it replaces. Operands
 // whose breakpoints all sit at the origin (affine curves, token buckets —
 // the overwhelmingly common envelope shape) take a closed-form fast path
-// with no sweep at all. SumN() is the zero curve.
+// with no sweep at all. A list made mostly of a few curves repeated by
+// storage (see Curve.SameStorage) sweeps each distinct curve once and adds
+// the ordinates in operand order, so the result is the same to the bit.
+// SumN() is the zero curve.
 func SumN(curves ...Curve) Curve { return sumN(nil, curves) }
 
 // SumN is the arena variant of the package-level SumN: scratch buffers and
@@ -127,10 +130,27 @@ func sumN(ar *Arena, curves []Curve) Curve {
 		}
 		return Curve{pts: pts, slope: slope}
 	}
+	// Operands on one storage are one curve. When a few curves make up
+	// most of the list, the abscissa union and the cursors run over the
+	// distinct ones (uniq) and grp maps every operand to its distinct
+	// curve, so the ordinates below are still added in operand order. A
+	// repeat only adds copies of abscissae already in the union, which the
+	// dedup drops whichever copy comes first: the kept set is the same.
+	var uniqBuf [sumGroupMax]Curve
+	uniq, grp := curves, []uint8(nil)
+	if n := distinctByStorage(curves, &uniqBuf); n > 0 {
+		uniq, grp, total = uniqBuf[:n], ar.uint8s(len(curves)), 0
+		for i := range curves {
+			grp = append(grp, storageIndex(uniq, curves[i]))
+		}
+		for i := range uniq {
+			total += len(uniq[i].pts)
+		}
+	}
 	// Union of distinct breakpoint abscissae.
 	xs := ar.floats(total)
-	for i := range curves {
-		pts := curves[i].pts
+	for i := range uniq {
+		pts := uniq[i].pts
 		for j, p := range pts {
 			if j > 0 && almostEqual(p.X, pts[j-1].X) {
 				continue
@@ -147,16 +167,27 @@ func sumN(ar *Arena, curves []Curve) Curve {
 	}
 	xs = dedup
 
-	cursors := ar.cursors(len(curves))
-	for i := range curves {
-		cursors[i] = NewCursor(curves[i])
+	cursors := ar.cursors(len(uniq))
+	for i := range uniq {
+		cursors[i] = NewCursor(uniq[i])
 	}
 	pts := ar.points(2 * len(xs))
+	var at, atRight [sumGroupMax]float64 // grouped: each distinct curve's f(x), f(x+)
 	for _, x := range xs {
 		v, vr := 0.0, 0.0
-		for i := range cursors {
-			v += cursors[i].Eval(x)
-			vr += cursors[i].EvalRight(x)
+		if grp == nil {
+			for i := range cursors {
+				v += cursors[i].Eval(x)
+				vr += cursors[i].EvalRight(x)
+			}
+		} else {
+			for k := range cursors {
+				at[k], atRight[k] = cursors[k].Eval(x), cursors[k].EvalRight(x)
+			}
+			for _, k := range grp {
+				v += at[k]
+				vr += atRight[k]
+			}
 		}
 		pts = append(pts, Point{x, v})
 		if !almostEqual(v, vr) {
@@ -166,4 +197,42 @@ func sumN(ar *Arena, curves []Curve) Curve {
 	out := Curve{pts: pts, slope: slope}
 	out.normalize()
 	return out
+}
+
+// sumGroupMax bounds the distinct curves SumN groups its operands into.
+const sumGroupMax = 8
+
+// distinctByStorage fills uniq with the distinct curves of curves, by
+// storage, in first-seen order, and returns how many there are when the
+// list is worth grouping: at most sumGroupMax distinct curves, and at least
+// half the operands repeats. Otherwise it returns 0, having looked at no
+// more than sumGroupMax+1 distinct curves, so an all-distinct list pays a
+// bounded scan of its first operands.
+func distinctByStorage(curves []Curve, uniq *[sumGroupMax]Curve) int {
+	n := 0
+	for i := range curves {
+		if storageIndex(uniq[:n], curves[i]) < uint8(n) {
+			continue
+		}
+		if n == sumGroupMax {
+			return 0
+		}
+		uniq[n] = curves[i]
+		n++
+	}
+	if 2*n > len(curves) {
+		return 0
+	}
+	return n
+}
+
+// storageIndex returns the index of c among uniq by storage, len(uniq) when
+// it is not there.
+func storageIndex(uniq []Curve, c Curve) uint8 {
+	for k := range uniq {
+		if uniq[k].SameStorage(c) {
+			return uint8(k)
+		}
+	}
+	return uint8(len(uniq))
 }

@@ -154,3 +154,21 @@ func BenchmarkSumNMixed(b *testing.B) {
 		SumN(curves...)
 	}
 }
+
+// BenchmarkSumNRepeated is an aggregate of many connections on a few
+// envelopes: 200 operands, 3 distinct non-affine curves repeated by
+// storage, which SumN sweeps once each. BenchmarkSumNMixed is the
+// all-distinct control.
+func BenchmarkSumNRepeated(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	distinct := []Curve{genCurve(rng), genCurve(rng), genCurve(rng)}
+	curves := make([]Curve, 200)
+	for i := range curves {
+		curves[i] = distinct[i%len(distinct)]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		SumN(curves...)
+	}
+}

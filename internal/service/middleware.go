@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"log/slog"
 	"net/http"
 	"runtime/debug"
 	"time"
@@ -152,8 +153,9 @@ func (s *Server) degraded(ctx context.Context, nw *Network, endpoint string) boo
 
 // observeStages exports an analysis run's per-stage wall time and its
 // theta-pair and closed-form branch counts to the network's metrics and the
-// debug log.
-func (s *Server) observeStages(nw *Network, endpoint string, tm *analysis.Timings) {
+// debug log. The log line's arguments are only built when debug is on:
+// boxing them costs a dozen allocations per request.
+func (s *Server) observeStages(ctx context.Context, nw *Network, endpoint string, tm *analysis.Timings) {
 	stages := tm.StageSeconds()
 	for st, sec := range stages {
 		nw.metrics.ObserveStage(st, sec)
@@ -162,7 +164,10 @@ func (s *Server) observeStages(nw *Network, endpoint string, tm *analysis.Timing
 	nw.metrics.observeThetaPairs(pairs, evaluated)
 	branches, cut := tm.ThetaBranches.Load(), tm.ThetaBranchesCut.Load()
 	nw.metrics.observeThetaBranches(branches, cut)
-	s.log.Debug("analysis stages",
+	if !s.log.Enabled(ctx, slog.LevelDebug) {
+		return
+	}
+	s.log.DebugContext(ctx, "analysis stages",
 		"endpoint", endpoint,
 		"network", nw.id,
 		"partition_s", stages["partition"],
@@ -208,7 +213,7 @@ func (s *Server) serve(nw *Network, w http.ResponseWriter, r *http.Request, endp
 	if err == nil {
 		degraded = s.degraded(ctx, nw, endpoint)
 	}
-	s.observeStages(nw, endpoint, tm)
+	s.observeStages(ctx, nw, endpoint, tm)
 	switch {
 	case err == nil:
 		return degraded, true

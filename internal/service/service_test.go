@@ -2,8 +2,11 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"math"
 	"math/rand"
 	"net/http"
@@ -11,6 +14,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -506,5 +510,32 @@ func TestPickAnalyzerRegistry(t *testing.T) {
 		if _, err := PickAnalyzer(unknown); err == nil {
 			t.Errorf("PickAnalyzer(%q): unknown name must error", unknown)
 		}
+	}
+}
+
+// TestObserveStagesBuildsDebugArgsOnlyAtDebug pins that the per-request
+// stage export boxes the ten arguments of its debug line only when the
+// logger takes debug lines: at Info it allocates at least ten times fewer
+// than at Debug. The timings are nonzero and the counts large, so every
+// boxed argument allocates.
+func TestObserveStagesBuildsDebugArgsOnlyAtDebug(t *testing.T) {
+	allocs := func(level slog.Level) float64 {
+		logger := slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: level}))
+		srv := newTestServer(t, func(c *Config) { c.Logger = logger })
+		nw, ok := srv.reg.Get(DefaultNetworkID)
+		if !ok {
+			t.Fatal("no default network")
+		}
+		ctx, tm := analysis.WithTimings(context.Background())
+		for i, c := range []*atomic.Int64{&tm.Partition, &tm.Aggregate, &tm.Theta, &tm.Propagate,
+			&tm.ThetaPairs, &tm.ThetaEvaluated, &tm.ThetaBranches, &tm.ThetaBranchesCut} {
+			c.Store(int64(1000 + 37*i))
+		}
+		return testing.AllocsPerRun(100, func() { srv.observeStages(ctx, nw, epAdmit, tm) })
+	}
+	info, debug := allocs(slog.LevelInfo), allocs(slog.LevelDebug)
+	t.Logf("observeStages allocs: %.0f at Info, %.0f at Debug", info, debug)
+	if info+10 > debug {
+		t.Errorf("observeStages allocates %.0f times at Info, %.0f at Debug: the debug arguments are built at Info", info, debug)
 	}
 }
