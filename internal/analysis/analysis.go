@@ -232,16 +232,18 @@ func grow[T any](s []T, n int) []T {
 	return slices.Grow(s[:0], n)[:n]
 }
 
-// advance records that connection c crossed nHops hops (servers) with delay
-// bound d. It reports false when d is infinite, in which case no finite
-// envelope can be propagated and the caller must abandon the analysis (the
-// whole result degrades to +Inf, since downstream cross-traffic envelopes
-// would be unknown). A traced propagation shifts the envelope in ar, the
-// stepping worker's arena, and keeps no stage: recordUnit copies the
-// envelope out and the step slot says what the stage was. The shift is the
-// arena's shared one: the members of a class or run that entered on one
-// envelope take one delay, so they leave on one curve, which recordUnit
-// copies once.
+// advance records that connection c crossed nHops hops, the servers of its
+// stage, with delay bound d. It reports false when d is infinite, in which
+// case no finite envelope can be propagated and the caller must abandon the
+// analysis (the whole result degrades to +Inf, since downstream
+// cross-traffic envelopes would be unknown). An untraced propagation keeps
+// the stage, whose servers alias the unit's tuple: its run derived the
+// partition itself, and nothing else reads it. A traced propagation shifts
+// the envelope in ar, the stepping worker's arena, and keeps no stage:
+// recordUnit copies the envelope out and the step slot says what the stage
+// was. The shift is the arena's shared one: the members of a class or run
+// that entered on one envelope take one delay, so they leave on one curve,
+// which recordUnit copies once.
 func (p *propagation) advance(c int, servers []int, d float64, nHops int, ar *minplus.Arena) bool {
 	if math.IsInf(d, 1) {
 		return false

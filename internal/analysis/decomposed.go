@@ -99,7 +99,6 @@ func decomposedServerStep(_ context.Context, net *topo.Network, idx [][]int, uni
 		return false, fmt.Errorf("analysis: unsupported discipline %v at server %d", srv.Discipline, s)
 	}
 	higher := minplus.Zero() // static priority: the classes already served
-	tuple := []int{s}        // every member's stage covers this one server
 	for lo := 0; lo < len(ord); {
 		hi := lo + 1
 		for hi < len(ord) && sameClass(net, srv.Discipline, ord[lo], ord[hi]) {
@@ -128,7 +127,7 @@ func decomposedServerStep(_ context.Context, net *topo.Network, idx [][]int, uni
 			if srv.Discipline == server.EDF {
 				local, _ = localDeadline(net, c) // its error returned by deadlineSum
 			}
-			if !p.advance(c, tuple, local+h+lat, 1, ar) {
+			if !p.advance(c, unit, local+h+lat, 1, ar) {
 				return false, nil
 			}
 		}

@@ -155,24 +155,18 @@ type connTrace struct {
 	env   minplus.Curve
 }
 
-// serverBacklog is one unit server's recorded backlog bound.
-type serverBacklog struct {
-	server  int
-	backlog float64
-}
-
-// unitTrace records what a unit did to every crossing connection and the
-// backlog bounds of the unit's servers. All values are in normalized units
-// and immutable once recorded; the envelopes of a recomputed unit share one
-// exact-size point slab (recordUnit). Pair slices, not maps: a unit crosses
-// a handful of connections, and the churn-heavy paths (remapShrunkTrace in
-// particular) copy traces wholesale, which a slice does in one allocation
-// with no rehashing. post is in increasing connection order: it doubles as
-// the unit's crossing set when a later trial leaves the unit clean.
+// unitTrace records what a unit did to every crossing connection; the
+// backlog bounds of its servers are the run's (Baseline.res). All values are
+// in normalized units and immutable once recorded; the envelopes of a
+// recomputed unit share one exact-size point slab (recordUnit). A slice, not
+// a map: a unit crosses a handful of connections, and the churn-heavy paths
+// (remapShrunkTrace in particular) copy traces wholesale, which a slice does
+// in one allocation with no rehashing. post is in increasing connection
+// order: it doubles as the unit's crossing set when a later trial leaves the
+// unit clean.
 type unitTrace struct {
 	servers []int
 	post    []connTrace
-	backlog []serverBacklog
 }
 
 // connSet is a bitset over connection indices: a trial's dirty closure.
@@ -221,11 +215,7 @@ func recordUnit(u unitSpec, idx [][]int, p *propagation) *unitTrace {
 			pts += p.env[c].NumPoints()
 		}
 	})
-	t := &unitTrace{
-		servers: u.servers,
-		post:    make([]connTrace, 0, n),
-		backlog: make([]serverBacklog, 0, len(u.servers)),
-	}
+	t := &unitTrace{servers: u.servers, post: make([]connTrace, 0, n)}
 	// The second pass makes the first pass's decisions: the same envelopes
 	// in the same order through an empty ring.
 	slab := make([]minplus.Point, 0, pts)
@@ -240,9 +230,6 @@ func recordUnit(u unitSpec, idx [][]int, p *propagation) *unitTrace {
 		p.env[c] = ct.env
 		t.post = append(t.post, ct)
 	})
-	for _, s := range u.servers {
-		t.backlog = append(t.backlog, serverBacklog{server: s, backlog: p.backlog[s]})
-	}
 	return t
 }
 
@@ -276,16 +263,18 @@ func (e *envCopies) add(src, dst minplus.Curve) {
 // connection is charged the unit's delay and hops and takes the recorded
 // envelope, which is shared, never written (a traced advance shifts into
 // the worker's arena, and recordUnit copies into a fresh slab) — so
-// concurrent trials may replay the same trace.
-func replayUnit(t *unitTrace, p *propagation) {
+// concurrent trials may replay the same trace. The unit's servers take the
+// backlog bounds of the run that recorded it, backlogs: a server's bound is
+// set by its own unit alone.
+func replayUnit(t *unitTrace, p *propagation, backlogs []float64) {
 	for i := range t.post {
 		st := &t.post[i]
 		p.env[st.conn] = st.env
 		p.delay[st.conn] += st.delay
 		p.next[st.conn] += st.hops
 	}
-	for _, sb := range t.backlog {
-		p.backlog[sb.server] = sb.backlog
+	for _, s := range t.servers {
+		p.backlog[s] = backlogs[s]
 	}
 }
 
@@ -317,7 +306,11 @@ type Baseline struct {
 	// exactly one unit); both stay nil on an unstable baseline.
 	units []unitSpec
 	trace []*unitTrace
-	res   *Result // normalized-internal result
+	// res is the normalized-internal result. Its Backlogs are the run's
+	// buffer bounds, which a trial replays for its clean units. A traced
+	// run leaves its Stages nil unless every bound is +Inf (allInf), and
+	// stages builds them.
+	res *Result
 	// unstable marks a baseline whose own network is unstable or
 	// unbounded; a trial degenerates to all-Inf exactly like the full pass.
 	unstable bool
@@ -358,11 +351,15 @@ func newBaseline(c core, net *topo.Network) (*Baseline, error) {
 }
 
 // analyzeOnce is a whole-network analysis whose result nobody keeps as a
-// baseline: every analyzer answers Analyze and AnalyzeContext with it.
+// baseline: every analyzer answers Analyze and AnalyzeContext with it. The
+// run's own vectors are the result's, since nothing else holds them.
 func analyzeOnce(ctx context.Context, c core, net *topo.Network) (*Result, error) {
 	b, err := analyze(ctx, c, net, c.traced)
 	if err != nil {
 		return nil, err
+	}
+	if b.res.Stages == nil {
+		b.res.Stages = b.stages()
 	}
 	return denormalizeBacklogs(b.res, b.scale), nil
 }
@@ -487,7 +484,7 @@ func (b *Baseline) run(ctx context.Context, from *Baseline, path []int, removed 
 		for _, u := range level {
 			if old := from.traceOf(u); old != nil && !slices.ContainsFunc(u.servers, onPath) && !old.touches(dirty, removed) {
 				old = remapShrunkTrace(old, removed)
-				replayUnit(old, p)
+				replayUnit(old, p, from.res.Backlogs)
 				trace[u.servers[0]] = old
 				stats.ReplayedUnits++
 				continue
@@ -505,8 +502,8 @@ func (b *Baseline) run(ctx context.Context, from *Baseline, path []int, removed 
 			return degraded()
 		}
 		stats.RecomputedUnits += len(todo)
-		if trace == nil {
-			continue
+		if from == nil {
+			continue // nothing to replay: no trace is looked up
 		}
 		for _, u := range todo {
 			for _, ct := range trace[u.servers[0]].post {
@@ -587,45 +584,65 @@ func (b *Baseline) traceOf(u unitSpec) *unitTrace {
 }
 
 // Result returns the baseline's full analysis result in the caller's
-// units. The returned slices are copies.
+// units. The returned slices are copies, the stages' server lists too.
 func (b *Baseline) Result() *Result {
-	out := exportResult(b.res, b.scale)
-	if out.Stages == nil {
-		out.Stages = b.stages()
+	out := &Result{
+		Algorithm: b.res.Algorithm,
+		Bounds:    slices.Clone(b.res.Bounds),
+		Stages:    b.stages(),
+		Backlogs:  slices.Clone(b.res.Backlogs),
 	}
-	return out
+	return denormalizeBacklogs(out, b.scale)
 }
 
-// stages assembles the per-stage breakdown a traced run does not keep: for
+// stages builds the per-stage breakdown of a traced run, in fresh storage
+// every time: no stage at all when every bound is +Inf (allInf), one stage
+// over the whole route under a network-curve finish, and otherwise, for
 // every unit in order, each crossing connection's recorded delay over the
-// next hops of its route. Units run in an order consistent with every
-// route, so each connection's stages come out in route order. Two slabs
-// back the whole result: at most one stage per hop, and every hop in
-// exactly one stage's server list.
+// run of the unit's servers it crossed. Units run in an order consistent
+// with every route, so each connection's stages come out in route order.
+// One slab holds the stages, at most one per hop, and one a copy of every
+// unit's servers, which the stages of its crossing connections share.
 func (b *Baseline) stages() [][]Stage {
 	conns := b.norm.Connections
+	out := make([][]Stage, len(conns))
+	if b.res.Stages != nil {
+		return out
+	}
 	hops := 0
 	for _, c := range conns {
 		hops += len(c.Path)
 	}
-	out := make([][]Stage, len(conns))
+	if b.core.finish != nil {
+		stageSlab := make([]Stage, len(conns))
+		servers := make([]int, 0, hops)
+		for i, c := range conns {
+			lo := len(servers)
+			servers = append(servers, c.Path...)
+			stageSlab[i] = Stage{Servers: servers[lo:len(servers):len(servers)], Delay: b.res.Bounds[i]}
+			out[i] = stageSlab[i : i+1 : i+1]
+		}
+		return out
+	}
 	stageSlab := make([]Stage, hops)
-	serverSlab := make([]int, hops)
-	// Connection i's route is copied to serverSlab at the offset its stage
-	// list starts at in stageSlab; next[i] is its first hop there that no
-	// stage covers yet.
-	next := make([]int, len(conns))
 	off := 0
 	for i, c := range conns {
 		out[i] = stageSlab[off : off : off+len(c.Path)]
-		next[i] = off
-		off += copy(serverSlab[off:], c.Path)
+		off += len(c.Path)
 	}
+	tuples := make([]int, 0, len(b.norm.Servers))
+	next := make([]int, len(conns)) // the first hop of each route no stage covers yet
 	for _, u := range b.units {
+		lo := len(tuples)
+		tuples = append(tuples, u.servers...)
+		tuple := tuples[lo:len(tuples):len(tuples)]
 		for _, ct := range b.trace[u.servers[0]].post {
-			lo, hi := next[ct.conn], next[ct.conn]+ct.hops
-			out[ct.conn] = append(out[ct.conn], Stage{Servers: serverSlab[lo:hi:hi], Delay: ct.delay})
-			next[ct.conn] = hi
+			c, at := ct.conn, 0
+			if ct.hops < len(tuple) {
+				at = slices.Index(tuple, conns[c].Path[next[c]])
+			}
+			out[c] = append(out[c], Stage{Servers: tuple[at : at+ct.hops : at+ct.hops], Delay: ct.delay})
+			next[c] += ct.hops
 		}
 	}
 	return out
@@ -653,18 +670,6 @@ func (b *Baseline) Connections() int { return len(b.orig.Connections) }
 // copying them. The list is immutable: the baseline never writes or appends
 // to it, and neither may the caller, which may keep it as long as it likes.
 func (b *Baseline) Conns() []topo.Connection { return b.orig.Connections }
-
-// exportResult copies a normalized-internal result and converts bit-valued
-// bounds back to caller units (delays are scale-invariant).
-func exportResult(r *Result, scale float64) *Result {
-	out := &Result{
-		Algorithm: r.Algorithm,
-		Bounds:    append([]float64(nil), r.Bounds...),
-		Stages:    append([][]Stage(nil), r.Stages...),
-		Backlogs:  append([]float64(nil), r.Backlogs...),
-	}
-	return denormalizeBacklogs(out, scale)
-}
 
 // ExtendStats describes how much work a trial avoided.
 type ExtendStats struct {
@@ -820,7 +825,7 @@ func remapShrunkTrace(t *unitTrace, removed int) *unitTrace {
 	if removed < 0 || !needsRemap {
 		return t
 	}
-	out := &unitTrace{servers: t.servers, post: append([]connTrace(nil), t.post...), backlog: t.backlog}
+	out := &unitTrace{servers: t.servers, post: slices.Clone(t.post)}
 	for i := range out.post {
 		if out.post[i].conn > removed {
 			out.post[i].conn--

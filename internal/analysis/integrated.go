@@ -829,10 +829,10 @@ func analyzeChain(ctx context.Context, sc *chainScratch, net *topo.Network, idx 
 		if canceled(ctx) {
 			return false
 		}
-		servers := make([]int, 0, r.hi-r.lo+1)
-		for i := r.lo; i <= r.hi; i++ {
-			servers = append(servers, chain[i])
-		}
+		// The run's stage covers its servers: a sub-slice of the chain,
+		// which only an untraced run keeps, for a result whose partition
+		// nothing else reads.
+		servers := chain[r.lo : r.hi+1 : r.hi+1]
 		thetaStart := time.Now()
 		d := bounds.best(r.lo, r.hi)
 		if tm != nil {
@@ -840,7 +840,7 @@ func analyzeChain(ctx context.Context, sc *chainScratch, net *topo.Network, idx 
 		}
 		propStart := time.Now()
 		for _, c := range r.conns {
-			if !p.advance(c, servers, d, len(servers), ar) {
+			if !p.advance(c, servers, d, r.hi-r.lo+1, ar) {
 				return false
 			}
 		}

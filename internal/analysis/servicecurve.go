@@ -77,12 +77,12 @@ var serviceCurveCore = core{name: "ServiceCurve", check: serves("ServiceCurve", 
 	}}
 
 // routeBounds is the result of a network-curve finish: bound(i) for every
-// connection i, charged as one stage over its whole route. Each connection
-// is one cancellation checkpoint.
+// connection i, charged as one stage over its whole route (Baseline.stages
+// builds it). Each connection is one cancellation checkpoint.
 func routeBounds(ctx context.Context, b *Baseline, backlogs []float64, bound func(i int) (float64, error)) (*Result, error) {
 	n := len(b.norm.Connections)
-	res := &Result{Algorithm: b.core.name, Bounds: make([]float64, n), Stages: make([][]Stage, n), Backlogs: backlogs}
-	for i, conn := range b.norm.Connections {
+	res := &Result{Algorithm: b.core.name, Bounds: make([]float64, n), Backlogs: backlogs}
+	for i := range b.norm.Connections {
 		if canceled(ctx) {
 			return nil, ctxErr(ctx.Err())
 		}
@@ -91,7 +91,6 @@ func routeBounds(ctx context.Context, b *Baseline, backlogs []float64, bound fun
 			return nil, err
 		}
 		res.Bounds[i] = d
-		res.Stages[i] = []Stage{{Servers: append([]int(nil), conn.Path...), Delay: d}}
 	}
 	return res, nil
 }
