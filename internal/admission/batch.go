@@ -260,27 +260,31 @@ func (sh *shard) admitStep(ctx context.Context, snap *snapshot, st *batchState, 
 	// st.base, when present, is the baseline over exactly st.admitted — that
 	// set was validated when it was committed — so it derives the trial and
 	// validates the candidate in O(candidate), and the trial's list is the
-	// one copy of the set the test makes. A nil working baseline (cold start,
-	// after a release that dropped it) builds the trial here and pays the
-	// identical full validation.
+	// one copy of the set the test makes, and it decides the trial's
+	// stability in O(candidate hops) from the baseline's load. A nil working
+	// baseline (cold start, after a release that dropped it) builds the
+	// trial here and pays the identical full validation and stability pass.
 	var (
-		tr  *analysis.Trial
-		net *topo.Network
-		err error
+		tr     *analysis.Trial
+		net    *topo.Network
+		stable bool
+		err    error
 	)
 	if st.base != nil {
 		if tr, err = st.base.NewTrial(cand); err == nil {
-			net = tr.Network()
+			net, stable = tr.Network(), tr.Stable()
 		}
 	} else {
 		net = &topo.Network{Servers: se.servers, Connections: make([]topo.Connection, 0, len(st.admitted)+1)}
 		net.Connections = append(append(net.Connections, st.admitted...), cand)
-		err = net.Validate()
+		if err = net.Validate(); err == nil {
+			stable = net.Stable()
+		}
 	}
 	if err != nil {
 		return Decision{Code: CodeInvalidSpec, Reason: err.Error()}, trialSet{}, err
 	}
-	if !net.Stable() {
+	if !stable {
 		return Decision{Code: CodeUnstable, Reason: "network would be unstable"}, trialSet{}, nil
 	}
 	if snap != nil {

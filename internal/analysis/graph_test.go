@@ -38,12 +38,26 @@ func requireDerivedState(t *testing.T, label string, bl *Baseline) {
 	if !slices.Equal(bl.graph.Order(), want.Order()) {
 		t.Fatalf("%s: derived order %v, scratch build %v", label, bl.graph.Order(), want.Order())
 	}
-	units, err := bl.core.units(want)
+	units, levels, err := bl.core.plan(want)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	if !slices.EqualFunc(bl.units, units, func(a, b unitSpec) bool { return slices.Equal(a.servers, b.servers) }) {
+	sameUnit := func(a, b unitSpec) bool { return slices.Equal(a.servers, b.servers) }
+	if !slices.EqualFunc(bl.units, units, sameUnit) {
 		t.Fatalf("%s: units %v, scratch partition %v", label, bl.units, units)
+	}
+	if !slices.EqualFunc(bl.levels, levels, func(a, b []unitSpec) bool { return slices.EqualFunc(a, b, sameUnit) }) {
+		t.Fatalf("%s: levels %v, scratch levels %v", label, bl.levels, levels)
+	}
+	for _, l := range []struct {
+		name string
+		got  topo.Load
+		net  *topo.Network
+	}{{"load", bl.load, bl.norm}, {"caller-unit load", bl.origLoad, bl.orig}} {
+		want := topo.NewRoutes(l.net).Load
+		if l.got.Unstable != want.Unstable || !slices.EqualFunc(l.got.Sum, want.Sum, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatalf("%s: derived %s %v, scratch %v", label, l.name, l.got, want)
+		}
 	}
 	if idx := bl.norm.ConnectionIndex(); !slices.EqualFunc(bl.idx, idx, slices.Equal[[]int]) {
 		t.Fatalf("%s: derived connection index differs from the scratch build", label)
@@ -177,4 +191,66 @@ func unusedAscendingPair(t *testing.T, g *topo.Graph) (int, int) {
 	}
 	t.Fatal("every ascending pair is already a route edge")
 	return 0, 0
+}
+
+// TestDerivedStateOnScaledNetworks walks baselines of the one-server-unit
+// and the chain analysis through admits and releases on a network in bits
+// per second, checking every step against scratch builds like
+// TestGraphDerivationMatchesScratch: a one-server-unit trial whose order
+// holds reuses its baseline's units and levels, and there the normalized
+// load and the caller-unit load are two folds, both derived along the
+// candidate's route.
+func TestDerivedStateOnScaledNetworks(t *testing.T) {
+	rf, err := topo.RandomFeedforward(48, 200, 0.4, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(23))
+	for i := range rf.Servers {
+		rf.Servers[i].Capacity *= 1e9
+	}
+	for i := range rf.Connections {
+		c := &rf.Connections[i]
+		c.Bucket.Sigma *= 1e9
+		c.Bucket.Rho *= 1e9 * (0.25 + rng.Float64()/2)
+		c.AccessRate *= 1e9
+		c.Rate *= 1e9
+	}
+	for _, a := range []Analyzer{Decomposed{}, Integrated{}} {
+		bl, err := a.NewBaseline(rf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bl.scale == 1 {
+			t.Fatal("the network is meant to be normalized")
+		}
+		requireDerivedState(t, a.Name()+" baseline", bl)
+		steps := 60
+		if raceBuild() {
+			steps = 15
+		}
+		for step := 0; step < steps; step++ {
+			label := fmt.Sprintf("%s step %d", a.Name(), step)
+			var ext *Extension
+			if rng.Intn(9) < 4 && bl.Connections() > 1 {
+				ext, err = bl.ShrinkContext(context.Background(), rng.Intn(bl.Connections()))
+			} else {
+				var path []int
+				for s := rng.Intn(len(rf.Servers)); s < len(rf.Servers) && len(path) < 1+rng.Intn(4); s += 1 + rng.Intn(3) {
+					path = append(path, s)
+				}
+				ext, err = bl.ExtendContext(context.Background(), topo.Connection{
+					Name:       fmt.Sprintf("x%d", step),
+					Bucket:     traffic.TokenBucket{Sigma: 5e8, Rho: 1e4 * (0.1 + rng.Float64())},
+					AccessRate: 1e9,
+					Path:       path,
+				})
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			bl = ext.Promote()
+			requireDerivedState(t, label, bl)
+		}
+	}
 }

@@ -204,32 +204,34 @@ func spRateLatencyGuarantee(capacity float64, higher minplus.Curve, lat float64)
 	return minplus.RateLatency(rate, t+lat), true
 }
 
-// subnetOwner maps every server to the index of its subnetwork. The
-// partition covers all servers, so the result is total.
-func subnetOwner(nServers int, subnets []unitSpec) []int {
-	owner := make([]int, nServers)
-	for i, sn := range subnets {
+// unitSuccessors lays the cross-unit precedence edges of a partition,
+// read straight off the route graph, out in one slab: unit u precedes each
+// unit of succ[start[u]:start[u+1]], listed once however many route edges
+// leave u's servers for that unit's.
+func unitSuccessors(g *topo.Graph, subnets []unitSpec) (start, succ []int) {
+	owner := make([]int, g.Servers())
+	edges := 0 // route edges, at least as many as unit edges
+	for u, sn := range subnets {
 		for _, s := range sn.servers {
-			owner[s] = i
+			owner[s] = u
+			edges += len(g.Succ(s))
 		}
 	}
-	return owner
-}
-
-// unitEdges enumerates the cross-unit precedence edges of a partition for
-// topo.MinFirstOrder, read straight off the route graph: unit u precedes
-// owner[e.To] for every edge e leaving one of u's servers for another
-// unit. An edge may be reported once per server pair realising it.
-func unitEdges(g *topo.Graph, subnets []unitSpec, owner []int) func(u int, visit func(v int)) {
-	return func(u int, visit func(v int)) {
-		for _, s := range subnets[u].servers {
+	listed := make([]int, len(subnets)) // v is listed for u iff listed[v] == u+1
+	start = make([]int, len(subnets)+1)
+	succ = make([]int, 0, edges)
+	for u, sn := range subnets {
+		for _, s := range sn.servers {
 			for _, e := range g.Succ(s) {
-				if v := owner[e.To]; v != u {
-					visit(v)
+				if v := owner[e.To]; v != u && listed[v] != u+1 {
+					listed[v] = u + 1
+					succ = append(succ, v)
 				}
 			}
 		}
+		start[u+1] = len(succ)
 	}
+	return start, succ
 }
 
 // partition greedily grows chains of consecutive servers (in topological
@@ -497,21 +499,50 @@ func (pt *partitioner) expand(side int) bool {
 	return false
 }
 
-// orderSubnetworks topologically sorts the partition by the precedence
-// relation "some connection leaves subnetwork A and enters subnetwork B",
-// smallest ready index first. An error means the partition induces a
-// cycle.
-func orderSubnetworks(g *topo.Graph, subnets []unitSpec) ([]unitSpec, error) {
-	owner := subnetOwner(g.Servers(), subnets)
-	order := topo.MinFirstOrder(len(subnets), unitEdges(g, subnets, owner))
+// orderLevels sorts a partition topologically by the precedence relation
+// "some connection leaves unit A and enters unit B", smallest ready unit
+// first, and cuts the sorted list into dependency levels: a unit's level is
+// one past the deepest level among the units feeding it, so every unit of a
+// level only depends on earlier levels, and order within a level follows
+// the sorted list. One list of unit edges serves both. An error means the
+// partition induces a cycle.
+func orderLevels(g *topo.Graph, subnets []unitSpec) ([]unitSpec, [][]unitSpec, error) {
+	start, succ := unitSuccessors(g, subnets)
+	order := topo.MinFirstOrder(len(subnets), func(u int, visit func(v int)) {
+		for _, v := range succ[start[u]:start[u+1]] {
+			visit(v)
+		}
+	})
 	if order == nil {
-		return nil, fmt.Errorf("analysis: subnetwork partition induces a cycle")
+		return nil, nil, fmt.Errorf("analysis: subnetwork partition induces a cycle")
 	}
+	// Every edge points from an earlier unit of the order to a later one,
+	// so relaxing the edges in order computes the exact longest-path level
+	// in one pass.
+	level := make([]int, len(subnets))
+	width := []int{0} // units per level
+	for _, u := range order {
+		for _, v := range succ[start[u]:start[u+1]] {
+			level[v] = max(level[v], level[u]+1)
+		}
+		if level[u] == len(width) {
+			width = append(width, 0)
+		}
+		width[level[u]]++
+	}
+	// ordered and the levels are each one slab: the levels cut theirs at
+	// the running sums of their widths.
 	ordered := make([]unitSpec, len(order))
+	levels := make([][]unitSpec, len(width))
+	slab := make([]unitSpec, len(order))
+	for l, w := range width {
+		levels[l], slab = slab[:0:w], slab[w:]
+	}
 	for i, u := range order {
 		ordered[i] = subnets[u]
+		levels[level[u]] = append(levels[level[u]], subnets[u])
 	}
-	return ordered, nil
+	return ordered, levels, nil
 }
 
 // run is a maximal consecutive interval of chain positions traversed by a

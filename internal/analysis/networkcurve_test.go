@@ -261,7 +261,7 @@ func TestGuaranteedRateClosedFormMatchesConvolution(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		norm, _, _, err := analyzable(net)
+		norm, _, _, _, err := analyzable(net)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -113,6 +115,25 @@ func BenchmarkFabricAnalyzeK8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := a.Analyze(net); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAnalyzeSetup times what precedes the first unit of a k=16
+// fat-tree Integrated pass (4,096 servers, 12,800 connections): the
+// validation, the routes (graph, order, connection index, load), the
+// partition and its levels, and the propagation set-up. The context is
+// cancelled before the pass starts, so the driver stops at its first
+// checkpoint, the one before the first level.
+func BenchmarkAnalyzeSetup(b *testing.B) {
+	net := fabricNet(b, 16, 100)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := (Integrated{}).AnalyzeContext(ctx, net); !errors.Is(err, context.Canceled) {
+			b.Fatalf("a cancelled pass returned %v", err)
 		}
 	}
 }

@@ -86,20 +86,29 @@ func NewChecker(n *Network) (*Checker, error) {
 	if _, err := g.feedforwardOrder(); err != nil {
 		return nil, err
 	}
-	return NewCheckerFromGraph(n, g), nil
+	return newChecker(n, g, nil), nil
 }
 
-// NewCheckerFromGraph is NewChecker for a caller that already holds the
-// graph n.ValidateGraph returned: the graph's order is the witness.
-func NewCheckerFromGraph(n *Network, g *Graph) *Checker {
+// NewCheckerFromRoutes is NewChecker for a caller that already holds the
+// routes n.ValidateRoutes returned: the graph's order is the witness, and
+// the checker takes over the validation's set of connection names.
+func NewCheckerFromRoutes(n *Network, r Routes) *Checker {
+	return newChecker(n, r.Graph, r.names)
+}
+
+// newChecker builds the checker of n whose route graph is g and whose
+// non-empty connection names are names, collected afresh when nil.
+func newChecker(n *Network, g *Graph, names map[string]bool) *Checker {
 	pos := make([]int, len(n.Servers))
 	for p, s := range g.order {
 		pos[s] = p
 	}
-	names := make(map[string]bool, len(n.Connections))
-	for _, c := range n.Connections {
-		if c.Name != "" {
-			names[c.Name] = true
+	if names == nil {
+		names = make(map[string]bool, len(n.Connections))
+		for _, c := range n.Connections {
+			if c.Name != "" {
+				names[c.Name] = true
+			}
 		}
 	}
 	return &Checker{nServers: len(n.Servers), nConns: len(n.Connections), pos: pos, names: nameSet{base: names}}

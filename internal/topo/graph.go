@@ -2,6 +2,7 @@ package topo
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 )
 
@@ -29,76 +30,8 @@ type Graph struct {
 }
 
 // NewGraph builds the route graph of n, whose connections must each be
-// valid against n.Servers, in time linear in servers plus hops: a stable
-// counting sort lays the hops out by To in ascending connection order, one
-// pass over that layout counts each row's distinct edges, and a second
-// folds every hop into its row. Taking the hops in To order appends each
-// row's edges in ascending To order and brings the hops of one edge
-// together in ascending connection order, so every edge's rate is the left
-// fold Edge.Rate promises without a search or an insertion.
-func NewGraph(n *Network) *Graph {
-	type hop struct {
-		from int
-		rho  float64
-	}
-	ns := len(n.Servers)
-	toStart := make([]int, ns+1) // hops into v: byTo[toStart[v]:toStart[v+1]]
-	for _, c := range n.Connections {
-		for i := 1; i < len(c.Path); i++ {
-			toStart[c.Path[i]+1]++
-		}
-	}
-	for v := 1; v <= ns; v++ {
-		toStart[v] += toStart[v-1]
-	}
-	byTo := make([]hop, toStart[ns])
-	cur := make([]int, ns)
-	copy(cur, toStart)
-	for _, c := range n.Connections {
-		for i := 1; i < len(c.Path); i++ {
-			v := c.Path[i]
-			byTo[cur[v]] = hop{c.Path[i-1], c.Bucket.Rho}
-			cur[v]++
-		}
-	}
-	// cur now remembers, per row, the last To counted: rows receive their
-	// edges in ascending To, so a repeat is always the row's latest edge.
-	rowStart := make([]int, ns+1)
-	for u := range cur {
-		cur[u] = -1
-	}
-	for v := 0; v < ns; v++ {
-		for _, h := range byTo[toStart[v]:toStart[v+1]] {
-			if cur[h.from] != v {
-				cur[h.from] = v
-				rowStart[h.from+1]++
-			}
-		}
-	}
-	for u := 1; u <= ns; u++ {
-		rowStart[u] += rowStart[u-1]
-	}
-	flat := make([]Edge, rowStart[ns])
-	copy(cur, rowStart) // now each row's fill cursor
-	for v := 0; v < ns; v++ {
-		for _, h := range byTo[toStart[v]:toStart[v+1]] {
-			u := h.from
-			if last := cur[u] - 1; last >= rowStart[u] && flat[last].To == v {
-				flat[last].Users++
-				flat[last].Rate += h.rho
-				continue
-			}
-			flat[cur[u]] = Edge{To: v, Users: 1, Rate: h.rho}
-			cur[u]++
-		}
-	}
-	g := &Graph{succ: make([][]Edge, ns)}
-	for u := range g.succ {
-		g.succ[u] = flat[rowStart[u]:rowStart[u+1]:rowStart[u+1]]
-	}
-	g.order = g.topologicalOrder()
-	return g
-}
+// valid against n.Servers: NewRoutes(n).Graph.
+func NewGraph(n *Network) *Graph { return NewRoutes(n).Graph }
 
 // foldHop adds one more user with rate rho to the edge for to in the row
 // edges[start:], kept in ascending To order, inserting the edge when the
@@ -197,24 +130,30 @@ func (g *Graph) Shrink(trial *Network, idx [][]int, removed Connection) *Graph {
 // ready node next, and returns nil when the graph has a cycle.
 func MinFirstOrder(n int, edges func(u int, visit func(v int))) []int {
 	indeg := make([]int, n)
-	count := func(v int) { indeg[v]++ }
-	for u := 0; u < n; u++ {
+	u, forward := 0, true // count reads the loop's u: one closure for all nodes
+	count := func(v int) {
+		indeg[v]++
+		forward = forward && v > u
+	}
+	for u = 0; u < n; u++ {
 		edges(u, count)
 	}
-	ready := make(intMinHeap, 0, n)
-	for u := 0; u < n; u++ {
-		if indeg[u] == 0 {
-			ready.push(u)
-		}
+	if forward {
+		return identityOrder(n)
 	}
 	order := make([]int, 0, n)
-	release := func(v int) {
-		if indeg[v]--; indeg[v] == 0 {
-			ready.push(v)
+	ready := newReadySet(n)
+	for u := 0; u < n; u++ {
+		if indeg[u] == 0 {
+			ready.add(u)
 		}
 	}
-	for len(ready) > 0 {
-		u := ready.pop()
+	release := func(v int) {
+		if indeg[v]--; indeg[v] == 0 {
+			ready.add(v)
+		}
+	}
+	for u := ready.popMin(); u >= 0; u = ready.popMin() {
 		order = append(order, u)
 		edges(u, release)
 	}
@@ -224,44 +163,47 @@ func MinFirstOrder(n int, edges func(u int, visit func(v int))) []int {
 	return order
 }
 
-// intMinHeap is a binary min-heap of node indices: MinFirstOrder's ready
-// queue.
-type intMinHeap []int
-
-func (h *intMinHeap) push(x int) {
-	*h = append(*h, x)
-	s := *h
-	for i := len(s) - 1; i > 0; {
-		p := (i - 1) / 2
-		if s[p] <= s[i] {
-			break
-		}
-		s[p], s[i] = s[i], s[p]
-		i = p
+// identityOrder is MinFirstOrder's order of n nodes whose every edge points
+// to a larger node: after the first i nodes node i is ready and no smaller
+// one is left, so the smallest ready node is always the next index.
+func identityOrder(n int) []int {
+	order := make([]int, n)
+	for u := range order {
+		order[u] = u
 	}
+	return order
 }
 
-func (h *intMinHeap) pop() int {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && s[l] < s[m] {
-			m = l
+// readySet is MinFirstOrder's ready queue: a bitset over the nodes with one
+// summary bit per word, so the smallest member is found in one word test
+// per 4,096 nodes.
+type readySet struct {
+	words, summary []uint64
+}
+
+func newReadySet(n int) readySet {
+	w := (n + 63) / 64
+	return readySet{words: make([]uint64, w), summary: make([]uint64, (w+63)/64)}
+}
+
+func (r readySet) add(v int) {
+	r.words[v>>6] |= 1 << (v & 63)
+	r.summary[v>>12] |= 1 << ((v >> 6) & 63)
+}
+
+// popMin removes and returns the smallest member, or -1 when the set is
+// empty.
+func (r readySet) popMin() int {
+	for i, s := range r.summary {
+		if s == 0 {
+			continue
 		}
-		if r < n && s[r] < s[m] {
-			m = r
+		w := i<<6 + bits.TrailingZeros64(s)
+		b := bits.TrailingZeros64(r.words[w])
+		if r.words[w] &^= 1 << b; r.words[w] == 0 {
+			r.summary[i] &^= 1 << (w & 63)
 		}
-		if m == i {
-			break
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
+		return w<<6 + b
 	}
-	*h = s
-	return top
+	return -1
 }

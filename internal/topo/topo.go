@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"delaycalc/internal/minplus"
+	"delaycalc/internal/par"
 	"delaycalc/internal/server"
 	"delaycalc/internal/traffic"
 )
@@ -115,46 +116,78 @@ type Network struct {
 
 // Validate checks servers, connections, and the feedforward property.
 func (n *Network) Validate() error {
-	_, err := n.ValidateGraph()
+	_, err := n.ValidateRoutes()
 	return err
 }
 
-// ValidateGraph is Validate handing back the route graph it built for the
+// ValidateRoutes is Validate handing back the Routes it built for the
 // feedforward check, so a caller that goes on to order or partition the
-// network does not derive it a second time.
-func (n *Network) ValidateGraph() (*Graph, error) {
+// network derives none of it a second time.
+//
+// The error is the first a serial pass meets: every server in index order
+// (its own checks, then its name), then every connection likewise, then the
+// feedforward property. The server and connection checks are that serial
+// pass, and they read nothing the route pass writes, so they run beside it
+// (par.Beside); the route pass may then see an invalid network, whose
+// routes are discarded.
+func (n *Network) ValidateRoutes() (Routes, error) {
 	if len(n.Servers) == 0 {
-		return nil, fmt.Errorf("topo: network has no servers")
+		return Routes{}, fmt.Errorf("topo: network has no servers")
 	}
+	var (
+		names map[string]bool
+		err   error
+	)
+	wait := par.Beside(func() {
+		if err = n.checkServers(); err == nil {
+			names, err = n.checkConnections()
+		}
+	})
+	r, _ := newRoutes(n)
+	if wait(); err != nil {
+		return Routes{}, err
+	}
+	if _, err := r.Graph.feedforwardOrder(); err != nil {
+		return Routes{}, err
+	}
+	r.names = names
+	return r, nil
+}
+
+// checkServers checks every server in index order, its name after its own
+// checks.
+func (n *Network) checkServers() error {
 	names := make(map[string]bool, len(n.Servers))
 	for i, s := range n.Servers {
 		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("topo: server %d: %w", i, err)
+			return fmt.Errorf("topo: server %d: %w", i, err)
 		}
 		if s.Name != "" {
 			if names[s.Name] {
-				return nil, fmt.Errorf("topo: duplicate server name %q", s.Name)
+				return fmt.Errorf("topo: duplicate server name %q", s.Name)
 			}
 			names[s.Name] = true
 		}
 	}
-	cnames := make(map[string]bool, len(n.Connections))
+	return nil
+}
+
+// checkConnections checks every connection in index order, its name after
+// its own checks, and returns the set of non-empty names.
+func (n *Network) checkConnections() (map[string]bool, error) {
+	names := make(map[string]bool, len(n.Connections))
 	for i, c := range n.Connections {
 		if err := c.Validate(len(n.Servers)); err != nil {
 			return nil, fmt.Errorf("topo: connection %d: %w", i, err)
 		}
 		if c.Name != "" {
-			if cnames[c.Name] {
+			if names[c.Name] {
 				return nil, fmt.Errorf("topo: duplicate connection name %q", c.Name)
 			}
-			cnames[c.Name] = true
+			names[c.Name] = true
 		}
 	}
-	g := NewGraph(n)
-	if _, err := g.feedforwardOrder(); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return names, nil
 }
 
 // ConnectionsAt returns the indices of connections whose path includes
