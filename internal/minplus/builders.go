@@ -37,7 +37,7 @@ func Rate(c float64) Curve {
 	if c < 0 {
 		panic("minplus: Rate with negative capacity")
 	}
-	return internCurve(internKey{kind: internRate, a: c}, func() Curve {
+	return internCurve(internRate, c, 0, 0, func() Curve {
 		return Affine(c, 0)
 	})
 }
@@ -49,7 +49,7 @@ func TokenBucket(sigma, rho float64) Curve {
 	if sigma < 0 || rho < 0 {
 		panic(fmt.Sprintf("minplus: TokenBucket(%g, %g) with negative parameter", sigma, rho))
 	}
-	return internCurve(internKey{kind: internTokenBucket, a: sigma, b: rho}, func() Curve {
+	return internCurve(internTokenBucket, sigma, rho, 0, func() Curve {
 		if sigma == 0 {
 			return Affine(rho, 0)
 		}
@@ -68,7 +68,7 @@ func TokenBucketCapped(sigma, rho, c float64) Curve {
 	if rho > c+Eps {
 		panic(fmt.Sprintf("minplus: TokenBucketCapped rate %g exceeds capacity %g", rho, c))
 	}
-	return internCurve(internKey{kind: internTokenBucketCapped, a: sigma, b: rho, c: c}, func() Curve {
+	return internCurve(internTokenBucketCapped, sigma, rho, c, func() Curve {
 		if sigma == 0 || almostEqual(rho, c) {
 			return Affine(math.Min(rho, c), 0)
 		}
@@ -83,7 +83,7 @@ func RateLatency(r, t float64) Curve {
 	if r < 0 || t < 0 {
 		panic(fmt.Sprintf("minplus: RateLatency(%g, %g) with negative parameter", r, t))
 	}
-	return internCurve(internKey{kind: internRateLatency, a: r, b: t}, func() Curve {
+	return internCurve(internRateLatency, r, t, 0, func() Curve {
 		if t == 0 {
 			return Affine(r, 0)
 		}

@@ -1,6 +1,9 @@
 package minplus
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
 // Curve interning. The analysis layer rebuilds the same handful of
 // token-bucket / rate-latency / rate envelopes constantly — once per
@@ -19,9 +22,20 @@ const (
 	internRateLatency
 )
 
+// internKey holds a builder's parameters as bits, all of one word size, so
+// the table hashes and compares the key as plain memory: a key of float
+// fields is hashed field by field, which cost most of a lookup.
 type internKey struct {
-	kind    internKind
-	a, b, c float64
+	kind, a, b, c uint64
+}
+
+// keyBits is f as a key word. Zero of either sign is one word, so that keys
+// compare as the parameters do under ==.
+func keyBits(f float64) uint64 {
+	if f == 0 {
+		return 0
+	}
+	return math.Float64bits(f)
 }
 
 // internMax bounds the builder table. Adversarial workloads (the falsify
@@ -34,9 +48,10 @@ var (
 	internTab map[internKey]Curve
 )
 
-// internCurve returns the cached curve for key, building and caching it on
-// a miss.
-func internCurve(k internKey, build func() Curve) Curve {
+// internCurve returns the cached curve of the builder kind over the
+// parameters p0, p1 and p2, building and caching it on a miss.
+func internCurve(kind internKind, p0, p1, p2 float64, build func() Curve) Curve {
+	k := internKey{uint64(kind), keyBits(p0), keyBits(p1), keyBits(p2)}
 	internMu.RLock()
 	c, ok := internTab[k]
 	internMu.RUnlock()
