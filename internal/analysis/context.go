@@ -99,13 +99,15 @@ func ctxErr(err error) error {
 // Units of one dependency level run concurrently, so the counters are
 // atomic and a stage's total can exceed wall-clock time (it is CPU time
 // across workers). ThetaPairs and ThetaEvaluated count the theta pairs
-// the two-server searches faced and those they had to evaluate (the rest
-// fell to their lower bound); ThetaBranches and ThetaBranchesCut count
+// the two-server searches faced and those they had to evaluate, in the
+// search's order: the pair of least lower bound, found on the candidates'
+// deviation floors, then index order (the rest fell to their lower bound,
+// tested first on the floors); ThetaBranches and ThetaBranchesCut count
 // the closed-form branches the longer searches faced (2^k - 1 per theta
 // vector evaluated on k servers, k counted as 40 at most) and those the
 // two prunings of the coordinate descent skipped. All four depend on the
 // network alone. Attach a collector with WithTimings; analyzers that find
-// none in the context skip all instrumentation.
+// none in the context skip all instrumentation, clock reads included.
 type Timings struct {
 	Partition atomic.Int64
 	Aggregate atomic.Int64
@@ -117,6 +119,12 @@ type Timings struct {
 
 	ThetaBranches    atomic.Int64
 	ThetaBranchesCut atomic.Int64
+
+	// thetaCandidates and thetaDeviations count the candidates the
+	// two-server searches faced and those whose gate-stripped deviation
+	// they computed; the floor ruled the rest out.
+	thetaCandidates atomic.Int64
+	thetaDeviations atomic.Int64
 }
 
 // StageSeconds returns the accumulated stage times in seconds, keyed by
@@ -128,6 +136,15 @@ func (t *Timings) StageSeconds() map[string]float64 {
 		"theta":     time.Duration(t.Theta.Load()).Seconds(),
 		"propagate": time.Duration(t.Propagate.Load()).Seconds(),
 	}
+}
+
+// now reads the clock for a stage's start, or returns the zero time
+// without reading it when no collector is attached.
+func (t *Timings) now() time.Time {
+	if t == nil {
+		return time.Time{}
+	}
+	return time.Now()
 }
 
 // observe adds the time elapsed since start to one stage counter.

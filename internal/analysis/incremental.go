@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"delaycalc/internal/minplus"
 	"delaycalc/internal/par"
@@ -466,7 +465,8 @@ func (b *Baseline) run(ctx context.Context, from *Baseline, path []int, removed 
 	if from == nil {
 		setUpDone = par.Beside(setUp)
 	}
-	tm, partStart := timingsFrom(ctx), time.Now()
+	tm := timingsFrom(ctx)
+	partStart := tm.now()
 	units, levels := from.planFor(b)
 	derived := units == nil
 	if derived {

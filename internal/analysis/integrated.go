@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"time"
 
 	"delaycalc/internal/minplus"
 	"delaycalc/internal/server"
@@ -774,7 +773,7 @@ func analyzeChain(ctx context.Context, sc *chainScratch, net *topo.Network, idx 
 		iters = 3
 	}
 	for iter := 0; iter < iters; iter++ {
-		aggStart := time.Now()
+		aggStart := tm.now()
 		envAt := resize(sc.envAt, len(chain)+1)
 		sc.envAt = envAt
 		envBuf := resize(sc.envBuf, (len(chain)+1)*total)
@@ -831,7 +830,7 @@ func analyzeChain(ctx context.Context, sc *chainScratch, net *topo.Network, idx 
 		if tm != nil {
 			tm.observe(&tm.Aggregate, aggStart)
 		}
-		thetaStart := time.Now()
+		thetaStart := tm.now()
 		bounds = &sc.ib
 		bounds.init(ctx, tm, bg, ar, net, chain, svc, ra, local)
 		// Record the DP prefix bounds as the next iteration's shifts. The
@@ -864,12 +863,12 @@ func analyzeChain(ctx context.Context, sc *chainScratch, net *topo.Network, idx 
 		// which only an untraced run keeps, for a result whose partition
 		// nothing else reads.
 		servers := chain[r.lo : r.hi+1 : r.hi+1]
-		thetaStart := time.Now()
+		thetaStart := tm.now()
 		d := bounds.best(r.lo, r.hi)
 		if tm != nil {
 			tm.observe(&tm.Theta, thetaStart)
 		}
-		propStart := time.Now()
+		propStart := tm.now()
 		for _, c := range r.conns {
 			if !p.advance(c, servers, d, r.hi-r.lo+1, ar) {
 				return false
@@ -969,7 +968,7 @@ func runIntervalBound(ctx context.Context, tm *Timings, bg *budget, ar *minplus.
 	agg := ra.covering(lo, lo, hi)
 	k := hi - lo + 1
 	cross := ar.Curves(k)[:k]
-	cands := make([][]float64, k)
+	cands := ar.FloatSlices(k)[:k]
 	for i := 0; i < k; i++ {
 		posIdx := lo + i
 		cross[i] = ra.crossAt(posIdx, lo, hi)

@@ -282,8 +282,8 @@ func TestIntegratedSPMatchesParentEngine(t *testing.T) {
 func TestIntegratedSPAllocs(t *testing.T) {
 	_, allocs := analyzeAllocs(t, Integrated{}, spCorpus(t)["sp64"])
 	t.Logf("%.0f allocs/pass", allocs)
-	// Measured 389 on go1.24; the ceiling leaves 10%.
-	if allocs > 428 && !raceBuild() {
-		t.Errorf("Integrated.Analyze allocates %.0f times per pass on sp64, ceiling is 428", allocs)
+	// Measured 325 on go1.24; the ceiling leaves 10%.
+	if allocs > 358 && !raceBuild() {
+		t.Errorf("Integrated.Analyze allocates %.0f times per pass on sp64, ceiling is 358", allocs)
 	}
 }

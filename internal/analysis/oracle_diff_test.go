@@ -78,11 +78,11 @@ func TestCurveEngineAllocs(t *testing.T) {
 	res, allocs := analysis.AnalyzeAllocs(t, analysis.Integrated{}, net)
 	analysis.CheckResultsClose(t, "tandem64x400", res, oracleIntegrated(net, 2))
 	t.Logf("%.0f allocs/pass", allocs)
-	// Measured 163 on go1.24; the 10% margin absorbs runtime differences
+	// Measured 132 on go1.24; the 10% margin absorbs runtime differences
 	// between Go releases, not new per-connection heap traffic (400
 	// connections).
-	if allocs > 180 && !analysis.RaceBuild() {
-		t.Errorf("Integrated.Analyze allocates %.0f times per pass, ceiling is 180", allocs)
+	if allocs > 146 && !analysis.RaceBuild() {
+		t.Errorf("Integrated.Analyze allocates %.0f times per pass, ceiling is 146", allocs)
 	}
 }
 
@@ -106,10 +106,10 @@ func TestFabricAllocs(t *testing.T) {
 	res, allocs := analysis.AnalyzeAllocs(t, analysis.Integrated{}, net)
 	analysis.CheckResultsClose(t, "fat-tree k=16", res, oracleIntegrated(net, 2))
 	t.Logf("%.0f allocs/pass", allocs)
-	// Measured 3215 on go1.24 (12,800 flows: about one per four flows);
+	// Measured 2189 on go1.24 (12,800 flows: about one per six flows);
 	// the ceiling leaves 10%.
-	if allocs > 3537 && !analysis.RaceBuild() {
-		t.Errorf("Integrated.Analyze allocates %.0f times per pass, ceiling is 3537", allocs)
+	if allocs > 2408 && !analysis.RaceBuild() {
+		t.Errorf("Integrated.Analyze allocates %.0f times per pass, ceiling is 2408", allocs)
 	}
 }
 

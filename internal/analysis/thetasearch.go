@@ -31,7 +31,7 @@ import (
 //
 //     where psi_0 ⊗ psi_1 is an O(n) ascending-slope merge
 //     (minplus.ConvolveConvexParts) — the per-candidate deviations
-//     h(A, chi_i) are cached, so each pair costs one slope merge and one
+//     h(A, chi_i) are memoized, so each pair costs one slope merge and one
 //     deviation instead of a generic convolution. The identity is exact:
 //     delays factor out of the pseudo-inverse whenever the aggregate is
 //     positive on (0, eps) — checked, with fallback to the generic
@@ -77,10 +77,17 @@ import (
 //   - evaluated theta vectors are memoized across scans and passes under a
 //     packed integer key;
 //
-//   - the k=2 closed form is an exact branch and bound: the two cached
-//     deviations bound a pair from below at no cost, and pairs that cannot
+//   - the k=2 closed form is an exact branch and bound: the two
+//     candidates' deviations bound a pair from below, and pairs that cannot
 //     lower the caller's clamped total are skipped, sequentially, so
-//     neither result nor evaluated count depends on the core count;
+//     neither result nor evaluated count depends on the core count. A
+//     candidate's deviation is itself computed only once a pair holding it
+//     survives that test on floors: chi_i(u) <= J_i + S_i*u for u > 0 (S_i
+//     the final slope of the convex section, its steepest), so
+//     h(A, chi_i) >= max over A's breakpoints (x, y) of (y - J_i)/S_i - x,
+//     one pass over the aggregate's few points (minplus.DeviationFloor,
+//     with a margin that keeps it below the computed deviation). Most
+//     candidates only ever appear in pairs the floors rule out;
 //
 //   - a search whose residuals do not all decompose, or whose aggregate
 //     does not rise immediately, convolves generically (k=2: a sequential
@@ -120,10 +127,15 @@ type thetaSearch struct {
 	// the zero curve (if one ever were, the memo would merely recompute it
 	// — still correct). dec and hd are the residual as the closed forms see
 	// it: its gated-convex form and the deviation h(agg, chi) of the curve
-	// with its gate stripped.
-	res []minplus.Curve
-	dec []minplus.GatedConvex
-	hd  []float64
+	// with its gate stripped. A k = 2 search fills hd on demand (hdAt; NaN
+	// marks an unset slot) and prices pairs first with floor, a lower bound
+	// of hd from the gated-convex form alone (minplus.DeviationFloor).
+	res   []minplus.Curve
+	dec   []minplus.GatedConvex
+	hd    []float64
+	floor []float64
+	// deviations counts the hd slots computed.
+	deviations int
 	// off has one more entry than cands, the tables' length; offBuf backs
 	// it for chains of up to seven servers.
 	off    []int
@@ -169,9 +181,11 @@ func (ts *thetaSearch) aggRisesImmediately() bool {
 
 // decompose draws the per-candidate tables from the chain arena and builds
 // every candidate's residual and, while the closed forms apply, its
-// gated-convex form and gate-stripped deviation. It reports whether they
-// apply to the whole search: the aggregate rises immediately and every
-// residual decomposes.
+// gated-convex form and then either its gate-stripped deviation (k > 2,
+// whose scans fan out and may not draw from the chain arena) or its floor
+// (k = 2, which computes the deviation only for a pair the floor does not
+// rule out). It reports whether the closed forms apply to the whole
+// search: the aggregate rises immediately and every residual decomposes.
 func (ts *thetaSearch) decompose() bool {
 	ts.off = append(ts.offBuf[:0], 0)
 	for _, c := range ts.cands {
@@ -182,6 +196,10 @@ func (ts *thetaSearch) decompose() bool {
 	clear(ts.res) // arena memory is not zeroed
 	ts.dec = ts.ar.Gated(total)[:total]
 	ts.hd = ts.ar.Floats(total)[:total]
+	lazy := len(ts.cands) == 2
+	if lazy {
+		ts.floor = ts.ar.Floats(total)[:total]
+	}
 	closed := ts.aggRisesImmediately()
 	for i, c := range ts.cands {
 		for ci := range c {
@@ -194,18 +212,41 @@ func (ts *thetaSearch) decompose() bool {
 				closed = false
 				continue
 			}
-			chi := ts.ar.ShiftLeft(res, dec.Gate)
 			s := ts.off[i] + ci
-			ts.dec[s], ts.hd[s] = dec, minplus.HorizontalDeviation(ts.agg, chi)
+			ts.dec[s], ts.hd[s] = dec, math.NaN()
+			if lazy {
+				ts.floor[s] = minplus.DeviationFloor(ts.agg, dec)
+			} else {
+				ts.hdAt(s)
+			}
 		}
 	}
 	return closed
 }
 
+// hdAt returns the gate-stripped deviation of table slot s, computing it
+// on the chain arena the first time; a k = 2 search's floor for the slot
+// becomes the deviation itself.
+func (ts *thetaSearch) hdAt(s int) float64 {
+	if ts.exact(s) {
+		return ts.hd[s]
+	}
+	chi := ts.ar.ShiftLeft(ts.res[s], ts.dec[s].Gate)
+	hd := minplus.HorizontalDeviation(ts.agg, chi)
+	ts.hd[s] = hd
+	if ts.floor != nil {
+		ts.floor[s] = hd
+	}
+	ts.deviations++
+	return hd
+}
+
+// exact reports whether slot s's gate-stripped deviation is computed.
+func (ts *thetaSearch) exact(s int) bool { return !math.IsNaN(ts.hd[s]) }
+
 // enumeratePairs is the k = 2 enumeration.
 func (ts *thetaSearch) enumeratePairs(fast bool) float64 {
 	n0, n1 := len(ts.cands[0]), len(ts.cands[1])
-	dec0, dec1, hd0, hd1 := ts.dec[:n0], ts.dec[n0:], ts.hd[:n0], ts.hd[n0:]
 	wa := minplus.GetArena()
 	defer wa.Release()
 	best, evaluated := math.Inf(1), 0
@@ -224,40 +265,64 @@ func (ts *thetaSearch) enumeratePairs(fast bool) float64 {
 	// g0 + g1 + max(hd0, hd1, h(A, W)) >= lb = g0 + g1 + max(hd0, hd1),
 	// in floating point as on paper (+ and max are monotone), so a pair
 	// with lb + lat >= the best total so far (at first: the ceiling) cannot
-	// lower it. The pair of smallest lb goes first, the rest in index order
-	// on this goroutine: what is evaluated depends only on the inputs.
+	// lower it. Each candidate's floor (its hd once computed, hdAt) is at
+	// most its hd, so the same test on the floors rules a pair out before
+	// its hds are computed. The pair of smallest lb goes first, found on
+	// the floors: the pair of smallest floor sum has its hds computed until
+	// it is one whose floors are both exact, and so of smallest lb. The
+	// rest follow in index order on this goroutine: what is evaluated
+	// depends only on the inputs. The scans over all pairs spell lb out,
+	// with a row's gate and floor hoisted: they run once per pair.
+	dec0, dec1, fl0, fl1 := ts.dec[:n0], ts.dec[n0:], ts.floor[:n0], ts.floor[n0:]
 	lb := func(i0, i1 int) float64 {
-		return dec0[i0].Gate + dec1[i1].Gate + math.Max(hd0[i0], hd1[i1])
+		return dec0[i0].Gate + dec1[i1].Gate + max(fl0[i0], fl1[i1])
 	}
-	f0, f1, least := 0, 0, math.Inf(1)
-	for i0 := 0; i0 < n0; i0++ {
-		for i1 := 0; i1 < n1; i1++ {
-			if l := lb(i0, i1); l < least {
-				f0, f1, least = i0, i1, l
+	var f0, f1 int
+	for {
+		least := math.Inf(1)
+		for i0 := range dec0 {
+			g0, h0 := dec0[i0].Gate, fl0[i0]
+			for i1 := range dec1 {
+				if l := g0 + dec1[i1].Gate + max(h0, fl1[i1]); l < least {
+					f0, f1, least = i0, i1, l
+				}
 			}
 		}
+		if ts.exact(f0) && ts.exact(n0+f1) {
+			break
+		}
+		ts.hdAt(f0)
+		ts.hdAt(n0 + f1)
 	}
-	total := ts.ceil
+	total, lat := ts.ceil, ts.lat
+	// visit evaluates a pair that passed the test on its floors.
 	visit := func(i0, i1 int) {
-		if lb(i0, i1)+ts.lat >= total || ts.stop() {
+		if ts.stop() {
+			return
+		}
+		ts.hdAt(i0)
+		ts.hdAt(n0 + i1)
+		if lb(i0, i1)+lat >= total {
 			return
 		}
 		wa.Reset()
 		w := wa.ConvolveConvexParts(dec0[i0], dec1[i1])
-		hd := math.Max(math.Max(hd0[i0], hd1[i1]), minplus.HorizontalDeviation(ts.agg, w))
-		v := dec0[i0].Gate + dec1[i1].Gate + hd
+		v := dec0[i0].Gate + dec1[i1].Gate + max(fl0[i0], fl1[i1], minplus.HorizontalDeviation(ts.agg, w))
 		evaluated++
 		if v < best {
 			best = v
 		}
-		if v+ts.lat < total {
-			total = v + ts.lat
+		if v+lat < total {
+			total = v + lat
 		}
 	}
-	visit(f0, f1)
-	for i0 := 0; i0 < n0; i0++ {
-		for i1 := 0; i1 < n1; i1++ {
-			if i0 != f0 || i1 != f1 {
+	if lb(f0, f1)+lat < total {
+		visit(f0, f1)
+	}
+	for i0 := range dec0 {
+		g0 := dec0[i0].Gate
+		for i1 := range dec1 {
+			if g0+dec1[i1].Gate+max(fl0[i0], fl1[i1])+lat < total && (i0 != f0 || i1 != f1) {
 				visit(i0, i1)
 			}
 		}
@@ -271,6 +336,8 @@ func (ts *thetaSearch) count(pairs, evaluated int) {
 	if ts.tm != nil {
 		ts.tm.ThetaPairs.Add(int64(pairs))
 		ts.tm.ThetaEvaluated.Add(int64(evaluated))
+		ts.tm.thetaCandidates.Add(int64(len(ts.hd)))
+		ts.tm.thetaDeviations.Add(int64(ts.deviations))
 	}
 }
 

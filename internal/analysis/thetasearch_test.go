@@ -125,7 +125,7 @@ func TestThetaSearchPrunesExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	ar := minplus.GetArena()
 	defer ar.Release()
-	var pairs, evaluated, unceiled int64
+	var pairs, evaluated, unceiled, candidates, deviations int64
 	for n := 0; n < 150; n++ {
 		sc := randomPairScenario(rng)
 		min, minLB := sc.bruteForce(t)
@@ -158,23 +158,31 @@ func TestThetaSearchPrunesExactly(t *testing.T) {
 				unceiled += e
 			}
 			pairs, evaluated = pairs+p, evaluated+e
+			candidates, deviations = candidates+tm.thetaCandidates.Load(), deviations+tm.thetaDeviations.Load()
 		}
 	}
 	t.Logf("%d of %d pairs evaluated (%d by the 150 searches without a ceiling)", evaluated, pairs, unceiled)
 	if evaluated == 0 || evaluated*2 > pairs {
 		t.Errorf("%d of %d pairs evaluated: the test no longer exercises both outcomes", evaluated, pairs)
 	}
+	// The floors rule candidates out before their deviation is computed.
+	t.Logf("%d of %d candidates' deviations computed", deviations, candidates)
+	if deviations >= candidates {
+		t.Errorf("%d of %d candidates' deviations computed: the floor rules none out", deviations, candidates)
+	}
 }
 
 // TestThetaSearchEvaluatesFewPairs is the count gate: on the tandem and
 // k=8 fabric fixtures the two-server searches evaluate at most one pair in
-// twenty, and exactly the same pairs whatever the core count.
+// twenty and compute at most one candidate's deviation in three (the
+// tandem computes 27%, the fabric 16%), and exactly the same ones whatever
+// the core count.
 func TestThetaSearchEvaluatesFewPairs(t *testing.T) {
 	for name, net := range map[string]*topo.Network{
 		"tandem64x400": benchTandemNet(64, 400),
 		"fabric8x20":   fabricNet(t, 8, 20),
 	} {
-		var counts [2][2]int64
+		var counts [2][4]int64
 		for i, procs := range []int{1, 2} {
 			prev := runtime.GOMAXPROCS(procs)
 			ctx, tm := WithTimings(context.Background())
@@ -183,15 +191,18 @@ func TestThetaSearchEvaluatesFewPairs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			counts[i] = [2]int64{tm.ThetaPairs.Load(), tm.ThetaEvaluated.Load()}
+			counts[i] = [4]int64{tm.ThetaPairs.Load(), tm.ThetaEvaluated.Load(), tm.thetaCandidates.Load(), tm.thetaDeviations.Load()}
 		}
-		pairs, evaluated := counts[0][0], counts[0][1]
-		t.Logf("%s: %d of %d pairs evaluated", name, evaluated, pairs)
+		pairs, evaluated, candidates, deviations := counts[0][0], counts[0][1], counts[0][2], counts[0][3]
+		t.Logf("%s: %d of %d pairs evaluated, %d of %d candidates' deviations computed", name, evaluated, pairs, deviations, candidates)
 		if counts[1] != counts[0] {
-			t.Errorf("%s: pairs/evaluated %v under GOMAXPROCS=1, %v under 2", name, counts[0], counts[1])
+			t.Errorf("%s: pairs/evaluated/candidates/deviations %v under GOMAXPROCS=1, %v under 2", name, counts[0], counts[1])
 		}
 		if evaluated == 0 || evaluated*20 > pairs {
 			t.Errorf("%s: %d of %d pairs evaluated, want at most 1 in 20 (and some)", name, evaluated, pairs)
+		}
+		if deviations == 0 || deviations*3 > candidates {
+			t.Errorf("%s: %d of %d candidates' deviations computed, want at most 1 in 3 (and some)", name, deviations, candidates)
 		}
 	}
 }

@@ -27,6 +27,7 @@ import (
 type Arena struct {
 	pt  slab[Point]
 	f64 slab[float64]
+	fls slab[[]float64]
 	seg slab[SlopeSeg]
 	cur slab[Cursor]
 	cv  slab[Curve]
@@ -65,12 +66,13 @@ type slab[T any] struct {
 	off    int // used prefix of blocks[bi]
 }
 
-// arenaBlock is the minimum slab block length, in elements; gatedBlock
-// that of the GatedConvex slab, whose buffers are a handful of 56-byte
-// forms (a scan's branch set) where the others hold breakpoint runs.
+// arenaBlock is the minimum slab block length, in elements; smallBlock
+// that of the GatedConvex and slice-list slabs, whose buffers are a
+// handful of large elements (a scan's branch set of 56-byte forms, a
+// search's candidate lists) where the others hold breakpoint runs.
 const (
 	arenaBlock = 2048
-	gatedBlock = 128
+	smallBlock = 128
 )
 
 func (s *slab[T]) alloc(n int) []T { return s.allocBlock(n, arenaBlock) }
@@ -110,6 +112,7 @@ func (s *slab[T]) reset() { s.bi, s.off = 0, 0 }
 func (a *Arena) Reset() {
 	a.pt.reset()
 	a.f64.reset()
+	a.fls.reset()
 	a.seg.reset()
 	a.cur.reset()
 	a.cv.reset()
@@ -226,7 +229,7 @@ func (a *Arena) Gated(n int) []GatedConvex {
 	if a == nil {
 		return make([]GatedConvex, 0, n)
 	}
-	return a.gc.allocBlock(n, gatedBlock)
+	return a.gc.allocBlock(n, smallBlock)
 }
 
 // Floats returns an empty float64 buffer with the given capacity, for
@@ -234,6 +237,17 @@ func (a *Arena) Gated(n int) []GatedConvex {
 // without a heap allocation per call. The buffer obeys the arena
 // lifetime rules. Note that arena memory is not zeroed.
 func (a *Arena) Floats(n int) []float64 { return a.floats(n) }
+
+// FloatSlices returns an empty []float64 buffer with the given capacity,
+// for callers assembling lists of scalar lists (a search's per-position
+// candidates) without a heap allocation per call. The buffer obeys the
+// arena lifetime rules.
+func (a *Arena) FloatSlices(n int) [][]float64 {
+	if a == nil {
+		return make([][]float64, 0, n)
+	}
+	return a.fls.allocBlock(n, smallBlock)
+}
 
 // Clone copies a curve's breakpoints to the heap, detaching it from any
 // arena it was built in. Use it to keep a result past Reset/Release.

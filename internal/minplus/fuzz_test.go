@@ -28,7 +28,8 @@ func fuzzCurve(data []byte) *Curve {
 // FuzzAlgebra checks structural invariants of the core operations on
 // arbitrary generated curves: no panics, monotonicity preservation, the
 // defining inequalities of min/convolution, and the residual service
-// curve's (checkResidual) at theta 0 and at a theta drawn from the input.
+// curve's (checkResidual, with its deviation floor) at theta 0 and at a
+// theta drawn from the input.
 // The seed corpus runs in the normal test suite; `go test -fuzz
 // FuzzAlgebra ./internal/minplus` explores further.
 func FuzzAlgebra(f *testing.F) {
@@ -118,13 +119,33 @@ func checkSub(t *testing.T, f, g Curve) {
 	}
 }
 
+// checkDeviationFloor holds DeviationFloor(alpha, g) at or below
+// HorizontalDeviation(alpha, chi), chi the curve of g with its gate
+// stripped, and at or above 0; it returns the floor.
+func checkDeviationFloor(t *testing.T, alpha Curve, g GatedConvex, chi Curve) float64 {
+	t.Helper()
+	floor, hd := DeviationFloor(alpha, g), HorizontalDeviation(alpha, chi)
+	if !(floor >= 0 && floor <= hd) {
+		t.Fatalf("DeviationFloor %v, deviation %v (alpha=%v chi=%v form=%+v)", floor, hd, alpha, chi, g)
+	}
+	return floor
+}
+
 // checkResidual holds Arena.Residual(beta, cross, theta) to its definition:
 // non-decreasing, zero on [0, theta], and past theta never above the
 // clipped difference [beta(t) - cross(t - theta)]^+, value and right
-// limit, at every operand breakpoint and on a grid.
+// limit, at every operand breakpoint and on a grid; and, where the
+// residual is gated-convex, its DeviationFloor against beta and cross as
+// aggregates to the deviation of the residual with its gate stripped.
 func checkResidual(t *testing.T, beta, cross Curve, theta float64) {
 	t.Helper()
-	r := NewArena().Residual(beta, cross, theta)
+	ar := NewArena()
+	r := ar.Residual(beta, cross, theta)
+	if g, ok := ar.DecomposeGatedConvex(r); ok {
+		chi := ar.ShiftLeft(r, g.Gate)
+		checkDeviationFloor(t, beta, g, chi)
+		checkDeviationFloor(t, cross, g, chi)
+	}
 	if !r.IsNonDecreasing() {
 		t.Fatalf("Residual(theta=%g) not monotone: %v (beta=%v cross=%v)", theta, r, beta, cross)
 	}

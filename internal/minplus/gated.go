@@ -80,6 +80,47 @@ func decomposeGatedConvex(ar *Arena, f Curve) (GatedConvex, bool) {
 	return g, true
 }
 
+// floorMargin is the relative margin DeviationFloor gives up to rounding:
+// the floor and the deviation it bounds are computed along different
+// paths, each with a few roundings of relative size 2^-52.
+const floorMargin = 1e-6
+
+// DeviationFloor returns a lower bound of HorizontalDeviation(alpha, chi),
+// chi the curve of g with its gate stripped (ConvexPartCurve(g), or
+// ShiftLeft by g.Gate of the curve g decomposes), from g's jump and slopes
+// alone, in one pass over alpha's breakpoints and without building chi.
+// For u > 0, chi(u) = Jump + psi(u) with psi(0) = 0 and no slope above S,
+// the largest of Tail and the segment slopes (Tail itself for a convex
+// psi; the decomposition tolerates slope dips of Eps), so
+// chi(u) <= Jump + S*u, and reaching alpha(t) takes chi at least until
+// (alpha(t) - Jump)/S:
+//
+//	h(alpha, chi) >= max(0, max over alpha's breakpoints (x, y) of (y - Jump)/S - x).
+//
+// HorizontalDeviation probes every breakpoint of a normalized alpha, both
+// sides of a jump, and takes chi's pseudo-inverse with the tolerance of
+// almostEqual, and chi(0) may sit up to Eps above 0 (the decomposition's
+// zero test); each term gives up floorMargin of its two parts and
+// 2*Eps*(1 + y) of y for those, so the floor stays at or below the
+// computed deviation, not just the exact one. A chi of final slope at
+// most Eps bounds nothing here: the floor is 0.
+func DeviationFloor(alpha Curve, g GatedConvex) float64 {
+	alpha.mustValid()
+	if !(g.Tail > Eps) {
+		return 0
+	}
+	s := g.Tail
+	for _, seg := range g.Segs {
+		s = math.Max(s, seg.Slope)
+	}
+	floor := 0.0
+	for _, p := range alpha.pts {
+		d := ((1-floorMargin)*(p.Y-g.Jump)-2*Eps*(1+p.Y))/s - (1+floorMargin)*p.X
+		floor = math.Max(floor, d)
+	}
+	return floor
+}
+
 // Curve reconstructs the curve described by the canonical form.
 func (g GatedConvex) Curve() Curve {
 	pts := make([]Point, 0, len(g.Segs)+3)

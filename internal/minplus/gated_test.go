@@ -92,6 +92,75 @@ func TestConvolveGatedFallback(t *testing.T) {
 	}
 }
 
+// TestDeviationFloorIsAFloor holds DeviationFloor at or below the
+// deviation it bounds, as HorizontalDeviation computes it, bit for bit:
+// unrounded gated-convex forms (against their ConvexPartCurve) and the
+// residuals of Arena.Residual at random theta, decomposed (against the
+// residual shifted by its gate, as the theta search strips it), each
+// against random aggregates — jumps at 0, several breakpoints, final
+// slopes below and above the form's tail — and against aggregates whose
+// burst sits on one of the form's ordinates or within its tolerance
+// (checkDeviationFloor). The floor must also be positive often enough to
+// rule something out.
+func TestDeviationFloorIsAFloor(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	ar := NewArena()
+	checked, positive := 0, 0
+	for trial := 0; trial < 2000; trial++ {
+		ar.Reset()
+		var g GatedConvex
+		var chi Curve
+		if trial%2 == 0 {
+			g = GatedConvex{Jump: rng.Float64() * 3 * float64(rng.Intn(2))}
+			slope := rng.Float64()
+			for n := rng.Intn(4); n > 0; n-- {
+				g.Segs = append(g.Segs, SlopeSeg{Len: 0.1 + 2*rng.Float64(), Slope: slope})
+				slope += rng.Float64()
+			}
+			g.Tail = slope
+			chi = ar.ConvexPartCurve(g)
+		} else {
+			capacity := 0.5 + 1.5*rng.Float64()
+			beta := Rate(capacity)
+			if rng.Intn(2) == 0 {
+				beta = RateLatency(capacity, 2*rng.Float64())
+			}
+			cross := TokenBucket(3*rng.Float64(), capacity*(0.1+0.8*rng.Float64()))
+			for n := rng.Intn(3); n > 0; n-- {
+				cross = Min(cross, TokenBucket(cross.EvalRight(0)*(0.2+0.6*rng.Float64()), cross.FinalSlope()*(1.5+2*rng.Float64())))
+			}
+			res := ar.Residual(beta, cross, 4*rng.Float64()*float64(rng.Intn(2)))
+			var ok bool
+			if g, ok = ar.DecomposeGatedConvex(res); !ok {
+				t.Fatalf("trial %d: residual %v is not gated-convex", trial, res)
+			}
+			chi = ar.ShiftLeft(res, g.Gate)
+		}
+		alphas := []Curve{
+			genCurve(rng),
+			TokenBucket(3*rng.Float64(), g.Tail*(0.2+rng.Float64())),
+			Add(TokenBucketCapped(2*rng.Float64(), g.Tail*0.3*rng.Float64(), 1+rng.Float64()), TokenBucket(rng.Float64(), g.Tail*0.5*rng.Float64())),
+		}
+		for _, p := range chi.Points() {
+			if p.Y > 0 {
+				for _, rel := range []float64{0, 1e-12, 1e-10, 9e-10, -1e-10} {
+					alphas = append(alphas, TokenBucket(p.Y*(1+rel), g.Tail*0.5))
+				}
+			}
+		}
+		for _, alpha := range alphas {
+			if checkDeviationFloor(t, alpha, g, chi) > 0 {
+				positive++
+			}
+			checked++
+		}
+	}
+	t.Logf("floor positive on %d of %d pairs", positive, checked)
+	if positive*4 < checked {
+		t.Errorf("floor positive on %d of %d pairs: the test no longer exercises the bound", positive, checked)
+	}
+}
+
 func BenchmarkConvolveGated(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	fs := make([]Curve, 16)
