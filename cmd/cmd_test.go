@@ -47,11 +47,19 @@ func run(t *testing.T, wantOK bool, tool string, args ...string) string {
 	return string(out)
 }
 
+// TestDelaycalcTandem holds the whole -stages -backlogs report on the
+// paper's three-switch tandem at 70% load, byte for byte, to
+// testdata/delaycalc-tandem3-<algo>.txt for the three FIFO analyzers: every
+// bound, every stage with the servers it covers, every buffer bound.
 func TestDelaycalcTandem(t *testing.T) {
-	out := run(t, true, "delaycalc", "-tandem", "3", "-load", "0.7", "-stages", "-backlogs")
-	for _, want := range []string{"algorithm: Integrated", "conn0", "servers [0 1]", "buffer bound"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
+	for _, algo := range []string{"integrated", "decomposed", "servicecurve"} {
+		out := run(t, true, "delaycalc", "-tandem", "3", "-load", "0.7", "-stages", "-backlogs", "-algo", algo)
+		golden, err := os.ReadFile(filepath.Join("testdata", "delaycalc-tandem3-"+algo+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != string(golden) {
+			t.Errorf("%s: report differs from testdata:\n got:\n%s\nwant:\n%s", algo, out, golden)
 		}
 	}
 }

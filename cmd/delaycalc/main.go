@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 
+	"delaycalc/internal/analysis"
 	"delaycalc/internal/cliutil"
 	"delaycalc/internal/service"
 )
@@ -43,8 +44,19 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	res, err := a.Analyze(net)
-	if err != nil {
+	// Only a baseline keeps the per-stage breakdown; its result is the
+	// same analysis's, bit for bit.
+	var (
+		res       *analysis.Result
+		breakdown [][]analysis.Stage
+	)
+	if *stages {
+		b, err := a.NewBaseline(net)
+		if err != nil {
+			fatal(err)
+		}
+		res, breakdown = b.Result(), b.Stages()
+	} else if res, err = a.Analyze(net); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("algorithm: %s\n", res.Algorithm)
@@ -65,7 +77,7 @@ func main() {
 		}
 		fmt.Printf("%-12s %-8d %12.6g %10s\n", name, len(c.Path), res.Bound(i), deadline)
 		if *stages {
-			for _, st := range res.Stages[i] {
+			for _, st := range breakdown[i] {
 				fmt.Printf("    servers %v: %.6g\n", st.Servers, st.Delay)
 			}
 		}

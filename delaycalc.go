@@ -74,9 +74,10 @@ const (
 type (
 	// Analyzer computes per-connection end-to-end delay bounds.
 	Analyzer = analysis.Analyzer
-	// Result holds the bounds and per-stage breakdown of one analysis.
+	// Result holds the delay and buffer bounds of one analysis.
 	Result = analysis.Result
-	// Stage is one subnetwork's contribution to a bound.
+	// Stage is one subnetwork's contribution to a bound; a baseline of the
+	// analysis (Analyzer.NewBaseline) lists them with its Stages method.
 	Stage = analysis.Stage
 )
 

@@ -35,10 +35,13 @@ func main() {
 	}
 
 	// The integrated analysis also breaks the bound into its two-server
-	// subnetwork contributions.
-	res, _ := delaycalc.NewIntegrated().Analyze(net)
+	// subnetwork contributions, which a baseline of the same run keeps.
+	b, err := delaycalc.NewIntegrated().NewBaseline(net)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\nintegrated per-subnetwork breakdown for conn0:")
-	for _, st := range res.Stages[0] {
+	for _, st := range b.Stages()[0] {
 		fmt.Printf("  servers %v contribute %.4f\n", st.Servers, st.Delay)
 	}
 }

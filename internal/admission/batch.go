@@ -2,14 +2,14 @@
 //
 // ShardedEngine.ApplyBatch (shard_batch.go) plans an envelope into per-shard
 // sub-batches; a shard's applyBatch evaluates its sub-batch against a
-// private working state — precheck, affected-set scoping, unit-trace
-// extension or shrink, decision — and installs all its mutations with ONE
-// version-checked snapshot swap at the end. A pinned snapshot's test runs
-// the same per-candidate step and commits nothing. A single admit, release
-// or test is an envelope of one. A 50-op envelope pays one commit per shard
-// instead of 50, and concurrent traffic can never observe (or interleave
-// with) a half-applied sub-batch: readers see a shard's set either entirely
-// before or entirely after it. Decisions are bit-identical to issuing the
+// private working state — precheck, unit-trace extension or shrink scoped
+// to the change's interference closure, decision — and installs all its
+// mutations with ONE version-checked snapshot swap at the end. A pinned
+// snapshot's test runs the same per-candidate step and commits nothing. A
+// single admit, release or test is an envelope of one. A 50-op envelope
+// pays one commit per shard instead of 50, and concurrent traffic can never
+// observe (or interleave with) a half-applied sub-batch: readers see a
+// shard's set either entirely before or entirely after it. Decisions are bit-identical to issuing the
 // operations as N envelopes of one against an otherwise idle engine, and to
 // Controller's full re-analysis; the differential tests pin both over
 // random networks and the churn corpus.
@@ -61,9 +61,10 @@ type ReleaseInfo struct {
 	// unit-trace replay), false when the release dropped it and the next
 	// incremental test rebuilds it.
 	Incremental bool
-	// Affected is the number of surviving connections inside the removed
-	// connection's interference closure (-1 when the release did not
-	// shrink, so nothing was scoped).
+	// Affected is the number of surviving connections the shrink
+	// re-analyzed, the removed connection's interference closure over the
+	// analyzer's units (analysis.ExtendStats.Affected); -1 when the release
+	// did not shrink, so nothing was scoped.
 	Affected int
 }
 
@@ -242,7 +243,7 @@ func (st *batchState) admit(ts trialSet) {
 }
 
 // admitStep is THE admission test — the one implementation of precheck ->
-// validation -> stability -> affected set -> extend -> evaluate, run by
+// validation -> stability -> extend -> evaluate, run by
 // applyBatch against the accumulating working state and by a dry run
 // against a pinned snapshot's. It never advances st: the caller applies
 // st.admit on an accepted live candidate. It returns the decision plus the
@@ -288,8 +289,6 @@ func (sh *shard) admitStep(ctx context.Context, snap *snapshot, st *batchState, 
 		return Decision{Code: CodeUnstable, Reason: "network would be unstable"}, trialSet{}, nil
 	}
 	if snap != nil {
-		affected, _ := AffectedSet(len(se.servers), st.admitted, cand)
-		se.observeAffected(len(affected))
 		if tr == nil && !analysis.Expired(ctx) {
 			if base, err := st.ensureBaseline(sh, snap); err == nil {
 				// Validated above, so this cannot fail.
@@ -300,6 +299,7 @@ func (sh *shard) admitStep(ctx context.Context, snap *snapshot, st *batchState, 
 			ext, err := tr.Run(ctx)
 			if err == nil {
 				sh.incTests.Add(1)
+				se.observeAffected(ext.Stats.Affected)
 				conns := tr.Network().Connections
 				d := evaluate(conns, ext.Bounds())
 				if analysis.Degraded(ctx) {
@@ -358,9 +358,8 @@ func (sh *shard) releaseStep(ctx context.Context, st *batchState, name string, s
 		}
 		if err == nil && !analysis.Degraded(ctx) {
 			shrunk = ext.Promote()
-			affected, _ := AffectedSet(len(sh.se.servers), shrunk.Conns(), st.admitted[idx])
-			info = ReleaseInfo{Incremental: true, Affected: len(affected)}
-			sh.se.observeAffected(len(affected))
+			info = ReleaseInfo{Incremental: true, Affected: ext.Stats.Affected}
+			sh.se.observeAffected(ext.Stats.Affected)
 		}
 	}
 	if shrunk != nil {

@@ -39,8 +39,10 @@ func IsCanceled(err error) bool {
 //
 // It returns the indices (into admitted) of affected connections, in
 // increasing order, and the set of tainted servers. The closure is the
-// conceptual affected set the incremental analysis may re-analyze; the
-// engine reports its size in the affected-set histogram.
+// conceptual affected set the incremental analysis may re-analyze, per
+// server; the engine's affected-set histogram reports what the analysis
+// itself counted over its units (analysis.ExtendStats.Affected), which for
+// one-server units is the same set.
 func AffectedSet(nServers int, admitted []topo.Connection, cand topo.Connection) (conns []int, tainted []bool) {
 	tainted = make([]bool, nServers)
 	for _, s := range cand.Path {

@@ -405,3 +405,59 @@ func TestAffectedBucketBoundsIsACopy(t *testing.T) {
 		t.Fatal("AffectedBucketBounds leaked the internal slice")
 	}
 }
+
+// TestAffectedHistogramReadsTheRun pins what the affected-set histogram
+// observes: how many admitted connections each incremental test or shrink
+// re-analyzed, as the analysis counted them while it ran. Under
+// Decomposed's one-server units that is AffectedSet's closure, admit by
+// admit and for a release's survivors; a test on the full path observes
+// nothing.
+func TestAffectedHistogramReadsTheRun(t *testing.T) {
+	net := corpusNet(t, server.FIFO, 6, 9, 0.6, 3)
+	for i := range net.Connections {
+		net.Connections[i].Deadline = 100
+	}
+	eng := newEngine(t, net.Servers, analysis.Decomposed{}, 1)
+	full := newEngine(t, net.Servers, fullOnly{analysis.Decomposed{}}, 1)
+	var (
+		admitted    []topo.Connection
+		tests, want uint64
+	)
+	for _, c := range net.Connections {
+		affected, _ := AffectedSet(len(net.Servers), admitted, c)
+		d, err := eng.Admit(bg, c)
+		if err != nil {
+			t.Fatalf("admit %s: %v", c.Name, err)
+		}
+		if d.Code != CodeUnstable {
+			tests++
+			want += uint64(len(affected))
+		}
+		if d.Admitted {
+			admitted = append(admitted, c)
+		}
+		if _, err := full.Admit(bg, c); err != nil {
+			t.Fatalf("full-path admit %s: %v", c.Name, err)
+		}
+	}
+	if len(admitted) < 2 || want == 0 {
+		t.Fatalf("%d connections admitted, %d re-analyzed: the corpus exercises nothing", len(admitted), want)
+	}
+	if st := eng.Stats(); st.AffectedCount != tests || st.AffectedSum != want {
+		t.Errorf("histogram holds %d tests summing %d, want %d summing %d", st.AffectedCount, st.AffectedSum, tests, want)
+	}
+	if st := full.Stats(); st.AffectedCount != 0 {
+		t.Errorf("full-path tests observed %d affected sets, want none", st.AffectedCount)
+	}
+	affected, _ := AffectedSet(len(net.Servers), admitted[1:], admitted[0])
+	info, ok, err := eng.Release(bg, admitted[0].Name)
+	if err != nil || !ok {
+		t.Fatalf("release %s: ok=%v err=%v", admitted[0].Name, ok, err)
+	}
+	if want := (ReleaseInfo{Incremental: true, Affected: len(affected)}); info != want {
+		t.Errorf("release reported %+v, want %+v", info, want)
+	}
+	if st := eng.Stats(); st.AffectedCount != tests+1 {
+		t.Errorf("histogram holds %d operations after the release, want %d", st.AffectedCount, tests+1)
+	}
+}

@@ -23,11 +23,13 @@
 // from a service curve.
 //
 // All analyzers consume a topo.Network and produce per-connection
-// end-to-end delay bounds plus a per-stage breakdown. All four run on one
-// driver (Baseline.run), so every one of them is cancellable and
-// incremental: the two network-curve analyses are its decomposed run plus
-// a finish over the completed run. One interface, Analyzer, says so: Name,
-// Analyze, AnalyzeContext and NewBaseline.
+// end-to-end delay bounds and per-server buffer bounds; a baseline of the
+// same run also breaks each bound into its per-stage contributions
+// (Baseline.Stages). All four run on one driver (Baseline.run), so every one
+// of them is cancellable and incremental: the two network-curve analyses
+// are its decomposed run plus a finish over the completed run. One
+// interface, Analyzer, says so: Name, Analyze, AnalyzeContext and
+// NewBaseline.
 package analysis
 
 import (
@@ -44,7 +46,8 @@ import (
 	"delaycalc/internal/topo"
 )
 
-// Stage records one step of a connection's per-stage delay breakdown.
+// Stage records one step of a connection's per-stage delay breakdown
+// (Baseline.Stages).
 type Stage struct {
 	// Servers lists the server indices of the subnetwork this stage
 	// covers (one server for decomposition, up to ChainLength consecutive
@@ -62,8 +65,6 @@ type Result struct {
 	// like Network.Connections. +Inf marks an unstable or unanalyzable
 	// connection.
 	Bounds []float64
-	// Stages breaks each bound into per-subnetwork contributions.
-	Stages [][]Stage
 	// Backlogs holds one worst-case buffer occupancy bound per server
 	// (in bits), indexed like Network.Servers: the vertical deviation
 	// between the server's aggregate input envelope and its service
@@ -127,7 +128,6 @@ var _ = []Analyzer{Decomposed{}, Integrated{}, ServiceCurve{}, GuaranteedRateNet
 func allInf(name string, net *topo.Network) *Result {
 	r := &Result{Algorithm: name}
 	r.Bounds = make([]float64, len(net.Connections))
-	r.Stages = make([][]Stage, len(net.Connections))
 	for i := range r.Bounds {
 		r.Bounds[i] = math.Inf(1)
 	}
@@ -140,8 +140,7 @@ func allInf(name string, net *topo.Network) *Result {
 type propagation struct {
 	env     []minplus.Curve
 	delay   []float64
-	next    []int // index into Connection.Path of the next unprocessed hop
-	stage   [][]Stage
+	next    []int     // index into Connection.Path of the next unprocessed hop
 	backlog []float64 // per-server buffer bound, filled as servers are seen
 	// shift recycles each connection's envelope storage across the
 	// per-subnetwork ShiftLefts: only the latest envelope (and its
@@ -158,32 +157,16 @@ type propagation struct {
 }
 
 // newPropagation is the propagation of a run nobody keeps: every
-// connection starts on its source envelope, shifts in a slot of its own in
-// a shift pool, and collects its stages in a list of its own. It reads
-// only the connections, so a run sets it up beside its partition
-// (Baseline.run).
+// connection starts on its source envelope and shifts in a slot of its own
+// in a shift pool, sized to its source envelope, since a shift never
+// lengthens a curve (minplus.ShiftPool.ShiftLeft). It reads only the
+// connections, so a run sets it up beside its partition (Baseline.run).
 func newPropagation(net *topo.Network) *propagation {
 	p := &propagation{
 		env:     make([]minplus.Curve, len(net.Connections)),
 		delay:   make([]float64, len(net.Connections)),
 		next:    make([]int, len(net.Connections)),
-		stage:   make([][]Stage, len(net.Connections)),
 		backlog: make([]float64, len(net.Servers)),
-	}
-	// A connection accrues at most one stage per hop: one flat slab backs
-	// every stage list, fixed-capacity sub-sliced so concurrent chains
-	// append into disjoint ranges. Each envelope shifts in a slot of the
-	// shift pool sized to its source envelope, since a shift never
-	// lengthens a curve (minplus.ShiftPool.ShiftLeft).
-	totalHops := 0
-	for _, c := range net.Connections {
-		totalHops += len(c.Path)
-	}
-	stageSlab := make([]Stage, 0, totalHops)
-	for i, c := range net.Connections {
-		n := len(stageSlab)
-		stageSlab = stageSlab[:n+len(c.Path)]
-		p.stage[i] = stageSlab[n : n : n+len(c.Path)]
 	}
 	for i, c := range net.Connections {
 		p.env[i] = c.SourceEnvelope()
@@ -207,14 +190,14 @@ var tracedScratchPool = sync.Pool{New: func() any { return new(tracedScratch) }}
 
 // newTracedPropagation is newPropagation for a run that is kept (a baseline
 // build or trial, or the Decomposed run ServiceCurve reads), which records
-// the state after every unit it computes (recordUnit). It has no shift pool
-// and no stage lists: each advance shifts the connection's envelope in the
-// stepping worker's arena and notes the step in the connection's slot, and
-// the worker's recordUnit copies what the unit left into the trace before
-// the arena is reset. Stage lists are assembled from the traces only when a
-// result is exported (Baseline.stages). src holds the connections' source
-// envelopes; they are only ever replaced, never written through. sc must
-// not return to its pool before the run is over.
+// the state after every unit it computes (recordUnit). It has no shift pool:
+// each advance shifts the connection's envelope in the stepping worker's
+// arena and notes the step in the connection's slot, and the worker's
+// recordUnit copies what the unit left into the trace before the arena is
+// reset. Stage lists are assembled from the traces only when a caller asks
+// for them (Baseline.Stages). src holds the connections' source envelopes;
+// they are only ever replaced, never written through. sc must not return
+// to its pool before the run is over.
 func newTracedPropagation(net *topo.Network, src []minplus.Curve, sc *tracedScratch) *propagation {
 	sc.env = grow(sc.env, len(src))
 	copy(sc.env, src)
@@ -239,19 +222,17 @@ func grow[T any](s []T, n int) []T {
 	return slices.Grow(s[:0], n)[:n]
 }
 
-// advance records that connection c crossed nHops hops, the servers of its
-// stage, with delay bound d. It reports false when d is infinite, in which
-// case no finite envelope can be propagated and the caller must abandon the
-// analysis (the whole result degrades to +Inf, since downstream
-// cross-traffic envelopes would be unknown). An untraced propagation keeps
-// the stage, whose servers alias the unit's tuple: its run derived the
-// partition itself, and nothing else reads it. A traced propagation shifts
-// the envelope in ar, the stepping worker's arena, and keeps no stage:
+// advance records that connection c crossed nHops hops with delay bound d.
+// It reports false when d is infinite, in which case no finite envelope can
+// be propagated and the caller must abandon the analysis (the whole result
+// degrades to +Inf, since downstream cross-traffic envelopes would be
+// unknown). An untraced propagation shifts the envelope in its own slot of
+// the shift pool. A traced one shifts it in ar, the stepping worker's arena:
 // recordUnit copies the envelope out and the step slot says what the stage
 // was. The shift is the arena's shared one: the members of a class or run
 // that entered on one envelope take one delay, so they leave on one curve,
 // which recordUnit copies once.
-func (p *propagation) advance(c int, servers []int, d float64, nHops int, ar *minplus.Arena) bool {
+func (p *propagation) advance(c int, d float64, nHops int, ar *minplus.Arena) bool {
 	if math.IsInf(d, 1) {
 		return false
 	}
@@ -263,13 +244,12 @@ func (p *propagation) advance(c int, servers []int, d float64, nHops int, ar *mi
 		return true
 	}
 	p.env[c] = p.shift.ShiftLeft(c, p.env[c], d)
-	p.stage[c] = append(p.stage[c], Stage{Servers: servers, Delay: d})
 	return true
 }
 
 // result packages the accumulated state.
 func (p *propagation) result(name string) *Result {
-	return &Result{Algorithm: name, Bounds: p.delay, Stages: p.stage, Backlogs: p.backlog}
+	return &Result{Algorithm: name, Bounds: p.delay, Backlogs: p.backlog}
 }
 
 // recordBacklog stores the buffer bound of server s computed from its

@@ -83,15 +83,12 @@ func TestClosedFormTandemFirstTwoHops(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := (Decomposed{}).Analyze(net)
-		if err != nil {
-			t.Fatal(err)
-		}
+		stages := stagesOf(t, Decomposed{}, net)
 		rho := u / 4
 		wantE1 := tandemFirstHopDelay(1, rho, 1)
 		wantE2 := tandemSecondHopDelay(1, rho, 1)
-		gotE1 := res.Stages[0][0].Delay
-		gotE2 := res.Stages[0][1].Delay
+		gotE1 := stages[0][0].Delay
+		gotE2 := stages[0][1].Delay
 		if math.Abs(gotE1-wantE1) > 1e-9 {
 			t.Errorf("U=%g: E1 analyzer %g vs closed form %g", u, gotE1, wantE1)
 		}

@@ -127,7 +127,7 @@ func decomposedServerStep(_ context.Context, net *topo.Network, idx [][]int, uni
 			if srv.Discipline == server.EDF {
 				local, _ = localDeadline(net, c) // its error returned by deadlineSum
 			}
-			if !p.advance(c, unit, local+h+lat, 1, ar) {
+			if !p.advance(c, local+h+lat, 1, ar) {
 				return false, nil
 			}
 		}

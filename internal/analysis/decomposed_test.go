@@ -99,16 +99,17 @@ func TestDecomposedStagesSumToBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stages := stagesOf(t, Decomposed{}, net)
 	for i, c := range net.Connections {
 		sum := 0.0
-		for _, st := range res.Stages[i] {
+		for _, st := range stages[i] {
 			sum += st.Delay
 		}
 		if math.Abs(sum-res.Bound(i)) > 1e-9 {
 			t.Errorf("connection %d: stages sum %g != bound %g", i, sum, res.Bound(i))
 		}
-		if len(res.Stages[i]) != len(c.Path) {
-			t.Errorf("connection %d: %d stages for %d hops", i, len(res.Stages[i]), len(c.Path))
+		if len(stages[i]) != len(c.Path) {
+			t.Errorf("connection %d: %d stages for %d hops", i, len(stages[i]), len(c.Path))
 		}
 	}
 }

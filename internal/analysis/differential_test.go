@@ -28,9 +28,8 @@ func boundsClose(a, b float64) bool {
 	return diff <= 1e-9*math.Max(scale, 1)
 }
 
-// checkResultsClose fails the test unless two results agree on every bound,
-// stage delay, and backlog up to boundsClose, and exactly on the servers
-// every stage covers.
+// checkResultsClose fails the test unless two results agree on every bound
+// and backlog up to boundsClose.
 func checkResultsClose(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if len(got.Bounds) != len(want.Bounds) {
@@ -41,27 +40,46 @@ func checkResultsClose(t *testing.T, label string, got, want *Result) {
 			t.Errorf("%s: conn %d bound %v, reference %v", label, i, got.Bounds[i], want.Bounds[i])
 		}
 	}
-	for i := range got.Stages {
-		if len(got.Stages[i]) != len(want.Stages[i]) {
-			t.Errorf("%s: conn %d has %d stages, reference %d", label, i, len(got.Stages[i]), len(want.Stages[i]))
-			continue
-		}
-		for j := range got.Stages[i] {
-			if !boundsClose(got.Stages[i][j].Delay, want.Stages[i][j].Delay) {
-				t.Errorf("%s: conn %d stage %d delay %v, reference %v",
-					label, i, j, got.Stages[i][j].Delay, want.Stages[i][j].Delay)
-			}
-			if !slices.Equal(got.Stages[i][j].Servers, want.Stages[i][j].Servers) {
-				t.Errorf("%s: conn %d stage %d covers servers %v, reference %v",
-					label, i, j, got.Stages[i][j].Servers, want.Stages[i][j].Servers)
-			}
-		}
-	}
 	for s := range got.Backlogs {
 		if !boundsClose(got.Backlogs[s], want.Backlogs[s]) {
 			t.Errorf("%s: server %d backlog %v, reference %v", label, s, got.Backlogs[s], want.Backlogs[s])
 		}
 	}
+}
+
+// checkStagesClose fails the test unless two breakdowns agree on every
+// stage delay up to boundsClose, and exactly on the servers every stage
+// covers.
+func checkStagesClose(t *testing.T, label string, got, want [][]Stage) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d stage lists, reference has %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if len(got[i]) != len(want[i]) {
+			t.Errorf("%s: conn %d has %d stages, reference %d", label, i, len(got[i]), len(want[i]))
+			continue
+		}
+		for j := range got[i] {
+			if !boundsClose(got[i][j].Delay, want[i][j].Delay) {
+				t.Errorf("%s: conn %d stage %d delay %v, reference %v", label, i, j, got[i][j].Delay, want[i][j].Delay)
+			}
+			if !slices.Equal(got[i][j].Servers, want[i][j].Servers) {
+				t.Errorf("%s: conn %d stage %d covers servers %v, reference %v", label, i, j, got[i][j].Servers, want[i][j].Servers)
+			}
+		}
+	}
+}
+
+// stagesOf builds a's baseline of net and returns its per-stage breakdown,
+// failing the test if the analysis does.
+func stagesOf(t testing.TB, a Analyzer, net *topo.Network) [][]Stage {
+	t.Helper()
+	b, err := a.NewBaseline(net)
+	if err != nil {
+		t.Fatalf("%s baseline: %v", a.Name(), err)
+	}
+	return b.Stages()
 }
 
 // differentialCorpus returns the randomized networks the engine and the
@@ -112,6 +130,7 @@ func TestParallelAnalyzeDeterministic(t *testing.T) {
 		gr[name] = grified(net)
 	}
 	oneCore := map[string]*Result{}
+	oneCoreStages := map[string][][]Stage{}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
@@ -138,9 +157,10 @@ func TestParallelAnalyzeDeterministic(t *testing.T) {
 				}
 				requireSameResult(t, label+": Analyze vs NewBaseline", res, b.Result())
 				if procs == 1 {
-					oneCore[key] = res
+					oneCore[key], oneCoreStages[key] = res, b.Stages()
 				} else {
 					requireSameResult(t, label+": against one core", oneCore[key], res)
+					requireSameStages(t, label+": stages against one core", oneCoreStages[key], b.Stages())
 				}
 			}
 		}

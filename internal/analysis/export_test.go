@@ -10,6 +10,8 @@ var (
 	FabricNet          = fabricNet
 	SingleServerNet    = singleServerNet
 	CheckResultsClose  = checkResultsClose
+	CheckStagesClose   = checkStagesClose
+	StagesOf           = stagesOf
 	AnalyzeAllocs      = analyzeAllocs
 	RaceBuild          = raceBuild
 

@@ -73,6 +73,8 @@ type core struct {
 	finish func(ctx context.Context, b *Baseline) (*Result, error)
 	// traced keeps the unit traces, the envelopes that entered every unit,
 	// on a run nobody keeps too, for a finish that reads them (entryEnv).
+	// Such a finish cannot bound a degraded run, which therefore has no
+	// stage (Baseline.Stages).
 	traced bool
 }
 
@@ -147,7 +149,7 @@ func (u unitSpec) crossing(idx [][]int, yield func(c int)) {
 // route it covered, and the envelope the connection left it with. A replay
 // adds delay and hops to the connection's running totals, which repeats
 // the recording run's additions in the same order (see Baseline.run), and
-// the stage is rebuilt on export from the route (Baseline.stages).
+// the stage is rebuilt on demand from the route (Baseline.Stages).
 type connTrace struct {
 	conn  int
 	hops  int
@@ -313,9 +315,7 @@ type Baseline struct {
 	levels [][]unitSpec
 	trace  []*unitTrace
 	// res is the normalized-internal result. Its Backlogs are the run's
-	// buffer bounds, which a trial replays for its clean units. A traced
-	// run leaves its Stages nil unless every bound is +Inf (allInf), and
-	// stages builds them.
+	// buffer bounds, which a trial replays for its clean units.
 	res *Result
 	// unstable marks a baseline whose own network is unstable or
 	// unbounded; a trial degenerates to all-Inf exactly like the full pass.
@@ -363,9 +363,6 @@ func analyzeOnce(ctx context.Context, c core, net *topo.Network) (*Result, error
 	b, _, err := analyze(ctx, c, net, c.traced)
 	if err != nil {
 		return nil, err
-	}
-	if b.res.Stages == nil {
-		b.res.Stages = b.stages()
 	}
 	return denormalizeBacklogs(b.res, b.scale), nil
 }
@@ -575,29 +572,31 @@ func (b *Baseline) traceOf(u unitSpec) *unitTrace {
 }
 
 // Result returns the baseline's full analysis result in the caller's
-// units. The returned slices are copies, the stages' server lists too.
+// units. The returned slices are copies.
 func (b *Baseline) Result() *Result {
 	out := &Result{
 		Algorithm: b.res.Algorithm,
 		Bounds:    slices.Clone(b.res.Bounds),
-		Stages:    b.stages(),
 		Backlogs:  slices.Clone(b.res.Backlogs),
 	}
 	return denormalizeBacklogs(out, b.scale)
 }
 
-// stages builds the per-stage breakdown of a traced run, in fresh storage
-// every time: no stage at all when every bound is +Inf (allInf), one stage
-// over the whole route under a network-curve finish, and otherwise, for
-// every unit in order, each crossing connection's recorded delay over the
-// run of the unit's servers it crossed. Units run in an order consistent
-// with every route, so each connection's stages come out in route order.
-// One slab holds the stages, at most one per hop, and one a copy of every
+// Stages breaks every bound of the baseline's result into its per-stage
+// contributions, indexed like Result's Bounds, in fresh storage on every
+// call. A run that degraded to +Inf has no stage at all, unless the
+// analyzer's finish bounds every route without the run's traces (the
+// guaranteed-rate network curve). Under a network-curve finish each
+// connection has one stage over its whole route. Otherwise, for every unit
+// in order, each crossing connection has its recorded delay over the run of
+// the unit's servers it crossed; units run in an order consistent with
+// every route, so each connection's stages come out in route order. One
+// slab holds the stages, at most one per hop, and one a copy of every
 // unit's servers, which the stages of its crossing connections share.
-func (b *Baseline) stages() [][]Stage {
+func (b *Baseline) Stages() [][]Stage {
 	conns := b.norm.Connections
 	out := make([][]Stage, len(conns))
-	if b.res.Stages != nil {
+	if b.unstable && (b.core.finish == nil || b.core.traced) {
 		return out
 	}
 	hops := 0

@@ -3,6 +3,7 @@ package analysis
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -12,8 +13,7 @@ import (
 	"delaycalc/internal/traffic"
 )
 
-// requireSameResult asserts bit-identical bounds, stages (delays and the
-// servers each covers) and backlogs.
+// requireSameResult asserts bit-identical bounds and backlogs.
 func requireSameResult(t *testing.T, label string, full, incr *Result) {
 	t.Helper()
 	if full.Algorithm != incr.Algorithm {
@@ -27,25 +27,47 @@ func requireSameResult(t *testing.T, label string, full, incr *Result) {
 			t.Errorf("%s: bound %d: full %v incremental %v", label, i, full.Bounds[i], incr.Bounds[i])
 		}
 	}
-	for i := range full.Stages {
-		if len(full.Stages[i]) != len(incr.Stages[i]) {
-			t.Errorf("%s: conn %d: %d stages vs %d", label, i, len(full.Stages[i]), len(incr.Stages[i]))
-			continue
-		}
-		for j, st := range full.Stages[i] {
-			if st.Delay != incr.Stages[i][j].Delay {
-				t.Errorf("%s: conn %d stage %d: full %v incremental %v", label, i, j, st.Delay, incr.Stages[i][j].Delay)
-			}
-			if !slices.Equal(st.Servers, incr.Stages[i][j].Servers) {
-				t.Errorf("%s: conn %d stage %d: full covers servers %v, incremental %v", label, i, j, st.Servers, incr.Stages[i][j].Servers)
-			}
-		}
-	}
 	for s := range full.Backlogs {
 		if full.Backlog(s) != incr.Backlog(s) {
 			t.Errorf("%s: backlog %d: full %v incremental %v", label, s, full.Backlog(s), incr.Backlog(s))
 		}
 	}
+}
+
+// requireSameStages asserts bit-identical stage lists: every delay, and the
+// servers each stage covers.
+func requireSameStages(t *testing.T, label string, want, got [][]Stage) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d stage lists, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if len(want[i]) != len(got[i]) {
+			t.Errorf("%s: conn %d: %d stages, want %d", label, i, len(got[i]), len(want[i]))
+			continue
+		}
+		for j, st := range want[i] {
+			if math.Float64bits(st.Delay) != math.Float64bits(got[i][j].Delay) {
+				t.Errorf("%s: conn %d stage %d: delay %v, want %v", label, i, j, got[i][j].Delay, st.Delay)
+			}
+			if !slices.Equal(st.Servers, got[i][j].Servers) {
+				t.Errorf("%s: conn %d stage %d: covers servers %v, want %v", label, i, j, got[i][j].Servers, st.Servers)
+			}
+		}
+	}
+}
+
+// requireStagesOfFull asserts that a trial's baseline breaks its bounds
+// down exactly as a baseline of its network built from scratch does: the
+// trial replays its clean units' recorded delays and hop counts, and its
+// stages are rebuilt from them.
+func requireStagesOfFull(t *testing.T, label string, a Analyzer, net *topo.Network, trial *Baseline) {
+	t.Helper()
+	full, err := a.NewBaseline(net)
+	if err != nil {
+		t.Fatalf("%s: baseline from scratch: %v", label, err)
+	}
+	requireSameStages(t, label, full.Stages(), trial.Stages())
 }
 
 // extendAndCompare splits net into (all but last connection) + candidate,
@@ -71,6 +93,7 @@ func extendAndCompare(t *testing.T, label string, a Analyzer, net *topo.Network)
 		t.Fatalf("%s: full analyze: %v", label, err)
 	}
 	requireSameResult(t, label, full, ext.Result())
+	requireStagesOfFull(t, label, a, net, ext.Promote())
 	return ext
 }
 
@@ -221,14 +244,75 @@ func TestExtendUnstableTrial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Integrated{}.Analyze(&topo.Network{
+	trial := &topo.Network{
 		Servers:     net.Servers,
 		Connections: append(append([]topo.Connection(nil), net.Connections...), hog),
-	})
+	}
+	full, err := Integrated{}.Analyze(trial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameResult(t, "unstable", full, ext.Result())
+	requireStagesOfFull(t, "unstable", Integrated{}, trial, ext.Promote())
+}
+
+// TestStagesOfDegradedRuns pins which degraded runs still break their
+// bounds into stages. A finish that needs the run's traces (ServiceCurve's)
+// cannot bound a degraded run, so Decomposed, Integrated and ServiceCurve
+// have no stage on an unstable network, nor Decomposed on an unbounded one;
+// the guaranteed-rate network curve reads no trace, and charges every
+// route one stage of its bound either way.
+func TestStagesOfDegradedRuns(t *testing.T) {
+	unstable, err := topo.PaperTandem(4, 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unstable.Connections[0].Bucket.Rho = 0.9
+	gr, err := disciplineTandem(6, server.GuaranteedRate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unbounded := copyNetwork(gr)
+	unbounded.Connections[0].Rate = 0.15 // below its rate of 0.2
+	baseline := func(label string, a Analyzer, net *topo.Network) *Baseline {
+		t.Helper()
+		b, err := a.NewBaseline(net)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !b.unstable {
+			t.Fatalf("%s: the run did not degrade", label)
+		}
+		return b
+	}
+	for label, tc := range map[string]struct {
+		a   Analyzer
+		net *topo.Network
+	}{
+		"Decomposed/unstable":   {Decomposed{}, unstable},
+		"Integrated/unstable":   {Integrated{}, unstable},
+		"ServiceCurve/unstable": {ServiceCurve{}, unstable},
+		"Decomposed/unbounded":  {Decomposed{}, unbounded},
+	} {
+		stages := baseline(label, tc.a, tc.net).Stages()
+		if len(stages) != len(tc.net.Connections) {
+			t.Fatalf("%s: %d stage lists for %d connections", label, len(stages), len(tc.net.Connections))
+		}
+		for c, list := range stages {
+			if len(list) != 0 {
+				t.Errorf("%s: conn %d has stages %v", label, c, list)
+			}
+		}
+	}
+	for label, net := range map[string]*topo.Network{"unstable": unstable, "unbounded": unbounded} {
+		b := baseline("GuaranteedRate/"+label, GuaranteedRateNetworkCurve{}, net)
+		res, stages := b.Result(), b.Stages()
+		for c, conn := range net.Connections {
+			if len(stages[c]) != 1 || !slices.Equal(stages[c][0].Servers, conn.Path) || stages[c][0].Delay != res.Bounds[c] {
+				t.Errorf("GuaranteedRate/%s: conn %d stages %v, want one over %v of %v", label, c, stages[c], conn.Path, res.Bounds[c])
+			}
+		}
+	}
 }
 
 // TestConcurrentExtendsShareBaseline runs many trials against one Baseline

@@ -674,13 +674,12 @@ func (sc *chainScratch) newRun(lo, hi int) *run {
 // idx is the network's ConnectionIndex. Every intra-chain curve —
 // envelope shifts, run partial sums, residuals, theta-search scratch —
 // is drawn from the arena of the caller's scratch and dies with it; only
-// what outlives the chain (the propagation's envelopes and stages) is
-// kept elsewhere: in the shift pool and stage slab of an untraced run, in
-// the arena until the driver's recordUnit copies them out of a traced
-// one. Chains of one level run concurrently, so scratch and arena are
-// strictly chain-local, and the theta search's candidate
-// fan-outs use their own per-worker pool arenas. On success sc.agg holds
-// the pass's aggregate envelope at every position.
+// what outlives the chain (the propagation's envelopes) is kept elsewhere:
+// in the shift pool of an untraced run, in the arena until the driver's
+// recordUnit copies them out of a traced one. Chains of one level run
+// concurrently, so scratch and arena are strictly chain-local, and the
+// theta search's candidate fan-outs use their own per-worker pool arenas.
+// On success sc.agg holds the pass's aggregate envelope at every position.
 func analyzeChain(ctx context.Context, sc *chainScratch, net *topo.Network, idx [][]int, chain []int, p *propagation, pass chainPass) bool {
 	ar, svc := sc.ar, pass.svc
 	tm, bg := timingsFrom(ctx), budgetFrom(ctx)
@@ -859,10 +858,6 @@ func analyzeChain(ctx context.Context, sc *chainScratch, net *topo.Network, idx 
 		if canceled(ctx) {
 			return false
 		}
-		// The run's stage covers its servers: a sub-slice of the chain,
-		// which only an untraced run keeps, for a result whose partition
-		// nothing else reads.
-		servers := chain[r.lo : r.hi+1 : r.hi+1]
 		thetaStart := tm.now()
 		d := bounds.best(r.lo, r.hi)
 		if tm != nil {
@@ -870,7 +865,7 @@ func analyzeChain(ctx context.Context, sc *chainScratch, net *topo.Network, idx 
 		}
 		propStart := tm.now()
 		for _, c := range r.conns {
-			if !p.advance(c, servers, d, r.hi-r.lo+1, ar) {
+			if !p.advance(c, d, r.hi-r.lo+1, ar) {
 				return false
 			}
 		}
@@ -899,6 +894,10 @@ type intervalBounds struct {
 	local  []float64
 	direct []float64
 	opt    []float64
+	// ts is the theta search of the interval being bounded, reset for every
+	// interval: a value of the pooled scratch, so a search allocates nothing
+	// of its own on the heap.
+	ts thetaSearch
 }
 
 func (ib *intervalBounds) init(ctx context.Context, tm *Timings, bg *budget, ar *minplus.Arena, net *topo.Network, chain []int, svc []hopService, ra *runAggregates, local []float64) {
@@ -941,52 +940,55 @@ func (ib *intervalBounds) directBound(lo, hi int) float64 {
 	if d := ib.direct[key]; !math.IsNaN(d) {
 		return d
 	}
-	d := runIntervalBound(ib.ctx, ib.tm, ib.bg, ib.ar, ib.net, ib.chain, ib.svc, lo, hi, ib.ra, ib.local)
+	d := ib.runIntervalBound(lo, hi)
 	ib.direct[key] = d
 	return d
 }
 
-// runIntervalBound computes the joint bound of a multi-server interval for
-// a given aggregate: the horizontal deviation between the aggregate's
-// entry envelope and the min-plus convolution of the per-position FIFO
-// residuals of svc's service curves against the local cross traffic (plus
-// svc's latencies), minimized over the
-// theta parameters by the shared memoized search (exact enumeration for
-// two servers, coordinate descent for longer intervals — every
-// evaluation is a valid bound, so any search strategy is sound), clamped
-// by the decomposed sum of local delays (the search's pruning ceiling, and
-// the whole answer for an interval reached after the soft budget ran out).
-func runIntervalBound(ctx context.Context, tm *Timings, bg *budget, ar *minplus.Arena, net *topo.Network, chain []int, svc []hopService, lo, hi int, ra *runAggregates, local []float64) float64 {
+// runIntervalBound computes the joint bound of the multi-server interval
+// lo..hi for the aggregate covering it: the horizontal deviation between
+// the aggregate's entry envelope and the min-plus convolution of the
+// per-position FIFO residuals of svc's service curves against the local
+// cross traffic (plus svc's latencies), minimized over the theta
+// parameters by the shared memoized search (exact enumeration for two
+// servers, coordinate descent for longer intervals — every evaluation is a
+// valid bound, so any search strategy is sound), clamped by the decomposed
+// sum of local delays (the search's pruning ceiling, and the whole answer
+// for an interval reached after the soft budget ran out).
+func (ib *intervalBounds) runIntervalBound(lo, hi int) float64 {
+	ar, svc, local := ib.ar, ib.svc, ib.local
 	lat, decomposedSum := 0.0, 0.0
 	for i := lo; i <= hi; i++ {
 		lat += svc[i].lat
 		decomposedSum += local[i]
 	}
-	if bg.spent() {
+	if ib.bg.spent() {
 		return decomposedSum
 	}
-	agg := ra.covering(lo, lo, hi)
+	agg := ib.ra.covering(lo, lo, hi)
 	k := hi - lo + 1
+	beta := ar.Curves(k)[:k]
 	cross := ar.Curves(k)[:k]
 	cands := ar.FloatSlices(k)[:k]
 	for i := 0; i < k; i++ {
 		posIdx := lo + i
-		cross[i] = ra.crossAt(posIdx, lo, hi)
-		cands[i] = thetaCandidatesArena(ar, net.Servers[chain[posIdx]].Capacity, cross[i], local[posIdx])
+		beta[i] = svc[posIdx].beta
+		cross[i] = ib.ra.crossAt(posIdx, lo, hi)
+		cands[i] = thetaCandidatesArena(ar, ib.net.Servers[ib.chain[posIdx]].Capacity, cross[i], local[posIdx])
 	}
 
-	ts := &thetaSearch{
-		ctx:   ctx,
-		bg:    bg,
+	ts := &ib.ts
+	*ts = thetaSearch{
+		ctx:   ib.ctx,
+		bg:    ib.bg,
 		agg:   agg,
+		beta:  beta,
+		cross: cross,
 		cands: cands,
 		ar:    ar,
-		residual: func(i int, theta float64) minplus.Curve {
-			return residual(ar, svc[lo+i].beta, cross[i], theta)
-		},
-		lat:  lat,
-		ceil: decomposedSum,
-		tm:   tm,
+		lat:   lat,
+		ceil:  decomposedSum,
+		tm:    ib.tm,
 	}
 	best := ts.minimize() + lat
 	if decomposedSum < best {

@@ -265,9 +265,10 @@ func TestIntegratedStagesConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stages := stagesOf(t, Integrated{}, net)
 	for i, c := range net.Connections {
 		sum, hops := 0.0, 0
-		for _, st := range res.Stages[i] {
+		for _, st := range stages[i] {
 			sum += st.Delay
 			hops += len(st.Servers)
 		}

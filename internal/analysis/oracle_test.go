@@ -4,15 +4,15 @@ package analysis_test
 // referee of every differential test beside it. It lives in the external
 // test package, so the compiler keeps every unexported helper of the shipped
 // analyzers out of its reach, and it calls no function of package analysis
-// at all — it only fills in an analysis.Result. What it shares with the
-// engine is minplus (whose operations have their own brute-force tests) and
-// the topo / server data types. Everything the engine optimises is spelled
-// out here instead: hops and servers are ordered by hand, the chain
-// partition is re-derived from the rule DESIGN.md section 4.4 states,
-// aggregates are pairwise Add folds in ascending connection order, every
-// theta vector rebuilds its residuals and convolves them generically, pairs
-// are enumerated exhaustively — no memo, no arena, no topo.Graph, no
-// goroutine. FIFO servers only: Decomposed, and Integrated at any chain
+// at all — it only fills in an analysis.Result and a stage list per
+// connection (staged). What it shares with the engine is minplus (whose
+// operations have their own brute-force tests) and the topo / server data
+// types. Everything the engine optimises is spelled out here instead: hops
+// and servers are ordered by hand, the chain partition is re-derived from
+// the rule DESIGN.md section 4.4 states, aggregates are pairwise Add folds
+// in ascending connection order, every theta vector rebuilds its residuals
+// and convolves them generically, pairs are enumerated exhaustively — no
+// memo, no arena, no topo.Graph, no goroutine. FIFO servers only: Decomposed, and Integrated at any chain
 // length. Nothing is rescaled: the corpora keep capacities at 1, where the
 // absolute tolerances of minplus belong.
 
@@ -26,15 +26,22 @@ import (
 	"delaycalc/internal/topo"
 )
 
+// staged is a result with its per-stage breakdown: the oracle's whole
+// answer, and the engine's Analyze beside its baseline's Stages.
+type staged struct {
+	*analysis.Result
+	Stages [][]analysis.Stage
+}
+
 // oracleDecomposed is Cruz's decomposition: the chain analysis below on
 // chains of one server.
-func oracleDecomposed(net *topo.Network) *analysis.Result {
+func oracleDecomposed(net *topo.Network) staged {
 	return oracleAnalyze("Decomposed", net, 1)
 }
 
 // oracleIntegrated is Algorithm Integrated on chains of at most chainLen
 // servers (the paper: 2).
-func oracleIntegrated(net *topo.Network, chainLen int) *analysis.Result {
+func oracleIntegrated(net *topo.Network, chainLen int) staged {
 	return oracleAnalyze("Integrated", net, chainLen)
 }
 
@@ -44,17 +51,17 @@ type oracle struct {
 	at   [][]int         // server -> the connections crossing it, ascending
 	env  []minplus.Curve // connection -> its envelope entering its next hop
 	next []int           // connection -> index into its Path of that hop
-	res  *analysis.Result
+	res  staged
 }
 
-func oracleAnalyze(algo string, net *topo.Network, chainLen int) *analysis.Result {
+func oracleAnalyze(algo string, net *topo.Network, chainLen int) staged {
 	nc, ns := len(net.Connections), len(net.Servers)
-	unbounded := &analysis.Result{Algorithm: algo, Bounds: make([]float64, nc), Stages: make([][]analysis.Stage, nc)}
+	unbounded := staged{&analysis.Result{Algorithm: algo, Bounds: make([]float64, nc)}, make([][]analysis.Stage, nc)}
 	for c := range unbounded.Bounds {
 		unbounded.Bounds[c] = math.Inf(1)
 	}
 	o := &oracle{net: net, at: make([][]int, ns), env: make([]minplus.Curve, nc), next: make([]int, nc),
-		res: &analysis.Result{Algorithm: algo, Bounds: make([]float64, nc), Stages: make([][]analysis.Stage, nc), Backlogs: make([]float64, ns)}}
+		res: staged{&analysis.Result{Algorithm: algo, Bounds: make([]float64, nc), Backlogs: make([]float64, ns)}, make([][]analysis.Stage, nc)}}
 	load := make([]float64, ns)
 	for c, conn := range net.Connections {
 		o.env[c] = conn.SourceEnvelope()

@@ -12,15 +12,22 @@ import (
 	"delaycalc/internal/topo"
 )
 
-// cloneResult is a deep copy of r: the reference a saved result is held to.
-func cloneResult(r *Result) *Result {
-	out := &Result{Algorithm: r.Algorithm, Bounds: slices.Clone(r.Bounds), Backlogs: slices.Clone(r.Backlogs)}
-	if r.Stages != nil {
-		out.Stages = make([][]Stage, len(r.Stages))
+// handout is what one way of asking for an analysis hands out: a result,
+// and the per-stage breakdown when the way has one (a baseline's Stages).
+type handout struct {
+	res    *Result
+	stages [][]Stage
+}
+
+// clone is a deep copy of h: the reference a saved handout is held to.
+func (h handout) clone() handout {
+	out := handout{res: &Result{Algorithm: h.res.Algorithm, Bounds: slices.Clone(h.res.Bounds), Backlogs: slices.Clone(h.res.Backlogs)}}
+	if h.stages != nil {
+		out.stages = make([][]Stage, len(h.stages))
 	}
-	for i, stages := range r.Stages {
+	for i, stages := range h.stages {
 		for _, st := range stages {
-			out.Stages[i] = append(out.Stages[i], Stage{Servers: slices.Clone(st.Servers), Delay: st.Delay})
+			out.stages[i] = append(out.stages[i], Stage{Servers: slices.Clone(st.Servers), Delay: st.Delay})
 		}
 	}
 	return out
@@ -28,35 +35,38 @@ func cloneResult(r *Result) *Result {
 
 // requireBitIdentical fails unless got holds exactly want's values, to the
 // bit: every bound, backlog, and stage with its servers.
-func requireBitIdentical(t *testing.T, label string, want, got *Result) {
+func requireBitIdentical(t *testing.T, label string, want, got handout) {
 	t.Helper()
 	same := func(a, b []float64) bool {
 		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 	}
-	if got.Algorithm != want.Algorithm || !same(got.Bounds, want.Bounds) || !same(got.Backlogs, want.Backlogs) {
-		t.Fatalf("%s: bounds or backlogs changed:\n got %v %v\nwant %v %v", label, got.Bounds, got.Backlogs, want.Bounds, want.Backlogs)
+	if got.res.Algorithm != want.res.Algorithm || !same(got.res.Bounds, want.res.Bounds) || !same(got.res.Backlogs, want.res.Backlogs) {
+		t.Fatalf("%s: bounds or backlogs changed:\n got %v %v\nwant %v %v", label, got.res.Bounds, got.res.Backlogs, want.res.Bounds, want.res.Backlogs)
 	}
-	if len(got.Stages) != len(want.Stages) {
-		t.Fatalf("%s: %d stage lists, want %d", label, len(got.Stages), len(want.Stages))
+	if len(got.stages) != len(want.stages) {
+		t.Fatalf("%s: %d stage lists, want %d", label, len(got.stages), len(want.stages))
 	}
-	for i := range want.Stages {
-		if !slices.EqualFunc(got.Stages[i], want.Stages[i], func(a, b Stage) bool {
+	for i := range want.stages {
+		if !slices.EqualFunc(got.stages[i], want.stages[i], func(a, b Stage) bool {
 			return math.Float64bits(a.Delay) == math.Float64bits(b.Delay) && slices.Equal(a.Servers, b.Servers)
 		}) {
-			t.Fatalf("%s: connection %d stages %v, want %v", label, i, got.Stages[i], want.Stages[i])
+			t.Fatalf("%s: connection %d stages %v, want %v", label, i, got.stages[i], want.stages[i])
 		}
 	}
 }
 
-// scribble writes into every slice a result holds.
-func scribble(r *Result) {
-	for i := range r.Bounds {
-		r.Bounds[i] = 99
+// baselineHandout is what a baseline hands out: its result and its stages.
+func baselineHandout(b *Baseline) handout { return handout{b.Result(), b.Stages()} }
+
+// scribble writes into every slice a handout holds.
+func (h handout) scribble() {
+	for i := range h.res.Bounds {
+		h.res.Bounds[i] = 99
 	}
-	for i := range r.Backlogs {
-		r.Backlogs[i] = 99
+	for i := range h.res.Backlogs {
+		h.res.Backlogs[i] = 99
 	}
-	for _, stages := range r.Stages {
+	for _, stages := range h.stages {
 		for j := range stages {
 			stages[j].Delay = 99
 			for k := range stages[j].Servers {
@@ -76,8 +86,9 @@ func routesOf(net *topo.Network) [][]int {
 }
 
 // TestResultsOwnTheirStorage holds every analyzer, through every way a
-// result is handed out (Analyze, NewBaseline + Result, Extension.Result and
-// ShrinkContext), to the promise that the result's slices are its own:
+// result is handed out (Analyze, NewBaseline + Result and Stages,
+// Extension.Result and ShrinkContext, each with its promoted baseline's
+// Stages), to the promise that the result's slices are its own:
 //   - a saved result stays bit-identical across 50 later analyses of other
 //     networks, which reuse the pooled scratch and arenas, and across
 //     concurrent trials on the same baseline;
@@ -133,24 +144,24 @@ func TestResultsOwnTheirStorage(t *testing.T) {
 			}
 			ways := []struct {
 				name string
-				get  func() *Result
+				get  func() handout
 			}{
-				{"Analyze", func() *Result {
+				{"Analyze", func() handout {
 					res, err := tc.a.Analyze(tc.net)
 					if err != nil {
 						t.Fatal(err)
 					}
-					return res
+					return handout{res: res}
 				}},
-				{"Baseline.Result", bl.Result},
-				{"Extension.Result", ext.Result},
-				{"ShrinkContext", shrunk.Result},
+				{"Baseline", func() handout { return baselineHandout(bl) }},
+				{"Extension", func() handout { return handout{ext.Result(), ext.Promote().Stages()} }},
+				{"ShrinkContext", func() handout { return handout{shrunk.Result(), shrunk.Promote().Stages()} }},
 			}
-			saved := make([]*Result, len(ways))
-			want := make([]*Result, len(ways))
+			saved := make([]handout, len(ways))
+			want := make([]handout, len(ways))
 			for i, w := range ways {
 				saved[i] = w.get()
-				want[i] = cloneResult(saved[i])
+				want[i] = saved[i].clone()
 			}
 
 			// Concurrent trials on the same baseline, then 50 analyses of
@@ -169,7 +180,7 @@ func TestResultsOwnTheirStorage(t *testing.T) {
 							errs <- err
 							return
 						}
-						scribble(e.Result())
+						baselineHandout(e.Promote()).scribble()
 					}
 				}()
 			}
@@ -190,14 +201,14 @@ func TestResultsOwnTheirStorage(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					scribble(b.Result())
+					baselineHandout(b).scribble()
 					continue
 				}
 				res, err := a.Analyze(net)
 				if err != nil {
 					t.Fatal(err)
 				}
-				scribble(res)
+				handout{res: res}.scribble()
 			}
 			for i, w := range ways {
 				requireBitIdentical(t, w.name+", after later analyses", want[i], saved[i])
@@ -205,8 +216,8 @@ func TestResultsOwnTheirStorage(t *testing.T) {
 
 			for i, w := range ways {
 				first, second := w.get(), w.get()
-				again := cloneResult(second)
-				scribble(first)
+				again := second.clone()
+				first.scribble()
 				requireBitIdentical(t, w.name+", after writing into another result", again, second)
 				requireBitIdentical(t, w.name+", saved, after writing into another result", want[i], saved[i])
 				if got := routesOf(tc.net); !slices.EqualFunc(got, routes, slices.Equal) {

@@ -77,7 +77,7 @@ var serviceCurveCore = core{name: "ServiceCurve", check: serves("ServiceCurve", 
 	}}
 
 // routeBounds is the result of a network-curve finish: bound(i) for every
-// connection i, charged as one stage over its whole route (Baseline.stages
+// connection i, charged as one stage over its whole route (Baseline.Stages
 // builds it). Each connection is one cancellation checkpoint.
 func routeBounds(ctx context.Context, b *Baseline, backlogs []float64, bound func(i int) (float64, error)) (*Result, error) {
 	n := len(b.norm.Connections)

@@ -76,15 +76,12 @@ func TestServiceCurveCrossTrafficAtItsHop(t *testing.T) {
 		{Name: "long", Bucket: traffic.TokenBucket{Sigma: 1, Rho: 0.2}, Path: []int{0, 1, 2, 3}},
 		{Name: "short", Bucket: traffic.TokenBucket{Sigma: 1, Rho: 0.2}, Path: []int{1}},
 	}}
-	dec, err := (Decomposed{}).Analyze(net)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec := stagesOf(t, Decomposed{}, net)
 	res, err := (ServiceCurve{}).Analyze(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cross := minplus.ShiftLeft(net.Connections[0].SourceEnvelope(), dec.Stages[0][0].Delay)
+	cross := minplus.ShiftLeft(net.Connections[0].SourceEnvelope(), dec[0][0].Delay)
 	beta := minplus.PositivePart(minplus.Sub(minplus.Rate(1), cross))
 	if !beta.IsNonDecreasing() {
 		beta = minplus.MonotoneClosure(beta)

@@ -58,6 +58,7 @@ func TestShrinkMatchesFullAnalysis(t *testing.T) {
 					t.Fatalf("%s: full analyze: %v", label, err)
 				}
 				requireSameResult(t, label, want, ext.Result())
+				requireStagesOfFull(t, label, inc, shrunk, ext.Promote())
 
 				// The promoted baseline must extend bit-identically too:
 				// re-admitting the released connection has to match a full
@@ -76,6 +77,7 @@ func TestShrinkMatchesFullAnalysis(t *testing.T) {
 					t.Fatalf("%s: full re-analyze: %v", label, err)
 				}
 				requireSameResult(t, label+"/readmit", want, reext.Result())
+				requireStagesOfFull(t, label+"/readmit", inc, readmitted, reext.Promote())
 			}
 		}
 	}
@@ -302,6 +304,7 @@ func TestShrinkStabilizesUnstableBaseline(t *testing.T) {
 				t.Fatalf("%s/%s: full analyze: %v", label, step.name, err)
 			}
 			requireSameResult(t, label+"/"+step.name, want, shrunk.Result())
+			requireStagesOfFull(t, label+"/"+step.name, tc.a, step.want, shrunk.Promote())
 		}
 	}
 }

@@ -12,11 +12,11 @@ import (
 // thetaSearch minimizes, over theta vectors, the horizontal deviation
 // between an aggregate envelope and the convolution of k per-position
 // residual service curves. Every pass of analyzeChain searches through it;
-// the residual is injected, and is always the one family of residual.go
-// over the pass's per-position service curve (the line rate on a FIFO
-// chain, a class's rate-latency leftover on a static-priority one). It replaces the naive
-// enumeration that rebuilt every residual and redid the full convolution
-// for every candidate vector:
+// the residuals are the one family of residual.go over each position's
+// service curve (the line rate on a FIFO chain, a class's rate-latency
+// leftover on a static-priority one) against its cross envelope. It
+// replaces the naive enumeration that rebuilt every residual and redid the
+// full convolution for every candidate vector:
 //
 //   - residual curves are memoized per (position, candidate) — a k=2
 //     enumeration over c0 x c1 pairs builds c0 + c1 residuals, not
@@ -101,11 +101,14 @@ type thetaSearch struct {
 	// cancelled search returns a meaningless partial minimum; the owning
 	// analyzer checks the context and discards it. One whose budget ran out
 	// returns the minimum over what it evaluated, each a valid bound.
-	ctx      context.Context
-	bg       *budget // nil: none
-	agg      minplus.Curve
-	cands    [][]float64
-	residual func(pos int, theta float64) minplus.Curve
+	ctx context.Context
+	bg  *budget // nil: none
+	agg minplus.Curve
+	// beta and cross are each position's service curve and cross envelope:
+	// position i's residual at theta is residual(ar, beta[i], cross[i],
+	// theta).
+	beta, cross []minplus.Curve
+	cands       [][]float64
 	// The caller keeps min(minimize() + lat, ceil); the k=2 sweep skips
 	// the pairs that cannot lower that total. ceil = +Inf means no ceiling.
 	lat, ceil float64
@@ -150,7 +153,7 @@ func (ts *thetaSearch) residualAt(i, ci int) minplus.Curve {
 	s := ts.off[i] + ci
 	c := ts.res[s]
 	if c.NumPoints() == 0 && c.FinalSlope() == 0 {
-		c = ts.residual(i, ts.cands[i][ci])
+		c = residual(ts.ar, ts.beta[i], ts.cross[i], ts.cands[i][ci])
 		ts.res[s] = c
 	}
 	return c

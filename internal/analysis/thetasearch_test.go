@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"delaycalc/internal/minplus"
@@ -66,14 +67,13 @@ func (sc pairScenario) search(ctx context.Context, ar *minplus.Arena, ceil float
 	return &thetaSearch{
 		ctx:   ctx,
 		agg:   sc.agg,
+		beta:  sc.beta,
+		cross: sc.cross,
 		cands: sc.cands,
 		ar:    ar,
-		residual: func(i int, theta float64) minplus.Curve {
-			return residual(ar, sc.beta[i], sc.cross[i], theta)
-		},
-		lat:  sc.lat,
-		ceil: ceil,
-		tm:   tm,
+		lat:   sc.lat,
+		ceil:  ceil,
+		tm:    tm,
 	}
 }
 
@@ -363,43 +363,37 @@ func TestCoordinateDescentClosedForm(t *testing.T) {
 // TestCoordinateDescentFallsBack forces the two ways out of the closed form
 // — a residual that is not gated-convex, an aggregate that does not rise
 // immediately — and holds the search to the descent on the written-out fold
-// of generic convolutions (foldScan), no branch counted.
+// of generic convolutions (foldScan), no branch counted. A convex cross
+// envelope makes the residuals of its position concave past their gate: the
+// service curve less a curve whose slope rises.
 func TestCoordinateDescentFallsBack(t *testing.T) {
-	concave := minplus.New([]minplus.Point{{X: 0, Y: 0}, {X: 1, Y: 2}}, 0.5)
-	if _, ok := minplus.DecomposeGatedConvex(concave); ok {
-		t.Fatal("the injected residual decomposes")
-	}
 	rng := rand.New(rand.NewSource(27))
 	ar := minplus.GetArena()
 	defer ar.Release()
 	for _, k := range []int{3, 4} {
 		for n := 0; n < 10; n++ {
 			sc := randomScenario(rng, k)
-			last := sc.cands[1][len(sc.cands[1])-1]
-			for name, residualOf := range map[string]func(sc pairScenario, ar *minplus.Arena) func(int, float64) minplus.Curve{
-				"injected residual": func(sc pairScenario, ar *minplus.Arena) func(int, float64) minplus.Curve {
-					return func(i int, theta float64) minplus.Curve {
-						if i == 1 && theta == last {
-							return concave
-						}
-						return residual(ar, sc.beta[i], sc.cross[i], theta)
+			for name, force := range map[string]func(sc pairScenario) pairScenario{
+				"convex cross": func(sc pairScenario) pairScenario {
+					s := 0.5 * sc.beta[1].FinalSlope()
+					convex := minplus.New([]minplus.Point{{X: 0, Y: 0}, {X: 50, Y: 5 * s}}, s)
+					if _, ok := minplus.DecomposeGatedConvex(residual(nil, sc.beta[1], convex, 0)); ok {
+						t.Fatal("the residual of the convex cross envelope decomposes")
 					}
+					sc.cross = slices.Clone(sc.cross)
+					sc.cross[1] = convex
+					return sc
 				},
-				"flat aggregate": func(sc pairScenario, ar *minplus.Arena) func(int, float64) minplus.Curve {
-					return func(i int, theta float64) minplus.Curve { return residual(ar, sc.beta[i], sc.cross[i], theta) }
+				"flat aggregate": func(sc pairScenario) pairScenario {
+					sc.agg = minplus.Delay(sc.agg, 0.5)
+					return sc
 				},
 			} {
-				sc := sc
-				if name == "flat aggregate" {
-					sc.agg = minplus.Delay(sc.agg, 0.5)
-				}
+				sc := force(sc)
 				ar.Reset()
 				_, tm := WithTimings(context.Background())
-				ts := sc.search(context.Background(), ar, math.Inf(1), tm)
-				ts.residual = residualOf(sc, ar)
-				got := ts.minimize()
+				got := sc.search(context.Background(), ar, math.Inf(1), tm).minimize()
 				fold := sc.search(context.Background(), nil, math.Inf(1), nil)
-				fold.residual = residualOf(sc, nil)
 				if fold.decompose() {
 					t.Fatalf("k=%d scenario %d, %s: the closed form applies", k, n, name)
 				}

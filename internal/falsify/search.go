@@ -318,11 +318,11 @@ func staggeredStart(sc Scenario) []sim.SourceControl {
 			tag = i
 		}
 	}
-	res, err := analysis.Decomposed{}.Analyze(sc.Net)
-	if err != nil || math.IsInf(res.Bounds[tag], 1) {
+	b, err := analysis.Decomposed{}.NewBaseline(sc.Net)
+	if err != nil || math.IsInf(b.Result().Bounds[tag], 1) {
 		return ctl
 	}
-	stages := res.Stages[tag] // one per hop of the tagged route
+	stages := b.Stages()[tag] // one per hop of the tagged route
 	for i, c := range conns {
 		if i == tag {
 			continue
