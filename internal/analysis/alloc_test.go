@@ -15,56 +15,24 @@ import (
 )
 
 // analyzeAllocs returns one chain-engine analysis of net and the heap
-// allocations a steady-state pass makes: AllocsPerRun's own warm-up pass
-// fills the arena and scratch pools and pins GOMAXPROCS to 1 (levels run
-// sequentially, so the count does not depend on the core count), and GC is
+// allocations and bytes a steady-state pass makes: a warm-up pass fills the
+// arena and scratch pools, GOMAXPROCS is pinned to 1 (levels run
+// sequentially, so the counts do not depend on the core count), and GC is
 // suspended so no collection drains the pools between passes.
-func analyzeAllocs(t *testing.T, a Analyzer, net *topo.Network) (*Result, float64) {
-	t.Helper()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var res *Result
-	allocs := testing.AllocsPerRun(1, func() {
-		var err error
-		if res, err = a.Analyze(net); err != nil {
-			t.Fatal(err)
-		}
-	})
-	return res, allocs
-}
-
-// analyzeBytes returns the heap bytes one steady-state analysis of net
-// allocates, measured as analyzeAllocs counts: after a warm-up pass, at
-// GOMAXPROCS 1, with GC suspended.
-func analyzeBytes(t *testing.T, a Analyzer, net *topo.Network) uint64 {
+func analyzeAllocs(t *testing.T, a Analyzer, net *topo.Network) (res *Result, allocs float64, bytes uint64) {
 	t.Helper()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	for pass := range 2 {
 		runtime.ReadMemStats(&before)
-		if _, err := a.Analyze(net); err != nil {
+		var err error
+		if res, err = a.Analyze(net); err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
 		runtime.ReadMemStats(&after)
 	}
-	return after.TotalAlloc - before.TotalAlloc
-}
-
-// TestFabricBytes is TestFabricAllocs' count in bytes: what one
-// steady-state Integrated pass over the k=16 fat-tree (4,096 link servers,
-// 12,800 flows) allocates. The run keeps no per-stage breakdown
-// (Baseline.Stages builds it on demand), so a pass allocates its bounds,
-// backlogs and propagation but no stage list.
-func TestFabricBytes(t *testing.T) {
-	net := fabricNet(t, 16, 100)
-	bytes := analyzeBytes(t, Integrated{}, net)
-	t.Logf("%d bytes/pass", bytes)
-	// Measured 4,836,472 on go1.24 (5,246,872 while every interval search
-	// was a heap object with a residual closure, 6,991,832 while every pass
-	// also built the stage lists); the ceiling leaves 10%.
-	if bytes > 5_320_120 && !raceBuild() {
-		t.Errorf("Integrated.Analyze allocates %d bytes per pass, ceiling is 5,320,120", bytes)
-	}
+	return res, float64(after.Mallocs - before.Mallocs), after.TotalAlloc - before.TotalAlloc
 }
 
 // raceBuild reports whether the test binary runs under the race detector.

@@ -149,7 +149,8 @@ func TestExtendContextMatchesExtend(t *testing.T) {
 	}
 	cand := net.Connections[0]
 	cand.Name = "extend-probe"
-	full, err := Integrated{}.Analyze(&topo.Network{Servers: net.Servers, Connections: append(append([]topo.Connection(nil), net.Connections...), cand)})
+	grown := &topo.Network{Servers: net.Servers, Connections: append(append([]topo.Connection(nil), net.Connections...), cand)}
+	full, err := Integrated{}.Analyze(grown)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +159,7 @@ func TestExtendContextMatchesExtend(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameResult(t, "extend", full, ctxed.Result())
+	requireStagesOfFull(t, "extend", Integrated{}, grown, ctxed.Promote())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := base.ExtendContext(ctx, cand); !errors.Is(err, context.Canceled) {

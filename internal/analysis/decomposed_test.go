@@ -300,6 +300,7 @@ func TestDecomposedIncrementalMatchesFullPerDiscipline(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameResult(t, fmt.Sprintf("%v/extend", d), full, ext.Result())
+		requireStagesOfFull(t, fmt.Sprintf("%v/extend", d), Decomposed{}, net, ext.Promote())
 		if ext.Stats.ReplayedUnits == 0 {
 			t.Errorf("%v: extending by a one-hop connection replayed no unit", d)
 		}
@@ -309,11 +310,13 @@ func TestDecomposedIncrementalMatchesFullPerDiscipline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := (Decomposed{}).Analyze(&topo.Network{Servers: net.Servers, Connections: removeAt(net.Connections, remove)})
+			rest := &topo.Network{Servers: net.Servers, Connections: removeAt(net.Connections, remove)}
+			want, err := (Decomposed{}).Analyze(rest)
 			if err != nil {
 				t.Fatal(err)
 			}
 			requireSameResult(t, fmt.Sprintf("%v/remove%d", d, remove), want, shrunk.Result())
+			requireStagesOfFull(t, fmt.Sprintf("%v/remove%d", d, remove), Decomposed{}, rest, shrunk.Promote())
 		}
 	}
 }

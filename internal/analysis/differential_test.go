@@ -353,13 +353,15 @@ func TestDegradationLaw(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: extend: %v", label, err)
 			}
+			var swept *Extension // the sweep's last run: the one not degraded
 			lc.sweepExpiry(t, label+"/extend", v.upper, ext.Result(), dec, func(ctx context.Context) (*Result, error) {
-				ext, err := base.ExtendContext(ctx, net.Connections[last])
-				if err != nil {
+				var err error
+				if swept, err = base.ExtendContext(ctx, net.Connections[last]); err != nil {
 					return nil, err
 				}
-				return ext.Result(), nil
+				return swept.Result(), nil
 			})
+			requireSameStages(t, label+"/extend: not degraded", ext.Promote().Stages(), swept.Promote().Stages())
 		}
 		t.Logf("%+v: %d comparisons, %d below the undegraded bound, %d above Decomposed (%d of them above it with no budget too)",
 			v.a, lc.comparisons, lc.below, lc.above, lc.aboveAnyway)

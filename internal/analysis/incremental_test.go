@@ -216,11 +216,13 @@ func TestPromoteChains(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, err := a.Analyze(&topo.Network{Servers: net.Servers, Connections: net.Connections[:k+1]})
+			grown := &topo.Network{Servers: net.Servers, Connections: net.Connections[:k+1]}
+			full, err := a.Analyze(grown)
 			if err != nil {
 				t.Fatal(err)
 			}
 			requireSameResult(t, fmt.Sprintf("%s/promote%d", a.Name(), k), full, ext.Result())
+			requireStagesOfFull(t, fmt.Sprintf("%s/promote%d", a.Name(), k), a, grown, ext.Promote())
 			bl = ext.Promote()
 		}
 	}

@@ -894,9 +894,9 @@ type intervalBounds struct {
 	local  []float64
 	direct []float64
 	opt    []float64
-	// ts is the theta search of the interval being bounded, reset for every
-	// interval: a value of the pooled scratch, so a search allocates nothing
-	// of its own on the heap.
+	// ts is the theta search of the interval being bounded, set for every
+	// interval and cleared after it: a value of the pooled scratch, so a
+	// search allocates nothing of its own on the heap.
 	ts thetaSearch
 }
 
@@ -991,6 +991,9 @@ func (ib *intervalBounds) runIntervalBound(lo, hi int) float64 {
 		tm:    ib.tm,
 	}
 	best := ts.minimize() + lat
+	// The scratch goes back to its pool holding no request's context,
+	// timings or arena-backed tables.
+	*ts = thetaSearch{}
 	if decomposedSum < best {
 		best = decomposedSum
 	}

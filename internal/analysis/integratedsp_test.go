@@ -280,7 +280,7 @@ func TestIntegratedSPMatchesParentEngine(t *testing.T) {
 // separate SP analysis this replaced built maps and heap curves per class
 // and chain (25,097 allocations per pass).
 func TestIntegratedSPAllocs(t *testing.T) {
-	_, allocs := analyzeAllocs(t, Integrated{}, spCorpus(t)["sp64"])
+	_, allocs, _ := analyzeAllocs(t, Integrated{}, spCorpus(t)["sp64"])
 	t.Logf("%.0f allocs/pass", allocs)
 	// Measured 195 on go1.24 (325 while every interval search was a heap
 	// object with a residual closure); the ceiling leaves 10%.

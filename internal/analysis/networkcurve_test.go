@@ -32,10 +32,12 @@ func grified(net *topo.Network) *topo.Network {
 	return out
 }
 
-// requireSameOutcome asserts that a trial failed exactly when the full
-// analysis did, with the same error, and otherwise produced bit-identical
-// results — the nil backlogs of an unstable guaranteed-rate run included.
-func requireSameOutcome(t *testing.T, label string, full *Result, fullErr error, ext *Extension, extErr error) {
+// requireSameOutcome asserts that a trial of analyzer a on network net
+// failed exactly when the full analysis did, with the same error, and
+// otherwise produced bit-identical results — the nil backlogs of an
+// unstable guaranteed-rate run included — and the stages of a baseline of
+// net built from scratch.
+func requireSameOutcome(t *testing.T, label string, a Analyzer, net *topo.Network, full *Result, fullErr error, ext *Extension, extErr error) {
 	t.Helper()
 	if (fullErr == nil) != (extErr == nil) || (fullErr != nil && fullErr.Error() != extErr.Error()) {
 		t.Fatalf("%s: full analysis error %v, trial error %v", label, fullErr, extErr)
@@ -48,12 +50,14 @@ func requireSameOutcome(t *testing.T, label string, full *Result, fullErr error,
 		t.Fatalf("%s: backlogs %v, trial %v", label, full.Backlogs, incr.Backlogs)
 	}
 	requireSameResult(t, label, full, incr)
+	requireStagesOfFull(t, label, a, net, ext.Promote())
 }
 
 // TestNetworkCurvesIncrementalMatchFull drives ServiceCurve and the
 // guaranteed-rate network curve through random churn: a baseline extended
 // and shrunk one connection at a time must equal a full Analyze of every
-// trial bit for bit. A hog whose sustained rate overloads its server (and
+// trial bit for bit, and break its bounds into the stages a baseline of the
+// trial network built from scratch does. A hog whose sustained rate overloads its server (and
 // whose reservation does not cover it) is admitted midway and released
 // later, so unstable trials — all +Inf for ServiceCurve, closed-form
 // bounds with nil backlogs for the guaranteed-rate curve — are compared
@@ -110,7 +114,7 @@ func TestNetworkCurvesIncrementalMatchFull(t *testing.T) {
 					ext, extErr = bl.ExtendContext(ctx, cand)
 				}
 				full, fullErr := a.Analyze(trial)
-				requireSameOutcome(t, label, full, fullErr, ext, extErr)
+				requireSameOutcome(t, label, a, trial, full, fullErr, ext, extErr)
 				if extErr != nil {
 					continue
 				}

@@ -85,7 +85,7 @@ func TestCurveEngineMatchesReference(t *testing.T) {
 // same fixture.
 func TestCurveEngineAllocs(t *testing.T) {
 	net := analysis.BenchTandemNet(64, 400)
-	res, allocs := analysis.AnalyzeAllocs(t, analysis.Integrated{}, net)
+	res, allocs, _ := analysis.AnalyzeAllocs(t, analysis.Integrated{}, net)
 	checkStagedClose(t, "tandem64x400", staged{res, analysis.StagesOf(t, analysis.Integrated{}, net)}, oracleIntegrated(net, 2))
 	t.Logf("%.0f allocs/pass", allocs)
 	// Measured 68 on go1.24 (132 while every interval search was a heap
@@ -101,7 +101,7 @@ func TestCurveEngineAllocs(t *testing.T) {
 // overhaul on the fat-tree fabric: at k=8 (512 link servers, 640 flows) the
 // oracle's bounds; at k=16 (4,096 link servers, 12,800 flows — the fixture
 // the benchmark's analysis.ft16_int_ms times) the oracle's bounds and the
-// allocation ceiling, skipped under -short for the oracle's share of the
+// allocation and byte ceilings, skipped under -short for the oracle's share of the
 // test budget. BenchmarkFabricAnalyze covers the full ~10k-switch scale.
 func TestFabricAllocs(t *testing.T) {
 	small := analysis.FabricNet(t, 8, 20)
@@ -114,15 +114,22 @@ func TestFabricAllocs(t *testing.T) {
 		t.Skip("k=16 runs the oracle on 4,096 servers")
 	}
 	net := analysis.FabricNet(t, 16, 100)
-	res, allocs := analysis.AnalyzeAllocs(t, analysis.Integrated{}, net)
+	res, allocs, bytes := analysis.AnalyzeAllocs(t, analysis.Integrated{}, net)
 	checkStagedClose(t, "fat-tree k=16", staged{res, analysis.StagesOf(t, analysis.Integrated{}, net)}, oracleIntegrated(net, 2))
-	t.Logf("%.0f allocs/pass", allocs)
+	t.Logf("%.0f allocs/pass, %d bytes/pass", allocs, bytes)
 	// Measured 135 on go1.24 (12,800 flows: about one per hundred flows;
 	// 2189 while each of the 1,026 interval searches was a heap object with
-	// a residual closure); the ceiling leaves 10%. TestFabricBytes pins the
-	// same pass's bytes.
+	// a residual closure); the ceiling leaves 10%.
 	if allocs > 149 && !analysis.RaceBuild() {
 		t.Errorf("Integrated.Analyze allocates %.0f times per pass, ceiling is 149", allocs)
+	}
+	// The pass keeps no per-stage breakdown (Baseline.Stages builds it on
+	// demand), so it allocates its bounds, backlogs and propagation but no
+	// stage list. Measured 4,836,472 bytes on go1.24 (5,246,872 while every
+	// interval search was a heap object with a residual closure, 6,991,832
+	// while every pass also built the stage lists); the ceiling leaves 10%.
+	if bytes > 5_320_120 && !analysis.RaceBuild() {
+		t.Errorf("Integrated.Analyze allocates %d bytes per pass, ceiling is 5,320,120", bytes)
 	}
 }
 

@@ -99,25 +99,28 @@ func sharedEnvelopeCorpus(t *testing.T) map[string]*topo.Network {
 }
 
 // requireSameAnalysis runs one analysis on the shared and the private
-// network and requires the same error or bit-identical results.
-func requireSameAnalysis(t *testing.T, label string, shared, private *topo.Network, run func(*topo.Network) (*Result, error)) {
+// network and requires the same error or bit-identical results and stage
+// lists (nil for an entry point that builds no baseline).
+func requireSameAnalysis(t *testing.T, label string, shared, private *topo.Network, run func(*topo.Network) (*Result, [][]Stage, error)) {
 	t.Helper()
-	want, wantErr := run(private)
-	got, gotErr := run(shared)
+	want, wantStages, wantErr := run(private)
+	got, gotStages, gotErr := run(shared)
 	if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
 		t.Fatalf("%s: private envelopes: error %v, shared: error %v", label, wantErr, gotErr)
 	}
 	if wantErr == nil {
 		requireSameResult(t, label, want, got)
+		requireSameStages(t, label, wantStages, gotStages)
 	}
 }
 
 // TestSharedEnvelopesMatchPrivate drives every analyzer, through every
 // entry point (Analyze, NewBaseline, a trial, a release), over networks
 // whose equal envelopes share storage and over their private-envelope
-// twins. The shared side runs its trials concurrently on one baseline, so
-// under -race the shared envelopes are read by several trials and their
-// fan-out workers at once.
+// twins: bounds, backlogs and, where the entry point holds a baseline, the
+// per-stage breakdown, bit for bit. The shared side runs its trials
+// concurrently on one baseline, so under -race the shared envelopes are
+// read by several trials and their fan-out workers at once.
 func TestSharedEnvelopesMatchPrivate(t *testing.T) {
 	fifo := sharedEnvelopeCorpus(t)
 	sp, gr := map[string]*topo.Network{}, map[string]*topo.Network{}
@@ -146,34 +149,42 @@ func TestSharedEnvelopesMatchPrivate(t *testing.T) {
 			if sharesEnvelopes(private) {
 				t.Fatalf("%s: private twin shares a source envelope", label)
 			}
-			requireSameAnalysis(t, label+": Analyze", shared, private, a.Analyze)
-			requireSameAnalysis(t, label+": NewBaseline", shared, private, func(net *topo.Network) (*Result, error) {
+			requireSameAnalysis(t, label+": Analyze", shared, private, func(net *topo.Network) (*Result, [][]Stage, error) {
+				res, err := a.Analyze(net)
+				return res, nil, err
+			})
+			requireSameAnalysis(t, label+": NewBaseline", shared, private, func(net *topo.Network) (*Result, [][]Stage, error) {
 				b, err := a.NewBaseline(net)
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
-				return b.Result(), nil
+				return b.Result(), b.Stages(), nil
 			})
 			release := len(shared.Connections) / 2
-			requireSameAnalysis(t, label+": ShrinkContext", shared, private, func(net *topo.Network) (*Result, error) {
+			requireSameAnalysis(t, label+": ShrinkContext", shared, private, func(net *topo.Network) (*Result, [][]Stage, error) {
 				b, err := a.NewBaseline(net)
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				ext, err := b.ShrinkContext(ctx, release)
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
-				return ext.Result(), nil
+				return ext.Result(), ext.Promote().Stages(), nil
 			})
-			// Trials: the last connection joins a baseline of the others.
-			trial := func(net *topo.Network, copies int) ([]*Result, error) {
+			// Trials: the last connection joins a baseline of the others;
+			// each reads its stages on its own goroutine.
+			type trialOut struct {
+				res    *Result
+				stages [][]Stage
+			}
+			trial := func(net *topo.Network, copies int) ([]trialOut, error) {
 				last := len(net.Connections) - 1
 				b, err := a.NewBaseline(&topo.Network{Servers: net.Servers, Connections: net.Connections[:last]})
 				if err != nil {
 					return nil, err
 				}
-				out, errs := make([]*Result, copies), make([]error, copies)
+				out, errs := make([]trialOut, copies), make([]error, copies)
 				var wg sync.WaitGroup
 				for w := range out {
 					wg.Add(1)
@@ -183,7 +194,7 @@ func TestSharedEnvelopesMatchPrivate(t *testing.T) {
 						if err == nil {
 							var ext *Extension
 							if ext, err = tr.Run(ctx); err == nil {
-								out[w] = ext.Result()
+								out[w] = trialOut{ext.Result(), ext.Promote().Stages()}
 							}
 						}
 						errs[w] = err
@@ -203,7 +214,9 @@ func TestSharedEnvelopesMatchPrivate(t *testing.T) {
 				t.Fatalf("%s: trial: private envelopes: error %v, shared: error %v", label, wantErr, gotErr)
 			}
 			for w := range got {
-				requireSameResult(t, fmt.Sprintf("%s: trial %d", label, w), want[0], got[w])
+				wl := fmt.Sprintf("%s: trial %d", label, w)
+				requireSameResult(t, wl, want[0].res, got[w].res)
+				requireSameStages(t, wl, want[0].stages, got[w].stages)
 			}
 		}
 	}

@@ -160,6 +160,7 @@ func TestShrinkRecomputesALevelConcurrently(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameResult(t, tc.a.Name(), want, ext.Result())
+		requireStagesOfFull(t, tc.a.Name(), tc.a, shrunk, ext.Promote())
 		trial := ext.Promote()
 		var levels [][]int
 		for _, level := range trial.levels {
@@ -230,6 +231,7 @@ func TestShrinkToEmpty(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameResult(t, inc.Name()+"/from-empty", want, reext.Result())
+		requireStagesOfFull(t, inc.Name()+"/from-empty", inc, net, reext.Promote())
 	}
 }
 
