@@ -107,10 +107,6 @@ func NewIntegratedChains(maxServers int) Analyzer {
 // is tight.
 func NewGuaranteedRateNetworkCurve() Analyzer { return analysis.GuaranteedRateNetworkCurve{} }
 
-// NewIntegratedSP is NewIntegrated, which analyzes static-priority networks
-// too — the extension the paper's conclusion announces.
-func NewIntegratedSP() Analyzer { return NewIntegrated() }
-
 // Physical topology modeling.
 type (
 	// Fabric is a physical topology of nodes and directed links; each

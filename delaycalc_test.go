@@ -151,7 +151,7 @@ func TestFacadeIntegratedSP(t *testing.T) {
 			{Name: "urgent", Bucket: delaycalc.TokenBucket{Sigma: 1, Rho: 0.2}, AccessRate: 1, Path: []int{0, 1}, Priority: 0},
 		},
 	}
-	res, err := delaycalc.NewIntegratedSP().Analyze(net)
+	res, err := delaycalc.NewIntegrated().Analyze(net)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,10 +123,9 @@ func TestThetaSearchAllocCeiling(t *testing.T) {
 }
 
 // TestCoordinateDescentAllocCeiling is the same gate for one k=4 search:
-// the descent's spine (the residual and part tables, the index vector, the
-// packed-key memo and a value slice and two closures per scan) is all the
-// heap sees; branch sets, merges and branch curves come from the arenas,
-// and a memo lookup allocates nothing.
+// the descent's spine (the index vector and two closures per scan) is all
+// the heap sees; the residual and part tables, the scan's value slice,
+// branch sets, merges and branch curves come from the arenas.
 func TestCoordinateDescentAllocCeiling(t *testing.T) {
 	caps := [4]float64{1.0, 1.2, 1.0, 0.9}
 	cross := [4]minplus.Curve{
@@ -180,11 +179,13 @@ func TestCoordinateDescentAllocCeiling(t *testing.T) {
 		}
 	})
 	t.Logf("theta-search k=4 allocs/op: %.0f (bound %v)", allocs, want)
-	// Measured 41 (42 with an injected residual closure, 57 while the
-	// memo's tables were on the heap; a string-keyed memo and per-candidate
-	// index copies made it 576); the ceiling is that plus 10%, rounded up.
-	if allocs > 46 && !raceBuild() {
-		t.Errorf("coordinate descent allocates %.0f times per search, ceiling is 46", allocs)
+	// Measured 18 (41 while a packed-key memo of evaluated vectors and a
+	// value slice per scan were on the heap, 42 with an injected residual
+	// closure, 57 while the memo's tables were on the heap; a string-keyed
+	// memo and per-candidate index copies made it 576); the ceiling is that
+	// plus 10%, rounded up.
+	if allocs > 20 && !raceBuild() {
+		t.Errorf("coordinate descent allocates %.0f times per search, ceiling is 20", allocs)
 	}
 }
 

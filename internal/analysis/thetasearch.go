@@ -2,9 +2,7 @@ package analysis
 
 import (
 	"context"
-	"encoding/binary"
 	"math"
-	"math/bits"
 
 	"delaycalc/internal/minplus"
 )
@@ -18,7 +16,7 @@ import (
 // replaces the naive enumeration that rebuilt every residual and redid the
 // full convolution for every candidate vector:
 //
-//   - residual curves are memoized per (position, candidate) — a k=2
+//   - residual curves are built once per (position, candidate) — a k=2
 //     enumeration over c0 x c1 pairs builds c0 + c1 residuals, not
 //     2*c0*c1;
 //
@@ -69,13 +67,16 @@ import (
 //     floating point as on paper (+ and max are monotone), so once it
 //     reaches the scan's incumbent — read once, before the fan-out — the
 //     candidate cannot be strictly improving and the rest of its branches
-//     are skipped. Memoising that lower bound is exact: the incumbent only
-//     decreases, so every later "d < best" reads false for the bound as it
-//     would for the value, and the best returned is always a value that
-//     was evaluated in full;
+//     are skipped. Comparing that lower bound in place of the value is
+//     exact: "d < best" reads false for the bound as it would for the
+//     value, and the best returned is always a value that was evaluated in
+//     full;
 //
-//   - evaluated theta vectors are memoized across scans and passes under a
-//     packed integer key;
+//   - the descent keeps no memo of evaluated vectors: a scan skips the
+//     incumbent's own candidate, and the descent stops once k scans in a
+//     row (the improving one included) leave the vector where it was — a
+//     coordinate that nothing moved since its last scan cannot improve —
+//     or after three passes;
 //
 //   - the k=2 closed form is an exact branch and bound: the two
 //     candidates' deviations bound a pair from below, and pairs that cannot
@@ -123,16 +124,12 @@ type thetaSearch struct {
 
 	// The per-candidate tables, one slot per (position, candidate): they
 	// hold the positions' candidates back to back, position i's from slot
-	// off[i], and all three are drawn from the chain arena by decompose. res memoizes the
-	// residuals by value. The zero Curve marks an unset slot: over either
-	// service (constant-rate, rate-latency) the residual has strictly
-	// positive final slope under stability, so a genuine residual is never
-	// the zero curve (if one ever were, the memo would merely recompute it
-	// — still correct). dec and hd are the residual as the closed forms see
-	// it: its gated-convex form and the deviation h(agg, chi) of the curve
-	// with its gate stripped. A k = 2 search fills hd on demand (hdAt; NaN
-	// marks an unset slot) and prices pairs first with floor, a lower bound
-	// of hd from the gated-convex form alone (minplus.DeviationFloor).
+	// off[i], and decompose draws them from the chain arena and fills res.
+	// dec and hd are the residual as the closed forms see it: its
+	// gated-convex form and the deviation h(agg, chi) of the curve with its
+	// gate stripped. A k = 2 search fills hd on demand (hdAt; NaN marks an
+	// unset slot) and prices pairs first with floor, a lower bound of hd
+	// from the gated-convex form alone (minplus.DeviationFloor).
 	res   []minplus.Curve
 	dec   []minplus.GatedConvex
 	hd    []float64
@@ -148,16 +145,8 @@ type thetaSearch struct {
 // stop is the search's checkpoint, read before every evaluation.
 func (ts *thetaSearch) stop() bool { return canceled(ts.ctx) || ts.bg.spent() }
 
-// residualAt returns the memoized residual of candidate ci at position i.
-func (ts *thetaSearch) residualAt(i, ci int) minplus.Curve {
-	s := ts.off[i] + ci
-	c := ts.res[s]
-	if c.NumPoints() == 0 && c.FinalSlope() == 0 {
-		c = residual(ts.ar, ts.beta[i], ts.cross[i], ts.cands[i][ci])
-		ts.res[s] = c
-	}
-	return c
-}
+// residualAt returns the residual of candidate ci at position i.
+func (ts *thetaSearch) residualAt(i, ci int) minplus.Curve { return ts.res[ts.off[i]+ci] }
 
 // minimize returns the minimal horizontal deviation over the candidate
 // grid (enumeration for k = 2, coordinate descent otherwise). A k = 2
@@ -196,7 +185,6 @@ func (ts *thetaSearch) decompose() bool {
 	}
 	total := ts.off[len(ts.cands)]
 	ts.res = ts.ar.Curves(total)[:total]
-	clear(ts.res) // arena memory is not zeroed
 	ts.dec = ts.ar.Gated(total)[:total]
 	ts.hd = ts.ar.Floats(total)[:total]
 	lazy := len(ts.cands) == 2
@@ -205,17 +193,17 @@ func (ts *thetaSearch) decompose() bool {
 	}
 	closed := ts.aggRisesImmediately()
 	for i, c := range ts.cands {
-		for ci := range c {
-			res := ts.residualAt(i, ci)
+		for ci, theta := range c {
+			s := ts.off[i] + ci
+			ts.res[s] = residual(ts.ar, ts.beta[i], ts.cross[i], theta)
 			if !closed {
 				continue
 			}
-			dec, ok := ts.ar.DecomposeGatedConvex(res)
+			dec, ok := ts.ar.DecomposeGatedConvex(ts.res[s])
 			if !ok {
 				closed = false
 				continue
 			}
-			s := ts.off[i] + ci
 			ts.dec[s], ts.hd[s] = dec, math.NaN()
 			if lazy {
 				ts.floor[s] = minplus.DeviationFloor(ts.agg, dec)
@@ -356,56 +344,42 @@ type scanFunc func(idx []int, i int, best float64) func(wa *minplus.Arena, ci in
 // applies to the search and on generic convolutions otherwise: it scans one
 // coordinate at a time from the all-zero vector (candidate index 0 is
 // always theta = 0), keeping the best strictly improving candidate of each
-// scan, up to three passes — the same search the pre-overhaul engine ran —
-// with evaluated vectors memoized.
+// scan. It stops once k scans in a row, counting the last improving one,
+// left the vector unchanged, or after 3k scans — the three passes the
+// pre-overhaul engine ran, which reach the same vector: rescanning a
+// coordinate that nothing moved since its last scan finds no candidate
+// below the incumbent.
 func (ts *thetaSearch) coordinateDescent(scan scanFunc) float64 {
 	k := len(ts.cands)
 	idx := make([]int, k)
-	seen := newVecMemo(ts.cands)
 	// The starting vector, as the last coordinate's scan evaluates it: for
 	// the generic scan that is the left fold of the convolution.
 	wa := minplus.GetArena()
 	best := scan(idx, k-1, math.Inf(1))(wa, idx[k-1])
 	wa.Release()
-	seen.put(idx, k-1, idx[k-1], best)
-	for pass := 0; pass < 3; pass++ {
-		improved := false
-		for i := 0; i < k; i++ {
-			if ts.stop() {
-				return best
-			}
-			eval := scan(idx, i, best)
-			// The fan-out only reads seen (no concurrent writes happen
-			// during it), and a memo miss recomputes the pure evaluation —
-			// the identical value the serial code would have cached.
-			vals := make([]float64, len(ts.cands[i]))
-			fanOut(ts.ctx, len(vals), func(wa *minplus.Arena, ci int) error {
-				if d, ok := seen.get(idx, i, ci); ok {
-					vals[ci] = d
-				} else {
-					vals[ci] = eval(wa, ci)
-				}
-				return nil
-			})
-			// Persist the scan's evaluations into the memo sequentially.
-			for ci, d := range vals {
-				seen.put(idx, i, ci, d)
-			}
-			bestHere := idx[i]
-			for ci := range ts.cands[i] {
-				if ci == bestHere {
-					continue
-				}
-				if d := vals[ci]; d < best {
-					best = d
-					bestHere = ci
-					improved = true
-				}
-			}
-			idx[i] = bestHere
+	n := 0
+	for _, c := range ts.cands {
+		n = max(n, len(c))
+	}
+	vals := ts.ar.Floats(n)[:n]
+	for scans, still := 0, 0; scans < 3*k && still < k; scans++ {
+		if ts.stop() {
+			return best
 		}
-		if !improved {
-			break
+		i := scans % k
+		eval, cur := scan(idx, i, best), idx[i]
+		// The incumbent's own candidate is not evaluated: its value is best.
+		fanOut(ts.ctx, len(ts.cands[i]), func(wa *minplus.Arena, ci int) error {
+			if ci != cur {
+				vals[ci] = eval(wa, ci)
+			}
+			return nil
+		})
+		still++
+		for ci, d := range vals[:len(ts.cands[i])] {
+			if ci != cur && d < best {
+				best, idx[i], still = d, ci, 1
+			}
 		}
 	}
 	return best
@@ -557,69 +531,4 @@ func (ts *thetaSearch) scanPoints(i int) int {
 		n = max(n, ts.residualAt(i, ci).NumPoints())
 	}
 	return n
-}
-
-// vecMemo memoizes evaluated candidate-index vectors. A vector is keyed by
-// its value as a mixed-radix number over the candidate counts; a grid with
-// more than 2^64 vectors falls back to the indices spelled out.
-type vecMemo struct {
-	weight  []uint64 // nil: the grid outgrows a uint64
-	packed  map[uint64]float64
-	spelled map[string]float64
-}
-
-func newVecMemo(cands [][]float64) *vecMemo {
-	weight, w := make([]uint64, len(cands)), uint64(1)
-	for j, c := range cands {
-		weight[j] = w
-		hi, lo := bits.Mul64(w, uint64(len(c)))
-		if hi != 0 {
-			return &vecMemo{spelled: map[string]float64{}}
-		}
-		w = lo
-	}
-	return &vecMemo{weight: weight, packed: map[uint64]float64{}}
-}
-
-// key returns the packed key of idx with coordinate i at ci.
-func (m *vecMemo) key(idx []int, i, ci int) uint64 {
-	key := uint64(0)
-	for j, x := range idx {
-		if j == i {
-			x = ci
-		}
-		key += m.weight[j] * uint64(x)
-	}
-	return key
-}
-
-// spell is the fallback key: four bytes an index.
-func spell(idx []int, i, ci int) string {
-	b := make([]byte, 0, 4*len(idx))
-	for j, x := range idx {
-		if j == i {
-			x = ci
-		}
-		b = binary.LittleEndian.AppendUint32(b, uint32(x))
-	}
-	return string(b)
-}
-
-// get looks up idx with coordinate i at ci.
-func (m *vecMemo) get(idx []int, i, ci int) (float64, bool) {
-	if m.weight == nil {
-		d, ok := m.spelled[spell(idx, i, ci)]
-		return d, ok
-	}
-	d, ok := m.packed[m.key(idx, i, ci)]
-	return d, ok
-}
-
-// put records idx with coordinate i at ci.
-func (m *vecMemo) put(idx []int, i, ci int, d float64) {
-	if m.weight == nil {
-		m.spelled[spell(idx, i, ci)] = d
-		return
-	}
-	m.packed[m.key(idx, i, ci)] = d
 }

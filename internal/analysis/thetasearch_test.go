@@ -284,10 +284,10 @@ func allBranchesScan(ts *thetaSearch) scanFunc {
 // TestCoordinateDescentClosedForm is the law of the k > 2 search: over the
 // seeded scenarios of TestThetaSearchPrunesExactly stretched to 3, 4 and 6
 // servers, the shipped descent equals itself under GOMAXPROCS 1 and 2 and
-// the descent with early exit disabled, bit for bit (a memoised lower bound
-// never changes a comparison); and the descents on the closed form without
-// zero-jump domination and on the written-out fold of generic convolutions
-// take the same path to the same value within Eps.
+// the descent with early exit disabled, bit for bit (a lower bound in place
+// of a value never changes a comparison); and the descents on the closed
+// form without zero-jump domination and on the written-out fold of generic
+// convolutions take the same path to the same value within Eps.
 func TestCoordinateDescentClosedForm(t *testing.T) {
 	ar := minplus.GetArena()
 	defer ar.Release()
@@ -357,6 +357,76 @@ func TestCoordinateDescentClosedForm(t *testing.T) {
 		}
 		t.Logf("k=%d: %d scenarios, %d of %d branches cut, %d values differ in bits from the undominated closed form",
 			k, scenarios, counts[0][1], counts[0][0], bitDiffs)
+	}
+}
+
+// plainDescent is the reference of the k > 2 search: from the all-zero
+// vector, up to three full passes over the coordinates, each scan
+// evaluating every candidate but the incumbent's in full (no incumbent to
+// exit early against) and moving to the first strict minimum below the
+// incumbent; a pass that improves nothing ends it.
+func plainDescent(ts *thetaSearch, scan scanFunc) float64 {
+	k := len(ts.cands)
+	idx := make([]int, k)
+	wa := minplus.GetArena()
+	defer wa.Release()
+	best := scan(idx, k-1, math.Inf(1))(wa, 0)
+	for pass := 0; pass < 3; pass++ {
+		improved := false
+		for i := range idx {
+			eval, cur := scan(idx, i, math.Inf(1)), idx[i]
+			for ci := range ts.cands[i] {
+				if ci == cur {
+					continue
+				}
+				wa.Reset()
+				if d := eval(wa, ci); d < best {
+					best, idx[i], improved = d, ci, true
+				}
+			}
+		}
+		if !improved {
+			break
+		}
+	}
+	return best
+}
+
+// TestCoordinateDescentMatchesPlainDescent holds the shipped k > 2 search,
+// which skips the incumbent's candidate, compares lower bounds against the
+// scan's incumbent and stops once k scans in a row moved nothing, to the
+// plain three-pass descent, bit for bit, under GOMAXPROCS 1 and 2, over
+// the seeded scenarios of TestCoordinateDescentClosedForm.
+func TestCoordinateDescentMatchesPlainDescent(t *testing.T) {
+	ar := minplus.GetArena()
+	defer ar.Release()
+	for _, k := range []int{3, 4, 6} {
+		rng := rand.New(rand.NewSource(25))
+		scs := make([]pairScenario, 150)
+		for n := range scs {
+			scs[n] = randomScenario(rng, k)
+		}
+		want := make([]float64, len(scs))
+		for n, sc := range scs {
+			ar.Reset()
+			ts := sc.search(context.Background(), ar, math.Inf(1), nil)
+			scan := ts.genericScan
+			if ts.decompose() {
+				scan = ts.closedFormScan
+			}
+			want[n] = plainDescent(ts, scan)
+		}
+		for _, procs := range []int{1, 2} {
+			prev := runtime.GOMAXPROCS(procs)
+			for n, sc := range scs {
+				ar.Reset()
+				got := sc.search(context.Background(), ar, math.Inf(1), nil).minimize()
+				if math.Float64bits(got) != math.Float64bits(want[n]) {
+					t.Errorf("k=%d scenario %d, GOMAXPROCS=%d: search %v, plain descent %v", k, n, procs, got, want[n])
+				}
+			}
+			runtime.GOMAXPROCS(prev)
+		}
 	}
 }
 
@@ -432,37 +502,5 @@ func TestCoordinateDescentCutsBranches(t *testing.T) {
 	}
 	if cut >= faced || cut*2 < faced {
 		t.Errorf("%d of %d branches cut, want at least half (and not all)", cut, faced)
-	}
-}
-
-// TestVecMemoKeys checks both spellings of the memo key: packed while the
-// grid fits a uint64, spelled out past that, and in either no two vectors
-// share a key — the two-bytes-an-index key this replaced took index 65,537
-// for index 1.
-func TestVecMemoKeys(t *testing.T) {
-	small := [][]float64{make([]float64, 3), make([]float64, 70000), make([]float64, 5)}
-	wide := make([]float64, 1<<17)
-	huge := [][]float64{wide, wide, wide, wide} // 2^68 vectors
-	for name, cands := range map[string][][]float64{"packed": small, "spelled": huge} {
-		m := newVecMemo(cands)
-		if packed := m.weight != nil; packed != (name == "packed") {
-			t.Fatalf("%s grid: packed key %v", name, packed)
-		}
-		idx := make([]int, len(cands))
-		idx[0], idx[2] = 2, 4
-		m.put(idx, 1, 1, 10)
-		m.put(idx, 1, 65537, 20)
-		m.put(idx, 0, 1, 30)
-		for _, tc := range []struct {
-			i, ci int
-			want  float64
-		}{{1, 1, 10}, {1, 65537, 20}, {0, 1, 30}} {
-			if d, ok := m.get(idx, tc.i, tc.ci); !ok || d != tc.want {
-				t.Errorf("%s grid: coordinate %d at %d reads %v, %v; want %v", name, tc.i, tc.ci, d, ok, tc.want)
-			}
-		}
-		if _, ok := m.get(idx, 1, 2); ok {
-			t.Errorf("%s grid: a vector never stored is found", name)
-		}
 	}
 }

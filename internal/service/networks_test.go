@@ -251,6 +251,16 @@ func TestCrossShardBatchStress(t *testing.T) {
 	}
 
 	const workers, iters = 4, 24
+	// One resident connection per block, never released, puts every block
+	// in its own shard before the workers start, so a worker's first
+	// cross-block admit meets two shards however the workers interleave.
+	for g := 0; g < workers; g++ {
+		body := fmt.Sprintf(`{"operations": [{"op": "admit", "connection": {"name": "resident%d", "sigma": 1, "rho": 0.001, "access_rate": 1, "path": ["b%d.sw0.mid", "b%d.sw1.mid"], "deadline": 500}}]}`, g, g, g)
+		resp := decode[BatchResponse](t, do(t, srv, "POST", "/v2/networks/default/batch", body))
+		if len(resp.Results) != 1 || resp.Results[0].Status != BatchStatusAdmitted {
+			t.Fatalf("resident connection of block %d: %+v", g, resp.Results)
+		}
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
 	for g := 0; g < workers; g++ {

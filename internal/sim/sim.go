@@ -287,30 +287,28 @@ func Run(net *topo.Network, cfg Config) (*Result, error) {
 }
 
 // WorstCaseHorizon suggests a horizon long enough to contain the maximal
-// busy period of every server under greedy sources, with headroom.
+// busy period of every server of a valid network under greedy sources,
+// with headroom, and at least 50 bit-times of the fastest line: scaling
+// every rate by k scales it by 1/k.
 func WorstCaseHorizon(net *topo.Network) float64 {
 	// A crude but safe bound: total burst divided by the smallest
 	// capacity margin, times a safety factor.
-	totalBurst := 0.0
-	minMargin := math.Inf(1)
-	for i, s := range net.Servers {
-		rate := 0.0
-		for _, c := range net.ConnectionsAt(i) {
-			rate += net.Connections[c].Bucket.Rho
+	totalBurst, rate := 0.0, make([]float64, len(net.Servers))
+	for _, c := range net.Connections {
+		for _, s := range c.Path {
+			rate[s] += c.Bucket.Rho
 		}
-		if m := s.Capacity - rate; m < minMargin {
+		totalBurst += c.Bucket.Sigma
+	}
+	minMargin, maxCapacity := math.Inf(1), 0.0
+	for i, s := range net.Servers {
+		if m := s.Capacity - rate[i]; m < minMargin {
 			minMargin = m
 		}
-	}
-	for _, c := range net.Connections {
-		totalBurst += c.Bucket.Sigma
+		maxCapacity = max(maxCapacity, s.Capacity)
 	}
 	if minMargin <= 0 || math.IsInf(minMargin, 1) {
 		return 100
 	}
-	h := 4 * totalBurst / minMargin
-	if h < 50 {
-		h = 50
-	}
-	return h
+	return max(4*totalBurst/minMargin, 50/maxCapacity)
 }

@@ -247,6 +247,70 @@ func TestWorstCaseHorizonReasonable(t *testing.T) {
 	}
 }
 
+// TestWorstCaseHorizonScalesWithRates is the horizon's law of units:
+// scaling every rate of a network (capacities, sustained, access and
+// reserved rates) by 2^j scales its horizon by 2^-j exactly, whether the
+// busy-period term binds or the floor of 50 bit-times of the fastest line.
+func TestWorstCaseHorizonScalesWithRates(t *testing.T) {
+	scale := func(net *topo.Network, k float64) *topo.Network {
+		out := &topo.Network{
+			Servers:     append([]server.Server(nil), net.Servers...),
+			Connections: append([]topo.Connection(nil), net.Connections...),
+		}
+		for i := range out.Servers {
+			out.Servers[i].Capacity *= k
+		}
+		for i := range out.Connections {
+			c := &out.Connections[i]
+			c.Bucket.Rho *= k
+			c.AccessRate *= k
+			c.Rate *= k
+		}
+		return out
+	}
+	tandem, err := topo.PaperTandem(4, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := topo.PaperTandem(2, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	random, err := topo.RandomFeedforward(12, 40, 0.6, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := scale(random, 1)
+	for i := range mixed.Servers {
+		mixed.Servers[i].Capacity *= float64(1 + i%3)
+	}
+	lone := &topo.Network{
+		Servers:     []server.Server{{Name: "s", Capacity: 3}},
+		Connections: []topo.Connection{{Name: "c", Bucket: traffic.TokenBucket{Sigma: 0.1, Rho: 1}, Path: []int{0}}},
+	}
+	for _, tc := range []struct {
+		name  string
+		net   *topo.Network
+		floor float64 // the horizon when the floor binds, else 0
+	}{
+		{"tandem4", tandem, 0},
+		{"tandem2", short, 50},
+		{"random", random, 0},
+		{"mixed capacities", mixed, 0},
+		{"lone", lone, 50.0 / 3},
+	} {
+		h := WorstCaseHorizon(tc.net)
+		if (h == tc.floor) != (tc.floor != 0) {
+			t.Errorf("%s: horizon %v, floor %v: the case no longer tests the term it names", tc.name, h, tc.floor)
+		}
+		for _, j := range []int{-20, -3, 1, 27} {
+			if got, want := WorstCaseHorizon(scale(tc.net, math.Ldexp(1, j))), math.Ldexp(h, -j); got != want {
+				t.Errorf("%s: rates x 2^%d give horizon %v, want %v", tc.name, j, got, want)
+			}
+		}
+	}
+}
+
 func TestEDFBoundsHold(t *testing.T) {
 	net, err := topo.Tandem(topo.TandemSpec{
 		Switches: 3, Sigma: 1, Rho: 0.15, Capacity: 1, Discipline: server.EDF,
