@@ -102,8 +102,14 @@ falsify-smoke:
 		-scenarios tandem2-u80,parkinglot4,star4,line4,fattree2,burstycross2 -analyzers decomposed,servicecurve,integrated
 
 # Regenerate every paper figure and extension experiment (CSV into results/).
+# The report goes to a temporary file that replaces results/figures.txt only
+# when the generator succeeds: through a pipe into tee, a shell without
+# pipefail reports tee's status, so a failing generator would leave make
+# green and the committed report empty.
 figures:
-	$(GO) run ./cmd/figures -csv results | tee results/figures.txt
+	$(GO) run ./cmd/figures -csv results > results/figures.txt.tmp || { rm -f results/figures.txt.tmp; exit 1; }
+	mv results/figures.txt.tmp results/figures.txt
+	cat results/figures.txt
 
 # Start the admission-control daemon on the paper's 4-server tandem
 # fabric (see docs/SERVICE.md for the API).
@@ -119,4 +125,4 @@ fuzz:
 # Removes only what the targets above generate and git does not track;
 # results/*.csv and results/figures.txt are committed (README cites them).
 clean:
-	rm -rf .bench_build FALSIFY_report.json results/*.pprof analysis.test
+	rm -rf .bench_build FALSIFY_report.json results/*.pprof results/figures.txt.tmp analysis.test

@@ -92,12 +92,35 @@ func TestDelaycalcErrors(t *testing.T) {
 	run(t, false, "delaycalc", "-spec", "/nonexistent.json")
 }
 
+// TestFiguresSingle runs every figure name the -fig help lists on its own,
+// and holds that a name outside that list, a prefix of one included, fails
+// before anything runs: non-zero status, nothing on stdout.
 func TestFiguresSingle(t *testing.T) {
-	out := run(t, true, "figures", "-fig", "burst")
-	if !strings.Contains(out, "Burstiness invariance") {
-		t.Errorf("missing burstiness panel:\n%s", out)
+	help := run(t, true, "figures", "-h")
+	_, list, ok := strings.Cut(help, "which figure to produce: ")
+	list, _, _ = strings.Cut(list, " (default")
+	names := strings.Split(list, ", ")
+	if !ok || len(names) < 14 || !strings.Contains(", "+list+",", ", percentiles,") {
+		t.Fatalf("-fig help lists %q, want every figure name:\n%s", names, help)
 	}
-	run(t, false, "figures", "-fig", "nope")
+	for _, name := range names {
+		if name == "all" {
+			continue
+		}
+		out := run(t, true, "figures", "-fig", name)
+		if strings.TrimSpace(out) == "" {
+			t.Errorf("-fig %s printed nothing", name)
+		}
+		if name == "burst" && !strings.Contains(out, "Burstiness invariance") {
+			t.Errorf("missing burstiness panel:\n%s", out)
+		}
+	}
+	for _, bad := range []string{"nope", "valid"} {
+		stdout, err := exec.Command(filepath.Join(binDir, "figures"), "-fig", bad).Output()
+		if err == nil || len(stdout) != 0 {
+			t.Errorf("-fig %s: err=%v, stdout %q; want a failure with nothing on stdout", bad, err, stdout)
+		}
+	}
 }
 
 func TestFiguresCSV(t *testing.T) {

@@ -1,13 +1,12 @@
 // Package experiments regenerates the paper's evaluation (Section 4):
 // every figure's series on the tandem network of n 3x3 switches, plus the
-// supporting experiments listed in DESIGN.md. Each generator returns plain
-// series data; cmd/figures and the benchmarks render them.
+// supporting experiments listed in DESIGN.md. Each generator is a row
+// function over one loop, sweep, and returns plain series data;
+// cmd/figures and the benchmarks render them.
 package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"delaycalc/internal/analysis"
 	"delaycalc/internal/textplot"
@@ -36,48 +35,56 @@ func RelativeImprovement(dx, dy float64) float64 {
 	return (dx - dy) / dx
 }
 
-// conn0Bound analyzes the paper tandem and returns the bound of
-// Connection 0 (the connection traveling the longest path, the one the
-// paper reports).
-func conn0Bound(a analysis.Analyzer, n int, load float64) (float64, error) {
-	net, err := topo.PaperTandem(n, load)
-	if err != nil {
-		return 0, err
+// sweep is the row loop every generator runs on: it calls row(x) for each
+// x in order and appends the row's i-th value, at x, to the series named
+// names[i]. The first error stops it.
+func sweep(xs []float64, names []string, row func(x float64) ([]float64, error)) ([]textplot.Series, error) {
+	series := make([]textplot.Series, len(names))
+	for i, name := range names {
+		series[i].Name = name
 	}
-	res, err := a.Analyze(net)
-	if err != nil {
-		return 0, err
-	}
-	return res.Bound(0), nil
-}
-
-// sweep evaluates an analyzer over the load range for one network size.
-// The loads are independent, so they are analyzed concurrently across the
-// available cores; results keep the input order.
-func sweep(a analysis.Analyzer, n int, loads []float64) (textplot.Series, error) {
-	s := textplot.Series{Name: fmt.Sprintf("%s(%d)", a.Name(), n)}
-	ys := make([]float64, len(loads))
-	errs := make([]error, len(loads))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, u := range loads {
-		wg.Add(1)
-		go func(i int, u float64) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			ys[i], errs[i] = conn0Bound(a, n, u)
-		}(i, u)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	for _, x := range xs {
+		ys, err := row(x)
 		if err != nil {
-			return s, err
+			return nil, err
+		}
+		for i, y := range ys {
+			series[i].X = append(series[i].X, x)
+			series[i].Y = append(series[i].Y, y)
 		}
 	}
-	s.X = append(s.X, loads...)
-	s.Y = append(s.Y, ys...)
-	return s, nil
+	return series, nil
+}
+
+// orDefault returns loads, or DefaultLoads when loads is nil.
+func orDefault(loads []float64) []float64 {
+	if loads == nil {
+		return DefaultLoads
+	}
+	return loads
+}
+
+// sized suffixes each name with the network size, as in "Integrated(4)".
+func sized(n int, names ...string) []string {
+	out := make([]string, len(names))
+	for i, name := range names {
+		out[i] = fmt.Sprintf("%s(%d)", name, n)
+	}
+	return out
+}
+
+// appendBounds analyzes net with each analyzer in turn and appends the
+// bound of connection 0 (on the paper tandem, the connection traveling the
+// longest path, the one the paper reports) to ys.
+func appendBounds(ys []float64, net *topo.Network, as ...analysis.Analyzer) ([]float64, error) {
+	for _, a := range as {
+		r, err := a.Analyze(net)
+		if err != nil {
+			return nil, err
+		}
+		ys = append(ys, r.Bound(0))
+	}
+	return ys, nil
 }
 
 // twoMethodFigure builds a figure comparing methods x and y over the given
@@ -85,21 +92,23 @@ func sweep(a analysis.Analyzer, n int, loads []float64) (textplot.Series, error)
 func twoMethodFigure(name string, x, y analysis.Analyzer, sizes []int, loads []float64) (*Figure, error) {
 	fig := &Figure{Name: name}
 	for _, n := range sizes {
-		sx, err := sweep(x, n, loads)
+		names := sized(n, x.Name(), y.Name(), x.Name()+"/"+y.Name())
+		s, err := sweep(orDefault(loads), names, func(u float64) ([]float64, error) {
+			net, err := topo.PaperTandem(n, u)
+			if err != nil {
+				return nil, err
+			}
+			d, err := appendBounds(nil, net, x, y)
+			if err != nil {
+				return nil, err
+			}
+			return append(d, RelativeImprovement(d[0], d[1])), nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		sy, err := sweep(y, n, loads)
-		if err != nil {
-			return nil, err
-		}
-		fig.Delays = append(fig.Delays, sx, sy)
-		imp := textplot.Series{Name: fmt.Sprintf("%s/%s(%d)", x.Name(), y.Name(), n)}
-		for i := range sx.X {
-			imp.X = append(imp.X, sx.X[i])
-			imp.Y = append(imp.Y, RelativeImprovement(sx.Y[i], sy.Y[i]))
-		}
-		fig.Improvement = append(fig.Improvement, imp)
+		fig.Delays = append(fig.Delays, s[0], s[1])
+		fig.Improvement = append(fig.Improvement, s[2])
 	}
 	return fig, nil
 }
@@ -108,9 +117,6 @@ func twoMethodFigure(name string, x, y analysis.Analyzer, sizes []int, loads []f
 // end-to-end delays for Connection 0 on tandems of 2, 4, 6 and 8 switches,
 // plus the relative improvement R_{Decomposed,ServiceCurve}.
 func Figure4(loads []float64) (*Figure, error) {
-	if loads == nil {
-		loads = DefaultLoads
-	}
 	return twoMethodFigure("Figure 4: Decomposed vs Service Curve",
 		analysis.Decomposed{}, analysis.ServiceCurve{}, []int{2, 4, 6, 8}, loads)
 }
@@ -119,9 +125,6 @@ func Figure4(loads []float64) (*Figure, error) {
 // for tandems of 2, 4 and 8 switches (the sizes the paper plots), with the
 // relative improvement R_{Decomposed,Integrated}.
 func Figure5(loads []float64) (*Figure, error) {
-	if loads == nil {
-		loads = DefaultLoads
-	}
 	return twoMethodFigure("Figure 5: Integrated vs Decomposed",
 		analysis.Decomposed{}, analysis.Integrated{}, []int{2, 4, 8}, loads)
 }
@@ -130,9 +133,6 @@ func Figure5(loads []float64) (*Figure, error) {
 // for tandems of 2, 4, 6 and 8 switches, with the relative improvement
 // R_{ServiceCurve,Integrated}.
 func Figure6(loads []float64) (*Figure, error) {
-	if loads == nil {
-		loads = DefaultLoads
-	}
 	return twoMethodFigure("Figure 6: Integrated vs Service Curve",
 		analysis.ServiceCurve{}, analysis.Integrated{}, []int{2, 4, 6, 8}, loads)
 }
@@ -142,29 +142,24 @@ func Figure6(loads []float64) (*Figure, error) {
 // improvements essentially unchanged. It returns, per sigma, the relative
 // improvement of Integrated over Decomposed for connection 0.
 func BurstinessSweep(n int, load float64, sigmas []float64) (textplot.Series, textplot.Series, error) {
-	imp := textplot.Series{Name: fmt.Sprintf("R(Decomposed,Integrated) n=%d U=%g", n, load)}
-	abs := textplot.Series{Name: fmt.Sprintf("Decomposed delay n=%d U=%g", n, load)}
-	for _, sigma := range sigmas {
-		net, err := topo.Tandem(topo.TandemSpec{
-			Switches: n, Sigma: sigma, Rho: load / 4, Capacity: 1,
-		})
+	s, err := sweep(sigmas, []string{
+		fmt.Sprintf("R(Decomposed,Integrated) n=%d U=%g", n, load),
+		fmt.Sprintf("Decomposed delay n=%d U=%g", n, load),
+	}, func(sigma float64) ([]float64, error) {
+		net, err := topo.Tandem(topo.TandemSpec{Switches: n, Sigma: sigma, Rho: load / 4, Capacity: 1})
 		if err != nil {
-			return imp, abs, err
+			return nil, err
 		}
-		rd, err := (analysis.Decomposed{}).Analyze(net)
+		d, err := appendBounds(nil, net, analysis.Decomposed{}, analysis.Integrated{})
 		if err != nil {
-			return imp, abs, err
+			return nil, err
 		}
-		ri, err := (analysis.Integrated{}).Analyze(net)
-		if err != nil {
-			return imp, abs, err
-		}
-		imp.X = append(imp.X, sigma)
-		imp.Y = append(imp.Y, RelativeImprovement(rd.Bound(0), ri.Bound(0)))
-		abs.X = append(abs.X, sigma)
-		abs.Y = append(abs.Y, rd.Bound(0))
+		return []float64{RelativeImprovement(d[0], d[1]), d[0]}, nil
+	})
+	if err != nil {
+		return textplot.Series{}, textplot.Series{}, err
 	}
-	return imp, abs, nil
+	return s[0], s[1], nil
 }
 
 // Render pretty-prints a figure: a log-scale delay chart, an improvement

@@ -19,16 +19,8 @@ import (
 // analytic bounds — the soundness check the paper could not run (it had no
 // simulator). Every bound series must dominate the simulation series.
 func ValidationSweep(n int, loads []float64, packetSize float64) ([]textplot.Series, error) {
-	if loads == nil {
-		loads = DefaultLoads
-	}
-	simS := textplot.Series{Name: fmt.Sprintf("Simulated(%d)", n)}
-	analyzers := []analysis.Analyzer{analysis.Integrated{}, analysis.Decomposed{}, analysis.ServiceCurve{}}
-	bounds := make([]textplot.Series, len(analyzers))
-	for i, a := range analyzers {
-		bounds[i] = textplot.Series{Name: fmt.Sprintf("%s(%d)", a.Name(), n)}
-	}
-	for _, u := range loads {
+	names := sized(n, "Simulated", "Integrated", "Decomposed", "ServiceCurve")
+	return sweep(orDefault(loads), names, func(u float64) ([]float64, error) {
 		net, err := topo.PaperTandem(n, u)
 		if err != nil {
 			return nil, err
@@ -37,18 +29,9 @@ func ValidationSweep(n int, loads []float64, packetSize float64) ([]textplot.Ser
 		if err != nil {
 			return nil, err
 		}
-		simS.X = append(simS.X, u)
-		simS.Y = append(simS.Y, res.Stats[0].MaxDelay)
-		for i, a := range analyzers {
-			r, err := a.Analyze(net)
-			if err != nil {
-				return nil, err
-			}
-			bounds[i].X = append(bounds[i].X, u)
-			bounds[i].Y = append(bounds[i].Y, r.Bound(0))
-		}
-	}
-	return append([]textplot.Series{simS}, bounds...), nil
+		return appendBounds([]float64{res.Stats[0].MaxDelay}, net,
+			analysis.Integrated{}, analysis.Decomposed{}, analysis.ServiceCurve{})
+	})
 }
 
 // DelayPercentileSweep simulates the paper tandem with per-packet sampling
@@ -59,14 +42,7 @@ func ValidationSweep(n int, loads []float64, packetSize float64) ([]textplot.Ser
 // table — and the guard below turns any residual NaN into an error instead
 // of a corrupt figure.
 func DelayPercentileSweep(n int, loads []float64, packetSize float64) ([]textplot.Series, error) {
-	if loads == nil {
-		loads = DefaultLoads
-	}
-	p50 := textplot.Series{Name: fmt.Sprintf("p50(%d)", n)}
-	p99 := textplot.Series{Name: fmt.Sprintf("p99(%d)", n)}
-	p100 := textplot.Series{Name: fmt.Sprintf("p100(%d)", n)}
-	bound := textplot.Series{Name: fmt.Sprintf("Integrated(%d)", n)}
-	for _, u := range loads {
+	return sweep(orDefault(loads), sized(n, "p50", "p99", "p100", "Integrated"), func(u float64) ([]float64, error) {
 		net, err := topo.PaperTandem(n, u)
 		if err != nil {
 			return nil, err
@@ -77,56 +53,29 @@ func DelayPercentileSweep(n int, loads []float64, packetSize float64) ([]textplo
 		if err != nil {
 			return nil, err
 		}
-		st := res.Stats[0]
-		for _, q := range []struct {
-			s *textplot.Series
-			p float64
-		}{{&p50, 0.5}, {&p99, 0.99}, {&p100, 1}} {
-			v := st.Percentile(q.p)
+		var ys []float64
+		for _, p := range []float64{0.5, 0.99, 1} {
+			v := res.Stats[0].Percentile(p)
 			if math.IsNaN(v) {
-				return nil, fmt.Errorf("percentile sweep: p%g is NaN at load %g (sampling disabled?)", 100*q.p, u)
+				return nil, fmt.Errorf("percentile sweep: p%g is NaN at load %g (sampling disabled?)", 100*p, u)
 			}
-			q.s.X = append(q.s.X, u)
-			q.s.Y = append(q.s.Y, v)
+			ys = append(ys, v)
 		}
-		r, err := (analysis.Integrated{}).Analyze(net)
-		if err != nil {
-			return nil, err
-		}
-		bound.X = append(bound.X, u)
-		bound.Y = append(bound.Y, r.Bound(0))
-	}
-	return []textplot.Series{p50, p99, p100, bound}, nil
+		return appendBounds(ys, net, analysis.Integrated{})
+	})
 }
 
 // AblationPairing quantifies the value of the two-server pairing: the same
 // Integrated machinery with pairing disabled degenerates to decomposition.
 // Returns the conn-0 bounds with and without pairing.
 func AblationPairing(n int, loads []float64) ([]textplot.Series, error) {
-	if loads == nil {
-		loads = DefaultLoads
-	}
-	paired := textplot.Series{Name: fmt.Sprintf("Paired(%d)", n)}
-	single := textplot.Series{Name: fmt.Sprintf("Singletons(%d)", n)}
-	for _, u := range loads {
+	return sweep(orDefault(loads), sized(n, "Paired", "Singletons"), func(u float64) ([]float64, error) {
 		net, err := topo.PaperTandem(n, u)
 		if err != nil {
 			return nil, err
 		}
-		rp, err := (analysis.Integrated{}).Analyze(net)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := (analysis.Integrated{ChainLength: 1}).Analyze(net)
-		if err != nil {
-			return nil, err
-		}
-		paired.X = append(paired.X, u)
-		paired.Y = append(paired.Y, rp.Bound(0))
-		single.X = append(single.X, u)
-		single.Y = append(single.Y, rs.Bound(0))
-	}
-	return []textplot.Series{paired, single}, nil
+		return appendBounds(nil, net, analysis.Integrated{}, analysis.Integrated{ChainLength: 1})
+	})
 }
 
 // GreedyGap compares, on the paper's two-multiplexor subsystem (Figure 1),
@@ -135,46 +84,22 @@ func AblationPairing(n int, loads []float64) ([]textplot.Series, error) {
 // the shipped analyzer does not use the greedy evaluation: the simulation
 // can exceed it.
 func GreedyGap(loads []float64) ([]textplot.Series, error) {
-	if loads == nil {
-		loads = DefaultLoads
-	}
-	est := textplot.Series{Name: "GreedyLemma4"}
-	sound := textplot.Series{Name: "Integrated"}
-	simulated := textplot.Series{Name: "Simulated"}
-	for _, u := range loads {
+	return sweep(orDefault(loads), []string{"Simulated", "GreedyLemma4", "Integrated"}, func(u float64) ([]float64, error) {
 		net, err := topo.PaperTandem(2, u)
 		if err != nil {
 			return nil, err
 		}
-		// Subsystem envelopes as the analyzer sees them: everything fresh.
-		rho := u / 4
-		f12 := minplus.Sum(
-			traffic.TokenBucket{Sigma: 1, Rho: rho}.EnvelopeCapped(1),
-			traffic.TokenBucket{Sigma: 1, Rho: rho}.EnvelopeCapped(1),
-		)
-		f1 := traffic.TokenBucket{Sigma: 1, Rho: rho}.EnvelopeCapped(1)
-		f2 := minplus.Sum(
-			traffic.TokenBucket{Sigma: 1, Rho: rho}.EnvelopeCapped(1),
-			traffic.TokenBucket{Sigma: 1, Rho: rho}.EnvelopeCapped(1),
-		)
-		est.X = append(est.X, u)
-		est.Y = append(est.Y, analysis.GreedyPairEstimate(f12, f1, f2, 1, 1))
-
-		ri, err := (analysis.Integrated{}).Analyze(net)
-		if err != nil {
-			return nil, err
-		}
-		sound.X = append(sound.X, u)
-		sound.Y = append(sound.Y, ri.Bound(0))
-
 		res, err := sim.Run(net, sim.Config{PacketSize: 0.01, Horizon: sim.WorstCaseHorizon(net)})
 		if err != nil {
 			return nil, err
 		}
-		simulated.X = append(simulated.X, u)
-		simulated.Y = append(simulated.Y, res.Stats[0].MaxDelay)
-	}
-	return []textplot.Series{simulated, est, sound}, nil
+		// Subsystem envelopes as the analyzer sees them: everything fresh,
+		// one connection alone and two together at each multiplexor.
+		one := traffic.TokenBucket{Sigma: 1, Rho: u / 4}.EnvelopeCapped(1)
+		two := minplus.Sum(one, one)
+		est := analysis.GreedyPairEstimate(two, one, two, 1, 1)
+		return appendBounds([]float64{res.Stats[0].MaxDelay, est}, net, analysis.Integrated{})
+	})
 }
 
 // GuaranteedRateComparison reproduces the paper's Section 1.2 observation:
@@ -182,12 +107,7 @@ func GreedyGap(loads []float64) ([]textplot.Series, error) {
 // right tool and clearly beats per-hop decomposition. It returns conn-0
 // bounds for a WFQ tandem under both methods.
 func GuaranteedRateComparison(n int, loads []float64) ([]textplot.Series, error) {
-	if loads == nil {
-		loads = DefaultLoads
-	}
-	netCurve := textplot.Series{Name: fmt.Sprintf("NetworkCurve(%d)", n)}
-	decomposed := textplot.Series{Name: fmt.Sprintf("Decomposed(%d)", n)}
-	for _, u := range loads {
+	return sweep(orDefault(loads), sized(n, "NetworkCurve", "Decomposed"), func(u float64) ([]float64, error) {
 		net, err := topo.Tandem(topo.TandemSpec{
 			Switches: n, Sigma: 1, Rho: u / 4, Capacity: 1,
 			Discipline: server.GuaranteedRate,
@@ -205,20 +125,8 @@ func GuaranteedRateComparison(n int, loads []float64) ([]textplot.Series, error)
 		for i := range net.Connections {
 			net.Connections[i].Rate = 0.25
 		}
-		rn, err := (analysis.GuaranteedRateNetworkCurve{}).Analyze(net)
-		if err != nil {
-			return nil, err
-		}
-		rd, err := (analysis.Decomposed{}).Analyze(net)
-		if err != nil {
-			return nil, err
-		}
-		netCurve.X = append(netCurve.X, u)
-		netCurve.Y = append(netCurve.Y, rn.Bound(0))
-		decomposed.X = append(decomposed.X, u)
-		decomposed.Y = append(decomposed.Y, rd.Bound(0))
-	}
-	return []textplot.Series{netCurve, decomposed}, nil
+		return appendBounds(nil, net, analysis.GuaranteedRateNetworkCurve{}, analysis.Decomposed{})
+	})
 }
 
 // StaticPriorityExperiment runs the paper's announced extension on a
@@ -227,13 +135,7 @@ func GuaranteedRateComparison(n int, loads []float64) ([]textplot.Series, error)
 // regardless of method). Returns conn-0 bounds under SP decomposition,
 // the integrated SP analysis, and plain FIFO for contrast.
 func StaticPriorityExperiment(n int, loads []float64) ([]textplot.Series, error) {
-	if loads == nil {
-		loads = DefaultLoads
-	}
-	spDec := textplot.Series{Name: fmt.Sprintf("SP decomposed(%d)", n)}
-	spInt := textplot.Series{Name: fmt.Sprintf("SP integrated(%d)", n)}
-	fifo := textplot.Series{Name: fmt.Sprintf("FIFO conn0(%d)", n)}
-	for _, u := range loads {
+	return sweep(orDefault(loads), sized(n, "SP decomposed", "SP integrated", "FIFO conn0"), func(u float64) ([]float64, error) {
 		spec := topo.TandemSpec{
 			Switches: n, Sigma: 1, Rho: u / 4, Capacity: 1,
 			Discipline: server.StaticPriority, Priority0: 1, PriorityCross: 0,
@@ -242,31 +144,23 @@ func StaticPriorityExperiment(n int, loads []float64) ([]textplot.Series, error)
 		if err != nil {
 			return nil, err
 		}
-		rs, err := (analysis.Decomposed{}).Analyze(net)
+		ys, err := appendBounds(nil, net, analysis.Decomposed{}, analysis.Integrated{})
 		if err != nil {
 			return nil, err
 		}
-		rsi, err := (analysis.Integrated{}).Analyze(net)
-		if err != nil {
-			return nil, err
-		}
-		spec.Discipline = server.FIFO
-		fnet, err := topo.Tandem(spec)
-		if err != nil {
-			return nil, err
-		}
-		rf, err := (analysis.Decomposed{}).Analyze(fnet)
-		if err != nil {
-			return nil, err
-		}
-		spDec.X = append(spDec.X, u)
-		spDec.Y = append(spDec.Y, rs.Bound(0))
-		spInt.X = append(spInt.X, u)
-		spInt.Y = append(spInt.Y, rsi.Bound(0))
-		fifo.X = append(fifo.X, u)
-		fifo.Y = append(fifo.Y, rf.Bound(0))
+		return appendFIFOBound(ys, spec)
+	})
+}
+
+// appendFIFOBound appends the decomposed conn-0 bound of spec's tandem
+// under plain FIFO, the contrast of the scheduling extensions, to ys.
+func appendFIFOBound(ys []float64, spec topo.TandemSpec) ([]float64, error) {
+	spec.Discipline = server.FIFO
+	net, err := topo.Tandem(spec)
+	if err != nil {
+		return nil, err
 	}
-	return []textplot.Series{spDec, spInt, fifo}, nil
+	return appendBounds(ys, net, analysis.Decomposed{})
 }
 
 // EDFExperiment compares, on the tandem workload, the bound of an urgent
@@ -276,13 +170,7 @@ func StaticPriorityExperiment(n int, loads []float64) ([]textplot.Series, error)
 // conn-0 EDF bound, a cross connection's EDF bound, and the FIFO conn-0
 // bound.
 func EDFExperiment(n int, loads []float64) ([]textplot.Series, error) {
-	if loads == nil {
-		loads = DefaultLoads
-	}
-	urgent := textplot.Series{Name: fmt.Sprintf("EDF conn0(%d)", n)}
-	cross := textplot.Series{Name: fmt.Sprintf("EDF cross(%d)", n)}
-	fifo := textplot.Series{Name: fmt.Sprintf("FIFO conn0(%d)", n)}
-	for _, u := range loads {
+	return sweep(orDefault(loads), sized(n, "EDF conn0", "EDF cross", "FIFO conn0"), func(u float64) ([]float64, error) {
 		spec := topo.TandemSpec{
 			Switches: n, Sigma: 1, Rho: u / 4, Capacity: 1,
 			Discipline: server.EDF,
@@ -305,52 +193,27 @@ func EDFExperiment(n int, loads []float64) ([]textplot.Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		spec.Discipline = server.FIFO
-		fnet, err := topo.Tandem(spec)
-		if err != nil {
-			return nil, err
-		}
-		rf, err := (analysis.Decomposed{}).Analyze(fnet)
-		if err != nil {
-			return nil, err
-		}
-		urgent.X = append(urgent.X, u)
-		urgent.Y = append(urgent.Y, re.Bound(0))
-		cross.X = append(cross.X, u)
-		cross.Y = append(cross.Y, re.Bound(2))
-		fifo.X = append(fifo.X, u)
-		fifo.Y = append(fifo.Y, rf.Bound(0))
-	}
-	return []textplot.Series{urgent, cross, fifo}, nil
+		return appendFIFOBound([]float64{re.Bound(0), re.Bound(2)}, spec)
+	})
 }
 
 // ChainLengthSweep quantifies the value of longer integrated chains on a
 // deep tandem: conn-0 bounds for chain lengths 1 (decomposed), 2 (the
 // paper), and the full path.
 func ChainLengthSweep(n int, loads []float64) ([]textplot.Series, error) {
-	if loads == nil {
-		loads = DefaultLoads
+	var names []string
+	var analyzers []analysis.Analyzer
+	for _, L := range []int{1, 2, n} {
+		names = append(names, fmt.Sprintf("ChainLength=%d", L))
+		analyzers = append(analyzers, analysis.Integrated{ChainLength: L})
 	}
-	lengths := []int{1, 2, n}
-	series := make([]textplot.Series, len(lengths))
-	for i, L := range lengths {
-		series[i] = textplot.Series{Name: fmt.Sprintf("ChainLength=%d(%d)", L, n)}
-	}
-	for _, u := range loads {
+	return sweep(orDefault(loads), sized(n, names...), func(u float64) ([]float64, error) {
 		net, err := topo.PaperTandem(n, u)
 		if err != nil {
 			return nil, err
 		}
-		for i, L := range lengths {
-			res, err := (analysis.Integrated{ChainLength: L}).Analyze(net)
-			if err != nil {
-				return nil, err
-			}
-			series[i].X = append(series[i].X, u)
-			series[i].Y = append(series[i].Y, res.Bound(0))
-		}
-	}
-	return series, nil
+		return appendBounds(nil, net, analyzers...)
+	})
 }
 
 // AdmissionCapacity measures the paper's motivating quantity directly: how
@@ -368,11 +231,7 @@ func AdmissionCapacity(n int, deadlines []float64, limit int) ([]textplot.Series
 		path[i] = i
 	}
 	analyzers := []analysis.Analyzer{analysis.Decomposed{}, analysis.ServiceCurve{}, analysis.Integrated{}}
-	series := make([]textplot.Series, len(analyzers))
-	for i, a := range analyzers {
-		series[i] = textplot.Series{Name: fmt.Sprintf("%s(%d)", a.Name(), n)}
-	}
-	for _, deadline := range deadlines {
+	return sweep(deadlines, sized(n, "Decomposed", "ServiceCurve", "Integrated"), func(deadline float64) ([]float64, error) {
 		template := topo.Connection{
 			Name:       "flow",
 			Bucket:     traffic.TokenBucket{Sigma: 1, Rho: 0.02},
@@ -380,7 +239,8 @@ func AdmissionCapacity(n int, deadlines []float64, limit int) ([]textplot.Series
 			Path:       path,
 			Deadline:   deadline,
 		}
-		for i, a := range analyzers {
+		var counts []float64
+		for _, a := range analyzers {
 			ctrl, err := admission.New(servers, a)
 			if err != nil {
 				return nil, err
@@ -389,9 +249,8 @@ func AdmissionCapacity(n int, deadlines []float64, limit int) ([]textplot.Series
 			if err != nil {
 				return nil, err
 			}
-			series[i].X = append(series[i].X, deadline)
-			series[i].Y = append(series[i].Y, float64(count))
+			counts = append(counts, float64(count))
 		}
-	}
-	return series, nil
+		return counts, nil
+	})
 }

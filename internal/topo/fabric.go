@@ -2,7 +2,6 @@ package topo
 
 import (
 	"fmt"
-	"sort"
 
 	"delaycalc/internal/server"
 	"delaycalc/internal/traffic"
@@ -33,21 +32,6 @@ type Demand struct {
 	Priority   int
 	Rate       float64
 	Deadline   float64
-}
-
-// nodeSet returns the sorted node names of the fabric.
-func (f *Fabric) nodeSet() []string {
-	set := map[string]bool{}
-	for _, l := range f.Links {
-		set[l.From] = true
-		set[l.To] = true
-	}
-	nodes := make([]string, 0, len(set))
-	for n := range set {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	return nodes
 }
 
 // Route returns the link indices of a fewest-hop path from one node to

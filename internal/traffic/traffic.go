@@ -136,8 +136,3 @@ func ShiftedBucket(tb TokenBucket, d float64) TokenBucket {
 	}
 	return TokenBucket{Sigma: tb.Sigma + tb.Rho*d, Rho: tb.Rho}
 }
-
-// Aggregate sums the envelopes of a set of flows.
-func Aggregate(envelopes ...minplus.Curve) minplus.Curve {
-	return minplus.Sum(envelopes...)
-}

@@ -90,20 +90,6 @@ func TestShiftedBucket(t *testing.T) {
 	}
 }
 
-func TestAggregate(t *testing.T) {
-	a := TokenBucket{Sigma: 1, Rho: 0.25}.EnvelopeCapped(1)
-	b := TokenBucket{Sigma: 2, Rho: 0.25}.EnvelopeCapped(1)
-	agg := Aggregate(a, b)
-	for _, x := range []float64{0.5, 2, 8} {
-		if got, want := agg.Eval(x), a.Eval(x)+b.Eval(x); math.Abs(got-want) > 1e-9 {
-			t.Errorf("aggregate at %g = %g, want %g", x, got, want)
-		}
-	}
-	if !Aggregate().Equal(minplus.Zero()) {
-		t.Error("empty aggregate should be zero")
-	}
-}
-
 func TestShiftedPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
